@@ -24,7 +24,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.costs import CostModel
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 
 #: Views the victim sits out, per scale (see conftest.SCALE).
 if os.environ.get("REPRO_BENCH_SCALE", "small") == "paper":

@@ -18,7 +18,7 @@ from repro import perf
 from repro.bench.parallel import run_cells
 from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 
 _SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 

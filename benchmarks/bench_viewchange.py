@@ -13,7 +13,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.costs import CostModel
 from repro.protocols.registry import PROTOCOL_ORDER
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 
 
 def run(protocol: str, crash: bool) -> tuple[float, int]:

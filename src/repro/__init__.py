@@ -31,7 +31,8 @@ from repro.errors import (
     TEERefusal,
     VerificationError,
 )
-from repro.protocols import PROTOCOL_ORDER, ConsensusSystem, RunResult, get_spec
+from repro.protocols import PROTOCOL_ORDER, get_spec
+from repro.runtime.sim import ConsensusSystem, RunResult
 
 __version__ = "1.0.0"
 

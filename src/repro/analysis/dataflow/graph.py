@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 from weakref import WeakKeyDictionary
 
-from repro.analysis.engine import FileContext, ProjectContext
+from repro.analysis.engine import FileContext, ProjectContext, class_attr_values
 
 #: Container/str method names never treated as project-method calls when
 #: the receiver is unknown: ``votes.append(x)`` must not resolve to some
@@ -244,7 +244,9 @@ class ProgramGraph:
                 and recv.id in ("self", "cls")
                 and caller.cls is not None
             ):
-                targets = self.resolve_method(caller.cls, func.attr)
+                targets = self.resolve_method(
+                    caller.cls, func.attr
+                ) or self._bound_class_inits(caller.cls, func.attr)
                 if targets:
                     return targets
             # ``module.func(...)`` through an import alias.
@@ -262,6 +264,26 @@ class ProgramGraph:
                 return []
             return list(self.methods_by_name.get(func.attr, []))
         return []
+
+    def _bound_class_inits(self, cls: ClassInfo, name: str) -> list[FunctionInfo]:
+        """Constructors behind ``self.NAME(...)`` for a class-valued attribute.
+
+        A class body binding ``NAME = SomeClass`` declares which flavour
+        of a component its instances build (``CHECKER = LockingChecker``);
+        every such binding in the hierarchy is a candidate callee.
+        """
+        found: dict[str, FunctionInfo] = {}
+        for owner in [*self.ancestors(cls), *self.subclasses(cls)]:
+            for value in class_attr_values(owner.node, (name,)):
+                bound = (
+                    self.resolve_class_name(value.id, owner.module)
+                    if isinstance(value, ast.Name)
+                    else None
+                )
+                if bound is not None:
+                    for init in self.resolve_method(bound, "__init__"):
+                        found.setdefault(init.qualname, init)
+        return list(found.values())
 
     def _resolve_bare(self, name: str, module: str) -> list[FunctionInfo]:
         info = self.module_functions.get((module, name))

@@ -10,7 +10,9 @@ an entry point calling a helper in an unrestricted module that reads
 
 These rules close that hole: walk the call graph from every ``Machine``
 subclass entry point (``start``/``on_message``/``on_timer``/... plus
-anything the class adds to ``ENTRY_POINTS``) and flag reachable calls
+anything the class adds to ``ENTRY_POINTS``, plus the handlers its
+``HANDLERS`` table names - ``dispatch`` reaches those through the table,
+which no call expression shows) and flag reachable calls
 into nondeterminism (PURE001: time, random, secrets, uuid, datetime) or
 I/O (PURE002: files, sockets, subprocess, asyncio, env).  The traversal
 deliberately does **not** descend into runtime-host modules
@@ -39,10 +41,15 @@ from repro.analysis.dataflow.graph import (
     graph_for,
     scoped_statements,
 )
-from repro.analysis.engine import dotted_name
+from repro.analysis.engine import class_attr_values, dotted_name
 
 #: Entry points every Machine exposes; classes extend via ENTRY_POINTS.
 _DEFAULT_ENTRY_POINTS = {"start", "on_message", "on_timer", "crash", "recover"}
+
+#: Class attributes whose string constants name entry points: the
+#: explicit list, and the handler table ``BaseReplica.dispatch`` routes
+#: through (strings that name no method are ignored).
+_ENTRY_TABLES = ("ENTRY_POINTS", "HANDLERS")
 
 #: Packages/modules the walk never descends into: the hosts that
 #: legitimately interpret effects as real I/O, plus tooling.
@@ -157,25 +164,10 @@ class _PurityWalk:
     def _entry_names(self, cls: ClassInfo) -> set[str]:
         names = set(_DEFAULT_ENTRY_POINTS)
         for ancestor in self.graph.ancestors(cls):
-            for item in ancestor.node.body:
-                value: ast.expr | None = None
-                if isinstance(item, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "ENTRY_POINTS"
-                    for t in item.targets
-                ):
-                    value = item.value
-                elif (
-                    isinstance(item, ast.AnnAssign)
-                    and isinstance(item.target, ast.Name)
-                    and item.target.id == "ENTRY_POINTS"
-                ):
-                    value = item.value
-                if value is not None:
-                    for sub in ast.walk(value):
-                        if isinstance(sub, ast.Constant) and isinstance(
-                            sub.value, str
-                        ):
-                            names.add(sub.value)
+            for value in class_attr_values(ancestor.node, _ENTRY_TABLES):
+                for sub in ast.walk(value):
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                        names.add(sub.value)
         return names
 
     def _entries(self, cls: ClassInfo) -> list[FunctionInfo]:

@@ -229,6 +229,21 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
+def class_attr_values(cls: ast.ClassDef, names: Sequence[str]) -> Iterator[ast.expr]:
+    """Values a class body assigns - plainly or annotated - to any of ``names``."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if stmt.value is not None and any(
+            isinstance(t, ast.Name) and t.id in names for t in targets
+        ):
+            yield stmt.value
+
+
 def receiver_tokens(node: ast.AST) -> set[str]:
     """Every name and attribute label appearing in a receiver expression."""
     tokens: set[str] = set()

@@ -3,8 +3,8 @@
 A message type that no protocol dispatches is either dead weight or - far
 worse - something a replica silently drops on the floor.  These rules
 cross-reference the message classes declared in :mod:`repro.core.messages`
-(and protocol-local ones) against the ``isinstance`` dispatch chains of
-every protocol module, and check that ``match`` statements over
+(and protocol-local ones) against the ``HANDLERS`` tables every protocol
+class declares, and check that ``match`` statements over
 :class:`repro.core.phases.Phase` cover every phase.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.engine import class_attr_values
 from repro.analysis.lint.engine import (
     FileContext,
     Finding,
@@ -62,25 +63,43 @@ def _message_classes(project: ProjectContext) -> dict[str, tuple[FileContext, as
     return declared
 
 
+#: Class-level tables a protocol declares its handlers in (see
+#: ``BaseReplica.HANDLERS``): keys are message classes, or
+#: ``(CommitmentMsg, kind)`` tuples.
+_HANDLER_TABLE = "HANDLERS"
+
+
+def _names_in(expr: ast.expr) -> Iterator[str]:
+    """Class names in a type spec: ``A``, ``mod.A``, or a tuple of either."""
+    for node in expr.elts if isinstance(expr, ast.Tuple) else [expr]:
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def _handled_classes(project: ProjectContext) -> set[str]:
-    """Class names appearing in ``isinstance`` checks of protocol modules."""
+    """Class names the protocol modules route to a handler.
+
+    Two sources: the keys of the declared ``HANDLERS`` tables, and the
+    ``isinstance`` checks that remain for view-less service traffic
+    (client, block-fetch and sync messages in ``BaseReplica.on_message``).
+    """
     handled: set[str] = set()
     for ctx in project.in_package(_PROTOCOLS_PACKAGE):
         for node in ast.walk(ctx.tree):
-            if not (
+            if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance"
                 and len(node.args) == 2
             ):
-                continue
-            spec = node.args[1]
-            names = spec.elts if isinstance(spec, ast.Tuple) else [spec]
-            for name in names:
-                if isinstance(name, ast.Name):
-                    handled.add(name.id)
-                elif isinstance(name, ast.Attribute):
-                    handled.add(name.attr)
+                handled.update(_names_in(node.args[1]))
+            elif isinstance(node, ast.ClassDef):
+                for table in class_attr_values(node, (_HANDLER_TABLE,)):
+                    for key in table.keys if isinstance(table, ast.Dict) else ():
+                        if key is not None:  # a ``**Base.HANDLERS`` spread has no key
+                            handled.update(_names_in(key))
     return handled
 
 
@@ -91,8 +110,8 @@ class UnhandledMessageTypeRule(ProjectRule):
     rule_id = "MSG001"
     title = "message type without a dispatch handler"
     hint = (
-        "add an isinstance branch for it in the owning protocol's "
-        "dispatch(), or delete the dead message type"
+        "add it to the owning protocol's HANDLERS table, or delete the "
+        "dead message type"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -115,7 +134,7 @@ class SentButUnhandledRule(ProjectRule):
 
     rule_id = "MSG002"
     title = "message sent without a receiver-side handler"
-    hint = "register a handler before sending, or the message is dropped silently"
+    hint = "add it to a HANDLERS table before sending, or the message is dropped silently"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         declared = _message_classes(project)

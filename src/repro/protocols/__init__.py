@@ -7,11 +7,12 @@
 * :mod:`~repro.protocols.chained_hotstuff` - chained HotStuff.
 * :mod:`~repro.protocols.chained_damysus` - Chained-Damysus.
 
-Use :class:`~repro.protocols.system.ConsensusSystem` to build and run a
-whole deployment from a :class:`~repro.config.SystemConfig`.
+plus the TEE-free 2-phase baseline :mod:`~repro.protocols.fast_hotstuff`.
+All seven are declarations over one chassis,
+:class:`~repro.protocols.replica.BaseReplica` (``docs/protocols.md`` has
+the grid).  :class:`repro.runtime.sim.ConsensusSystem` builds and runs a
+whole simulated deployment from a :class:`~repro.config.SystemConfig`.
 """
-
-from typing import Any
 
 from repro.protocols.chained_damysus import ChainedDamysusReplica
 from repro.protocols.chained_hotstuff import ChainedHotStuffReplica
@@ -23,17 +24,6 @@ from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
 from repro.protocols.registry import PROTOCOL_ORDER, SPECS, ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica, QuorumCollector
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy (PEP 562): the system builder lives with the simulator runtime
-    # now, and importing a protocol module must not drag the simulator in.
-    if name in ("ConsensusSystem", "RunResult"):
-        from repro.runtime import sim as _sim
-
-        return getattr(_sim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BaseReplica",
@@ -47,8 +37,6 @@ __all__ = [
     "ChainedHotStuffReplica",
     "ChainedDamysusReplica",
     "Client",
-    "ConsensusSystem",
-    "RunResult",
     "ProtocolSpec",
     "SPECS",
     "PROTOCOL_ORDER",

@@ -16,15 +16,15 @@ Table 1's 12f + 6 messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.errors import TEERefusal
-from repro.core.block import Block, create_chain
+from repro.core.block import Block
 from repro.core.certificate import Accumulator, QuorumCert, genesis_qc
 from repro.core.commitment import Commitment, c_combine
 from repro.core.messages import MSG_HEADER_BYTES, ChainedProposal
-from repro.core.phases import Phase, Step
-from repro.protocols.replica import BaseReplica, QuorumCollector
+from repro.core.phases import Phase
+from repro.protocols.replica import BaseReplica
 from repro.tee.accumulator import AccumulatorService
 from repro.tee.checker import ChainedChecker
 
@@ -55,41 +55,34 @@ class ChainedDamysusReplica(BaseReplica):
     """One Chained-Damysus replica (Fig 5a) with its trusted services."""
 
     protocol_name = "chained-damysus"
+    CHECKER = ChainedChecker
+    HANDLERS: ClassVar[dict[Any, Any]] = {
+        ChainedProposal: "_handle_proposal",
+        ChainedVote: "_handle_vote",
+    }
+    STALE_BLOCK_MSGS = (ChainedProposal,)
+    NEXT_VIEW_MSGS = (ChainedVote,)
+    # _new_views gathers new-view commitments under the view they were
+    # stamped in, one per TEE signer (the stale-certificate path).
+    COLLECTORS = ("_votes", "_new_views")
+    VIEW_SETS = ("_proposed", "_voted")
+    # Votes stamped view-1 are still being collected by this view's
+    # leader, so prune two views back.
+    PRUNE_SLACK = 2
+    checker: ChainedChecker
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.checker = self._make_checker()
         self.acc_service = AccumulatorService(
             self.pid, self.scheme, self.directory, self.quorum
         )
+        # qc_prep and the per-view block index survive a crash on stable
+        # storage (certificates and block bodies); the sealed checker
+        # carries the trusted prepared/step state.
         self.qc_prep: QuorumCert | Commitment | Accumulator = genesis_qc(
             self.store.genesis.hash
         )
         self.blocks: dict[int, Block] = {0: self.store.genesis}
-        self._votes = QuorumCollector(self.quorum)
-        # New-view commitments per stamped view, keyed by TEE signer.
-        self._nv_commitments: dict[int, dict[int, Commitment]] = {}
-        self._proposed: set[int] = set()
-        self._voted: set[int] = set()
-        self.view = 1  # nodes start at view 1 (Section 7.1)
-
-    def _make_checker(self) -> ChainedChecker:
-        return ChainedChecker(
-            self.pid,
-            self.scheme,
-            self.directory,
-            self.store.genesis.hash,
-            self.quorum,
-        )
-
-    def reset_protocol_state(self) -> None:
-        # qc_prep and the per-view block index survive on stable storage
-        # (certificates and block bodies); vote state is volatile and the
-        # sealed checker carries the trusted prepared/step state.
-        self._votes = QuorumCollector(self.quorum)
-        self._nv_commitments.clear()
-        self._proposed.clear()
-        self._voted.clear()
 
     # -- helpers --------------------------------------------------------------------
 
@@ -98,17 +91,9 @@ class ChainedDamysusReplica(BaseReplica):
             return block.justify
         return genesis_qc(self.store.genesis.hash)
 
-    def message_view(self, payload: Any) -> int | None:
-        if isinstance(payload, ChainedVote):
-            return payload.view + 1  # addressed to the next view's leader
-        return super().message_view(payload)
-
-    def _verify_tee_commitment(self, phi: Commitment, expected_sigs: int) -> bool:
-        if len(phi.sigs) != expected_sigs:
-            return False
-        if any(self.directory.kind_of(sig.signer) != "tee" for sig in phi.sigs):
-            return False
-        return phi.verify(self.scheme)
+    def _keep_stale_block(self, block: Block) -> None:
+        super()._keep_stale_block(block)
+        self.blocks.setdefault(block.view, block)
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -120,47 +105,26 @@ class ChainedDamysusReplica(BaseReplica):
         self.charge_tee(signs=1)
         phi = self.checker.tee_sign()
         self.send_charged(self.leader_of(1), ChainedVote(0, None, phi))
-        if self.is_leader(1):
-            self._try_propose(1)
+        self._new_view_action()
+
+    def _new_view_action(self) -> None:
+        """A leader holding the previous view's certificate proposes at once."""
+        self._try_propose(self.view)
 
     def on_view_timeout(self, view: int) -> None:
-        self.advance_view(view + 1)
-        phi = self._catch_up_new_view(self.view)
+        # Votes double as new-views on the happy path; only a timeout
+        # sends an explicit one, after the shared advance.
+        super().on_view_timeout(view)
+        # Fig 5a lines 46-51.
+        phi = self._tee_sign_new_view(self.checker, self.view - 1)
         if phi is not None:
             self.send_charged(self.leader_of(self.view), ChainedVote(self.view - 1, None, phi))
 
-    def _catch_up_new_view(self, new_view: int) -> Commitment | None:
-        """Fig 5a lines 46-51: TEEsign until stamped (new_view - 1, nv_p)."""
-        target = Step(new_view - 1, Phase.NEW_VIEW)
-        rule = self.checker.step_rule
-        while self.checker.step.index(rule) <= target.index(rule):
-            self.charge_tee(signs=1)
-            phi = self.checker.tee_sign()
-            if phi.v_prep == target.view and phi.phase == target.phase:
-                return phi
-        return None
-
-    def on_view_entered(self, view: int) -> None:
-        if self.is_leader(view):
-            self._try_propose(view)
-
-    def prune_state(self, view: int) -> None:
-        horizon = view - 2
-        self._votes.discard_before_view(horizon)
-        self._prune_view_sets(horizon, self._proposed, self._voted)
-
-    # -- dispatch --------------------------------------------------------------------------
-
-    def dispatch(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, ChainedProposal):
-            self._handle_proposal(sender, payload)
-        elif isinstance(payload, ChainedVote):
-            self._handle_vote(sender, payload)
-
-    def on_stale(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, ChainedProposal):
-            self.store.add(payload.block)
-            self.blocks.setdefault(payload.block.view, payload.block)
+    def on_recovered(self) -> None:
+        # No rejoin action: a restarted leader has forgotten what it
+        # proposed, and the checker refuses a second prepare anyway.  It
+        # rejoins on the next proposal or timeout.
+        pass
 
     # -- leader: proposing (Fig 5a lines 7-19) ------------------------------------------------
 
@@ -170,7 +134,7 @@ class ChainedDamysusReplica(BaseReplica):
         if self.qc_prep.cview != view - 1:
             # Stale certificate: wait for f+1 new-view commitments stamped
             # (view-1, nv_p) and certify the selection with the accumulator.
-            phis = self._new_view_commitments(view)
+            phis = self._new_views.reached(view - 1)
             if phis is None:
                 return
             self.charge((self.quorum + 1) * self.costs.tee_op_ms(signs=1, verifies=1))
@@ -180,26 +144,13 @@ class ChainedDamysusReplica(BaseReplica):
                 return
         self._propose(view)
 
-    def _new_view_commitments(self, view: int) -> list[Commitment] | None:
-        items = self._nv_commitments.get(view - 1, {})
-        if len(items) < self.quorum:
-            return None
-        return list(items.values())[: self.quorum]
-
     def _propose(self, view: int) -> None:
         qc = self.qc_prep
         b0 = self.blocks.get(qc.view)
         if b0 is None or qc.hash != b0.hash:
             return
         self._proposed.add(view)
-        block = create_chain(
-            qc,
-            view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.blocks[view] = block
-        self.store.add(block)
+        block = self.blocks[view] = self._new_block(qc, view)
         self.charge_tee(signs=1, verifies=len(getattr(qc, "sigs", ()) or ()) or 1)
         try:
             phi_prep = self.checker.tee_prepare_chained(block, b0)
@@ -273,10 +224,9 @@ class ChainedDamysusReplica(BaseReplica):
     # -- next leader: vote aggregation (Fig 5a lines 40-43) ----------------------------------------
 
     def _handle_vote(self, sender: int, msg: ChainedVote) -> None:
-        if not self.is_leader(msg.view + 1):
-            self._store_new_view(msg)
-            return
         self._store_new_view(msg)
+        if not self.is_leader(msg.view + 1):
+            return
         if msg.prep is not None:
             phi = msg.prep
             if phi.phase == Phase.PREPARE and phi.v_prep == msg.view and len(phi.sigs) == 1:
@@ -306,8 +256,4 @@ class ChainedDamysusReplica(BaseReplica):
         self.charge_verify(1)
         if not self._verify_tee_commitment(phi, expected_sigs=1):
             return
-        per_view = self._nv_commitments.setdefault(phi.v_prep, {})
-        per_view.setdefault(phi.sigs[0].signer, phi)
-        # Garbage-collect old views.
-        for old in [v for v in self._nv_commitments if v < self.view - 2]:
-            del self._nv_commitments[old]
+        self._new_views.add(phi.v_prep, phi, phi.sigs[0].signer)

@@ -15,37 +15,38 @@ over 4 views - Table 1's 24f + 8 messages.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, ClassVar
 
-from repro.core.block import Block, create_chain
+from repro.core.block import Block
 from repro.core.certificate import QuorumCert, genesis_qc, vote_payload
 from repro.core.messages import ChainedProposal, NewViewMsg, VoteMsg
 from repro.core.phases import Phase
-from repro.protocols.replica import BaseReplica, QuorumCollector
+from repro.protocols.replica import BaseReplica
 
 
 class ChainedHotStuffReplica(BaseReplica):
     """One replica of chained HotStuff."""
 
     protocol_name = "chained-hotstuff"
+    HANDLERS: ClassVar[dict[Any, Any]] = {
+        ChainedProposal: "_handle_proposal",
+        VoteMsg: "_handle_vote",
+        NewViewMsg: "_handle_new_view",
+    }
+    STALE_BLOCK_MSGS = (ChainedProposal,)
+    NEXT_VIEW_MSGS = (VoteMsg,)
+    COLLECTORS = ("_votes", "_new_views")
+    VIEW_SETS = ("_proposed", "_voted")
+    # Votes stamped view-1 are still being collected by this view's
+    # leader, so prune two views back.
+    PRUNE_SLACK = 2
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        # Both certificates survive a crash on stable storage.
         bottom = genesis_qc(self.store.genesis.hash)
         self.high_qc = bottom  # highest known certificate (generic QC)
         self.locked_qc = bottom  # 2-chain lock
-        self._votes = QuorumCollector(self.quorum)
-        self._new_views = QuorumCollector(self.quorum)
-        self._proposed: set[int] = set()
-        self._voted: set[int] = set()
-        self.view = 1  # chained protocols start at view 1
-
-    def reset_protocol_state(self) -> None:
-        # high_qc and locked_qc survive on stable storage.
-        self._votes = QuorumCollector(self.quorum)
-        self._new_views = QuorumCollector(self.quorum)
-        self._proposed.clear()
-        self._voted.clear()
 
     # -- helpers ------------------------------------------------------------------
 
@@ -55,51 +56,25 @@ class ChainedHotStuffReplica(BaseReplica):
             return block.justify  # type: ignore[return-value]
         return genesis_qc(self.store.genesis.hash)
 
-    def message_view(self, payload: Any) -> int | None:
-        # Votes are addressed to the *next* view's leader, who collects
-        # them after advancing; route them to view + 1.
-        if isinstance(payload, VoteMsg):
-            return payload.view + 1
-        return super().message_view(payload)
-
     # -- lifecycle -------------------------------------------------------------------
 
-    def start(self) -> None:
-        self.pacemaker.start_view(self.view)
-        if self.is_leader(self.view):
-            self._try_propose(self.view)
+    def _new_view_action(self) -> None:
+        """A leader holding the previous view's certificate proposes at once."""
+        self._try_propose(self.view)
 
     def on_view_timeout(self, view: int) -> None:
-        self.advance_view(view + 1)
+        # Votes double as new-views on the happy path; only a timeout
+        # sends an explicit one, after the shared advance.
+        super().on_view_timeout(view)
         self.send_charged(
             self.leader_of(self.view), NewViewMsg(self.view, self.high_qc)
         )
 
-    def on_view_entered(self, view: int) -> None:
-        if self.is_leader(view):
-            self._try_propose(view)
-
-    def prune_state(self, view: int) -> None:
-        # Votes stamped view-1 are still being collected by this view's
-        # leader, so prune two views back.
-        horizon = view - 2
-        self._votes.discard_before_view(horizon)
-        self._new_views.discard_before_view(horizon)
-        self._prune_view_sets(horizon, self._proposed, self._voted)
-
-    # -- dispatch ----------------------------------------------------------------------
-
-    def dispatch(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, ChainedProposal):
-            self._handle_proposal(sender, payload)
-        elif isinstance(payload, VoteMsg):
-            self._handle_vote(sender, payload)
-        elif isinstance(payload, NewViewMsg):
-            self._handle_new_view(sender, payload)
-
-    def on_stale(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, ChainedProposal):
-            self.store.add(payload.block)
+    def on_recovered(self) -> None:
+        # No rejoin action: a restarted leader has forgotten what it
+        # proposed, so re-running the new-view action could equivocate.
+        # It rejoins on the next proposal or timeout.
+        pass
 
     # -- leader ---------------------------------------------------------------------------
 
@@ -117,13 +92,7 @@ class ChainedHotStuffReplica(BaseReplica):
 
     def _propose(self, view: int) -> None:
         self._proposed.add(view)
-        block = create_chain(
-            self.high_qc,
-            view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.store.add(block)
+        block = self._new_block(self.high_qc, view)
         self.charge_sign()
         leader_sig = self.scheme.sign(
             self.pid, vote_payload(view, Phase.PREPARE, block.hash)

@@ -12,14 +12,13 @@ a valid accumulator for the current view is safe by construction.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.errors import TEERefusal
-from repro.core.block import create_leaf
 from repro.core.commitment import Commitment, c_combine, c_match
 from repro.core.messages import BlockProposal, CommitmentMsg
-from repro.core.phases import Phase, Step, StepRule
-from repro.protocols.replica import BaseReplica, QuorumCollector
+from repro.core.phases import Phase
+from repro.protocols.replica import BaseReplica
 from repro.tee.accumulator import AccumulatorService
 from repro.tee.checker import Checker
 
@@ -32,129 +31,43 @@ KIND_DECIDE = "damysus-decide"
 
 
 class DamysusReplica(BaseReplica):
-    """One replica of Damysus (Fig 2a), with its trusted services."""
+    """One replica of Damysus (Fig 2a), with its trusted services.
+
+    Also the commitment-vote engine Damysus-C reuses: ``HANDLERS`` gives
+    :meth:`_combine` and :meth:`_store_and_vote` each step's parameters.
+    """
 
     protocol_name = "damysus"
-    step_rule = StepRule.BASIC
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.checker = self._make_checker()
-        self.acc_service = AccumulatorService(
-            self.pid, self.scheme, self.directory, self.quorum
-        )
-        self._new_views = QuorumCollector(self.quorum)
-        self._prep_votes = QuorumCollector(self.quorum)
-        self._pcom_votes = QuorumCollector(self.quorum)
-        self._proposed: set[int] = set()
-        self._stored: set[int] = set()
-        self._decided: set[int] = set()
-        # Consensus views start at 1; genesis owns view 0, so the first
-        # genuinely prepared block outranks genesis in accumulations.
-        self.view = 1
-
-    def _make_checker(self) -> Checker:
-        return Checker(
-            self.pid,
-            self.scheme,
-            self.directory,
-            self.store.genesis.hash,
-            self.quorum,
-        )
-
-    # -- lifecycle ----------------------------------------------------------------
+    CHECKER = Checker
+    checker: Checker
+    PHASES = (Phase.PREPARE, Phase.PRECOMMIT)
+    HANDLERS: ClassVar[dict[Any, Any]] = {
+        BlockProposal: "_handle_proposal",
+        (CommitmentMsg, KIND_NEW_VIEW): "_handle_new_view",
+        (CommitmentMsg, KIND_PREP_VOTE): ("_combine", Phase.PREPARE, "_prep_votes", KIND_PREP_QC),
+        (CommitmentMsg, KIND_PREP_QC): ("_store_and_vote", "_stored", KIND_PCOM_VOTE),
+        (CommitmentMsg, KIND_PCOM_VOTE): ("_combine", Phase.PRECOMMIT, "_pcom_votes", KIND_DECIDE),
+        (CommitmentMsg, KIND_DECIDE): "_handle_decide",
+    }
+    STALE_BLOCK_MSGS = (BlockProposal,)
+    COLLECTORS = ("_new_views", "_prep_votes", "_pcom_votes")
+    VIEW_SETS = ("_proposed", "_stored", "_decided")
 
     #: CommitmentMsg kind used for this protocol's new-view messages
     #: (Damysus-C overrides it).
     nv_kind = KIND_NEW_VIEW
 
-    def start(self) -> None:
-        self.pacemaker.start_view(self.view)
-        self._send_new_view_commitment()
-
-    def on_view_entered(self, view: int) -> None:
-        # Runs before buffered messages replay, so the checker's (v, nv_p)
-        # step is always consumed before a leader can reach TEEprepare -
-        # otherwise the prepare commitment would be stamped with the
-        # new-view phase and no backup would accept it.
-        self._send_new_view_commitment()
-
-    def _send_new_view_commitment(self) -> None:
-        """Fig 2a lines 41-47: TEEsign until stamped (view, nv_p), then send.
-
-        A node that left a view mid-way has a checker sitting at an
-        intermediate step; repeatedly calling TEEsign skips those steps
-        (the intermediate commitments are unusable by construction).
-        """
-        target = Step(self.view, Phase.NEW_VIEW)
-        rule = self.checker.step_rule
-        phi: Commitment | None = None
-        while self.checker.step.index(rule) <= target.index(rule):
-            self.charge_tee(signs=1)
-            phi = self.checker.tee_sign()
-            if phi.v_prep == target.view and phi.phase == target.phase:
-                break
-            phi = None
-        if phi is not None:
-            self.send_charged(
-                self.leader_of(self.view), CommitmentMsg(phi, self.nv_kind)
-            )
-
-    def on_view_timeout(self, view: int) -> None:
-        self.advance_view(view + 1)
-
-    def reset_protocol_state(self) -> None:
-        # A crash loses all in-memory vote aggregation; the checker's
-        # sealed step/prepared state is what keeps the restart safe.
-        self._new_views = QuorumCollector(self.quorum)
-        self._prep_votes = QuorumCollector(self.quorum)
-        self._pcom_votes = QuorumCollector(self.quorum)
-        self._proposed.clear()
-        self._stored.clear()
-        self._decided.clear()
-
-    def on_recovered(self) -> None:
-        # Announce the unsealed checker's latest prepared block so the
-        # current leader can count this replica again (Fig 2a lines 41-47).
-        self._send_new_view_commitment()
-
-    def prune_state(self, view: int) -> None:
-        horizon = view - 1
-        self._new_views.discard_before_view(horizon)
-        self._prep_votes.discard_before_view(horizon)
-        self._pcom_votes.discard_before_view(horizon)
-        self._prune_view_sets(
-            horizon, self._proposed, self._stored, self._decided
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.acc_service = AccumulatorService(
+            self.pid, self.scheme, self.directory, self.quorum
         )
 
-    # -- dispatch -------------------------------------------------------------------
-
-    def dispatch(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, CommitmentMsg):
-            handler = {
-                KIND_NEW_VIEW: self._handle_new_view,
-                KIND_PREP_VOTE: self._handle_prep_vote,
-                KIND_PREP_QC: self._handle_prep_qc,
-                KIND_PCOM_VOTE: self._handle_pcom_vote,
-                KIND_DECIDE: self._handle_decide,
-            }.get(payload.kind)
-            if handler is not None:
-                handler(sender, payload.commitment)
-        elif isinstance(payload, BlockProposal):
-            self._handle_proposal(sender, payload)
-
-    def on_stale(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, BlockProposal):
-            self.store.add(payload.block)
-
-    # -- untrusted TEE-certificate verification ----------------------------------------
-
-    def _verify_tee_commitment(self, phi: Commitment, expected_sigs: int) -> bool:
-        if len(phi.sigs) != expected_sigs:
-            return False
-        if any(self.directory.kind_of(sig.signer) != "tee" for sig in phi.sigs):
-            return False
-        return phi.verify(self.scheme)
+    def _new_view_action(self) -> None:
+        """Fig 2a lines 41-47: TEEsign until stamped (view, nv_p), then send."""
+        phi = self._tee_sign_new_view(self.checker, self.view)
+        if phi is not None:
+            self.send_charged(self.leader_of(self.view), CommitmentMsg(phi, self.nv_kind))
 
     # -- prepare phase: leader ------------------------------------------------------------
 
@@ -184,13 +97,7 @@ class DamysusReplica(BaseReplica):
         except TEERefusal:
             return
         self._proposed.add(view)
-        block = create_leaf(
-            acc.prep_hash,
-            view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.store.add(block)
+        block = self._new_block(acc.prep_hash, view)
         self.charge_tee(signs=1, verifies=1)
         try:
             phi_prep = self.checker.tee_prepare(block.hash, acc)
@@ -238,70 +145,62 @@ class DamysusReplica(BaseReplica):
             return
         self.send_charged(self.leader_of(msg.view), CommitmentMsg(phi, KIND_PREP_VOTE))
 
-    # -- pre-commit phase ----------------------------------------------------------------------
+    # -- the commitment-vote engine: one pair of steps per declared phase -----------------
 
-    def _handle_prep_vote(self, sender: int, phi: Commitment) -> None:
+    def _combine(
+        self, sender: int, phi: Commitment, phase: Phase, collector: str, qc_kind: str
+    ) -> None:
+        """Leader: collect 1-commitments of ``phase``, combine, broadcast ``qc_kind``."""
         if not self.is_leader(phi.v_prep):
             return
-        if phi.phase != Phase.PREPARE or phi.h_prep is None or len(phi.sigs) != 1:
+        if phi.phase != phase or phi.h_prep is None or len(phi.sigs) != 1:
             return
         self.charge_verify(1)
         if not self._verify_tee_commitment(phi, expected_sigs=1):
             return
-        key = (phi.v_prep, phi.h_prep, phi.h_just, phi.v_just)
-        quorum = self._prep_votes.add(key, phi, phi.sigs[0].signer)
+        # Prepare votes name the block they extend, and only votes that
+        # agree on it combine; store votes carry no justification.
+        key: tuple[Any, ...] = (phi.v_prep, phi.h_prep)
+        if phase == Phase.PREPARE:
+            key += (phi.h_just, phi.v_just)
+        quorum = getattr(self, collector).add(key, phi, phi.sigs[0].signer)
         if quorum is None:
             return
-        if not c_match(quorum, self.quorum, phi.h_prep, phi.v_prep, Phase.PREPARE):
+        # Fig 2a's C-match.  The guards above, the collector key and its
+        # per-signer dedup already imply it, so it never fails here.
+        if not c_match(quorum, self.quorum, phi.h_prep, phi.v_prep, phase):
             return
-        combined = c_combine(quorum)
-        self.broadcast_charged(CommitmentMsg(combined, KIND_PREP_QC), include_self=True)
+        self.broadcast_charged(CommitmentMsg(c_combine(quorum), qc_kind), include_self=True)
 
-    def _handle_prep_qc(self, sender: int, phi: Commitment) -> None:
+    def _store_and_vote(self, sender: int, phi: Commitment, once: str, vote_kind: str) -> None:
+        """Backup: ``TEEstore`` the leader's certificate once per view, vote ``vote_kind``."""
         if sender != self.leader_of(phi.v_prep):
             return
-        if phi.v_prep in self._stored:
+        seen: set[int] = getattr(self, once)
+        if phi.v_prep in seen:
             return
-        self._stored.add(phi.v_prep)
+        seen.add(phi.v_prep)
         self.charge_tee(signs=1, verifies=self.quorum)
         try:
-            phi_store = self.checker.tee_store(phi)
+            vote = self.checker.tee_store(phi)
         except TEERefusal:
             return
-        self.send_charged(
-            self.leader_of(phi.v_prep), CommitmentMsg(phi_store, KIND_PCOM_VOTE)
-        )
-
-    # -- decide phase ----------------------------------------------------------------------------
-
-    def _handle_pcom_vote(self, sender: int, phi: Commitment) -> None:
-        if not self.is_leader(phi.v_prep):
-            return
-        if phi.phase != Phase.PRECOMMIT or phi.h_prep is None or len(phi.sigs) != 1:
-            return
-        self.charge_verify(1)
-        if not self._verify_tee_commitment(phi, expected_sigs=1):
-            return
-        key = (phi.v_prep, phi.h_prep)
-        quorum = self._pcom_votes.add(key, phi, phi.sigs[0].signer)
-        if quorum is None:
-            return
-        if not c_match(quorum, self.quorum, phi.h_prep, phi.v_prep, Phase.PRECOMMIT):
-            return
-        combined = c_combine(quorum)
-        self.broadcast_charged(CommitmentMsg(combined, KIND_DECIDE), include_self=True)
+        self.send_charged(self.leader_of(phi.v_prep), CommitmentMsg(vote, vote_kind))
 
     def _handle_decide(self, sender: int, phi: Commitment) -> None:
         if sender != self.leader_of(phi.v_prep):
             return
         if phi.v_prep in self._decided:
             return
-        if phi.phase != Phase.PRECOMMIT or phi.h_prep is None:
+        if phi.phase != self.PHASES[-1] or phi.h_prep is None:
             return
         self.charge_verify(self.quorum)
         if not self._verify_tee_commitment(phi, expected_sigs=self.quorum):
             return
         self._decided.add(phi.v_prep)
+        # Checkpoints certify pre-commit quorums only; for a three-phase
+        # protocol the decide certificate is a commit quorum and this
+        # records nothing.
         self.note_commit_qc(phi)
         block = self.store.get(phi.h_prep)
         if block is not None:

@@ -14,16 +14,14 @@ votes, prepare-QC broadcast, pre-commit votes, decide broadcast.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.errors import TEERefusal
 from repro.crypto.hashing import encode_fields
-from repro.core.block import create_leaf
-from repro.core.certificate import QuorumCert, genesis_qc, vote_payload
-from repro.core.messages import NewViewAMsg, ProposalAMsg, QCMsg, VoteMsg
+from repro.core.messages import NewViewAMsg, ProposalAMsg
 from repro.core.phases import Phase
-from repro.protocols.replica import BaseReplica, QuorumCollector
-from repro.tee.accumulator import QCAccumulatorService, new_view_a_payload
+from repro.protocols.signature_vote import SignatureVoteReplica
+from repro.tee.accumulator import QCAccumulatorService
 
 
 def proposal_a_payload(view: int, block_hash: bytes) -> bytes:
@@ -31,13 +29,21 @@ def proposal_a_payload(view: int, block_hash: bytes) -> bytes:
     return encode_fields(("proposal-a", view, block_hash))
 
 
-class DamysusAReplica(BaseReplica):
+class DamysusAReplica(SignatureVoteReplica):
     """One Damysus-A replica: accumulator TEE, plain replica signatures."""
 
     protocol_name = "damysus-a"
+    PHASES = (Phase.PREPARE, Phase.PRECOMMIT)
+    HANDLERS: ClassVar[dict[Any, Any]] = {
+        **SignatureVoteReplica.HANDLERS,
+        NewViewAMsg: "_handle_new_view",
+        ProposalAMsg: "_handle_proposal",
+    }
+    STALE_BLOCK_MSGS = (ProposalAMsg,)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        # No checker to seal; the accumulator is stateless between calls.
         self.acc_service = QCAccumulatorService(
             self.pid,
             self.scheme,
@@ -45,69 +51,6 @@ class DamysusAReplica(BaseReplica):
             quorum=self.quorum,
             qc_quorum=self.quorum,
         )
-        self.prepare_qc = genesis_qc(self.store.genesis.hash)
-        self._new_views = QuorumCollector(self.quorum)
-        self._votes = QuorumCollector(self.quorum)
-        self._proposed: set[int] = set()
-        self._voted: set[tuple[int, Phase]] = set()
-        self._decided: set[int] = set()
-        # Consensus views start at 1; genesis owns view 0.
-        self.view = 1
-
-    # -- lifecycle --------------------------------------------------------------------
-
-    def start(self) -> None:
-        self.pacemaker.start_view(self.view)
-        self._send_new_view()
-
-    def _send_new_view(self) -> None:
-        self.charge_sign()
-        sig = self.scheme.sign(
-            self.pid, new_view_a_payload(self.view, self.prepare_qc)
-        )
-        self.send_charged(
-            self.leader_of(self.view), NewViewAMsg(self.view, self.prepare_qc, sig)
-        )
-
-    def on_view_entered(self, view: int) -> None:
-        self._send_new_view()
-
-    def reset_protocol_state(self) -> None:
-        # prepare_qc survives on stable storage (Damysus-A has no checker
-        # to seal; its accumulator is stateless between calls).
-        self._new_views = QuorumCollector(self.quorum)
-        self._votes = QuorumCollector(self.quorum)
-        self._proposed.clear()
-        self._voted.clear()
-        self._decided.clear()
-
-    def on_recovered(self) -> None:
-        self._send_new_view()
-
-    def prune_state(self, view: int) -> None:
-        horizon = view - 1
-        self._new_views.discard_before_view(horizon)
-        self._votes.discard_before_view(horizon)
-        self._prune_view_sets(horizon, self._proposed, self._voted, self._decided)
-
-    def on_view_timeout(self, view: int) -> None:
-        self.advance_view(view + 1)
-
-    # -- dispatch -----------------------------------------------------------------------
-
-    def dispatch(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, NewViewAMsg):
-            self._handle_new_view(sender, payload)
-        elif isinstance(payload, ProposalAMsg):
-            self._handle_proposal(sender, payload)
-        elif isinstance(payload, VoteMsg):
-            self._handle_vote(sender, payload)
-        elif isinstance(payload, QCMsg):
-            self._handle_qc(sender, payload)
-
-    def on_stale(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, ProposalAMsg):
-            self.store.add(payload.block)
 
     # -- prepare phase: leader --------------------------------------------------------------
 
@@ -131,13 +74,7 @@ class DamysusAReplica(BaseReplica):
         except TEERefusal:
             return
         self._proposed.add(view)
-        block = create_leaf(
-            acc.prep_hash,
-            view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.store.add(block)
+        block = self._new_block(acc.prep_hash, view)
         self.charge_sign()
         leader_sig = self.scheme.sign(self.pid, proposal_a_payload(view, block.hash))
         self.broadcast_charged(
@@ -172,55 +109,3 @@ class DamysusAReplica(BaseReplica):
             return
         self.store.add(msg.block)
         self._vote(msg.view, Phase.PREPARE, msg.block.hash)
-
-    def _vote(self, view: int, phase: Phase, block_hash: bytes) -> None:
-        self._voted.add((view, phase))
-        self.charge_sign()
-        sig = self.scheme.sign(self.pid, vote_payload(view, phase, block_hash))
-        self.send_charged(self.leader_of(view), VoteMsg(view, phase, block_hash, sig))
-
-    # -- vote aggregation ---------------------------------------------------------------------------
-
-    def _handle_vote(self, sender: int, msg: VoteMsg) -> None:
-        if not self.is_leader(msg.view):
-            return
-        self.charge_verify(1)
-        if not self.scheme.verify_cached(
-            vote_payload(msg.view, msg.phase, msg.block_hash), msg.sig
-        ):
-            return
-        key = (msg.view, msg.phase, msg.block_hash)
-        sigs = self._votes.add(key, msg.sig, msg.sig.signer)
-        if sigs is None:
-            return
-        qc = QuorumCert(msg.view, msg.block_hash, msg.phase, tuple(sigs))
-        self.broadcast_charged(QCMsg(msg.view, msg.phase, qc), include_self=True)
-
-    # -- QC handling: prepare -> pre-commit -> decide ---------------------------------------------------
-
-    def _handle_qc(self, sender: int, msg: QCMsg) -> None:
-        if sender != self.leader_of(msg.view):
-            return
-        qc = msg.qc
-        if qc.view != msg.view or qc.phase != msg.phase:
-            return
-        self.charge_verify(len(qc.sigs))
-        if not qc.verify(self.scheme, self.quorum):
-            return
-        if qc.phase == Phase.PREPARE:
-            if qc.view > self.prepare_qc.view:
-                self.prepare_qc = qc  # latest prepared, relayed in new-views
-            if (msg.view, Phase.PRECOMMIT) not in self._voted:
-                self._vote(msg.view, Phase.PRECOMMIT, qc.block_hash)
-        elif qc.phase == Phase.PRECOMMIT:
-            self._decide(msg.view, qc)
-
-    def _decide(self, view: int, qc: QuorumCert) -> None:
-        if view in self._decided:
-            return
-        self._decided.add(view)
-        block = self.store.get(qc.block_hash)
-        if block is not None:
-            self.execute_block(block, view)
-        self.pacemaker.view_succeeded()
-        self.advance_view(view + 1)  # on_view_entered sends the new-view

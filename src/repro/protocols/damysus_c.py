@@ -12,15 +12,13 @@ pre-commit-QC, commit votes, decide.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.errors import TEERefusal
-from repro.core.block import create_leaf
-from repro.core.commitment import Commitment, c_combine, c_match
+from repro.core.commitment import Commitment, c_match
 from repro.core.messages import BlockProposal, CommitmentMsg
 from repro.core.phases import Phase
 from repro.protocols.damysus import DamysusReplica
-from repro.protocols.replica import QuorumCollector
 from repro.tee.checker_lock import LockingChecker
 
 KIND_NEW_VIEW = "damysus-c-new-view"
@@ -36,51 +34,28 @@ class DamysusCReplica(DamysusReplica):
     """One Damysus-C replica: LockingChecker, no accumulator, 3 phases."""
 
     protocol_name = "damysus-c"
+    CHECKER = LockingChecker
+    PHASES = (Phase.PREPARE, Phase.PRECOMMIT, Phase.COMMIT)
+    HANDLERS: ClassVar[dict[Any, Any]] = {
+        BlockProposal: "_handle_proposal",
+        (CommitmentMsg, KIND_NEW_VIEW): "_handle_new_view",
+        (CommitmentMsg, KIND_PREP_VOTE): ("_combine", Phase.PREPARE, "_prep_votes", KIND_PREP_QC),
+        # TEEstore of the prepare certificate stores the prepared block ...
+        (CommitmentMsg, KIND_PREP_QC): ("_store_and_vote", "_stored", KIND_PCOM_VOTE),
+        (CommitmentMsg, KIND_PCOM_VOTE): ("_combine", Phase.PRECOMMIT, "_pcom_votes", KIND_PCOM_QC),
+        # ... and of the pre-commit certificate locks it in the TEE.
+        (CommitmentMsg, KIND_PCOM_QC): ("_store_and_vote", "_locked", KIND_COM_VOTE),
+        (CommitmentMsg, KIND_COM_VOTE): ("_combine", Phase.COMMIT, "_com_votes", KIND_DECIDE),
+        (CommitmentMsg, KIND_DECIDE): "_handle_decide",
+    }
+    COLLECTORS = (*DamysusReplica.COLLECTORS, "_com_votes")
+    VIEW_SETS = (*DamysusReplica.VIEW_SETS, "_locked")
     nv_kind = KIND_NEW_VIEW
+    checker: LockingChecker
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.acc_service = None  # Damysus-C has no accumulator component
-        self._com_votes = QuorumCollector(self.quorum)
-        self._locked: set[int] = set()
-
-    def _make_checker(self) -> LockingChecker:
-        return LockingChecker(
-            self.pid,
-            self.scheme,
-            self.directory,
-            self.store.genesis.hash,
-            self.quorum,
-        )
-
-    def prune_state(self, view: int) -> None:
-        super().prune_state(view)
-        horizon = view - 1
-        self._com_votes.discard_before_view(horizon)
-        self._prune_view_sets(horizon, self._locked)
-
-    def reset_protocol_state(self) -> None:
-        super().reset_protocol_state()
-        self._com_votes = QuorumCollector(self.quorum)
-        self._locked.clear()
-
-    # -- dispatch --------------------------------------------------------------------
-
-    def dispatch(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, CommitmentMsg):
-            handler = {
-                KIND_NEW_VIEW: self._handle_new_view,
-                KIND_PREP_VOTE: self._handle_prep_vote,
-                KIND_PREP_QC: self._handle_prep_qc,
-                KIND_PCOM_VOTE: self._handle_pcom_vote,
-                KIND_PCOM_QC: self._handle_pcom_qc,
-                KIND_COM_VOTE: self._handle_com_vote,
-                KIND_DECIDE: self._handle_decide,
-            }.get(payload.kind)
-            if handler is not None:
-                handler(sender, payload.commitment)
-        elif isinstance(payload, BlockProposal):
-            self._handle_proposal(sender, payload)
 
     # -- prepare phase ----------------------------------------------------------------
 
@@ -96,13 +71,7 @@ class DamysusCReplica(DamysusReplica):
             return
         justify = max(phis, key=lambda p: (p.v_just or 0))
         self._proposed.add(view)
-        block = create_leaf(
-            justify.h_just,
-            view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.store.add(block)
+        block = self._new_block(justify.h_just, view)
         self.charge_tee(signs=1, verifies=1)
         try:
             phi_prep = self.checker.tee_prepare_locked(block.hash, justify)
@@ -149,99 +118,3 @@ class DamysusCReplica(DamysusReplica):
         except TEERefusal:
             return  # SafeNode (in-TEE) rejected the proposal
         self.send_charged(self.leader_of(msg.view), CommitmentMsg(phi, KIND_PREP_VOTE))
-
-    # -- pre-commit phase ---------------------------------------------------------------
-
-    def _handle_prep_vote(self, sender: int, phi: Commitment) -> None:
-        if not self.is_leader(phi.v_prep):
-            return
-        if phi.phase != Phase.PREPARE or phi.h_prep is None or len(phi.sigs) != 1:
-            return
-        self.charge_verify(1)
-        if not self._verify_tee_commitment(phi, expected_sigs=1):
-            return
-        key = (phi.v_prep, phi.h_prep, phi.h_just, phi.v_just)
-        quorum = self._prep_votes.add(key, phi, phi.sigs[0].signer)
-        if quorum is None:
-            return
-        combined = c_combine(quorum)
-        self.broadcast_charged(CommitmentMsg(combined, KIND_PREP_QC), include_self=True)
-
-    def _handle_prep_qc(self, sender: int, phi: Commitment) -> None:
-        if sender != self.leader_of(phi.v_prep):
-            return
-        if phi.v_prep in self._stored:
-            return
-        self._stored.add(phi.v_prep)
-        self.charge_tee(signs=1, verifies=self.quorum)
-        try:
-            phi_store = self.checker.tee_store(phi)  # stores the prepared block
-        except TEERefusal:
-            return
-        self.send_charged(
-            self.leader_of(phi.v_prep), CommitmentMsg(phi_store, KIND_PCOM_VOTE)
-        )
-
-    # -- commit phase ------------------------------------------------------------------------
-
-    def _handle_pcom_vote(self, sender: int, phi: Commitment) -> None:
-        if not self.is_leader(phi.v_prep):
-            return
-        if phi.phase != Phase.PRECOMMIT or phi.h_prep is None or len(phi.sigs) != 1:
-            return
-        self.charge_verify(1)
-        if not self._verify_tee_commitment(phi, expected_sigs=1):
-            return
-        quorum = self._pcom_votes.add((phi.v_prep, phi.h_prep), phi, phi.sigs[0].signer)
-        if quorum is None:
-            return
-        combined = c_combine(quorum)
-        self.broadcast_charged(CommitmentMsg(combined, KIND_PCOM_QC), include_self=True)
-
-    def _handle_pcom_qc(self, sender: int, phi: Commitment) -> None:
-        if sender != self.leader_of(phi.v_prep):
-            return
-        if phi.v_prep in self._locked:
-            return
-        self._locked.add(phi.v_prep)
-        self.charge_tee(signs=1, verifies=self.quorum)
-        try:
-            phi_lock = self.checker.tee_store(phi)  # locks the block in the TEE
-        except TEERefusal:
-            return
-        self.send_charged(
-            self.leader_of(phi.v_prep), CommitmentMsg(phi_lock, KIND_COM_VOTE)
-        )
-
-    # -- decide phase ---------------------------------------------------------------------------
-
-    def _handle_com_vote(self, sender: int, phi: Commitment) -> None:
-        if not self.is_leader(phi.v_prep):
-            return
-        if phi.phase != Phase.COMMIT or phi.h_prep is None or len(phi.sigs) != 1:
-            return
-        self.charge_verify(1)
-        if not self._verify_tee_commitment(phi, expected_sigs=1):
-            return
-        quorum = self._com_votes.add((phi.v_prep, phi.h_prep), phi, phi.sigs[0].signer)
-        if quorum is None:
-            return
-        combined = c_combine(quorum)
-        self.broadcast_charged(CommitmentMsg(combined, KIND_DECIDE), include_self=True)
-
-    def _handle_decide(self, sender: int, phi: Commitment) -> None:
-        if sender != self.leader_of(phi.v_prep):
-            return
-        if phi.v_prep in self._decided:
-            return
-        if phi.phase != Phase.COMMIT or phi.h_prep is None:
-            return
-        self.charge_verify(self.quorum)
-        if not self._verify_tee_commitment(phi, expected_sigs=self.quorum):
-            return
-        self._decided.add(phi.v_prep)
-        block = self.store.get(phi.h_prep)
-        if block is not None:
-            self.execute_block(block, phi.v_prep)
-        self.pacemaker.view_succeeded()
-        self.advance_view(phi.v_prep + 1)  # on_view_entered sends the new-view

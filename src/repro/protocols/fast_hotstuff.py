@@ -24,13 +24,12 @@ faults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
-from repro.core.block import Block, create_leaf
-from repro.core.certificate import QuorumCert, genesis_qc, vote_payload
-from repro.core.messages import MSG_HEADER_BYTES, NewViewAMsg, QCMsg, VoteMsg
+from typing import Any, ClassVar
+from repro.core.block import Block
+from repro.core.certificate import QuorumCert
+from repro.core.messages import MSG_HEADER_BYTES, NewViewAMsg
 from repro.core.phases import Phase
-from repro.protocols.replica import BaseReplica, QuorumCollector
+from repro.protocols.signature_vote import SignatureVoteReplica
 from repro.tee.accumulator import new_view_a_payload
 
 
@@ -57,92 +56,37 @@ class FastProposal:
         return size
 
 
-class FastHotStuffReplica(BaseReplica):
+class FastHotStuffReplica(SignatureVoteReplica):
     """One Fast-HotStuff replica."""
 
     protocol_name = "fast-hotstuff"
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.prepare_qc = genesis_qc(self.store.genesis.hash)
-        self._new_views = QuorumCollector(self.quorum)
-        self._votes = QuorumCollector(self.quorum)
-        self._proposed: set[int] = set()
-        self._voted: set[tuple[int, Phase]] = set()
-        self._decided: set[int] = set()
-        self.view = 1
+    PHASES = (Phase.PREPARE, Phase.PRECOMMIT)
+    HANDLERS: ClassVar[dict[Any, Any]] = {
+        **SignatureVoteReplica.HANDLERS,
+        NewViewAMsg: "_handle_new_view",
+        FastProposal: "_handle_proposal",
+    }
+    STALE_BLOCK_MSGS = (FastProposal,)
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self) -> None:
-        self.pacemaker.start_view(self.view)
-        self._send_new_view()
-
-    def reset_protocol_state(self) -> None:
-        # prepare_qc is kept on stable storage across the crash.
-        self._new_views = QuorumCollector(self.quorum)
-        self._votes = QuorumCollector(self.quorum)
-        self._proposed.clear()
-        self._voted.clear()
-        self._decided.clear()
-
-    def on_recovered(self) -> None:
-        self._send_new_view()
-
-    def _send_new_view(self) -> None:
-        self.charge_sign()
-        sig = self.scheme.sign(self.pid, new_view_a_payload(self.view, self.prepare_qc))
-        self.send_charged(
-            self.leader_of(self.view), NewViewAMsg(self.view, self.prepare_qc, sig)
-        )
-
     def on_view_entered(self, view: int) -> None:
-        self._send_new_view()
+        # Unlike start() and recovery, a view entered by deciding the
+        # previous one finds its leader already holding that view's
+        # prepare QC: propose at once instead of waiting for reports.
+        super().on_view_entered(view)
         if self.is_leader(view) and self.prepare_qc.view == view - 1:
-            self._propose_happy(view)
-
-    def on_view_timeout(self, view: int) -> None:
-        self.advance_view(view + 1)
-
-    def prune_state(self, view: int) -> None:
-        horizon = view - 1
-        self._new_views.discard_before_view(horizon)
-        self._votes.discard_before_view(horizon)
-        self._prune_view_sets(horizon, self._proposed, self._voted, self._decided)
-
-    # -- dispatch -------------------------------------------------------------------
-
-    def dispatch(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, NewViewAMsg):
-            self._handle_new_view(sender, payload)
-        elif isinstance(payload, FastProposal):
-            self._handle_proposal(sender, payload)
-        elif isinstance(payload, VoteMsg):
-            self._handle_vote(sender, payload)
-        elif isinstance(payload, QCMsg):
-            self._handle_qc(sender, payload)
-
-    def on_stale(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, FastProposal):
-            self.store.add(payload.block)
+            self._propose(view)
 
     # -- leader --------------------------------------------------------------------------
 
-    def _propose_happy(self, view: int) -> None:
-        """Happy path: extend the certificate from the previous view."""
+    def _propose(self, view: int, proof: tuple[NewViewAMsg, ...] | None = None) -> None:
+        """Extend ``prepare_qc``; off the happy path, ship the aggregate proof."""
         if view in self._proposed:
             return
         self._proposed.add(view)
-        block = create_leaf(
-            self.prepare_qc.block_hash,
-            view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.store.add(block)
-        self.broadcast_charged(
-            FastProposal(view, block, self.prepare_qc, proof=None), include_self=True
-        )
+        block = self._new_block(self.prepare_qc.block_hash, view)
+        self.broadcast_charged(FastProposal(view, block, self.prepare_qc, proof), include_self=True)
 
     def _handle_new_view(self, sender: int, msg: NewViewAMsg) -> None:
         if not self.is_leader(msg.view):
@@ -161,22 +105,8 @@ class FastHotStuffReplica(BaseReplica):
             return
         if best.justify.view > self.prepare_qc.view:
             self.prepare_qc = best.justify
-        if self.prepare_qc.view == msg.view - 1:
-            self._propose_happy(msg.view)
-            return
-        # Unhappy path: ship the aggregate proof with the proposal.
-        self._proposed.add(msg.view)
-        block = create_leaf(
-            self.prepare_qc.block_hash,
-            msg.view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.store.add(block)
-        self.broadcast_charged(
-            FastProposal(msg.view, block, self.prepare_qc, proof=tuple(reports)),
-            include_self=True,
-        )
+        happy = self.prepare_qc.view == msg.view - 1
+        self._propose(msg.view, None if happy else tuple(reports))
 
     # -- backups -----------------------------------------------------------------------------
 
@@ -232,52 +162,3 @@ class FastHotStuffReplica(BaseReplica):
             return
         self.store.add(msg.block)
         self._vote(msg.view, Phase.PREPARE, msg.block.hash)
-
-    def _vote(self, view: int, phase: Phase, block_hash: bytes) -> None:
-        self._voted.add((view, phase))
-        self.charge_sign()
-        sig = self.scheme.sign(self.pid, vote_payload(view, phase, block_hash))
-        self.send_charged(self.leader_of(view), VoteMsg(view, phase, block_hash, sig))
-
-    # -- vote aggregation and decide ----------------------------------------------------------------
-
-    def _handle_vote(self, sender: int, msg: VoteMsg) -> None:
-        if not self.is_leader(msg.view):
-            return
-        self.charge_verify(1)
-        if not self.scheme.verify_cached(
-            vote_payload(msg.view, msg.phase, msg.block_hash), msg.sig
-        ):
-            return
-        sigs = self._votes.add((msg.view, msg.phase, msg.block_hash), msg.sig, msg.sig.signer)
-        if sigs is None:
-            return
-        qc = QuorumCert(msg.view, msg.block_hash, msg.phase, tuple(sigs))
-        self.broadcast_charged(QCMsg(msg.view, msg.phase, qc), include_self=True)
-
-    def _handle_qc(self, sender: int, msg: QCMsg) -> None:
-        if sender != self.leader_of(msg.view):
-            return
-        qc = msg.qc
-        if qc.view != msg.view or qc.phase != msg.phase:
-            return
-        self.charge_verify(len(qc.sigs))
-        if not qc.verify(self.scheme, self.quorum):
-            return
-        if qc.phase == Phase.PREPARE:
-            if qc.view > self.prepare_qc.view:
-                self.prepare_qc = qc
-            if (msg.view, Phase.PRECOMMIT) not in self._voted:
-                self._vote(msg.view, Phase.PRECOMMIT, qc.block_hash)
-        elif qc.phase == Phase.PRECOMMIT:
-            self._decide(msg.view, qc)
-
-    def _decide(self, view: int, qc: QuorumCert) -> None:
-        if view in self._decided:
-            return
-        self._decided.add(view)
-        block = self.store.get(qc.block_hash)
-        if block is not None:
-            self.execute_block(block, view)
-        self.pacemaker.view_succeeded()
-        self.advance_view(view + 1)

@@ -12,34 +12,35 @@ block or are justified at a higher view than the lock.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 from repro.crypto.scheme import Signature
 from repro.crypto.threshold import ThresholdScheme, is_group_signature
-from repro.errors import VerificationError
-from repro.core.block import Block, create_leaf
-from repro.core.certificate import QuorumCert, genesis_qc, vote_payload
-from repro.core.messages import NewViewMsg, ProposalMsg, QCMsg, VoteMsg
+from repro.core.block import Block
+from repro.core.certificate import QuorumCert, vote_payload
+from repro.core.messages import NewViewMsg, ProposalMsg
 from repro.core.phases import Phase
-from repro.protocols.replica import BaseReplica, QuorumCollector
-
-#: The vote phase that follows each QC phase.
-_NEXT_VOTE = {
-    Phase.PREPARE: Phase.PRECOMMIT,
-    Phase.PRECOMMIT: Phase.COMMIT,
-}
+from repro.protocols.signature_vote import SignatureVoteReplica
 
 
-class HotStuffReplica(BaseReplica):
+class HotStuffReplica(SignatureVoteReplica):
     """One replica of basic HotStuff."""
 
     protocol_name = "hotstuff"
+    PHASES = (Phase.PREPARE, Phase.PRECOMMIT, Phase.COMMIT)
+    HANDLERS: ClassVar[dict[Any, Any]] = {
+        **SignatureVoteReplica.HANDLERS,
+        NewViewMsg: "_handle_new_view",
+        ProposalMsg: "_handle_proposal",
+    }
+    STALE_BLOCK_MSGS = (ProposalMsg,)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        bottom = genesis_qc(self.store.genesis.hash)
-        self.prepare_qc = bottom  # latest prepared block's certificate
-        self.locked_qc = bottom  # the lock (pre-commit QC)
+        # The lock (pre-commit QC); like prepare_qc it survives a crash,
+        # because HotStuff's crash-recovery model keeps safety-critical
+        # certificates on stable storage.
+        self.locked_qc = self.prepare_qc
         # Optional original-HotStuff-style compact certificates: leaders
         # combine vote shares into one constant-size threshold signature.
         self.threshold: ThresholdScheme | None = None
@@ -50,37 +51,12 @@ class HotStuffReplica(BaseReplica):
                 members=list(self.replica_pids),
                 threshold=self.quorum,
             )
-        self._new_views = QuorumCollector(self.quorum)
-        self._votes = QuorumCollector(self.quorum)
-        self._proposed: set[int] = set()
-        self._voted: set[tuple[int, Phase]] = set()
-        self._decided: set[int] = set()
-        # Consensus views start at 1; view 0 belongs to the genesis block,
-        # so any genuinely prepared block outranks the genesis certificate.
-        self.view = 1
 
     # -- lifecycle --------------------------------------------------------------
 
-    def start(self) -> None:
-        self.pacemaker.start_view(self.view)
-        self._send_new_view()
-
-    def _send_new_view(self) -> None:
-        """Report the latest prepared block to the current view's leader."""
-        self.send_charged(
-            self.leader_of(self.view), NewViewMsg(self.view, self.prepare_qc)
-        )
-
-    def on_view_entered(self, view: int) -> None:
-        self._send_new_view()
-
-    def prune_state(self, view: int) -> None:
-        # Keep one view of slack: stale messages cannot resurrect pruned
-        # state because the dispatcher drops below-view traffic anyway.
-        horizon = view - 1
-        self._new_views.discard_before_view(horizon)
-        self._votes.discard_before_view(horizon)
-        self._prune_view_sets(horizon, self._proposed, self._voted, self._decided)
+    def _new_view_action(self) -> None:
+        """Report the latest prepared block (unsigned: its QC speaks for itself)."""
+        self.send_charged(self.leader_of(self.view), NewViewMsg(self.view, self.prepare_qc))
 
     def on_view_timeout(self, view: int) -> None:
         # Advancing one view per timeout cannot re-synchronize replicas
@@ -92,20 +68,7 @@ class HotStuffReplica(BaseReplica):
         # behind-detection already maintains.
         self.advance_view(max(view + 1, self._highest_view_seen))
 
-    def reset_protocol_state(self) -> None:
-        # Vote aggregation is volatile; prepare_qc and locked_qc survive
-        # the crash because HotStuff's crash-recovery model keeps
-        # safety-critical certificates on stable storage.
-        self._new_views = QuorumCollector(self.quorum)
-        self._votes = QuorumCollector(self.quorum)
-        self._proposed.clear()
-        self._voted.clear()
-        self._decided.clear()
-
-    def on_recovered(self) -> None:
-        self._send_new_view()
-
-    # -- certificate verification ---------------------------------------------------
+    # -- certificate representation ---------------------------------------------------
 
     def _verify_qc(self, qc: QuorumCert) -> bool:
         """Verify a quorum certificate in either representation.
@@ -121,41 +84,19 @@ class HotStuffReplica(BaseReplica):
                 return False
             self.charge_verify(2)
             return self.threshold.verify_group(qc.signed_payload(), qc.sigs[0])
-        self.charge_verify(len(qc.sigs))
-        # List certificates verify through the scheme's batch path
-        # (verify_all -> verify_many): one joint check for 2f+1 sigs.
-        return qc.verify(self.scheme, self.quorum)
+        return super()._verify_qc(qc)
 
     def _make_qc(
         self, view: int, phase: Phase, block_hash: bytes, sigs: Sequence[Signature]
     ) -> QuorumCert:
-        if self.threshold is not None:
-            payload = vote_payload(view, phase, block_hash)
-            # Shares were verified on arrival; the TEE-free combine
-            # re-checks them, which we charge as quorum verifications.
-            self.charge_verify(len(sigs))
-            group = self.threshold.combine(payload, list(sigs))
-            return QuorumCert(view, block_hash, phase, (group,))
-        return QuorumCert(view, block_hash, phase, tuple(sigs))
-
-    # -- dispatch ----------------------------------------------------------------
-
-    def dispatch(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, NewViewMsg):
-            self._handle_new_view(sender, payload)
-        elif isinstance(payload, ProposalMsg):
-            self._handle_proposal(sender, payload)
-        elif isinstance(payload, VoteMsg):
-            self._handle_vote(sender, payload)
-        elif isinstance(payload, QCMsg):
-            self._handle_qc(sender, payload)
-
-    def on_stale(self, sender: int, payload: Any) -> None:
-        # Keep blocks from proposals that arrive after the view moved on:
-        # execution follows certified hashes, so a replica that skipped a
-        # decide still needs the block to execute descendants later.
-        if isinstance(payload, ProposalMsg):
-            self.store.add(payload.block)
+        if self.threshold is None:
+            return super()._make_qc(view, phase, block_hash, sigs)
+        payload = vote_payload(view, phase, block_hash)
+        # Shares were verified on arrival; the TEE-free combine
+        # re-checks them, which we charge as quorum verifications.
+        self.charge_verify(len(sigs))
+        group = self.threshold.combine(payload, list(sigs))
+        return QuorumCert(view, block_hash, phase, (group,))
 
     # -- leader: new-view and proposal ----------------------------------------------
 
@@ -172,13 +113,7 @@ class HotStuffReplica(BaseReplica):
         if not self._verify_qc(high_qc):
             return
         self._proposed.add(view)
-        block = create_leaf(
-            high_qc.block_hash,
-            view,
-            self.mempool.take_block(self.now),
-            created_at=self.now,
-        )
-        self.store.add(block)
+        block = self._new_block(high_qc.block_hash, view)
         self.broadcast_charged(ProposalMsg(view, block, high_qc), include_self=True)
 
     # -- backup: SafeNode and voting ---------------------------------------------------
@@ -201,62 +136,3 @@ class HotStuffReplica(BaseReplica):
         if not self._safe_node(msg.block, msg.justify):
             return
         self._vote(msg.view, Phase.PREPARE, msg.block.hash)
-
-    def _vote(self, view: int, phase: Phase, block_hash: bytes) -> None:
-        self._voted.add((view, phase))
-        self.charge_sign()
-        sig = self.scheme.sign(self.pid, vote_payload(view, phase, block_hash))
-        self.send_charged(self.leader_of(view), VoteMsg(view, phase, block_hash, sig))
-
-    # -- leader: vote aggregation ---------------------------------------------------------
-
-    def _handle_vote(self, sender: int, msg: VoteMsg) -> None:
-        if not self.is_leader(msg.view):
-            return
-        self.charge_verify(1)
-        if not self.scheme.verify_cached(
-            vote_payload(msg.view, msg.phase, msg.block_hash), msg.sig
-        ):
-            return
-        key = (msg.view, msg.phase, msg.block_hash)
-        sigs = self._votes.add(key, msg.sig, msg.sig.signer)
-        if sigs is None:
-            return
-        try:
-            qc = self._make_qc(msg.view, msg.phase, msg.block_hash, sigs)
-        except VerificationError:
-            return
-        self.broadcast_charged(QCMsg(msg.view, msg.phase, qc), include_self=True)
-
-    # -- all replicas: QC handling ------------------------------------------------------------
-
-    def _handle_qc(self, sender: int, msg: QCMsg) -> None:
-        if sender != self.leader_of(msg.view):
-            return
-        qc = msg.qc
-        if qc.view != msg.view or qc.phase != msg.phase:
-            return
-        if not self._verify_qc(qc):
-            return
-        if qc.phase == Phase.PREPARE:
-            if qc.view > self.prepare_qc.view:
-                self.prepare_qc = qc  # the block is now prepared
-        elif qc.phase == Phase.PRECOMMIT:
-            if qc.view > self.locked_qc.view:
-                self.locked_qc = qc  # the block is now locked
-        elif qc.phase == Phase.COMMIT:
-            self._decide(msg.view, qc)
-            return
-        next_phase = _NEXT_VOTE.get(qc.phase)
-        if next_phase is not None and (msg.view, next_phase) not in self._voted:
-            self._vote(msg.view, next_phase, qc.block_hash)
-
-    def _decide(self, view: int, qc: QuorumCert) -> None:
-        if view in self._decided:
-            return
-        self._decided.add(view)
-        block = self.store.get(qc.block_hash)
-        if block is not None:
-            self.execute_block(block, view)
-        self.pacemaker.view_succeeded()
-        self.advance_view(view + 1)  # on_view_entered sends the new-view

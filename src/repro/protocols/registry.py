@@ -20,6 +20,8 @@ from repro.protocols.damysus_c import DamysusCReplica
 from repro.protocols.fast_hotstuff import FastHotStuffReplica
 from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.replica import BaseReplica
+from repro.protocols.signature_vote import SignatureVoteReplica
+from repro.runtime.machine import Machine
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,100 @@ PROTOCOL_ORDER = [
     "chained-hotstuff",
     "chained-damysus",
 ]
+
+
+#: The chassis hooks a protocol may override instead of declaring a value.
+#: The first four would re-introduce per-file scaffolding and stay unused.
+CHASSIS_HOOKS = (
+    "dispatch", "on_stale", "prune_state", "reset_protocol_state",
+    "start", "on_view_entered", "on_view_timeout", "on_recovered",
+    "message_view", "_keep_stale_block", "_verify_qc", "_make_qc",
+)
+
+#: Why each override exists: a genuine behavioural difference between the
+#: protocols, not scaffolding (``docs/protocols.md`` renders this list).
+HOOK_REASONS: dict[tuple[str, str], str] = {
+    ("hotstuff", "on_view_timeout"): (
+        "jumps to the highest view f+1 peers corroborate instead of advancing by one; "
+        "one-by-one never re-synchronises replicas a crash or partition left views apart"
+    ),
+    ("hotstuff", "_verify_qc"): "also accepts compact (threshold-signature) certificates",
+    ("hotstuff", "_make_qc"): "combines vote shares into one group signature under `compact_qcs`",
+    ("fast-hotstuff", "on_view_entered"): (
+        "a leader already holding the previous view's prepare QC proposes at once (happy "
+        "path); `start()` and recovery take the new-view action only"
+    ),
+    ("chained-hotstuff", "on_view_timeout"): (
+        "after the shared advance, sends the explicit new-view (votes double as new-views "
+        "on the happy path)"
+    ),
+    ("chained-hotstuff", "on_recovered"): (
+        "no rejoin action: a restarted leader forgot what it proposed, re-proposing could "
+        "equivocate; it rejoins on the next proposal or timeout"
+    ),
+    ("chained-damysus", "start"): (
+        "first consumes the checker's (0, nv_p) step so every checker sits at (1, prep_p) "
+        "when view 1's proposal arrives"
+    ),
+    ("chained-damysus", "on_view_timeout"): (
+        "after the shared advance, TEE-signs up to (view-1, nv_p) and sends that new-view "
+        "commitment (Fig 5a lines 46-51)"
+    ),
+    ("chained-damysus", "on_recovered"): (
+        "no rejoin action: rejoins on the next proposal or timeout (the checker refuses a "
+        "second prepare anyway)"
+    ),
+    ("chained-damysus", "_keep_stale_block"): "also files a stale block in the per-view index",
+}
+
+
+def overridden_hooks(name: str) -> list[str]:
+    """Chassis hooks protocol ``name`` overrides rather than inherits."""
+    cls = SPECS[name].replica_class
+    shared = (BaseReplica, SignatureVoteReplica, Machine)
+    return [
+        hook
+        for hook in CHASSIS_HOOKS
+        if hasattr(cls, hook)
+        and next(k for k in cls.__mro__ if hook in vars(k)) not in shared
+    ]
+
+
+def grid_markdown() -> str:
+    """The protocol grid of ``docs/protocols.md``, read off the declarations."""
+    quorum_expr = {(3, 5): "2f+1", (2, 3): "f+1"}
+    lines = [
+        "| protocol | n(f) | quorum | declared phases | vote engine | trusted components "
+        "| per-view state | prune slack | routed to view+1 |",
+        "|---|---|---|---|---|---|---|---|---|",
+    ]
+    for name, spec in SPECS.items():
+        cls = spec.replica_class
+        if issubclass(cls, SignatureVoteReplica):
+            engine = "signature votes (`SignatureVoteReplica`)"
+        elif issubclass(cls, DamysusReplica):
+            engine = "commitment votes (`DamysusReplica._combine` / `_store_and_vote`)"
+        else:
+            engine = "own pipelined handlers"
+        tees = [
+            f"checker (`{cls.CHECKER.__name__}`)" if t == "checker" and cls.CHECKER else t
+            for t in spec.trusted_components
+        ]
+        next_view = ", ".join(f"`{k.__name__}`" for k in cls.NEXT_VIEW_MSGS)
+        phases = " → ".join(phase.name.lower() for phase in cls.PHASES)
+        state = ", ".join(f"`{attr}`" for attr in (*cls.COLLECTORS, *cls.VIEW_SETS))
+        lines.append(
+            f"| `{name}` | {spec.num_replicas.__doc__} "
+            f"| {quorum_expr[spec.quorum(1), spec.quorum(2)]} "
+            f"| {phases or 'one generic phase, pipelined over views'} ({spec.core_phases}) "
+            f"| {engine} | {', '.join(tees) or '-'} | {state} | {cls.PRUNE_SLACK} "
+            f"| {next_view or '-'} |"
+        )
+    lines += ["", "Overridden chassis hooks, and why each is a real behavioural difference:", ""]
+    for name in SPECS:
+        for hook in overridden_hooks(name):
+            lines.append(f"- `{name}` `{hook}`: {HOOK_REASONS[name, hook]}.")
+    return "\n".join(lines)
 
 
 def get_spec(name: str) -> ProtocolSpec:

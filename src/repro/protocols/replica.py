@@ -1,20 +1,24 @@
-"""Replica base class: plumbing shared by all six protocols.
+"""Replica base class: the chassis shared by all seven protocols.
 
 Responsibilities handled here so protocol modules stay close to the
 paper's pseudocode: message dispatch with future-view buffering, view
 advancement, leader schedule, CPU cost charging, quorum collection, block
 execution with client replies, and pacemaker integration.
+
+A protocol *declares* its handlers, per-view state, checker flavour and
+new-view action (:class:`BaseReplica`'s class attributes); dispatch,
+construction, crash reset, pruning and the view lifecycle derive from that.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, ClassVar
 
 from repro.config import SystemConfig
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.scheme import SignatureScheme
 from repro.core.chain import BlockStore
-from repro.core.block import Block
+from repro.core.block import Block, create_chain, create_leaf
 from repro.core.clock import Clock
 from repro.core.codec import wire_size_of
 from repro.core.commitment import Commitment
@@ -22,8 +26,9 @@ from repro.core.executor import Ledger, SafetyOracle
 from repro.core.mempool import AdmissionVerdict
 from repro.mempool.pool import PriorityMempool
 from repro.core.messages import BlockRequest, BlockResponse, ClientReply, ClientRequest
+from repro.core.messages import CommitmentMsg
 from repro.core.monitor import ExecutionMonitor
-from repro.core.phases import Phase
+from repro.core.phases import Phase, Step
 from repro.core.rng import RngStream
 from repro.errors import MissingBlockError, TEERefusal
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
@@ -39,6 +44,19 @@ MAX_BUFFERED_MESSAGES = 10_000
 
 #: Sentinel: ``recover()`` restores the snapshot taken by ``crash()``.
 _OWN_SNAPSHOT = object()
+
+
+def discard_views_below(entries: "set[Any] | dict[Any, Any]", view: int) -> None:
+    """Drop the entries of a view-keyed set or dict that lie below ``view``."""
+    # Keys are either a view number or a tuple whose first element is
+    # one; anything else is left alone.
+    for key in list(entries):
+        key_view = key[0] if isinstance(key, tuple) and key else key
+        if isinstance(key_view, int) and key_view < view:
+            if isinstance(entries, set):
+                entries.discard(key)
+            else:
+                del entries[key]
 
 
 class QuorumCollector:
@@ -72,31 +90,18 @@ class QuorumCollector:
     def count(self, key: Any) -> int:
         return len(self._items.get(key, ()))
 
+    def reached(self, key: Any) -> list[Any] | None:
+        """The quorum collected for ``key``, once (and ever after) complete."""
+        return list(self._items[key]) if key in self._done else None
+
     def pending_keys(self) -> int:
         """Number of keys currently holding state (for GC assertions)."""
         return len(self._items) + len(self._done)
 
-    @staticmethod
-    def _view_of(key: Any) -> int | None:
-        if isinstance(key, int):
-            return key
-        if isinstance(key, tuple) and key and isinstance(key[0], int):
-            return key[0]
-        return None
-
     def discard_before_view(self, view: int) -> None:
-        """Garbage-collect state for views below ``view``.
-
-        Keys are either a view number or a tuple whose first element is
-        one; anything else is left alone.
-        """
-        for mapping in (self._items, self._dedup):
-            for key in [k for k in mapping if (v := self._view_of(k)) is not None and v < view]:
-                del mapping[key]
-        self._done = {
-            k for k in self._done
-            if (v := self._view_of(k)) is None or v >= view
-        }
+        """Garbage-collect state for views below ``view``."""
+        for entries in (self._items, self._dedup, self._done):
+            discard_views_below(entries, view)
 
 
 class BaseReplica(Machine):
@@ -111,8 +116,56 @@ class BaseReplica(Machine):
     ENTRY_POINTS = Machine.ENTRY_POINTS + ("dispatch", "advance_view", "execute_block")
 
     #: The replica's Checker trusted component, if the protocol has one.
-    #: Protocols that set it must implement ``_make_checker()``.
     checker: Checker | None = None
+
+    # -- what a protocol declares ---------------------------------------------
+
+    #: The Checker flavour every replica carries (``None``: no checker).
+    CHECKER: ClassVar[type[Checker] | None] = None
+    #: Core phases the basic protocols vote on, in order; the last one's
+    #: certificate decides.  Empty for the chained pair, whose single
+    #: generic phase is pipelined across views.
+    PHASES: ClassVar[tuple[Phase, ...]] = ()
+    #: Handler table: message class - or ``(CommitmentMsg, kind)`` - to the
+    #: name of the handler method, optionally with fixed extra arguments
+    #: as ``(name, arg, ...)``.  Resolved once per class, so a subclass
+    #: that overrides a handler by name is routed to its override.
+    HANDLERS: ClassVar[dict[Any, Any]] = {}
+    #: Message classes whose ``block`` is kept even when they arrive after
+    #: their view ended: execution follows certified hashes, so a replica
+    #: that skipped a decide still needs the body to execute descendants.
+    STALE_BLOCK_MSGS: ClassVar[tuple[type, ...]] = ()
+    #: Message classes addressed to the *next* view's leader, who collects
+    #: them after advancing (the chained protocols' votes): routed, and
+    #: buffered, as view + 1.
+    NEXT_VIEW_MSGS: ClassVar[tuple[type, ...]] = ()
+    #: Per-view volatile state, by attribute name: ``QuorumCollector``s and
+    #: sets keyed by a view (or a tuple led by one).  Built at
+    #: construction, rebuilt empty by a crash, pruned on view change.
+    COLLECTORS: ClassVar[tuple[str, ...]] = ()
+    VIEW_SETS: ClassVar[tuple[str, ...]] = ()
+    #: Views of per-view state kept behind the current one.  Stale
+    #: messages cannot resurrect pruned state because below-view traffic
+    #: is never dispatched.
+    PRUNE_SLACK: ClassVar[int] = 1
+
+    # The per-view vocabulary the protocols share; an attribute exists on a
+    # replica only if its class names it in COLLECTORS or VIEW_SETS.
+    _new_views: QuorumCollector
+    _votes: QuorumCollector
+    _proposed: set[int]
+    _voted: set[Any]
+    _decided: set[int]
+
+    _handlers: ClassVar[dict[Any, tuple[Callable[..., None], tuple[Any, ...]]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
+        for key, entry in cls.HANDLERS.items():
+            name, *args = (entry,) if isinstance(entry, str) else entry
+            kind_or_class = key[1] if isinstance(key, tuple) else key
+            cls._handlers[kind_or_class] = (getattr(cls, name), tuple(args))
 
     def __init__(  # noqa: PLR0913 - wiring point for the whole stack
         self,
@@ -148,7 +201,9 @@ class BaseReplica(Machine):
             rate_limit_per_ms=config.sender_rate_limit,
             rate_burst=config.sender_rate_burst,
         )
-        self.view = 0
+        # Consensus views start at 1; view 0 belongs to the genesis block,
+        # so any genuinely prepared block outranks the genesis certificate.
+        self.view = 1
         self.client_pids = client_pids or {}
         self.replica_pids: list[int] = list(range(num_replicas))
         self.pacemaker = Pacemaker(
@@ -201,6 +256,11 @@ class BaseReplica(Machine):
         # until the final chunk's tip commitment proves the whole suffix
         # was actually decided by a quorum.
         self._sync_buffer: list[Block] = []
+        # Not the virtual call: a subclass hook that extends the reset may
+        # touch attributes its own ``__init__`` has not created yet.
+        BaseReplica.reset_protocol_state(self)
+        if self.CHECKER is not None:
+            self.checker = self._make_checker()
 
     # -- leader schedule -------------------------------------------------------
 
@@ -272,8 +332,12 @@ class BaseReplica(Machine):
         self.view = max(self.view, self.checker.step.view)
 
     def _make_checker(self) -> Checker:
-        """Build a fresh checker instance; TEE-bearing subclasses override."""
-        raise NotImplementedError
+        """A fresh instance of the declared checker flavour."""
+        if self.CHECKER is None:
+            raise NotImplementedError(f"{type(self).__name__} declares no checker")
+        return self.CHECKER(
+            self.pid, self.scheme, self.directory, self.store.genesis.hash, self.quorum
+        )
 
     def reset_volatile_state(self) -> None:
         """Drop everything a crash loses: buffers, fetches, vote state."""
@@ -290,10 +354,39 @@ class BaseReplica(Machine):
         self.reset_protocol_state()
 
     def reset_protocol_state(self) -> None:
-        """Hook: drop protocol-specific volatile state (vote collections)."""
+        """Drop the declared per-view state (a crash loses vote aggregation)."""
+        # Whatever keeps a restart safe lives elsewhere: certificates such
+        # as prepare_qc/locked_qc on stable storage, the checker's step
+        # and prepared block in its sealed state.
+        for name in self.COLLECTORS:
+            setattr(self, name, QuorumCollector(self.quorum))
+        for name in self.VIEW_SETS:
+            setattr(self, name, set())
+
+    # -- view lifecycle ---------------------------------------------------------
+
+    def _new_view_action(self) -> None:
+        """What entering ``self.view`` takes; protocols implement."""
+        # Basic protocols report their latest prepared block to the view's
+        # leader, chained leaders propose.
+        raise NotImplementedError
+
+    def start(self) -> None:
+        self.pacemaker.start_view(self.view)
+        self._new_view_action()
+
+    def on_view_entered(self, view: int) -> None:
+        """Runs when a view starts, *before* buffered messages replay."""
+        # The order matters to the checker-bearing protocols: the new-view
+        # action consumes the checker's (v, nv_p) step, so a leader can
+        # never reach TEEprepare with that step still pending - the
+        # prepare commitment would be stamped with the new-view phase and
+        # no backup would accept it.
+        self._new_view_action()
 
     def on_recovered(self) -> None:
-        """Hook: protocol-specific rejoin action (e.g. resend new-view)."""
+        """Rejoin: announce the latest prepared block so leaders count us again."""
+        self._new_view_action()
 
     # -- CPU cost charging -------------------------------------------------------
 
@@ -320,15 +413,50 @@ class BaseReplica(Machine):
         self.charge(copies * self.costs.send_ms(wire_size_of(payload)))
         self.broadcast(self.replica_pids, payload, include_self=include_self)
 
+    # -- helpers shared by the protocol handlers -----------------------------------
+
+    def _new_block(self, extends: Any, view: int) -> Block:
+        """A leader's block for ``view``: filled from the mempool, stored."""
+        # ``extends`` is the parent's hash (the paper's createLeaf) or, for
+        # the chained protocols, the justifying certificate (createChain).
+        transactions = self.mempool.take_block(self.now)
+        if isinstance(extends, bytes):
+            block = create_leaf(extends, view, transactions, created_at=self.now)
+        else:
+            block = create_chain(extends, view, transactions, created_at=self.now)
+        self.store.add(block)
+        return block
+
+    def _tee_sign_new_view(self, checker: Checker, view: int) -> Commitment | None:
+        """``TEEsign`` until stamped ``(view, nv_p)``; ``None`` if already past it."""
+        # A node that left a view mid-way has a checker sitting at an
+        # intermediate step; repeatedly calling TEEsign skips those steps
+        # (the intermediate commitments are unusable by construction).
+        target = Step(view, Phase.NEW_VIEW)
+        rule = checker.step_rule
+        while checker.step.index(rule) <= target.index(rule):
+            self.charge_tee(signs=1)
+            phi = checker.tee_sign()
+            if phi.v_prep == view and phi.phase == Phase.NEW_VIEW:
+                return phi
+        return None
+
+    def _verify_tee_commitment(self, phi: Commitment, expected_sigs: int) -> bool:
+        """Untrusted-side check: right size, TEE keys only, valid signatures."""
+        if len(phi.sigs) != expected_sigs:
+            return False
+        if any(self.directory.kind_of(sig.signer) != "tee" for sig in phi.sigs):
+            return False
+        return phi.verify(self.scheme)
+
     # -- dispatch with future-view buffering ---------------------------------------
 
     def message_view(self, payload: Any) -> int | None:
-        """The view a message belongs to; ``None`` for view-less messages.
-
-        Subclasses override when a message's relevant view differs from its
-        stamped view (the chained protocols' new-view commitments).
-        """
-        return getattr(payload, "view", None)
+        """The view a message belongs to; ``None`` for view-less messages."""
+        view: int | None = getattr(payload, "view", None)
+        if view is not None and isinstance(payload, self.NEXT_VIEW_MSGS):
+            return view + 1
+        return view
 
     def on_message(self, sender: int, payload: Any) -> None:
         if self.crashed:
@@ -387,11 +515,23 @@ class BaseReplica(Machine):
             )
 
     def on_stale(self, sender: int, payload: Any) -> None:
-        """Hook for messages from views the replica already left."""
+        """A message from a view this replica already left: keep its block."""
+        if isinstance(payload, self.STALE_BLOCK_MSGS):
+            self._keep_stale_block(payload.block)
+
+    def _keep_stale_block(self, block: Block) -> None:
+        self.store.add(block)
 
     def dispatch(self, sender: int, payload: Any) -> None:
-        """Protocol-specific handling; subclasses implement."""
-        raise NotImplementedError
+        """Route a current-view message through the declared handler table."""
+        # Commitment messages are routed by kind and handed over as the
+        # bare commitment; an untabled type or kind is dropped.
+        key: Any = type(payload)
+        if key is CommitmentMsg:
+            key, payload = payload.kind, payload.commitment
+        entry = self._handlers.get(key)
+        if entry is not None:
+            entry[0](self, sender, payload, *entry[1])
 
     def _buffer(self, view: int, sender: int, payload: Any) -> None:
         self._note_view_claim(sender, view)
@@ -462,30 +602,13 @@ class BaseReplica(Machine):
             self.charge_receive(payload)
             self.dispatch(sender, payload)
 
-    def on_view_entered(self, view: int) -> None:
-        """Hook run when a view starts, before buffered messages replay."""
-
     def prune_state(self, view: int) -> None:
-        """Garbage-collect per-view state older than ``view``.
-
-        Called on every view change; protocol subclasses drop their stale
-        vote/new-view collections here so long runs stay bounded.
-        """
-
-    @staticmethod
-    def _prune_view_sets(min_view: int, *sets: set[Any]) -> None:
-        """Drop integer view entries below ``min_view`` from each set."""
-        for entries in sets:
-            stale = {
-                entry
-                for entry in entries
-                if isinstance(entry, int) and entry < min_view
-                or isinstance(entry, tuple)
-                and entry
-                and isinstance(entry[0], int)
-                and entry[0] < min_view
-            }
-            entries -= stale
+        """Garbage-collect the declared per-view state (on every view change)."""
+        horizon = view - self.PRUNE_SLACK
+        for name in self.COLLECTORS:
+            getattr(self, name).discard_before_view(horizon)
+        for name in self.VIEW_SETS:
+            discard_views_below(getattr(self, name), horizon)
 
     def _on_pacemaker_timeout(self, view: int) -> None:
         if self.crashed or view != self.view:
@@ -496,8 +619,8 @@ class BaseReplica(Machine):
         self.on_view_timeout(view)
 
     def on_view_timeout(self, view: int) -> None:
-        """Protocol-specific timeout action; subclasses implement."""
-        raise NotImplementedError
+        """Give up on ``view``; entering the next one runs the new-view action."""
+        self.advance_view(view + 1)
 
     # -- execution ---------------------------------------------------------------
 

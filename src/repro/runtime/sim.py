@@ -9,8 +9,7 @@ old imperative handlers performed those calls, every (time, seq) event
 ordering - and therefore every benchmark, figure and chaos result - is
 bit-identical to the pre-refactor architecture.
 
-:class:`ConsensusSystem` (moved here from ``repro.protocols.system``,
-which re-exports it) wires one complete simulated deployment and remains
+:class:`ConsensusSystem` wires one complete simulated deployment and is
 the single entry point used by tests, examples and the bench harness.
 """
 

@@ -5,7 +5,7 @@ from repro.adversary.equivocation import (
     EquivocatingDamysusLeader,
     EquivocatingHotStuffLeader,
 )
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -2,7 +2,7 @@
 
 from repro.adversary.flooding import FloodingDamysusReplica
 from repro.protocols.replica import MAX_BUFFERED_MESSAGES
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

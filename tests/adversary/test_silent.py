@@ -1,7 +1,7 @@
 """Liveness under silent (never-proposing) leaders."""
 
 from repro.adversary.behaviors import SilentLeaderDamysus, SilentLeaderHotStuff
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

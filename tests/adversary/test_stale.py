@@ -1,7 +1,7 @@
 """Safety under stale-certificate (understating) leaders."""
 
 from repro.adversary.stale_leader import StaleDamysusLeader, StaleHotStuffLeader
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

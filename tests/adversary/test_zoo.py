@@ -24,7 +24,7 @@ from repro.adversary.withholding import (
     VoteWithholdingHotStuffReplica,
 )
 from repro.core.faults import FaultPlan
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -4,7 +4,15 @@ import pytest
 
 from repro.analysis.complexity import TABLE1_ROWS, expected_messages, table1
 from repro.errors import ConfigError
-from repro.protocols.registry import SPECS
+from pathlib import Path
+
+from repro.protocols.registry import (
+    CHASSIS_HOOKS,
+    HOOK_REASONS,
+    SPECS,
+    grid_markdown,
+    overridden_hooks,
+)
 
 
 def test_table1_has_paper_rows():
@@ -70,3 +78,38 @@ def test_table1_rows_have_presentation_fields():
         assert row["comm_steps"]
         assert isinstance(row["msgs_normal"], int)
         assert isinstance(row["optimistic"], bool)
+
+
+# -- the declared grid (protocol classes) vs the registry and the docs ----------
+
+BASIC_PROTOCOLS = [name for name, spec in SPECS.items() if not spec.chained]
+
+
+@pytest.mark.parametrize("name", BASIC_PROTOCOLS)
+def test_registry_core_phases_match_declared_phase_sequence(name):
+    spec = SPECS[name]
+    phases = spec.replica_class.PHASES
+    assert len(phases) == spec.core_phases
+    assert [p.name for p in phases] == ["PREPARE", "PRECOMMIT", "COMMIT"][: spec.core_phases]
+    # One communication round trip per phase, plus new-view and proposal.
+    assert spec.comm_steps == 2 * len(phases) + 2
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_declared_trusted_components_match_registry(name):
+    spec = SPECS[name]
+    assert (spec.replica_class.CHECKER is not None) == ("checker" in spec.trusted_components)
+
+
+def test_every_hook_override_is_a_listed_behavioural_difference():
+    overridden = {(name, hook) for name in SPECS for hook in overridden_hooks(name)}
+    assert overridden == set(HOOK_REASONS)
+    scaffolding = {"dispatch", "on_stale", "prune_state", "reset_protocol_state"}
+    assert scaffolding <= set(CHASSIS_HOOKS)
+    assert not {hook for _, hook in overridden} & scaffolding
+
+
+def test_docs_grid_is_generated_from_the_declarations():
+    text = (Path(__file__).resolve().parents[2] / "docs" / "protocols.md").read_text()
+    begin, end = "<!-- grid:begin -->\n", "\n<!-- grid:end -->"
+    assert text[text.index(begin) + len(begin) : text.index(end)] == grid_markdown()

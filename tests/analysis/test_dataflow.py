@@ -420,6 +420,69 @@ def test_pure002_io_from_declared_entry_point(tmp_path):
     assert analyze_ids(tmp_path, ["PURE002"]) == [("PURE002", 9)]
 
 
+def test_pure_walk_reaches_tabled_handlers(tmp_path):
+    """dispatch() routes through HANDLERS, so the names it holds are entries."""
+    make_module(
+        tmp_path,
+        "repro.protocols.proto",
+        """
+        import time
+
+        class Machine:
+            pass
+
+        class Proto(Machine):
+            HANDLERS = {"vote": ("_handle_vote", "_votes"), int: "_handle_int"}
+
+            def dispatch(self, payload):
+                entry = self._handlers.get(type(payload))
+                entry[0](self, payload)
+
+            def _handle_vote(self, payload, collector):
+                return time.time()
+
+            def _handle_int(self, payload):
+                return open("/tmp/state")
+
+            def _untabled(self):
+                return time.monotonic()
+        """,
+    )
+    assert analyze_ids(tmp_path, ["PURE001", "PURE002"]) == [("PURE001", 15), ("PURE002", 18)]
+
+
+def test_pure_walk_follows_class_valued_component_declarations(tmp_path):
+    """``self.CHECKER(...)`` constructs whatever class a subclass declares."""
+    make_module(
+        tmp_path,
+        "repro.protocols.proto",
+        """
+        import time
+
+        class Machine:
+            pass
+
+        class Checker:
+            def __init__(self):
+                self.born = 0
+
+        class WallClockChecker(Checker):
+            def __init__(self):
+                self.born = time.time()
+
+        class Base(Machine):
+            CHECKER = None
+
+            def recover(self):
+                self.checker = self.CHECKER()
+
+        class Proto(Base):
+            CHECKER = WallClockChecker
+        """,
+    )
+    assert analyze_ids(tmp_path, ["PURE001"]) == [("PURE001", 13)]
+
+
 def test_pure_walk_stops_at_runtime_host_boundary(tmp_path):
     """Crossing into repro.sim/runtime hosts is the by-design seam."""
     make_module(

@@ -235,7 +235,31 @@ def test_det003_id_and_hash(tmp_path):
 # -- message-exhaustiveness rules -----------------------------------------------
 
 
-def test_msg001_unhandled_message_type(tmp_path):
+_HANDLED_BY_ISINSTANCE = """
+    def on_message(payload):
+        if isinstance(payload, UsedMsg):
+            return True
+    """
+
+_HANDLED_BY_TABLE = """
+    class Replica:
+        HANDLERS = {UsedMsg: "_handle_used"}
+    """
+
+_HANDLED_BY_KIND_KEY = """
+    class Base:
+        HANDLERS: dict = {}
+
+    class Replica(Base):
+        HANDLERS = {**Base.HANDLERS, (UsedMsg, KIND_VOTE): ("_combine", "_votes")}
+    """
+
+
+@pytest.mark.parametrize(
+    "protocol_source", [_HANDLED_BY_ISINSTANCE, _HANDLED_BY_TABLE, _HANDLED_BY_KIND_KEY]
+)
+def test_msg001_unhandled_message_type(tmp_path, protocol_source):
+    """Handled means: tabled in a HANDLERS declaration, or isinstance-routed."""
     make_module(
         tmp_path,
         "repro.core.messages",
@@ -247,13 +271,25 @@ def test_msg001_unhandled_message_type(tmp_path):
             msg_type = "used"
         """,
     )
+    make_module(tmp_path, "repro.protocols.proto", protocol_source)
+    assert lint_ids(tmp_path, ["MSG001"]) == [("MSG001", 2)]
+
+
+def test_msg001_a_table_under_another_name_does_not_count(tmp_path):
+    make_module(
+        tmp_path,
+        "repro.core.messages",
+        """
+        class UsedMsg:
+            msg_type = "used"
+        """,
+    )
     make_module(
         tmp_path,
         "repro.protocols.proto",
         """
-        def dispatch(payload):
-            if isinstance(payload, UsedMsg):
-                return True
+        class Replica:
+            ROUTES = {UsedMsg: "_handle_used"}
         """,
     )
     assert lint_ids(tmp_path, ["MSG001"]) == [("MSG001", 2)]

@@ -11,7 +11,7 @@ from repro.analysis.metrics import (
     summarize_runs,
     throughput_increase_percent,
 )
-from repro.protocols.system import RunResult
+from repro.runtime.sim import RunResult
 
 
 def run(protocol="damysus", tput=10.0, lat=50.0, msgs=100):

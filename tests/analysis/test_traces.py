@@ -2,7 +2,7 @@
 
 
 from repro.analysis.traces import TraceCollector
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.app.kvstore import OP_INCREMENT, OP_PUT, KVCommand
 from repro.app.replicated import attach_state_machines
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

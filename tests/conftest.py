@@ -9,7 +9,7 @@ from repro.costs import CostModel
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
 from repro.core.block import genesis_block
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from repro.core.block import create_leaf
 from repro.core.mempool import Transaction
 from repro.core.messages import BlockRequest, BlockResponse
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -3,7 +3,7 @@
 
 from repro.core.phases import Phase
 from repro.protocols.chained_damysus import ChainedVote
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import run_protocol, small_config
 
 

@@ -1,7 +1,7 @@
 """Unit-level tests of chained HotStuff's certificates, locks and commits."""
 
 from repro.core.certificate import QuorumCert
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import run_protocol, small_config
 
 

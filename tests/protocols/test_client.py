@@ -1,7 +1,7 @@
 """Tests for the closed-loop client path (Fig 9 machinery)."""
 
 
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

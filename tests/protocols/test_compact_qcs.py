@@ -3,7 +3,7 @@
 
 from repro.core.messages import QCMsg
 from repro.crypto.threshold import is_group_signature
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import run_protocol, small_config
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TEERefusal
 from repro.protocols.registry import PROTOCOL_ORDER
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 
@@ -134,3 +134,50 @@ def test_hotstuff_recovery_without_tee_keeps_stable_certificates():
     result = run_until_fresh_views(system, 4)
     assert result.safe
     assert result.committed_blocks >= 4
+
+
+def _safety_critical_state(replica):
+    """What must outlive a crash: certificates on stable storage, sealed TEE state."""
+    checker = replica.checker
+    return (
+        getattr(replica, "prepare_qc", None),
+        getattr(replica, "locked_qc", None),
+        None if checker is None else (checker.prepared_view, checker.prepared_hash),
+        None if checker is None else (checker.locked_view, checker.locked_hash),
+    )
+
+
+@pytest.mark.parametrize("protocol", ["hotstuff", "damysus-c"])  # one per vote engine
+def test_crash_rebuilds_declared_state_and_keeps_what_safety_needs(protocol):
+    system = ConsensusSystem(small_config(protocol, f=1, timeout_ms=250))
+    system.start()
+    system.sim.run(until=400.0)
+    # Only recent leaders hold collected votes: crash the one holding most.
+    replica = max(
+        system.replicas,
+        key=lambda r: sum(getattr(r, attr).pending_keys() for attr in r.COLLECTORS),
+    )
+    declared = (*replica.COLLECTORS, *replica.VIEW_SETS)
+    before = {attr: getattr(replica, attr) for attr in declared}
+    assert any(before[attr].pending_keys() for attr in replica.COLLECTORS)
+    assert any(before[attr] for attr in replica.VIEW_SETS)
+    kept = _safety_critical_state(replica)
+    assert kept[0] is None or kept[0].view > 0  # something real is at stake
+    step_before = replica.checker.step if replica.checker is not None else None
+
+    replica.crash()
+    system.sim.run(until=800.0)
+    replica.recover()
+
+    for attr in replica.COLLECTORS:
+        collector = getattr(replica, attr)
+        assert collector is not before[attr]
+        assert collector.pending_keys() == 0 and collector.threshold == replica.quorum
+    for attr in replica.VIEW_SETS:
+        assert getattr(replica, attr) == set()
+    assert _safety_critical_state(replica) == kept
+    if step_before is not None:
+        rule = replica.checker.step_rule
+        assert replica.checker.step.index(rule) >= step_before.index(rule)
+    result = run_until_fresh_views(system, 4)
+    assert result.safe and result.committed_blocks >= 4

@@ -8,7 +8,7 @@ from repro.core.mempool import Transaction
 from repro.core.messages import BlockProposal, NewViewAMsg, ProposalAMsg
 from repro.core.phases import Phase
 from repro.crypto.scheme import Signature
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -2,7 +2,7 @@
 
 
 from repro.protocols.fast_hotstuff import FastProposal
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import run_protocol, small_config
 
 

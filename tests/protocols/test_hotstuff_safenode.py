@@ -6,7 +6,7 @@ from repro.core.block import create_leaf
 from repro.core.certificate import QuorumCert, genesis_qc, vote_payload
 from repro.core.mempool import Transaction
 from repro.core.phases import Phase
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -8,7 +8,7 @@ new-view path.
 import pytest
 
 from repro.protocols.registry import PROTOCOL_ORDER, get_spec
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

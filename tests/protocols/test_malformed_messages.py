@@ -5,6 +5,7 @@ asserts the replica neither votes, advances, executes nor crashes - the
 unhappy paths of Fig 2a's abort conditions.
 """
 
+import pytest
 
 from repro.core.block import create_leaf
 from repro.core.certificate import Accumulator, QuorumCert, vote_payload
@@ -14,7 +15,8 @@ from repro.core.messages import BlockProposal, CommitmentMsg, ProposalMsg, QCMsg
 from repro.core.phases import Phase
 from repro.crypto.scheme import Signature
 from repro.protocols.damysus import KIND_DECIDE, KIND_NEW_VIEW, KIND_PREP_QC
-from repro.protocols.system import ConsensusSystem
+from repro.protocols.registry import SPECS
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 
@@ -187,3 +189,43 @@ def test_hotstuff_vote_for_leader_only():
     count_before = replica._votes.count((view, Phase.PREPARE, h))
     replica.dispatch(1, msg)
     assert replica._votes.count((view, Phase.PREPARE, h)) == count_before
+
+
+# -- every protocol: what the handler table does not name is dropped ------------------
+
+
+def volatile_state(replica):
+    """Everything a handler could have touched, for before/after equality."""
+    return (
+        replica.view,
+        replica.ledger.height(),
+        {attr: getattr(replica, attr).pending_keys() for attr in replica.COLLECTORS},
+        {attr: set(getattr(replica, attr)) for attr in replica.VIEW_SETS},
+        replica.checker.step if replica.checker is not None else None,
+        replica.cpu_time_charged,
+    )
+
+
+@pytest.mark.parametrize("protocol", SPECS)
+def test_untabled_type_and_unknown_kind_are_dropped(protocol):
+    system = running(protocol)
+    replica = system.replicas[0]
+    view = replica.view
+
+    class Untabled:
+        msg_type = "untabled"
+
+        def wire_size(self):
+            return 10
+
+    untabled = Untabled()
+    untabled.view = view
+    # A well-formed commitment for the current view, under a kind no table names.
+    phi = Commitment(b"\x21" * 32, view, None, None, Phase.PREPARE, (fake_sig(),))
+    unknown_kind = CommitmentMsg(phi, "no-such-kind")
+    assert Untabled not in type(replica).HANDLERS
+    before = volatile_state(replica)
+    for payload in (untabled, unknown_kind):
+        for sender in (replica.leader_of(view), replica.pid):
+            assert replica.on_message(sender, payload) == []  # no effect emitted
+    assert volatile_state(replica) == before

@@ -1,7 +1,7 @@
 """Tests for Poisson (exponential inter-arrival) client load."""
 
 
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -7,7 +7,7 @@ HMAC-scheme artifact.
 
 import pytest
 
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

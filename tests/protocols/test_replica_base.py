@@ -4,7 +4,7 @@
 from repro.core.mempool import Transaction
 from repro.core.messages import ClientRequest
 from repro.costs import CostModel
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

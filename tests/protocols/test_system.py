@@ -1,11 +1,16 @@
 """Tests for configuration, registry and the system builder."""
 
+import ast
+import inspect
+import sys
+import textwrap
+
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.protocols.registry import PROTOCOL_ORDER, SPECS, get_spec
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 
@@ -32,6 +37,44 @@ def test_spec_table_matches_paper_section8():
             assert spec.num_replicas(f) == n_fn(f)
         assert spec.core_phases == phases
         assert spec.trusted_components == tees
+
+
+def _constructed_message_classes(replica_class) -> set[type]:
+    """Wire-message classes the protocol's own (resolved) methods construct.
+
+    Looks at each method as the class resolves it, so an engine default
+    that a protocol overrides does not count; ``replica.py`` is excluded
+    because its client, block-fetch and sync traffic bypasses the table.
+    """
+    constructed: set[type] = set()
+    for name in dir(replica_class):
+        fn = inspect.unwrap(inspect.getattr_static(replica_class, name))
+        if not inspect.isfunction(fn):
+            continue
+        module = fn.__module__
+        if not module.startswith("repro.protocols.") or module == "repro.protocols.replica":
+            continue
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                target = fn.__globals__.get(node.func.id)
+                if isinstance(target, type) and hasattr(target, "msg_type"):
+                    constructed.add(target)
+    return constructed
+
+
+@pytest.mark.parametrize("protocol", SPECS)
+def test_handler_table_covers_exactly_what_the_protocol_sends(protocol):
+    """No message is sent that the table drops, none tabled that is never sent."""
+    replica_class = SPECS[protocol].replica_class
+    keys = list(replica_class.HANDLERS)
+    tabled = {key[0] if isinstance(key, tuple) else key for key in keys}
+    assert tabled == _constructed_message_classes(replica_class)
+    # Commitment kinds: exactly the module's KIND_* wire constants.
+    kinds = {key[1] for key in keys if isinstance(key, tuple)}
+    module = sys.modules[replica_class.__module__]
+    assert kinds == {v for k, v in vars(module).items() if k.startswith("KIND_")}
+    # Every entry resolved to a method at class creation.
+    assert len(replica_class._handlers) == len(keys)
 
 
 def test_max_faults_follow_replication():

@@ -2,7 +2,7 @@
 
 from repro.adversary.behaviors import SilentLeaderDamysus
 from repro.core.faults import FaultPlan
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from repro.runtime.resilience.watchdog import LivenessWatchdog
 from tests.conftest import small_config
 
