@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Print the bit-identity bundle every PR records in CHANGES.md, in one go.
+
+* the digest of ``repro campaign --seed 1 --smoke`` and of the full
+  ``repro campaign --seed 1``;
+* the SHA-256 of what ``repro chaos --protocol P --seed 1`` prints, for
+  each of the seven protocols;
+* the digest ``benchmarks/ledger/run.py`` reports for each ``sim-*``
+  workload on seeds 1-3 (the ledger is *called*, one quick untraced run
+  per cell; nothing under ``benchmarks/ledger`` is touched).
+
+``--quick`` keeps the smoke campaign, the chaos runs and seed 1 of the
+ledger digests (about half a minute); CI uploads that half as an
+artifact.  Run it at two commits and diff the output: everything that
+has no clients must agree line for line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SIM_WORKLOADS = ("sim-load", "sim-quorum", "sim-leader-crash")
+
+
+def _run(command: list[str]) -> str:
+    """Standard output of one child of this interpreter, ``src/`` on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if part
+    )
+    done = subprocess.run(  # noqa: S603 - this interpreter, fixed arguments
+        [sys.executable, *command], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=1800, check=False,
+    )
+    if done.returncode != 0:
+        sys.stderr.write(done.stdout + done.stderr)
+        raise SystemExit(f"identity_evidence: {' '.join(command)} exited {done.returncode}")
+    return done.stdout
+
+
+def campaign_digest(smoke: bool) -> str:
+    flags = ["--smoke"] if smoke else []
+    return _run(["-m", "repro", "campaign", "--seed", "1", "--digest-only", *flags]).strip()
+
+
+def chaos_sha(protocol: str) -> str:
+    out = _run(["-m", "repro", "chaos", "--protocol", protocol, "--seed", "1"])
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def ledger_digest(workload: str, seed: int) -> str:
+    out = _run([
+        "benchmarks/ledger/run.py", "--workload", workload, "--seed", str(seed),
+        "--trace", "0", "--quick", "--full",
+    ])
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"identity_evidence: {workload} seed {seed}: {result['problems']}")
+    return str(result["detail"]["exact"]["digest"])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="smoke campaign, chaos x7, ledger digests for seed 1 only")
+    args = parser.parse_args()
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.protocols.registry import SPECS
+
+    print(f"campaign --seed 1 --smoke      {campaign_digest(smoke=True)}", flush=True)
+    if not args.quick:
+        print(f"campaign --seed 1              {campaign_digest(smoke=False)}", flush=True)
+    for protocol in SPECS:
+        print(f"chaos {protocol:18s} --seed 1  {chaos_sha(protocol)}", flush=True)
+    for seed in (1,) if args.quick else (1, 2, 3):
+        for workload in SIM_WORKLOADS:
+            print(f"ledger {workload:17s} seed {seed}  {ledger_digest(workload, seed)}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -70,15 +70,14 @@ class ReplicatedApp:
         """Apply the replica's executed command log to a fresh machine."""
         machine = self.machine_factory()
         results: list[KVResult] = []
-        seen: set[int] = set()
-        for block in replica.ledger.executed:
-            for tx in block.transactions:
+        ledger = replica.ledger
+        for block in ledger.executed:
+            # A command queued at several replicas may be carried twice;
+            # the ledger applied it once, and so does the machine.
+            for tx in ledger.applied_transactions(block):
                 command = self.commands.get(tx.tx_id)
                 if command is None:
                     continue  # synthetic filler transaction
-                if tx.tx_id in seen:
-                    continue  # deduplicate commands proposed by 2 replicas
-                seen.add(tx.tx_id)
                 results.append(machine.apply(command))
         return machine, results
 

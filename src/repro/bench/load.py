@@ -12,8 +12,11 @@ runtime:
 * :func:`run_load_net` - real asyncio TCP sockets on localhost, the
   same machines re-seated on :class:`~repro.runtime.asyncio_net.AsyncioRuntime`.
 
-Both report saturation throughput, p50/p99 end-to-end latency, and the
-admission-drop and eviction rates the bounded mempool produces.
+Both report saturation throughput, p50/p99 end-to-end latency, the
+admission-drop and eviction rates the bounded mempool produces, and the
+*commit multiplicity*: client transactions carried by the committed
+chain per distinct request among them - 1.00 when every request takes
+one trip through consensus.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.config import NetConfig, SystemConfig
+from repro.core.executor import Ledger
 from repro.core.rng import RngStream
 from repro.protocols.client import Client
 from repro.protocols.registry import get_spec
+from repro.protocols.replica import BaseReplica
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, build_machine
 from repro.runtime.sim import ConsensusSystem
 
@@ -36,6 +41,12 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
         return 0.0
     rank = max(1, -(-len(sorted_values) * fraction // 1))  # ceil without math
     return sorted_values[min(int(rank), len(sorted_values)) - 1]
+
+
+def commit_multiplicity(ledger: Ledger) -> float:
+    """Client transactions in ``ledger``'s chain per distinct key (0.0: none)."""
+    keys = [key for block in ledger.executed for key in block.client_keys()]
+    return len(keys) / len(set(keys)) if keys else 0.0
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,13 @@ class LoadReport:
     evicted: int
     eviction_rate: float  # evictions / pool admissions
     backpressure_engagements: int
+    #: Read off the longest committed chain: copies carried per distinct
+    #: client key, and re-carried transactions execution skipped.
+    commit_multiplicity: float
+    filtered_duplicates: int
+    #: Residents dropped, over all pools, because another leader's block
+    #: committed them.
+    purged_on_commit: int
     #: Replies by admission verdict, aggregated over all clients.
     admission: dict[str, int] = field(default_factory=dict)
 
@@ -86,6 +104,9 @@ class LoadReport:
             ["evicted", self.evicted],
             ["eviction rate", f"{self.eviction_rate:.4f}"],
             ["backpressure engagements", self.backpressure_engagements],
+            ["commit multiplicity", f"{self.commit_multiplicity:.2f}"],
+            ["filtered duplicates", self.filtered_duplicates],
+            ["purged on commit", self.purged_on_commit],
         ]
 
 
@@ -145,7 +166,7 @@ def _aggregate(
     protocol: str,
     num_replicas: int,
     clients: list[Client],
-    pools: list,
+    replicas: list[BaseReplica],
     committed_blocks: int,
     duration_ms: float,
     offered_rate_per_s: float,
@@ -161,7 +182,8 @@ def _aggregate(
     for client in clients:
         for name, count in client.verdicts.items():
             admission[name] = admission.get(name, 0) + count
-    stats = [pool.stats() for pool in pools]
+    stats = [replica.mempool.stats() for replica in replicas]
+    chain = max((replica.ledger for replica in replicas), key=Ledger.height)
     evicted = sum(int(s["evicted"]) for s in stats)
     admitted = sum(int(s["admitted"]) for s in stats)
     seconds = duration_ms / 1000.0 if duration_ms > 0 else 0.0
@@ -186,6 +208,9 @@ def _aggregate(
         backpressure_engagements=sum(
             int(s["backpressure_engagements"]) for s in stats
         ),
+        commit_multiplicity=commit_multiplicity(chain),
+        filtered_duplicates=chain.filtered,
+        purged_on_commit=sum(int(s["purged"]) for s in stats),
         admission=admission,
     )
 
@@ -201,7 +226,7 @@ def run_load_sim(
         protocol=config.protocol,
         num_replicas=system.num_replicas,
         clients=system.clients,
-        pools=[replica.mempool for replica in system.replicas],
+        replicas=system.replicas,
         committed_blocks=result.committed_blocks,
         duration_ms=result.duration_ms,
         offered_rate_per_s=rate_per_s,
@@ -298,7 +323,7 @@ async def run_load_net(
         protocol=config.protocol,
         num_replicas=num_replicas,
         clients=clients,
-        pools=[replica.mempool for replica in replicas],
+        replicas=replicas,
         committed_blocks=committed,
         duration_ms=elapsed * 1000.0,
         offered_rate_per_s=rate_per_s,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.crypto.hashing import HASH_SIZE, Hash, hash_block_fields, hash_fields
-from repro.core.mempool import Transaction, payload_digest
+from repro.core.mempool import SYNTHETIC_CLIENT_ID, Transaction, payload_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.certificate import Accumulator, QuorumCert
@@ -46,6 +46,9 @@ class Block:
     # Wire encoding memo, filled by repro.core.codec: blocks are immutable,
     # so their byte encoding can be computed once per object.
     _codec_bytes: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _client_keys: "tuple[tuple[int, int], ...] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         just_digest = self.justify.digest() if self.justify is not None else b""
@@ -78,6 +81,21 @@ class Block:
 
     def num_transactions(self) -> int:
         return len(self.transactions)
+
+    def client_keys(self) -> tuple[tuple[int, int], ...]:
+        """``(client_id, tx_id)`` of every client transaction carried, in order.
+
+        Synthetic filler is left out.  Computed once per block object:
+        execution, the pool purge and the proposer's ancestor walk all
+        ask, at every replica that holds the block.
+        """
+        keys = self._client_keys
+        if keys is None:
+            keys = tuple(
+                tx.key for tx in self.transactions if tx.client_id != SYNTHETIC_CLIENT_ID
+            )
+            object.__setattr__(self, "_client_keys", keys)
+        return keys
 
     def wire_size(self) -> int:
         """Bytes of this block on the wire (header + txs + justification).

@@ -11,6 +11,14 @@ In *recording* mode it collects violations (used by the Section 4
 counter-example, which deliberately breaks a weakened protocol); in
 *strict* mode it raises :class:`~repro.errors.SafetyViolation` immediately,
 which is how the test suite guards every Damysus/HotStuff run.
+
+Execution is also where a client transaction takes effect *exactly once*:
+clients broadcast each request, so a request can reach a second block (a
+leader that was down while it committed, a Byzantine proposer).  The
+ledger keeps the keys the executed prefix applied (:class:`AppliedKeys`)
+and skips a transaction whose key an earlier position carried.  That
+record is a pure function of the executed prefix, so every replica skips
+the same ones; the oracle checks it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,11 @@ from repro.crypto.hashing import Hash, hash_fields
 from repro.errors import ProtocolError, SafetyViolation
 from repro.core.block import Block
 from repro.core.chain import BlockStore
+from repro.core.mempool import SYNTHETIC_CLIENT_ID, Transaction
 from repro.core.monitor import ExecutionMonitor, ExecutionRecord
+
+#: ``(client_id, tx_id)``.
+Key = tuple[int, int]
 
 
 def fold_state_root(prev_root: Hash, block_hash: Hash) -> Hash:
@@ -52,8 +64,79 @@ class Violation:
         )
 
 
+@dataclass
+class ApplyViolation:
+    """A client key applied twice, or differently by two replicas."""
+
+    index: int
+    replica: int
+    key: Key | None
+    first_index: int | None = None
+
+    def describe(self) -> str:
+        if self.key is None:
+            return (
+                f"replica {self.replica} applied other client keys at index "
+                f"{self.index} than a replica that executed the same prefix"
+            )
+        return (
+            f"replica {self.replica} applied client key {self.key} at index "
+            f"{self.index}, but index {self.first_index} already applied it"
+        )
+
+
+class AppliedKeys:
+    """The client keys an executed prefix applied.
+
+    Per client: every id below a watermark, plus the ids applied out of
+    order above it.  Clients here number their requests sequentially, so
+    the second part stays empty and the record is O(clients).
+    """
+
+    def __init__(self) -> None:
+        self._next: dict[int, int] = {}
+        self._ahead: dict[int, set[int]] = {}
+
+    def add(self, key: Key) -> bool:
+        """Record ``key``; ``False`` when it was already applied."""
+        client_id, tx_id = key
+        watermark = self._next.get(client_id, 0)
+        if tx_id == watermark:
+            watermark += 1
+            ahead = self._ahead.get(client_id)
+            if ahead:
+                while watermark in ahead:
+                    ahead.remove(watermark)
+                    watermark += 1
+                if not ahead:
+                    del self._ahead[client_id]
+            self._next[client_id] = watermark
+            return True
+        if 0 <= tx_id < watermark:
+            return False
+        ahead = self._ahead.setdefault(client_id, set())
+        if tx_id in ahead:
+            return False
+        ahead.add(tx_id)
+        return True
+
+    def __contains__(self, key: Key) -> bool:
+        client_id, tx_id = key
+        if 0 <= tx_id < self._next.get(client_id, 0):
+            return True
+        return tx_id in self._ahead.get(client_id, ())
+
+
 class SafetyOracle:
-    """Cross-replica agreement checker."""
+    """Cross-replica agreement checker.
+
+    Beyond "same blocks, same order" it checks exactly-once application:
+    along the canonical chain no client key is applied at two positions,
+    and replicas that executed a position from genesis applied the same
+    keys there.  (A replica that installed a checkpoint starts with a
+    partial record and may apply - reply to - a key the prefix it never
+    replayed already carried; its chain is still checked hash by hash.)
+    """
 
     def __init__(self, strict: bool = True) -> None:
         self.strict = strict
@@ -67,41 +150,62 @@ class SafetyOracle:
         #: frontier catches up, so strict-mode detection stays live for
         #: checkpointed replicas instead of waiting for a post-run sweep.
         self._ahead: dict[int, Hash] = {}
-        self.violations: list[Violation] = []
+        #: Client keys applied per position, as the first from-genesis
+        #: replica to execute it reported them, and where each key landed.
+        self._applied: dict[int, tuple[Key, ...]] = {}
+        self._applied_at: dict[Key, int] = {}
+        self.violations: list[Violation | ApplyViolation] = []
 
-    def record(self, replica: int, block_hash: Hash) -> None:
-        """Append ``block_hash`` to ``replica``'s executed sequence."""
+    def record(self, replica: int, block_hash: Hash, applied: tuple[Key, ...] = ()) -> None:
+        """Append ``block_hash`` to ``replica``'s executed sequence.
+
+        ``applied`` are the client keys the execution took effect for.
+        """
         seq = self.sequences.setdefault(replica, [])
         index = self._offsets.get(replica, 0) + len(seq)
         seq.append(block_hash)
         self._observe(replica, index, block_hash)
+        if replica not in self._offsets:
+            self._observe_applied(replica, index, applied)
+
+    def _observe_applied(self, replica: int, index: int, applied: tuple[Key, ...]) -> None:
+        known = self._applied.get(index)
+        if known is None:
+            self._applied[index] = applied
+            for key in applied:
+                first = self._applied_at.get(key)
+                if first is None:
+                    self._applied_at[key] = index
+                else:
+                    self._flag(ApplyViolation(index, replica, key, first))
+        elif known is not applied and known != applied:
+            self._flag(ApplyViolation(index, replica, None))
 
     def _observe(self, replica: int, index: int, block_hash: Hash) -> None:
         """Cross-check one executed position against everything seen."""
         if index < len(self._canonical):
             if self._canonical[index] != block_hash:
-                self._flag(index, replica, block_hash, self._canonical[index])
+                self._flag(Violation(index, replica, block_hash, self._canonical[index]))
             return
         if index > len(self._canonical):
             held = self._ahead.get(index)
             if held is None:
                 self._ahead[index] = block_hash
             elif held != block_hash:
-                self._flag(index, replica, block_hash, held)
+                self._flag(Violation(index, replica, block_hash, held))
             return
         # index is exactly the frontier: a buffered ahead-record for this
         # position was observed first, so it is the canonical claim.
         held = self._ahead.pop(index, None)
         if held is not None and held != block_hash:
             self._canonical.append(held)
-            self._flag(index, replica, block_hash, held)
+            self._flag(Violation(index, replica, block_hash, held))
         else:
             self._canonical.append(block_hash)
         while (buffered := self._ahead.pop(len(self._canonical), None)) is not None:
             self._canonical.append(buffered)
 
-    def _flag(self, index: int, replica: int, block_hash: Hash, canonical: Hash) -> None:
-        violation = Violation(index, replica, block_hash, canonical)
+    def _flag(self, violation: Violation | ApplyViolation) -> None:
         self.violations.append(violation)
         if self.strict:
             raise SafetyViolation(violation.describe())
@@ -121,13 +225,13 @@ class SafetyOracle:
             return
         if index < len(self._canonical):
             if self._canonical[index] != block_hash:
-                self._flag(index, replica, block_hash, self._canonical[index])
+                self._flag(Violation(index, replica, block_hash, self._canonical[index]))
             return
         held = self._ahead.get(index)
         if held is None:
             self._ahead[index] = block_hash
         elif held != block_hash:
-            self._flag(index, replica, block_hash, held)
+            self._flag(Violation(index, replica, block_hash, held))
 
     def offset_of(self, replica: int) -> int:
         """Canonical index of ``replica``'s first recorded execution."""
@@ -159,6 +263,13 @@ class Ledger:
         self.executed: list[Block] = []
         self._executed_hashes: set[Hash] = set()
         self.last_executed_hash: Hash = store.genesis.hash
+        self.last_executed_view = 0
+        #: Exactly-once: the client keys this chain has applied, how many
+        #: re-carried transactions were skipped, and - for the rare block
+        #: that re-carried some - the transactions that did take effect.
+        self.applied = AppliedKeys()
+        self.filtered = 0
+        self._partly_applied: dict[Hash, tuple[Transaction, ...]] = {}
         # Checkpoint support: executions below ``base_height`` were either
         # garbage-collected (compaction) or never replayed locally (state
         # transfer); ``state_root`` is the rolling fold over every block
@@ -196,9 +307,11 @@ class Ledger:
         self.executed.append(block)
         self._executed_hashes.add(block.hash)
         self.last_executed_hash = block.hash
+        self.last_executed_view = block.view
         self.state_root = fold_state_root(self.state_root, block.hash)
+        applied_keys = self._apply(block)
         if self.oracle is not None:
-            self.oracle.record(self.replica, block.hash)
+            self.oracle.record(self.replica, block.hash, applied_keys)
         if self.monitor is not None:
             # Ancestors executed during catch-up are recorded under their
             # own proposal view, not the view of the descendant that
@@ -208,11 +321,40 @@ class Ledger:
                     replica=self.replica,
                     view=block.view,
                     block_hash=block.hash,
-                    num_transactions=block.num_transactions(),
+                    num_transactions=len(self.applied_transactions(block)),
                     proposed_at=block.created_at,
                     executed_at=now,
                 )
             )
+
+    def _apply(self, block: Block) -> tuple[Key, ...]:
+        """Mark ``block``'s client keys applied; returns those that were new."""
+        keys = block.client_keys()
+        if not keys:
+            return keys
+        add = self.applied.add
+        fresh = tuple(key for key in keys if add(key))
+        if len(fresh) == len(keys):
+            return keys
+        self.filtered += len(keys) - len(fresh)
+        took_effect: list[Transaction] = []
+        pending = set(fresh)
+        for tx in block.transactions:
+            if tx.client_id == SYNTHETIC_CLIENT_ID:
+                took_effect.append(tx)
+            elif tx.key in pending:
+                pending.remove(tx.key)
+                took_effect.append(tx)
+        self._partly_applied[block.hash] = tuple(took_effect)
+        return fresh
+
+    def applied_transactions(self, block: Block) -> tuple[Transaction, ...]:
+        """The transactions of an executed ``block`` that took effect.
+
+        All of them, unless the block re-carried a client key an earlier
+        position (or an earlier slot of the same block) had applied.
+        """
+        return self._partly_applied.get(block.hash, block.transactions)
 
     def height(self) -> int:
         return self.base_height + len(self.executed)
@@ -228,12 +370,19 @@ class Ledger:
             return
         self._execute_one(block, now, block.view)
 
-    def install_checkpoint(self, height: int, block_hash: Hash, state_root: Hash) -> None:
+    def install_checkpoint(
+        self, height: int, block_hash: Hash, state_root: Hash, view: int
+    ) -> None:
         """Fast-forward this ledger to a certified checkpoint.
 
         Only moves forward: installing at or below the current height is
         a protocol error (stale checkpoints are refused upstream by the
         TEE-signature check; this guards replica-local misuse).
+
+        The applied-key record is *not* transferred: it stays what this
+        replica executed itself, so a key the skipped prefix carried may
+        be applied (answered) here once more.  The chain cannot differ
+        for it - the state root folds block hashes, not replies.
         """
         if height <= self.height():
             raise ProtocolError(
@@ -243,6 +392,7 @@ class Ledger:
         self._executed_hashes.add(block_hash)
         self.base_height = height
         self.last_executed_hash = block_hash
+        self.last_executed_view = view
         self.state_root = state_root
         self.base_state_root = state_root
         if self.oracle is not None:
@@ -271,6 +421,7 @@ class Ledger:
             return 0
         for block in self.executed[:drop]:
             self.base_state_root = fold_state_root(self.base_state_root, block.hash)
+            self._partly_applied.pop(block.hash, None)
         del self.executed[:drop]
         self.base_height += drop
         return drop

@@ -25,6 +25,11 @@ from repro.crypto.hashing import Hash, hash_fields
 #: Metadata bytes per transaction (2 x 4 B ids + 32 B previous-block hash).
 TX_METADATA_BYTES = 40
 
+#: Client id of the pool's synthetic filler (the paper's inexhaustible
+#: open-loop supply).  Filler is no client's request: every leader numbers
+#: its own from zero, so the exactly-once machinery leaves it alone.
+SYNTHETIC_CLIENT_ID = -1
+
 
 class AdmissionVerdict(enum.Enum):
     """Outcome of submitting a transaction to a replica's mempool.
@@ -59,6 +64,11 @@ class Transaction:
     def wire_size(self) -> int:
         """Bytes this transaction occupies inside a block."""
         return self.payload_bytes + TX_METADATA_BYTES
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """``(client_id, tx_id)``: what makes two submissions the same request."""
+        return (self.client_id, self.tx_id)
 
     def digest_fields(self) -> tuple[int, int, int, int]:
         return (self.client_id, self.tx_id, self.payload_bytes, self.fee)

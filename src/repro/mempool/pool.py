@@ -14,6 +14,12 @@ alone.  The same admissions in the same order therefore produce
 byte-identical drained blocks under the simulator and the asyncio
 runtime (the cross-runtime determinism tests assert exactly this).
 
+A pool also learns what the chain did: :meth:`PriorityMempool.purge_committed`
+drops the residents a committed block carried (every replica admitted the
+client's broadcast, one leader proposed it), and
+:meth:`PriorityMempool.take_block` drains around the keys an uncommitted
+ancestor already carries, leaving those residents where they are.
+
 Priority is ``(fee desc, arrival asc)`` for draining and the exact
 reverse for eviction, via two lazy-deletion heaps over one entry index:
 heap entries are never removed in place, they are skipped at pop time
@@ -26,8 +32,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Collection
 
-from repro.core.mempool import TX_METADATA_BYTES, AdmissionVerdict, Transaction
+from repro.core.mempool import (
+    SYNTHETIC_CLIENT_ID,
+    TX_METADATA_BYTES,
+    AdmissionVerdict,
+    Transaction,
+)
 from repro.mempool.limiter import SenderRateLimiter
 from repro.mempool.watermark import Watermark
 
@@ -37,6 +49,9 @@ DEFAULT_MAX_TXS = 100_000
 
 #: Replay-memory entries kept before the oldest half is forgotten.
 _SEEN_MAX = 1 << 16
+
+#: Dead eviction-heap entries tolerated beyond the live ones before a rebuild.
+_HEAP_SLACK = 1024
 
 
 class _Entry:
@@ -52,7 +67,7 @@ class _Entry:
 class PriorityMempool:
     """Bounded priority mempool with admission control.
 
-    The first four parameters match the seed ``Mempool`` signature, so
+    The first three parameters match the seed ``Mempool`` signature, so
     every historical call site constructs an equivalent (FIFO, unbounded
     in practice) pool; the keyword-only parameters opt into the
     production behaviours.
@@ -63,7 +78,6 @@ class PriorityMempool:
         payload_bytes: int,
         block_size: int,
         open_loop: bool = True,
-        synthetic_client: int = -1,
         *,
         max_txs: int = DEFAULT_MAX_TXS,
         max_bytes: int = 0,
@@ -82,7 +96,6 @@ class PriorityMempool:
         self.limiter = SenderRateLimiter(rate_limit_per_ms, rate_burst)
         self.watermark = Watermark(high_watermark, low_watermark)
         self._synth = itertools.count()
-        self._synthetic_client = synthetic_client
         self._seq = itertools.count()
         #: Residents by (client_id, tx_id); the single source of truth.
         self._entries: dict[tuple[int, int], _Entry] = {}
@@ -91,9 +104,10 @@ class PriorityMempool:
         #: Eviction order: lowest fee first, *newest* first within a fee,
         #: so an overload sheds the latecomer, never a queued elder.
         self._evict_heap: list[tuple[int, int, tuple[int, int]]] = []
-        #: Replay memory: keys admitted and not since evicted (residents
-        #: and already-proposed transactions both reject as DUPLICATE;
-        #: an evicted transaction may be resubmitted).
+        #: Replay memory: keys admitted and not since evicted, plus keys
+        #: seen committed (residents, already-proposed and committed
+        #: transactions all reject as DUPLICATE; an evicted transaction
+        #: may be resubmitted).
         self._seen: dict[tuple[int, int], None] = {}
         self._count = 0
         self._bytes = 0
@@ -101,6 +115,7 @@ class PriorityMempool:
         self.admitted = 0
         self.drained = 0
         self.evicted = 0
+        self.purged = 0  # residents dropped because another leader committed them
         self.rejected: dict[AdmissionVerdict, int] = {
             AdmissionVerdict.RATE_LIMITED: 0,
             AdmissionVerdict.POOL_FULL: 0,
@@ -156,14 +171,27 @@ class PriorityMempool:
         self._entries[key] = _Entry(tx, seq)
         heapq.heappush(self._drain_heap, (-tx.fee, seq, key))
         heapq.heappush(self._evict_heap, (tx.fee, -seq, key))
+        if len(self._evict_heap) > 2 * self._count + _HEAP_SLACK:
+            # Drained and purged residents leave dead entries behind that
+            # only an eviction would pop; a pool that never fills sheds
+            # them here instead of keeping one per transaction ever seen.
+            self._evict_heap = [
+                (entry.tx.fee, -entry.seq, resident)
+                for resident, entry in self._entries.items()
+            ]
+            heapq.heapify(self._evict_heap)
         self._seen[key] = None
+        self._trim_seen()
+        self._count += 1
+        self._bytes += tx.wire_size()
+
+    def _trim_seen(self) -> None:
+        """Forget the oldest half of an over-full replay memory."""
         if len(self._seen) > _SEEN_MAX:
             residents = self._entries
             for stale in list(itertools.islice(self._seen, _SEEN_MAX // 2)):
                 if stale not in residents:  # never forget a live resident
                     del self._seen[stale]
-        self._count += 1
-        self._bytes += tx.wire_size()
 
     def _enforce_caps(self) -> set[tuple[int, int]]:
         """Evict lowest-priority residents until both caps hold."""
@@ -181,15 +209,59 @@ class PriorityMempool:
             evicted.add(key)
         return evicted
 
+    # -- what the chain did --------------------------------------------------
+
+    def purge_committed(self, keys: Collection[tuple[int, int]]) -> None:
+        """A committed block carried ``keys``: drop them, remember them.
+
+        Residents with those keys leave the pool (their request is done),
+        and every key enters the replay memory, so a copy of the request
+        that arrives after the commit is not admitted again.
+        """
+        if not keys:
+            return  # all filler (every open-loop block): nothing a client sent
+        entries = self._entries
+        seen = self._seen
+        for key in keys:
+            entry = entries.get(key)
+            if entry is not None:
+                self._remove(key, entry)
+                self.purged += 1
+            seen[key] = None
+        self._trim_seen()
+        self.watermark.update(self._fill())
+
+    def lose_memory(self) -> None:
+        """Crash-stop: residents and replay memory do not survive a restart.
+
+        The monotone counters do (they describe the run, not the pool),
+        and so does the synthetic-id counter: filler ids restarting from
+        zero would change every open-loop block after a crash.
+        """
+        self._entries.clear()
+        self._drain_heap.clear()
+        self._evict_heap.clear()
+        self._seen.clear()
+        self._count = 0
+        self._bytes = 0
+        self.watermark.update(self._fill())
+
     # -- proposal ----------------------------------------------------------
 
-    def take_block(self, now: float) -> tuple[Transaction, ...]:
+    def take_block(
+        self, now: float, exclude: Collection[tuple[int, int]] = ()
+    ) -> tuple[Transaction, ...]:
         """Drain up to ``block_size`` transactions by priority.
 
         Both caps apply: at most ``block_size`` transactions and (when
         ``max_block_bytes`` is set) at most that many payload+metadata
         bytes - except that a block always carries at least one queued
         transaction, so an outsized transaction cannot wedge the pool.
+
+        Residents whose key is in ``exclude`` (an uncommitted ancestor of
+        the block being built carries them) are passed over: they stay
+        resident and keep their place in the drain order, so they cost
+        nothing if the ancestor is abandoned and are purged if it commits.
 
         In open-loop mode the remainder is filled with synthetic
         transactions (the paper's inexhaustible supply), so blocks are
@@ -198,15 +270,26 @@ class PriorityMempool:
         """
         batch: list[Transaction] = []
         used = 0
-        while self._count and len(batch) < self.block_size:
-            item = self._pop_extreme(self._drain_heap, peek_unfit=batch, used=used)
+        passed_over: list[tuple[int, int, tuple[int, int]]] = []
+        while self._count > len(passed_over) and len(batch) < self.block_size:
+            item = self._pop_extreme(self._drain_heap)
             if item is None:
                 break
             key, entry = item
+            if key in exclude:
+                passed_over.append((-entry.tx.fee, entry.seq, key))
+                continue
+            size = entry.tx.wire_size()
+            if self.max_block_bytes and batch and used + size > self.max_block_bytes:
+                # The byte-capped drain stop: back it goes, nothing cheaper jumps it.
+                passed_over.append((-entry.tx.fee, entry.seq, key))
+                break
             self._remove(key, entry)
             batch.append(entry.tx)
-            used += entry.tx.wire_size()
+            used += size
             self.drained += 1
+        for heap_item in passed_over:
+            heapq.heappush(self._drain_heap, heap_item)
         if self.open_loop:
             synth_size = self.payload_bytes + TX_METADATA_BYTES
             while len(batch) < self.block_size and not (
@@ -214,7 +297,7 @@ class PriorityMempool:
             ):
                 batch.append(
                     Transaction(
-                        client_id=self._synthetic_client,
+                        client_id=SYNTHETIC_CLIENT_ID,
                         tx_id=next(self._synth),
                         payload_bytes=self.payload_bytes,
                         submitted_at=now,
@@ -225,30 +308,14 @@ class PriorityMempool:
         return tuple(batch)
 
     def _pop_extreme(
-        self,
-        heap: list[tuple[int, int, tuple[int, int]]],
-        peek_unfit: list[Transaction] | None = None,
-        used: int = 0,
+        self, heap: list[tuple[int, int, tuple[int, int]]]
     ) -> tuple[tuple[int, int], _Entry] | None:
-        """Pop the live extreme of a lazy-deletion heap.
-
-        With ``peek_unfit`` (the batch built so far), a transaction that
-        would overflow ``max_block_bytes`` of a non-empty batch is pushed
-        back and ``None`` returned - the byte-capped drain stop.
-        """
+        """Pop the live extreme of a lazy-deletion heap."""
         while heap:
             item = heapq.heappop(heap)
             entry = self._entries.get(item[2])
             if entry is None or entry.seq != abs(item[1]):
-                continue  # stale: evicted or drained since pushed
-            if (
-                peek_unfit is not None
-                and self.max_block_bytes
-                and peek_unfit
-                and used + entry.tx.wire_size() > self.max_block_bytes
-            ):
-                heapq.heappush(heap, item)
-                return None
+                continue  # stale: evicted, drained or purged since pushed
             return item[2], entry
         return None
 
@@ -292,6 +359,7 @@ class PriorityMempool:
             "admitted": self.admitted,
             "drained": self.drained,
             "evicted": self.evicted,
+            "purged": self.purged,
             "rejected_rate_limited": self.rejected[AdmissionVerdict.RATE_LIMITED],
             "rejected_pool_full": self.rejected[AdmissionVerdict.POOL_FULL],
             "rejected_duplicate": self.rejected[AdmissionVerdict.DUPLICATE],

@@ -23,7 +23,7 @@ from repro.core.clock import Clock
 from repro.core.codec import wire_size_of
 from repro.core.commitment import Commitment
 from repro.core.executor import Ledger, SafetyOracle
-from repro.core.mempool import AdmissionVerdict
+from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict, Transaction
 from repro.mempool.pool import PriorityMempool
 from repro.core.messages import BlockRequest, BlockResponse, ClientReply, ClientRequest
 from repro.core.messages import CommitmentMsg
@@ -278,7 +278,8 @@ class BaseReplica(Machine):
 
         The sealed snapshot models what the host's disk retains across a
         restart; everything else a replica holds in memory (buffered
-        messages, quorum collections, in-flight fetches) is lost.
+        messages, quorum collections, in-flight fetches, the mempool's
+        residents and replay memory) is lost.
         """
         if self.crashed:
             return
@@ -340,7 +341,7 @@ class BaseReplica(Machine):
         )
 
     def reset_volatile_state(self) -> None:
-        """Drop everything a crash loses: buffers, fetches, vote state."""
+        """Drop everything a crash loses: buffers, fetches, the pool, vote state."""
         self._buffered.clear()
         self._buffered_count = 0
         self._pending_exec.clear()
@@ -351,6 +352,7 @@ class BaseReplica(Machine):
         self._peer_view_claims.clear()
         self._last_commit_qc = None
         self.catchup.reset()
+        self.mempool.lose_memory()
         self.reset_protocol_state()
 
     def reset_protocol_state(self) -> None:
@@ -419,13 +421,36 @@ class BaseReplica(Machine):
         """A leader's block for ``view``: filled from the mempool, stored."""
         # ``extends`` is the parent's hash (the paper's createLeaf) or, for
         # the chained protocols, the justifying certificate (createChain).
-        transactions = self.mempool.take_block(self.now)
+        parent_hash = extends if isinstance(extends, bytes) else extends.hash
+        transactions = self.mempool.take_block(self.now, self._uncommitted_keys(parent_hash))
         if isinstance(extends, bytes):
             block = create_leaf(extends, view, transactions, created_at=self.now)
         else:
             block = create_chain(extends, view, transactions, created_at=self.now)
         self.store.add(block)
         return block
+
+    def _uncommitted_keys(self, parent_hash: bytes) -> set[tuple[int, int]]:
+        """Client keys the not-yet-executed ancestors of a new block carry.
+
+        Those transactions are already on their way to commit (the chained
+        protocols' pipeline, or a decide this leader has not seen yet), so
+        the new block proposes around them.  The walk runs from the parent
+        down to the last executed block and gives up at a missing body or
+        a view at or below the executed one - a handful of blocks at most.
+        """
+        keys: set[tuple[int, int]] = set()
+        if not self.mempool.pending():
+            return keys  # nothing a client sent is waiting: nothing to pass over
+        ledger = self.ledger
+        cursor = parent_hash
+        while cursor != ledger.last_executed_hash:
+            block = self.store.get(cursor)
+            if block is None or block.view <= ledger.last_executed_view:
+                break
+            keys.update(block.client_keys())
+            cursor = block.parent_hash
+        return keys
 
     def _tee_sign_new_view(self, checker: Checker, view: int) -> Commitment | None:
         """``TEEsign`` until stamped ``(view, nv_p)``; ``None`` if already past it."""
@@ -462,7 +487,7 @@ class BaseReplica(Machine):
         if self.crashed:
             return
         if isinstance(payload, ClientRequest):
-            self._handle_client_request(payload)
+            self._handle_client_request(sender, payload)
             return
         if isinstance(payload, BlockRequest):
             self._handle_block_request(sender, payload)
@@ -490,29 +515,48 @@ class BaseReplica(Machine):
         self.charge_receive(payload)
         self.dispatch(sender, payload)
 
-    def _handle_client_request(self, request: ClientRequest) -> None:
+    def _handle_client_request(self, sender: int, request: ClientRequest) -> None:
         """Run the admission pipeline; NACK the client on rejection.
 
         Accepted transactions are acknowledged implicitly by the
         execution-time reply; every other verdict is returned at once so
         an open-loop client can account for drops (and retry after a
-        rate-limit window) instead of waiting forever.
+        rate-limit window) instead of waiting forever.  A request whose
+        key the chain already applied gets the committed reply again, so
+        a client whose first replies were lost still completes.
+
+        ``(client_id, tx_id)`` decides what is a duplicate, so who may
+        speak for a client id is checked first: a request whose two ids
+        differ, or whose id is registered to another pid than the sender,
+        is dropped - otherwise any peer could pre-empt an honest client's
+        next key and have the real request filtered as a replay.  So is
+        one that names the filler id, which is exempt from all of this.
         """
-        verdict = self.mempool.admit(request.tx, self.now)
+        tx = request.tx
+        if request.client_id != tx.client_id or tx.client_id == SYNTHETIC_CLIENT_ID:
+            return
+        pid = self.client_pids.get(tx.client_id)
+        if pid is not None and pid != sender:
+            return
+        verdict = self.mempool.admit(tx, self.now)
         if verdict is AdmissionVerdict.ACCEPTED:
             return
-        pid = self.client_pids.get(request.tx.client_id)
+        if verdict is AdmissionVerdict.DUPLICATE and tx.key in self.ledger.applied:
+            verdict = AdmissionVerdict.ACCEPTED
         if pid is not None:
-            self.send_charged(
-                pid,
-                ClientReply(
-                    replica=self.pid,
-                    client_id=request.tx.client_id,
-                    tx_id=request.tx.tx_id,
-                    executed_at=self.now,
-                    verdict=verdict,
-                ),
-            )
+            self._reply(pid, tx, verdict)
+
+    def _reply(self, pid: int, tx: Transaction, verdict: AdmissionVerdict) -> None:
+        self.send_charged(
+            pid,
+            ClientReply(
+                replica=self.pid,
+                client_id=tx.client_id,
+                tx_id=tx.tx_id,
+                executed_at=self.now,
+                verdict=verdict,
+            ),
+        )
 
     def on_stale(self, sender: int, payload: Any) -> None:
         """A message from a view this replica already left: keep its block."""
@@ -638,18 +682,14 @@ class BaseReplica(Machine):
             self._request_missing_ancestors(block)
             return []
         for executed in newly:
-            for tx in executed.transactions:
-                pid = self.client_pids.get(tx.client_id)
-                if pid is not None:
-                    self.send_charged(
-                        pid,
-                        ClientReply(
-                            replica=self.pid,
-                            client_id=tx.client_id,
-                            tx_id=tx.tx_id,
-                            executed_at=self.now,
-                        ),
-                    )
+            self.mempool.purge_committed(executed.client_keys())
+            if executed.client_keys():
+                # One reply per transaction that took effect, none for a
+                # copy the ledger skipped (its first application answered).
+                for tx in self.ledger.applied_transactions(executed):
+                    pid = self.client_pids.get(tx.client_id)
+                    if pid is not None:
+                        self._reply(pid, tx, AdmissionVerdict.ACCEPTED)
             self._emit(Commit(executed, view))
         if newly:
             self.last_committed_view = max(self.last_committed_view, view)
@@ -781,7 +821,7 @@ class BaseReplica(Machine):
             except TEERefusal:
                 return
         self.ledger.install_checkpoint(
-            checkpoint.height, checkpoint.block_hash, checkpoint.state_root
+            checkpoint.height, checkpoint.block_hash, checkpoint.state_root, checkpoint.view
         )
         self.latest_checkpoint = checkpoint
         self.caught_up_via_checkpoint = True
@@ -841,6 +881,7 @@ class BaseReplica(Machine):
         for block in self._sync_buffer:
             self.store.add(block)
             self.ledger.apply_synced(block, self.now)
+            self.mempool.purge_committed(block.client_keys())
             self._emit(Commit(block, block.view))
             applied = block
         self._sync_buffer.clear()

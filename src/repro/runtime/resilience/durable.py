@@ -101,7 +101,7 @@ class DurableSealer:
             replica.checker.tee_install_checkpoint(checkpoint)
         if checkpoint.height > replica.ledger.height():
             replica.ledger.install_checkpoint(
-                checkpoint.height, checkpoint.block_hash, checkpoint.state_root
+                checkpoint.height, checkpoint.block_hash, checkpoint.state_root, checkpoint.view
             )
         replica.latest_checkpoint = checkpoint
         replica.last_committed_view = max(

@@ -41,6 +41,18 @@ def test_load_sim_commits_and_completes():
     assert report.admission["accepted"] > 0
 
 
+def test_load_sim_commits_every_transaction_once():
+    """Clients broadcast to every replica; the chain still carries - and the
+    ledger applies - each request once (it was n copies before)."""
+    report = run_load_sim(quick_config(), duration_ms=600.0, rate_per_s=2_000.0)
+    assert report.commit_multiplicity == 1.0
+    assert report.filtered_duplicates == 0
+    # The replicas that did not propose a transaction dropped their copy.
+    assert report.purged_on_commit > report.completed
+    assert ["commit multiplicity", "1.00"] in report.summary_rows()
+    assert report.to_dict()["commit_multiplicity"] == 1.0
+
+
 def test_load_sim_same_seed_is_bit_identical():
     """Two runs with the same seed produce byte-for-byte equal reports."""
     first = run_load_sim(quick_config(), duration_ms=600.0, rate_per_s=2_000.0)

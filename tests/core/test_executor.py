@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ProtocolError, SafetyViolation
 from repro.core.block import create_leaf
 from repro.core.chain import BlockStore
-from repro.core.executor import Ledger, SafetyOracle
+from repro.core.executor import AppliedKeys, Ledger, SafetyOracle
 from repro.core.mempool import Transaction
 from repro.sim.monitor import Monitor
 
@@ -168,3 +168,115 @@ def test_ledger_reports_to_oracle():
     ledger_b.execute(blocks[1], 1.0)
     assert oracle.safe
     assert len(oracle.sequences) == 2
+
+
+# -- exactly-once application --------------------------------------------------
+
+
+def test_recarried_key_is_skipped_the_same_way_at_every_replica():
+    """A block re-carrying an applied key applies only what is new - and the
+    applied tuple is a function of the chain, so two replicas agree on it."""
+    oracle = SafetyOracle(strict=True)
+    monitor = Monitor()
+    store = BlockStore()
+    first = create_leaf(store.genesis.hash, 1, (tx(0), tx(1)))
+    # Carries 1 again, 2 twice, and filler that is no client's request.
+    filler = Transaction(client_id=-1, tx_id=0, payload_bytes=0)
+    second = create_leaf(first.hash, 2, (tx(1), filler, tx(2), tx(2), filler))
+    store.add(first)
+    store.add(second)
+    for replica in (0, 1):
+        ledger = Ledger(replica, store, oracle, monitor)
+        ledger.execute(second, now=1.0)
+        assert ledger.applied_transactions(first) == (tx(0), tx(1))
+        assert ledger.applied_transactions(second) == (filler, tx(2), filler)
+        assert ledger.filtered == 2
+        assert (0, 2) in ledger.applied and (0, 3) not in ledger.applied
+    assert [rec.num_transactions for rec in monitor.executions] == [2, 3, 2, 3]
+    assert oracle.safe
+
+
+def test_out_of_order_ids_collapse_into_the_watermark():
+    applied = AppliedKeys()
+    for tx_id in (2, 1, 4):
+        assert applied.add((7, tx_id))
+    assert applied._ahead == {7: {1, 2, 4}}
+    assert applied.add((7, 0))  # 0, 1, 2 are now one watermark; 4 still waits for 3
+    assert applied._next == {7: 3} and applied._ahead == {7: {4}}
+    assert not applied.add((7, 1)) and not applied.add((7, 4))
+    assert (7, 2) in applied and (7, 4) in applied and (7, 3) not in applied
+    assert applied.add((7, 3))
+    assert applied._next == {7: 5} and applied._ahead == {}  # O(clients) again
+    assert (7, 4) in applied and (7, 5) not in applied
+    assert (8, 0) not in applied  # another client's ids are its own
+
+
+def test_apply_synced_feeds_the_same_record():
+    store = BlockStore()
+    first = create_leaf(store.genesis.hash, 1, (tx(0), tx(1)))
+    second = create_leaf(first.hash, 2, (tx(1), tx(2)))
+    store.add(first)
+    store.add(second)
+    replayed = Ledger(0, store)
+    replayed.execute(second, now=1.0)
+    synced = Ledger(1, BlockStore())  # state transfer: no stored path needed
+    synced.apply_synced(first, now=2.0)
+    synced.apply_synced(second, now=2.0)
+    for block in (first, second):
+        assert synced.applied_transactions(block) == replayed.applied_transactions(block)
+    assert synced.filtered == replayed.filtered == 1
+    assert synced.last_executed_view == 2
+
+
+def test_synthetic_filler_is_never_a_duplicate():
+    """Every leader numbers its own filler from zero; none of it is filtered."""
+    store = BlockStore()
+    filler = tuple(Transaction(client_id=-1, tx_id=i, payload_bytes=0) for i in range(3))
+    first = create_leaf(store.genesis.hash, 1, filler)
+    second = create_leaf(first.hash, 2, filler)
+    store.add(first)
+    store.add(second)
+    ledger = Ledger(0, store)
+    ledger.execute(second, now=1.0)
+    assert ledger.applied_transactions(second) == filler
+    assert ledger.filtered == 0
+    assert first.client_keys() == ()
+
+
+def test_oracle_raises_on_a_double_application_in_strict_mode():
+    oracle = SafetyOracle(strict=True)
+    oracle.record(0, b"a", ((3, 0), (3, 1)))
+    with pytest.raises(SafetyViolation):
+        oracle.record(0, b"b", ((3, 1),))
+
+
+def test_oracle_records_a_double_application_in_recording_mode():
+    oracle = SafetyOracle(strict=False)
+    oracle.record(0, b"a", ((3, 0),))
+    oracle.record(0, b"b", ((3, 0), (3, 1), (3, 1)))
+    assert not oracle.safe
+    across, within = oracle.violations
+    assert (across.index, across.key, across.first_index) == (1, (3, 0), 0)
+    assert (within.index, within.key, within.first_index) == (1, (3, 1), 1)
+    assert "already applied" in across.describe()
+
+
+def test_oracle_flags_replicas_applying_different_keys_at_one_height():
+    oracle = SafetyOracle(strict=False)
+    oracle.record(0, b"a", ((3, 0),))
+    oracle.record(1, b"a", ((3, 0),))
+    assert oracle.safe
+    oracle.record(2, b"a", ())
+    [violation] = oracle.violations
+    assert (violation.index, violation.replica, violation.key) == (0, 2, None)
+    assert "other client keys" in violation.describe()
+
+
+def test_oracle_exempts_a_checkpointed_replica_from_the_applied_check():
+    """Its record starts at the checkpoint, so it may apply a key again."""
+    oracle = SafetyOracle(strict=True)
+    oracle.record(0, b"a", ((3, 0),))
+    oracle.record(0, b"b", ())
+    oracle.install_checkpoint(1, 1, b"a")
+    oracle.record(1, b"b", ((3, 0),))  # re-carried; replica 1 never saw index 0
+    assert oracle.safe

@@ -1,5 +1,9 @@
 """The bounded priority mempool: verdicts, ordering, caps, determinism."""
 
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
 from repro.core.codec import encode_message
 from repro.core.mempool import AdmissionVerdict, Transaction
 from repro.core.messages import ClientRequest
@@ -266,3 +270,171 @@ def test_legacy_add_is_unconditioned_but_capped():
     assert pool.pending() == 3
     pool.add(tx(0, 4))  # idempotent per key
     assert pool.pending() == 3
+
+
+# -- the chain talks back: purge on commit, drain around ancestors -----------
+
+
+def test_purge_drops_residents_and_rejects_late_copies():
+    pool = closed_pool()
+    for i in range(4):
+        pool.admit(tx(0, i), 0.0)
+    pool.purge_committed([(0, 1), (0, 2), (7, 7)])  # (7, 7) never reached this pool
+    assert pool.pending() == 2
+    assert pool.stats()["purged"] == 2
+    assert pool.admit(tx(0, 1), 1.0) is DUPLICATE
+    assert pool.admit(tx(7, 7), 1.0) is DUPLICATE  # its request arrives after the commit
+    assert [t.tx_id for t in pool.take_block(2.0)] == [0, 3]
+
+
+def test_purge_releases_backpressure():
+    pool = closed_pool(max_txs=10, high_watermark=0.8, low_watermark=0.5)
+    for i in range(8):
+        pool.admit(tx(0, i), 0.0)
+    assert pool.stats()["backpressured"]
+    pool.purge_committed([(0, i) for i in range(4)])
+    assert not pool.stats()["backpressured"]
+
+
+def test_excluded_residents_keep_their_place():
+    pool = closed_pool()
+    for i in range(6):
+        pool.admit(tx(0, i), 0.0)
+    assert [t.tx_id for t in pool.take_block(1.0, {(0, 0), (0, 2)})] == [1, 3, 4, 5]
+    assert pool.pending() == 2
+    pool.admit(tx(0, 6), 2.0)
+    assert [t.tx_id for t in pool.take_block(3.0)] == [0, 2, 6]
+
+
+def test_crash_loses_residents_and_replay_memory_but_not_counters():
+    pool = PriorityMempool(16, 2, open_loop=True)
+    pool.admit(tx(0, 1), 0.0)
+    pool.admit(tx(0, 2), 0.0)
+    first = pool.take_block(1.0)  # drains (0, 1) and (0, 2)
+    pool.admit(tx(0, 3), 1.0)
+    before = pool.stats()
+    pool.lose_memory()
+    after = pool.stats()
+    assert after["pending_txs"] == 0 and after["pending_bytes"] == 0
+    for counter in ("admitted", "drained", "evicted", "purged", "rejected_duplicate"):
+        assert after[counter] == before[counter]
+    assert pool.admit(tx(0, 1), 2.0) is ACCEPTED  # the replay memory is gone too
+    assert first == (tx(0, 1), tx(0, 2))
+
+
+def test_crash_does_not_reissue_synthetic_ids():
+    pool = PriorityMempool(16, 2, open_loop=True)
+    assert [t.tx_id for t in pool.take_block(0.0)] == [0, 1]
+    pool.lose_memory()
+    assert [t.tx_id for t in pool.take_block(1.0)] == [2, 3]
+
+
+class PoolModel(RuleBasedStateMachine):
+    """The pool against a list-based reference, one operation at a time.
+
+    Backpressure is parked out of reach (``high_watermark`` above any
+    reachable fill), so every verdict follows from residents, replay
+    memory and the two hard caps - which the reference states in a few
+    lines each.
+    """
+
+    MAX_TXS = 8
+    MAX_BYTES = 600
+    BLOCK_SIZE = 4
+    MAX_BLOCK_BYTES = 200
+
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 15))
+
+    def __init__(self):
+        super().__init__()
+        self.pool = PriorityMempool(
+            16, self.BLOCK_SIZE, open_loop=False, max_txs=self.MAX_TXS,
+            max_bytes=self.MAX_BYTES, max_block_bytes=self.MAX_BLOCK_BYTES,
+            high_watermark=2.0, low_watermark=1.0,
+        )
+        self.residents = {}  # key -> (tx, arrival)
+        self.gone = set()  # drained or purged: never again
+        self.arrivals = 0
+        self.drained = 0
+        self.evicted = 0
+        self.purged = 0
+
+    def drain_order(self):
+        return sorted(self.residents, key=lambda k: (-self.residents[k][0].fee, self.residents[k][1]))
+
+    @rule(key=keys, payload=st.sampled_from([0, 16, 64]), fee=st.integers(0, 3))
+    def admit(self, key, payload, fee):
+        candidate = tx(key[0], key[1], payload, fee)
+        verdict = self.pool.admit(candidate, 0.0)
+        if key in self.residents or key in self.gone:
+            assert verdict is DUPLICATE
+            return
+        self.residents[key] = (candidate, self.arrivals)
+        self.arrivals += 1
+        bounced = False
+        while len(self.residents) > self.MAX_TXS or (
+            sum(t.wire_size() for t, _ in self.residents.values()) > self.MAX_BYTES
+        ):
+            victim = min(
+                self.residents, key=lambda k: (self.residents[k][0].fee, -self.residents[k][1])
+            )
+            del self.residents[victim]  # evicted keys may come back
+            if victim == key:
+                bounced = True
+            else:
+                self.evicted += 1
+        assert verdict is (POOL_FULL if bounced else ACCEPTED)
+
+    @rule(data=st.data(), strangers=st.sets(keys, max_size=3))
+    def take_block_around(self, data, strangers):
+        held = sorted(self.residents)
+        exclude = strangers | set(data.draw(st.lists(st.sampled_from(held), unique=True))
+                                  if held else [])
+        expected, used = [], 0
+        for key in self.drain_order():
+            candidate = self.residents[key][0]
+            if key in exclude:
+                continue  # stays resident, keeps its place
+            if len(expected) == self.BLOCK_SIZE or (
+                expected and used + candidate.wire_size() > self.MAX_BLOCK_BYTES
+            ):
+                break  # the byte-capped drain stop: nothing cheaper jumps the queue
+            expected.append(candidate)
+            used += candidate.wire_size()
+        assert self.pool.take_block(1.0, exclude) == tuple(expected)
+        for candidate in expected:
+            del self.residents[candidate.key]
+            self.gone.add(candidate.key)
+        self.drained += len(expected)
+
+    @rule(committed=st.sets(keys, max_size=6))
+    def purge(self, committed):
+        self.pool.purge_committed(sorted(committed))
+        for key in committed:
+            if self.residents.pop(key, None) is not None:
+                self.purged += 1
+            self.gone.add(key)
+
+    @invariant()
+    def occupancy_matches_the_residents(self):
+        stats = self.pool.stats()
+        assert self.pool.pending() == stats["pending_txs"] == len(self.residents)
+        assert self.pool.pending_bytes() == sum(
+            t.wire_size() for t, _ in self.residents.values()
+        )
+        assert (stats["drained"], stats["evicted"], stats["purged"]) == (
+            self.drained, self.evicted, self.purged
+        )
+        assert stats["admitted"] == len(self.residents) + self.drained + self.evicted + self.purged
+
+    def teardown(self):
+        # Whatever was passed over is still there, in the original order.
+        remaining = [self.residents[key][0] for key in self.drain_order()]
+        drained = []
+        while self.pool.pending():
+            drained.extend(self.pool.take_block(2.0))
+        assert drained == remaining
+
+
+TestPoolModel = PoolModel.TestCase
+TestPoolModel.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

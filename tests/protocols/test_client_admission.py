@@ -1,9 +1,17 @@
-"""Client-side admission accounting: verdict histogram, drops, retries."""
+"""Admission, both ends: the client's verdict accounting (histogram, drops,
+retries) and the replica's check of who may submit under a client id."""
 
-from repro.core.mempool import AdmissionVerdict
-from repro.core.messages import ClientReply
+import asyncio
+
+from repro.adversary.spammer import SPAM_CLIENT_BASE
+from repro.core.mempool import AdmissionVerdict, Transaction
+from repro.core.messages import ClientReply, ClientRequest
 from repro.protocols.client import Client
+from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, build_machine
 from repro.runtime.effects import Send
+from repro.runtime.machine import Machine
+from repro.runtime.sim import ConsensusSystem
+from tests.conftest import small_config
 
 
 class FakeClock:
@@ -100,3 +108,170 @@ def test_replies_for_other_clients_ignored():
     client = make_client(client_id=5)
     client.on_message(0, ClientReply(0, 6, 0, 0.0, AdmissionVerdict.POOL_FULL))
     assert sum(client.verdicts.values()) == 0
+
+
+# -- replica side: who may speak for a client id -------------------------------
+#
+# ``(client_id, tx_id)`` decides what is a duplicate, and clients number
+# their requests sequentially - so a peer that could submit under another
+# client's id would pre-empt its next key and have the real request
+# filtered as a replay.
+
+
+HONEST_PAYLOAD = 0
+FORGED_PAYLOAD = 999
+REQUESTS = 20
+
+
+def client_system(**overrides):
+    params = dict(
+        open_loop=False,
+        num_clients=1,
+        client_interval_ms=5.0,
+        client_total_txs=REQUESTS,
+        block_size=10,
+    )
+    params.update(overrides)
+    return ConsensusSystem(small_config("damysus", **params))
+
+
+def forged(tx_id, client_id=0):
+    return ClientRequest(client_id, Transaction(client_id, tx_id, FORGED_PAYLOAD))
+
+
+def client_payloads(replica):
+    return {
+        tx.payload_bytes
+        for block in replica.ledger.executed
+        for tx in block.transactions
+        if tx.client_id >= 0
+    }
+
+
+def test_request_whose_two_client_ids_differ_is_dropped():
+    system = client_system()
+    replica = system.replicas[0]
+    client_pid = replica.client_pids[0]
+    effects = replica.on_message(client_pid, ClientRequest(0, Transaction(5, 0, 16)))
+    assert effects == [] and replica.mempool.pending() == 0
+    effects = replica.on_message(client_pid, ClientRequest(5, Transaction(0, 0, 16)))
+    assert effects == [] and replica.mempool.pending() == 0
+    # Nor may anyone submit as the pool's filler, which is never deduplicated.
+    effects = replica.on_message(client_pid, ClientRequest(-1, Transaction(-1, 0, 16)))
+    assert effects == [] and replica.mempool.pending() == 0
+
+
+def test_registered_client_id_is_only_accepted_from_its_own_pid():
+    system = client_system()
+    replica = system.replicas[0]
+    client_pid = replica.client_pids[0]
+    for impostor in (1, 2, client_pid + 1):
+        assert replica.on_message(impostor, forged(0)) == []
+    assert replica.mempool.pending() == 0
+    assert replica.mempool.stats()["rejected_duplicate"] == 0
+    replica.on_message(client_pid, ClientRequest(0, Transaction(0, 0, HONEST_PAYLOAD)))
+    assert replica.mempool.pending() == 1  # the real request was not pre-empted
+
+
+def test_unregistered_client_ids_stay_admissible():
+    """The spammer's id range (and any id no client registered) has no
+    pid to compare with; the rate limiter and the caps are its bound."""
+    replica = client_system().replicas[0]
+    replica.on_message(2, ClientRequest(SPAM_CLIENT_BASE + 2, Transaction(SPAM_CLIENT_BASE + 2, 0, 0)))
+    assert replica.mempool.pending() == 1
+
+
+def test_sim_peer_cannot_preempt_a_clients_keys():
+    system = client_system()
+    system.start()
+    attacker = system.replicas[2]
+    for tx_id in range(REQUESTS):
+        for pid in (0, 1):
+            attacker.send(pid, forged(tx_id))
+    system.run(2_000.0)
+    [client] = system.clients
+    assert len(client.completed) == REQUESTS and client.dropped == 0
+    for replica in system.replicas:
+        assert client_payloads(replica) == {HONEST_PAYLOAD}
+        assert replica.mempool.stats()["rejected_duplicate"] == 0
+
+
+def test_request_for_an_applied_key_gets_the_committed_reply():
+    """Not a DUPLICATE NACK: a client whose first replies were lost completes."""
+    system = client_system()
+    system.run(1_000.0)
+    [client] = system.clients
+    assert len(client.completed) == REQUESTS
+    replica = system.replicas[0]
+    late_copy = ClientRequest(0, Transaction(0, 3, HONEST_PAYLOAD))
+    effects = replica.on_message(client.pid, late_copy)
+    [reply] = [e.payload for e in effects if isinstance(e, Send)]
+    assert (reply.client_id, reply.tx_id, reply.verdict) == (0, 3, AdmissionVerdict.ACCEPTED)
+    assert replica.mempool.pending() == 0
+    # A key still on its way is a plain duplicate.
+    replica.mempool.admit(Transaction(0, REQUESTS, HONEST_PAYLOAD), system.sim.now)
+    effects = replica.on_message(client.pid, ClientRequest(0, Transaction(0, REQUESTS, 0)))
+    [reply] = [e.payload for e in effects if isinstance(e, Send)]
+    assert reply.verdict is AdmissionVerdict.DUPLICATE
+
+
+class Impostor(Machine):
+    """A peer that submits under client 0's id before client 0 does."""
+
+    def __init__(self, pid, clock, replica_pids):
+        super().__init__(pid, clock)
+        self.replica_pids = replica_pids
+
+    def start(self):
+        for tx_id in range(REQUESTS):
+            for pid in self.replica_pids:
+                self.send(pid, forged(tx_id))
+
+    def on_message(self, sender, payload):
+        pass
+
+
+def test_tcp_peer_cannot_preempt_a_clients_keys():
+    """The same refusal over real sockets: ``sender`` is the transport pid."""
+
+    async def scenario():
+        clock = WallClock()
+        n = 3
+        client_pids = {0: n}
+        replicas = [
+            build_machine(
+                "damysus", pid, n, clock, payload_bytes=HONEST_PAYLOAD, block_size=10,
+                client_pids=client_pids,
+                config_overrides={"open_loop": False, "num_clients": 1},
+            )
+            for pid in range(n)
+        ]
+        client = Client(
+            pid=n, clock=clock, client_id=0, replica_pids=list(range(n)),
+            payload_bytes=HONEST_PAYLOAD, interval_ms=5.0, total_txs=REQUESTS,
+        )
+        impostor = Impostor(n + 1, clock, list(range(n)))
+        # The impostor starts first, so its copies are on the wire first.
+        runtimes = [AsyncioRuntime(machine) for machine in (*replicas, impostor, client)]
+        addresses = {}
+        for runtime in runtimes:
+            addresses[runtime.machine.pid] = await runtime.start_server()
+        try:
+            for runtime in runtimes:
+                runtime.set_peers(addresses)
+            for runtime in runtimes:
+                runtime.start_machine()
+            deadline = clock.now + 20_000.0
+            while len(client.completed) < REQUESTS and clock.now < deadline:
+                await asyncio.sleep(0.02)
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+        return replicas, client
+
+    replicas, client = asyncio.run(scenario())
+    assert len(client.completed) == REQUESTS
+    for replica in replicas:
+        assert client_payloads(replica) <= {HONEST_PAYLOAD}
+        assert replica.mempool.stats()["rejected_duplicate"] == 0
+    assert any(client_payloads(replica) for replica in replicas)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.mempool import AdmissionVerdict
 from repro.errors import TEERefusal
 from repro.protocols.registry import PROTOCOL_ORDER
 from repro.runtime.sim import ConsensusSystem
@@ -179,5 +180,43 @@ def test_crash_rebuilds_declared_state_and_keeps_what_safety_needs(protocol):
     if step_before is not None:
         rule = replica.checker.step_rule
         assert replica.checker.step.index(rule) >= step_before.index(rule)
+    result = run_until_fresh_views(system, 4)
+    assert result.safe and result.committed_blocks >= 4
+
+
+@pytest.mark.parametrize("protocol", ["hotstuff", "damysus-c"])  # one per vote engine
+def test_crash_loses_the_pool_but_not_its_counters(protocol):
+    """Residents and replay memory are memory; a restart must not still
+    hold (and later propose) what committed while the replica was down."""
+    system = ConsensusSystem(
+        small_config(
+            protocol, f=1, timeout_ms=250, open_loop=False, num_clients=2,
+            client_interval_ms=2.0, block_size=5,
+        )
+    )
+    system.start()
+    system.sim.run(until=300.0)
+    replica = system.replicas[2]
+    pool = replica.mempool
+    committed = next(
+        tx for block in replica.ledger.executed for tx in block.transactions if tx.client_id >= 0
+    )
+    assert pool.pending() > 0  # 1000 tx/s against 5-transaction blocks: a backlog
+    assert pool.admit(committed, system.sim.now) is AdmissionVerdict.DUPLICATE
+    before = pool.stats()
+    assert before["purged"] > 0
+
+    replica.crash()
+
+    after = pool.stats()
+    assert after["pending_txs"] == 0 and after["pending_bytes"] == 0
+    for counter in ("admitted", "drained", "evicted", "purged", "rejected_duplicate"):
+        assert after[counter] == before[counter]
+    # The replay memory went with the residents (the ledger, not the pool,
+    # is what still knows the key was applied).
+    assert pool.admit(committed, system.sim.now) is AdmissionVerdict.ACCEPTED
+    assert committed.key in replica.ledger.applied
+    system.sim.run(until=700.0)
+    replica.recover()
     result = run_until_fresh_views(system, 4)
     assert result.safe and result.committed_blocks >= 4
