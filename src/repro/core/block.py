@@ -46,9 +46,6 @@ class Block:
     # Wire encoding memo, filled by repro.core.codec: blocks are immutable,
     # so their byte encoding can be computed once per object.
     _codec_bytes: bytes = field(default=b"", init=False, repr=False, compare=False)
-    _client_keys: "tuple[tuple[int, int], ...] | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         just_digest = self.justify.digest() if self.justify is not None else b""
@@ -85,17 +82,15 @@ class Block:
     def client_keys(self) -> tuple[tuple[int, int], ...]:
         """``(client_id, tx_id)`` of every client transaction carried, in order.
 
-        Synthetic filler is left out.  Computed once per block object:
-        execution, the pool purge and the proposer's ancestor walk all
-        ask, at every replica that holds the block.
+        Synthetic filler is left out.  Scanned on every call: the keys are
+        wanted until the block executes, and a memo on the block would keep
+        them for as long as the chain keeps the block.
         """
-        keys = self._client_keys
-        if keys is None:
-            keys = tuple(
-                tx.key for tx in self.transactions if tx.client_id != SYNTHETIC_CLIENT_ID
-            )
-            object.__setattr__(self, "_client_keys", keys)
-        return keys
+        return tuple(
+            (tx.client_id, tx.tx_id)
+            for tx in self.transactions
+            if tx.client_id != SYNTHETIC_CLIENT_ID
+        )
 
     def wire_size(self) -> int:
         """Bytes of this block on the wire (header + txs + justification).

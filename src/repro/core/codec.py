@@ -1,55 +1,49 @@
-"""Byte-level wire codec for all protocol messages.
+"""Byte-level wire codec for all protocol messages, driven by one table.
 
 The simulator never *needs* serialized bytes (payloads travel as Python
 objects), but a production system does, and the byte accounting the
-benchmarks rely on should be honest.  This module provides a complete
-encoder/decoder for every message type; the test suite round-trips every
-message and checks that the declared ``wire_size()`` tracks the real
-encoded length.
+benchmarks rely on should be honest.  The test suite round-trips every
+message, pins the bytes against golden vectors and checks that the
+declared ``wire_size()`` tracks the real encoded length.
 
 Format: little-endian fixed-width integers, length-prefixed variable
 fields, one leading type tag per message.  Transaction payloads are
 zero-filled to their declared size (their content is abstract, Section 5,
 but their bytes must exist on a real wire).
 
-The encoder writes into one preallocated, doubling ``bytearray`` through
-precompiled :class:`struct.Struct` instances (``pack_into``), and the
-decoder reads with ``unpack_from`` against a single position cursor - no
-per-field bytes objects on either side.  Every malformed-input failure
-surfaces as :class:`CodecError`; ``struct.error``/``IndexError``/
-``UnicodeDecodeError`` never escape this module.
+:func:`wire_table` declares each wire type once - field name and wire
+kind, in wire order.  First use compiles every row into a *plan*: each
+run of consecutive fixed-width fields becomes one precompiled
+:class:`struct.Struct` (a single ``pack`` / ``unpack_from`` for the whole
+run), every other field one step, and the encoder and the decoder of a
+type are both derived from the same row, so they cannot drift apart.
+Nothing outside the table knows a message's shape.
+
+Every malformed-input failure surfaces as :class:`CodecError`;
+``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` never escape
+this module - a value out of range for its field included.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import struct
-from typing import Any, Callable, Protocol, runtime_checkable
+from collections.abc import Callable
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from typing import Any, NamedTuple, Protocol, Union, runtime_checkable
 
 from repro import perf
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import Signature
 from repro.errors import ProtocolError
+from repro.core import messages as m
 from repro.core.block import Block
 from repro.core.certificate import Accumulator, QuorumCert
 from repro.core.commitment import Commitment
 from repro.core.mempool import AdmissionVerdict, Transaction
-from repro.core.messages import (
-    BlockProposal,
-    BlockRequest,
-    BlockResponse,
-    ChainedProposal,
-    ClientReply,
-    ClientRequest,
-    CommitmentMsg,
-    NewViewAMsg,
-    NewViewMsg,
-    ProposalAMsg,
-    ProposalMsg,
-    QCMsg,
-    VoteMsg,
-)
 from repro.core.phases import Phase
-
 
 #: Wire-format generation.  Version 2 added the transaction ``fee``
 #: field and the admission verdict byte in client replies; peers
@@ -65,780 +59,500 @@ class CodecError(ProtocolError):
 
 @runtime_checkable
 class Serializer(Protocol):
-    """Anything that turns messages into bytes and back (snippet-3 shape).
-
-    The runtimes depend on this protocol rather than on the module
-    functions, so tests and alternative wire formats can substitute their
-    own implementation.
-    """
+    """Anything that turns messages into bytes and back (snippet-3 shape)."""
 
     def serialize(self, msg: Any) -> bytes: ...
 
     def deserialize(self, data: bytes) -> Any: ...
 
 
-# Precompiled wire-primitive structs: compiling the format string once
-# and using pack_into/unpack_from avoids both the format-cache lookup and
-# the per-field bytes object of struct.pack/unpack.
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-
-class Encoder:
-    """Append-only byte writer over one preallocated, doubling buffer."""
-
-    __slots__ = ("_buf", "_pos")
-
-    def __init__(self, reserve: int = 256) -> None:
-        self._buf = bytearray(reserve if reserve > 16 else 16)
-        self._pos = 0
-
-    def _ensure(self, need: int) -> None:
-        buf = self._buf
-        shortfall = self._pos + need - len(buf)
-        if shortfall > 0:
-            # Grow at least geometrically; the extension is zero-filled,
-            # which pad() below relies on.
-            buf.extend(b"\x00" * (shortfall if shortfall > len(buf) else len(buf)))
-
-    def bytes(self) -> bytes:
-        return bytes(memoryview(self._buf)[: self._pos])
-
-    def u8(self, value: int) -> "Encoder":
-        self._ensure(1)
-        try:
-            _U8.pack_into(self._buf, self._pos, value)
-        except struct.error as exc:
-            raise CodecError(f"u8 out of range: {value}") from exc
-        self._pos += 1
-        return self
-
-    def u32(self, value: int) -> "Encoder":
-        self._ensure(4)
-        try:
-            _U32.pack_into(self._buf, self._pos, value)
-        except struct.error as exc:
-            raise CodecError(f"u32 out of range: {value}") from exc
-        self._pos += 4
-        return self
-
-    def i64(self, value: int) -> "Encoder":
-        self._ensure(8)
-        try:
-            _I64.pack_into(self._buf, self._pos, value)
-        except struct.error as exc:
-            raise CodecError(f"i64 out of range: {value}") from exc
-        self._pos += 8
-        return self
-
-    def f64(self, value: float) -> "Encoder":
-        self._ensure(8)
-        _F64.pack_into(self._buf, self._pos, value)
-        self._pos += 8
-        return self
-
-    def raw(self, data: bytes) -> "Encoder":
-        n = len(data)
-        self._ensure(n)
-        pos = self._pos
-        self._buf[pos : pos + n] = data
-        self._pos = pos + n
-        return self
-
-    def pad(self, n: int) -> "Encoder":
-        """Append ``n`` zero bytes without materializing them.
-
-        The buffer region past the cursor is always zero (fresh
-        allocations and growth extensions are zero-filled, and the cursor
-        never moves backwards), so skipping ahead *is* writing zeros.
-        """
-        self._ensure(n)
-        self._pos += n
-        return self
-
-    def var_bytes(self, data: bytes) -> "Encoder":
-        n = len(data)
-        self._ensure(4 + n)
-        pos = self._pos
-        buf = self._buf
-        _U32.pack_into(buf, pos, n)
-        buf[pos + 4 : pos + 4 + n] = data
-        self._pos = pos + 4 + n
-        return self
-
-    def hash32(self, value: Hash) -> "Encoder":
-        if len(value) != HASH_SIZE:
-            raise CodecError(f"hash must be {HASH_SIZE} bytes")
-        return self.raw(value)
-
-    def opt(self, value: Any, write: Callable[[Any], Any]) -> "Encoder":
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            write(value)
-        return self
-
-    def string(self, value: str) -> "Encoder":
-        return self.var_bytes(value.encode())
-
-    def patch_u32(self, offset: int, value: int) -> "Encoder":
-        """Overwrite a previously written u32 (frame-header back-patching)."""
-        if offset + 4 > self._pos:
-            raise CodecError("patch offset past the write cursor")
-        _U32.pack_into(self._buf, offset, value)
-        return self
-
-
-class Decoder:
-    """Bounds-checked byte reader: one cursor, ``unpack_from``, no slices
-    except for variable-length payloads the caller keeps."""
+# -- wire kinds: what a table row may say about a field, and its plan ----------
+
+#: Sink for encoded chunks (``list.append`` / ``bytearray.extend``).
+Put = Callable[[bytes], object]
+#: A plan is ``encode(value, put)`` and ``decode(buf, pos, out) -> next pos``:
+#: one value of a kind written and read back onto ``out`` - or, as one step
+#: of a row, the fields it covers of the object it is handed.
+Enc = Callable[[Any, Put], None]
+Dec = Callable[[bytes, int, list[Any]], int]
+Plan = tuple[Enc, Dec]
+
+_COUNT = struct.Struct("<I")
+_ABSENT, _PRESENT = b"\x00", b"\x01"
+_TRUNCATED = "truncated message"
 
-    __slots__ = ("_data", "_len", "_pos")
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-        self._len = len(data)
+def _flag(buf: bytes, pos: int) -> int:
+    if pos >= len(buf):
+        raise CodecError(_TRUNCATED)
+    return buf[pos]
 
-    def _take(self, n: int) -> bytes:
-        pos = self._pos
-        end = pos + n
-        if end > self._len:
-            raise CodecError("truncated message")
-        self._pos = end
-        return self._data[pos:end]
 
-    def skip(self, n: int) -> None:
-        """Advance past ``n`` bytes without materializing them."""
-        end = self._pos + n
-        if end > self._len:
-            raise CodecError("truncated message")
-        self._pos = end
+@dataclass(frozen=True)
+class Fixed:
+    """A fixed-width scalar: one ``struct`` format code, fusable into a run;
+    ``to_wire`` checks or converts a value to pack, ``from_wire`` one unpacked."""
 
-    def done(self) -> bool:
-        return self._pos == self._len
+    fmt: str
+    to_wire: Callable[[Any], Any] | None = None
+    from_wire: Callable[[Any], Any] | None = None
 
-    def expect_done(self) -> None:
-        if not self.done():
-            raise CodecError(f"{self._len - self._pos} trailing bytes")
+    def plan(self) -> Plan:
+        return _run([self], lambda value: value)
+
+
+def _run(kinds: list[Fixed], get: Callable[[Any], Any]) -> Plan:
+    """One ``struct`` call each way for a run of consecutive fixed-width fields;
+    ``get`` takes their values off the object (a bare value for a single field)."""
+    packer = struct.Struct("<" + "".join(kind.fmt for kind in kinds))
+    pack, unpack_from, size = packer.pack, packer.unpack_from, packer.size
+    single = len(kinds) == 1
+    outs = [(i, kind.to_wire) for i, kind in enumerate(kinds) if kind.to_wire]
+    ins = [(i, kind.from_wire) for i, kind in enumerate(kinds) if kind.from_wire]
 
-    def u8(self) -> int:
-        pos = self._pos
-        if pos >= self._len:
-            raise CodecError("truncated message")
-        self._pos = pos + 1
-        return self._data[pos]
+    def enc(obj: Any, put: Put) -> None:
+        values = [get(obj)] if single else list(get(obj))
+        for i, convert in outs:
+            values[i] = convert(values[i])
+        put(pack(*values))
 
-    def u32(self) -> int:
-        pos = self._pos
-        if pos + 4 > self._len:
-            raise CodecError("truncated message")
-        self._pos = pos + 4
-        return int(_U32.unpack_from(self._data, pos)[0])
+    def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+        values = list(unpack_from(buf, pos))
+        for i, convert in ins:
+            values[i] = convert(values[i])
+        out += values
+        return pos + size
 
-    def i64(self) -> int:
-        pos = self._pos
-        if pos + 8 > self._len:
-            raise CodecError("truncated message")
-        self._pos = pos + 8
-        return int(_I64.unpack_from(self._data, pos)[0])
+    return enc, dec
 
-    def f64(self) -> float:
-        pos = self._pos
-        if pos + 8 > self._len:
-            raise CodecError("truncated message")
-        self._pos = pos + 8
-        return float(_F64.unpack_from(self._data, pos)[0])
 
-    def var_bytes(self) -> bytes:
-        return self._take(self.u32())
+@dataclass(frozen=True)
+class Var:
+    """A ``u32`` length, then that many bytes (``text``: a string as UTF-8)."""
+
+    text: bool
+
+    def plan(self) -> Plan:
+        text = self.text
+
+        def enc(value: Any, put: Put) -> None:
+            data = value.encode() if text else value
+            put(_COUNT.pack(len(data)))
+            put(data)
+
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            start = pos + 4
+            end = start + _COUNT.unpack_from(buf, pos)[0]
+            if end > len(buf):
+                raise CodecError(_TRUNCATED)
+            try:
+                out.append(buf[start:end].decode() if text else buf[start:end])
+            except UnicodeDecodeError as exc:
+                raise CodecError("invalid utf-8 in string field") from exc
+            return end
 
-    def hash32(self) -> Hash:
-        return self._take(HASH_SIZE)
+        return enc, dec
 
-    def opt(self, read: Callable[[], Any]) -> Any:
-        return read() if self.u8() else None
 
-    def string(self) -> str:
-        raw = self.var_bytes()
-        try:
-            return raw.decode()
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid utf-8 in string field") from exc
+@dataclass(frozen=True)
+class Seq:
+    """A ``u32`` count, then that many items of one kind; decodes to a tuple."""
 
+    item: Kind
 
-# -- component codecs ----------------------------------------------------------
+    def plan(self) -> Plan:
+        enc_item, dec_item = _compile(self.item)
 
-_PHASES = list(Phase)
+        def enc(items: Any, put: Put) -> None:
+            put(_COUNT.pack(len(items)))
+            for item in items:
+                enc_item(item, put)
 
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            items: list[Any] = []
+            (count,) = _COUNT.unpack_from(buf, pos)
+            pos += 4
+            for _ in range(count):
+                pos = dec_item(buf, pos, items)
+            out.append(tuple(items))
+            return pos
 
-def _enc_phase(enc: Encoder, phase: Phase) -> None:
-    enc.u8(_PHASES.index(phase))
+        return enc, dec
 
 
-def _dec_phase(dec: Decoder) -> Phase:
-    idx = dec.u8()
-    if idx >= len(_PHASES):
-        raise CodecError("unknown phase tag")
-    return _PHASES[idx]
+@dataclass(frozen=True)
+class Opt:
+    """A presence byte, then the value unless it is ``None``."""
 
+    item: Kind
 
-def _enc_signature(enc: Encoder, sig: Signature) -> None:
-    enc.i64(sig.signer)
-    enc.var_bytes(sig.data)
-    enc.string(sig.scheme)
-
-
-def _dec_signature(dec: Decoder) -> Signature:
-    return Signature(signer=dec.i64(), data=dec.var_bytes(), scheme=dec.string())
+    def plan(self) -> Plan:
+        enc_item, dec_item = _compile(self.item)
 
+        def enc(value: Any, put: Put) -> None:
+            if value is None:
+                put(_ABSENT)
+            else:
+                put(_PRESENT)
+                enc_item(value, put)
 
-def _enc_sig_list(enc: Encoder, sigs: tuple[Signature, ...]) -> None:
-    enc.u32(len(sigs))
-    for sig in sigs:
-        _enc_signature(enc, sig)
-
-
-def _dec_sig_list(dec: Decoder) -> tuple[Signature, ...]:
-    return tuple(_dec_signature(dec) for _ in range(dec.u32()))
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            if _flag(buf, pos):
+                return dec_item(buf, pos + 1, out)
+            out.append(None)
+            return pos + 1
 
+        return enc, dec
 
-def _enc_transaction(enc: Encoder, tx: Transaction) -> None:
-    enc.i64(tx.client_id)
-    enc.i64(tx.tx_id)
-    enc.u32(tx.payload_bytes)
-    enc.f64(tx.submitted_at)
-    enc.i64(tx.fee)
-    enc.pad(tx.payload_bytes)  # abstract payload, real (zero) bytes
 
+@dataclass(frozen=True)
+class OneOf:
+    """A tag byte naming the value's class (``None``: nothing follows)."""
 
-def _dec_transaction(dec: Decoder) -> Transaction:
-    client_id = dec.i64()
-    tx_id = dec.i64()
-    payload_bytes = dec.u32()
-    submitted_at = dec.f64()
-    fee = dec.i64()
-    dec.skip(payload_bytes)  # discard the abstract payload
-    return Transaction(client_id, tx_id, payload_bytes, submitted_at, fee)
+    classes: tuple[type[Any] | None, ...]
 
+    def plan(self) -> Plan:
+        plans = [None if cls is None else _compile(cls) for cls in self.classes]
+        tags = {cls or type(None): tag for tag, cls in enumerate(self.classes)}
 
-_VERDICTS = list(AdmissionVerdict)
+        def enc(value: Any, put: Put) -> None:
+            tag = tags.get(type(value))
+            if tag is None:
+                raise CodecError(f"no tag for a {type(value).__name__} here")
+            put(bytes((tag,)))
+            plan = plans[tag]
+            if plan is not None:
+                plan[0](value, put)
 
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            tag = _flag(buf, pos)
+            if tag >= len(plans):
+                raise CodecError(f"unknown class tag {tag}")
+            plan = plans[tag]
+            if plan is not None:
+                return plan[1](buf, pos + 1, out)
+            out.append(None)
+            return pos + 1
 
-def _enc_verdict(enc: Encoder, verdict: AdmissionVerdict) -> None:
-    enc.u8(_VERDICTS.index(verdict))
+        return enc, dec
 
 
-def _dec_verdict(dec: Decoder) -> AdmissionVerdict:
-    idx = dec.u8()
-    if idx >= len(_VERDICTS):
-        raise CodecError(f"unknown admission verdict {idx}")
-    return _VERDICTS[idx]
+@dataclass(frozen=True)
+class Zeros:
+    """Row entry without a value: as many zero bytes as field ``count`` says."""
 
+    count: str
 
-def _enc_qc(enc: Encoder, qc: QuorumCert) -> None:
-    enc.i64(qc.view)
-    enc.hash32(qc.block_hash)
-    _enc_phase(enc, qc.phase)
-    enc.u8(1 if qc.is_genesis else 0)
-    _enc_sig_list(enc, qc.sigs)
+    def step(self, count_at: int) -> Plan:
+        """``count_at``: where among the row's decoded values the count sits."""
+        get = attrgetter(self.count)
 
+        def enc(obj: Any, put: Put) -> None:
+            put(bytes(get(obj)))
 
-def _dec_qc(dec: Decoder) -> QuorumCert:
-    return QuorumCert(
-        view=dec.i64(),
-        block_hash=dec.hash32(),
-        phase=_dec_phase(dec),
-        is_genesis=bool(dec.u8()),
-        sigs=_dec_sig_list(dec),
-    )
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            pos += out[count_at]
+            if pos > len(buf):
+                raise CodecError(_TRUNCATED)
+            return pos
 
+        return enc, dec
 
-def _enc_accumulator(enc: Encoder, acc: Accumulator) -> None:
-    enc.i64(acc.made_in_view)
-    enc.i64(acc.prep_view)
-    enc.hash32(acc.prep_hash)
-    _enc_signature(enc, acc.signature)
-    if acc.finalized:
-        enc.u8(1)
-        enc.u32(acc.count or 0)
-    else:
-        enc.u8(0)
-        ids = acc.ids or ()
-        enc.u32(len(ids))
-        for node_id in ids:
-            enc.i64(node_id)
 
+@dataclass(frozen=True)
+class Either:
+    """Row entry for two attributes of which exactly one is set.
 
-def _dec_accumulator(dec: Decoder) -> Accumulator:
-    made_in_view = dec.i64()
-    prep_view = dec.i64()
-    prep_hash = dec.hash32()
-    signature = _dec_signature(dec)
-    if dec.u8():
-        return Accumulator(made_in_view, prep_view, prep_hash, signature, count=dec.u32())
-    ids = tuple(dec.i64() for _ in range(dec.u32()))
-    return Accumulator(made_in_view, prep_view, prep_hash, signature, ids=ids)
-
-
-def _enc_commitment(enc: Encoder, phi: Commitment) -> None:
-    enc.opt(phi.h_prep, enc.hash32)
-    enc.i64(phi.v_prep)
-    enc.opt(phi.h_just, enc.hash32)
-    enc.opt(phi.v_just, enc.i64)
-    _enc_phase(enc, phi.phase)
-    _enc_sig_list(enc, phi.sigs)
-
-
-def _dec_commitment(dec: Decoder) -> Commitment:
-    return Commitment(
-        h_prep=dec.opt(dec.hash32),
-        v_prep=dec.i64(),
-        h_just=dec.opt(dec.hash32),
-        v_just=dec.opt(dec.i64),
-        phase=_dec_phase(dec),
-        sigs=_dec_sig_list(dec),
-    )
-
-
-# Justification kinds inside a block.
-_JUST_NONE, _JUST_QC, _JUST_ACC, _JUST_COMMIT = range(4)
-
-
-def _enc_block(enc: Encoder, block: Block) -> None:
-    """Encode a block, memoizing the bytes on the (immutable) block object.
-
-    The same block body is re-encoded for every peer a proposal is sent
-    to and for every block-sync response; the encoding is a pure function
-    of the block's content, so caching it on the object is invisible on
-    the wire.
+    A presence byte for ``name``; when it is clear, ``other`` follows in
+    its place.  Decodes to both attributes, the absent one ``None``.
     """
-    if perf.caches_enabled():
-        cached = block._codec_bytes
-        if not cached:
-            sub = Encoder()
-            _enc_block_fields(sub, block)
-            cached = sub.bytes()
-            object.__setattr__(block, "_codec_bytes", cached)
-        enc.raw(cached)
-        return
-    _enc_block_fields(enc, block)
-
-
-def _enc_block_fields(enc: Encoder, block: Block) -> None:
-    enc.hash32(block.parent_hash)
-    enc.i64(block.view)
-    enc.u8(1 if block.is_genesis else 0)
-    enc.u8(1 if block.is_blank else 0)
-    enc.f64(block.created_at)
-    enc.u32(len(block.transactions))
-    for tx in block.transactions:
-        _enc_transaction(enc, tx)
-    justify = block.justify
-    if justify is None:
-        enc.u8(_JUST_NONE)
-    elif isinstance(justify, QuorumCert):
-        enc.u8(_JUST_QC)
-        _enc_qc(enc, justify)
-    elif isinstance(justify, Accumulator):
-        enc.u8(_JUST_ACC)
-        _enc_accumulator(enc, justify)
-    elif isinstance(justify, Commitment):
-        enc.u8(_JUST_COMMIT)
-        _enc_commitment(enc, justify)
-    else:  # pragma: no cover - exhaustive over certificate kinds
-        raise CodecError(f"unknown justification {type(justify).__name__}")
-
-
-def _dec_block(dec: Decoder) -> Block:
-    parent_hash = dec.hash32()
-    view = dec.i64()
-    is_genesis = bool(dec.u8())
-    is_blank = bool(dec.u8())
-    created_at = dec.f64()
-    transactions = tuple(_dec_transaction(dec) for _ in range(dec.u32()))
-    kind = dec.u8()
-    justify: QuorumCert | Accumulator | Commitment | None
-    if kind == _JUST_NONE:
-        justify = None
-    elif kind == _JUST_QC:
-        justify = _dec_qc(dec)
-    elif kind == _JUST_ACC:
-        justify = _dec_accumulator(dec)
-    elif kind == _JUST_COMMIT:
-        justify = _dec_commitment(dec)
-    else:
-        raise CodecError("unknown justification tag")
-    return Block(
-        parent_hash=parent_hash,
-        view=view,
-        transactions=transactions,
-        justify=justify,
-        is_genesis=is_genesis,
-        is_blank=is_blank,
-        created_at=created_at,
-    )
-
-
-# -- message codecs (type tag + body) ----------------------------------------------
 
-def _enc_new_view(enc: Encoder, msg: NewViewMsg) -> None:
-    enc.i64(msg.view)
-    _enc_qc(enc, msg.justify)
+    name: str
+    kind: Kind
+    other: str
+    other_kind: Kind
 
+    def step(self) -> Plan:
+        get, get_other = attrgetter(self.name), attrgetter(self.other)
+        enc_one, dec_one = _compile(self.kind)
+        enc_other, dec_other = _compile(self.other_kind)
 
-def _dec_new_view(dec: Decoder) -> NewViewMsg:
-    return NewViewMsg(view=dec.i64(), justify=_dec_qc(dec))
+        def enc(obj: Any, put: Put) -> None:
+            value = get(obj)
+            if value is not None:
+                put(_PRESENT)
+                enc_one(value, put)
+            else:
+                put(_ABSENT)
+                enc_other(get_other(obj), put)
 
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            if _flag(buf, pos):
+                pos = dec_one(buf, pos + 1, out)
+                out.append(None)
+                return pos
+            out.append(None)
+            return dec_other(buf, pos + 1, out)
 
-def _enc_new_view_a(enc: Encoder, msg: NewViewAMsg) -> None:
-    enc.i64(msg.view)
-    _enc_qc(enc, msg.justify)
-    _enc_signature(enc, msg.sender_sig)
+        return enc, dec
 
 
-def _dec_new_view_a(dec: Decoder) -> NewViewAMsg:
-    return NewViewAMsg(dec.i64(), _dec_qc(dec), _dec_signature(dec))
+#: A value's wire kind; a class stands for its own row of the table.
+Kind = Union[Fixed, Var, Seq, Opt, OneOf, type]
+#: One entry of a row: a named field, or one of the two pseudo-fields.
+Entry = Union[tuple[str, Kind], Zeros, Either]
 
 
-def _enc_proposal(enc: Encoder, msg: ProposalMsg) -> None:
-    enc.i64(msg.view)
-    _enc_block(enc, msg.block)
-    _enc_qc(enc, msg.justify)
+def _hash32(value: Hash) -> Hash:
+    # ``32s`` would silently pad or cut a hash of another length.
+    if len(value) != HASH_SIZE:
+        raise CodecError(f"hash must be {HASH_SIZE} bytes")
+    return value
 
 
-def _dec_proposal(dec: Decoder) -> ProposalMsg:
-    return ProposalMsg(dec.i64(), _dec_block(dec), _dec_qc(dec))
+def _tagged(enum: type[Any], what: str) -> Fixed:
+    """An enum on the wire: the member's position, in one byte."""
+    members = list(enum)
 
+    def from_wire(tag: int) -> Any:
+        if tag >= len(members):
+            raise CodecError(f"unknown {what} {tag}")
+        return members[tag]
 
-def _enc_proposal_a(enc: Encoder, msg: ProposalAMsg) -> None:
-    enc.i64(msg.view)
-    _enc_block(enc, msg.block)
-    _enc_accumulator(enc, msg.acc)
-    _enc_signature(enc, msg.leader_sig)
+    return Fixed("B", members.index, from_wire)
 
 
-def _dec_proposal_a(dec: Decoder) -> ProposalAMsg:
-    return ProposalAMsg(dec.i64(), _dec_block(dec), _dec_accumulator(dec), _dec_signature(dec))
+U8, U32, I64, F64 = Fixed("B"), Fixed("I"), Fixed("q"), Fixed("d")
+BOOL = Fixed("B", bool, bool)
+HASH = Fixed(f"{HASH_SIZE}s", _hash32)
+PHASE = _tagged(Phase, "phase tag")
+VERDICT = _tagged(AdmissionVerdict, "admission verdict")
+BYTES, STR = Var(text=False), Var(text=True)
 
 
-def _enc_vote(enc: Encoder, msg: VoteMsg) -> None:
-    enc.i64(msg.view)
-    _enc_phase(enc, msg.phase)
-    enc.hash32(msg.block_hash)
-    _enc_signature(enc, msg.sig)
+class Layout(NamedTuple):
+    """One row of the wire table: ``tag`` is a registered message's leading type
+    byte (``None``: only travels inside one), ``memo`` a slot on the (immutable)
+    object where its encoding is kept once computed."""
 
+    cls: type[Any]
+    tag: int | None
+    entries: tuple[Entry, ...]
+    memo: str = ""
 
-def _dec_vote(dec: Decoder) -> VoteMsg:
-    return VoteMsg(dec.i64(), _dec_phase(dec), dec.hash32(), _dec_signature(dec))
 
+@functools.cache
+def wire_table() -> tuple[Layout, ...]:
+    """Every wire type: its fields and their kinds, in wire order.
 
-def _enc_qc_msg(enc: Encoder, msg: QCMsg) -> None:
-    enc.i64(msg.view)
-    _enc_phase(enc, msg.phase)
-    _enc_qc(enc, msg.qc)
-
-
-def _dec_qc_msg(dec: Decoder) -> QCMsg:
-    return QCMsg(dec.i64(), _dec_phase(dec), _dec_qc(dec))
-
-
-def _enc_commitment_msg(enc: Encoder, msg: CommitmentMsg) -> None:
-    enc.string(msg.kind)
-    _enc_commitment(enc, msg.commitment)
-
-
-def _dec_commitment_msg(dec: Decoder) -> CommitmentMsg:
-    kind = dec.string()
-    return CommitmentMsg(_dec_commitment(dec), kind)
-
-
-def _enc_block_proposal(enc: Encoder, msg: BlockProposal) -> None:
-    enc.i64(msg.view)
-    _enc_block(enc, msg.block)
-    enc.opt(msg.acc, lambda acc: _enc_accumulator(enc, acc))
-    _enc_signature(enc, msg.leader_sig)
-    enc.opt(msg.justify_commitment, lambda phi: _enc_commitment(enc, phi))
-
-
-def _dec_block_proposal(dec: Decoder) -> BlockProposal:
-    return BlockProposal(
-        view=dec.i64(),
-        block=_dec_block(dec),
-        acc=dec.opt(lambda: _dec_accumulator(dec)),
-        leader_sig=_dec_signature(dec),
-        justify_commitment=dec.opt(lambda: _dec_commitment(dec)),
-    )
-
-
-def _enc_chained_proposal(enc: Encoder, msg: ChainedProposal) -> None:
-    enc.i64(msg.view)
-    _enc_block(enc, msg.block)
-    _enc_signature(enc, msg.leader_sig)
-
-
-def _dec_chained_proposal(dec: Decoder) -> ChainedProposal:
-    return ChainedProposal(dec.i64(), _dec_block(dec), _dec_signature(dec))
-
-
-def _enc_block_request(enc: Encoder, msg: BlockRequest) -> None:
-    enc.hash32(msg.block_hash)
-
-
-def _dec_block_request(dec: Decoder) -> BlockRequest:
-    return BlockRequest(dec.hash32())
-
-
-def _enc_block_response(enc: Encoder, msg: BlockResponse) -> None:
-    _enc_block(enc, msg.block)
-
-
-def _dec_block_response(dec: Decoder) -> BlockResponse:
-    return BlockResponse(_dec_block(dec))
-
-
-def _enc_client_request(enc: Encoder, msg: ClientRequest) -> None:
-    enc.i64(msg.client_id)
-    _enc_transaction(enc, msg.tx)
-
-
-def _dec_client_request(dec: Decoder) -> ClientRequest:
-    return ClientRequest(dec.i64(), _dec_transaction(dec))
-
-
-def _enc_client_reply(enc: Encoder, msg: ClientReply) -> None:
-    enc.i64(msg.replica)
-    enc.i64(msg.client_id)
-    enc.i64(msg.tx_id)
-    enc.f64(msg.executed_at)
-    _enc_verdict(enc, msg.verdict)
-
-
-def _dec_client_reply(dec: Decoder) -> ClientReply:
-    return ClientReply(dec.i64(), dec.i64(), dec.i64(), dec.f64(), _dec_verdict(dec))
-
-
-def _enc_chained_vote(enc: Encoder, msg: Any) -> None:
-    enc.i64(msg.view)
-    enc.opt(msg.prep, lambda phi: _enc_commitment(enc, phi))
-    _enc_commitment(enc, msg.nv)
-
-
-def _dec_chained_vote(dec: Decoder) -> Any:
-    from repro.protocols.chained_damysus import ChainedVote
-
-    return ChainedVote(
-        view=dec.i64(),
-        prep=dec.opt(lambda: _dec_commitment(dec)),
-        nv=_dec_commitment(dec),
-    )
-
-
-def _enc_fast_proposal(enc: Encoder, msg: Any) -> None:
-    enc.i64(msg.view)
-    _enc_block(enc, msg.block)
-    _enc_qc(enc, msg.justify)
-    if msg.proof is None:
-        enc.u8(0)
-    else:
-        enc.u8(1)
-        enc.u32(len(msg.proof))
-        for report in msg.proof:
-            _enc_new_view_a(enc, report)
-
-
-def _dec_fast_proposal(dec: Decoder) -> Any:
-    from repro.protocols.fast_hotstuff import FastProposal
-
-    view = dec.i64()
-    block = _dec_block(dec)
-    justify = _dec_qc(dec)
-    proof = None
-    if dec.u8():
-        proof = tuple(_dec_new_view_a(dec) for _ in range(dec.u32()))
-    return FastProposal(view, block, justify, proof)
-
-
-def _enc_checkpoint(enc: Encoder, ckpt: Any) -> None:
-    enc.i64(ckpt.replica)
-    enc.i64(ckpt.counter)
-    enc.i64(ckpt.height)
-    enc.i64(ckpt.view)
-    enc.hash32(ckpt.block_hash)
-    enc.hash32(ckpt.state_root)
-    _enc_commitment(enc, ckpt.qc)
-    _enc_signature(enc, ckpt.signature)
-
-
-def _dec_checkpoint(dec: Decoder) -> Any:
-    from repro.tee.checkpoint import Checkpoint
-
-    return Checkpoint(
-        replica=dec.i64(),
-        counter=dec.i64(),
-        height=dec.i64(),
-        view=dec.i64(),
-        block_hash=dec.hash32(),
-        state_root=dec.hash32(),
-        qc=_dec_commitment(dec),
-        signature=_dec_signature(dec),
-    )
-
-
-def _enc_sync_request(enc: Encoder, msg: Any) -> None:
-    enc.i64(msg.have_height)
-    enc.i64(msg.have_view)
-
-
-def _dec_sync_request(dec: Decoder) -> Any:
-    from repro.protocols.sync import SyncRequest
-
-    return SyncRequest(dec.i64(), dec.i64())
-
-
-def _enc_sync_checkpoint(enc: Encoder, msg: Any) -> None:
-    _enc_checkpoint(enc, msg.checkpoint)
-
-
-def _dec_sync_checkpoint(dec: Decoder) -> Any:
-    from repro.protocols.sync import SyncCheckpoint
-
-    return SyncCheckpoint(_dec_checkpoint(dec))
-
-
-def _enc_sync_blocks(enc: Encoder, msg: Any) -> None:
-    enc.i64(msg.start_height)
-    enc.u8(1 if msg.done else 0)
-    enc.opt(msg.tip_qc, lambda qc: _enc_commitment(enc, qc))
-    enc.u32(len(msg.blocks))
-    for block in msg.blocks:
-        _enc_block(enc, block)
-
-
-def _dec_sync_blocks(dec: Decoder) -> Any:
-    from repro.protocols.sync import SyncBlocks
-
-    start_height = dec.i64()
-    done = bool(dec.u8())
-    tip_qc = dec.opt(lambda: _dec_commitment(dec))
-    blocks = tuple(_dec_block(dec) for _ in range(dec.u32()))
-    return SyncBlocks(start_height, blocks, done, tip_qc)
-
-
-def _registry() -> list[tuple[type[Any], Callable[..., None], Callable[..., Any]]]:
+    Tags and field order *are* wire version 2 (``tests/core/golden_wire_v2.json``
+    pins the bytes).  A function, run once, only because the modules that
+    own four of the message classes import this one."""
     from repro.protocols.chained_damysus import ChainedVote
     from repro.protocols.fast_hotstuff import FastProposal
     from repro.protocols.sync import SyncBlocks, SyncCheckpoint, SyncRequest
+    from repro.tee.checkpoint import Checkpoint
 
-    return [
-        (NewViewMsg, _enc_new_view, _dec_new_view),
-        (NewViewAMsg, _enc_new_view_a, _dec_new_view_a),
-        (ProposalMsg, _enc_proposal, _dec_proposal),
-        (ProposalAMsg, _enc_proposal_a, _dec_proposal_a),
-        (VoteMsg, _enc_vote, _dec_vote),
-        (QCMsg, _enc_qc_msg, _dec_qc_msg),
-        (CommitmentMsg, _enc_commitment_msg, _dec_commitment_msg),
-        (BlockProposal, _enc_block_proposal, _dec_block_proposal),
-        (ChainedProposal, _enc_chained_proposal, _dec_chained_proposal),
-        (ChainedVote, _enc_chained_vote, _dec_chained_vote),
-        (FastProposal, _enc_fast_proposal, _dec_fast_proposal),
-        (BlockRequest, _enc_block_request, _dec_block_request),
-        (BlockResponse, _enc_block_response, _dec_block_response),
-        (ClientRequest, _enc_client_request, _dec_client_request),
-        (ClientReply, _enc_client_reply, _dec_client_reply),
-        (SyncRequest, _enc_sync_request, _dec_sync_request),
-        (SyncCheckpoint, _enc_sync_checkpoint, _dec_sync_checkpoint),
-        (SyncBlocks, _enc_sync_blocks, _dec_sync_blocks),
-    ]
+    def row(cls: type[Any], tag: int | None, *entries: Entry, memo: str = "") -> Layout:
+        return Layout(cls, tag, entries, memo)
+
+    view = ("view", I64)
+    return (
+        row(Signature, None, ("signer", I64), ("data", BYTES), ("scheme", STR)),
+        row(Transaction, None, ("client_id", I64), ("tx_id", I64), ("payload_bytes", U32),
+            ("submitted_at", F64), ("fee", I64), Zeros("payload_bytes")),
+        row(QuorumCert, None, view, ("block_hash", HASH), ("phase", PHASE),
+            ("is_genesis", BOOL), ("sigs", Seq(Signature))),
+        row(Accumulator, None, ("made_in_view", I64), ("prep_view", I64), ("prep_hash", HASH),
+            ("signature", Signature), Either("count", U32, "ids", Seq(I64))),
+        row(Commitment, None, ("h_prep", Opt(HASH)), ("v_prep", I64), ("h_just", Opt(HASH)),
+            ("v_just", Opt(I64)), ("phase", PHASE), ("sigs", Seq(Signature))),
+        # The same block body goes out in every proposal and every sync
+        # response that carries it, so its bytes are kept on the object.
+        row(Block, None, ("parent_hash", HASH), view, ("is_genesis", BOOL),
+            ("is_blank", BOOL), ("created_at", F64), ("transactions", Seq(Transaction)),
+            ("justify", OneOf((None, QuorumCert, Accumulator, Commitment))),
+            memo="_codec_bytes"),
+        row(Checkpoint, None, ("replica", I64), ("counter", I64), ("height", I64), view,
+            ("block_hash", HASH), ("state_root", HASH), ("qc", Commitment),
+            ("signature", Signature)),
+        row(m.NewViewMsg, 0, view, ("justify", QuorumCert)),
+        row(m.NewViewAMsg, 1, view, ("justify", QuorumCert), ("sender_sig", Signature)),
+        row(m.ProposalMsg, 2, view, ("block", Block), ("justify", QuorumCert)),
+        row(m.ProposalAMsg, 3, view, ("block", Block), ("acc", Accumulator),
+            ("leader_sig", Signature)),
+        row(m.VoteMsg, 4, view, ("phase", PHASE), ("block_hash", HASH), ("sig", Signature)),
+        row(m.QCMsg, 5, view, ("phase", PHASE), ("qc", QuorumCert)),
+        row(m.CommitmentMsg, 6, ("kind", STR), ("commitment", Commitment)),
+        row(m.BlockProposal, 7, view, ("block", Block), ("acc", Opt(Accumulator)),
+            ("leader_sig", Signature), ("justify_commitment", Opt(Commitment))),
+        row(m.ChainedProposal, 8, view, ("block", Block), ("leader_sig", Signature)),
+        row(ChainedVote, 9, view, ("prep", Opt(Commitment)), ("nv", Commitment)),
+        row(FastProposal, 10, view, ("block", Block), ("justify", QuorumCert),
+            ("proof", Opt(Seq(m.NewViewAMsg)))),
+        row(m.BlockRequest, 11, ("block_hash", HASH)),
+        row(m.BlockResponse, 12, ("block", Block)),
+        row(m.ClientRequest, 13, ("client_id", I64), ("tx", Transaction)),
+        row(m.ClientReply, 14, ("replica", I64), ("client_id", I64), ("tx_id", I64),
+            ("executed_at", F64), ("verdict", VERDICT)),
+        row(SyncRequest, 15, ("have_height", I64), ("have_view", I64)),
+        row(SyncCheckpoint, 16, ("checkpoint", Checkpoint)),
+        row(SyncBlocks, 17, ("start_height", I64), ("done", BOOL), ("tip_qc", Opt(Commitment)),
+            ("blocks", Seq(Block))),
+    )
 
 
-_BY_TYPE: dict[type[Any], tuple[int, Callable[..., None]]] = {}
-_BY_TAG: dict[int, Callable[..., Any]] = {}
+# -- the row compiler ----------------------------------------------------------
 
 
-def _ensure_tables() -> None:
-    if _BY_TYPE:
-        return
-    for tag, (cls, enc_fn, dec_fn) in enumerate(_registry()):
-        _BY_TYPE[cls] = (tag, enc_fn)
-        _BY_TAG[tag] = dec_fn
+@functools.cache
+def _compile(kind: Kind) -> Plan:
+    """The ``(encode, decode)`` plan of a wire kind, built once per kind."""
+    if not isinstance(kind, type):
+        return kind.plan()
+    for layout in wire_table():
+        if layout.cls is kind:
+            return _compile_row(layout)
+    raise CodecError(f"no wire table row for {kind.__name__}")
 
 
-def _reserve_for(msg: Any) -> int:
-    """Initial encoder buffer size: the declared wire size plus slack.
+def _of_attr(name: str, enc: Enc) -> Enc:
+    """``enc`` applied to attribute ``name`` of the object it is handed."""
+    get = attrgetter(name)
 
-    ``wire_size()`` tracks the real encoding closely (the test suite
-    enforces it), so one allocation usually covers the whole message.
-    """
-    return wire_size_of(msg) + 128
+    def enc_attr(obj: Any, put: Put) -> None:
+        enc(get(obj), put)
+
+    return enc_attr
+
+
+def _compile_row(layout: Layout) -> Plan:
+    """Both directions of one table row."""
+    cls = layout.cls
+    steps: list[Plan] = []
+    produced: list[str] = []  # attribute names, in the order the decoder yields them
+    run: list[tuple[str, Fixed]] = []  # the fixed-width fields since the last step
+
+    def close_run() -> None:
+        if run:
+            names = [name for name, _ in run]
+            steps.append(_run([kind for _, kind in run], attrgetter(*names)))
+            produced.extend(names)
+            run.clear()
+
+    for entry in layout.entries:
+        if isinstance(entry, tuple) and isinstance(entry[1], Fixed):
+            run.append((entry[0], entry[1]))
+            continue
+        close_run()
+        if isinstance(entry, Zeros):
+            steps.append(entry.step(produced.index(entry.count)))
+        elif isinstance(entry, Either):
+            steps.append(entry.step())
+            produced += [entry.name, entry.other]
+        else:
+            enc_kind, dec_kind = _compile(entry[1])
+            steps.append((_of_attr(entry[0], enc_kind), dec_kind))
+            produced.append(entry[0])
+    close_run()
+    enc_steps = [enc_step for enc_step, _ in steps]
+    dec_steps = [dec_step for _, dec_step in steps]
+
+    # The decoder yields values in wire order; the constructor wants its own.
+    params = [f.name for f in dataclasses.fields(cls) if f.init][: len(produced)]
+    if sorted(params) != sorted(produced):
+        raise TypeError(f"wire table row of {cls.__name__} does not match its constructor")
+    order = [produced.index(name) for name in params]
+    reorder = None if order == sorted(order) else itemgetter(*order)
+
+    def enc(obj: Any, put: Put) -> None:
+        for step in enc_steps:
+            step(obj, put)
+
+    def enc_memo(obj: Any, put: Put) -> None:
+        if not perf.caches_enabled():
+            enc(obj, put)
+            return
+        cached = getattr(obj, layout.memo)
+        if not cached:
+            parts: list[bytes] = []
+            enc(obj, parts.append)
+            cached = b"".join(parts)
+            object.__setattr__(obj, layout.memo, cached)
+        put(cached)
+
+    def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+        args: list[Any] = []
+        for step in dec_steps:
+            pos = step(buf, pos, args)
+        out.append(cls(*(args if reorder is None else reorder(args))))
+        return pos
+
+    if layout.memo:
+        return enc_memo, dec
+    return (enc_steps[0] if len(enc_steps) == 1 else enc), dec
+
+
+# -- messages (type tag + body) --------------------------------------------------
+
+
+@functools.cache
+def _messages() -> tuple[dict[type[Any], tuple[bytes, Enc]], dict[int, Dec]]:
+    """Registered messages: ``(tag byte, encode)`` by class, ``decode`` by tag."""
+    rows = [(row, _compile(row.cls)) for row in wire_table() if row.tag is not None]
+    return (
+        {row.cls: (bytes((row.tag,)), plan[0]) for row, plan in rows},
+        {row.tag: plan[1] for row, plan in rows},
+    )
+
+
+def _encoded(prefix: bytes, enc: Enc, value: Any) -> bytes:
+    parts = [prefix]
+    try:
+        enc(value, parts.append)
+    except struct.error as exc:
+        raise CodecError(f"{type(value).__name__} field out of range: {exc}") from exc
+    return b"".join(parts)
+
+
+def _decoded(dec: Dec, data: bytes, pos: int) -> Any:
+    out: list[Any] = []
+    try:
+        pos = dec(data, pos, out)
+    except struct.error as exc:
+        raise CodecError(_TRUNCATED) from exc
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes")
+    return out[0]
 
 
 def encode_message(msg: Any) -> bytes:
     """Serialize any protocol message to bytes (leading type tag)."""
-    _ensure_tables()
-    entry = _BY_TYPE.get(type(msg))
+    entry = _messages()[0].get(type(msg))
     if entry is None:
         raise CodecError(f"no codec for {type(msg).__name__}")
-    tag, enc_fn = entry
-    enc = Encoder(reserve=_reserve_for(msg))
-    enc.u8(tag)
-    enc_fn(enc, msg)
-    return enc.bytes()
-
-
-def encode_message_framed(msg: Any) -> bytes:
-    """Length-prefixed frame: u32-le body length, then tag + body.
-
-    Header and bulk share one encoder buffer - the 4-byte header is
-    reserved up front and back-patched once the body length is known, so
-    framing a message never concatenates two large byte strings.
-    """
-    _ensure_tables()
-    entry = _BY_TYPE.get(type(msg))
-    if entry is None:
-        raise CodecError(f"no codec for {type(msg).__name__}")
-    tag, enc_fn = entry
-    enc = Encoder(reserve=_reserve_for(msg) + 4)
-    enc.u32(0)  # header placeholder
-    enc.u8(tag)
-    enc_fn(enc, msg)
-    enc.patch_u32(0, enc._pos - 4)
-    return enc.bytes()
+    return _encoded(entry[0], entry[1], msg)
 
 
 def decode_message(data: bytes) -> Any:
     """Parse bytes produced by :func:`encode_message`."""
-    _ensure_tables()
-    dec = Decoder(data)
-    tag = dec.u8()
-    dec_fn = _BY_TAG.get(tag)
-    if dec_fn is None:
-        raise CodecError(f"unknown message tag {tag}")
-    msg = dec_fn(dec)
-    dec.expect_done()
-    return msg
+    dec = _messages()[1].get(_flag(data, 0))
+    if dec is None:
+        raise CodecError(f"unknown message tag {data[0]}")
+    return _decoded(dec, data, 1)
 
 
 def encode_checkpoint(ckpt: Any) -> bytes:
-    """Serialize a certified checkpoint standalone (no message tag).
-
-    Used by the durable seal store, which persists the latest certified
-    checkpoint next to the sealed checker snapshot.
-    """
-    enc = Encoder()
-    _enc_checkpoint(enc, ckpt)
-    return enc.bytes()
+    """Serialize a certified checkpoint standalone (no message tag), as the
+    durable seal store keeps it next to the sealed checker snapshot."""
+    return _encoded(b"", _compile(type(ckpt))[0], ckpt)
 
 
 def decode_checkpoint(data: bytes) -> Any:
     """Parse bytes produced by :func:`encode_checkpoint`."""
-    dec = Decoder(data)
-    ckpt = _dec_checkpoint(dec)
-    dec.expect_done()
-    return ckpt
+    from repro.tee.checkpoint import Checkpoint
+
+    return _decoded(_compile(Checkpoint)[1], data, 0)
 
 
 class MessageSerializer:
@@ -851,22 +565,82 @@ class MessageSerializer:
         return decode_message(data)
 
 
-def wire_size_of(payload: Any) -> int:
-    """Best-effort wire size of a payload in bytes.
+# -- one primitive at a time -------------------------------------------------------
 
-    Protocol messages implement ``wire_size()``; other payloads (test
-    strings, tuples...) fall back to a small constant so unit tests do not
-    need size plumbing.
-    """
+
+def _writer(kind: Kind) -> Callable[["Encoder", Any], "Encoder"]:
+    def write(self: "Encoder", value: Any) -> "Encoder":
+        self._buf += _encoded(b"", _compile(kind)[0], value)
+        return self
+
+    return write
+
+
+def _reader(kind: Kind) -> Callable[["Decoder"], Any]:
+    def read(self: "Decoder") -> Any:
+        out: list[Any] = []
+        try:
+            self._pos = _compile(kind)[1](self._data, self._pos, out)
+        except struct.error as exc:
+            raise CodecError(_TRUNCATED) from exc
+        return out[0]
+
+    return read
+
+
+class Encoder:
+    """Append-only writer of single wire primitives, each through the compiled
+    plan of its kind: the primitive tests exercise the plans' building blocks."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def bytes(self) -> bytes:
+        return bytes(self._buf)
+
+    u8, u32, i64, f64 = _writer(U8), _writer(U32), _writer(I64), _writer(F64)
+    var_bytes, string, hash32 = _writer(BYTES), _writer(STR), _writer(HASH)
+
+    def opt(self, value: Any, write: Callable[[Any], Any]) -> "Encoder":
+        self.u8(value is not None)
+        if value is not None:
+            write(value)
+        return self
+
+    def patch_u32(self, offset: int, value: int) -> "Encoder":
+        """Overwrite a previously written u32."""
+        if offset + 4 > len(self._buf):
+            raise CodecError("patch offset past the write cursor")
+        self._buf[offset : offset + 4] = _COUNT.pack(value)
+        return self
+
+
+class Decoder:
+    """Bounds-checked reader of single wire primitives (see :class:`Encoder`)."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    u8, u32, i64, f64 = _reader(U8), _reader(U32), _reader(I64), _reader(F64)
+    var_bytes, string = _reader(BYTES), _reader(STR)
+
+    def opt(self, read: Callable[[], Any]) -> Any:
+        return read() if self.u8() else None
+
+    def expect_done(self) -> None:
+        if self._pos != len(self._data):
+            raise CodecError(f"{len(self._data) - self._pos} trailing bytes")
+
+
+def wire_size_of(payload: Any) -> int:
+    """Best-effort wire size of a payload in bytes: messages implement
+    ``wire_size()``, anything else (test strings, tuples...) is a small constant."""
     sizer = getattr(payload, "wire_size", None)
-    if callable(sizer):
-        return int(sizer())
-    return 64
+    return int(sizer()) if callable(sizer) else 64
 
 
 def msg_type_of(payload: Any) -> str:
     """Message-type label used for per-type accounting."""
     label = getattr(payload, "msg_type", None)
-    if isinstance(label, str):
-        return label
-    return type(payload).__name__
+    return label if isinstance(label, str) else type(payload).__name__

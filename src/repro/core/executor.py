@@ -15,10 +15,11 @@ which is how the test suite guards every Damysus/HotStuff run.
 Execution is also where a client transaction takes effect *exactly once*:
 clients broadcast each request, so a request can reach a second block (a
 leader that was down while it committed, a Byzantine proposer).  The
-ledger keeps the keys the executed prefix applied (:class:`AppliedKeys`)
-and skips a transaction whose key an earlier position carried.  That
-record is a pure function of the executed prefix, so every replica skips
-the same ones; the oracle checks it.
+ledger keeps the keys the executed prefix applied (a
+:class:`~repro.core.keyset.ClientKeySet`) and skips a transaction whose
+key an earlier position carried.  That record is a pure function of the
+executed prefix, so every replica skips the same ones; the oracle checks
+it.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from repro.crypto.hashing import Hash, hash_fields
 from repro.errors import ProtocolError, SafetyViolation
 from repro.core.block import Block
 from repro.core.chain import BlockStore
+from repro.core.keyset import ClientKeySet, Key
 from repro.core.mempool import SYNTHETIC_CLIENT_ID, Transaction
 from repro.core.monitor import ExecutionMonitor, ExecutionRecord
-
-#: ``(client_id, tx_id)``.
-Key = tuple[int, int]
 
 
 def fold_state_root(prev_root: Hash, block_hash: Hash) -> Hash:
@@ -83,48 +82,6 @@ class ApplyViolation:
             f"replica {self.replica} applied client key {self.key} at index "
             f"{self.index}, but index {self.first_index} already applied it"
         )
-
-
-class AppliedKeys:
-    """The client keys an executed prefix applied.
-
-    Per client: every id below a watermark, plus the ids applied out of
-    order above it.  Clients here number their requests sequentially, so
-    the second part stays empty and the record is O(clients).
-    """
-
-    def __init__(self) -> None:
-        self._next: dict[int, int] = {}
-        self._ahead: dict[int, set[int]] = {}
-
-    def add(self, key: Key) -> bool:
-        """Record ``key``; ``False`` when it was already applied."""
-        client_id, tx_id = key
-        watermark = self._next.get(client_id, 0)
-        if tx_id == watermark:
-            watermark += 1
-            ahead = self._ahead.get(client_id)
-            if ahead:
-                while watermark in ahead:
-                    ahead.remove(watermark)
-                    watermark += 1
-                if not ahead:
-                    del self._ahead[client_id]
-            self._next[client_id] = watermark
-            return True
-        if 0 <= tx_id < watermark:
-            return False
-        ahead = self._ahead.setdefault(client_id, set())
-        if tx_id in ahead:
-            return False
-        ahead.add(tx_id)
-        return True
-
-    def __contains__(self, key: Key) -> bool:
-        client_id, tx_id = key
-        if 0 <= tx_id < self._next.get(client_id, 0):
-            return True
-        return tx_id in self._ahead.get(client_id, ())
 
 
 class SafetyOracle:
@@ -267,7 +224,7 @@ class Ledger:
         #: Exactly-once: the client keys this chain has applied, how many
         #: re-carried transactions were skipped, and - for the rare block
         #: that re-carried some - the transactions that did take effect.
-        self.applied = AppliedKeys()
+        self.applied = ClientKeySet()
         self.filtered = 0
         self._partly_applied: dict[Hash, tuple[Transaction, ...]] = {}
         # Checkpoint support: executions below ``base_height`` were either

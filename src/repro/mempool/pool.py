@@ -34,6 +34,7 @@ import heapq
 import itertools
 from collections.abc import Collection
 
+from repro.core.keyset import ClientKeySet
 from repro.core.mempool import (
     SYNTHETIC_CLIENT_ID,
     TX_METADATA_BYTES,
@@ -46,9 +47,6 @@ from repro.mempool.watermark import Watermark
 #: Default resident-transaction cap (the paper's blocks are 400 txs, so
 #: this is ~250 blocks of queued work before eviction starts).
 DEFAULT_MAX_TXS = 100_000
-
-#: Replay-memory entries kept before the oldest half is forgotten.
-_SEEN_MAX = 1 << 16
 
 #: Dead eviction-heap entries tolerated beyond the live ones before a rebuild.
 _HEAP_SLACK = 1024
@@ -107,8 +105,9 @@ class PriorityMempool:
         #: Replay memory: keys admitted and not since evicted, plus keys
         #: seen committed (residents, already-proposed and committed
         #: transactions all reject as DUPLICATE; an evicted transaction
-        #: may be resubmitted).
-        self._seen: dict[tuple[int, int], None] = {}
+        #: may be resubmitted).  Exact for the life of the pool; costs one
+        #: entry per client plus one per evicted resident not resubmitted.
+        self._seen = ClientKeySet()
         self._count = 0
         self._bytes = 0
         # -- monotone counters for stats()/watchdog snapshots ------------
@@ -180,18 +179,9 @@ class PriorityMempool:
                 for resident, entry in self._entries.items()
             ]
             heapq.heapify(self._evict_heap)
-        self._seen[key] = None
-        self._trim_seen()
+        self._seen.add(key)
         self._count += 1
         self._bytes += tx.wire_size()
-
-    def _trim_seen(self) -> None:
-        """Forget the oldest half of an over-full replay memory."""
-        if len(self._seen) > _SEEN_MAX:
-            residents = self._entries
-            for stale in list(itertools.islice(self._seen, _SEEN_MAX // 2)):
-                if stale not in residents:  # never forget a live resident
-                    del self._seen[stale]
 
     def _enforce_caps(self) -> set[tuple[int, int]]:
         """Evict lowest-priority residents until both caps hold."""
@@ -204,7 +194,7 @@ class PriorityMempool:
                 break
             key, entry = victim
             self._remove(key, entry)
-            del self._seen[key]  # an evicted tx may be resubmitted
+            self._seen.discard(key)  # an evicted tx may be resubmitted
             self.evicted += 1
             evicted.add(key)
         return evicted
@@ -221,14 +211,13 @@ class PriorityMempool:
         if not keys:
             return  # all filler (every open-loop block): nothing a client sent
         entries = self._entries
-        seen = self._seen
+        remember = self._seen.add
         for key in keys:
             entry = entries.get(key)
             if entry is not None:
                 self._remove(key, entry)
                 self.purged += 1
-            seen[key] = None
-        self._trim_seen()
+            remember(key)
         self.watermark.update(self._fill())
 
     def lose_memory(self) -> None:
@@ -241,7 +230,7 @@ class PriorityMempool:
         self._entries.clear()
         self._drain_heap.clear()
         self._evict_heap.clear()
-        self._seen.clear()
+        self._seen = ClientKeySet()
         self._count = 0
         self._bytes = 0
         self.watermark.update(self._fill())
@@ -363,6 +352,7 @@ class PriorityMempool:
             "rejected_rate_limited": self.rejected[AdmissionVerdict.RATE_LIMITED],
             "rejected_pool_full": self.rejected[AdmissionVerdict.POOL_FULL],
             "rejected_duplicate": self.rejected[AdmissionVerdict.DUPLICATE],
+            "replay_holes": self._seen.holes(),
             "backpressured": self.watermark.backpressured,
             "backpressure_engagements": self.watermark.engagements,
         }

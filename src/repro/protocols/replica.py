@@ -682,8 +682,9 @@ class BaseReplica(Machine):
             self._request_missing_ancestors(block)
             return []
         for executed in newly:
-            self.mempool.purge_committed(executed.client_keys())
-            if executed.client_keys():
+            keys = executed.client_keys()
+            self.mempool.purge_committed(keys)
+            if keys:
                 # One reply per transaction that took effect, none for a
                 # copy the ledger skipped (its first application answered).
                 for tx in self.ledger.applied_transactions(executed):

@@ -8,8 +8,10 @@ run here unchanged against real sockets and wall-clock timers:
 * :class:`AsyncioRuntime` is one machine's seat on an event loop.  It
   interprets effect lists onto per-peer outbound queues (length-prefixed
   frames over :mod:`repro.core.codec`, see :mod:`repro.runtime.framing`)
-  and ``loop.call_later`` timers.  ``ChargeCpu`` is a no-op - real CPUs
-  charge themselves.
+  and ``loop.call_later`` timers.  A payload is encoded once per effect
+  list however many peers it goes to, and each peer's sender writes what
+  is queued for it in one go (up to the stream's high-water mark).
+  ``ChargeCpu`` is a no-op - real CPUs charge themselves.
 * :func:`run_local_cluster` boots an n-replica localhost deployment
   (two-phase: bind every server on an ephemeral port, then exchange the
   real addresses) and reports committed throughput - the backing of the
@@ -39,6 +41,7 @@ attribute inbound messages before parsing any consensus payload.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import json
 import logging
@@ -105,6 +108,16 @@ class WallClock:
         return (time.monotonic() - self._t0) * 1000.0
 
 
+class _Outbox:
+    """Frames queued for one peer, and the flag its sender sleeps on."""
+
+    __slots__ = ("frames", "wake")
+
+    def __init__(self) -> None:
+        self.frames: collections.deque[bytes] = collections.deque()
+        self.wake = asyncio.Event()
+
+
 class AsyncioRuntime:
     """One machine's seat on an asyncio event loop: server, peers, timers."""
 
@@ -134,7 +147,7 @@ class AsyncioRuntime:
         self.verify_pool = verify_pool
         self.peers: dict[int, tuple[str, int]] = {}
         self._server: asyncio.Server | None = None
-        self._queues: dict[int, asyncio.Queue[bytes]] = {}
+        self._queues: dict[int, _Outbox] = {}
         self._sender_tasks: dict[int, asyncio.Task[None]] = {}
         self._reader_tasks: set[asyncio.Task[None]] = set()
         self._timers: dict[int, asyncio.TimerHandle] = {}
@@ -213,15 +226,20 @@ class AsyncioRuntime:
         # least as high as every signature the cluster may have seen.
         if self.sealer is not None:
             self.sealer.maybe_seal()
+        # One encoding per payload *object* per flush: a broadcast, or a
+        # client's back-to-back sends of one request, frames it once.  The
+        # effects keep every payload alive until the loop ends, so an id
+        # cannot be reused for another object in the meantime.
+        frames: dict[int, bytes] = {}
         for effect in effects:
             if type(effect) is Send:
-                self._send(effect.dest, effect.payload)
+                self._send(effect.dest, effect.payload, frames)
             elif type(effect) is Broadcast:
                 dests = list(effect.dests)
                 if effect.include_self and self.machine.pid not in dests:
                     dests.append(self.machine.pid)
                 for dest in dests:
-                    self._send(dest, effect.payload)
+                    self._send(dest, effect.payload, frames)
             elif type(effect) is SetTimer:
                 self._arm_timer(effect.timer_id, effect.delay_ms)
             elif type(effect) is CancelTimer:
@@ -240,7 +258,7 @@ class AsyncioRuntime:
 
     # -- sending -----------------------------------------------------------
 
-    def _send(self, dest: int, payload: object) -> None:
+    def _send(self, dest: int, payload: object, frames: dict[int, bytes]) -> None:
         if self._closed:
             return
         if dest == self.machine.pid:
@@ -262,7 +280,10 @@ class AsyncioRuntime:
                     return
                 copies += action.duplicates
                 delay_ms = action.extra_delay_ms
-        frame = encode_frame(encode_message(payload))
+        memo = id(payload)
+        frame = frames.get(memo)
+        if frame is None:
+            frame = frames[memo] = encode_frame(encode_message(payload))
         for _ in range(copies):
             if delay_ms > 0.0:
                 self._enqueue_later(dest, frame, delay_ms)
@@ -276,16 +297,13 @@ class AsyncioRuntime:
     def _enqueue(self, dest: int, frame: bytes) -> None:
         if self._closed:
             return
-        queue = self._queues.get(dest)
-        if queue is None:
-            queue = asyncio.Queue(maxsize=self.net.max_outbound_queue)
-            self._queues[dest] = queue
+        outbox = self._queues.get(dest)
+        if outbox is None:
+            outbox = self._queues[dest] = _Outbox()
             self._sender_tasks[dest] = asyncio.get_running_loop().create_task(
-                self._sender_loop(dest, queue)
+                self._sender_loop(dest, outbox)
             )
-        try:
-            queue.put_nowait(frame)
-        except asyncio.QueueFull:
+        if len(outbox.frames) >= self.net.max_outbound_queue:
             self.dropped_messages += 1
             if self.net.overflow_policy == "drop-newest":
                 return
@@ -293,10 +311,9 @@ class AsyncioRuntime:
             # Old consensus messages are the most likely to be obsolete
             # (their view has moved on), so this keeps recovery traffic
             # - new-views, fresh votes - flowing to a slow peer.
-            with contextlib.suppress(asyncio.QueueEmpty):
-                queue.get_nowait()
-            with contextlib.suppress(asyncio.QueueFull):
-                queue.put_nowait(frame)
+            outbox.frames.popleft()
+        outbox.frames.append(frame)
+        outbox.wake.set()
         self.sent_messages += 1
         self.sent_bytes += len(frame)
 
@@ -327,8 +344,16 @@ class AsyncioRuntime:
             self._reconnect_rng[dest] = rng
         return rng.jitter(backoff, self.net.reconnect_jitter)
 
-    async def _sender_loop(self, dest: int, queue: asyncio.Queue[bytes]) -> None:
-        """Drain ``queue`` to ``dest``, reconnecting with jittered backoff."""
+    async def _sender_loop(self, dest: int, outbox: _Outbox) -> None:
+        """Drain ``outbox`` to ``dest``, reconnecting with jittered backoff.
+
+        What is queued by the time the sender wakes goes out in one
+        ``write``: a handler's whole fan-out to this peer costs one trip
+        through the stream and the socket, not one per frame.  One write
+        stops at the stream's high-water mark, so behind a slow peer the
+        backlog waits in the outbox, where the overflow policy can still
+        shed it, and not in the transport, where it cannot.
+        """
         backoff = self.net.reconnect_initial_s
         while not self._closed:
             try:
@@ -342,9 +367,18 @@ class AsyncioRuntime:
             try:
                 writer.write(encode_hello(self.machine.pid))
                 await writer.drain()
+                _low, high_water = writer.transport.get_write_buffer_limits()
+                frames = outbox.frames
                 while True:
-                    frame = await queue.get()
-                    writer.write(frame)
+                    if not frames:
+                        outbox.wake.clear()
+                        await outbox.wake.wait()
+                    batch = [frames.popleft()]
+                    size = len(batch[0])
+                    while frames and size < high_water:
+                        batch.append(frames.popleft())
+                        size += len(batch[-1])
+                    writer.write(b"".join(batch))
                     await writer.drain()
             except (OSError, ConnectionError):
                 # Frames written into the dead socket are lost; consensus

@@ -19,8 +19,8 @@ from repro.core.codec import (
     Serializer,
     decode_message,
     encode_message,
-    encode_message_framed,
 )
+from repro.runtime.framing import FrameDecoder, encode_frame
 from tests.core.test_codec import ALL_MESSAGES
 
 #: Exceptions a hostile frame must never surface.
@@ -98,10 +98,12 @@ def test_huge_length_prefix_rejected():
 
 @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: type(m).__name__)
 def test_framed_roundtrip(msg):
-    framed = encode_message_framed(msg)
+    # The path the transport takes: encode, frame, feed, decode.
+    framed = encode_frame(encode_message(msg))
     (length,) = struct.unpack_from("<I", framed, 0)
     assert length == len(framed) - 4
-    assert decode_message(framed[4:]) == msg
+    (frame,) = FrameDecoder().feed(framed)
+    assert decode_message(frame) == msg
 
 
 def test_message_serializer_satisfies_protocol():

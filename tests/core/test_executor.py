@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ProtocolError, SafetyViolation
 from repro.core.block import create_leaf
 from repro.core.chain import BlockStore
-from repro.core.executor import AppliedKeys, Ledger, SafetyOracle
+from repro.core.executor import Ledger, SafetyOracle
+from repro.core.keyset import ClientKeySet
 from repro.core.mempool import Transaction
 from repro.sim.monitor import Monitor
 
@@ -197,7 +198,7 @@ def test_recarried_key_is_skipped_the_same_way_at_every_replica():
 
 
 def test_out_of_order_ids_collapse_into_the_watermark():
-    applied = AppliedKeys()
+    applied = ClientKeySet()
     for tx_id in (2, 1, 4):
         assert applied.add((7, tx_id))
     assert applied._ahead == {7: {1, 2, 4}}

@@ -1,0 +1,175 @@
+"""The wire table against the outside world.
+
+* Golden vectors: ``golden_wire_v2.json`` was written by
+  ``scripts/wire_golden.py`` from the hand-written codec that preceded
+  the table and is committed unchanged; byte equality with it is the
+  argument that builds on either side of that change interoperate.
+* Ranges: an integer that does not fit its field is a ``CodecError``
+  whichever fused ``struct`` call it lands in, never a ``struct.error``.
+"""
+
+import dataclasses
+import json
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import codec
+from repro.core.codec import (
+    CodecError,
+    decode_checkpoint,
+    decode_message,
+    encode_checkpoint,
+    encode_message,
+)
+from repro.core.messages import ProposalAMsg
+from repro.protocols.sync import SyncCheckpoint
+from tests.core.test_codec import ALL_MESSAGES, acc, block, checkpoint, sig
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_wire_v2.json").read_text())
+
+
+def _blocks(msg):
+    return ([msg.block] if hasattr(msg, "block") else []) + list(getattr(msg, "blocks", ()))
+
+
+def test_golden_file_covers_the_catalogue():
+    assert GOLDEN["wire_version"] == codec.WIRE_VERSION == 2
+    assert [entry["type"] for entry in GOLDEN["messages"]] == [
+        type(msg).__name__ for msg in ALL_MESSAGES
+    ]
+    registered = {row.cls.__name__ for row in codec.wire_table() if row.tag is not None}
+    assert registered == {entry["type"] for entry in GOLDEN["messages"]}
+
+
+@pytest.mark.parametrize(
+    "msg, golden", list(zip(ALL_MESSAGES, GOLDEN["messages"], strict=True)),
+    ids=lambda value: value["type"] if isinstance(value, dict) else "",
+)
+def test_golden_bytes_both_ways(msg, golden):
+    wire = bytes.fromhex(golden["hex"])
+    assert encode_message(msg) == wire
+    decoded = decode_message(wire)
+    assert decoded == msg
+    # Equality skips the hash (a derived field): compare it by itself.
+    assert [b.hash.hex() for b in _blocks(decoded)] == golden["block_hashes"]
+    assert [b.hash.hex() for b in _blocks(msg)] == golden["block_hashes"]
+
+
+def test_golden_standalone_checkpoint():
+    wire = bytes.fromhex(GOLDEN["checkpoint"])
+    assert encode_checkpoint(checkpoint()) == wire
+    assert decode_checkpoint(wire) == checkpoint()
+
+
+# -- ranges ----------------------------------------------------------------------
+
+LIMITS = {codec.I64: (-(2**63), 2**63 - 1), codec.U32: (0, 2**32 - 1)}
+
+#: The catalogue, plus the shapes it lacks: a working-form accumulator
+#: (``ids`` set) and a checkpoint travelling in a registered message.
+CARRIERS = [
+    *ALL_MESSAGES,
+    ProposalAMsg(2, block(), acc(finalized=False), sig()),
+    SyncCheckpoint(checkpoint()),
+]
+
+
+def _integer_fields():
+    """``(class, field, limits, wrap)`` of every i64 / u32 the table declares."""
+    for row in codec.wire_table():
+        for entry in row.entries:
+            if isinstance(entry, codec.Either):
+                named = [(entry.name, entry.kind), (entry.other, entry.other_kind)]
+            elif isinstance(entry, tuple):
+                named = [entry]
+            else:
+                continue
+            for name, kind in named:
+                wrap = lambda value: value  # noqa: E731
+                if isinstance(kind, codec.Seq):
+                    kind, wrap = kind.item, lambda value: (value,)  # noqa: E731
+                elif isinstance(kind, codec.Opt):
+                    kind = kind.item
+                if kind in LIMITS:
+                    yield row.cls, name, LIMITS[kind], wrap
+
+
+INTEGER_FIELDS = list(_integer_fields())
+
+
+def _walk(obj):
+    """Every dataclass instance inside ``obj``, itself included."""
+    if dataclasses.is_dataclass(obj):
+        yield obj
+        for f in dataclasses.fields(obj):
+            yield from _walk(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _walk(item)
+
+
+def _swapped(obj, target, replacement):
+    """``obj`` rebuilt with the object ``target`` inside it replaced."""
+    if obj is target:
+        return replacement
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            old = getattr(obj, f.name) if f.init else None
+            new = _swapped(old, target, replacement)
+            if new is not old:
+                return dataclasses.replace(obj, **{f.name: new})
+    elif isinstance(obj, tuple):
+        for i, old in enumerate(obj):
+            new = _swapped(old, target, replacement)
+            if new is not old:
+                return (*obj[:i], new, *obj[i + 1 :])
+    return obj
+
+
+def _carrier_of(cls, name):
+    """A message holding a ``cls`` whose ``name`` is set, and that instance."""
+    for msg in CARRIERS:
+        for inst in _walk(msg):
+            if type(inst) is cls and getattr(inst, name) is not None:
+                return msg, inst
+    raise AssertionError(f"no catalogued message carries a {cls.__name__}.{name}")
+
+
+def test_the_table_declares_integer_fields_everywhere_expected():
+    declared = {(cls.__name__, name) for cls, name, _limits, _wrap in INTEGER_FIELDS}
+    assert {
+        ("Transaction", "payload_bytes"), ("Accumulator", "count"), ("Accumulator", "ids"),
+        ("Commitment", "v_just"), ("ClientReply", "tx_id"), ("Checkpoint", "height"),
+        ("Block", "view"), ("SyncBlocks", "start_height"),
+    } <= declared
+    assert len(declared) == len(INTEGER_FIELDS)
+
+
+FIELD_IDS = [f"{cls.__name__}.{name}" for cls, name, _limits, _wrap in INTEGER_FIELDS]
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS, ids=FIELD_IDS)
+@given(excess=st.integers(min_value=1, max_value=2**70), above=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_out_of_range_integers_are_codec_errors(field, excess, above):
+    cls, name, (low, high), wrap = field
+    msg, inst = _carrier_of(cls, name)
+    bad = high + excess if above else low - excess
+    mutated = _swapped(msg, inst, dataclasses.replace(inst, **{name: wrap(bad)}))
+    assert mutated != msg
+    with pytest.raises(CodecError):
+        encode_message(mutated)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS, ids=FIELD_IDS)
+def test_each_integer_field_accepts_its_limits(field):
+    cls, name, limits, wrap = field
+    msg, inst = _carrier_of(cls, name)
+    for value in limits:
+        if (cls.__name__, name) == ("Transaction", "payload_bytes") and value:
+            continue  # 4 GiB of zeros: the limit is real, the test box is not
+        mutated = _swapped(msg, inst, dataclasses.replace(inst, **{name: wrap(value)}))
+        assert decode_message(encode_message(mutated)) == mutated

@@ -329,13 +329,52 @@ def test_crash_does_not_reissue_synthetic_ids():
     assert [t.tx_id for t in pool.take_block(1.0)] == [2, 3]
 
 
+def test_an_evicted_id_below_the_watermark_comes_back_its_neighbours_do_not():
+    """Out-of-order, negative and evicted ids through the replay memory."""
+    pool = closed_pool(max_txs=4)
+    for tx_id in (2, 0, -1, 1):  # 0..2 collapse into the watermark, -1 stays ahead
+        assert pool.admit(tx(7, tx_id), 0.0) is ACCEPTED
+    assert pool.admit(tx(7, 3, fee=5), 0.0) is ACCEPTED  # evicts the newest cheap one: id 1
+    assert pool.evicted == 1 and (7, 1) not in pool._seen
+    for tx_id in (2, 0, -1, 3):
+        assert pool.admit(tx(7, tx_id, fee=9), 0.0) is DUPLICATE
+    assert pool.admit(tx(7, 1, fee=9), 0.0) is ACCEPTED  # evicts id -1 in turn
+    assert pool.admit(tx(7, 1, fee=9), 0.0) is DUPLICATE
+    assert (7, -1) not in pool._seen and pool.admit(tx(7, -1, fee=9), 0.0) is ACCEPTED
+    pool.purge_committed([(7, 5), (7, -3)])  # committed elsewhere, never resident here
+    assert pool.admit(tx(7, 5), 0.0) is DUPLICATE and pool.admit(tx(7, -3), 0.0) is DUPLICATE
+    assert pool.admit(tx(7, 4, fee=9), 0.0) is ACCEPTED
+
+
+def test_replay_memory_grows_with_resident_casualties_not_with_bounces():
+    """What an overload costs the replay memory, as ``stats()`` reports it."""
+    pool = closed_pool(max_txs=3)
+    for tx_id, fee in ((0, 5), (1, 1), (2, 5)):
+        assert pool.admit(tx(7, tx_id, fee=fee), 0.0) is ACCEPTED
+    for tx_id in range(3, 50):  # spam at the lowest resident fee: every one bounces
+        assert pool.admit(tx(7, tx_id, fee=1), 0.0) is POOL_FULL
+    assert pool.stats()["replay_holes"] == 0 and pool._seen._next[7] == 3
+    assert pool.admit(tx(7, 50, fee=9), 0.0) is ACCEPTED  # displaces id 1, between two members
+    assert pool.evicted == 1 and pool.stats()["replay_holes"] == 1
+    assert pool.admit(tx(7, 51, fee=9), 0.0) is ACCEPTED  # displaces id 2, the newest below 3
+    assert pool.stats()["replay_holes"] == 0 and pool._seen._next[7] == 1  # stepped back over 1
+    assert pool.admit(tx(7, 0, fee=9), 0.0) is DUPLICATE
+    assert pool.admit(tx(7, 1, fee=9), 0.0) is ACCEPTED  # displaces id 0
+    assert pool.stats()["replay_holes"] == 1 and (7, 0) not in pool._seen
+    assert pool.admit(tx(7, 1, fee=9), 0.0) is DUPLICATE
+
+
 class PoolModel(RuleBasedStateMachine):
     """The pool against a list-based reference, one operation at a time.
 
     Backpressure is parked out of reach (``high_watermark`` above any
     reachable fill), so every verdict follows from residents, replay
     memory and the two hard caps - which the reference states in a few
-    lines each.
+    lines each.  Ids arrive in any order and may be negative, so the
+    replay memory's watermark, its ids ahead and its evicted ids below
+    all come into play; after every step it must hold exactly the keys
+    a plain ``set`` would (residents, drained, purged; never an evicted
+    key that was not resubmitted).
     """
 
     MAX_TXS = 8
@@ -343,7 +382,8 @@ class PoolModel(RuleBasedStateMachine):
     BLOCK_SIZE = 4
     MAX_BLOCK_BYTES = 200
 
-    keys = st.tuples(st.integers(0, 2), st.integers(0, 15))
+    keys = st.tuples(st.integers(0, 2), st.integers(-2, 13))
+    ALL_KEYS = [(client, tx_id) for client in range(3) for tx_id in range(-3, 15)]
 
     def __init__(self):
         super().__init__()
@@ -414,6 +454,12 @@ class PoolModel(RuleBasedStateMachine):
             if self.residents.pop(key, None) is not None:
                 self.purged += 1
             self.gone.add(key)
+
+    @invariant()
+    def replay_memory_is_exactly_the_model_set(self):
+        remembered = set(self.residents) | self.gone
+        for key in self.ALL_KEYS:
+            assert (key in self.pool._seen) == (key in remembered), key
 
     @invariant()
     def occupancy_matches_the_residents(self):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import NetConfig
 from repro.core.faults import FaultPlan
-from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, build_machine
+from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, _Outbox, build_machine
 from repro.runtime.framing import encode_frame
 from repro.runtime.resilience.durable import DurableSealer
 from repro.runtime.resilience.transport import FaultDecider
@@ -203,13 +203,12 @@ def test_outbound_overflow_policy(policy):
             machine, net=NetConfig(max_outbound_queue=4, overflow_policy=policy)
         )
         # Pre-seed the queue so no sender task spawns: pure policy test.
-        queue = asyncio.Queue(maxsize=4)
-        runtime._queues[9] = queue
+        outbox = runtime._queues[9] = _Outbox()
         frames = [b"frame-%d" % i for i in range(10)]
         for frame in frames:
             runtime._enqueue(9, frame)
         assert runtime.dropped_messages == 6
-        kept = [queue.get_nowait() for _ in range(queue.qsize())]
+        kept = list(outbox.frames)
         if policy == "drop-oldest":
             assert kept == frames[-4:]  # freshest survive
         else:

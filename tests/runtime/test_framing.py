@@ -1,5 +1,7 @@
 """Tests for the length-prefixed framing layer (pure, no sockets)."""
 
+import time
+
 import pytest
 
 from repro.runtime.framing import (
@@ -133,6 +135,38 @@ def test_poisoned_decoder_stays_rejected():
     # Even innocent bytes are refused: the stream's boundaries are gone.
     with pytest.raises(FramingError, match="already rejected"):
         decoder.feed(encode_frame(b"ok"))
+
+
+def test_feed_is_linear_in_frames_per_chunk():
+    """Ten times the frames in one chunk cost about ten times the time.
+
+    A 64 KiB read of minimal frames holds ~1 700 of them.  ``feed``
+    deletes the consumed prefix once per frame, which reads quadratic and
+    is not: CPython drops a ``bytearray`` prefix by moving its start
+    pointer.  A decoder that did shift its buffer would pay ~100x here;
+    the ceiling is generous (30x) because the box is shared.
+    """
+
+    def best_feed_s(count):
+        chunk = encode_frame(b"x" * 34) * count
+        best = float("inf")
+        for _ in range(5):
+            decoder = FrameDecoder()
+            started = time.perf_counter()
+            frames = decoder.feed(chunk)
+            best = min(best, time.perf_counter() - started)
+            assert len(frames) == count and decoder.pending_bytes == 0
+        return best
+
+    assert best_feed_s(5_000) <= 30 * best_feed_s(500)
+
+
+def test_frames_before_a_poisoning_announcement_are_consumed():
+    """The oversize announcement poisons at once; what preceded it is gone."""
+    decoder = FrameDecoder(max_frame_bytes=8)
+    with pytest.raises(FramingError, match="9-byte frame"):
+        decoder.feed(encode_frame(b"ok") + encode_frame(b"x" * 9))
+    assert decoder.pending_bytes == 4 + 9
 
 
 # -- decoder fuzz: seeded random chunking and garbage -----------------------

@@ -1,0 +1,289 @@
+"""The send path's two economies, and the accounting they must not touch.
+
+A payload object is encoded once per ``execute()`` flush however many
+peers it goes to, and a peer's sender writes what is queued for that
+peer in one go, up to the stream's high-water mark.  Counters, the queue
+bound and the fault decisions stay per frame and per destination.  Real sockets on ephemeral localhost
+ports; the machines only record what they are handed.
+"""
+
+import asyncio
+import socket
+
+from repro.config import NetConfig
+from repro.core.faults import DROP, FaultAction, FaultRule
+from repro.core.messages import BlockRequest, ClientReply
+from repro.runtime import asyncio_net
+from repro.runtime.asyncio_net import AsyncioRuntime, WallClock
+from repro.runtime.framing import FrameDecoder, encode_frame
+from repro.runtime.machine import Machine
+from repro.runtime.resilience.transport import FaultDecider
+
+
+class Scripted(Machine):
+    """Records deliveries; ``start`` runs a script inside one entry point,
+    so everything the script sends is one effect list - one flush."""
+
+    def __init__(self, pid, clock, script=None):
+        super().__init__(pid, clock)
+        self.script = script
+        self.received = []
+        self.received_at = []
+
+    def start(self):
+        if self.script is not None:
+            self.script(self)
+
+    def on_message(self, sender, payload):
+        self.received.append((sender, payload))
+        self.received_at.append(self.now)
+
+
+async def _cluster(peers, script, **sender_kwargs):
+    """Pid 0 runs ``script`` against ``peers`` recording machines."""
+    clock = WallClock()
+    runtimes = [AsyncioRuntime(Scripted(0, clock, script), **sender_kwargs)]
+    runtimes += [AsyncioRuntime(Scripted(pid, clock)) for pid in range(1, peers + 1)]
+    addresses = {}
+    for runtime in runtimes:
+        addresses[runtime.machine.pid] = await runtime.start_server()
+    for runtime in runtimes:
+        runtime.set_peers(addresses)
+    for runtime in reversed(runtimes):  # receivers first, the script last
+        runtime.start_machine()
+    return runtimes
+
+
+async def _until(condition, timeout_s=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "timed out waiting for delivery"
+        await asyncio.sleep(0.005)
+
+
+def _count_encodes(monkeypatch):
+    """Count calls through the name the transport (and the ledger's tracer) binds."""
+    calls = []
+    real = asyncio_net.encode_message
+
+    def counting(msg):
+        calls.append(msg)
+        return real(msg)
+
+    monkeypatch.setattr(asyncio_net, "encode_message", counting)
+    return calls
+
+
+def test_broadcast_is_encoded_once_and_counted_per_frame(monkeypatch):
+    calls = _count_encodes(monkeypatch)
+    msg = BlockRequest(b"\x08" * 32)
+
+    async def scenario():
+        runtimes = await _cluster(3, lambda m: m.broadcast([1, 2, 3], msg, include_self=True))
+        try:
+            await _until(lambda: all(rt.machine.received for rt in runtimes))
+            assert len(calls) == 1
+            for runtime in runtimes[1:]:
+                assert runtime.machine.received == [(0, msg)]
+                assert runtime.machine.received[0][1] is not msg  # it crossed the codec
+            # Self-delivery skips the codec and the counters.
+            assert runtimes[0].machine.received == [(0, msg)]
+            assert runtimes[0].machine.received[0][1] is msg
+            assert runtimes[0].sent_messages == 3
+            assert runtimes[0].sent_bytes == 3 * len(encode_frame(asyncio_net.encode_message(msg)))
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_consecutive_sends_share_an_encoding_by_object_not_by_luck(monkeypatch):
+    calls = _count_encodes(monkeypatch)
+    first = ClientReply(0, 7, 1, 1.5)
+    second = ClientReply(0, 7, 2, 2.5)
+    twin = ClientReply(0, 7, 1, 1.5)  # equal to ``first``, another object
+
+    def script(machine):
+        for dest, msg in ((1, first), (2, second), (3, first), (1, second), (2, first), (3, twin)):
+            machine.send(dest, msg)
+
+    async def scenario():
+        runtimes = await _cluster(3, script)
+        try:
+            await _until(lambda: all(len(rt.machine.received) == 2 for rt in runtimes[1:]))
+            assert [id(msg) for msg in calls] == [id(first), id(second), id(twin)]
+            assert [msg for _, msg in runtimes[1].machine.received] == [first, second]
+            assert [msg for _, msg in runtimes[2].machine.received] == [second, first]
+            assert [msg for _, msg in runtimes[3].machine.received] == [first, twin]
+            assert runtimes[0].sent_messages == 6
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_second_flush_encodes_again(monkeypatch):
+    """The memo lives for one ``execute()``: ids may be reused after it."""
+    calls = _count_encodes(monkeypatch)
+    msg = BlockRequest(b"\x09" * 32)
+
+    async def scenario():
+        runtimes = await _cluster(1, lambda m: m.send(1, msg))
+        try:
+            runtimes[0].machine.send(1, msg)  # outside an entry point: its own flush
+            await _until(lambda: len(runtimes[1].machine.received) == 2)
+            assert len(calls) == 2
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+class _ByDestination(FaultRule):
+    """Drop to 1, duplicate to 2, delay to 3."""
+
+    ACTIONS = {1: DROP, 2: FaultAction(duplicates=1), 3: FaultAction(extra_delay_ms=150.0)}
+
+    def decide(self, src, dst, payload, now, rng):
+        return self.ACTIONS.get(dst)
+
+
+def test_fault_decisions_stay_per_destination_over_a_shared_frame(monkeypatch):
+    calls = _count_encodes(monkeypatch)
+    msg = BlockRequest(b"\x0a" * 32)
+    decider = FaultDecider([_ByDestination()], seed=1)
+
+    def script(machine):
+        machine.sent_at = machine.now
+        machine.broadcast([1, 2, 3, 4], msg)
+
+    async def scenario():
+        runtimes = await _cluster(4, script, fault_decider=decider)
+        sender, dropped, doubled, delayed, plain = runtimes
+        try:
+            await _until(
+                lambda: len(doubled.machine.received) == 2
+                and plain.machine.received
+                and delayed.machine.received
+            )
+            assert delayed.machine.received_at[0] - sender.machine.sent_at >= 150.0
+            assert len(calls) == 1
+            assert not dropped.machine.received
+            assert doubled.machine.received == [(0, msg), (0, msg)]
+            assert delayed.machine.received == plain.machine.received == [(0, msg)]
+            assert sender.sent_messages == 4 and sender.dropped_messages == 0
+            assert (decider.dropped, decider.duplicated, decider.delayed) == (1, 1, 1)
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_burst_to_one_peer_arrives_in_order_in_fewer_reads(monkeypatch):
+    feeds = []
+
+    class CountingDecoder(FrameDecoder):
+        def feed(self, data):
+            frames = super().feed(data)
+            feeds.append(len(frames))
+            return frames
+
+    monkeypatch.setattr(asyncio_net, "FrameDecoder", CountingDecoder)
+    burst = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(200)]
+
+    def script(machine):
+        for msg in burst:
+            machine.send(1, msg)
+
+    async def scenario():
+        runtimes = await _cluster(1, script)
+        try:
+            await _until(lambda: len(runtimes[1].machine.received) == len(burst))
+            assert [msg for _, msg in runtimes[1].machine.received] == burst
+            assert runtimes[0].sent_messages == len(burst)
+            # The hello and the burst: a handful of reads, not one per frame.
+            assert sum(feeds) == len(burst) + 1
+            assert len(feeds) < len(burst) // 10
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_stalled_peer_backs_up_the_outbox_not_the_transport(monkeypatch):
+    """One write stops at the stream's high-water mark.
+
+    Behind a peer that stops reading, at most the mark plus one batch sits
+    in the transport; the rest waits in the outbox, where drop-oldest still
+    sheds the stalest frame for the freshest.
+    """
+    bound, body = 64, b"\0" * 8192
+    writers, received, reading = [], [], asyncio.Event()
+    real_open = asyncio.open_connection
+
+    async def capturing_open(host, port):
+        reader, writer = await real_open(host, port)
+        # Small kernel buffers on both ends (the listener's are set below),
+        # so that the first burst already meets a full socket.
+        writer.get_extra_info("socket").setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        writers.append(writer)
+        return reader, writer
+
+    monkeypatch.setattr(asyncio_net.asyncio, "open_connection", capturing_open)
+
+    async def stalled_peer(reader, writer):
+        try:
+            await reading.wait()
+            decoder = FrameDecoder()
+            while data := await reader.read(1 << 16):
+                received.extend(int.from_bytes(frame[:4], "big") for frame in decoder.feed(data))
+        finally:
+            writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(stalled_peer, "127.0.0.1", 0)
+        server.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        runtime = AsyncioRuntime(Scripted(0, WallClock()), net=NetConfig(max_outbound_queue=bound))
+        runtime.set_peers({9: server.sockets[0].getsockname()[:2]})
+        sequence = 0
+
+        def enqueue(count):
+            nonlocal sequence
+            for _ in range(count):
+                runtime._enqueue(9, encode_frame(sequence.to_bytes(4, "big") + body))
+                sequence += 1
+
+        try:
+            enqueue(bound)  # a full outbox before the sender first runs
+            await _until(lambda: bool(writers))
+            transport = writers[0].transport
+            _low, high_water = transport.get_write_buffer_limits()
+            limit = high_water + (high_water + len(body) + 8)
+            most = 0
+            while runtime.dropped_messages == 0:  # until the kernel's buffers are full too
+                assert sequence < 8192, "the peer never stalled the sender"
+                await asyncio.sleep(0)
+                most = max(most, transport.get_write_buffer_size())
+                enqueue(4)
+            enqueue(bound)
+            assert most <= limit and transport.get_write_buffer_size() <= limit
+            kept = [int.from_bytes(frame[4:8], "big") for frame in runtime._queues[9].frames]
+            assert kept == list(range(sequence - bound, sequence))  # the freshest survive
+            assert runtime.sent_messages == sequence
+            reading.set()
+            await _until(lambda: received[-1:] == [sequence - 1])
+            numbered = received[1:]  # after the hello
+            assert numbered == sorted(numbered) and numbered[-bound:] == kept
+            assert len(numbered) == sequence - runtime.dropped_messages
+        finally:
+            reading.set()
+            await runtime.close()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(scenario())
