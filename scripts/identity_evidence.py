@@ -7,11 +7,17 @@
   each of the seven protocols;
 * the digest ``benchmarks/ledger/run.py`` reports for each ``sim-*``
   workload on seeds 1-3 (the ledger is *called*, one quick untraced run
-  per cell; nothing under ``benchmarks/ledger`` is touched).
+  per cell; nothing under ``benchmarks/ledger`` is touched);
+* ``sim-order``: the delivery order on the ``Network.send`` paths none
+  of the above reaches - a tap, FIFO links, and every link losing,
+  duplicating and delaying messages at once, around one crash and
+  recovery (f = 1, 4 clients, 500 virtual ms) - as the SHA-256 of every
+  ``(now, src, dst, msg_type, view)`` the tap saw plus the event, drop
+  and duplicate counts.
 
-``--quick`` keeps the smoke campaign, the chaos runs and seed 1 of the
-ledger digests (about half a minute); CI uploads that half as an
-artifact.  Run it at two commits and diff the output: everything that
+``--quick`` keeps the smoke campaign, the chaos runs, ``sim-order`` and
+seed 1 of the ledger digests (about half a minute); CI uploads that half
+as an artifact.  Run it at two commits and diff the output: everything that
 has no clients must agree line for line.
 """
 
@@ -27,6 +33,43 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SIM_WORKLOADS = ("sim-load", "sim-quorum", "sim-leader-crash")
+SIM_ORDER_PROTOCOLS = ("damysus", "chained-damysus")
+
+#: Child program behind the ``sim-order`` lines; the protocol is ``argv[1]``.
+_SIM_ORDER = """
+import hashlib
+import sys
+
+from repro.config import SystemConfig
+from repro.core.codec import msg_type_of
+from repro.core.faults import FaultPlan
+from repro.runtime.sim import ConsensusSystem
+
+system = ConsensusSystem(SystemConfig(
+    protocol=sys.argv[1], f=1, seed=1, fifo_links=True, open_loop=False, num_clients=4,
+    client_interval_ms=2.0, client_poisson=True, block_size=50, timeout_ms=100.0,
+))
+system.apply_fault_plan(
+    FaultPlan()
+    .lossy_links(0.02)
+    .duplicating_links(0.2)
+    .delaying_links(10.0, delay_prob=0.5)
+    .crash(2, at_ms=150.0, recover_at_ms=300.0)
+)
+sim, monitor, seen = system.sim, system.monitor, hashlib.sha256()
+
+
+def tap(src, dst, payload):
+    row = (sim.now, src, dst, msg_type_of(payload), getattr(payload, "view", None))
+    seen.update(repr(row).encode())
+
+
+system.network.add_tap(tap)
+system.run(500.0)
+counts = (sim.events_processed, monitor.messages_dropped, monitor.messages_duplicated)
+seen.update(repr(counts).encode())
+print(seen.hexdigest(), "events/dropped/duplicated", *counts)
+"""
 
 
 def _run(command: list[str]) -> str:
@@ -66,6 +109,10 @@ def ledger_digest(workload: str, seed: int) -> str:
     return str(result["detail"]["exact"]["digest"])
 
 
+def sim_order(protocol: str) -> str:
+    return _run(["-c", _SIM_ORDER, protocol]).strip()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -79,6 +126,8 @@ def main() -> int:
         print(f"campaign --seed 1              {campaign_digest(smoke=False)}", flush=True)
     for protocol in SPECS:
         print(f"chaos {protocol:18s} --seed 1  {chaos_sha(protocol)}", flush=True)
+    for protocol in SIM_ORDER_PROTOCOLS:
+        print(f"sim-order {protocol:14s} seed 1  {sim_order(protocol)}", flush=True)
     for seed in (1,) if args.quick else (1, 2, 3):
         for workload in SIM_WORKLOADS:
             print(f"ledger {workload:17s} seed {seed}  {ledger_digest(workload, seed)}",

@@ -406,14 +406,16 @@ class BaseReplica(Machine):
 
     def send_charged(self, dest: int, payload: Any) -> None:
         """Charge serialization cost, then send."""
-        self.charge(self.costs.send_ms(wire_size_of(payload)))
-        self.send(dest, payload)
+        size = wire_size_of(payload)
+        self.charge(self.costs.send_ms(size))
+        self.send(dest, payload, size)
 
     def broadcast_charged(self, payload: Any, include_self: bool = True) -> None:
         """Send to every replica; egress cost scales with the copy count."""
         copies = len(self.replica_pids) if include_self else len(self.replica_pids) - 1
-        self.charge(copies * self.costs.send_ms(wire_size_of(payload)))
-        self.broadcast(self.replica_pids, payload, include_self=include_self)
+        size = wire_size_of(payload)
+        self.charge(copies * self.costs.send_ms(size))
+        self.broadcast(self.replica_pids, payload, size, include_self)
 
     # -- helpers shared by the protocol handlers -----------------------------------
 

@@ -9,16 +9,19 @@ on nothing at all (unit tests can simply assert on the list).
 Effect interpretation order is part of the contract: runtimes must apply
 effects in list order, because the simulator derives its deterministic
 event ordering from the order side effects are scheduled.
+
+Effects are named tuples: immutable, and built at the cost of a tuple -
+a handler emits one per send, charge and timer.  Tell them apart by
+class (``type(effect) is Send``), as the runtimes do; tuple equality
+looks at the fields only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
+class Send(NamedTuple):
     """Deliver ``payload`` to the peer ``dest`` (best effort)."""
 
     dest: int
@@ -26,8 +29,7 @@ class Send:
     size_bytes: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     """Deliver ``payload`` to every pid in ``dests`` in order.
 
     ``include_self`` mirrors the paper's message counting: self-messages
@@ -41,8 +43,7 @@ class Broadcast:
     size_bytes: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class SetTimer:
+class SetTimer(NamedTuple):
     """Arm one-shot timer ``timer_id`` to fire ``delay_ms`` from now.
 
     The runtime calls ``machine.on_timer(timer_id)`` when it fires.
@@ -52,15 +53,13 @@ class SetTimer:
     delay_ms: float
 
 
-@dataclass(frozen=True, slots=True)
-class CancelTimer:
+class CancelTimer(NamedTuple):
     """Disarm a previously set timer (no-op if it already fired)."""
 
     timer_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class Commit:
+class Commit(NamedTuple):
     """Announce that ``block`` was executed (committed) in ``view``.
 
     Runtimes use this for progress reporting; the ledger has already
@@ -71,8 +70,7 @@ class Commit:
     view: int
 
 
-@dataclass(frozen=True, slots=True)
-class ChargeCpu:
+class ChargeCpu(NamedTuple):
     """Occupy the machine's (single) CPU for ``ms`` of processing time.
 
     The simulator models this as busy time that delays subsequent sends
@@ -80,7 +78,7 @@ class ChargeCpu:
     real time).
     """
 
-    ms: float = field(default=0.0)
+    ms: float = 0.0
 
 
 #: Union of every effect a machine may emit.

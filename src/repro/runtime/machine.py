@@ -50,12 +50,17 @@ def _wrap_entry(fn: Callable[..., Any], returns_effects: bool) -> Callable[..., 
 
     @functools.wraps(fn)
     def wrapper(self: "Machine", *args: Any, **kwargs: Any) -> Any:
-        self._entry_depth += 1
+        depth = self._entry_depth
+        self._entry_depth = depth + 1
         try:
             result = fn(self, *args, **kwargs)
         finally:
-            self._entry_depth -= 1
-            flushed = self._flush() if self._entry_depth == 0 else None
+            self._entry_depth = depth
+            flushed = None
+            if depth == 0:
+                # Most entries emit nothing (an admitted request, a counted
+                # reply): only a non-empty buffer pays for the flush call.
+                flushed = self._flush() if self._effects else []
         if returns_effects and flushed is not None:
             return flushed
         return result
@@ -124,8 +129,7 @@ class Machine:
             self._flush()
 
     def _flush(self) -> list[Effect]:
-        if not self._effects:
-            return []
+        """Hand the (non-empty) buffer to the runtime; both callers check."""
         effects = self._effects
         self._effects = []
         if self.runtime is not None:

@@ -35,12 +35,12 @@ from repro.runtime.effects import (
     SetTimer,
 )
 from repro.runtime.machine import Machine
-from repro.sim.events import Simulator
+from repro.sim.events import Event, Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.latency import MatrixLatency, PartialSynchronyLatency
 from repro.sim.monitor import Monitor
 from repro.sim.network import Network
-from repro.sim.process import Process, Timer
+from repro.sim.process import Process
 from repro.sim.rng import RngFactory
 
 #: Simulation chunk size (virtual ms) between stop-condition checks.
@@ -54,7 +54,7 @@ class MachineProcess(Process):
         self.machine = machine
         super().__init__(machine.pid, sim)
         machine.runtime = self
-        self._timers: dict[int, Timer] = {}
+        self._timers: dict[int, Event] = {}
 
     # The machine owns the crashed flag (fault plans crash machines
     # directly); delegating keeps network delivery gating consistent.
@@ -91,13 +91,10 @@ class MachineProcess(Process):
         """
         for effect in effects:
             if type(effect) is Send:
-                self.send(effect.dest, effect.payload, size_bytes=effect.size_bytes)
+                self.send(effect.dest, effect.payload, effect.size_bytes)
             elif type(effect) is Broadcast:
                 self.broadcast(
-                    list(effect.dests),
-                    effect.payload,
-                    size_bytes=effect.size_bytes,
-                    include_self=effect.include_self,
+                    effect.dests, effect.payload, effect.size_bytes, effect.include_self
                 )
             elif type(effect) is ChargeCpu:
                 self.charge(effect.ms)
@@ -111,11 +108,11 @@ class MachineProcess(Process):
             # observed the execution through the ledger.
 
     def _arm_timer(self, timer_id: int, delay_ms: float) -> None:
-        def fire() -> None:
-            self._timers.pop(timer_id, None)
-            self.machine.on_timer(timer_id)
+        self._timers[timer_id] = self.sim.schedule(delay_ms, self._timer_fired, timer_id)
 
-        self._timers[timer_id] = self.set_timer(delay_ms, fire)
+    def _timer_fired(self, timer_id: int) -> None:
+        self._timers.pop(timer_id, None)
+        self.machine.on_timer(timer_id)
 
     def machine_recovered(self) -> None:
         """Mirror ``Process.recover``: a restarted CPU starts out idle."""

@@ -1,8 +1,11 @@
 """Deterministic discrete-event loop with a virtual clock.
 
-The simulator keeps a heap of pending events keyed by ``(time, sequence)``
-so that two events scheduled for the same instant fire in the order they
-were scheduled.  That tie-break rule is what makes every simulation run
+The simulator keeps a heap of ``(time, seq, event)`` tuples.  ``seq`` is
+a per-simulator counter, so two events scheduled for the same instant
+fire in the order they were scheduled, and since no two entries share a
+``seq`` a comparison is settled by the first two elements - in C, on a
+float and an int - and never reaches the :class:`Event`, which is not
+orderable.  That tie-break rule is what makes every simulation run
 bit-for-bit reproducible from its seed; nothing in the library reads the
 wall clock.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 
@@ -35,22 +38,24 @@ from repro.errors import SimulationError
 _COMPACT_MIN_HEAP = 64
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True, eq=False)
 class Event:
-    """A scheduled callback.
+    """A scheduled call ``fn(*args)``.
 
-    Events compare by ``(time, seq)`` which is exactly the heap order used
-    by :class:`Simulator`.  ``fn`` is excluded from comparisons.
+    Deliberately not orderable: the heap orders ``(time, seq, event)``
+    entries and ``seq`` is unique, so a comparison never gets as far as
+    the event (see the module docstring).
     """
 
     time: float
     seq: int
-    fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    fn: Callable[..., None]
+    args: tuple[Any, ...] = ()
+    cancelled: bool = False
     # Back-reference used for cancelled-event accounting; detached (set to
     # None) once the event leaves the heap so late cancels cannot skew the
     # pending counter.
-    sim: "Simulator | None" = field(default=None, compare=False, repr=False)
+    sim: "Simulator | None" = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when it fires."""
@@ -66,14 +71,18 @@ class Simulator:
     Usage::
 
         sim = Simulator()
-        sim.schedule(5.0, lambda: print(sim.now))
+        sim.schedule(5.0, print, "five virtual ms later")
         sim.run()
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current virtual time in milliseconds.  A plain attribute rather
+        #: than a property because every send, delivery, charge and handler
+        #: reads it (~30 reads per committed transaction); only
+        #: :meth:`run` and :meth:`step` write it.
+        self.now = 0.0
         self._running = False
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -81,11 +90,6 @@ class Simulator:
         # outside the sim package; see module docstring.
         self._wall_clock: Callable[[], float] | None = None
         self._wall_seconds = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -128,28 +132,30 @@ class Simulator:
     @property
     def wall_seconds_per_sim_second(self) -> float:
         """Wall-clock seconds needed per simulated second (0 without clock)."""
-        if self._wall_seconds <= 0.0 or self._now <= 0.0:
+        if self._wall_seconds <= 0.0 or self.now <= 0.0:
             return 0.0
-        return self._wall_seconds / (self._now / 1000.0)
+        return self._wall_seconds / (self.now / 1000.0)
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run ``delay`` ms from now; returns the event.
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` to run ``delay`` ms from now; returns the event.
 
-        ``delay`` must be non-negative: simulated causality only moves
-        forward.  A zero delay is allowed and fires after all events already
-        scheduled for the current instant.
+        ``delay`` must be non-negative (NaN is refused too): simulated
+        causality only moves forward.  A zero delay is allowed and fires
+        after all events already scheduled for the current instant.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(time=self._now + delay, seq=next(self._seq), fn=fn, sim=self)
-        heapq.heappush(self._heap, event)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args, False, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
-    def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` at absolute virtual time ``time``."""
-        return self.schedule(time - self._now, fn)
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
+        return self.schedule(time - self.now, fn, *args)
 
     # -- cancellation accounting -------------------------------------------
 
@@ -170,8 +176,7 @@ class Simulator:
         callback does not invalidate the heap list the run loop iterates.
         """
         heap = self._heap
-        live = [event for event in heap if not event.cancelled]
-        heap[:] = live
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         self._cancelled_pending = 0
 
@@ -182,7 +187,8 @@ class Simulator:
 
         ``until`` stops the clock at that virtual time (events at exactly
         ``until`` still run).  ``max_events`` bounds the number of callbacks
-        fired, which guards tests against accidental infinite event chains.
+        fired, which guards tests against accidental infinite event chains;
+        the event the bound refuses stays pending.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -194,12 +200,12 @@ class Simulator:
         started = clock() if clock is not None else 0.0
         try:
             while heap:
-                event = heap[0]
-                if until is not None and event.time > until:
-                    self._now = until
+                time, _, event = heap[0]
+                if until is not None and time > until:
+                    self.now = until
                     break
-                heappop(heap)
                 if event.cancelled:
+                    heappop(heap)
                     event.sim = None
                     self._cancelled_pending -= 1
                     continue
@@ -207,14 +213,15 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway event chain?"
                     )
+                heappop(heap)
                 event.sim = None
-                self._now = event.time
+                self.now = time
                 self._events_processed += 1
                 fired += 1
-                event.fn()
+                event.fn(*event.args)
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
             if clock is not None:
@@ -236,8 +243,9 @@ class Simulator:
         try:
             heap = self._heap
             while heap:
-                event = heapq.heappop(heap)
+                time, _, event = heap[0]
                 if event.cancelled:
+                    heapq.heappop(heap)
                     event.sim = None
                     self._cancelled_pending -= 1
                     continue
@@ -245,10 +253,11 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway event chain?"
                     )
+                heapq.heappop(heap)
                 event.sim = None
-                self._now = event.time
+                self.now = time
                 self._events_processed += 1
-                event.fn()
+                event.fn(*event.args)
                 return True
             return False
         finally:

@@ -12,7 +12,7 @@ adversaries to watch traffic) and a pipeline of *fault filters* used by
 and partitions.  A filter is called for every send and may return:
 
 * ``None`` or ``False`` - no opinion, the message passes;
-* ``True`` - drop (the legacy ``drop_filter`` contract);
+* ``True`` - drop;
 * a :class:`~repro.sim.faults.FaultAction` - drop, duplicate, or delay.
 
 Faults are never enabled in the paper-reproduction benchmarks; dropped
@@ -24,17 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import SimulationError
-
-# Sizing/labelling helpers grew up here but belong to the wire codec;
-# re-exported for compatibility with existing imports.
 from repro.core.codec import msg_type_of, wire_size_of
+from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.monitor import Monitor
 from repro.sim.process import Process
 
-__all__ = ["SELF_DELIVERY_MS", "Network", "msg_type_of", "wire_size_of"]
+__all__ = ["SELF_DELIVERY_MS", "Network"]
 
 #: Loop-back delay for a process sending to itself, in ms.
 SELF_DELIVERY_MS = 0.01
@@ -56,33 +53,14 @@ class Network:
         self.processes: dict[int, Process] = {}
         self.taps: list[Callable[[int, int, Any], None]] = []
         # Composable fault pipeline; see the module docstring for the
-        # filter contract.  The legacy single-slot ``drop_filter`` is a
-        # view onto one entry of this list.
+        # filter contract.
         self.fault_filters: list[Callable[[int, int, Any], Any]] = []
-        self._legacy_drop_filter: Callable[[int, int, Any], bool] | None = None
         # TCP-like per-link ordering: with fifo=True a message never
         # overtakes an earlier one on the same (src, dst) link.
         self.fifo = fifo
         self._last_arrival: dict[tuple[int, int], float] = {}
 
     # -- fault pipeline ----------------------------------------------------
-
-    @property
-    def drop_filter(self) -> Callable[[int, int, Any], bool] | None:
-        """Backward-compatible single-slot drop filter.
-
-        Assigning a callable installs it in the fault pipeline (replacing
-        any previously assigned one); assigning ``None`` removes it.
-        """
-        return self._legacy_drop_filter
-
-    @drop_filter.setter
-    def drop_filter(self, fn: Callable[[int, int, Any], bool] | None) -> None:
-        if self._legacy_drop_filter is not None:
-            self.fault_filters.remove(self._legacy_drop_filter)
-        self._legacy_drop_filter = fn
-        if fn is not None:
-            self.fault_filters.append(fn)
 
     def add_fault_filter(self, fn: Callable[[int, int, Any], Any]) -> None:
         """Append a filter to the fault pipeline."""
@@ -92,8 +70,6 @@ class Network:
         """Remove a previously installed filter (idempotent)."""
         if fn in self.fault_filters:
             self.fault_filters.remove(fn)
-        if fn is self._legacy_drop_filter:
-            self._legacy_drop_filter = None
 
     def add_process(self, process: Process) -> None:
         """Register a process; its pid must be unique on this network."""
@@ -113,13 +89,20 @@ class Network:
         payload: Any,
         size_bytes: int | None = None,
     ) -> None:
-        """Queue ``payload`` for delivery from ``src`` to ``dst``."""
-        if dst not in self.processes:
+        """Queue ``payload`` for delivery from ``src`` to ``dst``.
+
+        One pass, in this order: size and label the payload, count the
+        send, show it to the taps, ask the fault filters, then for each
+        copy draw one latency, clamp it to the link's FIFO order and
+        schedule the delivery.
+        """
+        target = self.processes.get(dst)
+        if target is None:
             raise SimulationError(f"unknown destination pid {dst}")
         size = size_bytes if size_bytes is not None else wire_size_of(payload)
-        self.monitor.record_send(
-            msg_type_of(payload), size, view=getattr(payload, "view", None)
-        )
+        label = msg_type_of(payload)
+        monitor = self.monitor
+        monitor.record_send(label, size, getattr(payload, "view", None))
         for tap in self.taps:
             tap(src, dst, payload)
         copies = 1
@@ -129,21 +112,22 @@ class Network:
             if decision is None or decision is False:
                 continue
             if decision is True or decision.drop:
-                self.monitor.record_drop(msg_type_of(payload))
+                monitor.record_drop(label)
                 return
             copies += decision.duplicates
             extra_delay += decision.extra_delay_ms
         if copies > 1:
-            self.monitor.record_duplicate(msg_type_of(payload), copies - 1)
-        target = self.processes[dst]
+            monitor.record_duplicate(label, copies - 1)
+        sim = self.sim
+        now = sim.now
         for _ in range(copies):
             if src == dst:
                 delay = SELF_DELIVERY_MS + extra_delay
             else:
-                delay = self.latency.delay(src, dst, size, self.sim.now) + extra_delay
+                delay = self.latency.delay(src, dst, size, now) + extra_delay
             if self.fifo:
                 link = (src, dst)
-                arrival = max(self.sim.now + delay, self._last_arrival.get(link, 0.0))
+                arrival = max(now + delay, self._last_arrival.get(link, 0.0))
                 self._last_arrival[link] = arrival
-                delay = arrival - self.sim.now
-            self.sim.schedule(delay, lambda: target.deliver(src, payload))
+                delay = arrival - now
+            sim.schedule(delay, target.deliver, src, payload)

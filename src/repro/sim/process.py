@@ -10,7 +10,7 @@ pacemakers need (cancel the view timer when the view succeeds).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Simulator
@@ -112,22 +112,21 @@ class Process:
         message is handed to the network only when the CPU frees up - the
         wire cannot outrun the crypto that produced the message.
         """
-        if self.network is None:
+        network = self.network
+        if network is None:
             raise SimulationError(f"process {self.pid} is not attached to a network")
         if self.crashed:
             return
-        network = self.network
-        if self._busy_until > self.sim.now:
-            self.sim.schedule(
-                self._busy_until - self.sim.now,
-                lambda: network.send(self.pid, dest, payload, size_bytes=size_bytes),
-            )
+        sim = self.sim
+        wait = self._busy_until - sim.now
+        if wait > 0:
+            sim.schedule(wait, network.send, self.pid, dest, payload, size_bytes)
         else:
-            network.send(self.pid, dest, payload, size_bytes=size_bytes)
+            network.send(self.pid, dest, payload, size_bytes)
 
     def broadcast(
         self,
-        dests: list[int],
+        dests: Sequence[int],
         payload: Any,
         size_bytes: int | None = None,
         include_self: bool = False,
@@ -148,11 +147,10 @@ class Process:
         """
         if self.crashed:
             return
-        if self._busy_until > self.sim.now:
-            self.sim.schedule(
-                self._busy_until - self.sim.now,
-                lambda: self.deliver(sender, payload),
-            )
+        sim = self.sim
+        wait = self._busy_until - sim.now
+        if wait > 0:
+            sim.schedule(wait, self.deliver, sender, payload)
             return
         self.on_message(sender, payload)
 

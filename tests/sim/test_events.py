@@ -1,9 +1,13 @@
 """Tests for the discrete-event simulator core."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import Simulator
+from repro.sim.events import Event, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -277,3 +281,290 @@ def test_counters_zero_without_wall_clock():
     assert sim.wall_seconds == 0.0
     assert sim.events_per_wall_second == 0.0
     assert sim.wall_seconds_per_sim_second == 0.0
+
+
+# -- guards ---------------------------------------------------------------------
+
+
+def test_nan_delay_rejected():
+    """NaN compares false with everything, so ``delay < 0`` let it through
+    and the heap then fired out of time order."""
+    sim = Simulator()
+    fired = []
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), fired.append, "nan")
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), fired.append, "nan")
+    for delay in (5.0, 1.0, 3.0, 0.5):
+        sim.schedule(delay, fired.append, delay)
+    sim.run()
+    assert fired == [0.5, 1.0, 3.0, 5.0]
+    assert sim.pending == 0
+
+
+def test_max_events_leaves_the_refused_event_pending():
+    sim = Simulator()
+    fired = []
+    for tag in "abc":
+        sim.schedule(1.0, fired.append, tag)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=2)
+    assert fired == ["a", "b"]
+    assert sim.pending == 1
+    with pytest.raises(SimulationError):
+        sim.step(max_events=2)
+    assert sim.pending == 1
+    sim.run()
+    assert fired == ["a", "b", "c"]
+    assert sim.events_processed == 3
+
+
+# -- the heap never compares events ------------------------------------------------
+
+
+class _Unorderable:
+    """Bound methods of this compare by identity only; ``<`` raises."""
+
+    def __init__(self, log, tag):
+        self.log = log
+        self.tag = tag
+
+    def fire(self):
+        self.log.append(self.tag)
+
+
+def test_same_instant_events_with_unorderable_callbacks_fire_in_schedule_order():
+    sim = Simulator()
+    log = []
+    for tag in range(6):
+        if tag % 2:
+            sim.schedule(2.0, functools.partial(log.append, tag))
+        else:
+            sim.schedule(2.0, _Unorderable(log, tag).fire)
+    sim.run()
+    assert log == list(range(6))
+
+
+def test_events_are_not_orderable():
+    sim = Simulator()
+    first, second = sim.schedule(1.0, print), sim.schedule(1.0, print)
+    with pytest.raises(TypeError):
+        first < second  # noqa: B015 - the comparison itself must raise
+    with pytest.raises(TypeError):
+        Event(1.0, 0, print) < Event(1.0, 1, print)  # noqa: B015
+
+
+def test_schedule_passes_arguments_to_the_callback():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda *args: seen.append(args), 1, "two", None)
+    sim.schedule_at(2.0, seen.append, "at")
+    sim.run()
+    assert seen == [(1, "two", None), "at"]
+
+
+# -- model-based: the scheduler against a sorted list -------------------------------
+#
+# A program is a list of top-level operations; every scheduled event
+# carries a *behaviour* it performs when it fires (schedule children,
+# cancel other events by handle index).  ``_RealWorld`` runs the program
+# on a Simulator, ``_ModelWorld`` on a plain list ordered by (time, seq)
+# with the documented lazy-discard and compaction rules; both log what
+# they observe around every callback and must agree after every operation.
+
+#: Few distinct delays, zero among them, so ties are the common case.
+_DELAYS = (0.0, 0.5, 1.0, 2.5)
+
+
+def _perform(world, behaviour):
+    kind = behaviour[0]
+    if kind == "spawn":
+        for delay, child in behaviour[1]:
+            world.schedule(delay, child)
+    elif kind == "cancel":
+        for index in behaviour[1]:
+            world.cancel(index)
+    elif kind == "cancel_span":
+        for index in range(behaviour[1], behaviour[1] + behaviour[2]):
+            world.cancel(index)
+
+
+class _RealWorld:
+    def __init__(self):
+        self.sim = Simulator()
+        self.handles = []
+        self.log = []
+
+    def observe(self):
+        sim = self.sim
+        return (sim.now, sim.events_processed, sim.pending, sim.cancelled_pending)
+
+    def schedule(self, delay, behaviour):
+        ident = len(self.handles)
+        self.handles.append(self.sim.schedule(delay, self._fire, ident, behaviour))
+
+    def cancel(self, index):
+        if self.handles:
+            self.handles[index % len(self.handles)].cancel()
+
+    def _fire(self, ident, behaviour):
+        self.log.append(("fire", ident, *self.observe()))
+        _perform(self, behaviour)
+        self.log.append(("done", ident, *self.observe()))
+
+    def run(self, until=None):
+        self.sim.run(until=until)
+
+    def step(self):
+        return self.sim.step()
+
+
+class _Entry:
+    def __init__(self, time, seq, ident, behaviour):
+        self.key = (time, seq)
+        self.ident = ident
+        self.behaviour = behaviour
+        self.cancelled = False
+        self.on_heap = True
+
+
+class _ModelWorld:
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.cancelled_pending = 0
+        self.compactions = 0
+        self.entries = []  # what the heap holds, cancelled entries included
+        self.handles = []
+        self.log = []
+
+    def observe(self):
+        return (self.now, self.events_processed, len(self.entries), self.cancelled_pending)
+
+    def schedule(self, delay, behaviour):
+        entry = _Entry(self.now + delay, len(self.handles), len(self.handles), behaviour)
+        self.handles.append(entry)
+        self.entries.append(entry)
+
+    def cancel(self, index):
+        if not self.handles:
+            return
+        entry = self.handles[index % len(self.handles)]
+        if entry.cancelled:
+            return
+        entry.cancelled = True
+        if not entry.on_heap:
+            return
+        self.cancelled_pending += 1
+        if len(self.entries) >= 64 and self.cancelled_pending * 2 > len(self.entries):
+            for dead in self.entries:
+                dead.on_heap = not dead.cancelled
+            self.entries = [live for live in self.entries if live.on_heap]
+            self.cancelled_pending = 0
+            self.compactions += 1
+
+    def _next(self, until):
+        """Pop the next live entry; ``None`` when the heap drains or ``until`` is hit."""
+        while self.entries:
+            entry = min(self.entries, key=lambda e: e.key)
+            if until is not None and entry.key[0] > until:
+                return None
+            self.entries.remove(entry)
+            entry.on_heap = False
+            if entry.cancelled:
+                self.cancelled_pending -= 1
+                continue
+            return entry
+        return None
+
+    def _fire(self, entry):
+        self.now = entry.key[0]
+        self.events_processed += 1
+        self.log.append(("fire", entry.ident, *self.observe()))
+        _perform(self, entry.behaviour)
+        self.log.append(("done", entry.ident, *self.observe()))
+
+    def run(self, until=None):
+        while (entry := self._next(until)) is not None:
+            self._fire(entry)
+        if until is not None and until > self.now:
+            self.now = until
+
+    def step(self):
+        entry = self._next(None)
+        if entry is None:
+            return False
+        self._fire(entry)
+        return True
+
+
+def _run_program(program):
+    """Run ``program`` on both worlds, comparing after every operation."""
+    real, model = _RealWorld(), _ModelWorld()
+    for op in program:
+        kind = op[0]
+        for world in (real, model):
+            if kind == "schedule":
+                world.schedule(op[1], op[2])
+            elif kind == "bulk":
+                for _ in range(op[1]):
+                    world.schedule(op[2], ("none",))
+            elif kind == "run_until":
+                world.run(until=world.observe()[0] + op[1])
+            elif kind == "run":
+                world.run()
+            elif kind == "step":
+                world.log.append(("step", world.step()))
+            else:
+                _perform(world, op)
+        assert real.log == model.log, op
+        assert real.observe() == model.observe(), op
+        assert [h.cancelled for h in real.handles] == [h.cancelled for h in model.handles]
+    return real, model
+
+
+_delays = st.sampled_from(_DELAYS)
+_indices = st.integers(min_value=0, max_value=150)
+_cancels = st.one_of(
+    st.tuples(st.just("cancel"), st.lists(_indices, max_size=4)),
+    st.tuples(st.just("cancel_span"), _indices, st.integers(min_value=0, max_value=90)),
+)
+_behaviours = st.recursive(
+    st.one_of(st.just(("none",)), _cancels),
+    lambda children: st.tuples(
+        st.just("spawn"), st.lists(st.tuples(_delays, children), max_size=3)
+    ),
+    max_leaves=6,
+)
+_operations = st.one_of(
+    st.tuples(st.just("schedule"), _delays, _behaviours),
+    st.tuples(st.just("bulk"), st.integers(min_value=0, max_value=90), _delays),
+    _cancels,
+    st.tuples(st.just("run_until"), st.sampled_from((*_DELAYS, 5.0))),
+    st.just(("run",)),
+    st.just(("step",)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_operations, max_size=25))
+def test_scheduler_agrees_with_a_sorted_list_model(program):
+    _run_program(program)
+
+
+def test_model_agrees_across_a_compaction_triggered_inside_a_callback():
+    program = [
+        ("bulk", 80, 1.0),
+        ("schedule", 0.5, ("cancel_span", 0, 50)),  # handle 80 kills the majority
+        # Handle 81: cancels a compacted-away event, a pending one (twice),
+        # a fired one and itself.
+        ("schedule", 0.75, ("cancel", [3, 60, 60, 80, 81])),
+        ("step",),
+        ("run_until", 0.5),
+        ("run",),
+    ]
+    real, model = _run_program(program)
+    assert model.compactions == 1
+    fired = [entry[1] for entry in real.log if entry[0] == "fire"]
+    assert fired == [80, 81, *range(50, 60), *range(61, 80)]
+    assert real.sim.pending == 0 and real.sim.cancelled_pending == 0

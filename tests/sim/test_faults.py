@@ -239,29 +239,15 @@ def test_identical_plans_and_seeds_replay_identically():
     assert run_once() == run_once()
 
 
-# -- legacy drop_filter compatibility ----------------------------------------
+# -- filter removal ------------------------------------------------------------
 
 
-def test_legacy_drop_filter_is_a_pipeline_view():
-    sim, net, procs = build()
-    fn = lambda src, dst, payload: dst == 1  # noqa: E731
-    net.drop_filter = fn
-    assert net.drop_filter is fn
-    assert net.fault_filters == [fn]
-    replacement = lambda src, dst, payload: False  # noqa: E731
-    net.drop_filter = replacement  # assignment replaces, never stacks
-    assert net.fault_filters == [replacement]
-    net.drop_filter = None
-    assert net.fault_filters == []
-
-
-def test_remove_fault_filter_is_idempotent_and_clears_legacy_slot():
+def test_remove_fault_filter_is_idempotent():
     sim, net, procs = build()
     fn = lambda src, dst, payload: True  # noqa: E731
-    net.drop_filter = fn
+    net.add_fault_filter(fn)
     net.remove_fault_filter(fn)
     net.remove_fault_filter(fn)
-    assert net.drop_filter is None
     assert net.fault_filters == []
     net.send(0, 1, "m")
     sim.run()

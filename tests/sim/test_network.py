@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.codec import msg_type_of, wire_size_of
 from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency
-from repro.sim.network import SELF_DELIVERY_MS, Network, msg_type_of, wire_size_of
+from repro.sim.network import SELF_DELIVERY_MS, Network
 from repro.sim.process import Process
 
 
@@ -76,7 +77,7 @@ def test_tap_sees_all_sends():
 
 def test_drop_filter_suppresses_delivery_but_counts_send():
     sim, net, procs = build()
-    net.drop_filter = lambda src, dst, payload: dst == 1
+    net.add_fault_filter(lambda src, dst, payload: dst == 1)
     net.send(0, 1, "dropped")
     net.send(1, 0, "kept")
     sim.run()
