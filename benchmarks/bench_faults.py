@@ -14,7 +14,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.costs import CostModel
 from repro.runtime.sim import ConsensusSystem
-from repro.sim.faults import FaultPlan
+from repro.core.faults import FaultPlan
 
 LOSS_LEVELS = [0.0, 0.1, 0.2, 0.3]
 

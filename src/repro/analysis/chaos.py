@@ -1,6 +1,6 @@
 """Chaos harness: run protocols under fault plans, assert safety and liveness.
 
-The runner composes a :class:`~repro.sim.faults.FaultPlan` with any
+The runner composes a :class:`~repro.core.faults.FaultPlan` with any
 registered protocol and checks the two properties that matter under
 faults:
 
@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass
 
 from repro.config import SystemConfig
+from repro.core.faults import FaultPlan
 from repro.costs import CostModel
 from repro.errors import SafetyViolation, SimulationError
 from repro.protocols.registry import get_spec
 from repro.runtime.sim import ConsensusSystem
-from repro.sim.faults import FaultPlan
 
 #: Simulation chunk size (virtual ms) between invariant checks.
 _CHUNK_MS = 100.0

@@ -10,14 +10,15 @@ package enforces them mechanically:
   ``TEEaccum`` interface, never a component's private state;
 * ``DET00x`` - determinism rules: no ambient randomness or wall-clock
   time in simulation code; randomness flows through
-  :class:`repro.sim.rng.RngStream`, time through the event loop;
+  :class:`repro.core.rng.RngStream`, time through the event loop;
 * ``MSG00x`` - exhaustiveness rules: declared message types are
   dispatched by some protocol, sent messages have a receiver, and
   ``Phase`` matches cover every phase;
 * ``ARCH00x`` - layering rules: the host-agnostic layers
   (:mod:`repro.core`, :mod:`repro.tee`, :mod:`repro.protocols`) must
   not import a runtime host (:mod:`repro.sim` or
-  :mod:`repro.runtime.asyncio_net`).
+  :mod:`repro.runtime.asyncio_net`), and no module may consist of
+  re-exports alone.
 
 Findings can be suppressed per line with ``# repro-lint: ignore[RULE]``
 or waived wholesale via a committed baseline file.

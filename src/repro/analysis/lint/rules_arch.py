@@ -13,6 +13,9 @@ Forbidden targets are the two hosts: the simulator package
 (``repro.sim``) and the socket runtime (``repro.runtime.asyncio_net``).
 ``repro.runtime.effects`` / ``repro.runtime.machine`` are *not*
 forbidden - they are the host-agnostic vocabulary the layers speak.
+
+A fourth rule keeps a moved module from leaving its old path behind as
+a forwarding layer: a module that defines nothing must not exist.
 """
 
 from __future__ import annotations
@@ -121,3 +124,43 @@ class ProtocolLayerRule(_LayerImportRule):
         "their Clock; hosts (repro.sim, repro.runtime.asyncio_net) "
         "interpret the effects"
     )
+
+
+def _assigns_all(stmt: ast.stmt) -> bool:
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+@register
+class ReExportModuleRule(Rule):
+    """ARCH004: a module that is nothing but re-exports."""
+
+    rule_id = "ARCH004"
+    title = "module only forwards names defined elsewhere"
+    hint = (
+        "import the names from the module that defines them and delete "
+        "this one; a package's public face belongs in its __init__.py"
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        if not in_package(ctx.module, "repro") or ctx.path.name == "__init__.py":
+            return
+        imports = []
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                if not (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"):
+                    imports.append(stmt)
+            elif not (
+                _assigns_all(stmt)
+                or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+            ):
+                return
+        if imports:
+            yield ctx.finding(
+                self, imports[0], f"{ctx.module} defines nothing: its body is only imports"
+            )

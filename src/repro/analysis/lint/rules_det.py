@@ -4,7 +4,7 @@ The chaos harness and every regression baseline assume a run is a pure
 function of its :class:`~repro.config.SystemConfig` (seed included).
 Ambient entropy - ``random``, ``secrets``, ``os.urandom``, wall-clock
 time, ``uuid``, or CPython address/hash salts - breaks that silently.
-All randomness must flow through :class:`repro.sim.rng.RngStream`
+All randomness must flow through :class:`repro.core.rng.RngStream`
 streams derived from the master seed; all time through the event loop's
 virtual clock.
 """
@@ -48,9 +48,8 @@ _WALL_CLOCK_MODULES = (
     "repro.runtime.resilience.netchaos",
 )
 
-#: The modules allowed to touch ``random``: the seeded-stream wrapper
-#: (now in the core) and its historical ``repro.sim.rng`` import path.
-_RNG_MODULES = ("repro.core.rng", "repro.sim.rng")
+#: The module allowed to touch ``random``: the seeded-stream wrapper.
+_RNG_MODULES = ("repro.core.rng",)
 
 _BANNED_MODULES = {"random", "secrets", "uuid", "time", "datetime"}
 _BANNED_OS_IMPORTS = {"urandom", "getrandom"}
@@ -101,7 +100,7 @@ class NondeterministicImportRule(Rule):
     rule_id = "DET001"
     title = "nondeterministic import in simulation code"
     hint = (
-        "draw randomness from repro.sim.rng.RngStream (seed-derived) and "
+        "draw randomness from repro.core.rng.RngStream (seed-derived) and "
         "time from the simulator's virtual clock"
     )
 

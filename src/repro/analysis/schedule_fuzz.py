@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import SystemConfig
+from repro.core.rng import RngStream
 from repro.costs import CostModel
 from repro.protocols.registry import get_spec
 from repro.runtime.sim import ConsensusSystem
-from repro.sim.rng import RngStream
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ Commands:
 * ``experiment`` - regenerate one of the paper's tables/figures;
 * ``bench`` - run an experiment grid, optionally sharded across processes;
 * ``profile`` - cProfile one scenario cell and print the hot functions;
-* ``perf`` - write or check the perf baseline (``BENCH_baseline.json``);
 * ``chaos`` - fault-injection run: lossy links, a partition, crash/recovery;
 * ``campaign`` - seeded attack-campaign sweep: {protocol x adversary x
   fault plan x topology}, each cell scored by safety/liveness/degradation
@@ -123,25 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--seed", type=int, default=1)
     prof_p.add_argument("--top", type=int, default=20,
                         help="functions to print, by cumulative time")
-    prof_p.add_argument("--no-caches", action="store_true",
-                        help="profile with the result-invisible caches disabled")
-
-    perf_p = sub.add_parser(
-        "perf", help="write or check the perf baseline (BENCH_baseline.json)"
-    )
-    perf_group = perf_p.add_mutually_exclusive_group(required=True)
-    perf_group.add_argument("--check", action="store_true",
-                            help="re-measure and compare against the baseline")
-    perf_group.add_argument("--write-baseline", action="store_true",
-                            help="measure and (over)write the baseline file")
-    perf_p.add_argument("--baseline", default=None,
-                        help="baseline path (default: BENCH_baseline.json)")
-    perf_p.add_argument("--threshold", type=float, default=None,
-                        help="slowdown factor treated as a regression (default 3.0)")
-    perf_p.add_argument("--jobs", type=int, default=0,
-                        help="workers for the grid measurement (0 = one per core)")
-    perf_p.add_argument("--quick", action="store_true",
-                        help="tiny workload for CI smoke (recorded in the baseline)")
 
     chaos_p = sub.add_parser(
         "chaos",
@@ -241,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--fault-spec", default=None, metavar="PATH",
                          help="FaultPlan rules_spec JSON applied to outbound "
                          "frames; re-read when its mtime changes")
-    serve_p.add_argument("--verify-jobs", type=int, default=None, metavar="N",
+    serve_p.add_argument("--verify-jobs", type=int, default=1, metavar="N",
                          help="worker processes for inbound signature "
                          "verification (0 = one per core, 1 = inline)")
 
@@ -265,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_p.add_argument("--adversary", default=None, metavar="NAME",
                        help="seat the named registered attack at its default "
                        "pids; honest replicas must stay safe and live")
-    net_p.add_argument("--verify-jobs", type=int, default=None, metavar="N",
+    net_p.add_argument("--verify-jobs", type=int, default=1, metavar="N",
                        help="worker processes for inbound signature "
                        "verification (0 = one per core, 1 = inline)")
 
@@ -503,8 +483,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     import time
 
-    from repro import perf
-
     config = SystemConfig(
         protocol=args.protocol,
         f=args.f,
@@ -512,60 +490,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         regions=_REGIONS[args.regions],
         seed=args.seed,
     )
-    perf.set_caches_enabled(not args.no_caches)
-    try:
-        system = ConsensusSystem(config)
-        system.sim.attach_wall_clock(time.perf_counter)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = system.run_until_views(args.views)
-        profiler.disable()
-    finally:
-        perf.set_caches_enabled(True)
+    system = ConsensusSystem(config)
+    system.sim.attach_wall_clock(time.perf_counter)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = system.run_until_views(args.views)
+    profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(args.top)
     print(stream.getvalue().rstrip())
     sim = system.sim
-    print(f"caches             {'off' if args.no_caches else 'on'}")
     print(f"committed blocks   {result.committed_blocks}")
     print(f"events fired       {sim.events_processed}")
     print(f"wall seconds       {sim.wall_seconds:.3f}")
     print(f"events / wall s    {sim.events_per_wall_second:,.0f}")
     print(f"wall s / sim s     {sim.wall_seconds_per_sim_second:.3f}")
     return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench import perfbench
-
-    baseline_path = args.baseline or perfbench.BASELINE_DEFAULT
-    threshold = args.threshold if args.threshold is not None else perfbench.DEFAULT_THRESHOLD
-    if args.write_baseline:
-        bench = perfbench.collect_bench(jobs=args.jobs, quick=args.quick)
-        perfbench.write_baseline(baseline_path, bench)
-        grid = bench["grid"]
-        print(
-            f"wrote {baseline_path}: hotpath cache_speedup "
-            f"{bench['hotpath']['cache_speedup']:.2f}x, grid total_speedup "
-            f"{grid['total_speedup']:.2f}x (jobs={grid['jobs']})"
-        )
-        return 0
-    try:
-        baseline = perfbench.load_baseline(baseline_path)
-    except FileNotFoundError:
-        print(f"no baseline at {baseline_path}; run `repro perf --write-baseline`",
-              file=sys.stderr)
-        return 2
-    # Re-measure the same workload the baseline recorded (quick or full);
-    # a --quick flag on --check would compare apples to oranges.
-    quick = bool(baseline["meta"].get("quick"))
-    current = perfbench.collect_bench(jobs=args.jobs, quick=quick)
-    ok, report, messages = perfbench.check_bench(baseline, current, threshold=threshold)
-    print(report.summary(drift_threshold=threshold - 1.0))
-    for message in messages:
-        print(message)
-    return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -857,7 +798,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "bench": _cmd_bench,
         "profile": _cmd_profile,
-        "perf": _cmd_perf,
         "chaos": _cmd_chaos,
         "campaign": _cmd_campaign,
         "serve": _cmd_serve,

@@ -13,7 +13,7 @@ from repro.core.certificate import Accumulator, QuorumCert, genesis_qc
 from repro.core.chain import BlockStore
 from repro.core.commitment import Commitment, c_combine, c_match
 from repro.core.executor import Ledger, SafetyOracle
-from repro.core.mempool import Mempool, Transaction
+from repro.core.mempool import Transaction
 from repro.core.messages import (
     BlockProposal,
     ChainedProposal,
@@ -34,7 +34,6 @@ __all__ = [
     "Step",
     "StepRule",
     "Transaction",
-    "Mempool",
     "Block",
     "genesis_block",
     "create_leaf",

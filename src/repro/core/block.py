@@ -43,9 +43,6 @@ class Block:
     created_at: float = 0.0
     _hash: Hash = field(default=b"", repr=False, compare=False)
     _wire_size: int = field(default=-1, init=False, repr=False, compare=False)
-    # Wire encoding memo, filled by repro.core.codec: blocks are immutable,
-    # so their byte encoding can be computed once per object.
-    _codec_bytes: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         just_digest = self.justify.digest() if self.justify is not None else b""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import perf
 from repro.crypto.hashing import HASH_SIZE, Hash, encode_fields, sha256
 from repro.crypto.scheme import SIGNATURE_WIRE_SIZE, Signature, SignatureScheme
 from repro.core.phases import Phase
@@ -97,13 +96,10 @@ class QuorumCert:
 #: the encoding is a pure function of the key, so memoization is
 #: invisible to results.
 _VOTE_PAYLOAD_CACHE: dict[tuple[int, str, Hash], bytes] = {}
-perf.register_cache_clearer(_VOTE_PAYLOAD_CACHE.clear)
 
 
 def vote_payload(view: int, phase: Phase, block_hash: Hash) -> bytes:
     """Canonical bytes a replica signs when voting in HotStuff-style phases."""
-    if not perf.caches_enabled():
-        return encode_fields(("vote", view, phase.value, block_hash))
     key = (view, phase.value, block_hash)
     payload = _VOTE_PAYLOAD_CACHE.get(key)
     if payload is None:

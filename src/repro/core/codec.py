@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple, Protocol, Union, runtime_checkable
 
-from repro import perf
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import Signature
 from repro.errors import ProtocolError
@@ -332,13 +331,11 @@ BYTES, STR = Var(text=False), Var(text=True)
 
 class Layout(NamedTuple):
     """One row of the wire table: ``tag`` is a registered message's leading type
-    byte (``None``: only travels inside one), ``memo`` a slot on the (immutable)
-    object where its encoding is kept once computed."""
+    byte (``None``: only travels inside one)."""
 
     cls: type[Any]
     tag: int | None
     entries: tuple[Entry, ...]
-    memo: str = ""
 
 
 @functools.cache
@@ -353,8 +350,8 @@ def wire_table() -> tuple[Layout, ...]:
     from repro.protocols.sync import SyncBlocks, SyncCheckpoint, SyncRequest
     from repro.tee.checkpoint import Checkpoint
 
-    def row(cls: type[Any], tag: int | None, *entries: Entry, memo: str = "") -> Layout:
-        return Layout(cls, tag, entries, memo)
+    def row(cls: type[Any], tag: int | None, *entries: Entry) -> Layout:
+        return Layout(cls, tag, entries)
 
     view = ("view", I64)
     return (
@@ -367,12 +364,9 @@ def wire_table() -> tuple[Layout, ...]:
             ("signature", Signature), Either("count", U32, "ids", Seq(I64))),
         row(Commitment, None, ("h_prep", Opt(HASH)), ("v_prep", I64), ("h_just", Opt(HASH)),
             ("v_just", Opt(I64)), ("phase", PHASE), ("sigs", Seq(Signature))),
-        # The same block body goes out in every proposal and every sync
-        # response that carries it, so its bytes are kept on the object.
         row(Block, None, ("parent_hash", HASH), view, ("is_genesis", BOOL),
             ("is_blank", BOOL), ("created_at", F64), ("transactions", Seq(Transaction)),
-            ("justify", OneOf((None, QuorumCert, Accumulator, Commitment))),
-            memo="_codec_bytes"),
+            ("justify", OneOf((None, QuorumCert, Accumulator, Commitment)))),
         row(Checkpoint, None, ("replica", I64), ("counter", I64), ("height", I64), view,
             ("block_hash", HASH), ("state_root", HASH), ("qc", Commitment),
             ("signature", Signature)),
@@ -469,18 +463,6 @@ def _compile_row(layout: Layout) -> Plan:
         for step in enc_steps:
             step(obj, put)
 
-    def enc_memo(obj: Any, put: Put) -> None:
-        if not perf.caches_enabled():
-            enc(obj, put)
-            return
-        cached = getattr(obj, layout.memo)
-        if not cached:
-            parts: list[bytes] = []
-            enc(obj, parts.append)
-            cached = b"".join(parts)
-            object.__setattr__(obj, layout.memo, cached)
-        put(cached)
-
     def dec(buf: bytes, pos: int, out: list[Any]) -> int:
         args: list[Any] = []
         for step in dec_steps:
@@ -488,8 +470,6 @@ def _compile_row(layout: Layout) -> Plan:
         out.append(cls(*(args if reorder is None else reorder(args))))
         return pos
 
-    if layout.memo:
-        return enc_memo, dec
     return (enc_steps[0] if len(enc_steps) == 1 else enc), dec
 
 

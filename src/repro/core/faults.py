@@ -5,7 +5,7 @@ restarted checker must resume from its latest sealed step, views must
 recover after partitions heal (GST), and quorums must form despite
 dropped and duplicated messages.  This module provides the fault model
 shared by *both* runtimes: the discrete-event simulator
-(:mod:`repro.sim.faults` wires plans into the simulated network) and the
+(:meth:`FaultPlan.install` wires a plan into the simulated network) and the
 asyncio TCP runtime (:mod:`repro.runtime.resilience.transport` applies
 the same rules to real frames):
 

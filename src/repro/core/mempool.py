@@ -19,7 +19,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from repro import perf
 from repro.crypto.hashing import Hash, hash_fields
 
 #: Metadata bytes per transaction (2 x 4 B ids + 32 B previous-block hash).
@@ -79,13 +78,10 @@ class Transaction:
 #: the wire or re-hashed; the digest is a pure function of its content.
 _PAYLOAD_DIGEST_CACHE: dict[tuple[Transaction, ...], Hash] = {}
 _DIGEST_CACHE_MAX = 4096
-perf.register_cache_clearer(_PAYLOAD_DIGEST_CACHE.clear)
 
 
 def payload_digest(transactions: tuple[Transaction, ...]) -> Hash:
     """Digest binding a block to its transaction list."""
-    if not perf.caches_enabled():
-        return hash_fields(tuple(tx.digest_fields() for tx in transactions))
     digest = _PAYLOAD_DIGEST_CACHE.get(transactions)
     if digest is None:
         if len(_PAYLOAD_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
@@ -100,14 +96,3 @@ def payload_digest(transactions: tuple[Transaction, ...]) -> Hash:
         digest = hash_fields(tuple(tx.digest_fields() for tx in transactions))
         _PAYLOAD_DIGEST_CACHE[transactions] = digest
     return digest
-
-
-def __getattr__(name: str) -> object:
-    # Back-compat: the pool class moved to repro.mempool; resolve the old
-    # name lazily so importing this core module never drags the pool
-    # package (and its config surface) into the codec's import graph.
-    if name == "Mempool":
-        from repro.mempool.pool import PriorityMempool
-
-        return PriorityMempool
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

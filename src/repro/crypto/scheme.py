@@ -29,8 +29,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro import perf
-
 #: Wire size we account for one signature, matching ECDSA/prime256v1 (64 B).
 SIGNATURE_WIRE_SIZE = 64
 
@@ -130,8 +128,6 @@ class SignatureScheme:
 
     def verify_cached(self, message: bytes, signature: Signature) -> bool:
         """:meth:`verify`, memoized by ``(signer, message, sig bytes)``."""
-        if not perf.caches_enabled():
-            return self.verify(message, signature)
         key = (signature.signer, message, signature.data)
         cached = self._verify_cache.get(key)
         if cached is None:
@@ -153,8 +149,6 @@ class SignatureScheme:
         of the key directory, so worker results are identical to local
         ones), and the event-loop thread primes its memo with them.
         """
-        if not perf.caches_enabled():
-            return
         for (message, sig), outcome in zip(pairs, outcomes):
             self._remember((sig.signer, message, sig.data), outcome)
 
@@ -168,8 +162,6 @@ class SignatureScheme:
         Cache hits drop out of the batch; only the misses enter the joint
         check, and their outcomes are remembered for the next caller.
         """
-        if not perf.caches_enabled():
-            return self.verify_many(pairs)
         cache = self._verify_cache
         outcomes: list[bool | None] = []
         misses: list[tuple[int, VerifyPair]] = []
@@ -198,8 +190,6 @@ class SignatureScheme:
         signers = {sig.signer for sig in signatures}
         if len(signers) != len(signatures):
             return False
-        if not perf.caches_enabled():
-            return self.verify_batch(message, signatures)
         return all(self.verify_many_cached([(message, sig) for sig in signatures]))
 
     # -- worker-pool replication -----------------------------------------------

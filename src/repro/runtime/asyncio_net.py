@@ -50,7 +50,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import perf
 from repro.config import NetConfig, SystemConfig
 from repro.core.codec import CodecError, decode_message, encode_message
 from repro.core.rng import RngStream
@@ -189,10 +188,12 @@ class AsyncioRuntime:
     async def close(self) -> None:
         """Tear down timers, sender tasks, inbound readers and the server.
 
-        Graceful by construction: every sender awaits its writer's
-        ``wait_closed`` and every reader closes its transport, so a
-        completed ``close()`` leaves no pending tasks and no open
-        sockets behind (asserted by the shutdown tests).
+        Every sender aborts its transport and awaits ``wait_closed`` (bytes
+        the transport still holds are dropped like the frames still queued:
+        a stalled peer must not be able to hold ``close()`` up), and every
+        reader closes its transport, so a completed ``close()`` leaves no
+        pending tasks and no open sockets behind (asserted by the shutdown
+        tests).
         """
         self._closed = True
         for handle in self._timers.values():
@@ -385,7 +386,12 @@ class AsyncioRuntime:
                 # tolerates that (the next view change resynchronises).
                 pass
             finally:
-                writer.close()
+                if self._closed:
+                    # A graceful close waits for the transport to flush, and
+                    # behind a peer that stopped reading that is for ever.
+                    writer.transport.abort()
+                else:
+                    writer.close()
                 with contextlib.suppress(Exception, asyncio.CancelledError):
                     await writer.wait_closed()
 
@@ -603,7 +609,7 @@ async def run_local_cluster(
     net: NetConfig | None = None,
     checkpoint_interval: int = 0,
     start_delay_s: dict[int, float] | None = None,
-    verify_jobs: int | None = None,
+    verify_jobs: int = 1,
     adversary: str | None = None,
     replica_overrides: dict[int, type] | None = None,
 ) -> ClusterReport:
@@ -623,17 +629,14 @@ async def run_local_cluster(
     state transfer once ``checkpoint_interval`` is on.
 
     ``verify_jobs`` shards inbound signature verification across worker
-    processes (0 = one per core, 1 = inline, ``None`` = the
-    :func:`repro.perf.verify_jobs` default).  All runtimes share one
+    processes (0 = one per core, 1 = inline).  All runtimes share one
     pool - every replica holds the same key material - and results are
     bit-identical to inline verification.
     """
     spec = get_spec(protocol)
     f, quorum = _sized_quorum(spec, n)
     clock = WallClock()
-    jobs = resolve_verify_jobs(
-        perf.verify_jobs() if verify_jobs is None else verify_jobs
-    )
+    jobs = resolve_verify_jobs(verify_jobs)
     overrides: dict[int, type] = {}
     if adversary is not None:
         from repro.adversary.registry import get_adversary
@@ -787,7 +790,7 @@ async def serve_replica(
     health_file: str | Path | None = None,
     health_interval_s: float = 0.5,
     fault_spec: str | Path | None = None,
-    verify_jobs: int | None = None,
+    verify_jobs: int = 1,
 ) -> AsyncioRuntime:
     """Run one replica of a fixed-port deployment (``repro serve``).
 
@@ -808,8 +811,8 @@ async def serve_replica(
       file applied to outbound frames, re-read whenever its mtime
       changes (live partition/heal without restarting processes).
     * ``verify_jobs`` - shard inbound signature verification across
-      worker processes (0 = one per core, 1 = inline, ``None`` = the
-      :func:`repro.perf.verify_jobs` default); bit-identical results.
+      worker processes (0 = one per core, 1 = inline); bit-identical
+      results.
 
     ``adversary`` runs *this* replica as the named registered attack
     (the same sans-I/O Machine the simulator seats); which pid plays
@@ -867,9 +870,7 @@ async def serve_replica(
                 pid,
                 machine.checker.step.view,
             )
-    jobs = resolve_verify_jobs(
-        perf.verify_jobs() if verify_jobs is None else verify_jobs
-    )
+    jobs = resolve_verify_jobs(verify_jobs)
     pool = VerifyPool(machine.scheme, jobs=jobs) if jobs > 1 else None
     runtime = AsyncioRuntime(
         machine,

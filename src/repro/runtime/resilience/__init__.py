@@ -1,9 +1,8 @@
 """Real-network fault tolerance for the asyncio runtime.
 
 The simulator has had deterministic fault injection since PR 1
-(:mod:`repro.core.faults` via :mod:`repro.sim.faults`); this package
-ports the same contract to real sockets and closes the crash-recovery
-loop end-to-end:
+(:mod:`repro.core.faults`); this package ports the same contract to
+real sockets and closes the crash-recovery loop end-to-end:
 
 * :mod:`~repro.runtime.resilience.transport` - frame-level fault
   injection between the protocol machines and their peer connections,

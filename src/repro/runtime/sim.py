@@ -23,6 +23,8 @@ from repro.crypto.keys import KeyDirectory
 from repro.crypto.scheme import SignatureScheme
 from repro.crypto.schnorr import GROUP_TEST, SchnorrScheme
 from repro.core.executor import SafetyOracle
+from repro.core.faults import FaultPlan
+from repro.core.rng import RngFactory
 from repro.protocols.client import Client
 from repro.protocols.registry import ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica
@@ -36,12 +38,10 @@ from repro.runtime.effects import (
 )
 from repro.runtime.machine import Machine
 from repro.sim.events import Event, Simulator
-from repro.sim.faults import FaultPlan
 from repro.sim.latency import MatrixLatency, PartialSynchronyLatency
 from repro.sim.monitor import Monitor
 from repro.sim.network import Network
 from repro.sim.process import Process
-from repro.sim.rng import RngFactory
 
 #: Simulation chunk size (virtual ms) between stop-condition checks.
 _RUN_CHUNK_MS = 200.0

@@ -27,7 +27,6 @@ from repro.sim.monitor import Monitor
 from repro.sim.network import Network
 from repro.sim.process import Process, Timer
 from repro.sim.regions import EU_REGIONS, WORLD_REGIONS, RegionMap
-from repro.sim.rng import RngStream
 
 __all__ = [
     "Event",
@@ -43,5 +42,4 @@ __all__ = [
     "RegionMap",
     "EU_REGIONS",
     "WORLD_REGIONS",
-    "RngStream",
 ]

@@ -16,9 +16,9 @@ arrive?  Three models are provided:
 
 from __future__ import annotations
 
+from repro.core.rng import RngStream
 from repro.errors import ConfigError
 from repro.sim.regions import RegionMap
-from repro.sim.rng import RngStream
 
 #: Default WAN bandwidth per link in bytes/ms (~1 Gbit/s = 125 000 B/ms).
 DEFAULT_BANDWIDTH_BYTES_PER_MS = 125_000.0

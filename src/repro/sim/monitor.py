@@ -11,11 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-# The record type moved to the core (the ledger produces it); it is
-# re-exported here because the simulator side has always offered it.
 from repro.core.monitor import ExecutionRecord
-
-__all__ = ["ExecutionRecord", "Monitor"]
 
 
 @dataclass
@@ -29,7 +25,7 @@ class Monitor:
     executions: list[ExecutionRecord] = field(default_factory=list)
     view_message_counts: Counter = field(default_factory=Counter)
     # Fault-injection accounting: messages suppressed or duplicated by the
-    # network's fault pipeline (repro.sim.faults).  Sends are still counted
+    # network's fault pipeline (repro.core.faults).  Sends are still counted
     # in messages_sent - a dropped message was sent, then lost.
     messages_dropped: int = 0
     dropped_by_type: Counter = field(default_factory=Counter)

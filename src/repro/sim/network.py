@@ -8,12 +8,12 @@ counts explicitly "include self-messages".
 
 The network also supports *taps* (observers used by tests and by scripted
 adversaries to watch traffic) and a pipeline of *fault filters* used by
-:mod:`repro.sim.faults` to model lossy links, duplication, extra delay
+:mod:`repro.core.faults` to model lossy links, duplication, extra delay
 and partitions.  A filter is called for every send and may return:
 
 * ``None`` or ``False`` - no opinion, the message passes;
 * ``True`` - drop;
-* a :class:`~repro.sim.faults.FaultAction` - drop, duplicate, or delay.
+* a :class:`~repro.core.faults.FaultAction` - drop, duplicate, or delay.
 
 Faults are never enabled in the paper-reproduction benchmarks; dropped
 and duplicated messages are counted by the monitor so chaos experiments

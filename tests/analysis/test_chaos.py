@@ -8,7 +8,7 @@ from repro.analysis.chaos import (
     standard_chaos_plan,
 )
 from repro.errors import SimulationError
-from repro.sim.faults import FaultPlan
+from repro.core.faults import FaultPlan
 
 
 def test_damysus_standard_chaos_is_safe_and_recovers():

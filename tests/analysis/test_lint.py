@@ -182,7 +182,7 @@ def test_det001_from_import_and_os_urandom(tmp_path):
 def test_det001_rng_module_exempt(tmp_path):
     make_module(
         tmp_path,
-        "repro.sim.rng",
+        "repro.core.rng",
         """
         import random
         """,
@@ -437,6 +437,45 @@ def test_arch_rules_ignore_other_layers(tmp_path):
     assert lint_ids(tmp_path, ["ARCH001", "ARCH002", "ARCH003"]) == []
 
 
+def test_arch004_module_of_re_exports_only(tmp_path):
+    make_module(
+        tmp_path,
+        "repro.sim.moved",
+        """
+        \"\"\"Compatibility shim: the implementation moved to the core.\"\"\"
+
+        from __future__ import annotations
+
+        from repro.core.rng import RngStream, derive_seed
+
+        __all__ = ["RngStream", "derive_seed"]
+        """,
+    )
+    assert lint_ids(tmp_path, ["ARCH004"]) == [("ARCH004", 6)]
+
+
+@pytest.mark.parametrize(
+    "module, body",
+    [
+        # A package's public face is what __init__.py is for.
+        ("repro.sim.__init__", "from repro.core.rng import RngStream\n__all__ = ['RngStream']\n"),
+        ("repro.sim.one_def", "from repro.core.rng import RngStream\n\nSEED = 7\n"),
+        (
+            "repro.sim.typed",
+            "from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n"
+            "    from repro.core.rng import RngStream\n\n\n"
+            "def draw(rng: 'RngStream') -> float:\n    return rng.random()\n",
+        ),
+        ("repro.sim.empty", '"""Nothing here yet."""\n'),
+        ("elsewhere.shim", "from repro.core.rng import RngStream\n"),
+    ],
+    ids=["init", "one-definition", "type-checking-imports", "docstring-only", "outside-repro"],
+)
+def test_arch004_leaves_real_modules_alone(tmp_path, module, body):
+    make_module(tmp_path, module, body)
+    assert lint_ids(tmp_path, ["ARCH004"]) == []
+
+
 # -- suppression, baseline, engine plumbing -------------------------------------
 
 
@@ -491,6 +530,8 @@ def test_baseline_waives_and_write_baseline_roundtrip(tmp_path):
         "repro.sim.legacy",
         """
         import random
+
+        SEED = 7
         """,
     )
     findings = run_lint([path])
@@ -522,6 +563,7 @@ def test_registry_has_all_rule_families():
     assert {"TEE001", "TEE002", "TEE003"} <= set(ids)
     assert {"DET001", "DET002", "DET003"} <= set(ids)
     assert {"MSG001", "MSG002", "MSG003"} <= set(ids)
+    assert {"ARCH001", "ARCH002", "ARCH003", "ARCH004"} <= set(ids)
 
 
 def test_finding_key_is_stable():
@@ -545,7 +587,7 @@ def test_cli_lint_violation_exits_nonzero(tmp_path, capsys):
 
 
 def test_cli_lint_json_format(tmp_path, capsys):
-    make_module(tmp_path, "repro.sim.dirty", "import random\n")
+    make_module(tmp_path, "repro.sim.dirty", "import random\n\nSEED = 7\n")
     assert main(["lint", str(tmp_path), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 1

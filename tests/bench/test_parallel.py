@@ -2,12 +2,11 @@
 
 The contract under test: sharding the grid across processes is
 *invisible* - ``run_cells(..., jobs=N)`` returns summaries equal to the
-sequential path for any N, and the perf caches never change results.
+sequential path for any N.
 """
 
 import pytest
 
-from repro import perf
 from repro.bench.parallel import resolve_jobs, run_cells
 from repro.bench.runner import ExperimentRunner
 
@@ -49,18 +48,6 @@ def test_sweep_uses_shared_path():
     grid_seq = runner.sweep(["hotstuff", "damysus"], [1], jobs=1)
     grid_par = runner.sweep(["hotstuff", "damysus"], [1], jobs=2)
     assert grid_seq == grid_par
-
-
-def test_caches_do_not_change_results():
-    runner = small_runner()
-    cells = [("hotstuff", 2), ("damysus", 2)]
-    try:
-        perf.set_caches_enabled(False)
-        uncached = run_cells(runner, cells, jobs=1)
-    finally:
-        perf.set_caches_enabled(True)
-    cached = run_cells(runner, cells, jobs=1)
-    assert cached == uncached
 
 
 def test_single_task_stays_in_process():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.hashing import encode_fields
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.scheme import Signature
 from repro.core.certificate import Accumulator, QuorumCert, genesis_qc, vote_payload
@@ -20,6 +21,16 @@ def make_qc(scheme, signers, view=2, h=b"\x07" * 32, phase=Phase.PREPARE):
     payload = vote_payload(view, phase, h)
     sigs = tuple(scheme.sign(s, payload) for s in signers)
     return QuorumCert(view, h, phase, sigs)
+
+
+@pytest.mark.parametrize("phase", list(Phase), ids=lambda p: p.name)
+def test_vote_payload_memo_is_the_encoding_beneath_it(phase):
+    view, block_hash = 1_000_003, bytes(range(32))  # a key no other test uses
+    expected = encode_fields(("vote", view, phase.value, block_hash))
+    assert vote_payload(view, phase, block_hash) == expected  # miss
+    assert vote_payload(view, phase, block_hash) == expected  # hit
+    assert vote_payload(view, phase, bytes(block_hash)) == expected  # equal key
+    assert vote_payload(view + 1, phase, block_hash) != expected
 
 
 def test_qc_verify_roundtrip(scheme):

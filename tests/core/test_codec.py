@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.scheme import Signature
-from repro.core.block import create_chain, create_leaf, genesis_block
+from repro.core.block import Block, create_chain, create_leaf, genesis_block
 from repro.core.certificate import Accumulator, QuorumCert, genesis_qc
 from repro.core.codec import CodecError, Decoder, Encoder, decode_message, encode_message
 from repro.core.commitment import Commitment
@@ -158,6 +158,22 @@ def test_block_hash_survives_roundtrip():
     msg = ProposalMsg(2, block(), qc())
     decoded = decode_message(encode_message(msg))
     assert decoded.block.hash == msg.block.hash
+
+
+@pytest.mark.parametrize("justify", [None, qc(1), acc(), commitment()],
+                         ids=["leaf", "qc", "acc", "commitment"])
+def test_block_encoding_is_recomputed_not_remembered(justify):
+    """Encoding a block twice, and encoding its decoded copy, give equal
+    bytes, and encoding leaves nothing behind on the (immutable) block."""
+    b = block(justify=justify)
+    before = {name: getattr(b, name) for name in Block.__slots__}
+    first = encode_message(BlockResponse(b))
+    assert encode_message(BlockResponse(b)) == first
+    assert {name: getattr(b, name) for name in Block.__slots__} == before
+    copy = decode_message(first).block
+    assert copy is not b and copy == b
+    assert encode_message(BlockResponse(copy)) == first
+    assert not any("codec" in name or "bytes" in name for name in Block.__slots__)
 
 
 def test_chained_justify_kinds_roundtrip():

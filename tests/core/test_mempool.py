@@ -1,7 +1,11 @@
 """Tests for transactions and the mempool."""
 
+import pytest
+
 from repro.core import mempool as mempool_mod
-from repro.core.mempool import TX_METADATA_BYTES, Mempool, Transaction, payload_digest
+from repro.core.mempool import TX_METADATA_BYTES, Transaction, payload_digest
+from repro.crypto.hashing import hash_fields
+from repro.mempool.pool import PriorityMempool
 
 
 def test_tx_wire_size_includes_metadata():
@@ -40,6 +44,22 @@ def test_payload_digest_cache_evicts_oldest_half():
     cache.clear()
 
 
+@pytest.mark.parametrize("count", [0, 1, 128])
+def test_payload_digest_memo_is_the_hash_beneath_it(count):
+    """Miss, hit, and a tuple equal to a cached one but not the same object
+    (what every decoded block hands in) all read the plain hash."""
+    def build():
+        return tuple(Transaction(3, i, 16, submitted_at=0.5 * i, fee=i % 7) for i in range(count))
+
+    txs, twin = build(), build()
+    assert twin == txs and (count == 0 or twin is not txs)
+    expected = hash_fields(tuple(tx.digest_fields() for tx in txs))
+    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs, None)
+    assert payload_digest(txs) == expected  # miss
+    assert payload_digest(txs) == expected  # hit, same object
+    assert payload_digest(twin) == expected
+
+
 def test_payload_digest_differs_by_fee():
     assert payload_digest((Transaction(0, 1, 0, fee=1),)) != payload_digest(
         (Transaction(0, 1, 0, fee=2),)
@@ -47,20 +67,20 @@ def test_payload_digest_differs_by_fee():
 
 
 def test_open_loop_blocks_are_full():
-    pool = Mempool(payload_bytes=16, block_size=7, open_loop=True)
+    pool = PriorityMempool(payload_bytes=16, block_size=7, open_loop=True)
     block = pool.take_block(now=0.0)
     assert len(block) == 7
     assert all(tx.payload_bytes == 16 for tx in block)
 
 
 def test_open_loop_synthetic_ids_unique():
-    pool = Mempool(payload_bytes=0, block_size=5, open_loop=True)
+    pool = PriorityMempool(payload_bytes=0, block_size=5, open_loop=True)
     ids = [tx.tx_id for tx in pool.take_block(0.0) + pool.take_block(0.0)]
     assert len(set(ids)) == 10
 
 
 def test_closed_loop_blocks_limited_to_queue():
-    pool = Mempool(payload_bytes=0, block_size=5, open_loop=False)
+    pool = PriorityMempool(payload_bytes=0, block_size=5, open_loop=False)
     pool.add(Transaction(1, 1, 0))
     pool.add(Transaction(1, 2, 0))
     block = pool.take_block(0.0)
@@ -70,7 +90,7 @@ def test_closed_loop_blocks_limited_to_queue():
 
 
 def test_closed_loop_respects_block_size():
-    pool = Mempool(payload_bytes=0, block_size=3, open_loop=False)
+    pool = PriorityMempool(payload_bytes=0, block_size=3, open_loop=False)
     for i in range(10):
         pool.add(Transaction(1, i, 0))
     assert len(pool.take_block(0.0)) == 3
@@ -78,7 +98,7 @@ def test_closed_loop_respects_block_size():
 
 
 def test_open_loop_prefers_queued_client_txs():
-    pool = Mempool(payload_bytes=0, block_size=3, open_loop=True)
+    pool = PriorityMempool(payload_bytes=0, block_size=3, open_loop=True)
     pool.add(Transaction(7, 99, 0))
     block = pool.take_block(0.0)
     assert block[0].client_id == 7

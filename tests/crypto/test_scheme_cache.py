@@ -1,10 +1,12 @@
-"""Verification-memo eviction: bounded memory without a latency cliff."""
+"""The verification memo: bounded without a latency cliff, and never an
+answer other than the one ``verify`` / ``verify_many`` give beneath it."""
 
 import pytest
 
 import repro.crypto.scheme as scheme_mod
-from repro import perf
 from repro.crypto.hmac_scheme import HmacScheme
+from repro.crypto.scheme import Signature
+from repro.crypto.schnorr import GROUP_TEST, SchnorrScheme
 
 
 @pytest.fixture
@@ -77,13 +79,74 @@ def test_keygen_invalidates_memo(scheme):
     assert scheme.cached_verification(message, sig) is None
 
 
-def test_caches_disabled_skips_memo(scheme):
-    message = b"uncached"
+# -- the memo against the pure function beneath it ------------------------------
+
+# Keygen and eviction empty the memo under every pair set up before them, so
+# in a batch that mixes the states those two come first.
+MEMO_STATES = ["after-keygen", "evicted", "miss", "hit", "bad", "remembered-bad"]
+
+
+@pytest.fixture(params=["hmac", "schnorr"])
+def any_scheme(request):
+    s = (
+        HmacScheme(secret=b"reference")
+        if request.param == "hmac"
+        else SchnorrScheme(GROUP_TEST)
+    )
+    s.keygen(1)
+    return s
+
+
+def pair_in_state(scheme, state, label=b"reference", new_signer=2):
+    """A ``(message, signature)`` pair with the memo brought into ``state``
+    (``new_signer``: whom "after-keygen" registers; a known one changes nothing)."""
+    message = label + b"/" + state.encode()
     sig = scheme.sign(1, message)
-    perf.set_caches_enabled(False)
-    try:
-        assert scheme.verify_cached(message, sig)
-        scheme.prime_verification([(message, sig)], [True])
+    if state in ("bad", "remembered-bad"):
+        sig = Signature(sig.signer, sig.data[:-1] + bytes((sig.data[-1] ^ 1,)), sig.scheme)
+    if state in ("hit", "remembered-bad", "evicted", "after-keygen"):
+        scheme.verify_cached(message, sig)
+        assert scheme.cached_verification(message, sig) is (state != "remembered-bad")
+    if state == "evicted":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheme_mod, "_VERIFY_CACHE_MAX", 4)
+            fill(scheme, 8, start=1000)
+    elif state == "after-keygen":
+        scheme.keygen(new_signer)
+    if state in ("miss", "bad", "evicted", "after-keygen"):
         assert scheme.cached_verification(message, sig) is None
-    finally:
-        perf.set_caches_enabled(True)
+    return message, sig
+
+
+@pytest.mark.parametrize("state", MEMO_STATES)
+def test_verify_cached_is_verify(any_scheme, state):
+    message, sig = pair_in_state(any_scheme, state)
+    expected = any_scheme.verify(message, sig)
+    assert expected is (state not in ("bad", "remembered-bad"))
+    assert any_scheme.verify_cached(message, sig) is expected
+    assert any_scheme.verify_cached(message, sig) is expected  # now a hit: still
+    assert any_scheme.cached_verification(message, sig) is expected
+
+
+@pytest.mark.parametrize("state", [*MEMO_STATES, "mixed"])
+def test_verify_many_cached_is_verify_many(any_scheme, state):
+    pairs = [
+        pair_in_state(any_scheme, each, label=f"many-{i}".encode(), new_signer=2 + i)
+        for i, each in enumerate(MEMO_STATES if state == "mixed" else [state] * 5)
+    ]
+    expected = any_scheme.verify_many(pairs)
+    assert any_scheme.verify_many_cached(pairs) == expected
+    assert any_scheme.verify_many_cached(pairs) == expected  # all hits now
+    assert [any_scheme.cached_verification(*pair) for pair in pairs] == expected
+
+
+def test_primed_outcome_is_believed_not_rechecked(scheme):
+    """``prime_verification`` installs what it is told: a bad signature primed
+    as valid reads valid.  That is the caller's lie, not the memo's - the one
+    caller (the worker pool) primes with ``verify_many`` outcomes computed
+    against the same key directory, which is what keeps the memo honest."""
+    message, sig = b"primed", Signature(1, b"\x00" * 32, HmacScheme.name)
+    assert not scheme.verify(message, sig)
+    scheme.prime_verification([(message, sig)], [True])
+    assert scheme.verify_cached(message, sig) is True
+    assert scheme.verify_many_cached([(message, sig)]) == [True]

@@ -3,7 +3,7 @@
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
 from repro.sim.events import Simulator
 from repro.sim.process import Process
-from repro.sim.rng import RngStream
+from repro.core.rng import RngStream
 
 
 class Dummy(Process):

@@ -74,6 +74,23 @@ def _count_encodes(monkeypatch):
     return calls
 
 
+def _capture_small_buffered_connections(monkeypatch):
+    """The writers the runtime opens, each with a small kernel send buffer
+    (listeners shrink their own receive side), so that a burst meets a full
+    socket almost at once."""
+    writers = []
+    real_open = asyncio.open_connection
+
+    async def capturing_open(host, port):
+        reader, writer = await real_open(host, port)
+        writer.get_extra_info("socket").setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        writers.append(writer)
+        return reader, writer
+
+    monkeypatch.setattr(asyncio_net.asyncio, "open_connection", capturing_open)
+    return writers
+
+
 def test_broadcast_is_encoded_once_and_counted_per_frame(monkeypatch):
     calls = _count_encodes(monkeypatch)
     msg = BlockRequest(b"\x08" * 32)
@@ -223,18 +240,8 @@ def test_a_stalled_peer_backs_up_the_outbox_not_the_transport(monkeypatch):
     sheds the stalest frame for the freshest.
     """
     bound, body = 64, b"\0" * 8192
-    writers, received, reading = [], [], asyncio.Event()
-    real_open = asyncio.open_connection
-
-    async def capturing_open(host, port):
-        reader, writer = await real_open(host, port)
-        # Small kernel buffers on both ends (the listener's are set below),
-        # so that the first burst already meets a full socket.
-        writer.get_extra_info("socket").setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-        writers.append(writer)
-        return reader, writer
-
-    monkeypatch.setattr(asyncio_net.asyncio, "open_connection", capturing_open)
+    writers = _capture_small_buffered_connections(monkeypatch)
+    received, reading = [], asyncio.Event()
 
     async def stalled_peer(reader, writer):
         try:
@@ -285,5 +292,48 @@ def test_a_stalled_peer_backs_up_the_outbox_not_the_transport(monkeypatch):
             await runtime.close()
             server.close()
             await server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+def test_close_returns_behind_a_peer_that_stopped_reading(monkeypatch):
+    """``close()`` drops what the transport still holds for a peer that will
+    never take it; waiting for the flush was waiting for ever."""
+    writers = _capture_small_buffered_connections(monkeypatch)
+    release = asyncio.Event()
+
+    async def deaf_peer(reader, writer):
+        try:
+            await release.wait()  # accepts, then never reads
+        finally:
+            writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(deaf_peer, "127.0.0.1", 0)
+        server.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        runtime = AsyncioRuntime(Scripted(0, WallClock()))
+        runtime.set_peers({9: server.sockets[0].getsockname()[:2]})
+        try:
+            for _ in range(256):  # 2 MiB: far past both kernel buffers and the mark
+                runtime._enqueue(9, encode_frame(b"\0" * 8192))
+            await _until(lambda: bool(writers))
+            transport = writers[0].transport
+            await _until(lambda: transport.get_write_buffer_size() > 0)
+            await asyncio.sleep(0.1)  # whatever the kernel will take, it has taken
+            assert transport.get_write_buffer_size() > 0 and runtime._queues[9].frames
+            sock = writers[0].get_extra_info("socket")
+            await asyncio.wait_for(runtime.close(), timeout=1.0)
+            assert sock.fileno() == -1
+        finally:
+            release.set()
+            server.close()
+            await server.wait_closed()
+        await asyncio.sleep(0.05)  # the released peer's handler unwinds
+        stray = [
+            task
+            for task in asyncio.all_tasks()
+            if task is not asyncio.current_task() and not task.done()
+        ]
+        assert stray == []
 
     asyncio.run(scenario())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import Simulator
-from repro.sim.faults import (
+from repro.core.faults import (
     DROP,
     CrashEvent,
     FaultAction,
@@ -17,7 +17,7 @@ from repro.sim.faults import (
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 from repro.sim.process import Process
-from repro.sim.rng import RngStream
+from repro.core.rng import RngStream
 
 
 class Sink(Process):

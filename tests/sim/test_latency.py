@@ -9,7 +9,7 @@ from repro.sim.latency import (
     PartialSynchronyLatency,
 )
 from repro.sim.regions import EU_REGIONS, WORLD_REGIONS
-from repro.sim.rng import RngStream
+from repro.core.rng import RngStream
 
 
 def test_constant_latency():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.monitor import ExecutionRecord, Monitor
+from repro.core.monitor import ExecutionRecord
+from repro.sim.monitor import Monitor
 
 
 def record(replica=0, view=1, block=b"b1", txs=10, proposed=0.0, executed=50.0):

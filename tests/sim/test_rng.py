@@ -1,6 +1,6 @@
 """Tests for seeded named RNG streams."""
 
-from repro.sim.rng import RngFactory, RngStream, derive_seed
+from repro.core.rng import RngFactory, RngStream, derive_seed
 
 
 def test_same_seed_same_name_same_draws():

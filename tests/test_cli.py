@@ -101,30 +101,6 @@ def test_profile_command(capsys):
     assert "wall s / sim s" in out
 
 
-def test_perf_write_and_check(tmp_path, capsys):
-    baseline = tmp_path / "bench.json"
-    code = main(
-        ["perf", "--write-baseline", "--baseline", str(baseline), "--quick",
-         "--jobs", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert baseline.exists()
-    assert "cache_speedup" in out
-    # Checking against the just-written baseline on the same machine must
-    # not report a pathological regression (generous threshold).
-    code = main(["perf", "--check", "--baseline", str(baseline), "--jobs", "1",
-                 "--threshold", "10.0"])
-    out = capsys.readouterr().out
-    assert "cells compared" in out
-
-
-def test_perf_check_without_baseline(tmp_path, capsys):
-    code = main(["perf", "--check", "--baseline", str(tmp_path / "missing.json")])
-    assert code == 2
-    assert "no baseline" in capsys.readouterr().err
-
-
 def test_parser_rejects_unknown_protocol():
     parser = build_parser()
     with pytest.raises(SystemExit):
