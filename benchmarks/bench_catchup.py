@@ -5,7 +5,7 @@ makes every replica's availability matter more - so how fast a crashed
 replica becomes a useful quorum member again is a first-class metric.
 This benchmark crashes one replica, lets the cluster commit ``missed``
 more views, recovers it and measures the simulated time until it is
-back inside ``catchup_view_gap`` of the frontier.
+back inside ``CATCHUP_VIEW_GAP`` of the frontier.
 
 Two transfer strategies are compared under the same miss count:
 
@@ -24,6 +24,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.costs import CostModel
+from repro.protocols.replica import CATCHUP_VIEW_GAP
 from repro.runtime.sim import ConsensusSystem
 
 #: Views the victim sits out, per scale (see conftest.SCALE).
@@ -62,9 +63,9 @@ def run_rejoin(missed: int, interval: int, seed: int = 11) -> dict:
     deadline = t0 + missed * REJOIN_BOUND_MS_PER_VIEW
     while system.sim.now < deadline:
         system.sim.run(until=system.sim.now + 500.0)
-        if recovered.view_lag() <= config.catchup_view_gap:
+        if recovered.view_lag() <= CATCHUP_VIEW_GAP:
             break
-    assert recovered.view_lag() <= config.catchup_view_gap, "never rejoined"
+    assert recovered.view_lag() <= CATCHUP_VIEW_GAP, "never rejoined"
     assert system.oracle.safe
     return {
         "rejoin_ms": system.sim.now - t0,

@@ -3,16 +3,15 @@
 Unlike the figure benchmarks (which measure *simulated* time), these
 time the actual Python implementations: the from-scratch Schnorr scheme
 over both parameter sets, the HMAC simulation scheme, the canonical
-field encoding that underlies every signature payload, and the three
-ways a 2f+1-signature quorum certificate can be checked - per signature,
-jointly via the batch equation, and sharded across worker processes.
+field encoding that underlies every signature payload, and the two
+ways a 2f+1-signature quorum certificate can be checked - per signature
+and jointly via the batch equation.
 """
 
 import pytest
 
 from repro.crypto.hashing import encode_fields, hash_fields
 from repro.crypto.hmac_scheme import HmacScheme
-from repro.crypto.pool import VerifyPool, available_cpus
 from repro.crypto.schnorr import GROUP_2048, GROUP_TEST, SchnorrScheme
 
 MESSAGE = b"damysus-benchmark-message"
@@ -94,17 +93,6 @@ def test_qc_verify_per_sig(benchmark, qc_pairs, f):
 def test_qc_verify_batch(benchmark, qc_pairs, f):
     scheme, pairs = qc_pairs[f]
     outcomes = benchmark(lambda: scheme.verify_many(pairs))
-    assert all(outcomes)
-
-
-@pytest.mark.parametrize("f", QUORUM_THRESHOLDS)
-def test_qc_verify_sharded(benchmark, qc_pairs, f):
-    if available_cpus() < 2:
-        pytest.skip("sharded verification needs at least 2 cores")
-    scheme, pairs = qc_pairs[f]
-    with VerifyPool(scheme, jobs=0, chunk=8) as pool:
-        pool.verify_many(pairs[:1])  # absorb worker start-up cost
-        outcomes = benchmark(lambda: pool.verify_many(pairs))
     assert all(outcomes)
 
 

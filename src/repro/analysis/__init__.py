@@ -31,9 +31,7 @@ from repro.analysis.metrics import (
     summarize_runs,
     throughput_increase_percent,
 )
-from repro.analysis.regression import RegressionReport, compare_files, compare_results
 from repro.analysis.schedule_fuzz import FuzzOutcome, fuzz
-from repro.analysis.traces import TraceCollector, ViewTrace
 
 __all__ = [
     "ChaosReport",
@@ -53,11 +51,6 @@ __all__ = [
     "latency_decrease_percent",
     "predict_latency",
     "LatencyPrediction",
-    "TraceCollector",
-    "ViewTrace",
     "fuzz",
     "FuzzOutcome",
-    "compare_results",
-    "compare_files",
-    "RegressionReport",
 ]

@@ -1,6 +1,5 @@
 """Benchmark harness: regenerates every table and figure of Section 8.
 
-* :mod:`~repro.bench.workload` - workload descriptions (payloads, blocks).
 * :mod:`~repro.bench.runner` - runs (protocol x f x deployment) cells with
   repetitions and aggregates them.
 * :mod:`~repro.bench.experiments` - one function per paper artefact:
@@ -25,10 +24,8 @@ from repro.bench.experiments import (
 )
 from repro.bench.runner import ExperimentRunner
 from repro.bench.reporting import format_table
-from repro.bench.workload import Workload
 
 __all__ = [
-    "Workload",
     "ExperimentRunner",
     "ExperimentReport",
     "format_table",

@@ -221,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--fault-spec", default=None, metavar="PATH",
                          help="FaultPlan rules_spec JSON applied to outbound "
                          "frames; re-read when its mtime changes")
-    serve_p.add_argument("--verify-jobs", type=int, default=1, metavar="N",
-                         help="worker processes for inbound signature "
-                         "verification (0 = one per core, 1 = inline)")
 
     net_p = sub.add_parser(
         "net-bench", help="run a localhost TCP cluster and report committed tx/s"
@@ -245,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     net_p.add_argument("--adversary", default=None, metavar="NAME",
                        help="seat the named registered attack at its default "
                        "pids; honest replicas must stay safe and live")
-    net_p.add_argument("--verify-jobs", type=int, default=1, metavar="N",
-                       help="worker processes for inbound signature "
-                       "verification (0 = one per core, 1 = inline)")
 
     load_p = sub.add_parser(
         "load",
@@ -637,7 +631,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 health_file=args.health_file,
                 health_interval_s=args.health_interval,
                 fault_spec=args.fault_spec,
-                verify_jobs=args.verify_jobs,
             )
         )
     except KeyboardInterrupt:
@@ -712,7 +705,6 @@ def _cmd_net_bench(args: argparse.Namespace) -> int:
             max_timeout_ms=args.max_timeout_ms,
             timeout_jitter=args.timeout_jitter,
             adversary=args.adversary,
-            verify_jobs=args.verify_jobs,
         )
     )
     print(f"protocol           {report.protocol}")
@@ -725,8 +717,6 @@ def _cmd_net_bench(args: argparse.Namespace) -> int:
     print(f"messages / bytes   {report.messages_sent} / {report.bytes_sent}")
     if report.dropped_messages:
         print(f"dropped frames     {report.dropped_messages}")
-    if report.prechecked_sigs:
-        print(f"prechecked sigs    {report.prechecked_sigs} (off event loop)")
     return 0 if report.committed_blocks > 0 else 1
 
 

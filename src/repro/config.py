@@ -25,15 +25,12 @@ class SystemConfig:
     block_size: int = 400  # transactions per block (paper: 400)
     seed: int = 1
     regions: RegionMap = EU_REGIONS
-    bandwidth_bytes_per_ms: float = 125_000.0  # ~1 Gbit/s links
-    latency_jitter: float = 0.05
     fifo_links: bool = False  # TCP-like per-link ordering
     # Constant-size quorum certificates via threshold signatures (original
     # HotStuff style) instead of ECDSA signature lists (DAMYSUS-impl
     # style).  Supported by basic HotStuff.
     compact_qcs: bool = False
     timeout_ms: float = 2_000.0  # pacemaker base view timeout
-    timeout_backoff: float = 2.0  # exponential factor on timeout
     timeout_jitter: float = 0.0  # +/- fraction of seeded pacemaker jitter (0 = off)
     max_timeout_ms: float = 0.0  # backoff ceiling (0 = 4x the base timeout)
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
@@ -53,19 +50,13 @@ class SystemConfig:
     mempool_max_txs: int = 100_000  # resident-transaction cap
     mempool_max_bytes: int = 0  # resident-byte cap (0 = unbounded)
     max_block_bytes: int = 0  # per-proposal byte cap (0 = unbounded)
-    mempool_high_watermark: float = 0.9  # fill fraction engaging backpressure
-    mempool_low_watermark: float = 0.7  # fill fraction releasing it
     sender_rate_limit: float = 0.0  # admitted txs/ms per sender (0 = off)
     sender_rate_burst: float = 32.0  # token-bucket burst capacity
     # -- checkpoints & state transfer ------------------------------------
     checkpoint_interval: int = 0  # certify a checkpoint every N commits (0 = off)
-    catchup_view_gap: int = 8  # views behind the frontier before catching up
     sync_chunk_blocks: int = 64  # max blocks per SyncBlocks response
     sync_min_interval_ms: float = 50.0  # per-peer rate limit when serving sync
     catchup_timeout_ms: float = 500.0  # initial catch-up retry timeout
-    catchup_backoff: float = 2.0  # exponential factor on catch-up retry
-    catchup_max_timeout_ms: float = 5_000.0  # retry timeout ceiling
-    catchup_jitter: float = 0.25  # +/- fraction of seeded retry jitter
     catchup_max_retries: int = 25  # give up (and wait for operator) after this
 
     def __post_init__(self) -> None:
@@ -93,24 +84,16 @@ class SystemConfig:
             raise ConfigError("mempool_max_txs must be positive")
         if self.mempool_max_bytes < 0 or self.max_block_bytes < 0:
             raise ConfigError("byte caps must be non-negative (0 = unbounded)")
-        if not 0.0 < self.mempool_low_watermark <= self.mempool_high_watermark <= 1.0:
-            raise ConfigError("watermarks must satisfy 0 < low <= high <= 1")
         if self.sender_rate_limit < 0:
             raise ConfigError("sender_rate_limit must be non-negative")
         if self.sender_rate_burst < 1:
             raise ConfigError("sender_rate_burst must be at least 1")
-        if self.catchup_view_gap < 1:
-            raise ConfigError("catchup_view_gap must be at least 1")
         if self.sync_chunk_blocks < 1:
             raise ConfigError("sync_chunk_blocks must be positive")
         if self.sync_min_interval_ms < 0:
             raise ConfigError("sync_min_interval_ms must be non-negative")
-        if self.catchup_timeout_ms <= 0 or self.catchup_max_timeout_ms < self.catchup_timeout_ms:
-            raise ConfigError("catch-up timeouts must be positive and ordered")
-        if self.catchup_backoff < 1.0:
-            raise ConfigError("catchup_backoff must be at least 1")
-        if not 0.0 <= self.catchup_jitter < 1.0:
-            raise ConfigError("catchup_jitter must be in [0, 1)")
+        if self.catchup_timeout_ms <= 0:
+            raise ConfigError("catchup_timeout_ms must be positive")
         if self.catchup_max_retries < 1:
             raise ConfigError("catchup_max_retries must be at least 1")
 
@@ -127,18 +110,10 @@ class NetConfig:
     """Transport tuning for the asyncio TCP runtime.
 
     The :class:`SystemConfig` describes the *protocol* deployment; this
-    describes one host's socket behaviour: reconnect backoff (with
-    seeded jitter so a thundering herd of reconnecting peers decorrelates
-    deterministically), outbound queue bounds and overflow policy, and
-    the hostile-input frame cap.  Defaults match the historical module
-    constants of :mod:`repro.runtime.asyncio_net`.
+    describes one host's socket behaviour: outbound queue bounds and
+    overflow policy, and the hostile-input frame cap.
     """
 
-    reconnect_initial_s: float = 0.05
-    reconnect_max_s: float = 1.0
-    #: +/- fraction of seeded jitter applied to every backoff sleep
-    #: (0 = deterministic exponential backoff, the historical behaviour).
-    reconnect_jitter: float = 0.25
     #: Outbound frames queued per peer before the overflow policy runs.
     max_outbound_queue: int = 10_000
     overflow_policy: str = "drop-oldest"
@@ -146,12 +121,6 @@ class NetConfig:
     max_frame_bytes: int = 4 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.reconnect_initial_s <= 0:
-            raise ConfigError("reconnect_initial_s must be positive")
-        if self.reconnect_max_s < self.reconnect_initial_s:
-            raise ConfigError("reconnect_max_s must be >= reconnect_initial_s")
-        if not 0.0 <= self.reconnect_jitter < 1.0:
-            raise ConfigError("reconnect_jitter must be in [0, 1)")
         if self.max_outbound_queue < 1:
             raise ConfigError("max_outbound_queue must be positive")
         if self.overflow_policy not in OVERFLOW_POLICIES:

@@ -53,11 +53,6 @@ class HmacScheme(SignatureScheme):
         self._bases[signer] = hmac.new(key, None, hashlib.sha256)
         self._forget_cached_verifications()
 
-    def replication_spec(self) -> dict[str, object]:
-        # HMAC is symmetric: the worker clone needs the shared secret and
-        # the registered signer set to rebuild an identical key directory.
-        return {"kind": self.name, "secret": self._secret, "signers": sorted(self._keys)}
-
     def _mac(self, signer: int, message: bytes) -> bytes | None:
         base = self._bases.get(signer)
         if base is None:

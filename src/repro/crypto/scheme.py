@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 #: Wire size we account for one signature, matching ECDSA/prime256v1 (64 B).
 SIGNATURE_WIRE_SIZE = 64
@@ -139,19 +139,6 @@ class SignatureScheme:
         """Probe the memo without computing: the outcome, or ``None`` on miss."""
         return self._verify_cache.get((signature.signer, message, signature.data))
 
-    def prime_verification(
-        self, pairs: Iterable[VerifyPair], outcomes: Iterable[bool]
-    ) -> None:
-        """Install externally computed outcomes into the memo.
-
-        Used by the process worker pool: workers verify against a
-        replicated public-key directory (verification is a pure function
-        of the key directory, so worker results are identical to local
-        ones), and the event-loop thread primes its memo with them.
-        """
-        for (message, sig), outcome in zip(pairs, outcomes):
-            self._remember((sig.signer, message, sig.data), outcome)
-
     def _forget_cached_verifications(self) -> None:
         """Drop memoized outcomes; called whenever the key directory changes."""
         self._verify_cache.clear()
@@ -191,13 +178,3 @@ class SignatureScheme:
         if len(signers) != len(signatures):
             return False
         return all(self.verify_many_cached([(message, sig) for sig in signatures]))
-
-    # -- worker-pool replication -----------------------------------------------
-
-    def replication_spec(self) -> dict[str, object]:
-        """A picklable description from which a *verifying* clone can be built.
-
-        The spec carries only what verification needs (public keys or MAC
-        keys); see :func:`repro.crypto.pool.build_scheme`.
-        """
-        raise NotImplementedError

@@ -42,6 +42,9 @@ from repro.tee.sealed import SealedState, SealManager
 #: Cap on buffered future-view messages per replica (Byzantine flood guard).
 MAX_BUFFERED_MESSAGES = 10_000
 
+#: Views behind the highest corroborated view before catch-up starts.
+CATCHUP_VIEW_GAP = 8
+
 #: Sentinel: ``recover()`` restores the snapshot taken by ``crash()``.
 _OWN_SNAPSHOT = object()
 
@@ -196,8 +199,6 @@ class BaseReplica(Machine):
             max_txs=config.mempool_max_txs,
             max_bytes=config.mempool_max_bytes,
             max_block_bytes=config.max_block_bytes,
-            high_watermark=config.mempool_high_watermark,
-            low_watermark=config.mempool_low_watermark,
             rate_limit_per_ms=config.sender_rate_limit,
             rate_burst=config.sender_rate_burst,
         )
@@ -209,7 +210,6 @@ class BaseReplica(Machine):
         self.pacemaker = Pacemaker(
             self,
             config.timeout_ms,
-            config.timeout_backoff,
             on_timeout=self._on_pacemaker_timeout,
             max_timeout_ms=config.max_timeout_ms or None,
             jitter_fraction=config.timeout_jitter,
@@ -624,7 +624,7 @@ class BaseReplica(Machine):
         """
         if self.config.checkpoint_interval <= 0:
             return
-        if self._highest_view_seen - self.view >= self.config.catchup_view_gap:
+        if self._highest_view_seen - self.view >= CATCHUP_VIEW_GAP:
             self.catchup.start()
 
     # -- view advancement -----------------------------------------------------------

@@ -41,6 +41,14 @@ if TYPE_CHECKING:
     from repro.protocols.replica import BaseReplica
     from repro.runtime.machine import MachineTimer
 
+#: Catch-up retry schedule: the timeout starts at
+#: ``SystemConfig.catchup_timeout_ms``, grows by this factor per expiry up
+#: to the ceiling, and every armed timer is perturbed by +/- this
+#: fraction of seeded jitter.
+CATCHUP_BACKOFF = 2.0
+CATCHUP_MAX_TIMEOUT_MS = 5_000.0
+CATCHUP_JITTER = 0.25
+
 
 @dataclass(frozen=True, slots=True)
 class SyncRequest:
@@ -205,7 +213,7 @@ class CatchUpClient:
 
     def _arm_timer(self) -> None:
         self._cancel_timer()
-        delay = self._rng.jitter(self._timeout_ms, self.machine.config.catchup_jitter)
+        delay = self._rng.jitter(self._timeout_ms, CATCHUP_JITTER)
         self._timer = self.machine.set_timer(delay, self._on_timeout)
 
     def _cancel_timer(self) -> None:
@@ -224,8 +232,5 @@ class CatchUpClient:
             self.peer = None
             self.machine.drop_sync_session()
             return
-        self._timeout_ms = min(
-            self._timeout_ms * self.machine.config.catchup_backoff,
-            self.machine.config.catchup_max_timeout_ms,
-        )
+        self._timeout_ms = min(self._timeout_ms * CATCHUP_BACKOFF, CATCHUP_MAX_TIMEOUT_MS)
         self._send_request()

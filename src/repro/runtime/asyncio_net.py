@@ -29,9 +29,8 @@ Resilience hooks (all optional, see :mod:`repro.runtime.resilience`):
   sealed checker state before any frame leaves the host, so a SIGKILLed
   process restarts without ever being able to re-sign a lower step;
 * :class:`~repro.config.NetConfig` bounds the runtime's appetite:
-  per-peer outbound queues with an explicit overflow policy and counter,
-  a max-frame-size guard that disconnects instead of buffering, and
-  jittered (seeded) reconnect backoff.
+  per-peer outbound queues with an explicit overflow policy and counter
+  and a max-frame-size guard that disconnects instead of buffering.
 
 Outbound connections are lazy with exponential reconnect backoff; each
 starts with a hello frame naming the sender pid so the acceptor can
@@ -55,7 +54,6 @@ from repro.core.codec import CodecError, decode_message, encode_message
 from repro.core.rng import RngStream
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
-from repro.crypto.pool import VerifyPool, resolve_verify_jobs
 from repro.errors import ConfigError, TEERefusal
 from repro.protocols.registry import ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica
@@ -76,7 +74,6 @@ from repro.runtime.framing import (
     encode_hello,
 )
 from repro.runtime.machine import Machine
-from repro.runtime.precheck import signature_checks
 from repro.runtime.resilience.durable import DurableSealer
 from repro.runtime.resilience.transport import FaultDecider
 from repro.runtime.resilience.watchdog import LivenessWatchdog
@@ -84,14 +81,13 @@ from repro.tee.sealed import FileSealStore
 
 _LOG = logging.getLogger("repro.net")
 
-#: Reconnect backoff bounds for outbound peer connections (seconds).
-#: Kept as module constants for callers that predate :class:`NetConfig`;
-#: the dataclass defaults mirror them.
+#: Reconnect backoff for outbound peer connections: doubling from the
+#: initial sleep to the ceiling (seconds), each sleep perturbed by +/-
+#: this fraction of seeded jitter so a herd of reconnecting peers
+#: decorrelates deterministically.
 RECONNECT_INITIAL_S = 0.05
 RECONNECT_MAX_S = 1.0
-
-#: Outbound frames queued per peer before the overflow policy applies.
-MAX_OUTBOUND_QUEUE = 10_000
+RECONNECT_JITTER = 0.25
 
 _RECV_CHUNK = 64 * 1024
 
@@ -129,7 +125,6 @@ class AsyncioRuntime:
         net: NetConfig | None = None,
         fault_decider: FaultDecider | None = None,
         sealer: DurableSealer | None = None,
-        verify_pool: VerifyPool | None = None,
     ) -> None:
         self.machine = machine
         machine.runtime = self
@@ -138,12 +133,6 @@ class AsyncioRuntime:
         self.net = net or NetConfig()
         self.fault_decider = fault_decider
         self.sealer = sealer
-        # Optional multi-core signature pre-verification: inbound frames
-        # have their signatures checked in worker processes before the
-        # machine sees them, priming the scheme's memo (pure, so results
-        # are bit-identical to inline verification).  Shared across the
-        # runtimes of a local cluster; the creator owns close().
-        self.verify_pool = verify_pool
         self.peers: dict[int, tuple[str, int]] = {}
         self._server: asyncio.Server | None = None
         self._queues: dict[int, _Outbox] = {}
@@ -162,7 +151,6 @@ class AsyncioRuntime:
         self.sent_bytes = 0
         self.dropped_messages = 0  # outbound queue overflow (either policy)
         self.rejected_connections = 0  # malformed hello / framing violations
-        self.prechecked_sigs = 0  # signatures verified off the event loop
         self.committed_blocks = 0
         self.committed_txs = 0
         self.commit_event = asyncio.Event()
@@ -331,8 +319,6 @@ class AsyncioRuntime:
         self._delayed.add(handle)
 
     def _backoff_jitter(self, dest: int, backoff: float) -> float:
-        if self.net.reconnect_jitter <= 0.0:
-            return backoff
         rng = self._reconnect_rng.get(dest)
         if rng is None:
             # Client machines carry no SystemConfig; their backoff
@@ -343,7 +329,7 @@ class AsyncioRuntime:
                 f"reconnect:{self.machine.pid}->{dest}",
             )
             self._reconnect_rng[dest] = rng
-        return rng.jitter(backoff, self.net.reconnect_jitter)
+        return rng.jitter(backoff, RECONNECT_JITTER)
 
     async def _sender_loop(self, dest: int, outbox: _Outbox) -> None:
         """Drain ``outbox`` to ``dest``, reconnecting with jittered backoff.
@@ -355,16 +341,16 @@ class AsyncioRuntime:
         backlog waits in the outbox, where the overflow policy can still
         shed it, and not in the transport, where it cannot.
         """
-        backoff = self.net.reconnect_initial_s
+        backoff = RECONNECT_INITIAL_S
         while not self._closed:
             try:
                 host, port = self.peers[dest]
                 _reader, writer = await asyncio.open_connection(host, port)
             except (OSError, KeyError):
                 await asyncio.sleep(self._backoff_jitter(dest, backoff))
-                backoff = min(backoff * 2, self.net.reconnect_max_s)
+                backoff = min(backoff * 2, RECONNECT_MAX_S)
                 continue
-            backoff = self.net.reconnect_initial_s
+            backoff = RECONNECT_INITIAL_S
             try:
                 writer.write(encode_hello(self.machine.pid))
                 await writer.drain()
@@ -423,8 +409,6 @@ class AsyncioRuntime:
                         self.dropped_messages += 1
                         continue
                     payload = decode_message(frame)
-                    if self.verify_pool is not None:
-                        await self._precheck(payload)
                     self.machine.on_message(sender, payload)
         except (FramingError, CodecError) as exc:
             # Malformed peer stream: disconnect, never buffer or guess.
@@ -444,30 +428,6 @@ class AsyncioRuntime:
             writer.close()
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
-
-    async def _precheck(self, payload: object) -> None:
-        """Verify ``payload``'s signatures in the worker pool, priming the memo.
-
-        Only pairs not already memoized are shipped to workers; the
-        outcomes are primed into the scheme's verification cache so the
-        machine's own ``verify_cached`` / ``verify_many_cached`` calls
-        hit it.  The protocol still performs every check it performed
-        before - this moves the algebra off the event loop, it never
-        skips or weakens a verification.
-        """
-        if self.verify_pool is None:
-            return
-        scheme = self.machine.scheme
-        pending = [
-            pair
-            for pair in signature_checks(payload)
-            if scheme.cached_verification(pair[0], pair[1]) is None
-        ]
-        if not pending:
-            return
-        outcomes = await self.verify_pool.verify_many_async(pending)
-        scheme.prime_verification(pending, outcomes)
-        self.prechecked_sigs += len(pending)
 
     # -- timers ------------------------------------------------------------
 
@@ -573,8 +533,6 @@ class ClusterReport:
     messages_sent: int
     bytes_sent: int
     dropped_messages: int
-    #: Signatures verified off the event loop by the shared VerifyPool.
-    prechecked_sigs: int = 0
     #: Per-replica executed block-hash chains (for equivalence checks).
     chains: dict[int, list[str]] = field(default_factory=dict)
     #: Per-replica rolling execution state roots (cross-runtime digests).
@@ -609,7 +567,6 @@ async def run_local_cluster(
     net: NetConfig | None = None,
     checkpoint_interval: int = 0,
     start_delay_s: dict[int, float] | None = None,
-    verify_jobs: int = 1,
     adversary: str | None = None,
     replica_overrides: dict[int, type] | None = None,
 ) -> ClusterReport:
@@ -627,16 +584,10 @@ async def run_local_cluster(
     their machines - the servers still bind immediately, so a delayed
     replica looks cleanly partitioned-from-genesis and must rejoin via
     state transfer once ``checkpoint_interval`` is on.
-
-    ``verify_jobs`` shards inbound signature verification across worker
-    processes (0 = one per core, 1 = inline).  All runtimes share one
-    pool - every replica holds the same key material - and results are
-    bit-identical to inline verification.
     """
     spec = get_spec(protocol)
     f, quorum = _sized_quorum(spec, n)
     clock = WallClock()
-    jobs = resolve_verify_jobs(verify_jobs)
     overrides: dict[int, type] = {}
     if adversary is not None:
         from repro.adversary.registry import get_adversary
@@ -665,11 +616,7 @@ async def run_local_cluster(
         )
         for pid in range(n)
     ]
-    pool = VerifyPool(machines[0].scheme, jobs=jobs) if jobs > 1 else None
-    runtimes = [
-        AsyncioRuntime(machine, host=host, net=net, verify_pool=pool)
-        for machine in machines
-    ]
+    runtimes = [AsyncioRuntime(machine, host=host, net=net) for machine in machines]
     # Phase 1: bind every server on an ephemeral port; phase 2: exchange
     # the real addresses.  No fixed ports, so parallel CI runs never race.
     addresses = {}
@@ -710,8 +657,6 @@ async def run_local_cluster(
             await asyncio.gather(*late_tasks, return_exceptions=True)
         for runtime in runtimes:
             await runtime.close()
-        if pool is not None:
-            pool.close()
     return ClusterReport(
         protocol=protocol,
         num_replicas=n,
@@ -723,7 +668,6 @@ async def run_local_cluster(
         messages_sent=sum(rt.sent_messages for rt in runtimes),
         bytes_sent=sum(rt.sent_bytes for rt in runtimes),
         dropped_messages=sum(rt.dropped_messages for rt in runtimes),
-        prechecked_sigs=sum(rt.prechecked_sigs for rt in runtimes),
         chains={
             rt.machine.pid: [block.hash.hex() for block in rt.machine.ledger.executed]
             for rt in runtimes
@@ -790,7 +734,6 @@ async def serve_replica(
     health_file: str | Path | None = None,
     health_interval_s: float = 0.5,
     fault_spec: str | Path | None = None,
-    verify_jobs: int = 1,
 ) -> AsyncioRuntime:
     """Run one replica of a fixed-port deployment (``repro serve``).
 
@@ -810,9 +753,6 @@ async def serve_replica(
     * ``fault_spec`` - a :meth:`~repro.core.faults.FaultPlan.rules_spec`
       file applied to outbound frames, re-read whenever its mtime
       changes (live partition/heal without restarting processes).
-    * ``verify_jobs`` - shard inbound signature verification across
-      worker processes (0 = one per core, 1 = inline); bit-identical
-      results.
 
     ``adversary`` runs *this* replica as the named registered attack
     (the same sans-I/O Machine the simulator seats); which pid plays
@@ -870,8 +810,6 @@ async def serve_replica(
                 pid,
                 machine.checker.step.view,
             )
-    jobs = resolve_verify_jobs(verify_jobs)
-    pool = VerifyPool(machine.scheme, jobs=jobs) if jobs > 1 else None
     runtime = AsyncioRuntime(
         machine,
         host=host,
@@ -879,7 +817,6 @@ async def serve_replica(
         net=net,
         fault_decider=decider,
         sealer=sealer,
-        verify_pool=pool,
     )
     await runtime.start_server()
     runtime.set_peers({peer: (host, base_port + peer) for peer in range(n)})
@@ -935,7 +872,6 @@ async def serve_replica(
                 ),
                 "dropped_messages": runtime.dropped_messages,
                 "rejected_connections": runtime.rejected_connections,
-                "prechecked_sigs": runtime.prechecked_sigs,
                 "mempool": machine.mempool.stats(),
                 "faults": {} if decider is None else decider.counts(),
                 "watchdog": watchdog.snapshot(now_ms).to_dict(),
@@ -979,6 +915,4 @@ async def serve_replica(
         if aux_tasks:
             await asyncio.gather(*aux_tasks, return_exceptions=True)
         await runtime.close()
-        if pool is not None:
-            pool.close()
     return runtime

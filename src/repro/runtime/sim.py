@@ -176,13 +176,7 @@ class ConsensusSystem:
         placement = self.config.regions.assign_round_robin(
             self.num_replicas + self.config.num_clients
         )
-        matrix = MatrixLatency(
-            self.config.regions,
-            placement,
-            self.rng.stream("latency"),
-            bandwidth=self.config.bandwidth_bytes_per_ms,
-            jitter=self.config.latency_jitter,
-        )
+        matrix = MatrixLatency(self.config.regions, placement, self.rng.stream("latency"))
         if self.config.gst_ms > 0:
             return PartialSynchronyLatency(
                 matrix,

@@ -3,7 +3,6 @@
 
 from repro.bench.reporting import format_table
 from repro.bench.runner import ExperimentRunner
-from repro.bench.workload import PAYLOAD_0B, PAYLOAD_256B, Workload
 
 
 def tiny_runner(**overrides):
@@ -37,13 +36,6 @@ def test_config_overrides_pass_through():
     config = runner.config_for("damysus", 1, seed=5, payload_bytes=128)
     assert config.payload_bytes == 128
     assert config.seed == 5
-
-
-def test_workload_sizes():
-    assert PAYLOAD_0B.tx_bytes == 40
-    assert PAYLOAD_256B.tx_bytes == 296
-    assert PAYLOAD_256B.block_bytes == 400 * 296
-    assert Workload(16, block_size=10).label() == "16B x 10tx"
 
 
 def test_format_table_alignment():

@@ -2,6 +2,8 @@
 answer other than the one ``verify`` / ``verify_many`` give beneath it."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.crypto.scheme as scheme_mod
 from repro.crypto.hmac_scheme import HmacScheme
@@ -58,18 +60,6 @@ def test_cache_never_exceeds_cap_plus_one(scheme, monkeypatch):
         assert len(scheme._verify_cache) <= 7
 
 
-def test_prime_verification_respects_cap(scheme, monkeypatch):
-    monkeypatch.setattr(scheme_mod, "_VERIFY_CACHE_MAX", 4)
-    pairs = []
-    for i in range(10):
-        message = f"primed-{i}".encode()
-        pairs.append((message, scheme.sign(1, message)))
-    scheme.prime_verification(pairs, [True] * len(pairs))
-    assert len(scheme._verify_cache) <= 5
-    # The most recent primed entries survived.
-    assert scheme.cached_verification(*pairs[-1]) is True
-
-
 def test_keygen_invalidates_memo(scheme):
     message = b"before-keygen"
     sig = scheme.sign(1, message)
@@ -86,15 +76,19 @@ def test_keygen_invalidates_memo(scheme):
 MEMO_STATES = ["after-keygen", "evicted", "miss", "hit", "bad", "remembered-bad"]
 
 
-@pytest.fixture(params=["hmac", "schnorr"])
-def any_scheme(request):
-    s = (
-        HmacScheme(secret=b"reference")
-        if request.param == "hmac"
-        else SchnorrScheme(GROUP_TEST)
-    )
+def make_scheme(kind):
+    s = HmacScheme(secret=b"reference") if kind == "hmac" else SchnorrScheme(GROUP_TEST)
     s.keygen(1)
     return s
+
+
+@pytest.fixture(params=["hmac", "schnorr"])
+def any_scheme(request):
+    return make_scheme(request.param)
+
+
+def corrupted(sig):
+    return Signature(sig.signer, sig.data[:-1] + bytes((sig.data[-1] ^ 1,)), sig.scheme)
 
 
 def pair_in_state(scheme, state, label=b"reference", new_signer=2):
@@ -103,7 +97,7 @@ def pair_in_state(scheme, state, label=b"reference", new_signer=2):
     message = label + b"/" + state.encode()
     sig = scheme.sign(1, message)
     if state in ("bad", "remembered-bad"):
-        sig = Signature(sig.signer, sig.data[:-1] + bytes((sig.data[-1] ^ 1,)), sig.scheme)
+        sig = corrupted(sig)
     if state in ("hit", "remembered-bad", "evicted", "after-keygen"):
         scheme.verify_cached(message, sig)
         assert scheme.cached_verification(message, sig) is (state != "remembered-bad")
@@ -140,13 +134,43 @@ def test_verify_many_cached_is_verify_many(any_scheme, state):
     assert [any_scheme.cached_verification(*pair) for pair in pairs] == expected
 
 
-def test_primed_outcome_is_believed_not_rechecked(scheme):
-    """``prime_verification`` installs what it is told: a bad signature primed
-    as valid reads valid.  That is the caller's lie, not the memo's - the one
-    caller (the worker pool) primes with ``verify_many`` outcomes computed
-    against the same key directory, which is what keeps the memo honest."""
-    message, sig = b"primed", Signature(1, b"\x00" * 32, HmacScheme.name)
-    assert not scheme.verify(message, sig)
-    scheme.prime_verification([(message, sig)], [True])
-    assert scheme.verify_cached(message, sig) is True
-    assert scheme.verify_many_cached([(message, sig)]) == [True]
+#: One memoising call: which entry point, over which message, with
+#: (signer, corrupt?) signatures.  Signer 2 is registered by the test, signer
+#: 3 never is.
+MEMO_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(["verify_cached", "verify_many_cached", "verify_all"]),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=4),
+    ),
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("kind", ["hmac", "schnorr"])
+@settings(max_examples=40, deadline=None)
+@given(calls=MEMO_CALLS)
+def test_memo_holds_only_what_the_scheme_itself_computed(kind, calls):
+    """No entry point takes a verdict from outside (``prime_verification`` and
+    ``replication_spec`` are gone), so whatever mix of memoising calls ran,
+    every remembered outcome is ``verify`` of its own key."""
+    scheme = make_scheme(kind)
+    scheme.keygen(2)
+    for gone in ("prime_verification", "replication_spec"):
+        assert not hasattr(scheme, gone)
+    for method, index, signers in calls:
+        message = f"memo-{index}".encode()
+        sigs = []
+        for signer, corrupt in signers:
+            sig = scheme.sign(min(signer, 2), message)
+            sig = Signature(signer, sig.data, sig.scheme)
+            sigs.append(corrupted(sig) if corrupt else sig)
+        if method == "verify_cached":
+            for sig in sigs:
+                scheme.verify_cached(message, sig)
+        elif method == "verify_many_cached":
+            scheme.verify_many_cached([(message, sig) for sig in sigs])
+        else:
+            scheme.verify_all(message, sigs)
+    for (signer, message, data), outcome in scheme._verify_cache.items():
+        assert outcome is scheme.verify(message, Signature(signer, data, scheme.name))

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.chaos import monotone_prefixes_ok
 from repro.core.executor import fold_state_root
 from repro.errors import TEERefusal
+from repro.protocols.replica import CATCHUP_VIEW_GAP
 from repro.runtime.sim import ConsensusSystem
 from repro.tee.checkpoint import verify_checkpoint
 from tests.conftest import small_config
@@ -101,7 +102,7 @@ def test_replica_partitioned_for_10k_views_rejoins():
     assert recovered.ledger.state_root == canonical_root_at(
         system, recovered.ledger.height()
     )
-    assert recovered.view_lag() <= system.config.catchup_view_gap
+    assert recovered.view_lag() <= CATCHUP_VIEW_GAP
     assert system.oracle.safe
     assert monotone_prefixes_ok(system)
 
@@ -243,7 +244,7 @@ def test_single_peer_cannot_inflate_view_lag():
     assert not replica.catchup.active
     byzantine_view = replica.view + 10_000
     replica._buffer(byzantine_view, 1, None)
-    assert replica.view_lag() < system.config.catchup_view_gap
+    assert replica.view_lag() < CATCHUP_VIEW_GAP
     assert not replica.catchup.active
     # A second distinct sender corroborates the claim (f+1 = 2 of 3).
     replica._buffer(byzantine_view, 2, None)

@@ -12,6 +12,13 @@ from tests.conftest import run_protocol
 
 ALL = PROTOCOL_ORDER
 
+#: Leader certificate fan-outs per committed view, by message type: Damysus'
+#: two phases against HotStuff's three.
+LEADER_CERTIFICATES = {
+    "damysus": {"damysus-prep-qc": 1, "damysus-decide": 1},
+    "hotstuff": {"qc": 3},
+}
+
 
 @pytest.mark.parametrize("protocol", ALL)
 def test_commits_blocks_safely(protocol):
@@ -63,6 +70,12 @@ def test_steady_state_message_counts_match_table1(protocol):
     per_view = sum(counts[v] for v in steady_views) / len(steady_views)
     span = {"chained-hotstuff": 4, "chained-damysus": 3}.get(protocol, 1)
     assert per_view * span == pytest.approx(expected_messages(protocol, f), rel=0.05)
+    # Each leader certificate goes to every replica; the view the run stopped
+    # in adds less than one view's worth, which the floor drops.
+    certificates = LEADER_CERTIFICATES.get(protocol, {})
+    by_type = system.monitor.messages_by_type
+    per_fan_out = result.num_replicas * len(system.monitor.committed_views())
+    assert {t: by_type[t] // per_fan_out for t in certificates} == certificates
 
 
 @pytest.mark.parametrize("protocol", ALL)

@@ -15,7 +15,7 @@ from repro.core.faults import DROP, FaultAction, FaultRule
 from repro.core.messages import BlockRequest, ClientReply
 from repro.runtime import asyncio_net
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock
-from repro.runtime.framing import FrameDecoder, encode_frame
+from repro.runtime.framing import FrameDecoder, encode_frame, encode_hello
 from repro.runtime.machine import Machine
 from repro.runtime.resilience.transport import FaultDecider
 
@@ -72,6 +72,20 @@ def _count_encodes(monkeypatch):
 
     monkeypatch.setattr(asyncio_net, "encode_message", counting)
     return calls
+
+
+def _count_feeds(monkeypatch):
+    """Frames per ``FrameDecoder.feed`` - per socket read - on the inbound side."""
+    feeds = []
+
+    class CountingDecoder(FrameDecoder):
+        def feed(self, data):
+            frames = super().feed(data)
+            feeds.append(len(frames))
+            return frames
+
+    monkeypatch.setattr(asyncio_net, "FrameDecoder", CountingDecoder)
+    return feeds
 
 
 def _capture_small_buffered_connections(monkeypatch):
@@ -201,15 +215,7 @@ def test_fault_decisions_stay_per_destination_over_a_shared_frame(monkeypatch):
 
 
 def test_a_burst_to_one_peer_arrives_in_order_in_fewer_reads(monkeypatch):
-    feeds = []
-
-    class CountingDecoder(FrameDecoder):
-        def feed(self, data):
-            frames = super().feed(data)
-            feeds.append(len(frames))
-            return frames
-
-    monkeypatch.setattr(asyncio_net, "FrameDecoder", CountingDecoder)
+    feeds = _count_feeds(monkeypatch)
     burst = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(200)]
 
     def script(machine):
@@ -228,6 +234,42 @@ def test_a_burst_to_one_peer_arrives_in_order_in_fewer_reads(monkeypatch):
         finally:
             for runtime in runtimes:
                 await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_one_segment_reaches_the_machine_whole_before_the_loop_turns(monkeypatch):
+    """The read loop's only ``await`` is the read: frames that arrive together
+    are all handed to ``on_message`` before anything the first of them put on
+    the loop with ``call_soon`` runs."""
+    feeds = _count_feeds(monkeypatch)
+    burst = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(16)]
+    delivered_when_the_loop_turned = []
+
+    class SchedulesOnFirstDelivery(Scripted):
+        def on_message(self, sender, payload):
+            super().on_message(sender, payload)
+            if len(self.received) == 1:
+                asyncio.get_running_loop().call_soon(
+                    lambda: delivered_when_the_loop_turned.append(len(self.received))
+                )
+
+    async def scenario():
+        runtime = AsyncioRuntime(SchedulesOnFirstDelivery(1, WallClock()))
+        host, port = await runtime.start_server()
+        runtime.start_machine()
+        _reader, writer = await asyncio.open_connection(host, port)
+        try:
+            frames = [encode_frame(asyncio_net.encode_message(msg)) for msg in burst]
+            writer.write(encode_hello(0) + b"".join(frames))  # under 1 KiB: one segment
+            await _until(lambda: bool(delivered_when_the_loop_turned))
+            assert feeds == [1 + len(burst)]  # the hello and the burst, one read
+            assert delivered_when_the_loop_turned == [len(burst)]
+            assert runtime.machine.received == [(0, msg) for msg in burst]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await runtime.close()
 
     asyncio.run(scenario())
 

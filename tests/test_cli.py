@@ -113,6 +113,19 @@ def test_parser_requires_command():
         parser.parse_args([])
 
 
+@pytest.mark.parametrize(
+    "argv", [["serve", "--pid", "0", "--n", "3"], ["net-bench", "--n", "3"]]
+)
+def test_removed_verify_jobs_flag_is_a_usage_error(argv, capsys):
+    """The sharded-verification flag is gone, not ignored."""
+    parser = build_parser()
+    parser.parse_args(argv)
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args([*argv, "--verify-jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --verify-jobs 2" in capsys.readouterr().err
+
+
 def test_campaign_list(capsys):
     code = main(["campaign", "--list"])
     out = capsys.readouterr().out
