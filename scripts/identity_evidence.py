@@ -13,12 +13,16 @@
   duplicating and delaying messages at once, around one crash and
   recovery (f = 1, 4 clients, 500 virtual ms) - as the SHA-256 of every
   ``(now, src, dst, msg_type, view)`` the tap saw plus the event, drop
-  and duplicate counts.
+  and duplicate counts;
+* ``rejoin``: per protocol, the views and executed heights of all
+  replicas at 9 s and 16 s of the ledger's crash shape (f = 1, 500 tx/s,
+  replica 1 down from 3 s to 8 s) and the requests answered by 10 s of
+  4 992 - whether a restarted replica still comes back level.
 
-``--quick`` keeps the smoke campaign, the chaos runs, ``sim-order`` and
-seed 1 of the ledger digests (about half a minute); CI uploads that half
-as an artifact.  Run it at two commits and diff the output: everything that
-has no clients must agree line for line.
+``--quick`` keeps the smoke campaign, the chaos runs, ``sim-order``,
+``rejoin`` and seed 1 of the ledger digests (under a minute); CI uploads
+that half as an artifact.  Run it at two commits and diff the output:
+everything that has no clients must agree line for line.
 """
 
 from __future__ import annotations
@@ -72,6 +76,32 @@ print(seen.hexdigest(), "events/dropped/duplicated", *counts)
 """
 
 
+#: Child program behind the ``rejoin`` lines; the protocol is ``argv[1]``.
+_REJOIN = """
+import dataclasses
+import sys
+
+from repro.bench.load import load_config
+from repro.core.faults import FaultPlan
+from repro.runtime.sim import ConsensusSystem
+
+config = load_config(sys.argv[1], rate_per_s=500.0, senders=16, f=1, seed=1, payload_bytes=256)
+system = ConsensusSystem(dataclasses.replace(config, client_total_txs=312), strict_safety=True)
+system.apply_fault_plan(FaultPlan().crash(1, at_ms=3_000.0, recover_at_ms=8_000.0))
+system.start()
+out = []
+for second in (9, 10, 16):
+    system.run(second * 1000.0 - system.sim.now)
+    if second == 10:
+        out.append(f"by 10 s {sum(len(c.completed) for c in system.clients)}")
+        continue
+    views = "/".join(str(r.view) for r in system.replicas)
+    heights = "/".join(str(r.ledger.height()) for r in system.replicas)
+    out.append(f"{second} s views {views} heights {heights}")
+print("  ".join(out), "safe" if system.oracle.safe else "UNSAFE")
+"""
+
+
 def _run(command: list[str]) -> str:
     """Standard output of one child of this interpreter, ``src/`` on its path."""
     env = dict(os.environ)
@@ -113,6 +143,10 @@ def sim_order(protocol: str) -> str:
     return _run(["-c", _SIM_ORDER, protocol]).strip()
 
 
+def rejoin(protocol: str) -> str:
+    return _run(["-c", _REJOIN, protocol]).strip()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -128,6 +162,8 @@ def main() -> int:
         print(f"chaos {protocol:18s} --seed 1  {chaos_sha(protocol)}", flush=True)
     for protocol in SIM_ORDER_PROTOCOLS:
         print(f"sim-order {protocol:14s} seed 1  {sim_order(protocol)}", flush=True)
+    for protocol in SPECS:
+        print(f"rejoin {protocol:17s} seed 1  {rejoin(protocol)}", flush=True)
     for seed in (1,) if args.quick else (1, 2, 3):
         for workload in SIM_WORKLOADS:
             print(f"ledger {workload:17s} seed {seed}  {ledger_digest(workload, seed)}",

@@ -10,8 +10,13 @@ out the faults, and scores the run with three oracles:
   execute conflicting blocks, and every executed sequence is a monotone
   slice of the canonical chain;
 * **LivenessOracle** - after every healing fault has ceased (the plan's
-  ``healed_by_ms``; GST for partitions), commits resume within a bounded
-  number of views;
+  ``healed_by_ms``: GST for partitions, the restart for a crash), commits
+  resume within a bounded number of views *and at a rate*: over the
+  next ``view_budget`` views, the correct replica that executes least
+  gains blocks per view at no less than :data:`LIVENESS_RATE_SHARE` of
+  what the clean baseline's laggard gains over the same stretch of time.
+  Per view, so a Byzantine leader's timeouts cost what they cost; the
+  laggard, so a replica that is back but never rejoins fails the cell;
 * **DegradationOracle** - throughput under attack versus a same-seed,
   same-duration clean run of the identical configuration, labelled
   ``minimal`` / ``moderate`` / ``severe``.
@@ -42,6 +47,10 @@ _CHUNK_MS = 100.0
 
 #: Region topologies a campaign can place replicas into.
 TOPOLOGIES: dict[str, RegionMap] = {"eu": EU_REGIONS, "world": WORLD_REGIONS}
+
+#: Share of the clean baseline's post-heal blocks per view that every
+#: correct replica must sustain.  One silent leader in n = 3 leaves 2/3.
+LIVENESS_RATE_SHARE = 0.5
 
 #: Degradation labels by attack/clean throughput ratio (inclusive lower
 #: bounds, consulted in order).  A ratio above 0.75 is noise-level.
@@ -98,6 +107,8 @@ class CampaignCell:
     # -- LivenessOracle -------------------------------------------------
     live_after_heal: bool
     views_to_recover: int | None  # view gap heal -> first fresh commit
+    commit_rate: float  # post-heal blocks per view, slowest correct replica
+    baseline_commit_rate: float  # the same, in the clean baseline
     healed_at_ms: float
     duration_ms: float  # virtual, deterministic
     # -- DegradationOracle ----------------------------------------------
@@ -129,7 +140,6 @@ class CampaignReport:
     """A full campaign: parameters, every scored cell, skipped combos."""
 
     seed: int
-    settle_views: int
     view_budget: int
     protocols: tuple[str, ...]
     adversaries: tuple[str, ...]
@@ -161,7 +171,6 @@ class CampaignReport:
             cells.append(entry)
         return {
             "seed": self.seed,
-            "settle_views": self.settle_views,
             "view_budget": self.view_budget,
             "protocols": list(self.protocols),
             "adversaries": list(self.adversaries),
@@ -185,7 +194,8 @@ class CampaignReport:
     def describe(self) -> str:
         header = (
             f"{'protocol':10s} {'adversary':11s} {'plan':6s} {'topo':6s} "
-            f"{'verdict':8s} {'degrade':9s} {'ratio':>6s} {'views':>5s} {'events':>7s}"
+            f"{'verdict':8s} {'degrade':9s} {'ratio':>6s} {'views':>5s} {'rate':>5s} "
+            f"{'events':>7s}"
         )
         lines = [header, "-" * len(header)]
         for cell in self.cells:
@@ -193,7 +203,8 @@ class CampaignReport:
             lines.append(
                 f"{cell.protocol:10s} {cell.adversary:11s} {cell.plan:6s} "
                 f"{cell.topology:6s} {cell.verdict:8s} {cell.degradation:9s} "
-                f"{cell.degradation_ratio:6.2f} {recover:>5s} {cell.attack_events:>7d}"
+                f"{cell.degradation_ratio:6.2f} {recover:>5s} {cell.commit_rate:5.2f} "
+                f"{cell.attack_events:>7d}"
             )
         for adversary, protocol in self.skipped:
             lines.append(f"{protocol:10s} {adversary:11s} (skipped: unsupported)")
@@ -238,6 +249,27 @@ def _commits(system: ConsensusSystem) -> int:
     return len({rec.block_hash for rec in system.monitor.executions})
 
 
+def _frontier(system: ConsensusSystem, attackers: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+    """Highest view, and executed height by pid, over the correct replicas that are up."""
+    correct = [r for r in system.replicas if r.pid not in attackers and not r.crashed]
+    return (
+        max((r.view for r in correct), default=0),
+        {r.pid: r.ledger.height() for r in correct},
+    )
+
+
+def _commit_rate(
+    system: ConsensusSystem,
+    attackers: tuple[int, ...],
+    at_heal: tuple[int, dict[int, int]],
+) -> tuple[int, float]:
+    """Views since ``at_heal``, and blocks per view gained by the slowest replica."""
+    view, heights = _frontier(system, attackers)
+    views = view - at_heal[0]
+    gained = min((heights[pid] - at_heal[1].get(pid, 0) for pid in heights), default=0)
+    return views, (gained / views if views else 0.0)
+
+
 def run_cell(
     protocol: str,
     spec: AdversarySpec,
@@ -245,7 +277,6 @@ def run_cell(
     topology: str,
     *,
     seed: int,
-    settle_views: int = 4,
     view_budget: int = 30,
     max_time_ms: float = 60_000.0,
     config_overrides: dict | None = None,
@@ -274,16 +305,17 @@ def run_cell(
     system.apply_fault_plan(plan)
     violation: str | None = None
     views_at_heal: set[int] = set()
+    at_heal = _frontier(system, seats)
     system.start()
     try:
         # Phase 1: ride out the attack window and any colluding faults.
         while system.sim.now < healed_at:
             system.sim.run(until=min(healed_at, system.sim.now + _CHUNK_MS))
         views_at_heal = set(system.monitor.committed_views())
-        # Phase 2 (LivenessOracle): fresh commits must arrive post-heal.
+        at_heal = _frontier(system, seats)
+        # Phase 2 (LivenessOracle): the next ``view_budget`` views.
         while system.sim.now < max_time_ms:
-            fresh = system.monitor.committed_views() - views_at_heal
-            if len(fresh) >= settle_views:
+            if _frontier(system, seats)[0] - at_heal[0] >= view_budget:
                 break
             if system.sim.pending == 0:
                 break
@@ -299,22 +331,28 @@ def run_cell(
     if fresh_views:
         frontier = max(views_at_heal) if views_at_heal else 0
         views_to_recover = min(fresh_views) - frontier
-    live = (
-        len(fresh_views) >= settle_views
-        and views_to_recover is not None
-        and views_to_recover <= view_budget
-    )
+    views_run, commit_rate = _commit_rate(system, seats, at_heal)
     duration_ms = system.sim.now
     commits = _commits(system)
 
     # DegradationOracle: the identical deployment, same seed, no
     # adversary and no colluding faults, run for the same virtual time.
+    # Its stretch from the heal on is the LivenessOracle's yardstick.
     baseline = ConsensusSystem(config, strict_safety=True)
     baseline.apply_fault_plan(merge_plans(base_plans()[plan_name], None))
     baseline.start()
+    baseline.sim.run(until=min(healed_at, duration_ms))
+    baseline_at_heal = _frontier(baseline, ())
     baseline.sim.run(until=duration_ms)
     baseline_commits = _commits(baseline)
     ratio = commits / baseline_commits if baseline_commits else 1.0
+    _, baseline_rate = _commit_rate(baseline, (), baseline_at_heal)
+    live = (
+        views_to_recover is not None
+        and views_to_recover <= view_budget
+        and views_run >= view_budget
+        and commit_rate >= LIVENESS_RATE_SHARE * baseline_rate
+    )
 
     return CampaignCell(
         protocol=protocol,
@@ -326,6 +364,8 @@ def run_cell(
         violation=violation,
         live_after_heal=live,
         views_to_recover=views_to_recover,
+        commit_rate=round(commit_rate, 4),
+        baseline_commit_rate=round(baseline_rate, 4),
         healed_at_ms=healed_at,
         duration_ms=duration_ms,
         commits=commits,
@@ -345,7 +385,6 @@ def run_campaign(
     plans: tuple[str, ...] = ("clean", "lossy"),
     topologies: tuple[str, ...] = ("eu", "world"),
     seed: int = 1,
-    settle_views: int = 4,
     view_budget: int = 30,
     max_time_ms: float = 60_000.0,
     config_overrides: dict | None = None,
@@ -365,7 +404,6 @@ def run_campaign(
             )
     report = CampaignReport(
         seed=seed,
-        settle_views=settle_views,
         view_budget=view_budget,
         protocols=tuple(protocols),
         adversaries=names,
@@ -387,7 +425,6 @@ def run_campaign(
                             plan_name,
                             topology,
                             seed=seed,
-                            settle_views=settle_views,
                             view_budget=view_budget,
                             max_time_ms=max_time_ms,
                             config_overrides=config_overrides,

@@ -162,11 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(_REGIONS), metavar="NAME")
     camp_p.add_argument("--seed", type=int, default=1,
                         help="keys every cell; same seed = bit-identical report")
-    camp_p.add_argument("--settle-views", type=int, default=4,
-                        help="fresh committed views required after healing")
     camp_p.add_argument("--view-budget", type=int, default=30,
-                        help="max view gap between heal and the first fresh "
-                        "commit before the LivenessOracle flags a stall")
+                        help="views scored after healing: the first fresh commit "
+                        "and at least half the clean baseline's blocks per view "
+                        "must fall inside them, or the LivenessOracle flags a stall")
     camp_p.add_argument("--timeout-ms", type=float, default=250.0,
                         help="pacemaker base view timeout")
     camp_p.add_argument("--max-timeout-ms", type=float, default=0.0,
@@ -539,7 +538,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             plans=tuple(args.plans),
             topologies=tuple(args.topologies),
             seed=args.seed,
-            settle_views=args.settle_views,
             view_budget=args.view_budget,
             config_overrides=dict(
                 timeout_ms=args.timeout_ms,

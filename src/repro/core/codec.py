@@ -393,6 +393,7 @@ def wire_table() -> tuple[Layout, ...]:
         row(SyncCheckpoint, 16, ("checkpoint", Checkpoint)),
         row(SyncBlocks, 17, ("start_height", I64), ("done", BOOL), ("tip_qc", Opt(Commitment)),
             ("blocks", Seq(Block))),
+        row(m.ViewAnnounce, 18, view),
     )
 
 

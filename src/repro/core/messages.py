@@ -189,6 +189,24 @@ class ChainedProposal:
 
 
 @dataclass(frozen=True, slots=True)
+class ViewAnnounce:
+    """A restarted replica telling every peer which view it came back in.
+
+    Unauthenticated and handled by no protocol: it is traffic stamped
+    with the sender's view, which is all the chassis' re-synchronisation
+    rule needs - a peer two or more views ahead answers it by re-sending
+    the last new-view message it sent.
+    """
+
+    view: int
+
+    msg_type = "view-announce"
+
+    def wire_size(self) -> int:
+        return MSG_HEADER_BYTES + 4
+
+
+@dataclass(frozen=True, slots=True)
 class BlockRequest:
     """Block-synchronization fetch: ask a peer for a block body by hash.
 

@@ -29,6 +29,11 @@ from repro.tee.accumulator import AccumulatorService
 from repro.tee.checker import ChainedChecker
 
 
+#: What may justify a chained block: the genesis certificate, a combined
+#: prepare commitment, or an accumulator.
+Certificate = QuorumCert | Commitment | Accumulator
+
+
 @dataclass(frozen=True)
 class ChainedVote:
     """Combined prepare-vote + new-view message to the next leader.
@@ -76,13 +81,9 @@ class ChainedDamysusReplica(BaseReplica):
         self.acc_service = AccumulatorService(
             self.pid, self.scheme, self.directory, self.quorum
         )
-        # qc_prep and the per-view block index survive a crash on stable
-        # storage (certificates and block bodies); the sealed checker
-        # carries the trusted prepared/step state.
-        self.qc_prep: QuorumCert | Commitment | Accumulator = genesis_qc(
-            self.store.genesis.hash
-        )
-        self.blocks: dict[int, Block] = {0: self.store.genesis}
+        # qc_prep survives a crash on stable storage, like the block
+        # store; the sealed checker carries the trusted prepared/step state.
+        self.qc_prep: Certificate = genesis_qc(self.store.genesis.hash)
 
     # -- helpers --------------------------------------------------------------------
 
@@ -91,34 +92,26 @@ class ChainedDamysusReplica(BaseReplica):
             return block.justify
         return genesis_qc(self.store.genesis.hash)
 
-    def _keep_stale_block(self, block: Block) -> None:
-        super()._keep_stale_block(block)
-        self.blocks.setdefault(block.view, block)
+    def _certified_block(self, qc: Certificate) -> Block | None:
+        """The block ``qc`` certifies, if its body is here."""
+        block = self.store.get(qc.hash) if qc.hash is not None else None
+        return block if block is not None and block.view == qc.view else None
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def start(self) -> None:
-        self.pacemaker.start_view(self.view)
-        # Startup consumes the TEE's (0, nv_p) step so every checker sits
-        # at (1, prep_p) when view 1's proposal arrives; the resulting
-        # commitment is the (unneeded) new-view message for view 1.
-        self.charge_tee(signs=1)
-        phi = self.checker.tee_sign()
-        self.send_charged(self.leader_of(1), ChainedVote(0, None, phi))
-        self._new_view_action()
-
     def _new_view_action(self) -> None:
-        """A leader holding the previous view's certificate proposes at once."""
-        self._try_propose(self.view)
-
-    def on_view_timeout(self, view: int) -> None:
-        # Votes double as new-views on the happy path; only a timeout
-        # sends an explicit one, after the shared advance.
-        super().on_view_timeout(view)
-        # Fig 5a lines 46-51.
+        """Fig 5a lines 46-51; a leader holding the previous view's certificate proposes."""
+        # Voting in view-1 already signed (view-1, nv_p) and the vote
+        # doubled as the new-view.  A view entered any other way - at
+        # start-up, by a timeout, by a jump - finds the checker short of
+        # that step: TEEsign up to it (so the checker sits at (view,
+        # prep_p) when the proposal arrives) and send the commitment.
         phi = self._tee_sign_new_view(self.checker, self.view - 1)
         if phi is not None:
-            self.send_charged(self.leader_of(self.view), ChainedVote(self.view - 1, None, phi))
+            self._send_new_view(
+                self.leader_of(self.view), ChainedVote(self.view - 1, None, phi)
+            )
+        self._try_propose(self.view)
 
     def on_recovered(self) -> None:
         # No rejoin action: a restarted leader has forgotten what it
@@ -128,7 +121,12 @@ class ChainedDamysusReplica(BaseReplica):
 
     # -- leader: proposing (Fig 5a lines 7-19) ------------------------------------------------
 
-    def _try_propose(self, view: int) -> None:
+    def _try_propose(self, view: int, trigger: tuple[int, Any] | None = None) -> None:
+        """Propose if leading ``view`` with a certificate from ``view - 1``.
+
+        ``trigger`` is the (sender, message) that prompted the attempt, if
+        one did: parked when the proposal only waits for a block body.
+        """
         if view in self._proposed or not self.is_leader(view):
             return
         if self.qc_prep.cview != view - 1:
@@ -142,15 +140,19 @@ class ChainedDamysusReplica(BaseReplica):
                 self.qc_prep = self.acc_service.accumulate(phis)
             except TEERefusal:
                 return
-        self._propose(view)
+        self._propose(view, trigger)
 
-    def _propose(self, view: int) -> None:
+    def _propose(self, view: int, trigger: tuple[int, Any] | None) -> None:
         qc = self.qc_prep
-        b0 = self.blocks.get(qc.view)
-        if b0 is None or qc.hash != b0.hash:
+        b0 = self._certified_block(qc)
+        if b0 is None:
+            # A leader that jumped here cannot extend a block it does not
+            # hold: take the trigger up again once it does.
+            if trigger is not None:
+                self._await_certified(qc, *trigger)
             return
         self._proposed.add(view)
-        block = self.blocks[view] = self._new_block(qc, view)
+        block = self._new_block(qc, view)
         self.charge_tee(signs=1, verifies=len(getattr(qc, "sigs", ()) or ()) or 1)
         try:
             phi_prep = self.checker.tee_prepare_chained(block, b0)
@@ -164,7 +166,7 @@ class ChainedDamysusReplica(BaseReplica):
         # new-view commitment goes to the next leader explicitly.
         self.charge_tee(signs=1)
         phi_nv = self.checker.tee_sign()
-        self.send_charged(self.leader_of(view + 1), ChainedVote(view, None, phi_nv))
+        self._send_new_view(self.leader_of(view + 1), ChainedVote(view, None, phi_nv))
 
     # -- all replicas: proposal processing (Fig 5a lines 21-38) ---------------------------------
 
@@ -175,12 +177,17 @@ class ChainedDamysusReplica(BaseReplica):
         qc = self._just_of(block)
         if msg.view != qc.cview + 1:
             return
-        b0 = self.blocks.get(qc.view)
-        if b0 is None or qc.hash != b0.hash:
+        # A replica that jumped here never saw the proposals of the views
+        # it skipped: fetch the two ancestors the rules below need, and
+        # take the proposal up again once they are here.
+        b0 = self._certified_block(qc)
+        if b0 is None:
+            self._await_certified(qc, sender, msg)
             return
         just0 = self._just_of(b0)
-        b1 = self.blocks.get(just0.view)
-        if b1 is None or just0.hash != b1.hash:
+        b1 = self._certified_block(just0)
+        if b1 is None:
+            self._await_certified(just0, sender, msg)
             return
         if sender == self.pid:
             # Own proposal: chain bookkeeping only, the vote already went out.
@@ -199,7 +206,6 @@ class ChainedDamysusReplica(BaseReplica):
                 return
             if not block.extends(qc.hash):
                 return
-            self.blocks[msg.view] = block
             self.store.add(block)
         next_leader = self.leader_of(msg.view + 1)
         if sender != self.pid and msg.view not in self._voted:
@@ -211,7 +217,7 @@ class ChainedDamysusReplica(BaseReplica):
                 phi = None
             if phi is not None:
                 phi_nv = self.checker.tee_sign()
-                self.send_charged(next_leader, ChainedVote(msg.view, phi, phi_nv))
+                self._send_new_view(next_leader, ChainedVote(msg.view, phi, phi_nv))
         if self.is_leader(msg.view + 1) and phi_leader is not None:
             # Extract the proposing leader's vote from the proposal.
             self._collect_vote(msg.view, phi_leader)
@@ -235,7 +241,7 @@ class ChainedDamysusReplica(BaseReplica):
                     self._collect_vote(msg.view, phi)
         # A stale leader may be able to propose now that new-views arrived.
         if self.view == msg.view + 1:
-            self._try_propose(self.view)
+            self._try_propose(self.view, (sender, msg))
 
     def _collect_vote(self, view: int, phi: Commitment) -> None:
         quorum = self._votes.add((view, phi.h_prep), phi, phi.sigs[0].signer)
@@ -244,6 +250,13 @@ class ChainedDamysusReplica(BaseReplica):
         self.qc_prep = c_combine(quorum)
         if self.view == view + 1:
             self._try_propose(self.view)
+
+    def _await_certified(self, qc: Certificate, sender: int, msg: Any) -> None:
+        """Park ``msg`` on the body ``qc`` names; dropped if that body is here."""
+        # Here under another view, the certificate is forged: no fetch
+        # could make it certify that block (:meth:`_await_block` refuses).
+        if qc.hash is not None:
+            self._await_block(qc.hash, sender, msg)
 
     # -- new-view commitment storage (for the stale-certificate path) --------------------------------
 

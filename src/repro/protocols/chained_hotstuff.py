@@ -66,7 +66,7 @@ class ChainedHotStuffReplica(BaseReplica):
         # Votes double as new-views on the happy path; only a timeout
         # sends an explicit one, after the shared advance.
         super().on_view_timeout(view)
-        self.send_charged(
+        self._send_new_view(
             self.leader_of(self.view), NewViewMsg(self.view, self.high_qc)
         )
 
@@ -140,7 +140,7 @@ class ChainedHotStuffReplica(BaseReplica):
             sig = self.scheme.sign(
                 self.pid, vote_payload(msg.view, Phase.PREPARE, block.hash)
             )
-            self.send_charged(
+            self._send_new_view(
                 self.leader_of(msg.view + 1),
                 VoteMsg(msg.view, Phase.PREPARE, block.hash, sig),
             )

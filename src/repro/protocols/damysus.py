@@ -67,7 +67,7 @@ class DamysusReplica(BaseReplica):
         """Fig 2a lines 41-47: TEEsign until stamped (view, nv_p), then send."""
         phi = self._tee_sign_new_view(self.checker, self.view)
         if phi is not None:
-            self.send_charged(self.leader_of(self.view), CommitmentMsg(phi, self.nv_kind))
+            self._send_new_view(self.leader_of(self.view), CommitmentMsg(phi, self.nv_kind))
 
     # -- prepare phase: leader ------------------------------------------------------------
 

@@ -56,17 +56,7 @@ class HotStuffReplica(SignatureVoteReplica):
 
     def _new_view_action(self) -> None:
         """Report the latest prepared block (unsigned: its QC speaks for itself)."""
-        self.send_charged(self.leader_of(self.view), NewViewMsg(self.view, self.prepare_qc))
-
-    def on_view_timeout(self, view: int) -> None:
-        # Advancing one view per timeout cannot re-synchronize replicas
-        # that drifted apart: at the backoff cap everyone moves at the
-        # same rate, so a stable multi-view offset (left behind by a
-        # crash or partition) persists and no quorum ever shares a view.
-        # Jump to the highest view corroborated by f+1 distinct senders
-        # - at least one of them honest - which is exactly the watermark
-        # behind-detection already maintains.
-        self.advance_view(max(view + 1, self._highest_view_seen))
+        self._send_new_view(self.leader_of(self.view), NewViewMsg(self.view, self.prepare_qc))
 
     # -- certificate representation ---------------------------------------------------
 

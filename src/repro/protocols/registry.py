@@ -161,16 +161,12 @@ PROTOCOL_ORDER = [
 CHASSIS_HOOKS = (
     "dispatch", "on_stale", "prune_state", "reset_protocol_state",
     "start", "on_view_entered", "on_view_timeout", "on_recovered",
-    "message_view", "_keep_stale_block", "_verify_qc", "_make_qc",
+    "message_view", "_verify_qc", "_make_qc",
 )
 
 #: Why each override exists: a genuine behavioural difference between the
 #: protocols, not scaffolding (``docs/protocols.md`` renders this list).
 HOOK_REASONS: dict[tuple[str, str], str] = {
-    ("hotstuff", "on_view_timeout"): (
-        "jumps to the highest view f+1 peers corroborate instead of advancing by one; "
-        "one-by-one never re-synchronises replicas a crash or partition left views apart"
-    ),
     ("hotstuff", "_verify_qc"): "also accepts compact (threshold-signature) certificates",
     ("hotstuff", "_make_qc"): "combines vote shares into one group signature under `compact_qcs`",
     ("fast-hotstuff", "on_view_entered"): (
@@ -178,26 +174,19 @@ HOOK_REASONS: dict[tuple[str, str], str] = {
         "path); `start()` and recovery take the new-view action only"
     ),
     ("chained-hotstuff", "on_view_timeout"): (
-        "after the shared advance, sends the explicit new-view (votes double as new-views "
-        "on the happy path)"
+        "after the shared advance, sends the explicit new-view with the highest certificate "
+        "(votes double as new-views on the happy path; without a checker there is no step "
+        "to tell a timed-out view from a voted one, so the send cannot live in the new-view "
+        "action as Chained-Damysus's does)"
     ),
     ("chained-hotstuff", "on_recovered"): (
         "no rejoin action: a restarted leader forgot what it proposed, re-proposing could "
         "equivocate; it rejoins on the next proposal or timeout"
     ),
-    ("chained-damysus", "start"): (
-        "first consumes the checker's (0, nv_p) step so every checker sits at (1, prep_p) "
-        "when view 1's proposal arrives"
-    ),
-    ("chained-damysus", "on_view_timeout"): (
-        "after the shared advance, TEE-signs up to (view-1, nv_p) and sends that new-view "
-        "commitment (Fig 5a lines 46-51)"
-    ),
     ("chained-damysus", "on_recovered"): (
         "no rejoin action: rejoins on the next proposal or timeout (the checker refuses a "
         "second prepare anyway)"
     ),
-    ("chained-damysus", "_keep_stale_block"): "also files a stale block in the per-view index",
 }
 
 

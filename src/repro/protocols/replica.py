@@ -26,7 +26,7 @@ from repro.core.executor import Ledger, SafetyOracle
 from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict, Transaction
 from repro.mempool.pool import PriorityMempool
 from repro.core.messages import BlockRequest, BlockResponse, ClientReply, ClientRequest
-from repro.core.messages import CommitmentMsg
+from repro.core.messages import CommitmentMsg, ViewAnnounce
 from repro.core.monitor import ExecutionMonitor
 from repro.core.phases import Phase, Step
 from repro.core.rng import RngStream
@@ -44,6 +44,13 @@ MAX_BUFFERED_MESSAGES = 10_000
 
 #: Views behind the highest corroborated view before catch-up starts.
 CATCHUP_VIEW_GAP = 8
+
+#: Views behind the highest corroborated view before a replica jumps
+#: there, and views behind its own before a replica answers a peer's
+#: announcement with its last new-view.  Not 1: the chained protocols
+#: route votes to the next view's leader, so a replica one hop behind
+#: hears f+1 claims of ``view + 1`` in normal operation.
+RESYNC_VIEW_GAP = 2
 
 #: Sentinel: ``recover()`` restores the snapshot taken by ``crash()``.
 _OWN_SNAPSHOT = object()
@@ -247,6 +254,13 @@ class BaseReplica(Machine):
         # peer claiming an absurd view must not drive behind-detection.
         self._highest_view_seen = 0
         self._peer_view_claims: dict[int, int] = {}
+        # Re-synchronisation: the last new-view message this replica sent
+        # (re-sent as stored, never re-signed, to a peer heard from views
+        # behind) and the own view each peer was last re-sent it in.
+        self._last_new_view: Any = None
+        self._resent_in_view: dict[int, int] = {}
+        # Messages waiting on a block body being fetched, by its hash.
+        self._awaiting_block: dict[bytes, list[tuple[int, Any]]] = {}
         self._sync_served_at: dict[int, float] = {}
         # Server side of chunked transfers: next start height expected
         # from each requester mid-transfer (continuations bypass the
@@ -296,8 +310,10 @@ class BaseReplica(Machine):
         and adversaries may present a different (e.g. rolled-back) seal,
         which the TEE rejects with :class:`~repro.errors.TEERefusal` -
         the replica then stays crashed.  On success the replica rejoins
-        at its pacemaker's view and catches up through the ordinary
-        timeout / new-view / block-synchronization paths.
+        at its pacemaker's view, tells every peer where it is
+        (:meth:`_announce_view`) and is carried to the cluster's view by
+        the new-views they re-send (:meth:`_note_view_claim`); the blocks
+        it missed arrive through block synchronization at its next decide.
         """
         if not self.crashed:
             return
@@ -306,6 +322,7 @@ class BaseReplica(Machine):
         super().recover()
         self.recovery_count += 1
         self.pacemaker.start_view(self.view)
+        self._announce_view()
         self.on_recovered()
 
     def seal_tee_state(self) -> SealedState | None:
@@ -350,6 +367,9 @@ class BaseReplica(Machine):
         self._sync_cursor.clear()
         self._sync_buffer.clear()
         self._peer_view_claims.clear()
+        self._last_new_view = None
+        self._resent_in_view.clear()
+        self._awaiting_block.clear()
         self._last_commit_qc = None
         self.catchup.reset()
         self.mempool.lose_memory()
@@ -375,7 +395,25 @@ class BaseReplica(Machine):
 
     def start(self) -> None:
         self.pacemaker.start_view(self.view)
+        if self.view > 1:
+            # A process respawned from its durable seal: a restart too.
+            self._announce_view()
         self._new_view_action()
+
+    def _announce_view(self) -> None:
+        """Tell every peer which view this replica came back in."""
+        # A Checker replica whose step is already past (view, nv_p) has no
+        # new-view to send, and the chained pair take no rejoin action at
+        # all: this is what peers hear first, and the ones views ahead
+        # answer it (:meth:`_resend_new_view`).
+        self.broadcast_charged(ViewAnnounce(self.view), include_self=False)
+        if self.config.checkpoint_interval > 0:
+            # Over TCP the frames peers queued while this replica was down
+            # arrive first and in order: each lifts the corroborated view
+            # by less than ``CATCHUP_VIEW_GAP``, so following them would
+            # never open the transfer that the blocks peers compacted
+            # call for.  No jump fires while the round runs.
+            self.catchup.start()
 
     def on_view_entered(self, view: int) -> None:
         """Runs when a view starts, *before* buffered messages replay."""
@@ -389,6 +427,37 @@ class BaseReplica(Machine):
     def on_recovered(self) -> None:
         """Rejoin: announce the latest prepared block so leaders count us again."""
         self._new_view_action()
+
+    def _send_new_view(self, leader: int, msg: Any) -> None:
+        """Send a new-view message to ``leader``, and keep it for re-sending."""
+        self._last_new_view = msg
+        self.send_charged(leader, msg)
+
+    def _handle_view_announce(self, sender: int, msg: ViewAnnounce) -> None:
+        """A restarted peer's view: a claim if ahead of ours, answered if behind."""
+        if msg.view > self.view:
+            self._note_view_claim(sender, msg.view)
+        elif self.view - msg.view >= RESYNC_VIEW_GAP:
+            self._resend_new_view(sender)
+
+    def _resend_new_view(self, peer: int) -> None:
+        """Answer an announcement from views ago with the last new-view we sent.
+
+        ``peer`` missed the views in between.  The stored frame is a view
+        claim towards the f+1 that let it jump here, and - when ``peer``
+        leads this view - the very input its proposal is waiting for.
+        Once per peer per own view: a flood of announcements buys one
+        reply.  Only the announcement is answered, not stale traffic at
+        large: across world regions a slow replica's votes routinely land
+        views late at a leader that has lost nothing.
+        """
+        msg = self._last_new_view
+        if msg is None or peer == self.pid or peer not in self.replica_pids:
+            return
+        if self._resent_in_view.get(peer) == self.view:
+            return
+        self._resent_in_view[peer] = self.view
+        self.send_charged(peer, msg)
 
     # -- CPU cost charging -------------------------------------------------------
 
@@ -506,11 +575,16 @@ class BaseReplica(Machine):
         if isinstance(payload, SyncBlocks):
             self._handle_sync_blocks(sender, payload)
             return
+        if isinstance(payload, ViewAnnounce):
+            self._handle_view_announce(sender, payload)
+            return
         view = self.message_view(payload)
         if view is not None:
             if view > self.view:
-                self._buffer(view, sender, payload)
-                return
+                self._note_view_claim(sender, view)  # may carry us to ``view``
+                if view > self.view:
+                    self._buffer(view, sender, payload)
+                    return
             if view < self.view:
                 self.on_stale(sender, payload)
                 return
@@ -563,10 +637,7 @@ class BaseReplica(Machine):
     def on_stale(self, sender: int, payload: Any) -> None:
         """A message from a view this replica already left: keep its block."""
         if isinstance(payload, self.STALE_BLOCK_MSGS):
-            self._keep_stale_block(payload.block)
-
-    def _keep_stale_block(self, block: Block) -> None:
-        self.store.add(block)
+            self.store.add(payload.block)
 
     def dispatch(self, sender: int, payload: Any) -> None:
         """Route a current-view message through the declared handler table."""
@@ -580,8 +651,6 @@ class BaseReplica(Machine):
             entry[0](self, sender, payload, *entry[1])
 
     def _buffer(self, view: int, sender: int, payload: Any) -> None:
-        self._note_view_claim(sender, view)
-        self._note_possible_lag()
         if self._buffered_count >= MAX_BUFFERED_MESSAGES:
             return
         self._buffered.setdefault(view, []).append((sender, payload))
@@ -590,12 +659,14 @@ class BaseReplica(Machine):
     def _note_view_claim(self, sender: int, view: int) -> None:
         """Track an *unauthenticated* future-view claim from ``sender``.
 
-        A buffered message's view field costs nothing to fake, so a
-        single peer must never move :attr:`_highest_view_seen` (and with
-        it behind-detection and the health reports).  The watermark only
+        A message's view field costs nothing to fake, so a single peer
+        must never move :attr:`_highest_view_seen` (and with it the view,
+        behind-detection and the health reports).  The watermark only
         advances to a view that f+1 distinct senders - at least one of
         them honest - have claimed, i.e. the (f+1)-th largest per-sender
-        claim.
+        claim.  A correct replica is in that view or beyond, so when it
+        lies :data:`RESYNC_VIEW_GAP` or more ahead this replica goes there
+        at once instead of timing its way up (:meth:`_resynchronise`).
         """
         if sender == self.pid or sender not in self.replica_pids:
             # Own traffic is not a claim; non-replica senders never are.
@@ -610,17 +681,27 @@ class BaseReplica(Machine):
         corroborated = claims[corroborators - 1]
         if corroborated > self._highest_view_seen:
             self._highest_view_seen = corroborated
+            self._resynchronise()
+
+    def _resynchronise(self) -> None:
+        """The watermark moved: jump, unless a state transfer will say where to."""
+        self._note_possible_lag()
+        if self.catchup.active:
+            return
+        if self._highest_view_seen - self.view >= RESYNC_VIEW_GAP:
+            self.advance_view(self._highest_view_seen)
 
     def view_lag(self) -> int:
         """Views between this replica and the highest view it has heard of."""
         return max(0, self._highest_view_seen - self.view)
 
     def _note_possible_lag(self) -> None:
-        """Behind-detection: trigger catch-up when the view gap is too wide.
+        """Behind-detection: (re)start catch-up when the view gap is too wide.
 
-        Only meaningful with checkpointing on - without peers certifying
-        checkpoints there is nothing to transfer, and the ordinary
-        timeout / new-view path remains the only recovery route.
+        Only with checkpointing on, where peers have compacted the blocks
+        a jump would go on to fetch one by one; the transfer ends by
+        entering the certified tip's view.  Without checkpoints there is
+        nothing to transfer and the jump is the route.
         """
         if self.config.checkpoint_interval <= 0:
             return
@@ -636,6 +717,15 @@ class BaseReplica(Machine):
         for stale in [v for v in self._buffered if v < new_view]:
             self._buffered_count -= len(self._buffered[stale])
             del self._buffered[stale]
+        # Whatever waits on a block body was dispatched in the view being
+        # left; a later view that needs the same body asks for it again
+        # (the request, or every reply to it, may have been lost).
+        for block_hash, waiting in self._awaiting_block.items():
+            self._requested_blocks.discard(block_hash)
+            self._buffered_count -= len(waiting)
+            for sender, payload in waiting:
+                self.on_stale(sender, payload)
+        self._awaiting_block.clear()
         self.view = new_view
         if new_view > self._highest_view_seen:
             self._highest_view_seen = new_view
@@ -659,14 +749,19 @@ class BaseReplica(Machine):
     def _on_pacemaker_timeout(self, view: int) -> None:
         if self.crashed or view != self.view:
             return
-        # A timeout while newer-view traffic sits buffered means we are
-        # lagging the cluster, not that the cluster is stuck.
+        # A round that gave up is started again while the gap stays wide.
         self._note_possible_lag()
         self.on_view_timeout(view)
 
     def on_view_timeout(self, view: int) -> None:
         """Give up on ``view``; entering the next one runs the new-view action."""
-        self.advance_view(view + 1)
+        # Advancing one view per timeout cannot re-synchronize replicas
+        # that drifted apart: at the backoff cap everyone moves at the
+        # same rate, so an offset (a one-view one included, which the
+        # corroboration jump leaves alone) would persist and no quorum
+        # ever share a view.  A state transfer that has not delivered by
+        # now (peers without a checkpoint to offer) is overtaken here.
+        self.advance_view(max(view + 1, self._highest_view_seen))
 
     # -- execution ---------------------------------------------------------------
 
@@ -697,6 +792,13 @@ class BaseReplica(Machine):
         if newly:
             self.last_committed_view = max(self.last_committed_view, view)
             self._maybe_checkpoint()
+            if self.catchup.active:
+                # Deciding a block is being level with the cluster, on the
+                # word of a quorum this replica verified itself.  Whatever
+                # the round still has in flight is below this height, and
+                # would be re-requested for as long as consensus stays ahead.
+                self.drop_sync_session()
+                self.catchup.finish()
         return newly
 
     # -- checkpoints & state transfer -------------------------------------------
@@ -893,6 +995,8 @@ class BaseReplica(Machine):
         self.catchup.finish()
         if applied is not None:
             self.advance_view(max(self.view, applied.view + 1))
+        # Claims heard during the round moved the watermark, not the view.
+        self._resynchronise()
 
     # -- block synchronization -------------------------------------------------
 
@@ -906,16 +1010,37 @@ class BaseReplica(Machine):
         while True:
             existing = self.store.get(cursor)
             if existing is None:
-                if cursor not in self._requested_blocks:
-                    self._requested_blocks.add(cursor)
-                    request = BlockRequest(cursor)
-                    for pid in self.replica_pids:
-                        if pid != self.pid:
-                            self.send_charged(pid, request)
+                self._fetch_block(cursor)
                 return
             if existing.is_genesis or cursor == self.ledger.last_executed_hash:
                 return
             cursor = existing.parent_hash
+
+    def _fetch_block(self, block_hash: bytes) -> None:
+        """Ask every peer for a block body, once per hash."""
+        if block_hash in self._requested_blocks:
+            return
+        self._requested_blocks.add(block_hash)
+        request = BlockRequest(block_hash)
+        for pid in self.replica_pids:
+            if pid != self.pid:
+                self.send_charged(pid, request)
+
+    def _await_block(self, block_hash: bytes, sender: int, payload: Any) -> None:
+        """Fetch a block ``payload`` cannot be handled without; re-deliver it then."""
+        # A replica that jumped views holds certificates for blocks whose
+        # proposals it never saw.  Shares the future-view buffer's cap.
+        if block_hash in self.store:
+            # Nothing a fetch could supply: the caller's certificate names
+            # this body wrongly (forged), and buys no traffic.  It also
+            # means a message :meth:`_handle_block_response` re-delivers,
+            # the body stored by then, never asks for the same hash twice.
+            return
+        if self._buffered_count >= MAX_BUFFERED_MESSAGES:
+            return
+        self._buffered_count += 1
+        self._awaiting_block.setdefault(block_hash, []).append((sender, payload))
+        self._fetch_block(block_hash)
 
     def _handle_block_request(self, sender: int, msg: BlockRequest) -> None:
         block = self.store.get(msg.block_hash)
@@ -926,6 +1051,10 @@ class BaseReplica(Machine):
         self.store.add(msg.block)
         self._requested_blocks.discard(msg.block.hash)
         self._retry_pending_executions()
+        waiting = self._awaiting_block.pop(msg.block.hash, ())
+        self._buffered_count -= len(waiting)
+        for peer, payload in waiting:
+            self.on_message(peer, payload)
 
     def _retry_pending_executions(self) -> None:
         for block_hash, view in list(self._pending_exec.items()):

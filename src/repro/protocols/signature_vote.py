@@ -48,7 +48,9 @@ class SignatureVoteReplica(BaseReplica):
         """Report the latest prepared block, signed, to the view's leader."""
         self.charge_sign()
         sig = self.scheme.sign(self.pid, new_view_a_payload(self.view, self.prepare_qc))
-        self.send_charged(self.leader_of(self.view), NewViewAMsg(self.view, self.prepare_qc, sig))
+        self._send_new_view(
+            self.leader_of(self.view), NewViewAMsg(self.view, self.prepare_qc, sig)
+        )
 
     # -- certificate representation (HotStuff overrides for compact QCs) ----------
 

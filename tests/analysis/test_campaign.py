@@ -6,6 +6,7 @@ import pytest
 
 from repro.adversary import get_adversary
 from repro.analysis.campaign import (
+    LIVENESS_RATE_SHARE,
     CampaignCell,
     base_plans,
     degradation_label,
@@ -15,6 +16,7 @@ from repro.analysis.campaign import (
 )
 from repro.core.faults import FaultPlan
 from repro.errors import ConfigError
+from repro.protocols.replica import BaseReplica
 
 
 def _tiny_campaign(seed=1):
@@ -39,6 +41,7 @@ def test_cells_pass_all_three_oracles():
         assert cell.safe and cell.violation is None
         assert cell.live_after_heal
         assert cell.views_to_recover is not None
+        assert cell.commit_rate >= LIVENESS_RATE_SHARE * cell.baseline_commit_rate > 0
         assert cell.attack_events > 0  # the attack demonstrably fired
         assert cell.commits > 0 and cell.baseline_commits > 0
 
@@ -64,6 +67,52 @@ def test_hotstuff_resynchronizes_after_crash_plus_loss():
         )
         assert cell.verdict == "PASS", topology
         assert cell.live_after_heal
+
+
+def test_liveness_is_a_rate_every_correct_replica_must_sustain(monkeypatch):
+    """A replica that is back but never rejoins fails the cell.
+
+    The same crash cell, checkpoints off so nothing but view
+    synchronisation can bring the victim back, run twice: as the chassis
+    is, and with its re-synchronisation rule cut out (one view per
+    timeout, no jump - every protocol but HotStuff before the rule moved
+    into ``BaseReplica``).  The mutant's survivors go on committing two
+    blocks per timeout, which satisfied the old "some fresh commits after
+    heal" oracle for ever; its victim gains nothing, and that is what the
+    rate sees.
+    """
+    def run():
+        return run_cell(
+            "damysus", get_adversary("sync-forge"), "clean", "eu", seed=1,
+            config_overrides={"checkpoint_interval": 0},
+        )
+
+    cell = run()
+    assert cell.verdict == "PASS"
+    assert cell.commit_rate >= 0.9 * cell.baseline_commit_rate
+
+    monkeypatch.setattr(BaseReplica, "_resynchronise", lambda self: None)
+    monkeypatch.setattr(
+        BaseReplica, "on_view_timeout", lambda self, view: self.advance_view(view + 1)
+    )
+    mutant = run()
+    assert mutant.safe and mutant.commits > 0
+    assert mutant.views_to_recover is not None  # fresh commits do arrive
+    assert mutant.commit_rate < LIVENESS_RATE_SHARE * mutant.baseline_commit_rate
+    assert mutant.verdict == "STALLED"
+
+
+def test_cells_red_at_the_parent_commit_are_green():
+    """Under the rate rule the parent commit stalls in these two cells
+    (a replica left views behind by loss, or by the partition, gained 0.30
+    and 0.00 blocks per view); the corroboration jump brings it level."""
+    for protocol, adversary, plan in (
+        ("damysus", "stale", "lossy"),
+        ("hotstuff", "partition", "clean"),
+    ):
+        cell = run_cell(protocol, get_adversary(adversary), plan, "eu", seed=1)
+        assert cell.verdict == "PASS", (protocol, adversary)
+        assert cell.commit_rate >= 0.9 * cell.baseline_commit_rate
 
 
 def test_degradation_bands():
@@ -137,7 +186,8 @@ def test_merge_plans_carries_rules_and_crashes_from_both():
 def test_verdict_precedence_unsafe_beats_stalled():
     kwargs = dict(
         protocol="damysus", adversary="x", plan="clean", topology="eu",
-        seed=1, violation=None, views_to_recover=None, healed_at_ms=0.0,
+        seed=1, violation=None, views_to_recover=None, commit_rate=0.0,
+        baseline_commit_rate=1.0, healed_at_ms=0.0,
         duration_ms=1.0, commits=0, baseline_commits=1,
         degradation_ratio=0.0, degradation="severe", attack_events=0,
         attacker_pids=(1,), timeouts_fired=0,

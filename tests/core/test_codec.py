@@ -21,6 +21,7 @@ from repro.core.messages import (
     ProposalAMsg,
     ProposalMsg,
     QCMsg,
+    ViewAnnounce,
     VoteMsg,
 )
 from repro.core.phases import Phase
@@ -107,6 +108,7 @@ ALL_MESSAGES = [
     SyncBlocks(40, (block(), block()), done=False),
     SyncBlocks(0, (), done=True),
     SyncBlocks(40, (block(),), done=True, tip_qc=commitment()),
+    ViewAnnounce(107),
 ]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.chaos import monotone_prefixes_ok
 from repro.core.executor import fold_state_root
+from repro.core.messages import ViewAnnounce
 from repro.errors import TEERefusal
 from repro.protocols.replica import CATCHUP_VIEW_GAP
 from repro.runtime.sim import ConsensusSystem
@@ -232,24 +233,110 @@ def test_sync_replies_from_wrong_peer_are_ignored():
     assert lagger.ledger.height() == ckpt.height
 
 
-def test_single_peer_cannot_inflate_view_lag():
-    """The behind-detection watermark needs f+1 distinct senders: one
-    Byzantine peer claiming a huge view moves nothing."""
+def _claims_of_a_far_view(checkpoint_interval):
+    """One peer, then a second, claim ``view + 10 000`` to replica 0."""
     system = ConsensusSystem(
-        small_config("damysus", checkpoint_interval=5, block_size=1)
+        small_config("damysus", checkpoint_interval=checkpoint_interval, block_size=1)
     )
     system.start()
     system.run_until_views(3, max_time_ms=600_000)
     replica = system.replicas[0]
     assert not replica.catchup.active
-    byzantine_view = replica.view + 10_000
-    replica._buffer(byzantine_view, 1, None)
+    view = replica.view
+    for _ in range(3):  # repeating itself does not make one peer two
+        replica.on_message(1, ViewAnnounce(view + 10_000))
+    assert replica.view == view
     assert replica.view_lag() < CATCHUP_VIEW_GAP
     assert not replica.catchup.active
     # A second distinct sender corroborates the claim (f+1 = 2 of 3).
-    replica._buffer(byzantine_view, 2, None)
-    assert replica.view_lag() >= 10_000
+    replica.on_message(2, ViewAnnounce(view + 10_000))
+    return replica, view
+
+
+def test_single_peer_cannot_inflate_view_lag():
+    """The watermark needs f+1 distinct senders: one Byzantine peer
+    claiming a huge view moves neither it nor the view.  f+1 claims move
+    the *view* - the cluster is there - so the lag reads 0 after them."""
+    replica, view = _claims_of_a_far_view(checkpoint_interval=0)
+    assert replica.view == view + 10_000
+    assert replica.view_lag() == 0
+    assert not replica.catchup.active
+
+
+def test_corroborated_far_view_goes_to_state_transfer_first():
+    """With checkpointing on, a gap of ``CATCHUP_VIEW_GAP`` or more is
+    closed by catch-up (peers compacted what a jump would go on to fetch
+    block by block); the transfer ends by entering the tip's view."""
+    replica, view = _claims_of_a_far_view(checkpoint_interval=5)
     assert replica.catchup.active
+    assert replica.view == view
+    assert replica.view_lag() >= 10_000
+
+
+def _restarted_beside_a_checkpointing_cluster():
+    """Replica 2 crashes at view 5 and recovers with the cluster at view 60."""
+    system = ConsensusSystem(
+        small_config("damysus", checkpoint_interval=10, block_size=1)
+    )
+    system.start()
+    system.run_until_views(5, max_time_ms=600_000)
+    victim = system.replicas[-1]
+    system.crash_replicas([victim.pid])
+    system.run_until_views(60, max_time_ms=3_000_000)
+    system.recover_replicas([victim.pid])
+    return system, victim
+
+
+def test_restart_opens_a_transfer_before_following_the_backlog():
+    """Over TCP the frames peers queued for a dead replica reach the
+    respawned one first, in order: each lifts the corroborated view by
+    less than ``CATCHUP_VIEW_GAP``.  It asks for a transfer at restart
+    and follows none of them while that round runs."""
+    system, victim = _restarted_beside_a_checkpointing_cluster()
+    assert victim.catchup.active
+    view = victim.view
+    for step in range(2, 3 * CATCHUP_VIEW_GAP, 2):
+        for peer in (0, 1):
+            victim.on_message(peer, ViewAnnounce(view + step))
+    assert victim.view == view
+    system.run_until_views(80, max_time_ms=6_000_000)
+    assert victim.caught_up_via_checkpoint
+    assert victim.ledger.height() >= system.replicas[0].ledger.height() - 1
+
+
+def test_unverified_done_chunk_cannot_close_the_round():
+    """A catch-up peer answering "nothing for you" below the requester's
+    height is an out-of-order chunk like any other: the round stays open
+    and the retry timer rotates to the next peer."""
+    from repro.protocols.sync import SyncBlocks
+
+    system, victim = _restarted_beside_a_checkpointing_cluster()
+    assert victim.catchup.active and victim.ledger.height() > 0
+    completed = victim.catchup.completed
+    victim.on_message(victim.catchup.peer, SyncBlocks(0, (), done=True))
+    assert victim.catchup.active
+    assert victim.catchup.completed == completed
+
+
+def test_claims_heard_during_a_round_are_followed_when_it_ends():
+    """No jump fires while a round runs, so the round's end takes it."""
+    from repro.protocols.sync import SyncBlocks
+
+    system = ConsensusSystem(small_config("damysus", checkpoint_interval=5))
+    system.start()
+    system.run_until_views(3, max_time_ms=600_000)
+    replica = system.replicas[0]
+    replica.catchup.start()
+    view = replica.view
+    for peer in (1, 2):
+        replica.on_message(peer, ViewAnnounce(view + 3))
+    assert replica.view == view and replica.view_lag() == 3
+    # The peer has nothing above our height: an empty, matching final chunk.
+    replica.on_message(
+        replica.catchup.peer, SyncBlocks(replica.ledger.height(), (), done=True)
+    )
+    assert not replica.catchup.active
+    assert replica.view == view + 3
 
 
 def test_chunked_transfer_survives_the_rate_limit():

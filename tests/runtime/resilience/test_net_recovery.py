@@ -104,6 +104,44 @@ def test_crash_restart_resumes_from_durable_seal(tmp_path):
     asyncio.run(scenario())
 
 
+def test_crashed_replica_rejoins_at_cluster_speed_on_sockets():
+    """The simulator's crash shape over TCP (damysus, n = 3): a replica
+    that crashes and comes back announces itself, is carried to the
+    cluster's view by the re-sent new-views, and fetches what it missed -
+    so the cluster is back at full speed at once, not at two commits per
+    backed-off timeout (the parent commit's rate, for ever)."""
+
+    async def scenario():
+        runtimes, _ = await start_cluster(n=3)
+        machines = [runtime.machine for runtime in runtimes]
+        try:
+            assert await wait_commits(runtimes, 5)
+            machines[1].crash()
+            # The survivors wait out one timeout per view replica 1 leads.
+            target = max(runtimes[pid].committed_blocks for pid in (0, 2)) + 4
+            assert await wait_commits(runtimes, target, pids=(0, 2))
+            assert machines[0].view - machines[1].view >= 2
+            machines[1].recover()
+            # Nobody times out any more: dozens of views pass inside what
+            # was one backed-off view timer a moment ago.
+            back = max(runtime.committed_blocks for runtime in runtimes) + 40
+            assert await wait_commits(runtimes, back, timeout_s=2.0)
+            views = [machine.view for machine in machines]
+            assert max(views) - min(views) <= 2, views
+            chains = [
+                [block.hash for block in machine.ledger.executed] for machine in machines
+            ]
+            shortest = min(len(chain) for chain in chains)
+            assert max(len(chain) for chain in chains) - shortest <= 2
+            assert chains[0][:shortest] == chains[1][:shortest] == chains[2][:shortest]
+            assert machines[1].mempool.pending() == 0
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
 def test_partition_stalls_and_heals_in_process():
     """A 2/2 partition installed in every sender's decider stalls commits;
     clearing the rules (the live-reload path) lets them resume."""

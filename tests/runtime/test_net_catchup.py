@@ -2,10 +2,11 @@
 
 Real loopback TCP clusters (same machinery as ``test_asyncio_net``), with
 one replica held back at start so the rest of the cluster commits and
-compacts far past it - replaying from genesis is then impossible and the
-late starter can only rejoin through a peer's certified checkpoint.  The
-rolling state roots reported by the runtime are cross-checked pairwise
-and against the simulator, closing the cross-runtime digest loop.
+compacts past it.  Far past it, replaying from genesis is impossible and
+the late starter can only rejoin through a peer's certified checkpoint; a
+few views past it, it jumps to the cluster's view and fetches what it
+lacks.  The rolling state roots reported by the runtime are cross-checked
+pairwise and against the simulator, closing the cross-runtime digest loop.
 """
 
 import asyncio
@@ -27,7 +28,8 @@ def root_at(report, pid, height):
     return root.hex()
 
 
-def test_late_starter_rejoins_via_checkpoint_on_sockets():
+def late_starter_cluster(**overrides):
+    """Four Damysus replicas with checkpointing on; replica 3 starts 2 s late."""
     report = asyncio.run(
         run_local_cluster(
             "damysus",
@@ -38,20 +40,15 @@ def test_late_starter_rejoins_via_checkpoint_on_sockets():
             start_delay_s={3: 2.0},
             duration_s=90.0,
             target_blocks=40,
+            **overrides,
         )
     )
     # The cluster only stops once *every* replica - the late starter
     # included - reaches the target height.
     assert min(report.heights.values()) >= 40
-    # It got there by installing a certified checkpoint, not by replay:
-    # the survivors compacted the genesis prefix long before it started.
-    assert 3 in report.caught_up_pids
-    assert report.base_heights[3] > 0
-    assert len(report.chains[3]) < report.heights[3]
     # Digest equivalence at every mutually retained height: any two
     # replicas that can both recompute a root at some height agree on it
-    # bit-for-bit - including the late starter, whose root derives from
-    # the transferred checkpoint rather than local execution.
+    # bit-for-bit - including the late starter, however it got there.
     checked = []
     pids = sorted(report.heights)
     for i, pid in enumerate(pids):
@@ -62,6 +59,26 @@ def test_late_starter_rejoins_via_checkpoint_on_sockets():
                 assert a == b, f"state roots diverge at height {height}"
                 checked.append((pid, other))
     assert any(3 in pair for pair in checked)
+    return report
+
+
+def test_late_starter_a_few_views_behind_rejoins_on_sockets():
+    """With 2 s timeouts every fourth view waits out the absent leader, so
+    the cluster is 3-5 views on when the late starter comes up: less than
+    ``CATCHUP_VIEW_GAP``.  It jumps there and fetches the blocks it lacks
+    one by one - bodies outlive the log compaction of the peers' ledgers."""
+    late_starter_cluster()
+
+
+def test_late_starter_rejoins_via_checkpoint_on_sockets():
+    # Short timeouts: the cluster is dozens of views on, not a handful,
+    # when the late starter comes up, and state transfer wins over the jump.
+    report = late_starter_cluster(timeout_ms=200.0)
+    # It got there by installing a certified checkpoint, not by replay:
+    # the survivors compacted the genesis prefix long before it started.
+    assert 3 in report.caught_up_pids
+    assert report.base_heights[3] > 0
+    assert len(report.chains[3]) < report.heights[3]
 
 
 def test_cross_runtime_checkpoint_digest_equivalence():
