@@ -14,8 +14,8 @@ Two transfer strategies are compared under the same miss count:
   only the suffix above it.  Work is O(interval), independent of how
   long the replica was gone.
 * **replay** - the checkpoint interval is set beyond the run length, so
-  peers never compact and serve the entire missed suffix in
-  ``sync_chunk_blocks``-sized chunks.  Work is O(missed).
+  peers never compact and serve the entire missed suffix in chunks of
+  ``repro.protocols.replica.SYNC_CHUNK_BLOCKS`` blocks.  Work is O(missed).
 """
 
 import os

@@ -11,8 +11,9 @@ an entry point calling a helper in an unrestricted module that reads
 These rules close that hole: walk the call graph from every ``Machine``
 subclass entry point (``start``/``on_message``/``on_timer``/... plus
 anything the class adds to ``ENTRY_POINTS``, plus the handlers its
-``HANDLERS`` table names - ``dispatch`` reaches those through the table,
-which no call expression shows) and flag reachable calls
+``HANDLERS`` and ``SERVICE_HANDLERS`` tables name - ``dispatch`` and
+``on_message`` reach those through the tables, which no call expression
+shows) and flag reachable calls
 into nondeterminism (PURE001: time, random, secrets, uuid, datetime) or
 I/O (PURE002: files, sockets, subprocess, asyncio, env).  The traversal
 deliberately does **not** descend into runtime-host modules
@@ -47,9 +48,9 @@ from repro.analysis.engine import class_attr_values, dotted_name
 _DEFAULT_ENTRY_POINTS = {"start", "on_message", "on_timer", "crash", "recover"}
 
 #: Class attributes whose string constants name entry points: the
-#: explicit list, and the handler table ``BaseReplica.dispatch`` routes
-#: through (strings that name no method are ignored).
-_ENTRY_TABLES = ("ENTRY_POINTS", "HANDLERS")
+#: explicit list, and the handler tables ``dispatch`` / ``on_message``
+#: route through (strings that name no method are ignored).
+_ENTRY_TABLES = ("ENTRY_POINTS", "HANDLERS", "SERVICE_HANDLERS")
 
 #: Packages/modules the walk never descends into: the hosts that
 #: legitimately interpret effects as real I/O, plus tooling.

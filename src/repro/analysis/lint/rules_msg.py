@@ -3,9 +3,12 @@
 A message type that no protocol dispatches is either dead weight or - far
 worse - something a replica silently drops on the floor.  These rules
 cross-reference the message classes declared in :mod:`repro.core.messages`
-(and protocol-local ones) against the ``HANDLERS`` tables every protocol
-class declares, and check that ``match`` statements over
-:class:`repro.core.phases.Phase` cover every phase.
+(and protocol-local ones) against the handler tables the protocol
+package declares - each protocol's ``HANDLERS`` and the
+``SERVICE_HANDLERS`` of the replica chassis and the client - and nothing
+else: an ``isinstance`` check is not a dispatch.  A third rule checks
+that ``match`` statements over :class:`repro.core.phases.Phase` cover
+every phase.
 """
 
 from __future__ import annotations
@@ -63,10 +66,10 @@ def _message_classes(project: ProjectContext) -> dict[str, tuple[FileContext, as
     return declared
 
 
-#: Class-level tables a protocol declares its handlers in (see
-#: ``BaseReplica.HANDLERS``): keys are message classes, or
+#: Class-level tables handlers are declared in (see ``BaseReplica.HANDLERS``
+#: and ``Machine.SERVICE_HANDLERS``): keys are message classes, or
 #: ``(CommitmentMsg, kind)`` tuples.
-_HANDLER_TABLE = "HANDLERS"
+_HANDLER_TABLES = ("HANDLERS", "SERVICE_HANDLERS")
 
 
 def _names_in(expr: ast.expr) -> Iterator[str]:
@@ -79,27 +82,19 @@ def _names_in(expr: ast.expr) -> Iterator[str]:
 
 
 def _handled_classes(project: ProjectContext) -> set[str]:
-    """Class names the protocol modules route to a handler.
-
-    Two sources: the keys of the declared ``HANDLERS`` tables, and the
-    ``isinstance`` checks that remain for view-less service traffic
-    (client, block-fetch and sync messages in ``BaseReplica.on_message``).
-    """
+    """Class names the protocol modules' declared handler tables key on."""
     handled: set[str] = set()
     for ctx in project.in_package(_PROTOCOLS_PACKAGE):
         for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance"
-                and len(node.args) == 2
-            ):
-                handled.update(_names_in(node.args[1]))
-            elif isinstance(node, ast.ClassDef):
-                for table in class_attr_values(node, (_HANDLER_TABLE,)):
-                    for key in table.keys if isinstance(table, ast.Dict) else ():
-                        if key is not None:  # a ``**Base.HANDLERS`` spread has no key
-                            handled.update(_names_in(key))
+            match node:
+                case ast.ClassDef():
+                    for table in class_attr_values(node, _HANDLER_TABLES):
+                        match table:
+                            case ast.Dict(keys=keys):
+                                # A ``**Base.HANDLERS`` spread has no key.
+                                for key in keys:
+                                    if key is not None:
+                                        handled.update(_names_in(key))
     return handled
 
 
@@ -110,8 +105,8 @@ class UnhandledMessageTypeRule(ProjectRule):
     rule_id = "MSG001"
     title = "message type without a dispatch handler"
     hint = (
-        "add it to the owning protocol's HANDLERS table, or delete the "
-        "dead message type"
+        "add it to the owning protocol's HANDLERS table (view-less traffic: "
+        "a SERVICE_HANDLERS table), or delete the dead message type"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -134,7 +129,10 @@ class SentButUnhandledRule(ProjectRule):
 
     rule_id = "MSG002"
     title = "message sent without a receiver-side handler"
-    hint = "add it to a HANDLERS table before sending, or the message is dropped silently"
+    hint = (
+        "add it to a HANDLERS or SERVICE_HANDLERS table before sending, or the "
+        "message is dropped silently"
+    )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         declared = _message_classes(project)

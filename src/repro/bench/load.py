@@ -25,7 +25,7 @@ import asyncio
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.config import NetConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.core.executor import Ledger
 from repro.core.rng import RngStream
 from repro.protocols.client import Client
@@ -240,7 +240,6 @@ async def run_load_net(
     *,
     n: int | None = None,
     host: str = "127.0.0.1",
-    net: NetConfig | None = None,
 ) -> LoadReport:
     """Drive a localhost TCP cluster open-loop with real client machines.
 
@@ -299,10 +298,7 @@ async def run_load_net(
         )
         for cid in range(senders)
     ]
-    runtimes = [
-        AsyncioRuntime(machine, host=host, net=net)
-        for machine in [*replicas, *clients]
-    ]
+    runtimes = [AsyncioRuntime(machine, host=host) for machine in [*replicas, *clients]]
     addresses = {}
     for runtime in runtimes:
         addresses[runtime.machine.pid] = await runtime.start_server()

@@ -54,10 +54,6 @@ class SystemConfig:
     sender_rate_burst: float = 32.0  # token-bucket burst capacity
     # -- checkpoints & state transfer ------------------------------------
     checkpoint_interval: int = 0  # certify a checkpoint every N commits (0 = off)
-    sync_chunk_blocks: int = 64  # max blocks per SyncBlocks response
-    sync_min_interval_ms: float = 50.0  # per-peer rate limit when serving sync
-    catchup_timeout_ms: float = 500.0  # initial catch-up retry timeout
-    catchup_max_retries: int = 25  # give up (and wait for operator) after this
 
     def __post_init__(self) -> None:
         if self.f < 1:
@@ -88,44 +84,4 @@ class SystemConfig:
             raise ConfigError("sender_rate_limit must be non-negative")
         if self.sender_rate_burst < 1:
             raise ConfigError("sender_rate_burst must be at least 1")
-        if self.sync_chunk_blocks < 1:
-            raise ConfigError("sync_chunk_blocks must be positive")
-        if self.sync_min_interval_ms < 0:
-            raise ConfigError("sync_min_interval_ms must be non-negative")
-        if self.catchup_timeout_ms <= 0:
-            raise ConfigError("catchup_timeout_ms must be positive")
-        if self.catchup_max_retries < 1:
-            raise ConfigError("catchup_max_retries must be at least 1")
 
-
-#: Overflow policies for the bounded per-peer outbound frame queues.
-#: ``drop-oldest`` sheds the stalest frame to admit the new one (a BFT
-#: protocol recovers lost history via view changes, so freshness wins);
-#: ``drop-newest`` sheds the incoming frame, preserving FIFO history.
-OVERFLOW_POLICIES = ("drop-oldest", "drop-newest")
-
-
-@dataclass(frozen=True)
-class NetConfig:
-    """Transport tuning for the asyncio TCP runtime.
-
-    The :class:`SystemConfig` describes the *protocol* deployment; this
-    describes one host's socket behaviour: outbound queue bounds and
-    overflow policy, and the hostile-input frame cap.
-    """
-
-    #: Outbound frames queued per peer before the overflow policy runs.
-    max_outbound_queue: int = 10_000
-    overflow_policy: str = "drop-oldest"
-    #: Frames above this size disconnect the peer instead of buffering.
-    max_frame_bytes: int = 4 * 1024 * 1024
-
-    def __post_init__(self) -> None:
-        if self.max_outbound_queue < 1:
-            raise ConfigError("max_outbound_queue must be positive")
-        if self.overflow_policy not in OVERFLOW_POLICIES:
-            raise ConfigError(
-                f"overflow_policy must be one of {OVERFLOW_POLICIES}"
-            )
-        if self.max_frame_bytes < 1024:
-            raise ConfigError("max_frame_bytes must be at least 1 KiB")

@@ -32,7 +32,7 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, NamedTuple, Protocol, Union, runtime_checkable
+from typing import Any, NamedTuple, Union
 
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import Signature
@@ -54,15 +54,6 @@ WIRE_VERSION = 2
 
 class CodecError(ProtocolError):
     """Malformed bytes on the wire."""
-
-
-@runtime_checkable
-class Serializer(Protocol):
-    """Anything that turns messages into bytes and back (snippet-3 shape)."""
-
-    def serialize(self, msg: Any) -> bytes: ...
-
-    def deserialize(self, data: bytes) -> Any: ...
 
 
 # -- wire kinds: what a table row may say about a field, and its plan ----------
@@ -534,16 +525,6 @@ def decode_checkpoint(data: bytes) -> Any:
     from repro.tee.checkpoint import Checkpoint
 
     return _decoded(_compile(Checkpoint)[1], data, 0)
-
-
-class MessageSerializer:
-    """The default :class:`Serializer`: tag-dispatched binary codec."""
-
-    def serialize(self, msg: Any) -> bytes:
-        return encode_message(msg)
-
-    def deserialize(self, data: bytes) -> Any:
-        return decode_message(data)
 
 
 # -- one primitive at a time -------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 from repro.core.clock import Clock
 from repro.core.mempool import AdmissionVerdict, Transaction
@@ -42,6 +42,8 @@ class CompletedRequest:
 
 class Client(Machine):
     """An open- or closed-loop load generator."""
+
+    SERVICE_HANDLERS: ClassVar[dict[type, str]] = {ClientReply: "_handle_reply"}
 
     def __init__(
         self,
@@ -130,8 +132,11 @@ class Client(Machine):
     def on_message(self, sender: int, payload: Any) -> None:
         if self.crashed:
             return
-        if not isinstance(payload, ClientReply):
-            return
+        service = self._service.get(type(payload))
+        if service is not None:
+            service(self, sender, payload)
+
+    def _handle_reply(self, sender: int, payload: ClientReply) -> None:
         if payload.client_id != self.client_id:
             return
         self.verdicts[payload.verdict.value] += 1

@@ -10,22 +10,11 @@ leader, chosen deterministically and known to all nodes", Section 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.rng import RngStream
-
-
-class TimerHandle(Protocol):
-    """A cancellable one-shot timer, however the host implements it."""
-
-    def cancel(self) -> None: ...
-
-
-class TimerHost(Protocol):
-    """What the pacemaker needs from its host machine or process."""
-
-    def set_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any: ...
+    from repro.runtime.machine import Machine, MachineTimer
 
 
 def round_robin_leader(view: int, num_replicas: int) -> int:
@@ -38,7 +27,7 @@ class Pacemaker:
 
     def __init__(
         self,
-        process: TimerHost,
+        process: "Machine",
         base_timeout_ms: float,
         backoff: float = 2.0,
         on_timeout: Callable[[int], None] | None = None,
@@ -69,7 +58,7 @@ class Pacemaker:
         )
         self.current_timeout_ms = base_timeout_ms
         self.timeouts_fired = 0
-        self._timer: TimerHandle | None = None
+        self._timer: "MachineTimer | None" = None
         self._view = -1
 
     @property

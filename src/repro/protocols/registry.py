@@ -2,8 +2,9 @@
 
 One row per evaluated protocol (the table in Section 8, "Implemented
 protocols"), carrying the replica class plus the closed-form quantities
-Table 1 reports: replica count, quorum size, core phases, communication
-steps and normal-case message count per decided block.
+Table 1 reports: replica count, quorum size, core phases and
+communication steps.  The normal-case message count per decided block
+is :func:`repro.analysis.complexity.expected_messages`.
 """
 
 from __future__ import annotations
@@ -34,16 +35,9 @@ class ProtocolSpec:
     quorum: Callable[[int], int]  # quorum size as a function of f
     core_phases: int
     comm_steps: int  # communication steps per decided block
-    messages_normal_case: Callable[[int], int]  # per decided block, incl self
     chained: bool
     trusted_components: tuple[str, ...]
     max_faults: Callable[[int], int]  # tolerated faults for N replicas
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}: N={self.num_replicas.__doc__}, "
-            f"{self.core_phases} core phases, {self.comm_steps} steps"
-        )
 
 
 def _n_3f1(f: int) -> int:
@@ -64,7 +58,6 @@ SPECS: dict[str, ProtocolSpec] = {
         quorum=lambda f: 2 * f + 1,
         core_phases=3,
         comm_steps=8,
-        messages_normal_case=lambda f: 24 * f + 8,
         chained=False,
         trusted_components=(),
         max_faults=lambda n: (n - 1) // 3,
@@ -76,7 +69,6 @@ SPECS: dict[str, ProtocolSpec] = {
         quorum=lambda f: f + 1,
         core_phases=3,
         comm_steps=8,
-        messages_normal_case=lambda f: 16 * f + 8,
         chained=False,
         trusted_components=("checker",),
         max_faults=lambda n: (n - 1) // 2,
@@ -88,7 +80,6 @@ SPECS: dict[str, ProtocolSpec] = {
         quorum=lambda f: 2 * f + 1,
         core_phases=2,
         comm_steps=6,
-        messages_normal_case=lambda f: 18 * f + 6,
         chained=False,
         trusted_components=("accumulator",),
         max_faults=lambda n: (n - 1) // 3,
@@ -100,7 +91,6 @@ SPECS: dict[str, ProtocolSpec] = {
         quorum=lambda f: f + 1,
         core_phases=2,
         comm_steps=6,
-        messages_normal_case=lambda f: 12 * f + 6,
         chained=False,
         trusted_components=("checker", "accumulator"),
         max_faults=lambda n: (n - 1) // 2,
@@ -112,7 +102,6 @@ SPECS: dict[str, ProtocolSpec] = {
         quorum=lambda f: 2 * f + 1,
         core_phases=3,
         comm_steps=8,
-        messages_normal_case=lambda f: 24 * f + 8,
         chained=True,
         trusted_components=(),
         max_faults=lambda n: (n - 1) // 3,
@@ -124,7 +113,6 @@ SPECS: dict[str, ProtocolSpec] = {
         quorum=lambda f: f + 1,
         core_phases=2,
         comm_steps=6,
-        messages_normal_case=lambda f: 12 * f + 6,
         chained=True,
         trusted_components=("checker", "accumulator"),
         max_faults=lambda n: (n - 1) // 2,
@@ -138,7 +126,6 @@ SPECS: dict[str, ProtocolSpec] = {
         quorum=lambda f: 2 * f + 1,
         core_phases=2,
         comm_steps=6,
-        messages_normal_case=lambda f: 18 * f + 6,
         chained=False,
         trusted_components=(),
         max_faults=lambda n: (n - 1) // 3,

@@ -1,9 +1,11 @@
 """Replica base class: the chassis shared by all seven protocols.
 
 Responsibilities handled here so protocol modules stay close to the
-paper's pseudocode: message dispatch with future-view buffering, view
-advancement, leader schedule, CPU cost charging, quorum collection, block
-execution with client replies, and pacemaker integration.
+paper's pseudocode: table-driven message dispatch (``SERVICE_HANDLERS``
+for the chassis's own traffic, ``HANDLERS`` with future-view buffering
+for a protocol's), view advancement, leader schedule, CPU cost charging,
+quorum collection, block execution with client replies, and pacemaker
+integration.
 
 A protocol *declares* its handlers, per-view state, checker flavour and
 new-view action (:class:`BaseReplica`'s class attributes); dispatch,
@@ -51,6 +53,11 @@ CATCHUP_VIEW_GAP = 8
 #: route votes to the next view's leader, so a replica one hop behind
 #: hears f+1 claims of ``view + 1`` in normal operation.
 RESYNC_VIEW_GAP = 2
+
+#: State transfer, server side: blocks per ``SyncBlocks`` chunk, and the
+#: least time between two new sessions served to one requester.
+SYNC_CHUNK_BLOCKS = 64
+SYNC_MIN_INTERVAL_MS = 50.0
 
 #: Sentinel: ``recover()`` restores the snapshot taken by ``crash()``.
 _OWN_SNAPSHOT = object()
@@ -141,6 +148,18 @@ class BaseReplica(Machine):
     #: as ``(name, arg, ...)``.  Resolved once per class, so a subclass
     #: that overrides a handler by name is routed to its override.
     HANDLERS: ClassVar[dict[Any, Any]] = {}
+    #: The chassis's own traffic, served in any view and without a receive
+    #: charge, before the view check ``HANDLERS`` traffic goes through:
+    #: client requests, block fetches, state transfer, view announcements.
+    SERVICE_HANDLERS: ClassVar[dict[type, str]] = {
+        ClientRequest: "_handle_client_request",
+        BlockRequest: "_handle_block_request",
+        BlockResponse: "_handle_block_response",
+        SyncRequest: "_handle_sync_request",
+        SyncCheckpoint: "_handle_sync_checkpoint",
+        SyncBlocks: "_handle_sync_blocks",
+        ViewAnnounce: "_handle_view_announce",
+    }
     #: Message classes whose ``block`` is kept even when they arrive after
     #: their view ended: execution follows certified hashes, so a replica
     #: that skipped a decide still needs the body to execute descendants.
@@ -557,26 +576,9 @@ class BaseReplica(Machine):
     def on_message(self, sender: int, payload: Any) -> None:
         if self.crashed:
             return
-        if isinstance(payload, ClientRequest):
-            self._handle_client_request(sender, payload)
-            return
-        if isinstance(payload, BlockRequest):
-            self._handle_block_request(sender, payload)
-            return
-        if isinstance(payload, BlockResponse):
-            self._handle_block_response(sender, payload)
-            return
-        if isinstance(payload, SyncRequest):
-            self._handle_sync_request(sender, payload)
-            return
-        if isinstance(payload, SyncCheckpoint):
-            self._handle_sync_checkpoint(sender, payload)
-            return
-        if isinstance(payload, SyncBlocks):
-            self._handle_sync_blocks(sender, payload)
-            return
-        if isinstance(payload, ViewAnnounce):
-            self._handle_view_announce(sender, payload)
+        service = self._service.get(type(payload))
+        if service is not None:
+            service(self, sender, payload)
             return
         view = self.message_view(payload)
         if view is not None:
@@ -862,7 +864,7 @@ class BaseReplica(Machine):
         continuation = self._sync_cursor.get(sender) == msg.have_height
         if not continuation:
             last = self._sync_served_at.get(sender)
-            if last is not None and self.now - last < self.config.sync_min_interval_ms:
+            if last is not None and self.now - last < SYNC_MIN_INTERVAL_MS:
                 return
             self._sync_served_at[sender] = self.now
         self._sync_cursor.pop(sender, None)
@@ -879,7 +881,7 @@ class BaseReplica(Machine):
             # Without a decide certificate for the tip the receiver could
             # not verify the suffix; serve the certified horizon only.
             suffix = []
-        chunk = suffix[: self.config.sync_chunk_blocks]
+        chunk = suffix[:SYNC_CHUNK_BLOCKS]
         done = len(chunk) == len(suffix)
         self.send_charged(
             sender,

@@ -41,10 +41,13 @@ if TYPE_CHECKING:
     from repro.protocols.replica import BaseReplica
     from repro.runtime.machine import MachineTimer
 
-#: Catch-up retry schedule: the timeout starts at
-#: ``SystemConfig.catchup_timeout_ms``, grows by this factor per expiry up
-#: to the ceiling, and every armed timer is perturbed by +/- this
-#: fraction of seeded jitter.
+#: Catch-up retry schedule: the timeout starts at CATCHUP_TIMEOUT_MS,
+#: grows by CATCHUP_BACKOFF per expiry up to the ceiling, and every armed
+#: timer is perturbed by +/- CATCHUP_JITTER of seeded jitter.  A round
+#: gives up (until the next behind-detection trigger) after
+#: CATCHUP_MAX_RETRIES expiries without progress.
+CATCHUP_TIMEOUT_MS = 500.0
+CATCHUP_MAX_RETRIES = 25
 CATCHUP_BACKOFF = 2.0
 CATCHUP_MAX_TIMEOUT_MS = 5_000.0
 CATCHUP_JITTER = 0.25
@@ -117,7 +120,7 @@ class CatchUpClient:
     retry timer with seeded exponential backoff + jitter; every expiry
     rotates to the next peer.  ``retries`` is cumulative (surfaced in
     health snapshots); the per-round attempt count is capped by
-    ``catchup_max_retries``, after which the client gives up until the
+    :data:`CATCHUP_MAX_RETRIES`, after which the client gives up until the
     next behind-detection trigger.
     """
 
@@ -133,7 +136,7 @@ class CatchUpClient:
         #: inject state transfer traffic it was never asked for).
         self.peer: int | None = None
         self._attempts = 0
-        self._timeout_ms = machine.config.catchup_timeout_ms
+        self._timeout_ms = CATCHUP_TIMEOUT_MS
         self._timer: "MachineTimer | None" = None
         self._peer_cursor = 0
 
@@ -146,7 +149,7 @@ class CatchUpClient:
         self.active = True
         self.gave_up = False
         self._attempts = 0
-        self._timeout_ms = self.machine.config.catchup_timeout_ms
+        self._timeout_ms = CATCHUP_TIMEOUT_MS
         peers = self._peers()
         if not peers:
             self.active = False
@@ -168,7 +171,7 @@ class CatchUpClient:
         self.gave_up = False
         self.peer = None
         self._attempts = 0
-        self._timeout_ms = self.machine.config.catchup_timeout_ms
+        self._timeout_ms = CATCHUP_TIMEOUT_MS
         self._cancel_timer()
 
     # -- progress signals from the replica's sync handlers ------------------
@@ -178,7 +181,7 @@ class CatchUpClient:
         if not self.active:
             return
         self._attempts = 0
-        self._timeout_ms = self.machine.config.catchup_timeout_ms
+        self._timeout_ms = CATCHUP_TIMEOUT_MS
         self._arm_timer()
 
     def request_next(self, peer: int) -> None:
@@ -226,7 +229,7 @@ class CatchUpClient:
             return
         self.retries += 1
         self._attempts += 1
-        if self._attempts >= self.machine.config.catchup_max_retries:
+        if self._attempts >= CATCHUP_MAX_RETRIES:
             self.active = False
             self.gave_up = True
             self.peer = None

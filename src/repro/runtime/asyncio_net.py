@@ -28,9 +28,10 @@ Resilience hooks (all optional, see :mod:`repro.runtime.resilience`):
 * a :class:`~repro.runtime.resilience.durable.DurableSealer` persists
   sealed checker state before any frame leaves the host, so a SIGKILLed
   process restarts without ever being able to re-sign a lower step;
-* :class:`~repro.config.NetConfig` bounds the runtime's appetite:
-  per-peer outbound queues with an explicit overflow policy and counter
-  and a max-frame-size guard that disconnects instead of buffering.
+* the runtime's appetite is bounded: per-peer outbound queues of
+  :data:`MAX_OUTBOUND_QUEUE` frames that shed their oldest frame (and
+  count it) when full, and a :data:`~repro.runtime.framing.MAX_FRAME_BYTES`
+  guard that disconnects instead of buffering.
 
 Outbound connections are lazy with exponential reconnect backoff; each
 starts with a hello frame naming the sender pid so the acceptor can
@@ -49,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.config import NetConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.core.codec import CodecError, decode_message, encode_message
 from repro.core.rng import RngStream
 from repro.crypto.hmac_scheme import HmacScheme
@@ -91,6 +92,9 @@ RECONNECT_JITTER = 0.25
 
 _RECV_CHUNK = 64 * 1024
 
+#: Frames queued per peer before the oldest is shed for the newest.
+MAX_OUTBOUND_QUEUE = 10_000
+
 
 class WallClock:
     """Monotonic wall-clock milliseconds, zeroed at construction."""
@@ -122,7 +126,6 @@ class AsyncioRuntime:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        net: NetConfig | None = None,
         fault_decider: FaultDecider | None = None,
         sealer: DurableSealer | None = None,
     ) -> None:
@@ -130,7 +133,6 @@ class AsyncioRuntime:
         machine.runtime = self
         self.host = host
         self.port = port  # replaced by the bound port after start_server()
-        self.net = net or NetConfig()
         self.fault_decider = fault_decider
         self.sealer = sealer
         self.peers: dict[int, tuple[str, int]] = {}
@@ -149,7 +151,7 @@ class AsyncioRuntime:
         # Transport-level counters for net-bench / health reporting.
         self.sent_messages = 0
         self.sent_bytes = 0
-        self.dropped_messages = 0  # outbound queue overflow (either policy)
+        self.dropped_messages = 0  # outbound queue overflow
         self.rejected_connections = 0  # malformed hello / framing violations
         self.committed_blocks = 0
         self.committed_txs = 0
@@ -292,14 +294,12 @@ class AsyncioRuntime:
             self._sender_tasks[dest] = asyncio.get_running_loop().create_task(
                 self._sender_loop(dest, outbox)
             )
-        if len(outbox.frames) >= self.net.max_outbound_queue:
+        if len(outbox.frames) >= MAX_OUTBOUND_QUEUE:
             self.dropped_messages += 1
-            if self.net.overflow_policy == "drop-newest":
-                return
-            # drop-oldest: sacrifice the stalest frame for the fresh one.
-            # Old consensus messages are the most likely to be obsolete
-            # (their view has moved on), so this keeps recovery traffic
-            # - new-views, fresh votes - flowing to a slow peer.
+            # Sacrifice the stalest frame for the fresh one.  Old consensus
+            # messages are the most likely to be obsolete (their view has
+            # moved on), so this keeps recovery traffic - new-views, fresh
+            # votes - flowing to a slow peer.
             outbox.frames.popleft()
         outbox.frames.append(frame)
         outbox.wake.set()
@@ -338,8 +338,8 @@ class AsyncioRuntime:
         ``write``: a handler's whole fan-out to this peer costs one trip
         through the stream and the socket, not one per frame.  One write
         stops at the stream's high-water mark, so behind a slow peer the
-        backlog waits in the outbox, where the overflow policy can still
-        shed it, and not in the transport, where it cannot.
+        backlog waits in the outbox, where the oldest frames can still be
+        shed, and not in the transport, where they cannot.
         """
         backoff = RECONNECT_INITIAL_S
         while not self._closed:
@@ -391,7 +391,7 @@ class AsyncioRuntime:
             raise RuntimeError("connection handler invoked outside the event loop")
         self._reader_tasks.add(task)
         sender: int | None = None
-        decoder = FrameDecoder(max_frame_bytes=self.net.max_frame_bytes)
+        decoder = FrameDecoder()
         try:
             while not self._closed:
                 data = await reader.read(_RECV_CHUNK)
@@ -564,7 +564,6 @@ async def run_local_cluster(
     max_timeout_ms: float = 0.0,
     timeout_jitter: float = 0.0,
     host: str = "127.0.0.1",
-    net: NetConfig | None = None,
     checkpoint_interval: int = 0,
     start_delay_s: dict[int, float] | None = None,
     adversary: str | None = None,
@@ -616,7 +615,7 @@ async def run_local_cluster(
         )
         for pid in range(n)
     ]
-    runtimes = [AsyncioRuntime(machine, host=host, net=net) for machine in machines]
+    runtimes = [AsyncioRuntime(machine, host=host) for machine in machines]
     # Phase 1: bind every server on an ephemeral port; phase 2: exchange
     # the real addresses.  No fixed ports, so parallel CI runs never race.
     addresses = {}
@@ -729,7 +728,6 @@ async def serve_replica(
     timeout_jitter: float = 0.0,
     adversary: str | None = None,
     checkpoint_interval: int = 0,
-    net: NetConfig | None = None,
     seal_dir: str | Path | None = None,
     health_file: str | Path | None = None,
     health_interval_s: float = 0.5,
@@ -814,7 +812,6 @@ async def serve_replica(
         machine,
         host=host,
         port=base_port + pid,
-        net=net,
         fault_decider=decider,
         sealer=sealer,
     )

@@ -24,7 +24,7 @@ each effect immediately, which preserves the old imperative behaviour.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from repro.core.clock import Clock
 from repro.runtime.effects import (
@@ -94,6 +94,13 @@ class Machine:
 
     #: Methods wrapped as entry points on every subclass.
     ENTRY_POINTS: tuple[str, ...] = ("start", "on_message", "on_timer", "crash", "recover")
+    #: Messages served by their type alone: message class to the name of
+    #: the ``(sender, payload)`` method that handles it.  Resolved once per
+    #: class into ``_service``, where an ``on_message`` looks up the
+    #: payload's exact type, so a subclass that overrides a handler by
+    #: name is routed to its override.
+    SERVICE_HANDLERS: ClassVar[dict[type, str]] = {}
+    _service: ClassVar[dict[type, Callable[..., None]]] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -102,6 +109,9 @@ class Machine:
             if fn is None or not callable(fn):
                 continue
             setattr(cls, name, _wrap_entry(fn, name in _RETURNS_EFFECTS))
+        cls._service = {
+            message: getattr(cls, name) for message, name in cls.SERVICE_HANDLERS.items()
+        }
 
     def __init__(self, pid: int, clock: Clock) -> None:
         self.pid = pid

@@ -18,7 +18,6 @@ import os
 import signal
 import subprocess  # noqa: S404 - process supervision is this module's purpose
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,17 +166,6 @@ class ReplicaSupervisor:
         """Respawn with identical arguments (kills first if still alive)."""
         self.kill()
         self.spawn()
-
-    def wait_exit(self, timeout_s: float) -> bool:
-        """Wait up to ``timeout_s`` for the process to exit on its own."""
-        if self._process is None:
-            return True
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self._process.poll() is not None:
-                return True
-            time.sleep(0.05)
-        return self._process.poll() is not None
 
     def _close_log(self) -> None:
         handle = self._log_handle

@@ -1,9 +1,9 @@
 """Discrete-event simulator runtime: hosts sans-I/O machines bit-identically.
 
-:class:`MachineProcess` adapts one protocol machine to the simulator: it
-is the :class:`~repro.sim.process.Process` registered on the network, and
-it interprets the machine's effect lists (in emission order, inside the
-same simulator event that invoked the handler) onto the CPU model, the
+:class:`MachineProcess` seats one protocol machine on the simulator: it
+is what the network registers and delivers to, and it interprets the
+machine's effect lists (in emission order, inside the same simulator
+event that invoked the handler) onto a single-core CPU model, the
 network and the timer wheel.  Because effect order equals the order the
 old imperative handlers performed those calls, every (time, seq) event
 ordering - and therefore every benchmark, figure and chaos result - is
@@ -16,6 +16,7 @@ the single entry point used by tests, examples and the bench harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 from repro.config import SystemConfig
 from repro.crypto.hmac_scheme import HmacScheme
@@ -25,6 +26,7 @@ from repro.crypto.schnorr import GROUP_TEST, SchnorrScheme
 from repro.core.executor import SafetyOracle
 from repro.core.faults import FaultPlan
 from repro.core.rng import RngFactory
+from repro.errors import SimulationError
 from repro.protocols.client import Client
 from repro.protocols.registry import ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica
@@ -41,43 +43,94 @@ from repro.sim.events import Event, Simulator
 from repro.sim.latency import MatrixLatency, PartialSynchronyLatency
 from repro.sim.monitor import Monitor
 from repro.sim.network import Network
-from repro.sim.process import Process
 
 #: Simulation chunk size (virtual ms) between stop-condition checks.
 _RUN_CHUNK_MS = 200.0
 
 
-class MachineProcess(Process):
-    """One machine's seat on the simulator: its Process and its Runtime."""
+class MachineProcess:
+    """One machine's seat on the simulator: its network endpoint and its Runtime.
+
+    The seat owns what the simulator adds to a machine - a single-core CPU
+    model, the network it sends through and the timer events it armed.
+    Identity, the crashed flag, CPU time accounted and the lifecycle are
+    the machine's.  A seat learns its network when it is registered via
+    :meth:`Network.add_process`; sending before that is an error.
+    """
 
     def __init__(self, machine: Machine, sim: Simulator) -> None:
         self.machine = machine
-        super().__init__(machine.pid, sim)
-        machine.runtime = self
+        self.pid = machine.pid
+        self.sim = sim
+        self.network: Network | None = None
+        # Virtual time until which this seat's (single) CPU is busy.
+        # Crypto and TEE costs are charged here so that a loaded leader
+        # becomes a bottleneck exactly as on a t2.micro instance.
+        self._busy_until = 0.0
         self._timers: dict[int, Event] = {}
+        machine.runtime = self
 
-    # The machine owns the crashed flag (fault plans crash machines
-    # directly); delegating keeps network delivery gating consistent.
-    @property
-    def crashed(self) -> bool:  # type: ignore[override]
-        return self.machine.crashed
+    # -- CPU model and network endpoint --------------------------------------
 
-    @crashed.setter
-    def crashed(self, value: bool) -> None:
-        self.machine.crashed = value
+    def charge(self, cost_ms: float) -> None:
+        """Occupy this seat's CPU for ``cost_ms`` of virtual time.
 
-    # -- Process side ------------------------------------------------------
+        Charged time delays both the machine's subsequent sends and the
+        handling of messages that arrive while it is busy, modelling a
+        single-core replica.
+        """
+        if cost_ms <= 0:
+            return
+        self._busy_until = max(self._busy_until, self.sim.now) + cost_ms
 
-    def start(self) -> None:
-        self.machine.start()
+    def send(self, dest: int, payload: Any, size_bytes: int | None = None) -> None:
+        """Send ``payload`` to ``dest``, after any pending CPU work.
 
-    def crash(self) -> None:
-        self.machine.crash()
+        If charged CPU time extends past ``now``, the message is handed to
+        the network only when the CPU frees up - the wire cannot outrun
+        the crypto that produced the message.
+        """
+        network = self.network
+        if network is None:
+            raise SimulationError(f"process {self.pid} is not attached to a network")
+        if self.machine.crashed:
+            return
+        sim = self.sim
+        wait = self._busy_until - sim.now
+        if wait > 0:
+            sim.schedule(wait, network.send, self.pid, dest, payload, size_bytes)
+        else:
+            network.send(self.pid, dest, payload, size_bytes)
 
-    def recover(self) -> None:
-        self.machine.recover()
+    def broadcast(
+        self,
+        dests: Sequence[int],
+        payload: Any,
+        size_bytes: int | None = None,
+        include_self: bool = False,
+    ) -> None:
+        """Send ``payload`` to every pid in ``dests`` (optionally self too)."""
+        for dest in dests:
+            if dest == self.pid and not include_self:
+                continue
+            self.send(dest, payload, size_bytes=size_bytes)
+        if include_self and self.pid not in dests:
+            self.send(self.pid, payload, size_bytes=size_bytes)
 
-    def on_message(self, sender: int, payload: object) -> None:
+    def deliver(self, sender: int, payload: Any) -> None:
+        """Called by the network when a message arrives.
+
+        A message that arrives while the CPU is busy waits in the receive
+        queue until the CPU frees up; one that arrives at a crashed
+        machine is gone (modelling lost volatile state).
+        """
+        if self.machine.crashed:
+            return
+        sim = self.sim
+        wait = self._busy_until - sim.now
+        if wait > 0:
+            sim.schedule(wait, self.deliver, sender, payload)
+            return
         self.machine.on_message(sender, payload)
 
     # -- Runtime side ------------------------------------------------------
@@ -115,7 +168,7 @@ class MachineProcess(Process):
         self.machine.on_timer(timer_id)
 
     def machine_recovered(self) -> None:
-        """Mirror ``Process.recover``: a restarted CPU starts out idle."""
+        """A restarted CPU starts out idle."""
         self._busy_until = self.sim.now
 
 

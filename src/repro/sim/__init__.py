@@ -1,15 +1,15 @@
 """Discrete-event simulation substrate.
 
 This package is the stand-in for the paper's AWS deployment: a
-deterministic discrete-event simulator with a virtual clock, actors that
-exchange messages over simulated wide-area links, and latency models that
-implement the partial-synchrony assumption (arbitrary delays before GST,
-bounded by delta after GST).
+deterministic discrete-event simulator with a virtual clock, a network
+that carries messages over simulated wide-area links, and latency models
+that implement the partial-synchrony assumption (arbitrary delays before
+GST, bounded by delta after GST).  The actors are sans-I/O machines,
+each seated on the network by :class:`repro.runtime.sim.MachineProcess`.
 
 Public entry points:
 
 * :class:`~repro.sim.events.Simulator` - the event loop and virtual clock.
-* :class:`~repro.sim.process.Process` - base class for simulated actors.
 * :class:`~repro.sim.network.Network` - message delivery between processes.
 * :mod:`~repro.sim.latency` - latency models (constant, matrix, GST).
 * :mod:`~repro.sim.regions` - AWS-like inter-region RTT data sets.
@@ -25,14 +25,11 @@ from repro.sim.latency import (
 )
 from repro.sim.monitor import Monitor
 from repro.sim.network import Network
-from repro.sim.process import Process, Timer
 from repro.sim.regions import EU_REGIONS, WORLD_REGIONS, RegionMap
 
 __all__ = [
     "Event",
     "Simulator",
-    "Process",
-    "Timer",
     "Network",
     "Monitor",
     "LatencyModel",

@@ -22,14 +22,16 @@ can report exactly what they injected.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.codec import msg_type_of, wire_size_of
 from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.monitor import Monitor
-from repro.sim.process import Process
+
+if TYPE_CHECKING:  # pragma: no cover - the seat lives with the runtime
+    from repro.runtime.sim import MachineProcess
 
 __all__ = ["SELF_DELIVERY_MS", "Network"]
 
@@ -50,7 +52,7 @@ class Network:
         self.sim = sim
         self.latency = latency
         self.monitor = monitor if monitor is not None else Monitor()
-        self.processes: dict[int, Process] = {}
+        self.processes: dict[int, MachineProcess] = {}
         self.taps: list[Callable[[int, int, Any], None]] = []
         # Composable fault pipeline; see the module docstring for the
         # filter contract.
@@ -71,8 +73,8 @@ class Network:
         if fn in self.fault_filters:
             self.fault_filters.remove(fn)
 
-    def add_process(self, process: Process) -> None:
-        """Register a process; its pid must be unique on this network."""
+    def add_process(self, process: MachineProcess) -> None:
+        """Register a machine's seat; its pid must be unique on this network."""
         if process.pid in self.processes:
             raise SimulationError(f"duplicate pid {process.pid}")
         self.processes[process.pid] = process

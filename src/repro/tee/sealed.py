@@ -83,10 +83,6 @@ class SealManager:
     def __init__(self) -> None:
         self._latest: dict[int, int] = {}
 
-    def latest_counter(self, component_id: int) -> int:
-        """The highest seal counter issued for ``component_id`` (0 = none)."""
-        return self._latest.get(component_id, 0)
-
     def prime(self, component_id: int, counter: int) -> None:
         """Install a trusted floor for ``component_id``'s seal counter.
 

@@ -235,7 +235,7 @@ def test_det003_id_and_hash(tmp_path):
 # -- message-exhaustiveness rules -----------------------------------------------
 
 
-_HANDLED_BY_ISINSTANCE = """
+_ROUTED_BY_ISINSTANCE = """
     def on_message(payload):
         if isinstance(payload, UsedMsg):
             return True
@@ -254,12 +254,18 @@ _HANDLED_BY_KIND_KEY = """
         HANDLERS = {**Base.HANDLERS, (UsedMsg, KIND_VOTE): ("_combine", "_votes")}
     """
 
+_HANDLED_BY_SERVICE_TABLE = """
+    class Client:
+        SERVICE_HANDLERS: dict = {UsedMsg: "_handle_used"}
+    """
+
 
 @pytest.mark.parametrize(
-    "protocol_source", [_HANDLED_BY_ISINSTANCE, _HANDLED_BY_TABLE, _HANDLED_BY_KIND_KEY]
+    "protocol_source",
+    [_ROUTED_BY_ISINSTANCE, _HANDLED_BY_TABLE, _HANDLED_BY_KIND_KEY, _HANDLED_BY_SERVICE_TABLE],
 )
 def test_msg001_unhandled_message_type(tmp_path, protocol_source):
-    """Handled means: tabled in a HANDLERS declaration, or isinstance-routed."""
+    """Handled means: tabled in a HANDLERS or SERVICE_HANDLERS declaration."""
     make_module(
         tmp_path,
         "repro.core.messages",
@@ -272,7 +278,10 @@ def test_msg001_unhandled_message_type(tmp_path, protocol_source):
         """,
     )
     make_module(tmp_path, "repro.protocols.proto", protocol_source)
-    assert lint_ids(tmp_path, ["MSG001"]) == [("MSG001", 2)]
+    expected = [("MSG001", 2)]
+    if protocol_source is _ROUTED_BY_ISINSTANCE:
+        expected.append(("MSG001", 5))  # an isinstance is not a dispatch
+    assert lint_ids(tmp_path, ["MSG001"]) == expected
 
 
 def test_msg001_a_table_under_another_name_does_not_count(tmp_path):

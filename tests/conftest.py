@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 import pytest
 
 from repro.config import SystemConfig
@@ -9,7 +11,9 @@ from repro.costs import CostModel
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
 from repro.core.block import genesis_block
-from repro.runtime.sim import ConsensusSystem
+from repro.runtime.machine import Machine
+from repro.runtime.sim import ConsensusSystem, MachineProcess
+from repro.sim.network import Network
 
 
 @pytest.fixture
@@ -53,3 +57,22 @@ def run_protocol(protocol: str, views: int = 5, f: int = 1, **overrides):
     system = ConsensusSystem(small_config(protocol, f=f, **overrides))
     result = system.run_until_views(views, max_time_ms=120_000)
     return system, result
+
+
+class Recorder(Machine):
+    """A machine that records each delivery as ``(time, sender, payload)``."""
+
+    def __init__(self, pid: int, clock: Any) -> None:
+        super().__init__(pid, clock)
+        self.received: list[tuple[float, int, Any]] = []
+
+    def on_message(self, sender: int, payload: Any) -> None:
+        self.received.append((self.now, sender, payload))
+
+
+def seat_recorders(network: Network, *pids: int) -> list[Recorder]:
+    """One :class:`Recorder` per pid, each seated on ``network`` by a MachineProcess."""
+    recorders = [Recorder(pid, network.sim) for pid in pids]
+    for recorder in recorders:
+        network.add_process(MachineProcess(recorder, network.sim))
+    return recorders

@@ -15,8 +15,6 @@ import pytest
 from repro.core.codec import (
     CodecError,
     Encoder,
-    MessageSerializer,
-    Serializer,
     decode_message,
     encode_message,
 )
@@ -104,13 +102,6 @@ def test_framed_roundtrip(msg):
     assert length == len(framed) - 4
     (frame,) = FrameDecoder().feed(framed)
     assert decode_message(frame) == msg
-
-
-def test_message_serializer_satisfies_protocol():
-    serializer = MessageSerializer()
-    assert isinstance(serializer, Serializer)
-    msg = ALL_MESSAGES[0]
-    assert serializer.deserialize(serializer.serialize(msg)) == msg
 
 
 def test_encoder_range_errors_are_codec_errors():

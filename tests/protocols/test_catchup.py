@@ -6,6 +6,8 @@ from repro.analysis.chaos import monotone_prefixes_ok
 from repro.core.executor import fold_state_root
 from repro.core.messages import ViewAnnounce
 from repro.errors import TEERefusal
+from repro.protocols import replica as replica_module
+from repro.protocols import sync
 from repro.protocols.replica import CATCHUP_VIEW_GAP
 from repro.runtime.sim import ConsensusSystem
 from repro.tee.checkpoint import verify_checkpoint
@@ -108,15 +110,10 @@ def test_replica_partitioned_for_10k_views_rejoins():
     assert monotone_prefixes_ok(system)
 
 
-def test_catchup_requester_backs_off_and_gives_up():
-    system = ConsensusSystem(
-        small_config(
-            "damysus",
-            checkpoint_interval=5,
-            catchup_timeout_ms=100.0,
-            catchup_max_retries=4,
-        )
-    )
+def test_catchup_requester_backs_off_and_gives_up(monkeypatch):
+    monkeypatch.setattr(sync, "CATCHUP_TIMEOUT_MS", 100.0)
+    monkeypatch.setattr(sync, "CATCHUP_MAX_RETRIES", 4)
+    system = ConsensusSystem(small_config("damysus", checkpoint_interval=5))
     system.start()
     system.run_until_views(3, max_time_ms=600_000)
     lagger = system.replicas[0]
@@ -130,7 +127,7 @@ def test_catchup_requester_backs_off_and_gives_up():
     system.sim.run(until=system.sim.now + 60_000.0)
     assert lagger.catchup.gave_up
     assert not lagger.catchup.active
-    assert lagger.catchup.retries == system.config.catchup_max_retries
+    assert lagger.catchup.retries == 4
 
 
 def test_forged_sync_checkpoint_is_dropped():
@@ -339,18 +336,14 @@ def test_claims_heard_during_a_round_are_followed_when_it_ends():
     assert replica.view == view + 3
 
 
-def test_chunked_transfer_survives_the_rate_limit():
+def test_chunked_transfer_survives_the_rate_limit(monkeypatch):
     """Continuation requests of one chunked session are exempt from the
     per-sender rate limit: the whole transfer completes inside a single
     window with no timeout-paced retries."""
+    monkeypatch.setattr(replica_module, "SYNC_CHUNK_BLOCKS", 3)
+    monkeypatch.setattr(replica_module, "SYNC_MIN_INTERVAL_MS", 120_000.0)
     system = ConsensusSystem(
-        small_config(
-            "damysus",
-            checkpoint_interval=30,
-            block_size=1,
-            sync_chunk_blocks=3,
-            sync_min_interval_ms=120_000.0,
-        )
+        small_config("damysus", checkpoint_interval=30, block_size=1)
     )
     system.start()
     system.run_until_views(5, max_time_ms=600_000)

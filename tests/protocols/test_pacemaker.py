@@ -1,22 +1,24 @@
 """Tests for the pacemaker and leader rotation."""
 
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
+from repro.runtime.sim import MachineProcess
 from repro.sim.events import Simulator
-from repro.sim.process import Process
 from repro.core.rng import RngStream
+from tests.conftest import Recorder
 
 
-class Dummy(Process):
-    def on_message(self, sender, payload):
-        pass
+def seated(sim):
+    """A machine seated on ``sim``, to host a pacemaker's timers."""
+    machine = Recorder(0, sim)
+    MachineProcess(machine, sim)
+    return machine
 
 
 def make(base=100.0, backoff=2.0):
     sim = Simulator()
-    process = Dummy(0, sim)
     fired = []
     pacemaker = Pacemaker(
-        process, base, backoff, on_timeout=lambda view: fired.append((sim.now, view))
+        seated(sim), base, backoff, on_timeout=lambda view: fired.append((sim.now, view))
     )
     return sim, pacemaker, fired
 
@@ -72,10 +74,9 @@ def test_backoff_capped_at_max_timeout():
 
 def test_jitter_perturbs_the_armed_timeout_but_not_the_backoff():
     sim = Simulator()
-    process = Dummy(0, sim)
     fired = []
     pacemaker = Pacemaker(
-        process,
+        seated(sim),
         100.0,
         on_timeout=lambda view: fired.append(sim.now),
         jitter_fraction=0.2,
@@ -92,7 +93,7 @@ def test_jitter_is_deterministic_per_seed():
     def fire_times(seed):
         sim = Simulator()
         pacemaker = Pacemaker(
-            Dummy(0, sim),
+            seated(sim),
             100.0,
             jitter_fraction=0.2,
             rng=RngStream(seed, "jitter-test"),
@@ -126,7 +127,7 @@ def test_new_view_replaces_timer():
 def test_custom_max_timeout_overrides_the_default_cap():
     sim = Simulator()
     pacemaker = Pacemaker(
-        Dummy(0, sim), 100.0, 2.0, on_timeout=lambda view: None,
+        seated(sim), 100.0, 2.0, on_timeout=lambda view: None,
         max_timeout_ms=250.0,
     )
     for view in range(1, 10):

@@ -1,9 +1,12 @@
 """Tests for the BaseReplica plumbing: buffering, staleness, charging."""
 
 
+from repro.adversary.sync_server import ByzantineSyncServerDamysus
 from repro.core.mempool import Transaction
-from repro.core.messages import ClientRequest
+from repro.core.messages import ClientRequest, ViewAnnounce
 from repro.costs import CostModel
+from repro.protocols.damysus import DamysusReplica
+from repro.protocols.sync import SyncRequest
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
@@ -86,6 +89,28 @@ def test_client_requests_feed_the_mempool():
     request = ClientRequest(4, Transaction(4, 1, 16))
     replica.on_message(99, request)
     assert replica.mempool.pending() == 1
+
+
+def test_a_chassis_handler_overridden_by_name_gets_its_traffic():
+    """``SERVICE_HANDLERS`` names resolve per class, so the override is what runs."""
+    seen = []
+
+    class Recording(DamysusReplica):
+        def _handle_view_announce(self, sender, msg):
+            seen.append((sender, msg))
+
+    system = ConsensusSystem(small_config("damysus"), replica_overrides={2: Recording})
+    replica = system.replicas[2]
+    assert type(replica)._service[ViewAnnounce] is Recording._handle_view_announce
+    announce = ViewAnnounce(replica.view + 50)  # far ahead, yet served, not buffered
+    replica.on_message(0, announce)
+    assert seen == [(0, announce)]
+    assert replica._buffered_count == 0
+    # The Byzantine sync server's override is how its forgeries get sent.
+    assert (
+        ByzantineSyncServerDamysus._service[SyncRequest]
+        is ByzantineSyncServerDamysus._handle_sync_request
+    )
 
 
 def test_leader_schedule_round_robin():

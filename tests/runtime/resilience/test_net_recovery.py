@@ -9,12 +9,10 @@ SIGKILL).
 
 import asyncio
 
-import pytest
-
-from repro.config import NetConfig
 from repro.core.faults import FaultPlan
+from repro.runtime import asyncio_net
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, _Outbox, build_machine
-from repro.runtime.framing import encode_frame
+from repro.runtime.framing import MAX_FRAME_BYTES, encode_frame
 from repro.runtime.resilience.durable import DurableSealer
 from repro.runtime.resilience.transport import FaultDecider
 from repro.tee.sealed import FileSealStore
@@ -218,7 +216,7 @@ def test_oversized_frame_disconnects_instead_of_buffering():
             _reader, writer = await asyncio.open_connection(host, port)
             # Announce a frame far above the cap; the payload never needs
             # to arrive - the announcement alone must poison the stream.
-            announce = (runtimes[0].net.max_frame_bytes + 1).to_bytes(4, "little")
+            announce = (MAX_FRAME_BYTES + 1).to_bytes(4, "little")
             writer.write(announce)
             await writer.drain()
             await asyncio.sleep(0.2)
@@ -232,25 +230,20 @@ def test_oversized_frame_disconnects_instead_of_buffering():
     asyncio.run(scenario())
 
 
-@pytest.mark.parametrize("policy", ["drop-oldest", "drop-newest"])
-def test_outbound_overflow_policy(policy):
+def test_full_outbound_queue_sheds_the_oldest_frame(monkeypatch):
+    monkeypatch.setattr(asyncio_net, "MAX_OUTBOUND_QUEUE", 4)
+
     async def scenario():
         clock = WallClock()
         machine = build_machine("damysus", 0, 4, clock, seed=1)
-        runtime = AsyncioRuntime(
-            machine, net=NetConfig(max_outbound_queue=4, overflow_policy=policy)
-        )
-        # Pre-seed the queue so no sender task spawns: pure policy test.
+        runtime = AsyncioRuntime(machine)
+        # Pre-seed the queue so no sender task spawns: the queue alone.
         outbox = runtime._queues[9] = _Outbox()
         frames = [b"frame-%d" % i for i in range(10)]
         for frame in frames:
             runtime._enqueue(9, frame)
         assert runtime.dropped_messages == 6
-        kept = list(outbox.frames)
-        if policy == "drop-oldest":
-            assert kept == frames[-4:]  # freshest survive
-        else:
-            assert kept == frames[:4]  # earliest survive
+        assert list(outbox.frames) == frames[-4:]  # freshest survive
         await runtime.close()
 
     asyncio.run(scenario())

@@ -10,7 +10,6 @@ ports; the machines only record what they are handed.
 import asyncio
 import socket
 
-from repro.config import NetConfig
 from repro.core.faults import DROP, FaultAction, FaultRule
 from repro.core.messages import BlockRequest, ClientReply
 from repro.runtime import asyncio_net
@@ -282,6 +281,7 @@ def test_a_stalled_peer_backs_up_the_outbox_not_the_transport(monkeypatch):
     sheds the stalest frame for the freshest.
     """
     bound, body = 64, b"\0" * 8192
+    monkeypatch.setattr(asyncio_net, "MAX_OUTBOUND_QUEUE", bound)
     writers = _capture_small_buffered_connections(monkeypatch)
     received, reading = [], asyncio.Event()
 
@@ -297,7 +297,7 @@ def test_a_stalled_peer_backs_up_the_outbox_not_the_transport(monkeypatch):
     async def scenario():
         server = await asyncio.start_server(stalled_peer, "127.0.0.1", 0)
         server.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        runtime = AsyncioRuntime(Scripted(0, WallClock()), net=NetConfig(max_outbound_queue=bound))
+        runtime = AsyncioRuntime(Scripted(0, WallClock()))
         runtime.set_peers({9: server.sockets[0].getsockname()[:2]})
         sequence = 0
 

@@ -16,26 +16,14 @@ from repro.core.faults import (
 )
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
-from repro.sim.process import Process
 from repro.core.rng import RngStream
-
-
-class Sink(Process):
-    def __init__(self, pid, sim):
-        super().__init__(pid, sim)
-        self.received = []
-
-    def on_message(self, sender, payload):
-        self.received.append((self.sim.now, sender, payload))
+from tests.conftest import seat_recorders
 
 
 def build(n=3, latency=1.0):
     sim = Simulator()
     net = Network(sim, ConstantLatency(latency))
-    procs = [Sink(i, sim) for i in range(n)]
-    for p in procs:
-        net.add_process(p)
-    return sim, net, procs
+    return sim, net, seat_recorders(net, *range(n))
 
 
 def stream(name="faults", seed=1):

@@ -6,17 +6,11 @@ from repro.protocols.registry import PROTOCOL_ORDER
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
-from repro.sim.process import Process
-from tests.conftest import run_protocol
+from tests.conftest import run_protocol, seat_recorders
 
 
-class Recorder(Process):
-    def __init__(self, pid, sim):
-        super().__init__(pid, sim)
-        self.received = []
-
-    def on_message(self, sender, payload):
-        self.received.append(payload)
+def payloads(recorder):
+    return [payload for _, _, payload in recorder.received]
 
 
 class ShrinkingLatency(LatencyModel):
@@ -33,9 +27,7 @@ class ShrinkingLatency(LatencyModel):
 def build(fifo):
     sim = Simulator()
     net = Network(sim, ShrinkingLatency(), fifo=fifo)
-    a, b = Recorder(0, sim), Recorder(1, sim)
-    net.add_process(a)
-    net.add_process(b)
+    a, b = seat_recorders(net, 0, 1)
     return sim, a, b
 
 
@@ -44,7 +36,7 @@ def test_without_fifo_messages_can_overtake():
     for i in range(3):
         a.send(1, i)
     sim.run()
-    assert b.received != [0, 1, 2]
+    assert payloads(b) != [0, 1, 2]
 
 
 def test_with_fifo_order_is_preserved():
@@ -52,20 +44,18 @@ def test_with_fifo_order_is_preserved():
     for i in range(3):
         a.send(1, i)
     sim.run()
-    assert b.received == [0, 1, 2]
+    assert payloads(b) == [0, 1, 2]
 
 
 def test_fifo_is_per_link():
     sim = Simulator()
     net = Network(sim, ShrinkingLatency(), fifo=True)
-    a, b, c = Recorder(0, sim), Recorder(1, sim), Recorder(2, sim)
-    for p in (a, b, c):
-        net.add_process(p)
+    a, b, c = seat_recorders(net, 0, 1, 2)
     a.send(1, "to-b")
     a.send(2, "to-c")  # different link: may arrive before/after freely
     sim.run()
-    assert b.received == ["to-b"]
-    assert c.received == ["to-c"]
+    assert payloads(b) == ["to-b"]
+    assert payloads(c) == ["to-c"]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_ORDER)

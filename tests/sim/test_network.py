@@ -7,16 +7,7 @@ from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import SELF_DELIVERY_MS, Network
-from repro.sim.process import Process
-
-
-class Sink(Process):
-    def __init__(self, pid, sim):
-        super().__init__(pid, sim)
-        self.received = []
-
-    def on_message(self, sender, payload):
-        self.received.append((self.sim.now, sender, payload))
+from tests.conftest import seat_recorders
 
 
 class SizedPayload:
@@ -30,16 +21,13 @@ class SizedPayload:
 def build(latency=2.0, n=2):
     sim = Simulator()
     net = Network(sim, ConstantLatency(latency))
-    procs = [Sink(i, sim) for i in range(n)]
-    for p in procs:
-        net.add_process(p)
-    return sim, net, procs
+    return sim, net, seat_recorders(net, *range(n))
 
 
 def test_duplicate_pid_rejected():
     sim, net, procs = build()
     with pytest.raises(SimulationError):
-        net.add_process(Sink(0, sim))
+        seat_recorders(net, 0)
 
 
 def test_unknown_destination_rejected():
@@ -99,9 +87,7 @@ def test_msg_type_of_fallback():
 def test_bandwidth_affects_delay():
     sim = Simulator()
     net = Network(sim, ConstantLatency(1.0, bandwidth=100.0))
-    a, b = Sink(0, sim), Sink(1, sim)
-    net.add_process(a)
-    net.add_process(b)
+    _, b = seat_recorders(net, 0, 1)
     net.send(0, 1, SizedPayload())  # 1000 bytes / 100 B-per-ms = 10 ms
     sim.run()
     assert b.received[0][0] == pytest.approx(11.0)

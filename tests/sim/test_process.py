@@ -1,29 +1,19 @@
-"""Tests for processes, timers and CPU-time accounting."""
+"""Tests for a machine's seat on the simulator: sends, deliveries, CPU time."""
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.runtime.sim import MachineProcess
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
-from repro.sim.process import Process, Timer
-
-
-class Recorder(Process):
-    def __init__(self, pid, sim):
-        super().__init__(pid, sim)
-        self.received = []
-
-    def on_message(self, sender, payload):
-        self.received.append((self.sim.now, sender, payload))
+from tests.conftest import Recorder, seat_recorders
 
 
 def make_pair(latency_ms=1.0):
     sim = Simulator()
     net = Network(sim, ConstantLatency(latency_ms))
-    a, b = Recorder(0, sim), Recorder(1, sim)
-    net.add_process(a)
-    net.add_process(b)
+    a, b = seat_recorders(net, 0, 1)
     return sim, net, a, b
 
 
@@ -37,30 +27,33 @@ def test_send_delivers_with_latency():
 def test_send_without_network_raises():
     sim = Simulator()
     orphan = Recorder(9, sim)
+    MachineProcess(orphan, sim)  # seated, but never added to a network
     with pytest.raises(SimulationError):
         orphan.send(0, "x")
 
 
 def test_crashed_process_does_not_send():
-    sim, _, a, b = make_pair()
+    sim, net, a, b = make_pair()
     a.crash()
-    a.send(1, "x")
+    net.processes[0].send(1, "x")  # the seat drops it too, not only the machine
     sim.run()
     assert b.received == []
 
 
 def test_crashed_process_ignores_deliveries():
     sim, _, a, b = make_pair()
+    b.charge(20.0)
     b.crash()
     a.send(1, "x")
     sim.run()
     assert b.received == []
+    # Dropped on arrival: no busy-wait re-delivery was scheduled.
+    assert sim.events_processed == 1
 
 
 def test_broadcast_excludes_self_by_default():
     sim, net, a, b = make_pair()
-    c = Recorder(2, sim)
-    net.add_process(c)
+    (c,) = seat_recorders(net, 2)
     a.broadcast([0, 1, 2], "m")
     sim.run()
     assert a.received == []
@@ -74,25 +67,6 @@ def test_broadcast_include_self():
     sim.run()
     assert len(a.received) == 1
     assert len(b.received) == 1
-
-
-def test_timer_fires():
-    sim = Simulator()
-    fired = []
-    Timer(sim, 5.0, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [5.0]
-
-
-def test_timer_cancel():
-    sim = Simulator()
-    fired = []
-    timer = Timer(sim, 5.0, lambda: fired.append(1))
-    assert timer.active
-    timer.cancel()
-    sim.run()
-    assert fired == []
-    assert not timer.active
 
 
 def test_charge_delays_send():
@@ -114,17 +88,18 @@ def test_charge_delays_message_handling():
 
 
 def test_charge_accumulates():
-    sim = Simulator()
-    p = Recorder(0, sim)
-    p.charge(3.0)
-    p.charge(4.0)
-    assert p.busy_until == pytest.approx(7.0)
-    assert p.cpu_time_charged == pytest.approx(7.0)
+    _, net, a, _ = make_pair()
+    a.charge(3.0)
+    a.charge(4.0)
+    assert net.processes[0]._busy_until == pytest.approx(7.0)
+    assert a.cpu_time_charged == pytest.approx(7.0)
 
 
 def test_charge_nonpositive_is_noop():
-    sim = Simulator()
-    p = Recorder(0, sim)
-    p.charge(0.0)
-    p.charge(-5.0)
-    assert p.busy_until == 0.0
+    _, net, a, _ = make_pair()
+    seat = net.processes[0]
+    a.charge(0.0)
+    seat.charge(0.0)
+    seat.charge(-5.0)
+    assert seat._busy_until == 0.0
+    assert a.cpu_time_charged == 0.0
