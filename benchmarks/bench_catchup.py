@@ -24,7 +24,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.costs import CostModel
-from repro.protocols.replica import CATCHUP_VIEW_GAP
+from repro.protocols.sync import CATCHUP_VIEW_GAP
 from repro.runtime.sim import ConsensusSystem
 
 #: Views the victim sits out, per scale (see conftest.SCALE).
@@ -63,9 +63,9 @@ def run_rejoin(missed: int, interval: int, seed: int = 11) -> dict:
     deadline = t0 + missed * REJOIN_BOUND_MS_PER_VIEW
     while system.sim.now < deadline:
         system.sim.run(until=system.sim.now + 500.0)
-        if recovered.view_lag() <= CATCHUP_VIEW_GAP:
+        if recovered.viewsync.view_lag() <= CATCHUP_VIEW_GAP:
             break
-    assert recovered.view_lag() <= CATCHUP_VIEW_GAP, "never rejoined"
+    assert recovered.viewsync.view_lag() <= CATCHUP_VIEW_GAP, "never rejoined"
     assert system.oracle.safe
     return {
         "rejoin_ms": system.sim.now - t0,

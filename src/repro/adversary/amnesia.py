@@ -27,11 +27,10 @@ from repro.tee.sealed import SealedState
 class AmnesiaDamysusReplica(DamysusReplica):
     """Presents rolled-back sealed state on every recovery."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._stale_seal: SealedState | None = None
-        self.rollback_attempts = 0
-        self.rollback_refusals = 0
+    DURABLE = ("_stale_seal",)  # the host's copy of the pristine seal
+    WIRING = ("rollback_attempts", "rollback_refusals")
+    _stale_seal: SealedState | None = None
+    rollback_attempts = rollback_refusals = 0
 
     def start(self) -> None:
         # Seal the pristine checker before doing anything: this is the

@@ -14,9 +14,8 @@ from repro.protocols.hotstuff import HotStuffReplica
 class SilentLeaderHotStuff(HotStuffReplica):
     """A HotStuff replica that stays mute whenever it is the leader."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.withheld_proposals = 0
+    WIRING = ("withheld_proposals",)
+    withheld_proposals = 0
 
     def _propose(self, view, new_views) -> None:
         self.withheld_proposals += 1
@@ -26,9 +25,8 @@ class SilentLeaderHotStuff(HotStuffReplica):
 class SilentLeaderDamysus(DamysusReplica):
     """A Damysus replica that stays mute whenever it is the leader."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.withheld_proposals = 0
+    WIRING = ("withheld_proposals",)
+    withheld_proposals = 0
 
     def _propose(self, view, phis) -> None:
         self.withheld_proposals += 1

@@ -23,9 +23,8 @@ from repro.protocols.hotstuff import HotStuffReplica
 class EquivocatingHotStuffLeader(HotStuffReplica):
     """Sends conflicting proposals to two halves of the replica set."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.equivocations = 0
+    WIRING = ("equivocations",)
+    equivocations = 0
 
     def _propose(self, view: int, new_views) -> None:
         high_qc = max((m.justify for m in new_views), key=lambda qc: qc.view)
@@ -60,9 +59,8 @@ class EquivocatingDamysusLeader(DamysusReplica):
     produced an unusable certificate.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.failed_equivocations = 0
+    WIRING = ("failed_equivocations",)
+    failed_equivocations = 0
 
     def _propose(self, view: int, phis) -> None:
         if not c_match(phis, self.quorum, None, view, Phase.NEW_VIEW):

@@ -91,10 +91,16 @@ def _sync_victim_plan(num_replicas: int, f: int) -> FaultPlan:
 
 
 def _counter(*names: str) -> Callable[[Any], int]:
-    """Sum the named attack counters off the adversary instance."""
+    """Sum the named attack counters (``a.b``: off component ``a``), absent as 0."""
 
     def events(replica: Any) -> int:
-        return sum(int(getattr(replica, name, 0)) for name in names)
+        total = 0
+        for name in names:
+            value = replica
+            for attr in name.split("."):
+                value = getattr(value, attr, 0)
+            total += int(value)
+        return total
 
     return events
 
@@ -204,7 +210,7 @@ ADVERSARIES: dict[str, AdversarySpec] = {
                 "hotstuff": ByzantineSyncServerHotStuff,
             },
             colluding_plan=_sync_victim_plan,
-            events=_counter("forged_checkpoints_sent", "forged_suffixes_sent"),
+            events=_counter("catchup.forged_checkpoints_sent", "catchup.forged_suffixes_sent"),
         ),
         AdversarySpec(
             name="amnesia",

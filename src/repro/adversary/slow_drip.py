@@ -30,11 +30,9 @@ class _SlowDripMixin:
     #: 0.6 leaves the three phase round-trips enough slack to finish
     #: before the backups' timers fire, so no view-change is triggered.
     drip_fraction = 0.6
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.dripped_views = 0
-        self._drip_pending: set[int] = set()
+    VOLATILE = {"_drip_pending": set}  # views whose proposal is being sat on
+    WIRING = ("dripped_views",)
+    dripped_views = 0
 
     def _propose(self, view: int, new_views) -> None:
         if view in self._drip_pending:
@@ -50,10 +48,6 @@ class _SlowDripMixin:
         if self.crashed or self.view > view:
             return  # the view moved on (or we died) while sitting on it
         super()._propose(view, new_views)
-
-    def reset_protocol_state(self) -> None:
-        super().reset_protocol_state()
-        self._drip_pending.clear()
 
 
 class SlowDripDamysusLeader(_SlowDripMixin, DamysusReplica):

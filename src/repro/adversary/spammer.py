@@ -38,6 +38,7 @@ class _MempoolSpammerMixin:
     #: Every k-th spam transaction carries fee 1 instead of 0, churning
     #: the eviction path of an already-saturated pool.
     tickle_every = 4
+    WIRING = ("spam_sent", "_spam_ids")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -18,7 +18,7 @@ from repro.core.certificate import genesis_qc
 from repro.core.messages import ProposalMsg
 from repro.protocols.damysus import DamysusReplica
 from repro.protocols.hotstuff import HotStuffReplica
-from repro.protocols.replica import QuorumCollector
+from repro.protocols.state import QuorumCollector
 
 
 class StaleHotStuffLeader(HotStuffReplica):
@@ -29,9 +29,8 @@ class StaleHotStuffLeader(HotStuffReplica):
     locking, at a liveness cost.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.stale_proposals = 0
+    WIRING = ("stale_proposals",)
+    stale_proposals = 0
 
     def _propose(self, view: int, new_views) -> None:
         self._proposed.add(view)
@@ -56,13 +55,14 @@ class StaleDamysusLeader(DamysusReplica):
     only waste bandwidth, never fork the ledger.
     """
 
+    WIRING = ("understated_views", "discarded_commitments")
+    understated_views = discarded_commitments = 0
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # Wait for every replica's new-view before proposing, to maximize
         # the choice of which commitments to discard.
         self._new_views = QuorumCollector(self.num_replicas)
-        self.understated_views = 0
-        self.discarded_commitments = 0
 
     def _propose(self, view: int, phis) -> None:
         lowest = sorted(phis, key=lambda phi: (phi.v_just or 0))[: self.quorum]

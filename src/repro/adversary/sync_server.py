@@ -30,25 +30,24 @@ from repro.core.phases import Phase
 from repro.crypto.hashing import hash_fields
 from repro.protocols.damysus import DamysusReplica
 from repro.protocols.hotstuff import HotStuffReplica
-from repro.protocols.sync import SyncBlocks, SyncCheckpoint, SyncRequest
+from repro.protocols.replica import BaseReplica
+from repro.protocols.sync import StateTransfer, SyncBlocks, SyncCheckpoint, SyncRequest
 from repro.tee.checkpoint import Checkpoint
 
 #: A plausible-looking but wrong state root / parent hash.
 _FORGED_ROOT = hash_fields(("forged-state-root",))
 
 
-class _ByzantineSyncServerMixin:
+class ForgingSyncServer(StateTransfer):
     """Serve forged state-transfer replies instead of honest ones."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.sync_requests_seen = 0
-        self.forged_checkpoints_sent = 0
-        self.forged_suffixes_sent = 0
+    WIRING = ("forged_checkpoints_sent", "forged_suffixes_sent")
+    forged_checkpoints_sent = forged_suffixes_sent = 0
 
     def forge_checkpoint(self) -> Checkpoint:
         """A checkpoint whose certification does not cover its claims."""
-        base = self.latest_checkpoint
+        replica = self.replica
+        base = replica.latest_checkpoint
         if base is not None:
             # Authentic Checker signature, tampered payload: the height
             # is inflated and the state root replaced, so verification
@@ -59,7 +58,7 @@ class _ByzantineSyncServerMixin:
         # No checkpoint of our own yet: fabricate one end-to-end.  The
         # host key is not a TEE key, so the Checker-signature check
         # fails before the junk QC is even looked at.
-        junk_sig = self.scheme.sign(self.pid, b"forged-checkpoint")
+        junk_sig = replica.scheme.sign(replica.pid, b"forged-checkpoint")
         junk_qc = Commitment(
             h_prep=_FORGED_ROOT,
             v_prep=9,
@@ -69,7 +68,7 @@ class _ByzantineSyncServerMixin:
             sigs=(junk_sig,),
         )
         return Checkpoint(
-            replica=self.pid,
+            replica=replica.pid,
             counter=1,
             height=7,
             view=9,
@@ -82,7 +81,7 @@ class _ByzantineSyncServerMixin:
     def forge_suffix(self, have_height: int) -> SyncBlocks:
         """A suffix of fabricated blocks 'extending' the requester's tip."""
         junk_block = create_leaf(_FORGED_ROOT, 10_000, ())
-        junk_sig = self.scheme.sign(self.pid, b"forged-suffix")
+        junk_sig = self.replica.scheme.sign(self.replica.pid, b"forged-suffix")
         junk_qc = Commitment(
             h_prep=junk_block.hash,
             v_prep=10_000,
@@ -94,18 +93,25 @@ class _ByzantineSyncServerMixin:
         return SyncBlocks(have_height, (junk_block,), done=True, tip_qc=junk_qc)
 
     def _handle_sync_request(self, sender: int, msg: SyncRequest) -> None:
-        if sender == self.pid:
+        if sender == self.replica.pid:
             return
-        self.sync_requests_seen += 1
         self.forged_checkpoints_sent += 1
-        self.send(sender, SyncCheckpoint(self.forge_checkpoint()))
+        self.replica.send(sender, SyncCheckpoint(self.forge_checkpoint()))
         self.forged_suffixes_sent += 1
-        self.send(sender, self.forge_suffix(msg.have_height))
+        self.replica.send(sender, self.forge_suffix(msg.have_height))
 
 
-class ByzantineSyncServerDamysus(_ByzantineSyncServerMixin, DamysusReplica):
+#: The chassis with the forging server in place of the honest one.
+_FORGING = {**BaseReplica.COMPONENTS, "catchup": ForgingSyncServer}
+
+
+class ByzantineSyncServerDamysus(DamysusReplica):
     """Damysus replica serving forged state transfers."""
 
+    COMPONENTS = _FORGING
 
-class ByzantineSyncServerHotStuff(_ByzantineSyncServerMixin, HotStuffReplica):
+
+class ByzantineSyncServerHotStuff(HotStuffReplica):
     """HotStuff replica serving forged state transfers."""
+
+    COMPONENTS = _FORGING

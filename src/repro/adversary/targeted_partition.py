@@ -62,6 +62,8 @@ def leader_isolation_plan(num_replicas: int, f: int) -> FaultPlan:
 class _PartitionColluderMixin:
     """Suppress all outbound traffic to the scheduled victims in-window."""
 
+    WIRING = ("_victims", "suppressed_messages")
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._victims = frozenset(victim_pids(self.num_replicas, self.config.f))

@@ -23,9 +23,8 @@ from repro.protocols.hotstuff import HotStuffReplica
 class VoteWithholdingDamysusReplica(DamysusReplica):
     """Withholds its prepare and pre-commit votes from other leaders."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.votes_withheld = 0
+    WIRING = ("votes_withheld",)
+    votes_withheld = 0
 
     def send_charged(self, dest: int, payload) -> None:
         if (
@@ -41,9 +40,8 @@ class VoteWithholdingDamysusReplica(DamysusReplica):
 class VoteWithholdingHotStuffReplica(HotStuffReplica):
     """Withholds its phase votes from other leaders."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.votes_withheld = 0
+    WIRING = ("votes_withheld",)
+    votes_withheld = 0
 
     def send_charged(self, dest: int, payload) -> None:
         if dest != self.pid and isinstance(payload, VoteMsg):

@@ -155,11 +155,15 @@ class _PurityWalk:
     # -- entry discovery ---------------------------------------------------
 
     def _machine_classes(self) -> list[ClassInfo]:
+        # A replica's components serve SERVICE_HANDLERS rows of their own.
         return [
             cls
             for cls in self.graph.classes.values()
             if not _is_host_module(cls.module)
-            and any(a.name == "Machine" for a in self.graph.ancestors(cls))
+            and any(
+                a.name == "Machine" or any(class_attr_values(a.node, ("SERVICE_HANDLERS",)))
+                for a in self.graph.ancestors(cls)
+            )
         ]
 
     def _entry_names(self, cls: ClassInfo) -> set[str]:

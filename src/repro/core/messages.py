@@ -218,10 +218,6 @@ class BlockRequest:
 
     msg_type = "block-request"
 
-    @property
-    def view(self) -> None:
-        return None
-
     def wire_size(self) -> int:
         return MSG_HEADER_BYTES + HASH_SIZE
 
@@ -233,10 +229,6 @@ class BlockResponse:
     block: Block
 
     msg_type = "block-response"
-
-    @property
-    def view(self) -> None:
-        return None
 
     def wire_size(self) -> int:
         return MSG_HEADER_BYTES + self.block.wire_size()

@@ -23,7 +23,8 @@ from repro.protocols.damysus_c import DamysusCReplica
 from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
 from repro.protocols.registry import PROTOCOL_ORDER, SPECS, ProtocolSpec, get_spec
-from repro.protocols.replica import BaseReplica, QuorumCollector
+from repro.protocols.replica import BaseReplica
+from repro.protocols.state import QuorumCollector
 
 __all__ = [
     "BaseReplica",

@@ -74,6 +74,8 @@ class ChainedDamysusReplica(BaseReplica):
     # Votes stamped view-1 are still being collected by this view's
     # leader, so prune two views back.
     PRUNE_SLACK = 2
+    DURABLE = ("qc_prep",)
+    WIRING = ("acc_service",)
     checker: ChainedChecker
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -81,8 +83,8 @@ class ChainedDamysusReplica(BaseReplica):
         self.acc_service = AccumulatorService(
             self.pid, self.scheme, self.directory, self.quorum
         )
-        # qc_prep survives a crash on stable storage, like the block
-        # store; the sealed checker carries the trusted prepared/step state.
+        # qc_prep is durable, like the block store; the sealed checker
+        # carries the trusted prepared/step state.
         self.qc_prep: Certificate = genesis_qc(self.store.genesis.hash)
 
     # -- helpers --------------------------------------------------------------------
@@ -108,7 +110,7 @@ class ChainedDamysusReplica(BaseReplica):
         # prep_p) when the proposal arrives) and send the commitment.
         phi = self._tee_sign_new_view(self.checker, self.view - 1)
         if phi is not None:
-            self._send_new_view(
+            self.viewsync.send_new_view(
                 self.leader_of(self.view), ChainedVote(self.view - 1, None, phi)
             )
         self._try_propose(self.view)
@@ -166,7 +168,7 @@ class ChainedDamysusReplica(BaseReplica):
         # new-view commitment goes to the next leader explicitly.
         self.charge_tee(signs=1)
         phi_nv = self.checker.tee_sign()
-        self._send_new_view(self.leader_of(view + 1), ChainedVote(view, None, phi_nv))
+        self.viewsync.send_new_view(self.leader_of(view + 1), ChainedVote(view, None, phi_nv))
 
     # -- all replicas: proposal processing (Fig 5a lines 21-38) ---------------------------------
 
@@ -217,7 +219,7 @@ class ChainedDamysusReplica(BaseReplica):
                 phi = None
             if phi is not None:
                 phi_nv = self.checker.tee_sign()
-                self._send_new_view(next_leader, ChainedVote(msg.view, phi, phi_nv))
+                self.viewsync.send_new_view(next_leader, ChainedVote(msg.view, phi, phi_nv))
         if self.is_leader(msg.view + 1) and phi_leader is not None:
             # Extract the proposing leader's vote from the proposal.
             self._collect_vote(msg.view, phi_leader)
@@ -254,9 +256,9 @@ class ChainedDamysusReplica(BaseReplica):
     def _await_certified(self, qc: Certificate, sender: int, msg: Any) -> None:
         """Park ``msg`` on the body ``qc`` names; dropped if that body is here."""
         # Here under another view, the certificate is forged: no fetch
-        # could make it certify that block (:meth:`_await_block` refuses).
+        # could make it certify that block (``BlockFetch.await_block`` refuses).
         if qc.hash is not None:
-            self._await_block(qc.hash, sender, msg)
+            self.fetch.await_block(qc.hash, sender, msg)
 
     # -- new-view commitment storage (for the stale-certificate path) --------------------------------
 

@@ -40,10 +40,11 @@ class ChainedHotStuffReplica(BaseReplica):
     # Votes stamped view-1 are still being collected by this view's
     # leader, so prune two views back.
     PRUNE_SLACK = 2
+    DURABLE = ("high_qc", "locked_qc")
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # Both certificates survive a crash on stable storage.
+        # Both certificates are durable: stable storage keeps them.
         bottom = genesis_qc(self.store.genesis.hash)
         self.high_qc = bottom  # highest known certificate (generic QC)
         self.locked_qc = bottom  # 2-chain lock
@@ -66,7 +67,7 @@ class ChainedHotStuffReplica(BaseReplica):
         # Votes double as new-views on the happy path; only a timeout
         # sends an explicit one, after the shared advance.
         super().on_view_timeout(view)
-        self._send_new_view(
+        self.viewsync.send_new_view(
             self.leader_of(self.view), NewViewMsg(self.view, self.high_qc)
         )
 
@@ -140,7 +141,7 @@ class ChainedHotStuffReplica(BaseReplica):
             sig = self.scheme.sign(
                 self.pid, vote_payload(msg.view, Phase.PREPARE, block.hash)
             )
-            self._send_new_view(
+            self.viewsync.send_new_view(
                 self.leader_of(msg.view + 1),
                 VoteMsg(msg.view, Phase.PREPARE, block.hash, sig),
             )

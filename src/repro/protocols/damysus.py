@@ -52,6 +52,7 @@ class DamysusReplica(BaseReplica):
     STALE_BLOCK_MSGS = (BlockProposal,)
     COLLECTORS = ("_new_views", "_prep_votes", "_pcom_votes")
     VIEW_SETS = ("_proposed", "_stored", "_decided")
+    WIRING = ("acc_service",)
 
     #: CommitmentMsg kind used for this protocol's new-view messages
     #: (Damysus-C overrides it).
@@ -67,7 +68,7 @@ class DamysusReplica(BaseReplica):
         """Fig 2a lines 41-47: TEEsign until stamped (view, nv_p), then send."""
         phi = self._tee_sign_new_view(self.checker, self.view)
         if phi is not None:
-            self._send_new_view(self.leader_of(self.view), CommitmentMsg(phi, self.nv_kind))
+            self.viewsync.send_new_view(self.leader_of(self.view), CommitmentMsg(phi, self.nv_kind))
 
     # -- prepare phase: leader ------------------------------------------------------------
 

@@ -40,6 +40,7 @@ class DamysusAReplica(SignatureVoteReplica):
         ProposalAMsg: "_handle_proposal",
     }
     STALE_BLOCK_MSGS = (ProposalAMsg,)
+    WIRING = ("acc_service",)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

@@ -34,11 +34,13 @@ class HotStuffReplica(SignatureVoteReplica):
         ProposalMsg: "_handle_proposal",
     }
     STALE_BLOCK_MSGS = (ProposalMsg,)
+    DURABLE = ("locked_qc",)
+    WIRING = ("threshold",)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # The lock (pre-commit QC); like prepare_qc it survives a crash,
-        # because HotStuff's crash-recovery model keeps safety-critical
+        # The lock (pre-commit QC); like prepare_qc it is durable, because
+        # HotStuff's crash-recovery model keeps safety-critical
         # certificates on stable storage.
         self.locked_qc = self.prepare_qc
         # Optional original-HotStuff-style compact certificates: leaders
@@ -56,7 +58,9 @@ class HotStuffReplica(SignatureVoteReplica):
 
     def _new_view_action(self) -> None:
         """Report the latest prepared block (unsigned: its QC speaks for itself)."""
-        self._send_new_view(self.leader_of(self.view), NewViewMsg(self.view, self.prepare_qc))
+        self.viewsync.send_new_view(
+            self.leader_of(self.view), NewViewMsg(self.view, self.prepare_qc)
+        )
 
     # -- certificate representation ---------------------------------------------------
 

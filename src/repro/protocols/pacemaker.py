@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.protocols.state import reset_volatile
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.rng import RngStream
     from repro.runtime.machine import Machine, MachineTimer
@@ -24,6 +26,12 @@ def round_robin_leader(view: int, num_replicas: int) -> int:
 
 class Pacemaker:
     """Per-replica view timer with exponential backoff."""
+
+    VOLATILE = {"_timer": None}  # a crash disarms it; the backoff survives
+    DURABLE = ("current_timeout_ms", "_view")
+    WIRING = ("process", "base_timeout_ms", "backoff", "on_timeout", "linear_decrease_ms",
+              "max_timeout_ms", "jitter_fraction", "rng", "timeouts_fired")
+    _timer: "MachineTimer | None"
 
     def __init__(
         self,
@@ -58,13 +66,8 @@ class Pacemaker:
         )
         self.current_timeout_ms = base_timeout_ms
         self.timeouts_fired = 0
-        self._timer: "MachineTimer | None" = None
         self._view = -1
-
-    @property
-    def view(self) -> int:
-        """The view the pacemaker is currently timing."""
-        return self._view
+        reset_volatile(self)
 
     def start_view(self, view: int) -> None:
         """Arm the timer for ``view``, cancelling any previous timer."""

@@ -144,9 +144,9 @@ PROTOCOL_ORDER = [
 
 
 #: The chassis hooks a protocol may override instead of declaring a value.
-#: The first four would re-introduce per-file scaffolding and stay unused.
+#: The first three would re-introduce per-file scaffolding and stay unused.
 CHASSIS_HOOKS = (
-    "dispatch", "on_stale", "prune_state", "reset_protocol_state",
+    "dispatch", "on_stale", "prune_state",
     "start", "on_view_entered", "on_view_timeout", "on_recovered",
     "message_view", "_verify_qc", "_make_qc",
 )

@@ -1,19 +1,20 @@
 """Replica base class: the chassis shared by all seven protocols.
 
 Responsibilities handled here so protocol modules stay close to the
-paper's pseudocode: table-driven message dispatch (``SERVICE_HANDLERS``
-for the chassis's own traffic, ``HANDLERS`` with future-view buffering
-for a protocol's), view advancement, leader schedule, CPU cost charging,
-quorum collection, block execution with client replies, and pacemaker
-integration.
+paper's pseudocode: table-driven message dispatch with future-view
+buffering, view advancement, leader schedule, CPU cost charging, block
+execution with client replies, crash and recovery.  View synchronisation,
+block fetch and state transfer are components beside it.
 
 A protocol *declares* its handlers, per-view state, checker flavour and
-new-view action (:class:`BaseReplica`'s class attributes); dispatch,
+new-view action (:class:`BaseReplica`'s class attributes), and every
+class its attributes (:mod:`~repro.protocols.state`); dispatch,
 construction, crash reset, pruning and the view lifecycle derive from that.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, ClassVar
 
 from repro.config import SystemConfig
@@ -27,98 +28,67 @@ from repro.core.commitment import Commitment
 from repro.core.executor import Ledger, SafetyOracle
 from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict, Transaction
 from repro.mempool.pool import PriorityMempool
-from repro.core.messages import BlockRequest, BlockResponse, ClientReply, ClientRequest
-from repro.core.messages import CommitmentMsg, ViewAnnounce
+from repro.core.messages import ClientReply, ClientRequest, CommitmentMsg
 from repro.core.monitor import ExecutionMonitor
 from repro.core.phases import Phase, Step
 from repro.core.rng import RngStream
 from repro.errors import MissingBlockError, TEERefusal
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
-from repro.protocols.sync import CatchUpClient, SyncBlocks, SyncCheckpoint, SyncRequest
+from repro.protocols.state import QuorumCollector, discard_views_below, reset_volatile
+from repro.protocols.sync import BlockFetch, StateTransfer, ViewSync
 from repro.runtime.effects import Commit
 from repro.runtime.machine import Machine
 from repro.tee.checker import Checker
-from repro.tee.checkpoint import Checkpoint, verify_checkpoint, verify_decide_qc
+from repro.tee.checkpoint import Checkpoint
 from repro.tee.sealed import SealedState, SealManager
 
-#: Cap on buffered future-view messages per replica (Byzantine flood guard).
+#: Cap on the messages a replica holds back (Byzantine flood guard).
 MAX_BUFFERED_MESSAGES = 10_000
-
-#: Views behind the highest corroborated view before catch-up starts.
-CATCHUP_VIEW_GAP = 8
-
-#: Views behind the highest corroborated view before a replica jumps
-#: there, and views behind its own before a replica answers a peer's
-#: announcement with its last new-view.  Not 1: the chained protocols
-#: route votes to the next view's leader, so a replica one hop behind
-#: hears f+1 claims of ``view + 1`` in normal operation.
-RESYNC_VIEW_GAP = 2
-
-#: State transfer, server side: blocks per ``SyncBlocks`` chunk, and the
-#: least time between two new sessions served to one requester.
-SYNC_CHUNK_BLOCKS = 64
-SYNC_MIN_INTERVAL_MS = 50.0
 
 #: Sentinel: ``recover()`` restores the snapshot taken by ``crash()``.
 _OWN_SNAPSHOT = object()
 
 
-def discard_views_below(entries: "set[Any] | dict[Any, Any]", view: int) -> None:
-    """Drop the entries of a view-keyed set or dict that lie below ``view``."""
-    # Keys are either a view number or a tuple whose first element is
-    # one; anything else is left alone.
-    for key in list(entries):
-        key_view = key[0] if isinstance(key, tuple) and key else key
-        if isinstance(key_view, int) and key_view < view:
-            if isinstance(entries, set):
-                entries.discard(key)
-            else:
-                del entries[key]
+class MessageBuffer:
+    """Messages held, under one cap, until their view starts (keyed by the
+    view) or the block body they need arrives (keyed by its hash)."""
+
+    def __init__(self) -> None:
+        self._held: dict[int | bytes, list[tuple[int, Any]]] = {}
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def keys(self) -> list[int | bytes]:
+        return list(self._held)
+
+    def hold(self, key: int | bytes, sender: int, payload: Any) -> bool:
+        """Hold ``payload`` under ``key``; ``False`` when the buffer is full."""
+        if self._count >= MAX_BUFFERED_MESSAGES:
+            return False
+        self._held.setdefault(key, []).append((sender, payload))
+        self._count += 1
+        return True
+
+    def release(self, key: int | bytes) -> list[tuple[int, Any]]:
+        """Whatever is held under ``key``, no longer held."""
+        held = self._held.pop(key, [])
+        self._count -= len(held)
+        return held
 
 
-class QuorumCollector:
-    """Collects deduplicated items per key until a threshold is reached.
+def _served_by(component: str, handler: Callable[..., None]) -> Callable[..., None]:
+    """A component's ``SERVICE_HANDLERS`` row, as the replica serves it."""
 
-    ``add`` returns the full item list exactly once - on the call that
-    reaches the threshold - and ``None`` before and after, which is how
-    leaders act exactly once per (view, phase) quorum.
-    """
+    @functools.wraps(handler)
+    def serve(replica: "BaseReplica", sender: int, payload: Any) -> None:
+        # Chassis traffic is between replicas: a client is served its
+        # requests (the replica's own row) and nothing else.
+        if sender in replica.replica_pids:
+            handler(getattr(replica, component), sender, payload)
 
-    def __init__(self, threshold: int) -> None:
-        self.threshold = threshold
-        self._items: dict[Any, list[Any]] = {}
-        self._dedup: dict[Any, set[Any]] = {}
-        self._done: set[Any] = set()
-
-    def add(self, key: Any, item: Any, dedup_id: Any) -> list[Any] | None:
-        if key in self._done:
-            return None
-        seen = self._dedup.setdefault(key, set())
-        if dedup_id in seen:
-            return None
-        seen.add(dedup_id)
-        items = self._items.setdefault(key, [])
-        items.append(item)
-        if len(items) == self.threshold:
-            self._done.add(key)
-            return list(items)
-        return None
-
-    def count(self, key: Any) -> int:
-        return len(self._items.get(key, ()))
-
-    def reached(self, key: Any) -> list[Any] | None:
-        """The quorum collected for ``key``, once (and ever after) complete."""
-        return list(self._items[key]) if key in self._done else None
-
-    def pending_keys(self) -> int:
-        """Number of keys currently holding state (for GC assertions)."""
-        return len(self._items) + len(self._done)
-
-    def discard_before_view(self, view: int) -> None:
-        """Garbage-collect state for views below ``view``."""
-        for entries in (self._items, self._dedup, self._done):
-            discard_views_below(entries, view)
+    return serve
 
 
 class BaseReplica(Machine):
@@ -148,17 +118,14 @@ class BaseReplica(Machine):
     #: as ``(name, arg, ...)``.  Resolved once per class, so a subclass
     #: that overrides a handler by name is routed to its override.
     HANDLERS: ClassVar[dict[Any, Any]] = {}
-    #: The chassis's own traffic, served in any view and without a receive
-    #: charge, before the view check ``HANDLERS`` traffic goes through:
-    #: client requests, block fetches, state transfer, view announcements.
-    SERVICE_HANDLERS: ClassVar[dict[type, str]] = {
-        ClientRequest: "_handle_client_request",
-        BlockRequest: "_handle_block_request",
-        BlockResponse: "_handle_block_response",
-        SyncRequest: "_handle_sync_request",
-        SyncCheckpoint: "_handle_sync_checkpoint",
-        SyncBlocks: "_handle_sync_blocks",
-        ViewAnnounce: "_handle_view_announce",
+    #: View-less traffic, served in any view and without a receive charge
+    #: before the view check: client requests here, from anyone, and the
+    #: ``COMPONENTS``' rows, from replicas only.
+    SERVICE_HANDLERS: ClassVar[dict[type, str]] = {ClientRequest: "_handle_client_request"}
+    #: The chassis's components by attribute; each owns its state and its
+    #: ``SERVICE_HANDLERS`` rows (a subclass swaps one by naming a class).
+    COMPONENTS: ClassVar[dict[str, Any]] = {
+        "viewsync": ViewSync, "fetch": BlockFetch, "catchup": StateTransfer
     }
     #: Message classes whose ``block`` is kept even when they arrive after
     #: their view ended: execution follows certified hashes, so a replica
@@ -178,6 +145,31 @@ class BaseReplica(Machine):
     #: is never dispatched.
     PRUNE_SLACK: ClassVar[int] = 1
 
+    # -- what every replica holds (``repro.protocols.state``) ------------------
+
+    VOLATILE: ClassVar[dict[str, Any]] = {
+        "buffer": MessageBuffer,
+        "last_commit_qc": None,  # the decide QC behind the last execution
+        "mempool": PriorityMempool.lose_memory,
+    }
+    # The seal manager is the platform's rollback-protected seal service
+    # (the role SGX delegates to a trusted monotonic counter).
+    SEALED: ClassVar[tuple[str, ...]] = ("checker", "seal_manager")
+    DURABLE: ClassVar[tuple[str, ...]] = (
+        "view", "store", "ledger", "latest_checkpoint", "last_committed_view",
+        "_sealed_snapshot",  # what the host's disk kept at the last crash
+    )
+    WIRING: ClassVar[tuple[str, ...]] = (
+        "config", "costs", "scheme", "directory", "num_replicas", "quorum", "client_pids",
+        "replica_pids", "pacemaker", "crash_count", "recovery_count",
+        "caught_up_via_checkpoint",
+    )
+    buffer: MessageBuffer
+    last_commit_qc: Commitment | None
+    viewsync: ViewSync
+    fetch: BlockFetch
+    catchup: StateTransfer
+
     # The per-view vocabulary the protocols share; an attribute exists on a
     # replica only if its class names it in COLLECTORS or VIEW_SETS.
     _new_views: QuorumCollector
@@ -195,6 +187,9 @@ class BaseReplica(Machine):
             name, *args = (entry,) if isinstance(entry, str) else entry
             kind_or_class = key[1] if isinstance(key, tuple) else key
             cls._handlers[kind_or_class] = (getattr(cls, name), tuple(args))
+        for attr, component in cls.COMPONENTS.items():
+            for message, name in component.SERVICE_HANDLERS.items():
+                cls._service[message] = _served_by(attr, getattr(component, name))
 
     def __init__(  # noqa: PLR0913 - wiring point for the whole stack
         self,
@@ -245,53 +240,17 @@ class BaseReplica(Machine):
                 else None
             ),
         )
-        self._buffered: dict[int, list[tuple[int, Any]]] = {}
-        self._buffered_count = 0
-        # Block synchronization: executions waiting on missing block
-        # bodies, and the hashes already requested from peers.
-        self._pending_exec: dict[bytes, int] = {}
-        self._requested_blocks: set[bytes] = set()
-        # Crash-recovery: the platform's rollback-protected seal service
-        # (the role SGX delegates to a trusted monotonic counter) plus the
-        # snapshot taken at the last crash.
         self.seal_manager = SealManager()
         self._sealed_snapshot: SealedState | None = None
         self.crash_count = 0
         self.recovery_count = 0
-        # Checkpoints & state transfer.  The latest certified checkpoint
-        # (own or installed from a peer) is what this replica serves and
-        # what the durable layer persists; the catch-up client drives the
-        # requester side when behind-detection fires.
+        # What this replica serves and what the durable layer persists.
         self.latest_checkpoint: Checkpoint | None = None
         self.caught_up_via_checkpoint = False
         self.last_committed_view = 0
-        self.catchup = CatchUpClient(self)
-        self._last_commit_qc: Commitment | None = None
-        # Highest view this replica trusts the cluster to have reached:
-        # its own view, or a view at least f+1 distinct peers have sent
-        # traffic for (one of them must be honest) - a single Byzantine
-        # peer claiming an absurd view must not drive behind-detection.
-        self._highest_view_seen = 0
-        self._peer_view_claims: dict[int, int] = {}
-        # Re-synchronisation: the last new-view message this replica sent
-        # (re-sent as stored, never re-signed, to a peer heard from views
-        # behind) and the own view each peer was last re-sent it in.
-        self._last_new_view: Any = None
-        self._resent_in_view: dict[int, int] = {}
-        # Messages waiting on a block body being fetched, by its hash.
-        self._awaiting_block: dict[bytes, list[tuple[int, Any]]] = {}
-        self._sync_served_at: dict[int, float] = {}
-        # Server side of chunked transfers: next start height expected
-        # from each requester mid-transfer (continuations bypass the
-        # per-sender rate limit so multi-chunk transfers never stall).
-        self._sync_cursor: dict[int, int] = {}
-        # Requester side: verified-but-unexecuted suffix blocks, held
-        # until the final chunk's tip commitment proves the whole suffix
-        # was actually decided by a quorum.
-        self._sync_buffer: list[Block] = []
-        # Not the virtual call: a subclass hook that extends the reset may
-        # touch attributes its own ``__init__`` has not created yet.
-        BaseReplica.reset_protocol_state(self)
+        for attr, component in self.COMPONENTS.items():
+            setattr(self, attr, component(self))
+        reset_volatile(self)
         if self.CHECKER is not None:
             self.checker = self._make_checker()
 
@@ -307,20 +266,15 @@ class BaseReplica(Machine):
     # -- crash / recovery ------------------------------------------------------
 
     def crash(self) -> None:
-        """Crash-stop: seal TEE state, drop volatile state, go silent.
-
-        The sealed snapshot models what the host's disk retains across a
-        restart; everything else a replica holds in memory (buffered
-        messages, quorum collections, in-flight fetches, the mempool's
-        residents and replay memory) is lost.
-        """
+        """Crash-stop: seal TEE state, lose every ``VOLATILE`` attribute, go silent."""
         if self.crashed:
             return
         self._sealed_snapshot = self.seal_tee_state()
         super().crash()
         self.crash_count += 1
-        self.pacemaker.cancel()
-        self.reset_volatile_state()
+        components = [getattr(self, attr) for attr in self.COMPONENTS]
+        for owner in (self, self.pacemaker, *components):
+            reset_volatile(owner)
 
     def recover(self, sealed: "SealedState | None | object" = _OWN_SNAPSHOT) -> None:
         """Restart this replica from sealed TEE state and rejoin.
@@ -328,11 +282,9 @@ class BaseReplica(Machine):
         ``sealed`` defaults to the snapshot taken by :meth:`crash`; tests
         and adversaries may present a different (e.g. rolled-back) seal,
         which the TEE rejects with :class:`~repro.errors.TEERefusal` -
-        the replica then stays crashed.  On success the replica rejoins
-        at its pacemaker's view, tells every peer where it is
-        (:meth:`_announce_view`) and is carried to the cluster's view by
-        the new-views they re-send (:meth:`_note_view_claim`); the blocks
-        it missed arrive through block synchronization at its next decide.
+        the replica then stays crashed.  On success it rejoins at its
+        pacemaker's view and tells every peer where it is
+        (:meth:`ViewSync.announce`).
         """
         if not self.crashed:
             return
@@ -341,7 +293,7 @@ class BaseReplica(Machine):
         super().recover()
         self.recovery_count += 1
         self.pacemaker.start_view(self.view)
-        self._announce_view()
+        self.viewsync.announce()
         self.on_recovered()
 
     def seal_tee_state(self) -> SealedState | None:
@@ -353,9 +305,9 @@ class BaseReplica(Machine):
     def restore_tee_state(self, sealed: SealedState | None) -> None:
         """Rebuild the checker from ``sealed``, refusing rollbacks.
 
-        Protocols without trusted components keep their safety-critical
-        certificates (high/locked QCs) on stable storage instead, so for
-        them recovery restores nothing here.
+        Without a checker there is nothing to restore: the simulator keeps
+        the ``DURABLE`` certificates (``prepare_qc``...) across a crash, but
+        a respawned ``repro serve`` process restarts from genesis ones.
         """
         if self.checker is None:
             return
@@ -376,34 +328,6 @@ class BaseReplica(Machine):
             self.pid, self.scheme, self.directory, self.store.genesis.hash, self.quorum
         )
 
-    def reset_volatile_state(self) -> None:
-        """Drop everything a crash loses: buffers, fetches, the pool, vote state."""
-        self._buffered.clear()
-        self._buffered_count = 0
-        self._pending_exec.clear()
-        self._requested_blocks.clear()
-        self._sync_served_at.clear()
-        self._sync_cursor.clear()
-        self._sync_buffer.clear()
-        self._peer_view_claims.clear()
-        self._last_new_view = None
-        self._resent_in_view.clear()
-        self._awaiting_block.clear()
-        self._last_commit_qc = None
-        self.catchup.reset()
-        self.mempool.lose_memory()
-        self.reset_protocol_state()
-
-    def reset_protocol_state(self) -> None:
-        """Drop the declared per-view state (a crash loses vote aggregation)."""
-        # Whatever keeps a restart safe lives elsewhere: certificates such
-        # as prepare_qc/locked_qc on stable storage, the checker's step
-        # and prepared block in its sealed state.
-        for name in self.COLLECTORS:
-            setattr(self, name, QuorumCollector(self.quorum))
-        for name in self.VIEW_SETS:
-            setattr(self, name, set())
-
     # -- view lifecycle ---------------------------------------------------------
 
     def _new_view_action(self) -> None:
@@ -416,23 +340,8 @@ class BaseReplica(Machine):
         self.pacemaker.start_view(self.view)
         if self.view > 1:
             # A process respawned from its durable seal: a restart too.
-            self._announce_view()
+            self.viewsync.announce()
         self._new_view_action()
-
-    def _announce_view(self) -> None:
-        """Tell every peer which view this replica came back in."""
-        # A Checker replica whose step is already past (view, nv_p) has no
-        # new-view to send, and the chained pair take no rejoin action at
-        # all: this is what peers hear first, and the ones views ahead
-        # answer it (:meth:`_resend_new_view`).
-        self.broadcast_charged(ViewAnnounce(self.view), include_self=False)
-        if self.config.checkpoint_interval > 0:
-            # Over TCP the frames peers queued while this replica was down
-            # arrive first and in order: each lifts the corroborated view
-            # by less than ``CATCHUP_VIEW_GAP``, so following them would
-            # never open the transfer that the blocks peers compacted
-            # call for.  No jump fires while the round runs.
-            self.catchup.start()
 
     def on_view_entered(self, view: int) -> None:
         """Runs when a view starts, *before* buffered messages replay."""
@@ -446,37 +355,6 @@ class BaseReplica(Machine):
     def on_recovered(self) -> None:
         """Rejoin: announce the latest prepared block so leaders count us again."""
         self._new_view_action()
-
-    def _send_new_view(self, leader: int, msg: Any) -> None:
-        """Send a new-view message to ``leader``, and keep it for re-sending."""
-        self._last_new_view = msg
-        self.send_charged(leader, msg)
-
-    def _handle_view_announce(self, sender: int, msg: ViewAnnounce) -> None:
-        """A restarted peer's view: a claim if ahead of ours, answered if behind."""
-        if msg.view > self.view:
-            self._note_view_claim(sender, msg.view)
-        elif self.view - msg.view >= RESYNC_VIEW_GAP:
-            self._resend_new_view(sender)
-
-    def _resend_new_view(self, peer: int) -> None:
-        """Answer an announcement from views ago with the last new-view we sent.
-
-        ``peer`` missed the views in between.  The stored frame is a view
-        claim towards the f+1 that let it jump here, and - when ``peer``
-        leads this view - the very input its proposal is waiting for.
-        Once per peer per own view: a flood of announcements buys one
-        reply.  Only the announcement is answered, not stale traffic at
-        large: across world regions a slow replica's votes routinely land
-        views late at a leader that has lost nothing.
-        """
-        msg = self._last_new_view
-        if msg is None or peer == self.pid or peer not in self.replica_pids:
-            return
-        if self._resent_in_view.get(peer) == self.view:
-            return
-        self._resent_in_view[peer] = self.view
-        self.send_charged(peer, msg)
 
     # -- CPU cost charging -------------------------------------------------------
 
@@ -583,9 +461,9 @@ class BaseReplica(Machine):
         view = self.message_view(payload)
         if view is not None:
             if view > self.view:
-                self._note_view_claim(sender, view)  # may carry us to ``view``
+                self.viewsync.note_claim(sender, view)  # may carry us to ``view``
                 if view > self.view:
-                    self._buffer(view, sender, payload)
+                    self.buffer.hold(view, sender, payload)
                     return
             if view < self.view:
                 self.on_stale(sender, payload)
@@ -652,91 +530,28 @@ class BaseReplica(Machine):
         if entry is not None:
             entry[0](self, sender, payload, *entry[1])
 
-    def _buffer(self, view: int, sender: int, payload: Any) -> None:
-        if self._buffered_count >= MAX_BUFFERED_MESSAGES:
-            return
-        self._buffered.setdefault(view, []).append((sender, payload))
-        self._buffered_count += 1
-
-    def _note_view_claim(self, sender: int, view: int) -> None:
-        """Track an *unauthenticated* future-view claim from ``sender``.
-
-        A message's view field costs nothing to fake, so a single peer
-        must never move :attr:`_highest_view_seen` (and with it the view,
-        behind-detection and the health reports).  The watermark only
-        advances to a view that f+1 distinct senders - at least one of
-        them honest - have claimed, i.e. the (f+1)-th largest per-sender
-        claim.  A correct replica is in that view or beyond, so when it
-        lies :data:`RESYNC_VIEW_GAP` or more ahead this replica goes there
-        at once instead of timing its way up (:meth:`_resynchronise`).
-        """
-        if sender == self.pid or sender not in self.replica_pids:
-            # Own traffic is not a claim; non-replica senders never are.
-            return
-        if view <= self._peer_view_claims.get(sender, 0):
-            return
-        self._peer_view_claims[sender] = view
-        corroborators = self.num_replicas - self.quorum + 1  # f + 1
-        claims = sorted(self._peer_view_claims.values(), reverse=True)
-        if len(claims) < corroborators:
-            return
-        corroborated = claims[corroborators - 1]
-        if corroborated > self._highest_view_seen:
-            self._highest_view_seen = corroborated
-            self._resynchronise()
-
-    def _resynchronise(self) -> None:
-        """The watermark moved: jump, unless a state transfer will say where to."""
-        self._note_possible_lag()
-        if self.catchup.active:
-            return
-        if self._highest_view_seen - self.view >= RESYNC_VIEW_GAP:
-            self.advance_view(self._highest_view_seen)
-
-    def view_lag(self) -> int:
-        """Views between this replica and the highest view it has heard of."""
-        return max(0, self._highest_view_seen - self.view)
-
-    def _note_possible_lag(self) -> None:
-        """Behind-detection: (re)start catch-up when the view gap is too wide.
-
-        Only with checkpointing on, where peers have compacted the blocks
-        a jump would go on to fetch one by one; the transfer ends by
-        entering the certified tip's view.  Without checkpoints there is
-        nothing to transfer and the jump is the route.
-        """
-        if self.config.checkpoint_interval <= 0:
-            return
-        if self._highest_view_seen - self.view >= CATCHUP_VIEW_GAP:
-            self.catchup.start()
-
     # -- view advancement -----------------------------------------------------------
 
     def advance_view(self, new_view: int) -> None:
         """Enter ``new_view``: restart the pacemaker, flush buffered traffic."""
         if new_view <= self.view:
             return
-        for stale in [v for v in self._buffered if v < new_view]:
-            self._buffered_count -= len(self._buffered[stale])
-            del self._buffered[stale]
-        # Whatever waits on a block body was dispatched in the view being
-        # left; a later view that needs the same body asks for it again
-        # (the request, or every reply to it, may have been lost).
-        for block_hash, waiting in self._awaiting_block.items():
-            self._requested_blocks.discard(block_hash)
-            self._buffered_count -= len(waiting)
-            for sender, payload in waiting:
-                self.on_stale(sender, payload)
-        self._awaiting_block.clear()
+        buffer = self.buffer
+        for key in buffer.keys():
+            if isinstance(key, bytes):
+                # Waiting on a body since the view being left: a later view
+                # that needs the same body asks for it again (the request,
+                # or every reply to it, may have been lost).
+                self.fetch.forget(key)
+                for sender, payload in buffer.release(key):
+                    self.on_stale(sender, payload)
+            elif key < new_view:
+                buffer.release(key)
         self.view = new_view
-        if new_view > self._highest_view_seen:
-            self._highest_view_seen = new_view
         self.pacemaker.start_view(new_view)
         self.prune_state(new_view)
         self.on_view_entered(new_view)
-        pending = self._buffered.pop(new_view, [])
-        self._buffered_count -= len(pending)
-        for sender, payload in pending:
+        for sender, payload in buffer.release(new_view):
             self.charge_receive(payload)
             self.dispatch(sender, payload)
 
@@ -752,18 +567,16 @@ class BaseReplica(Machine):
         if self.crashed or view != self.view:
             return
         # A round that gave up is started again while the gap stays wide.
-        self._note_possible_lag()
+        self.viewsync.note_possible_lag()
         self.on_view_timeout(view)
 
     def on_view_timeout(self, view: int) -> None:
         """Give up on ``view``; entering the next one runs the new-view action."""
-        # Advancing one view per timeout cannot re-synchronize replicas
-        # that drifted apart: at the backoff cap everyone moves at the
-        # same rate, so an offset (a one-view one included, which the
-        # corroboration jump leaves alone) would persist and no quorum
-        # ever share a view.  A state transfer that has not delivered by
-        # now (peers without a checkpoint to offer) is overtaken here.
-        self.advance_view(max(view + 1, self._highest_view_seen))
+        # One view per timeout never re-synchronizes drifted replicas: at
+        # the backoff cap an offset (a one-view one included, which the
+        # jump leaves alone) would persist.  A state transfer that has not
+        # delivered by now is overtaken here.
+        self.advance_view(max(view + 1, self.viewsync.highest_view_seen))
 
     # -- execution ---------------------------------------------------------------
 
@@ -777,8 +590,7 @@ class BaseReplica(Machine):
         try:
             newly = self.ledger.execute(block, self.now, view)
         except MissingBlockError:
-            self._pending_exec[block.hash] = view
-            self._request_missing_ancestors(block)
+            self.fetch.park_execution(block, view)
             return []
         for executed in newly:
             keys = executed.client_keys()
@@ -795,42 +607,34 @@ class BaseReplica(Machine):
             self.last_committed_view = max(self.last_committed_view, view)
             self._maybe_checkpoint()
             if self.catchup.active:
-                # Deciding a block is being level with the cluster, on the
-                # word of a quorum this replica verified itself.  Whatever
-                # the round still has in flight is below this height, and
-                # would be re-requested for as long as consensus stays ahead.
-                self.drop_sync_session()
+                # Deciding a block is being level with the cluster, on a
+                # quorum's word; what the round has in flight is below it.
                 self.catchup.finish()
         return newly
 
-    # -- checkpoints & state transfer -------------------------------------------
+    # -- checkpoints -----------------------------------------------------------
 
     def note_commit_qc(self, qc: Commitment) -> None:
         """Record the decide-phase quorum commitment backing an execution.
 
-        Protocol subclasses call this just before :meth:`execute_block`;
-        the checker re-verifies the commitment when certifying a
-        checkpoint, so only decide certificates (quorum commitments of
-        pre-commit votes) are worth keeping.
+        Protocols call this just before :meth:`execute_block`; only decide
+        certificates (pre-commit quorums) can certify a checkpoint.
         """
         if qc.phase == Phase.PRECOMMIT:
-            self._last_commit_qc = qc
+            self.last_commit_qc = qc
 
     def _maybe_checkpoint(self) -> None:
         """Certify a checkpoint every ``checkpoint_interval`` commits.
 
-        The host hands the Checker the hash-chained headers of every
-        block executed since the last certified checkpoint plus the tip's
-        decide QC; the Checker derives the height and folds the state
-        root *inside* the TEE, signs, and monotonically stamps the
-        result.  The executed-block log below the new horizon is then
-        garbage-collected - catch-up peers get the certificate instead
-        of a replay.
+        The Checker gets the hash-chained headers executed since the last
+        checkpoint plus the tip's decide QC, derives height and state root
+        *inside* the TEE and stamps the result monotonically; the log below
+        the new horizon is then garbage-collected.
         """
         interval = self.config.checkpoint_interval
         if interval <= 0 or self.checker is None:
             return
-        qc = self._last_commit_qc
+        qc = self.last_commit_qc
         if qc is None or qc.h_prep != self.ledger.last_executed_hash:
             return
         certified = self.checker.checkpoint_height
@@ -847,223 +651,3 @@ class BaseReplica(Machine):
             return
         self.latest_checkpoint = checkpoint
         self.ledger.compact(checkpoint.height)
-
-    def _handle_sync_request(self, sender: int, msg: SyncRequest) -> None:
-        """Serve a lagging peer: checkpoint first, then a bounded chunk.
-
-        New transfer sessions are rate-limited per sender so a Byzantine
-        (or merely broken) peer cannot turn state transfer into an
-        amplification attack on an honest replica.  Continuations of an
-        in-progress chunked transfer (the requester asking for the chunk
-        after the one just served) are exempt - otherwise every round
-        trip faster than the rate window would stall the transfer into
-        timeout-paced retries.
-        """
-        if self.config.checkpoint_interval <= 0 or sender == self.pid:
-            return
-        continuation = self._sync_cursor.get(sender) == msg.have_height
-        if not continuation:
-            last = self._sync_served_at.get(sender)
-            if last is not None and self.now - last < SYNC_MIN_INTERVAL_MS:
-                return
-            self._sync_served_at[sender] = self.now
-        self._sync_cursor.pop(sender, None)
-        start_height = msg.have_height
-        checkpoint = self.latest_checkpoint
-        if checkpoint is not None and checkpoint.height > start_height:
-            self.send_charged(sender, SyncCheckpoint(checkpoint))
-            start_height = checkpoint.height
-        suffix = self.ledger.executed_since(start_height)
-        if suffix is None:
-            return  # prefix compacted away and no newer checkpoint to offer
-        qc = self._last_commit_qc
-        if suffix and (qc is None or qc.h_prep != suffix[-1].hash):
-            # Without a decide certificate for the tip the receiver could
-            # not verify the suffix; serve the certified horizon only.
-            suffix = []
-        chunk = suffix[:SYNC_CHUNK_BLOCKS]
-        done = len(chunk) == len(suffix)
-        self.send_charged(
-            sender,
-            SyncBlocks(
-                start_height,
-                tuple(chunk),
-                done=done,
-                tip_qc=qc if done and chunk else None,
-            ),
-        )
-        if not done:
-            self._sync_cursor[sender] = start_height + len(chunk)
-
-    def drop_sync_session(self) -> None:
-        """Discard any partially transferred (unexecuted) suffix."""
-        self._sync_buffer.clear()
-
-    def sync_have_height(self) -> int:
-        """Height this replica holds counting buffered transfer blocks."""
-        return self.ledger.height() + len(self._sync_buffer)
-
-    def _handle_sync_checkpoint(self, sender: int, msg: SyncCheckpoint) -> None:
-        if not self.catchup.active or sender != self.catchup.peer:
-            return  # unsolicited: only the peer being synced from may reply
-        checkpoint = msg.checkpoint
-        if checkpoint.height <= self.ledger.height():
-            return  # stale: we already hold at least this much state
-        self.charge_verify(self.quorum + 1)
-        try:
-            verify_checkpoint(checkpoint, self.scheme, self.directory, self.quorum)
-        except TEERefusal:
-            return  # forged or malformed: drop it, the retry rotates peers
-        self._install_checkpoint(checkpoint)
-
-    def _install_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """Adopt a verified checkpoint: fast-forward ledger and view."""
-        if self.checker is not None:
-            # The trusted component re-verifies and adopts the certified
-            # tip, so the monotonic floor also covers installed state (a
-            # stale checkpoint can never rewind it).
-            self.charge_tee(signs=0, verifies=self.quorum + 1)
-            try:
-                self.checker.tee_install_checkpoint(checkpoint)
-            except TEERefusal:
-                return
-        self.ledger.install_checkpoint(
-            checkpoint.height, checkpoint.block_hash, checkpoint.state_root, checkpoint.view
-        )
-        self.latest_checkpoint = checkpoint
-        self.caught_up_via_checkpoint = True
-        self.last_committed_view = max(self.last_committed_view, checkpoint.view)
-        self._pending_exec.clear()
-        self._requested_blocks.clear()
-        self._sync_buffer.clear()  # any buffered suffix predates the install
-        self.catchup.note_progress()
-        self.advance_view(max(self.view, checkpoint.view + 1))
-
-    def _handle_sync_blocks(self, sender: int, msg: SyncBlocks) -> None:
-        """Buffer a transfer chunk; execute once the tip QC verifies.
-
-        Nothing a peer sends here is taken on faith: the suffix must
-        hash-chain from trusted state (the last executed block or an
-        installed certified checkpoint), and it is executed only when the
-        final chunk carries a verified decide-phase quorum commitment for
-        the suffix tip - which transitively certifies every chained block
-        below it.  A forged suffix therefore never reaches execution.
-        """
-        if not self.catchup.active or sender != self.catchup.peer:
-            return  # unsolicited: only the peer being synced from may reply
-        if msg.start_height != self.sync_have_height():
-            return  # out-of-order chunk; the retry timer re-requests
-        prev_hash = (
-            self._sync_buffer[-1].hash
-            if self._sync_buffer
-            else self.ledger.last_executed_hash
-        )
-        for block in msg.blocks:
-            if block.parent_hash != prev_hash:
-                self.drop_sync_session()
-                return  # broken suffix: drop it, retry against another peer
-            self._sync_buffer.append(block)
-            prev_hash = block.hash
-        if not msg.done:
-            self.catchup.note_progress()
-            self.catchup.request_next(sender)
-            return
-        if self._sync_buffer:
-            self.charge_verify(self.quorum)
-            try:
-                if msg.tip_qc is None:
-                    raise TEERefusal("sync: final chunk carries no tip certificate")
-                verify_decide_qc(
-                    msg.tip_qc,
-                    self._sync_buffer[-1].hash,
-                    self.scheme,
-                    self.directory,
-                    self.quorum,
-                )
-            except TEERefusal:
-                self.drop_sync_session()
-                return  # uncertified suffix: drop it, the retry rotates peers
-            self.note_commit_qc(msg.tip_qc)
-        applied: Block | None = None
-        for block in self._sync_buffer:
-            self.store.add(block)
-            self.ledger.apply_synced(block, self.now)
-            self.mempool.purge_committed(block.client_keys())
-            self._emit(Commit(block, block.view))
-            applied = block
-        self._sync_buffer.clear()
-        if applied is not None:
-            self.last_committed_view = max(self.last_committed_view, applied.view)
-        self.catchup.finish()
-        if applied is not None:
-            self.advance_view(max(self.view, applied.view + 1))
-        # Claims heard during the round moved the watermark, not the view.
-        self._resynchronise()
-
-    # -- block synchronization -------------------------------------------------
-
-    def _request_missing_ancestors(self, block: Block) -> None:
-        """Fetch the nearest missing ancestor of ``block`` from the peers.
-
-        One hop at a time: each response either completes the path or
-        reveals the next missing ancestor, which triggers another fetch.
-        """
-        cursor = block.parent_hash
-        while True:
-            existing = self.store.get(cursor)
-            if existing is None:
-                self._fetch_block(cursor)
-                return
-            if existing.is_genesis or cursor == self.ledger.last_executed_hash:
-                return
-            cursor = existing.parent_hash
-
-    def _fetch_block(self, block_hash: bytes) -> None:
-        """Ask every peer for a block body, once per hash."""
-        if block_hash in self._requested_blocks:
-            return
-        self._requested_blocks.add(block_hash)
-        request = BlockRequest(block_hash)
-        for pid in self.replica_pids:
-            if pid != self.pid:
-                self.send_charged(pid, request)
-
-    def _await_block(self, block_hash: bytes, sender: int, payload: Any) -> None:
-        """Fetch a block ``payload`` cannot be handled without; re-deliver it then."""
-        # A replica that jumped views holds certificates for blocks whose
-        # proposals it never saw.  Shares the future-view buffer's cap.
-        if block_hash in self.store:
-            # Nothing a fetch could supply: the caller's certificate names
-            # this body wrongly (forged), and buys no traffic.  It also
-            # means a message :meth:`_handle_block_response` re-delivers,
-            # the body stored by then, never asks for the same hash twice.
-            return
-        if self._buffered_count >= MAX_BUFFERED_MESSAGES:
-            return
-        self._buffered_count += 1
-        self._awaiting_block.setdefault(block_hash, []).append((sender, payload))
-        self._fetch_block(block_hash)
-
-    def _handle_block_request(self, sender: int, msg: BlockRequest) -> None:
-        block = self.store.get(msg.block_hash)
-        if block is not None:
-            self.send_charged(sender, BlockResponse(block))
-
-    def _handle_block_response(self, sender: int, msg: BlockResponse) -> None:
-        self.store.add(msg.block)
-        self._requested_blocks.discard(msg.block.hash)
-        self._retry_pending_executions()
-        waiting = self._awaiting_block.pop(msg.block.hash, ())
-        self._buffered_count -= len(waiting)
-        for peer, payload in waiting:
-            self.on_message(peer, payload)
-
-    def _retry_pending_executions(self) -> None:
-        for block_hash, view in list(self._pending_exec.items()):
-            block = self.store.get(block_hash)
-            if block is None:
-                continue
-            del self._pending_exec[block_hash]
-            # Re-enters execute_block: on another miss the execution is
-            # parked again and the next missing ancestor gets fetched.
-            self.execute_block(block, view)

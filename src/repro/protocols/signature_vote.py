@@ -37,18 +37,18 @@ class SignatureVoteReplica(BaseReplica):
     HANDLERS: ClassVar[dict[Any, Any]] = {VoteMsg: "_handle_vote", QCMsg: "_handle_qc"}
     COLLECTORS = ("_new_views", "_votes")
     VIEW_SETS = ("_proposed", "_voted", "_decided")
+    DURABLE = ("prepare_qc",)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # Latest prepared block's certificate, relayed in new-views; kept
-        # on stable storage, so it survives a crash.
+        # Latest prepared block's certificate, relayed in new-views.
         self.prepare_qc = genesis_qc(self.store.genesis.hash)
 
     def _new_view_action(self) -> None:
         """Report the latest prepared block, signed, to the view's leader."""
         self.charge_sign()
         sig = self.scheme.sign(self.pid, new_view_a_payload(self.view, self.prepare_qc))
-        self._send_new_view(
+        self.viewsync.send_new_view(
             self.leader_of(self.view), NewViewAMsg(self.view, self.prepare_qc, sig)
         )
 

@@ -848,7 +848,7 @@ async def serve_replica(
                 "committed_txs": runtime.committed_txs,
                 "view": machine.view,
                 "last_committed_view": machine.last_committed_view,
-                "view_lag": machine.view_lag(),
+                "view_lag": machine.viewsync.view_lag(),
                 "ledger_height": machine.ledger.height(),
                 "state_root": machine.ledger.state_root.hex(),
                 "timeouts_fired": machine.pacemaker.timeouts_fired,

@@ -101,6 +101,11 @@ class Machine:
     #: name is routed to its override.
     SERVICE_HANDLERS: ClassVar[dict[type, str]] = {}
     _service: ClassVar[dict[type, Callable[..., None]]] = {}
+    #: The machine's seat in its runtime (``repro.protocols.state``).
+    WIRING: ClassVar[tuple[str, ...]] = (
+        "pid", "clock", "runtime", "crashed", "cpu_time_charged", "_effects", "_entry_depth",
+        "_timer_fns", "_next_timer_id",
+    )
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)

@@ -99,17 +99,8 @@ class DurableSealer:
             # seal predates it): the checker re-verifies and adopts the
             # certified tip so future certifications chain from it.
             replica.checker.tee_install_checkpoint(checkpoint)
-        if checkpoint.height > replica.ledger.height():
-            replica.ledger.install_checkpoint(
-                checkpoint.height, checkpoint.block_hash, checkpoint.state_root, checkpoint.view
-            )
-        replica.latest_checkpoint = checkpoint
-        replica.last_committed_view = max(
-            replica.last_committed_view, checkpoint.view
-        )
-        # Resume consensus past the checkpointed view; start() runs after
-        # this and opens the pacemaker at the restored view.
-        replica.view = max(replica.view, checkpoint.view + 1)
+        # start() runs after this and opens the pacemaker at this view.
+        replica.view = replica.catchup.adopt_checkpoint(checkpoint)
         self._last_ckpt_height = checkpoint.height
         self.restored_checkpoint_height = checkpoint.height
 

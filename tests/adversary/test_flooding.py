@@ -26,7 +26,7 @@ def test_buffers_stay_bounded():
     for replica in system.replicas:
         if replica.pid == 2:
             continue
-        assert replica._buffered_count <= MAX_BUFFERED_MESSAGES
+        assert len(replica.buffer) <= MAX_BUFFERED_MESSAGES
 
 
 def test_junk_never_reaches_protocol_handlers():

@@ -152,8 +152,8 @@ def test_forged_state_transfer_is_refused_and_victim_catches_up():
 def test_forged_replies_to_the_rejoiners_round_are_refused():
     """This seed's round opens at the forger: both forgeries are dropped."""
     forger = _rejoin_beside_a_forging_sync_server(seed=2)
-    assert forger.forged_checkpoints_sent > 0
-    assert forger.forged_suffixes_sent > 0
+    assert forger.catchup.forged_checkpoints_sent > 0
+    assert forger.catchup.forged_suffixes_sent > 0
 
 
 # -- crash-recover amnesia ---------------------------------------------------

@@ -17,6 +17,7 @@ from repro.analysis.campaign import (
 from repro.core.faults import FaultPlan
 from repro.errors import ConfigError
 from repro.protocols.replica import BaseReplica
+from repro.protocols.sync import ViewSync
 
 
 def _tiny_campaign(seed=1):
@@ -91,7 +92,7 @@ def test_liveness_is_a_rate_every_correct_replica_must_sustain(monkeypatch):
     assert cell.verdict == "PASS"
     assert cell.commit_rate >= 0.9 * cell.baseline_commit_rate
 
-    monkeypatch.setattr(BaseReplica, "_resynchronise", lambda self: None)
+    monkeypatch.setattr(ViewSync, "resynchronise", lambda self: None)
     monkeypatch.setattr(
         BaseReplica, "on_view_timeout", lambda self, view: self.advance_view(view + 1)
     )

@@ -98,7 +98,7 @@ def test_declared_trusted_components_match_registry(name):
 def test_every_hook_override_is_a_listed_behavioural_difference():
     overridden = {(name, hook) for name in SPECS for hook in overridden_hooks(name)}
     assert overridden == set(HOOK_REASONS)
-    scaffolding = {"dispatch", "on_stale", "prune_state", "reset_protocol_state"}
+    scaffolding = {"dispatch", "on_stale", "prune_state"}
     assert scaffolding <= set(CHASSIS_HOOKS)
     assert not {hook for _, hook in overridden} & scaffolding
 

@@ -7,7 +7,7 @@ from repro.core.block import create_leaf
 from repro.core.chain import BlockStore
 from repro.core.mempool import Transaction
 from repro.core.phases import StepRule, initial_step
-from repro.protocols.replica import QuorumCollector
+from repro.protocols.state import QuorumCollector
 
 
 # -- step arithmetic -----------------------------------------------------------

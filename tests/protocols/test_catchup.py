@@ -6,9 +6,8 @@ from repro.analysis.chaos import monotone_prefixes_ok
 from repro.core.executor import fold_state_root
 from repro.core.messages import ViewAnnounce
 from repro.errors import TEERefusal
-from repro.protocols import replica as replica_module
 from repro.protocols import sync
-from repro.protocols.replica import CATCHUP_VIEW_GAP
+from repro.protocols.sync import CATCHUP_VIEW_GAP
 from repro.runtime.sim import ConsensusSystem
 from repro.tee.checkpoint import verify_checkpoint
 from tests.conftest import small_config
@@ -105,7 +104,7 @@ def test_replica_partitioned_for_10k_views_rejoins():
     assert recovered.ledger.state_root == canonical_root_at(
         system, recovered.ledger.height()
     )
-    assert recovered.view_lag() <= CATCHUP_VIEW_GAP
+    assert recovered.viewsync.view_lag() <= CATCHUP_VIEW_GAP
     assert system.oracle.safe
     assert monotone_prefixes_ok(system)
 
@@ -151,7 +150,7 @@ def test_forged_sync_checkpoint_is_dropped():
     height_before = target.ledger.height()
     from repro.protocols.sync import SyncCheckpoint
 
-    target._handle_sync_checkpoint(donor.pid, SyncCheckpoint(forged))
+    target.catchup._handle_sync_checkpoint(donor.pid, SyncCheckpoint(forged))
     assert target.ledger.height() == height_before
     assert not target.caught_up_via_checkpoint
 
@@ -181,15 +180,15 @@ def test_uncertified_sync_suffix_is_never_executed():
         forged.append(block)
         parent = block.hash
     # No certificate at all: nothing executes.
-    target._handle_sync_blocks(
+    target.catchup._handle_sync_blocks(
         donor.pid, SyncBlocks(height_before, tuple(forged), done=True)
     )
     assert target.ledger.height() == height_before
     assert target.ledger.state_root == root_before
     # An authentic decide QC for a *different* block does not help either.
-    qc = donor._last_commit_qc
+    qc = donor.last_commit_qc
     assert qc is not None and qc.h_prep != forged[-1].hash
-    target._handle_sync_blocks(
+    target.catchup._handle_sync_blocks(
         donor.pid, SyncBlocks(height_before, tuple(forged), done=True, tip_qc=qc)
     )
     assert target.ledger.height() == height_before
@@ -218,14 +217,14 @@ def test_sync_replies_from_wrong_peer_are_ignored():
     lagger.catchup.active = True
     lagger.catchup.peer = donor.pid
     # The checkpoint is authentic, but the sender was never asked.
-    lagger._handle_sync_checkpoint(stranger.pid, SyncCheckpoint(ckpt))
+    lagger.catchup._handle_sync_checkpoint(stranger.pid, SyncCheckpoint(ckpt))
     assert not lagger.caught_up_via_checkpoint
-    lagger._handle_sync_blocks(
-        stranger.pid, SyncBlocks(lagger.sync_have_height(), (), done=True)
+    lagger.catchup._handle_sync_blocks(
+        stranger.pid, SyncBlocks(lagger.catchup._have_height(), (), done=True)
     )
     assert lagger.catchup.active  # an unsolicited "done" cannot finish it
     # The same record from the solicited peer installs.
-    lagger._handle_sync_checkpoint(donor.pid, SyncCheckpoint(ckpt))
+    lagger.catchup._handle_sync_checkpoint(donor.pid, SyncCheckpoint(ckpt))
     assert lagger.caught_up_via_checkpoint
     assert lagger.ledger.height() == ckpt.height
 
@@ -243,7 +242,7 @@ def _claims_of_a_far_view(checkpoint_interval):
     for _ in range(3):  # repeating itself does not make one peer two
         replica.on_message(1, ViewAnnounce(view + 10_000))
     assert replica.view == view
-    assert replica.view_lag() < CATCHUP_VIEW_GAP
+    assert replica.viewsync.view_lag() < CATCHUP_VIEW_GAP
     assert not replica.catchup.active
     # A second distinct sender corroborates the claim (f+1 = 2 of 3).
     replica.on_message(2, ViewAnnounce(view + 10_000))
@@ -256,7 +255,7 @@ def test_single_peer_cannot_inflate_view_lag():
     the *view* - the cluster is there - so the lag reads 0 after them."""
     replica, view = _claims_of_a_far_view(checkpoint_interval=0)
     assert replica.view == view + 10_000
-    assert replica.view_lag() == 0
+    assert replica.viewsync.view_lag() == 0
     assert not replica.catchup.active
 
 
@@ -267,7 +266,7 @@ def test_corroborated_far_view_goes_to_state_transfer_first():
     replica, view = _claims_of_a_far_view(checkpoint_interval=5)
     assert replica.catchup.active
     assert replica.view == view
-    assert replica.view_lag() >= 10_000
+    assert replica.viewsync.view_lag() >= 10_000
 
 
 def _restarted_beside_a_checkpointing_cluster():
@@ -327,7 +326,7 @@ def test_claims_heard_during_a_round_are_followed_when_it_ends():
     view = replica.view
     for peer in (1, 2):
         replica.on_message(peer, ViewAnnounce(view + 3))
-    assert replica.view == view and replica.view_lag() == 3
+    assert replica.view == view and replica.viewsync.view_lag() == 3
     # The peer has nothing above our height: an empty, matching final chunk.
     replica.on_message(
         replica.catchup.peer, SyncBlocks(replica.ledger.height(), (), done=True)
@@ -340,8 +339,8 @@ def test_chunked_transfer_survives_the_rate_limit(monkeypatch):
     """Continuation requests of one chunked session are exempt from the
     per-sender rate limit: the whole transfer completes inside a single
     window with no timeout-paced retries."""
-    monkeypatch.setattr(replica_module, "SYNC_CHUNK_BLOCKS", 3)
-    monkeypatch.setattr(replica_module, "SYNC_MIN_INTERVAL_MS", 120_000.0)
+    monkeypatch.setattr(sync, "SYNC_CHUNK_BLOCKS", 3)
+    monkeypatch.setattr(sync, "SYNC_MIN_INTERVAL_MS", 120_000.0)
     system = ConsensusSystem(
         small_config("damysus", checkpoint_interval=30, block_size=1)
     )

@@ -1,6 +1,6 @@
 """Tests for the quorum collector."""
 
-from repro.protocols.replica import QuorumCollector
+from repro.protocols.state import QuorumCollector
 
 
 def test_fires_exactly_once_at_threshold():

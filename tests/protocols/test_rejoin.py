@@ -20,7 +20,8 @@ from repro.core.faults import FaultPlan
 from repro.core.messages import BlockRequest, ChainedProposal, CommitmentMsg, ViewAnnounce
 from repro.core.phases import Phase
 from repro.protocols.registry import SPECS
-from repro.protocols.replica import RESYNC_VIEW_GAP, BaseReplica
+from repro.protocols.replica import BaseReplica
+from repro.protocols.sync import RESYNC_VIEW_GAP
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
@@ -124,7 +125,7 @@ def test_f_claimants_cannot_carry_a_replica_past_the_highest_honest_view():
     view = replica.view
     for liar in (1, 2):
         replica.on_message(liar, ViewAnnounce(view + 10_000))
-    assert replica.view == view and replica.view_lag() == 0
+    assert replica.view == view and replica.viewsync.view_lag() == 0
     # The third claimant is honest and two views ahead: f+1 = 3 peers now
     # say "at least view + 2", and that is where the replica goes.
     replica.on_message(3, ViewAnnounce(view + RESYNC_VIEW_GAP))
@@ -140,7 +141,7 @@ def test_one_view_of_corroborated_lead_does_not_jump():
     for peer in (1, 2):
         replica.on_message(peer, ViewAnnounce(view + 1))
     assert replica.view == view
-    assert replica.view_lag() == 1  # the next timeout closes this one
+    assert replica.viewsync.view_lag() == 1  # the next timeout closes this one
 
 
 @pytest.mark.parametrize("protocol", ["chained-hotstuff", "chained-damysus"])
@@ -172,7 +173,7 @@ def test_resend_fires_once_per_peer_and_view_however_many_announcements():
         monitor_send(dest, payload)
 
     replica.send_charged = counting
-    stored = replica._last_new_view
+    stored = replica.viewsync._last_new_view
     assert isinstance(stored, CommitmentMsg)
     stale = replica.view - RESYNC_VIEW_GAP
     for _ in range(50):
@@ -210,10 +211,11 @@ def test_crash_drops_the_stored_new_view_and_the_resend_marks():
     system = started("damysus", views=6)
     replica = system.replicas[0]
     replica.on_message(1, ViewAnnounce(replica.view - RESYNC_VIEW_GAP))
-    assert replica._last_new_view is not None and replica._resent_in_view
+    viewsync = replica.viewsync
+    assert viewsync._last_new_view is not None and viewsync._resent_in_view
     replica.crash()
-    assert replica._last_new_view is None
-    assert not replica._resent_in_view and not replica._awaiting_block
+    assert viewsync._last_new_view is None
+    assert not viewsync._resent_in_view and len(replica.buffer) == 0
 
 
 def test_block_decided_in_the_view_jumped_out_of_is_executed_by_the_next_decide():
@@ -268,6 +270,11 @@ def chained_damysus_follower():
     return system, replica, requests
 
 
+def awaiting_bodies(replica):
+    """How many messages the replica holds back per block body it awaits."""
+    return {k: len(v) for k, v in replica.buffer._held.items() if isinstance(k, bytes)}
+
+
 def test_forged_certificate_naming_a_held_block_buys_no_fetch():
     """The body is here under another view, so no fetch could make the
     certificate good: the proposal is dropped, as it always was.  Parking
@@ -280,7 +287,7 @@ def test_forged_certificate_naming_a_held_block_buys_no_fetch():
         replica.on_message(leader, proposal)
     system.run(200.0)
     assert requests == []
-    assert not replica._awaiting_block
+    assert not awaiting_bodies(replica)
     assert system.oracle.safe
 
 
@@ -294,8 +301,8 @@ def test_certificate_naming_an_unknown_block_is_fetched_once():
         replica.on_message(leader, proposal)
     peers = [r.pid for r in system.replicas if r.pid != replica.pid]
     assert requests == [(replica.pid, peer) for peer in peers]
-    assert len(replica._awaiting_block[b"\x17" * 32]) == 5
+    assert awaiting_bodies(replica) == {b"\x17" * 32: 5}
     system.run_until_views(view + 3, max_time_ms=600_000)
-    assert replica.view > view and not replica._awaiting_block
+    assert replica.view > view and not awaiting_bodies(replica)
     assert len(requests) == len(peers)  # nobody holds it: no reply, no retry
-    assert replica._buffered_count == sum(map(len, replica._buffered.values()))
+    assert len(replica.buffer) == sum(map(len, replica.buffer._held.values()))

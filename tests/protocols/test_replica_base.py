@@ -1,12 +1,13 @@
 """Tests for the BaseReplica plumbing: buffering, staleness, charging."""
 
 
-from repro.adversary.sync_server import ByzantineSyncServerDamysus
+from repro.adversary.sync_server import ByzantineSyncServerDamysus, ForgingSyncServer
+from repro.core.block import create_leaf
 from repro.core.mempool import Transaction
-from repro.core.messages import ClientRequest, ViewAnnounce
+from repro.core.messages import BlockRequest, BlockResponse, ClientRequest, ViewAnnounce
 from repro.costs import CostModel
 from repro.protocols.damysus import DamysusReplica
-from repro.protocols.sync import SyncRequest
+from repro.protocols.sync import SyncRequest, ViewSync
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
@@ -72,7 +73,7 @@ def test_buffer_capacity_is_bounded():
 
     for _ in range(MAX_BUFFERED_MESSAGES + 100):
         replica.on_message(1, Future())
-    assert replica._buffered_count <= MAX_BUFFERED_MESSAGES
+    assert len(replica.buffer) <= MAX_BUFFERED_MESSAGES
 
 
 def test_advance_view_is_monotone():
@@ -92,25 +93,51 @@ def test_client_requests_feed_the_mempool():
 
 
 def test_a_chassis_handler_overridden_by_name_gets_its_traffic():
-    """``SERVICE_HANDLERS`` names resolve per class, so the override is what runs."""
+    """A component's ``SERVICE_HANDLERS`` names resolve per replica class, so
+    the override in the component it swaps in is what runs."""
     seen = []
 
-    class Recording(DamysusReplica):
+    class RecordingViewSync(ViewSync):
         def _handle_view_announce(self, sender, msg):
             seen.append((sender, msg))
 
+    class Recording(DamysusReplica):
+        COMPONENTS = {**DamysusReplica.COMPONENTS, "viewsync": RecordingViewSync}
+
     system = ConsensusSystem(small_config("damysus"), replica_overrides={2: Recording})
     replica = system.replicas[2]
-    assert type(replica)._service[ViewAnnounce] is Recording._handle_view_announce
+    served = type(replica)._service[ViewAnnounce]
+    assert served.__wrapped__ is RecordingViewSync._handle_view_announce
     announce = ViewAnnounce(replica.view + 50)  # far ahead, yet served, not buffered
     replica.on_message(0, announce)
     assert seen == [(0, announce)]
-    assert replica._buffered_count == 0
+    assert len(replica.buffer) == 0
     # The Byzantine sync server's override is how its forgeries get sent.
-    assert (
-        ByzantineSyncServerDamysus._service[SyncRequest]
-        is ByzantineSyncServerDamysus._handle_sync_request
-    )
+    served = ByzantineSyncServerDamysus._service[SyncRequest]
+    assert served.__wrapped__ is ForgingSyncServer._handle_sync_request
+
+
+def test_chassis_traffic_is_served_to_replicas_only():
+    """Block fetch, state transfer and view announcements run between
+    replicas: any other pid is answered nothing and changes nothing."""
+    system = build(checkpoint_interval=4, num_clients=1)
+    system.run_until_views(20, max_time_ms=600_000)
+    replica = system.replicas[0]
+    outsider = system.clients[0].pid
+    held = replica.ledger.last_executed_hash
+    stranger = create_leaf(held, replica.view + 1, ())
+    for message in (
+        SyncRequest(0, 0),
+        BlockRequest(held),
+        BlockResponse(stranger),
+        ViewAnnounce(1),
+        ViewAnnounce(replica.view + 50),
+    ):
+        assert replica.on_message(outsider, message) == []
+    assert stranger.hash not in replica.store
+    # A peer asking the same is served.
+    (reply,) = replica.on_message(1, BlockRequest(held))
+    assert reply.dest == 1 and reply.payload.block.hash == held
 
 
 def test_leader_schedule_round_robin():

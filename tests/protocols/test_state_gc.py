@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from repro.protocols.registry import SPECS
-from repro.protocols.replica import QuorumCollector, discard_views_below
+from repro.protocols.state import QuorumCollector, discard_views_below
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import run_protocol, small_config
 
