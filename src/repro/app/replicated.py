@@ -37,32 +37,25 @@ class ReplicatedApp:
     machine_factory: Callable[[], StateMachine] = KVStateMachine
 
     def submit(self, command: KVCommand, replica: int = 0) -> None:
-        """Queue a command at one replica's mempool (it proposes it when
-        that replica leads a view)."""
-        tx_id = command.encode()
-        self.commands[tx_id] = command
-        self.system.replicas[replica].mempool.add(
-            Transaction(
-                client_id=-2,  # app-injected marker
-                tx_id=tx_id,
-                payload_bytes=command.payload_size(),
-                submitted_at=self.system.sim.now,
-            )
-        )
+        """Queue a command at one replica (it proposes it when that replica
+        leads a view)."""
+        self.system.replicas[replica].submit(self._transaction(command))
 
     def submit_everywhere(self, command: KVCommand) -> None:
         """Queue a command at every replica (clients broadcast requests)."""
+        tx = self._transaction(command)
+        for replica in self.system.replicas:
+            replica.submit(tx)
+
+    def _transaction(self, command: KVCommand) -> Transaction:
         tx_id = command.encode()
         self.commands[tx_id] = command
-        for replica in self.system.replicas:
-            replica.mempool.add(
-                Transaction(
-                    client_id=-2,
-                    tx_id=tx_id,
-                    payload_bytes=command.payload_size(),
-                    submitted_at=self.system.sim.now,
-                )
-            )
+        return Transaction(
+            client_id=-2,  # app-injected marker
+            tx_id=tx_id,
+            payload_bytes=command.payload_size(),
+            submitted_at=self.system.sim.now,
+        )
 
     # -- replay --------------------------------------------------------------------
 

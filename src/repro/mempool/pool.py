@@ -254,8 +254,10 @@ class PriorityMempool:
 
         In open-loop mode the remainder is filled with synthetic
         transactions (the paper's inexhaustible supply), so blocks are
-        always full; in closed-loop mode the block may be short or
-        empty, matching a real system under light load.
+        always full; in closed-loop mode the block may be short, and it is
+        empty only on a heartbeat or in a chained pipeline's flush: a
+        leader with nothing to order parks its proposal until an admission
+        (``repro.protocols.idle``).
         """
         batch: list[Transaction] = []
         used = 0

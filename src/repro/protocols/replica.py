@@ -4,7 +4,8 @@ Responsibilities handled here so protocol modules stay close to the
 paper's pseudocode: table-driven message dispatch with future-view
 buffering, view advancement, leader schedule, CPU cost charging, block
 execution with client replies, crash and recovery.  View synchronisation,
-block fetch and state transfer are components beside it.
+block fetch and state transfer are components beside it, and idle pacing
+(:mod:`~repro.protocols.idle`) a rule on every protocol's ``_propose``.
 
 A protocol *declares* its handlers, per-view state, checker flavour and
 new-view action (:class:`BaseReplica`'s class attributes), and every
@@ -33,6 +34,7 @@ from repro.core.monitor import ExecutionMonitor
 from repro.core.phases import Phase, Step
 from repro.core.rng import RngStream
 from repro.errors import MissingBlockError, TEERefusal
+from repro.protocols.idle import ParkedProposal, idle_rule, unpark
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
 from repro.protocols.state import QuorumCollector, discard_views_below, reset_volatile
 from repro.protocols.sync import BlockFetch, StateTransfer, ViewSync
@@ -100,7 +102,7 @@ class BaseReplica(Machine):
     :class:`~repro.core.clock.Clock` - never from a simulator or socket.
     """
 
-    ENTRY_POINTS = Machine.ENTRY_POINTS + ("dispatch", "advance_view", "execute_block")
+    ENTRY_POINTS = Machine.ENTRY_POINTS + ("dispatch", "advance_view", "execute_block", "submit")
 
     #: The replica's Checker trusted component, if the protocol has one.
     checker: Checker | None = None
@@ -151,6 +153,7 @@ class BaseReplica(Machine):
         "buffer": MessageBuffer,
         "last_commit_qc": None,  # the decide QC behind the last execution
         "mempool": PriorityMempool.lose_memory,
+        "parked": None,  # the leader's proposal the idle rule holds back
     }
     # The seal manager is the platform's rollback-protected seal service
     # (the role SGX delegates to a trusted monotonic counter).
@@ -166,6 +169,7 @@ class BaseReplica(Machine):
     )
     buffer: MessageBuffer
     last_commit_qc: Commitment | None
+    parked: ParkedProposal | None
     viewsync: ViewSync
     fetch: BlockFetch
     catchup: StateTransfer
@@ -190,6 +194,11 @@ class BaseReplica(Machine):
         for attr, component in cls.COMPONENTS.items():
             for message, name in component.SERVICE_HANDLERS.items():
                 cls._service[message] = _served_by(attr, getattr(component, name))
+        # The proposal entry, once per class: an override (an adversary's,
+        # or a mixin's) is wrapped where it first reaches a replica class.
+        propose = getattr(cls, "_propose", None)
+        if propose is not None and not getattr(propose, "idle_rule", False):
+            setattr(cls, "_propose", idle_rule(propose))  # noqa: B010 - no static type
 
     def __init__(  # noqa: PLR0913 - wiring point for the whole stack
         self,
@@ -496,11 +505,20 @@ class BaseReplica(Machine):
             return
         verdict = self.mempool.admit(tx, self.now)
         if verdict is AdmissionVerdict.ACCEPTED:
+            if self.parked is not None:
+                self.parked.wake()
             return
         if verdict is AdmissionVerdict.DUPLICATE and tx.key in self.ledger.applied:
             verdict = AdmissionVerdict.ACCEPTED
         if pid is not None:
             self._reply(pid, tx, verdict)
+
+    def submit(self, tx: Transaction) -> None:
+        """Queue an in-process command (an application's), without admission
+        control; like an accepted request, it wakes a parked proposal."""
+        self.mempool.add(tx)
+        if self.parked is not None and self.mempool.pending():
+            self.parked.wake()
 
     def _reply(self, pid: int, tx: Transaction, verdict: AdmissionVerdict) -> None:
         self.send_charged(
@@ -536,6 +554,7 @@ class BaseReplica(Machine):
         """Enter ``new_view``: restart the pacemaker, flush buffered traffic."""
         if new_view <= self.view:
             return
+        unpark(self)
         buffer = self.buffer
         for key in buffer.keys():
             if isinstance(key, bytes):

@@ -66,6 +66,34 @@ def test_single_replica_submission_still_commits():
     app.verify_convergence()
 
 
+@pytest.mark.parametrize("everywhere", [True, False], ids=["submit_everywhere", "submit"])
+def test_a_command_submitted_to_a_parked_cluster_commits_within_one_view(everywhere):
+    """Commands enter through ``BaseReplica.submit``, which wakes a parked
+    leader as an admitted client request does: the block carrying the
+    command is the one the leader was holding back, not a heartbeat's."""
+    config = small_config("damysus", block_size=4, open_loop=False)
+    system = ConsensusSystem(config)
+    app = attach_state_machines(system)
+    system.run(1_000.0)
+    # Submit the moment a leader parks: its heartbeat is a whole half timeout away.
+    while any(replica.parked for replica in system.replicas):
+        system.run(1.0)
+    while not any(replica.parked for replica in system.replicas):
+        system.run(1.0)
+    leader = next(replica for replica in system.replicas if replica.parked)
+    view, submitted_at = leader.parked.view, system.sim.now
+    command = KVCommand(OP_PUT, "idle", "woken")
+    if everywhere:
+        app.submit_everywhere(command)
+    else:
+        app.submit(command, replica=leader.pid)
+    while app.replay(system.replicas[0])[0].get("idle") != "woken":
+        system.run(1.0)
+        assert system.sim.now - submitted_at < config.timeout_ms / 2, "waited for a heartbeat"
+    (carrier,) = [block for block in system.replicas[0].ledger.executed if block.transactions]
+    assert carrier.view == view
+
+
 def test_convergence_under_byzantine_leader():
     from repro.adversary.equivocation import EquivocatingDamysusLeader
 
