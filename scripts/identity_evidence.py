@@ -3,8 +3,9 @@
 
 * the digest of ``repro campaign --seed 1 --smoke`` and of the full
   ``repro campaign --seed 1``;
-* the SHA-256 of what ``repro chaos --protocol P --seed 1`` prints, for
-  each of the seven protocols;
+* the verdict and digest of the campaign cell ``repro chaos --protocol P
+  --seed 1`` runs (adversary ``none``, plan ``chaos``, topology ``eu``),
+  for each of the seven protocols;
 * the digest ``benchmarks/ledger/run.py`` reports for each ``sim-*``
   workload on seeds 1-3 (the ledger is *called*, one quick untraced run
   per cell; nothing under ``benchmarks/ledger`` is touched);
@@ -28,7 +29,6 @@ everything that has no clients must agree line for line.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import pathlib
@@ -123,9 +123,13 @@ def campaign_digest(smoke: bool) -> str:
     return _run(["-m", "repro", "campaign", "--seed", "1", "--digest-only", *flags]).strip()
 
 
-def chaos_sha(protocol: str) -> str:
-    out = _run(["-m", "repro", "chaos", "--protocol", protocol, "--seed", "1"])
-    return hashlib.sha256(out.encode()).hexdigest()
+def chaos_cell(protocol: str) -> str:
+    """Verdict and digest of the cell ``repro chaos --protocol P --seed 1`` runs."""
+    report = json.loads(_run([
+        "-m", "repro", "campaign", "--protocols", protocol, "--adversaries", "none",
+        "--plans", "chaos", "--topologies", "eu", "--seed", "1", "--json",
+    ]))
+    return f"{report['cells'][0]['verdict']} {report['digest']}"
 
 
 def ledger_digest(workload: str, seed: int) -> str:
@@ -159,7 +163,7 @@ def main() -> int:
     if not args.quick:
         print(f"campaign --seed 1              {campaign_digest(smoke=False)}", flush=True)
     for protocol in SPECS:
-        print(f"chaos {protocol:18s} --seed 1  {chaos_sha(protocol)}", flush=True)
+        print(f"chaos {protocol:18s} --seed 1  {chaos_cell(protocol)}", flush=True)
     for protocol in SIM_ORDER_PROTOCOLS:
         print(f"sim-order {protocol:14s} seed 1  {sim_order(protocol)}", flush=True)
     for protocol in SPECS:

@@ -53,6 +53,7 @@ from repro.adversary.withholding import (
 )
 from repro.core.faults import FaultPlan
 from repro.errors import ConfigError
+from repro.protocols.registry import SPECS
 
 
 def _single_seat(num_replicas: int, f: int) -> tuple[int, ...]:
@@ -233,6 +234,17 @@ ADVERSARIES: dict[str, AdversarySpec] = {
 }
 
 
+#: The honest "adversary" ``none``: it seats nobody and brings no plan,
+#: so a cell runs its base plan alone (``repro chaos`` is one).  Looked up
+#: by name, never swept by default: it is not in :data:`ADVERSARIES`.
+HONEST = AdversarySpec(
+    name="none",
+    description="no attack: every replica is honest",
+    classes={name: spec.replica_class for name, spec in SPECS.items()},
+    seats=lambda num_replicas, f: (),
+)
+
+
 def adversary_names() -> list[str]:
     """All registered attack names, sorted for stable CLI/report output."""
     return sorted(ADVERSARIES)
@@ -240,6 +252,8 @@ def adversary_names() -> list[str]:
 
 def get_adversary(name: str) -> AdversarySpec:
     """Look up an attack by name; :class:`ConfigError` on unknown names."""
+    if name == HONEST.name:
+        return HONEST
     try:
         return ADVERSARIES[name]
     except KeyError:

@@ -7,17 +7,11 @@
 * :mod:`~repro.analysis.counterexample` - the Section 4 demonstration
   that a plain trusted counter cannot make a 2f+1 streamlined protocol
   safe, and that the Damysus checker + accumulator close the hole.
-* :mod:`~repro.analysis.chaos` - the chaos harness: protocols under
-  fault plans (loss, partitions, crash/recovery), with safety asserted
-  throughout and liveness asserted after the plan heals.
+* :mod:`~repro.analysis.campaign` - protocols under fault plans and
+  attacks, scored by safety, liveness and degradation oracles (the
+  honest ``chaos`` cell is ``repro chaos``).
 """
 
-from repro.analysis.chaos import (
-    ChaosReport,
-    run_chaos,
-    run_standard_chaos,
-    standard_chaos_plan,
-)
 from repro.analysis.complexity import TABLE1_ROWS, Table1Row, expected_messages, table1
 from repro.analysis.counterexample import (
     run_checker_scenario,
@@ -34,10 +28,6 @@ from repro.analysis.metrics import (
 from repro.analysis.schedule_fuzz import FuzzOutcome, fuzz
 
 __all__ = [
-    "ChaosReport",
-    "run_chaos",
-    "run_standard_chaos",
-    "standard_chaos_plan",
     "Table1Row",
     "TABLE1_ROWS",
     "table1",

@@ -21,6 +21,9 @@ out the faults, and scores the run with three oracles:
   same-duration clean run of the identical configuration, labelled
   ``minimal`` / ``moderate`` / ``severe``.
 
+The honest adversary ``none`` seats nobody, so its cell is the base plan
+alone; ``repro chaos`` is the ``none`` x ``chaos`` x ``eu`` cell.
+
 Everything is a pure function of the campaign seed: the same seed yields
 a bit-identical JSON report (no wall-clock fields anywhere), which CI
 exploits by running the smoke matrix twice and comparing digests.
@@ -35,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.adversary.registry import ADVERSARIES, AdversarySpec, get_adversary
 from repro.config import SystemConfig
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultPlan, standard_chaos_plan
 from repro.costs import CostModel
 from repro.errors import ConfigError, SafetyViolation, SimulationError
 from repro.protocols.registry import get_spec
@@ -69,15 +72,18 @@ def degradation_label(ratio: float) -> str:
     return "severe"
 
 
-def base_plans() -> dict[str, FaultPlan]:
+def base_plans(num_replicas: int, f: int) -> dict[str, FaultPlan]:
     """The named network conditions a campaign can overlay attacks on.
 
     Plans are rebuilt per call because :class:`FaultPlan` is mutable and
-    cells merge colluding rules into their copy.
+    cells merge colluding rules into their copy.  ``chaos`` (loss, a
+    partition and ``f`` crash/recover cycles) is sized for the cluster;
+    the names are the same for every size.
     """
     return {
         "clean": FaultPlan(),
         "lossy": FaultPlan().lossy_links(0.1, end_ms=1_200.0),
+        "chaos": standard_chaos_plan(num_replicas, f),
     }
 
 
@@ -281,7 +287,11 @@ def run_cell(
     max_time_ms: float = 60_000.0,
     config_overrides: dict | None = None,
 ) -> CampaignCell:
-    """Run one attack cell plus its same-seed clean baseline and score it."""
+    """Run one attack cell plus its same-seed clean baseline and score it.
+
+    A cell with no seats and no colluding plan (the honest ``none``) is
+    its own clean baseline, so it runs once.
+    """
     config = _cell_config(protocol, topology, seed, dict(config_overrides or {}))
     num_replicas = get_spec(protocol).num_replicas(config.f)
     seats = spec.seats(num_replicas, config.f)
@@ -290,7 +300,7 @@ def run_cell(
         if spec.colluding_plan is not None
         else None
     )
-    plan = merge_plans(base_plans()[plan_name], colluding)
+    plan = merge_plans(base_plans(num_replicas, config.f)[plan_name], colluding)
     healed_at = plan.healed_by_ms()
     if math.isinf(healed_at):
         raise SimulationError(
@@ -323,9 +333,7 @@ def run_cell(
     except SafetyViolation as exc:
         violation = str(exc)
 
-    from repro.analysis.chaos import monotone_prefixes_ok
-
-    safe = violation is None and system.oracle.safe and monotone_prefixes_ok(system)
+    safe = violation is None and system.oracle.safe and system.oracle.monotone_prefixes_ok()
     fresh_views = system.monitor.committed_views() - views_at_heal
     views_to_recover: int | None = None
     if fresh_views:
@@ -338,15 +346,18 @@ def run_cell(
     # DegradationOracle: the identical deployment, same seed, no
     # adversary and no colluding faults, run for the same virtual time.
     # Its stretch from the heal on is the LivenessOracle's yardstick.
-    baseline = ConsensusSystem(config, strict_safety=True)
-    baseline.apply_fault_plan(merge_plans(base_plans()[plan_name], None))
-    baseline.start()
-    baseline.sim.run(until=min(healed_at, duration_ms))
-    baseline_at_heal = _frontier(baseline, ())
-    baseline.sim.run(until=duration_ms)
-    baseline_commits = _commits(baseline)
+    if seats or colluding is not None:
+        baseline = ConsensusSystem(config, strict_safety=True)
+        baseline.apply_fault_plan(base_plans(num_replicas, config.f)[plan_name])
+        baseline.start()
+        baseline.sim.run(until=min(healed_at, duration_ms))
+        baseline_at_heal = _frontier(baseline, ())
+        baseline.sim.run(until=duration_ms)
+        baseline_commits = _commits(baseline)
+        _, baseline_rate = _commit_rate(baseline, (), baseline_at_heal)
+    else:
+        baseline_commits, baseline_rate = commits, commit_rate
     ratio = commits / baseline_commits if baseline_commits else 1.0
-    _, baseline_rate = _commit_rate(baseline, (), baseline_at_heal)
     live = (
         views_to_recover is not None
         and views_to_recover <= view_budget
@@ -391,12 +402,13 @@ def run_campaign(
 ) -> CampaignReport:
     """Sweep the matrix; cells run in sorted order so reports are stable.
 
-    An empty ``adversaries`` tuple means the whole registry.  Unsupported
-    (adversary, protocol) pairs are recorded as skipped, not errors, so
-    protocol-specific attacks (amnesia, flood) ride along in full sweeps.
+    An empty ``adversaries`` tuple means the whole registry (the honest
+    ``none`` runs only when named).  Unsupported (adversary, protocol)
+    pairs are recorded as skipped, not errors, so protocol-specific
+    attacks (amnesia, flood) ride along in full sweeps.
     """
     names = tuple(adversaries) or tuple(sorted(ADVERSARIES))
-    known_plans = base_plans()
+    known_plans = base_plans(1, 0)
     for plan_name in plans:
         if plan_name not in known_plans:
             raise ConfigError(

@@ -7,15 +7,17 @@ Commands:
 * ``experiment`` - regenerate one of the paper's tables/figures;
 * ``bench`` - run an experiment grid, optionally sharded across processes;
 * ``profile`` - cProfile one scenario cell and print the hot functions;
-* ``chaos`` - fault-injection run: lossy links, a partition, crash/recovery;
+* ``chaos`` - the campaign cell with nobody seated on the ``chaos`` plan
+  (lossy links, a partition, crash/recovery), printed as a verdict row;
 * ``campaign`` - seeded attack-campaign sweep: {protocol x adversary x
   fault plan x topology}, each cell scored by safety/liveness/degradation
   oracles into a deterministic JSON verdict table;
 * ``counterexample`` - print the Section 4 trusted-counter demonstration;
 * ``serve`` - run one replica on real asyncio TCP sockets (fixed ports);
 * ``net-bench`` - run a localhost TCP cluster and report committed tx/s;
-* ``net-chaos`` - multi-process chaos: SIGKILL + restart-from-sealed-state
-  and a live partition/heal, asserting commits resume within a bound;
+* ``net-chaos`` - multi-process chaos: plays a named fault plan (SIGKILL
+  + restart from sealed state, a live partition/heal) on OS processes and
+  gives it a campaign cell's verdict (PASS / UNSAFE / STALLED);
 * ``lint`` - run the AST invariant linter (TEE boundaries, determinism);
 * ``analyze`` - whole-program dataflow analysis (TEE taint tracking,
   transitive effect purity, asyncio await-race detection);
@@ -27,7 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.chaos import run_standard_chaos
 from repro.analysis.lint import (
     BASELINE_DEFAULT,
     all_rule_ids,
@@ -125,26 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_p = sub.add_parser(
         "chaos",
-        help="fault-injection run: lossy links, a partition, crash/recovery",
+        help="the campaign's honest chaos cell: lossy links, a partition, "
+        "crash/recovery",
     )
     chaos_p.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
-    chaos_p.add_argument("--f", type=int, default=1, help="fault threshold")
     chaos_p.add_argument("--seed", type=int, default=1)
-    chaos_p.add_argument("--loss", type=float, default=0.2,
-                         help="per-message drop probability while faults last")
-    chaos_p.add_argument("--no-partition", action="store_true",
-                         help="skip the mid-run network partition")
-    chaos_p.add_argument("--no-crash", action="store_true",
-                         help="skip the f crash/recover cycles")
-    chaos_p.add_argument("--settle-views", type=int, default=3,
-                         help="fresh committed views required after healing")
-    chaos_p.add_argument("--checkpoint-interval", type=int, default=0,
-                         help="certify a checkpoint every N committed blocks "
-                         "(0 = off); lagging replicas rejoin by state transfer")
-    chaos_p.add_argument("--max-timeout-ms", type=float, default=0.0,
-                         help="pacemaker backoff ceiling (0 = 4x the base)")
-    chaos_p.add_argument("--timeout-jitter", type=float, default=0.1,
-                         help="+/- fraction of seeded pacemaker jitter")
 
     camp_p = sub.add_parser(
         "campaign",
@@ -283,44 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     nc_p = sub.add_parser(
         "net-chaos",
-        help="multi-process chaos: SIGKILL+restart from sealed state, "
-        "partition+heal, commits must resume",
+        help="multi-process chaos: play a fault plan (SIGKILL + restart from "
+        "sealed state, partition + heal) and judge it like a campaign cell",
     )
     nc_p.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
     nc_p.add_argument("--n", type=int, default=4, help="cluster size (>= 4)")
     nc_p.add_argument("--seed", type=int, default=1,
                       help="keys both the cluster and the fault decisions")
-    nc_p.add_argument("--loss", type=float, default=0.05,
-                      help="background per-frame drop probability")
     nc_p.add_argument("--base-port", type=int, default=0,
                       help="first replica port (0 = pick free ports)")
     nc_p.add_argument("--commit-bound", type=float, default=60.0, metavar="S",
-                      help="seconds within which commits must (re)appear")
-    nc_p.add_argument("--partition-hold", type=float, default=6.0, metavar="S",
-                      help="seconds to hold the 2/2 partition")
-    nc_p.add_argument("--timeout-ms", type=float, default=1_000.0,
-                      help="pacemaker base view timeout")
-    nc_p.add_argument("--max-timeout-ms", type=float, default=0.0,
-                      help="pacemaker backoff ceiling (0 = 4x the base)")
-    nc_p.add_argument("--timeout-jitter", type=float, default=0.0,
-                      help="+/- fraction of seeded pacemaker jitter")
+                      help="seconds to boot, and for every replica to pass "
+                      "the cluster's height at the heal")
     nc_p.add_argument("--adversary", default=None, metavar="NAME",
-                      help="run one replica as the named registered attack "
-                      "while the chaos phases run (victim stays honest)")
-    nc_p.add_argument("--no-kill", action="store_true",
-                      help="skip the SIGKILL + restart phases")
-    nc_p.add_argument("--no-partition", action="store_true",
-                      help="skip the partition + heal phases")
+                      help="play the restart plan with the named registered "
+                      "attack seated (the crashed replica stays honest)")
     nc_p.add_argument("--catchup", action="store_true",
-                      help="append the state-transfer cycle: SIGKILL a replica, "
-                      "commit past the checkpoint horizon, restart it, and "
-                      "require rejoin via a certified checkpoint (not replay)")
-    nc_p.add_argument("--checkpoint-interval", type=int, default=0,
-                      help="certify a checkpoint every N committed blocks "
-                      "(0 = off; --catchup defaults it to 25)")
-    nc_p.add_argument("--catchup-commits", type=int, default=100,
-                      help="blocks survivors must commit while the victim is "
-                      "down during --catchup")
+                      help="play the long-outage plan with checkpointing on: "
+                      "the restarted replica must rejoin by a certified "
+                      "checkpoint")
     nc_p.add_argument("--run-dir", default=None, metavar="DIR",
                       help="artifact directory (default: fresh temp dir)")
     nc_p.add_argument("--keep-artifacts", action="store_true",
@@ -503,17 +470,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    report = run_standard_chaos(
-        args.protocol,
-        f=args.f,
+    from repro.analysis.campaign import run_campaign
+
+    report = run_campaign(
+        protocols=(args.protocol,),
+        adversaries=("none",),
+        plans=("chaos",),
+        topologies=("eu",),
         seed=args.seed,
-        loss=args.loss,
-        crashes=not args.no_crash,
-        partition=not args.no_partition,
-        settle_views=args.settle_views,
-        checkpoint_interval=args.checkpoint_interval,
-        max_timeout_ms=args.max_timeout_ms,
-        timeout_jitter=args.timeout_jitter,
     )
     print(report.describe())
     return 0 if report.ok else 1
@@ -724,20 +688,11 @@ def _cmd_net_chaos(args: argparse.Namespace) -> int:
     report = run_net_chaos(
         args.protocol,
         args.n,
+        plan="catchup" if args.catchup else "restart" if args.adversary else "partition",
         seed=args.seed,
-        loss=args.loss,
         base_port=args.base_port,
         commit_bound_s=args.commit_bound,
-        partition_hold_s=args.partition_hold,
-        timeout_ms=args.timeout_ms,
-        max_timeout_ms=args.max_timeout_ms,
-        timeout_jitter=args.timeout_jitter,
         adversary=args.adversary,
-        kill=not args.no_kill,
-        partition=not args.no_partition,
-        catchup=args.catchup,
-        checkpoint_interval=args.checkpoint_interval,
-        catchup_commits=args.catchup_commits,
         run_dir=args.run_dir,
         keep_artifacts=args.keep_artifacts,
     )

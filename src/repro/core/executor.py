@@ -202,6 +202,20 @@ class SafetyOracle:
         """The longest executed prefix observed so far."""
         return list(self._canonical)
 
+    def monotone_prefixes_ok(self) -> bool:
+        """Every replica's executed sequence is a slice of the canonical chain.
+
+        A replica that installed a certified checkpoint skipped the prefix
+        below it; its recorded sequence must then match the canonical chain
+        starting at its checkpoint offset (offset 0 without state transfer,
+        which degenerates to the plain prefix check).
+        """
+        for replica, seq in self.sequences.items():
+            offset = self.offset_of(replica)
+            if seq != self._canonical[offset : offset + len(seq)]:
+                return False
+        return True
+
 
 class Ledger:
     """Per-replica executed-block sequence."""

@@ -18,7 +18,10 @@ the same rules to real frames):
 * :class:`FaultPlan` - a composable, replayable bundle of the above;
 * :func:`evaluate_rules` - the one shared implementation of "what does
   this rule set do to this message", so simulator and socket runs agree
-  on semantics by construction.
+  on semantics by construction;
+* :func:`standard_chaos_plan` and :func:`net_chaos_plans` - the named
+  fault scenarios the campaign's ``chaos`` cell and ``repro net-chaos``
+  play.
 
 All randomness is drawn from seeded :class:`~repro.core.rng.RngStream`
 objects supplied by the caller, so a chaos run is a pure function of
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
 from repro.core.codec import msg_type_of
@@ -185,6 +188,19 @@ class CrashEvent:
                 f"crash of pid {self.pid}: recovery at {self.recover_at_ms} ms "
                 f"does not follow the crash at {self.at_ms} ms"
             )
+
+
+def unwindowed(rule: FaultRule) -> FaultRule:
+    """``rule`` active for ever, as it acts inside its window.
+
+    A replica process keeps its own clock, so a rule crosses to it (and
+    into a decision table) without its window.
+    """
+    if isinstance(rule, PartitionRule):
+        return replace(rule, start_ms=0.0, heal_ms=math.inf)
+    if isinstance(rule, LinkFaultRule):
+        return replace(rule, start_ms=0.0, end_ms=math.inf)
+    return rule
 
 
 def evaluate_rules(
@@ -485,3 +501,51 @@ def _parse_num(value: float | int | str) -> float:
     if isinstance(value, str):
         return math.inf if value == "inf" else float(value)
     return float(value)
+
+
+# -- named scenarios ----------------------------------------------------------
+
+
+def standard_chaos_plan(num_replicas: int, f: int) -> FaultPlan:
+    """The simulator's chaos schedule: the campaign's ``chaos`` base plan.
+
+    20 % loss on every link until 4 s, a symmetric partition cutting the
+    first ``f`` replicas off from 1 s to 2.5 s, and ``f`` crash/recover
+    cycles on the trailing replicas from 0.5 s to 3 s (staggered by
+    100 ms so their seal/unseal cycles interleave).
+    """
+    plan = FaultPlan().lossy_links(0.2, end_ms=4_000.0)
+    plan.partition(range(f), range(f, num_replicas), at_ms=1_000.0, heal_ms=2_500.0)
+    for i in range(f):
+        plan.crash(
+            num_replicas - 1 - i,
+            at_ms=500.0 + 100.0 * i,
+            recover_at_ms=3_000.0 + 100.0 * i,
+        )
+    return plan
+
+
+def net_chaos_plans(n: int) -> dict[str, FaultPlan]:
+    """The plans ``repro net-chaos`` plays, in wall-clock ms after boot.
+
+    Replica ``n - 1`` is SIGKILLed at 2 s, and 5 % loss ends then: ``n -
+    1`` live replicas of a 2f+1 protocol have no quorum slack.
+    ``partition`` respawns it at 5 s and splits the cluster 2/2 from 8 s
+    to 14 s; ``restart`` (the adversary run) only respawns it; ``catchup``
+    keeps it down for 15 s, past the survivors' checkpoints.
+    """
+
+    def restart(down_ms: float) -> FaultPlan:
+        return (
+            FaultPlan()
+            .lossy_links(0.05, end_ms=2_000.0)
+            .crash(n - 1, at_ms=2_000.0, recover_at_ms=2_000.0 + down_ms)
+        )
+
+    return {
+        "partition": restart(3_000.0).partition(
+            range(2), range(2, n), at_ms=8_000.0, heal_ms=14_000.0
+        ),
+        "restart": restart(3_000.0),
+        "catchup": restart(15_000.0),
+    }

@@ -747,7 +747,8 @@ async def serve_replica(
       respawned with identical arguments and rejoins safely.
     * ``health_file`` - a JSON liveness snapshot rewritten atomically
       every ``health_interval_s`` seconds (commit counts, checker step,
-      fault counters); the ``repro net-chaos`` watchdog consumes these.
+      fault counters, ledger height and state root); ``repro net-chaos``
+      samples these for its verdict.
     * ``fault_spec`` - a :meth:`~repro.core.faults.FaultPlan.rules_spec`
       file applied to outbound frames, re-read whenever its mtime
       changes (live partition/heal without restarting processes).

@@ -15,9 +15,9 @@ real sockets and closes the crash-recovery loop end-to-end:
   tracking with structured health snapshots;
 * :mod:`~repro.runtime.resilience.supervisor` - spawn / SIGKILL /
   respawn replica processes (the ``repro serve`` entry point);
-* :mod:`~repro.runtime.resilience.netchaos` - the scripted
-  kill -> restart -> partition -> heal scenario behind
-  ``repro net-chaos``.
+* :mod:`~repro.runtime.resilience.netchaos` - plays a named fault plan
+  (kill, restart, partition, heal) on OS processes behind
+  ``repro net-chaos`` and gives it a campaign cell's verdict.
 """
 
 from repro.runtime.resilience.durable import DurableSealer

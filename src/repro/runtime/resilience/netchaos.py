@@ -1,33 +1,35 @@
-"""Scripted real-network chaos: kill -> restart -> partition -> heal.
+"""Real-network chaos: a :class:`~repro.core.faults.FaultPlan` played on OS processes.
 
-This is the socket-runtime counterpart of :mod:`repro.analysis.chaos`:
-an n-replica localhost cluster of *real OS processes* (spawned via
-:class:`~repro.runtime.resilience.supervisor.ReplicaSupervisor`) is
-driven through the scenario the paper's trust model must survive:
+The socket-runtime counterpart of the campaign's ``chaos`` cell: an
+n-replica localhost cluster of real OS processes (one
+:class:`~repro.runtime.resilience.supervisor.ReplicaSupervisor` each)
+rides out one of :func:`~repro.core.faults.net_chaos_plans` on the wall
+clock, from the instant every replica has committed, along
+:func:`timeline`.  A respawned replica restores its durable sealed
+checker state (rollback-refusing); rule changes reach the replicas
+through the shared ``--fault-spec`` file, which they reload live.
 
-1. **boot** - every replica commits at least one block;
-2. **kill** - one replica is SIGKILLed; the rest keep committing
-   (n=4 Damysus tolerates f=1);
-3. **restart** - the killed replica respawns, restores its durable
-   sealed checker state (rollback-refusing), rejoins and commits;
-4. **partition** - the cluster splits 2/2 via a live fault-spec reload;
-   no quorum exists, commits stall (observed, informational);
-5. **heal** - the spec reverts; every replica commits a fresh block
-   within the bound.
+The run gets a campaign cell's verdict:
+
+* **UNSAFE** - two health samples of correct replicas report different
+  ``state_root`` at the same ``ledger_height`` (the SafetyOracle's fork
+  rule, :class:`ForkRule`, applied to what the replicas publish);
+* **STALLED** - the cluster never boots, or within ``commit_bound_s``
+  after the plan heals some correct replica does not pass the highest
+  ledger height a correct replica held at the heal (the rejoin rule: a
+  laggard must come level, and a cluster that is level but frozen
+  fails too);
+* **PASS** otherwise.
 
 Fault injection is seeded-deterministic per (src, dst, frame sequence):
 the report carries the :func:`~repro.runtime.resilience.transport.decision_digest`
-of the scenario's rule set, which two same-seed runs reproduce exactly.
-
-Control plane: replica processes poll their ``--fault-spec`` file and
-apply rule changes live; health flows back through per-process JSON
-files (attributes written atomically) that the orchestrator's
-:class:`~repro.runtime.resilience.watchdog.LivenessWatchdog` consumes.
+of the plan's rules, which two same-seed runs reproduce exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import socket
 import tempfile
@@ -36,24 +38,72 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultPlan, net_chaos_plans, unwindowed
 from repro.errors import ConfigError
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec, ReplicaSupervisor
 from repro.runtime.resilience.transport import decision_digest
-from repro.runtime.resilience.watchdog import LivenessWatchdog
 
-#: Polling cadence for health files and phase predicates (seconds).
+#: Polling cadence for health files (seconds).
 _POLL_S = 0.25
 
+#: Every replica process's pacemaker: 1 s views with the campaign cell's
+#: 10 % jitter (without it, survivors one view apart time out in lockstep).
+_TIMEOUT_MS = 1_000.0
+_TIMEOUT_JITTER = 0.1
 
-@dataclass(frozen=True)
-class PhaseResult:
-    """Outcome of one scenario phase."""
+#: Blocks per certified checkpoint, by plan (the campaign cell's interval).
+_CHECKPOINT_INTERVAL = {"catchup": 5}
 
-    name: str
-    ok: bool
-    detail: str
-    elapsed_s: float
+#: One step of a played plan: (plan time in ms, action, argument).
+Step = tuple[float, str, Any]
+
+
+def timeline(plan: FaultPlan) -> list[Step]:
+    """The plan's transition instants, in the order the orchestrator plays them.
+
+    ``(t, "faults", spec)`` installs the rules active from ``t`` on (a
+    :meth:`~repro.core.faults.FaultPlan.rules_spec` with the windows
+    stripped, because each replica's decider keeps its own clock);
+    ``(t, "kill", pid)`` and ``(t, "spawn", pid)`` follow the crash
+    events.  The first step is always the rule set active at time 0,
+    installed before the processes boot; at a tie, rules go first.
+    """
+    windows = [(getattr(rule, "start_ms", 0.0), rule.healed_by_ms()) for rule in plan.rules]
+    instants = {0.0} | {t for window in windows for t in window if math.isfinite(t)}
+    steps: list[Step] = []
+    previous = None
+    for t in sorted(instants):
+        active = [
+            unwindowed(rule)
+            for rule, (start, end) in zip(plan.rules, windows)
+            if start <= t < end
+        ]
+        spec = FaultPlan(rules=active).rules_spec()
+        if spec != previous:
+            steps.append((t, "faults", spec))
+            previous = spec
+    for event in plan.crashes:
+        steps.append((event.at_ms, "kill", event.pid))
+        if event.recover_at_ms is not None:
+            steps.append((event.recover_at_ms, "spawn", event.pid))
+    return sorted(steps, key=lambda step: step[0])
+
+
+class ForkRule:
+    """One state root per ledger height, over every health sample seen."""
+
+    def __init__(self) -> None:
+        self._roots: dict[int, tuple[str, int]] = {}
+        self.violation: str | None = None
+
+    def observe(self, pid: int, health: dict[str, Any]) -> None:
+        height, root = int(health["ledger_height"]), health["state_root"]
+        first_root, first_pid = self._roots.setdefault(height, (root, pid))
+        if root != first_root and self.violation is None:
+            self.violation = (
+                f"replicas {first_pid} and {pid} report different state roots "
+                f"at ledger height {height}"
+            )
 
 
 @dataclass
@@ -63,46 +113,65 @@ class NetChaosReport:
     protocol: str
     n: int
     seed: int
+    plan: str
+    steps: list[Step]
     base_port: int
-    loss: float
     decision_digest: str
-    phases: list[PhaseResult] = field(default_factory=list)
-    fault_counts: dict[str, int] = field(default_factory=dict)
-    run_dir: str = ""
+    healed_at_ms: float
     checkpoint_interval: int = 0
     adversary: str | None = None
     adversary_pids: tuple[int, ...] = ()
+    violation: str | None = None
+    live_after_heal: bool = False
+    heights_at_heal: dict[int, int] = field(default_factory=dict)
+    #: Facts about the respawned replicas, as their health files report them.
+    restored_from_seal: bool = False
+    caught_up_via_checkpoint: bool = False
+    fault_counts: dict[str, int] = field(default_factory=dict)
+    run_dir: str = ""
+
+    @property
+    def verdict(self) -> str:
+        if self.violation is not None:
+            return "UNSAFE"
+        if not self.live_after_heal:
+            return "STALLED"
+        return "PASS"
 
     @property
     def ok(self) -> bool:
-        return all(phase.ok for phase in self.phases)
+        return self.verdict == "PASS"
 
     def describe(self) -> str:
         lines = [
             f"protocol            {self.protocol} (n={self.n}, seed={self.seed})",
+            f"plan                {self.plan} (heals at {self.healed_at_ms / 1000:.1f} s)",
+        ]
+        for t_ms, action, arg in self.steps:
+            if action == "faults":
+                rules = FaultPlan.from_rules_spec(arg).rules
+                arg = ", ".join(type(rule).__name__ for rule in rules) or "none"
+            lines.append(f"  {t_ms / 1000:5.1f} s  {action:<6} {arg}")
+        lines += [
             f"base port           {self.base_port}",
-            f"loss probability    {self.loss}",
             f"checkpoint interval {self.checkpoint_interval or 'off'}",
             f"adversary           "
             f"{self.adversary or 'none'}"
             + (f" at pids {list(self.adversary_pids)}" if self.adversary else ""),
-            f"decision digest     {self.decision_digest}",
-            "                    (pure function of seed + fault plan: identical "
-            "across same-seed runs)",
+            f"decision digest     {self.decision_digest} (seed + plan: same-seed runs agree)",
+            f"heights at heal     {self.heights_at_heal}",
+            f"respawned replicas  restored_from_seal={self.restored_from_seal} "
+            f"caught_up_via_checkpoint={self.caught_up_via_checkpoint}",
         ]
-        for phase in self.phases:
-            status = "ok" if phase.ok else "FAILED"
-            lines.append(
-                f"phase {phase.name:<12} {status:<7} {phase.elapsed_s:6.1f} s  "
-                f"{phase.detail}"
-            )
+        if self.violation is not None:
+            lines.append(f"violation           {self.violation}")
         if self.fault_counts:
             lines.append(
                 "injected faults     "
                 + ", ".join(f"{k}={v}" for k, v in sorted(self.fault_counts.items()))
             )
         lines.append(f"run artifacts       {self.run_dir}")
-        lines.append(f"verdict             {'OK' if self.ok else 'FAILED'}")
+        lines.append(f"verdict             {self.verdict}")
         return "\n".join(lines)
 
 
@@ -112,22 +181,18 @@ def _find_free_base_port(n: int, host: str) -> int:
         with socket.socket() as probe:
             probe.bind((host, 0))
             base = probe.getsockname()[1]
-        if base + n >= 65535:
-            continue
+        holders = [socket.socket() for _ in range(n)]
         try:
-            holders = []
-            try:
-                for offset in range(n):
-                    holder = socket.socket()
-                    holders.append(holder)
-                    holder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                    holder.bind((host, base + offset))
-            finally:
-                for holder in holders:
-                    holder.close()
-        except OSError:  # noqa: S112 - port range in use; probe the next base
+            for offset, holder in enumerate(holders):
+                holder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                holder.bind((host, base + offset))
+        except (OSError, OverflowError):  # noqa: S112 - range in use or past 65535; probe again
             continue
-        return base
+        else:
+            return base
+        finally:
+            for holder in holders:
+                holder.close()
     raise ConfigError(f"could not find {n} consecutive free ports on {host}")
 
 
@@ -138,104 +203,116 @@ def _read_health(path: Path) -> dict[str, Any] | None:
         return None
 
 
-class _Cluster:
-    """The orchestrator's view of the running processes."""
+def _never(_: dict[int, dict[str, Any]]) -> bool:
+    return False
 
-    def __init__(self, supervisors: list[ReplicaSupervisor], health: list[Path]) -> None:
+
+class _Cluster:
+    """The orchestrator's view of the running processes: sampled health."""
+
+    def __init__(
+        self,
+        supervisors: list[ReplicaSupervisor],
+        health: list[Path],
+        correct: list[int],
+    ) -> None:
         self.supervisors = supervisors
         self.health_paths = health
-        self.watchdog = LivenessWatchdog(stall_after_ms=20_000.0)
-        self._t0 = time.monotonic()
-        self._last_blocks: dict[int, int] = {}
-
-    @property
-    def now_ms(self) -> float:
-        return (time.monotonic() - self._t0) * 1000.0
+        self.correct = correct
+        self.forks = ForkRule()
 
     def observe(self) -> dict[int, dict[str, Any]]:
-        """Read every health file, feeding the watchdog."""
+        """Read every health file, feeding the correct replicas' to the fork rule."""
         out: dict[int, dict[str, Any]] = {}
         for pid, path in enumerate(self.health_paths):
             health = _read_health(path)
             if health is None:
                 continue
             out[pid] = health
-            if not self.supervisors[pid].running:
-                self.watchdog.record_dead(pid)
-                continue
-            self.watchdog.record_alive(pid, self.now_ms)
-            blocks = int(health.get("committed_blocks", 0))
-            if blocks > self._last_blocks.get(pid, -1):
-                if blocks > self._last_blocks.get(pid, 0):
-                    self.watchdog.record_commit(pid, self.now_ms, blocks)
-                self._last_blocks[pid] = blocks
+            if pid in self.correct:
+                self.forks.observe(pid, health)
         return out
 
-    def committed(self, pids: list[int]) -> dict[int, int]:
-        health = self.observe()
-        return {
-            pid: int(health[pid].get("committed_blocks", 0))
-            for pid in pids
-            if pid in health
-        }
-
     def wait_until(
-        self, predicate: Callable[[dict[int, dict[str, Any]]], bool], timeout_s: float
+        self, predicate: Callable[[dict[int, dict[str, Any]]], bool], deadline: float
     ) -> bool:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if predicate(self.observe()):
+        """Sample until ``predicate`` holds; False at a fork or the monotonic ``deadline``."""
+        while True:
+            health = self.observe()
+            if self.forks.violation is not None:
+                return False
+            if predicate(health):
                 return True
+            if time.monotonic() >= deadline:
+                return False
             time.sleep(_POLL_S)
-        return predicate(self.observe())
+
+    def kill(self, pid: int) -> None:
+        """SIGKILL ``pid``; its health file goes too, so later samples are the respawn's."""
+        self.supervisors[pid].kill()
+        self.health_paths[pid].unlink(missing_ok=True)
+
+    def play(
+        self, steps: list[Step], fault_spec: Path, report: NetChaosReport, bound_s: float
+    ) -> None:
+        """Walk ``steps`` on the wall clock from now, then score the rejoin."""
+        t0 = time.monotonic()
+        for t_ms, action, arg in steps:
+            self.wait_until(_never, t0 + t_ms / 1000.0)
+            if self.forks.violation is not None:
+                return
+            if action == "faults":
+                fault_spec.write_text(arg)
+            elif action == "kill":
+                self.kill(arg)
+            else:
+                self.supervisors[arg].spawn()
+        self.wait_until(_never, t0 + report.healed_at_ms / 1000.0)
+        health = self.observe()
+        report.heights_at_heal = {
+            pid: int(health[pid].get("ledger_height", 0)) for pid in self.correct if pid in health
+        }
+        frontier = max(report.heights_at_heal.values(), default=0)
+        report.live_after_heal = self.wait_until(
+            lambda h: all(
+                int(h.get(pid, {}).get("ledger_height", -1)) > frontier
+                for pid in self.correct
+            ),
+            time.monotonic() + bound_s,
+        )
 
 
 def run_net_chaos(
     protocol: str = "damysus",
     n: int = 4,
     *,
+    plan: str = "partition",
     seed: int = 1,
-    loss: float = 0.05,
     base_port: int = 0,
     host: str = "127.0.0.1",
     commit_bound_s: float = 60.0,
-    partition_hold_s: float = 6.0,
-    timeout_ms: float = 1_000.0,
-    max_timeout_ms: float = 0.0,
-    timeout_jitter: float = 0.0,
     adversary: str | None = None,
-    kill: bool = True,
-    partition: bool = True,
-    catchup: bool = False,
-    checkpoint_interval: int = 0,
-    catchup_commits: int = 100,
     run_dir: str | Path | None = None,
     keep_artifacts: bool = False,
 ) -> NetChaosReport:
-    """Run the scripted kill/restart/partition/heal scenario; see module doc.
+    """Play the named plan of :func:`~repro.core.faults.net_chaos_plans`; see module doc.
 
-    ``commit_bound_s`` bounds every liveness assertion (boot, post-restart
-    and post-heal commits).  Artifacts (per-replica logs, health files,
-    seal files, the fault spec) land under ``run_dir`` (a fresh temp
-    directory by default, removed on success unless ``keep_artifacts``).
-
-    ``catchup`` appends a state-transfer cycle: the victim is SIGKILLed
-    again, the survivors commit ``catchup_commits`` further blocks (far
-    past the checkpoint horizon), the victim respawns and must rejoin by
-    installing a peer's certified checkpoint - not by replaying the
-    missed blocks - within ``commit_bound_s``.  Requires (and defaults)
-    a positive ``checkpoint_interval``.
-
-    ``adversary`` seats the named registered attack at its default pids
-    (the victim at ``n-1`` always stays honest - the scenario kills and
-    restarts it, and a Byzantine victim would prove nothing).  Every
-    liveness assertion then runs *with the attack live*: the honest
-    majority must boot, survive the kill, and heal regardless.
+    ``commit_bound_s`` bounds the boot and the rejoin after the heal.
+    Artifacts (per-replica logs, health and seal files, the fault spec)
+    land under ``run_dir`` (a fresh temp directory by default, removed on
+    success unless ``keep_artifacts``).  ``adversary`` seats the named
+    attack at its default pids, except a pid the plan crashes (a
+    Byzantine victim would prove nothing); the verdict covers the rest.
     """
     if n < 4:
         raise ConfigError("net-chaos needs n >= 4 (a 2/2 partition and f >= 1)")
-    if catchup and checkpoint_interval <= 0:
-        checkpoint_interval = 25
+    plans = net_chaos_plans(n)
+    if plan not in plans:
+        raise ConfigError(f"unknown plan {plan!r} (known: {', '.join(sorted(plans))})")
+    fault_plan = plans[plan]
+    steps = timeline(fault_plan)
+    respawned = sorted({pid for _, action, pid in steps if action == "spawn"})
+    checkpoint_interval = _CHECKPOINT_INTERVAL.get(plan, 0)
     adversary_pids: tuple[int, ...] = ()
     if adversary is not None:
         from repro.adversary.registry import get_adversary
@@ -244,9 +321,8 @@ def run_net_chaos(
         adv = get_adversary(adversary)
         adv.replica_class(protocol)  # fail fast on unsupported protocols
         f = get_spec(protocol).max_faults(n)
-        adversary_pids = tuple(
-            pid for pid in adv.seats(n, f) if pid != n - 1
-        )
+        crashed = {event.pid for event in fault_plan.crashes}
+        adversary_pids = tuple(pid for pid in adv.seats(n, f) if pid not in crashed)
     owns_dir = run_dir is None
     root = Path(tempfile.mkdtemp(prefix="repro-netchaos-")) if owns_dir else Path(run_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -256,42 +332,23 @@ def run_net_chaos(
     for directory in (seal_dir, health_dir, log_dir):
         directory.mkdir(exist_ok=True)
     fault_spec = root / "faults.json"
-
-    # Three live fault-spec states drive the scenario: background loss
-    # while all n replicas are up (quorum slack absorbs it), a clean
-    # network while only a bare quorum survives the kill (n-1 live
-    # replicas of a 2f+1 protocol leave zero slack - permanent loss
-    # there bounds liveness by luck, not by the protocol), and the 2/2
-    # partition.  Every transition exercises the replicas' live reload.
-    base_plan = FaultPlan()
-    if loss > 0.0:
-        base_plan.lossy_links(loss)
-    quiet_plan = FaultPlan()
-    left = set(range(0, 2))
-    right = set(range(2, n))
-    partition_plan = FaultPlan().partition(left, right)
-    # The digest advertises the full decision table of everything this
-    # scenario can inject (loss + partition rules).
-    digest_plan = FaultPlan()
-    if loss > 0.0:
-        digest_plan.lossy_links(loss)
-    digest_plan.partition(left, right)
-    fault_spec.write_text(base_plan.rules_spec())
+    fault_spec.write_text(steps[0][2])
 
     if base_port == 0:
         base_port = _find_free_base_port(n, host)
-    digest = decision_digest(digest_plan.rules, seed, list(range(n)))
     report = NetChaosReport(
         protocol=protocol,
         n=n,
         seed=seed,
+        plan=plan,
+        steps=steps,
         base_port=base_port,
-        loss=loss,
-        decision_digest=digest,
-        run_dir=str(root),
+        decision_digest=decision_digest(fault_plan.rules, seed, list(range(n))),
+        healed_at_ms=fault_plan.healed_by_ms(),
         checkpoint_interval=checkpoint_interval,
         adversary=adversary,
         adversary_pids=adversary_pids,
+        run_dir=str(root),
     )
 
     supervisors = []
@@ -306,9 +363,8 @@ def run_net_chaos(
             base_port=base_port,
             seed=seed,
             host=host,
-            timeout_ms=timeout_ms,
-            max_timeout_ms=max_timeout_ms,
-            timeout_jitter=timeout_jitter,
+            timeout_ms=_TIMEOUT_MS,
+            timeout_jitter=_TIMEOUT_JITTER,
             adversary=adversary if pid in adversary_pids else None,
             checkpoint_interval=checkpoint_interval,
             seal_dir=seal_dir,
@@ -318,168 +374,33 @@ def run_net_chaos(
         supervisors.append(
             ReplicaSupervisor(spec=spec, log_path=log_dir / f"replica-{pid}.log")
         )
-    cluster = _Cluster(supervisors, health_paths)
+    correct = [pid for pid in range(n) if pid not in adversary_pids]
+    cluster = _Cluster(supervisors, health_paths, correct)
 
-    def phase(name: str, started: float, ok: bool, detail: str) -> bool:
-        report.phases.append(
-            PhaseResult(name, ok, detail, elapsed_s=time.monotonic() - started)
-        )
-        return ok
-
-    victim = n - 1
-    survivors = [pid for pid in range(n) if pid != victim]
     try:
         for supervisor in supervisors:
             supervisor.spawn()
-
-        # -- boot: everyone commits ------------------------------------------
-        t = time.monotonic()
         booted = cluster.wait_until(
             lambda h: len(h) == n
             and all(int(h[p].get("committed_blocks", 0)) >= 1 for p in range(n)),
-            commit_bound_s,
+            time.monotonic() + commit_bound_s,
         )
-        blocks = cluster.committed(list(range(n)))
-        if not phase("boot", t, booted, f"committed blocks per replica: {blocks}"):
-            return report
+        if booted:
+            cluster.play(steps[1:], fault_spec, report, commit_bound_s)
+        report.violation = cluster.forks.violation
 
-        if kill:
-            # -- kill: survivors keep committing -----------------------------
-            t = time.monotonic()
-            fault_spec.write_text(quiet_plan.rules_spec())
-            before = cluster.committed(survivors)
-            supervisors[victim].kill()
-            cluster.watchdog.record_dead(victim)
-            survived = cluster.wait_until(
-                lambda h: all(
-                    int(h.get(p, {}).get("committed_blocks", 0)) > before.get(p, 0)
-                    for p in survivors
-                ),
-                commit_bound_s,
+        health = cluster.observe()
+        if respawned:
+            report.restored_from_seal = all(
+                bool(health.get(pid, {}).get("restored_from_seal")) for pid in respawned
             )
-            after = cluster.committed(survivors)
-            if not phase(
-                "kill",
-                t,
-                survived,
-                f"SIGKILLed replica {victim}; survivor commits {before} -> {after}",
-            ):
-                return report
-
-            # -- restart: restore from durable sealed state ------------------
-            t = time.monotonic()
-            supervisors[victim].spawn()
-            rejoined = cluster.wait_until(
-                lambda h: bool(h.get(victim, {}).get("restored_from_seal"))
-                and int(h.get(victim, {}).get("committed_blocks", 0)) >= 1,
-                commit_bound_s,
+            report.caught_up_via_checkpoint = all(
+                bool(health.get(pid, {}).get("caught_up_via_checkpoint"))
+                for pid in respawned
             )
-            health = cluster.observe().get(victim, {})
-            if not phase(
-                "restart",
-                t,
-                rejoined,
-                f"replica {victim} restored_from_seal="
-                f"{health.get('restored_from_seal')} checker_view="
-                f"{health.get('checker_view')} committed="
-                f"{health.get('committed_blocks')}",
-            ):
-                return report
-
-        if partition:
-            # -- partition: 2/2, no quorum, commits stall --------------------
-            t = time.monotonic()
-            fault_spec.write_text(partition_plan.rules_spec())
-            time.sleep(max(partition_hold_s / 2, 2.0))
-            mid = cluster.committed(list(range(n)))
-            time.sleep(max(partition_hold_s / 2, 2.0))
-            end = cluster.committed(list(range(n)))
-            stalled = all(end.get(p, 0) == mid.get(p, 0) for p in mid)
-            # Informational: a commit already quorum-certified before the
-            # split may land late; the hard requirement is healing below.
-            phase(
-                "partition",
-                t,
-                True,
-                f"2/2 split {sorted(left)}|{sorted(right)}; commits during hold: "
-                f"{mid} -> {end} ({'stalled' if stalled else 'straggler commits seen'})",
-            )
-
-            # -- heal: everyone commits a fresh block ------------------------
-            t = time.monotonic()
-            before_heal = cluster.committed(list(range(n)))
-            fault_spec.write_text(quiet_plan.rules_spec())
-            healed = cluster.wait_until(
-                lambda h: all(
-                    int(h.get(p, {}).get("committed_blocks", 0))
-                    > before_heal.get(p, 0)
-                    for p in range(n)
-                ),
-                commit_bound_s,
-            )
-            after_heal = cluster.committed(list(range(n)))
-            if not phase(
-                "heal",
-                t,
-                healed,
-                f"post-heal commits {before_heal} -> {after_heal}",
-            ):
-                return report
-
-        if catchup:
-            # -- catchup-kill: survivors race past the checkpoint horizon ----
-            t = time.monotonic()
-            fault_spec.write_text(quiet_plan.rules_spec())
-            supervisors[victim].kill()
-            cluster.watchdog.record_dead(victim)
-            base = cluster.committed(survivors)
-            grown = cluster.wait_until(
-                lambda h: all(
-                    int(h.get(p, {}).get("committed_blocks", 0))
-                    >= base.get(p, 0) + catchup_commits
-                    for p in survivors
-                ),
-                commit_bound_s,
-            )
-            after = cluster.committed(survivors)
-            if not phase(
-                "catchup-kill",
-                t,
-                grown,
-                f"SIGKILLed replica {victim}; survivor commits {base} -> {after} "
-                f"(target +{catchup_commits})",
-            ):
-                return report
-
-            # -- catchup: rejoin via certified checkpoint, not replay --------
-            t = time.monotonic()
-            frontier = min(
-                int(h.get("ledger_height", 0))
-                for p, h in cluster.observe().items()
-                if p in survivors
-            )
-            supervisors[victim].spawn()
-            rejoined = cluster.wait_until(
-                lambda h: bool(h.get(victim, {}).get("caught_up_via_checkpoint"))
-                and int(h.get(victim, {}).get("ledger_height", 0)) >= frontier,
-                commit_bound_s,
-            )
-            health = cluster.observe().get(victim, {})
-            if not phase(
-                "catchup",
-                t,
-                rejoined,
-                f"replica {victim} caught_up_via_checkpoint="
-                f"{health.get('caught_up_via_checkpoint')} checkpoint_height="
-                f"{health.get('checkpoint_height')} ledger_height="
-                f"{health.get('ledger_height')} (survivor frontier {frontier}) "
-                f"retries={health.get('catchup_retries')}",
-            ):
-                return report
-
         totals: dict[str, int] = {}
-        for health in cluster.observe().values():
-            for key, value in (health.get("faults") or {}).items():
+        for sample in health.values():
+            for key, value in (sample.get("faults") or {}).items():
                 totals[key] = totals.get(key, 0) + int(value)
         report.fault_counts = totals
         return report

@@ -103,8 +103,6 @@ class ReplicaSupervisor:
 
     spec: ReplicaProcessSpec
     log_path: Path | None = None
-    spawn_count: int = 0
-    kill_count: int = 0
     _process: subprocess.Popen[bytes] | None = field(default=None, repr=False)
     _log_handle: object | None = field(default=None, repr=False)
 
@@ -133,22 +131,16 @@ class ReplicaSupervisor:
             stderr=subprocess.STDOUT,
             env=env,
         )
-        self.spawn_count += 1
 
     @property
     def running(self) -> bool:
         return self._process is not None and self._process.poll() is None
-
-    @property
-    def returncode(self) -> int | None:
-        return None if self._process is None else self._process.poll()
 
     def kill(self) -> None:
         """SIGKILL the process: no shutdown handlers, no final seal."""
         if self._process is not None and self._process.poll() is None:
             self._process.send_signal(signal.SIGKILL)
             self._process.wait()
-            self.kill_count += 1
         self._close_log()
 
     def terminate(self, grace_s: float = 5.0) -> None:
@@ -161,11 +153,6 @@ class ReplicaSupervisor:
                 self._process.kill()
                 self._process.wait()
         self._close_log()
-
-    def restart(self) -> None:
-        """Respawn with identical arguments (kills first if still alive)."""
-        self.kill()
-        self.spawn()
 
     def _close_log(self) -> None:
         handle = self._log_handle

@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.core.faults import FaultAction, FaultRule, evaluate_rules
+from repro.core.faults import FaultAction, FaultRule, evaluate_rules, unwindowed
 from repro.core.rng import RngStream
 
 #: Frames per link covered by :func:`decision_digest`'s decision table.
@@ -153,14 +153,15 @@ def decision_table(
 ) -> list[FaultRecord]:
     """The deterministic decision table: every link x sequence decision.
 
-    Pure function of (seed, rules, pids, horizon): each rule is evaluated
-    at the opening instant of its own activity window (so window gating,
-    which depends on wall-clock phase alignment at run time, does not
-    enter the table), drawing from the same per-frame streams the live
+    Pure function of (seed, rules, pids, horizon): every rule acts as it
+    does inside its activity window (so window gating, which depends on
+    wall-clock phase alignment at run time, does not enter the table),
+    drawing from the same per-frame streams the live
     :class:`FaultDecider` uses.  Frames whose run-time window state
     matches the table (in particular every un-windowed probabilistic
     rule) are injected exactly as tabled.
     """
+    always = [unwindowed(rule) for rule in rules]
     entries: list[FaultRecord] = []
     for src in sorted(pids):
         for dst in sorted(pids):
@@ -168,27 +169,7 @@ def decision_table(
                 continue
             for seq in range(horizon):
                 rng = _frame_stream(seed, src, dst, seq)
-                duplicates = 0
-                extra = 0.0
-                acted = False
-                dropped = False
-                for rule in rules:
-                    now = getattr(rule, "start_ms", 0.0)
-                    decision = rule.decide(src, dst, None, now, rng)
-                    if decision is None:
-                        continue
-                    if decision.drop:
-                        dropped = True
-                        break
-                    acted = True
-                    duplicates += decision.duplicates
-                    extra += decision.extra_delay_ms
-                if dropped:
-                    action: FaultAction | None = FaultAction(drop=True)
-                elif acted:
-                    action = FaultAction(duplicates=duplicates, extra_delay_ms=extra)
-                else:
-                    action = None
+                action = evaluate_rules(always, src, dst, None, 0.0, rng)
                 entries.append(
                     FaultRecord(
                         src=src,

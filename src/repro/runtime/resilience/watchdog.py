@@ -4,13 +4,13 @@ A BFT deployment that silently stops committing is worse than one that
 crashes loudly.  :class:`LivenessWatchdog` tracks, per replica, the wall
 time of the last commit (and the last sign of life of any kind) and
 renders a structured :class:`HealthSnapshot` - the machine-readable
-health surface behind ``repro net-chaos`` and the per-process health
-files ``repro serve --health-file`` writes.
+health surface in the per-process health files ``repro serve
+--health-file`` writes.
 
 Beyond stall detection, the snapshot reports each replica's
 last-committed view and its *view lag* behind the most advanced replica
 in the cluster, plus the cumulative catch-up retry count - so an
-operator (or the net-chaos gate) can see a replica falling behind before
+operator can see a replica falling behind before
 it misses its catch-up window entirely.
 
 Time is injected by the caller (the asyncio host passes its wall clock;

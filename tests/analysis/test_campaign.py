@@ -1,10 +1,13 @@
 """Tests for the attack-campaign engine and its three oracles."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.adversary import get_adversary
+from repro.adversary.registry import HONEST
+from repro.analysis import campaign
 from repro.analysis.campaign import (
     LIVENESS_RATE_SHARE,
     CampaignCell,
@@ -15,7 +18,8 @@ from repro.analysis.campaign import (
     run_cell,
 )
 from repro.core.faults import FaultPlan
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
+from repro.protocols.registry import SPECS
 from repro.protocols.replica import BaseReplica
 from repro.protocols.sync import ViewSync
 
@@ -28,6 +32,11 @@ def _tiny_campaign(seed=1):
         topologies=("eu",),
         seed=seed,
     )
+
+
+def _chaos_cell(seed=1):
+    """What ``repro chaos --protocol damysus --seed S`` runs."""
+    return run_cell("damysus", HONEST, "chaos", "eu", seed=seed)
 
 
 # -- oracles and scoring ----------------------------------------------------
@@ -116,6 +125,52 @@ def test_cells_red_at_the_parent_commit_are_green():
         assert cell.commit_rate >= 0.9 * cell.baseline_commit_rate
 
 
+@pytest.mark.parametrize(
+    ("protocol", "plan"),
+    [(protocol, "chaos") for protocol in sorted(SPECS)] + [("hotstuff", "lossy")],
+)
+def test_honest_cell_is_safe_and_recovers(protocol, plan):
+    """Nobody seated, under loss, a partition and f crash/recover cycles
+    (or loss alone): safe throughout, live within the budget once the
+    plan heals, and at the clean rate - the cell is its own baseline."""
+    cell = run_cell(protocol, HONEST, plan, "eu", seed=1)
+    assert cell.verdict == "PASS"
+    assert cell.safe and cell.violation is None
+    assert cell.attacker_pids == () and cell.attack_events == 0
+    assert cell.views_to_recover is not None and cell.views_to_recover <= 30
+    assert cell.duration_ms < cell.healed_at_ms + 10_000.0
+    assert cell.timeouts_fired > 0  # the faults did bite
+    assert cell.commit_rate == cell.baseline_commit_rate > 0
+
+
+def test_an_honest_cell_runs_once(monkeypatch):
+    """No seats and no colluding plan: the clean baseline is the same
+    seeded run, so it is not simulated a second time."""
+    built = []
+    real = campaign.ConsensusSystem
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "ConsensusSystem", counting)
+    cell = _chaos_cell()
+    assert len(built) == 1
+    assert cell.degradation_ratio == 1.0
+    assert cell.baseline_commits == cell.commits
+    built.clear()
+    run_cell("damysus", get_adversary("silent"), "clean", "eu", seed=1)
+    assert len(built) == 2  # an attack cell still runs its baseline
+
+
+def test_unhealing_plan_is_rejected():
+    never_heals = replace(
+        HONEST, colluding_plan=lambda n, f: FaultPlan().lossy_links(0.1)  # no end_ms
+    )
+    with pytest.raises(SimulationError, match="never heals"):
+        run_cell("damysus", never_heals, "clean", "eu", seed=1)
+
+
 def test_degradation_bands():
     assert degradation_label(1.0) == "minimal"
     assert degradation_label(0.75) == "minimal"
@@ -170,8 +225,21 @@ def test_unknown_plan_and_topology_are_config_errors():
 
 def test_base_plans_are_rebuilt_per_call():
     """FaultPlan is mutable; sharing one instance would leak rules."""
-    base_plans()["clean"].lossy_links(0.5, end_ms=10.0)
-    assert base_plans()["clean"].rules == []
+    base_plans(4, 1)["clean"].lossy_links(0.5, end_ms=10.0)
+    assert base_plans(4, 1)["clean"].rules == []
+
+
+def test_chaos_plan_shape():
+    """Loss and a partition around the first f replicas, healed by 4 s,
+    and f crash/recover cycles on the trailing replicas, 100 ms apart."""
+    plan = base_plans(4, 1)["chaos"]
+    assert len(plan.rules) == 2  # loss + partition
+    assert [(c.pid, c.at_ms, c.recover_at_ms) for c in plan.crashes] == [
+        (3, 500.0, 3_000.0)
+    ]
+    assert plan.healed_by_ms() == 4_000.0
+    assert [c.pid for c in base_plans(7, 2)["chaos"].crashes] == [6, 5]
+    assert set(base_plans(1, 0)) == set(base_plans(7, 2))  # names do not depend on size
 
 
 def test_merge_plans_carries_rules_and_crashes_from_both():

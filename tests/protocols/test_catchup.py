@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.chaos import monotone_prefixes_ok
 from repro.core.executor import fold_state_root
 from repro.core.messages import ViewAnnounce
 from repro.errors import TEERefusal
@@ -75,7 +74,7 @@ def test_crashed_replica_rejoins_via_checkpoint_transfer():
         system, recovered.ledger.height()
     )
     assert system.oracle.safe
-    assert monotone_prefixes_ok(system)
+    assert system.oracle.monotone_prefixes_ok()
 
 
 def test_replica_partitioned_for_10k_views_rejoins():
@@ -106,7 +105,7 @@ def test_replica_partitioned_for_10k_views_rejoins():
     )
     assert recovered.viewsync.view_lag() <= CATCHUP_VIEW_GAP
     assert system.oracle.safe
-    assert monotone_prefixes_ok(system)
+    assert system.oracle.monotone_prefixes_ok()
 
 
 def test_catchup_requester_backs_off_and_gives_up(monkeypatch):
@@ -358,4 +357,4 @@ def test_chunked_transfer_survives_the_rate_limit(monkeypatch):
     assert recovered.catchup.retries == 0
     assert recovered.ledger.height() >= 30
     assert system.oracle.safe
-    assert monotone_prefixes_ok(system)
+    assert system.oracle.monotone_prefixes_ok()

@@ -60,22 +60,48 @@ def test_experiment_table1(capsys):
 
 
 def test_chaos_command(capsys):
+    """``repro chaos`` is the campaign's honest chaos cell, printed as its row."""
     code = main(["chaos", "--protocol", "damysus", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "safety               OK" in out
-    assert "liveness after heal  OK" in out
-    assert "crash/recover cycles 1" in out
+    row = out.splitlines()[2].split()
+    assert row[:5] == ["damysus", "none", "chaos", "eu", "PASS"]
+    assert "1 cells: 1 pass, 0 unsafe, 0 stalled" in out
+    assert main(["campaign", "--protocols", "damysus", "--adversaries", "none",
+                 "--plans", "chaos", "--topologies", "eu"]) == 0
+    assert capsys.readouterr().out == out
 
 
-def test_chaos_command_loss_only(capsys):
+def test_loss_only_run_is_the_lossy_campaign_cell(capsys):
     code = main(
-        ["chaos", "--protocol", "hotstuff", "--loss", "0.1", "--seed", "2",
-         "--no-partition", "--no-crash"]
+        ["campaign", "--protocols", "hotstuff", "--adversaries", "none",
+         "--plans", "lossy", "--topologies", "eu", "--seed", "2"]
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "crash/recover cycles 0" in out
+    assert "hotstuff   none        lossy  eu     PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chaos", "--f", "2"],
+        ["chaos", "--loss", "0.1"],
+        ["chaos", "--no-crash"],
+        ["chaos", "--settle-views", "3"],
+        ["chaos", "--timeout-jitter", "0.05"],
+        ["net-chaos", "--no-partition"],
+        ["net-chaos", "--loss", "0.1"],
+        ["net-chaos", "--catchup-commits", "100"],
+        ["net-chaos", "--timeout-ms", "500"],
+    ],
+)
+def test_removed_scenario_switches_are_usage_errors(argv, capsys):
+    """Scenarios are named plans now: the switches are gone, not ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bench_command_parallel(capsys):
@@ -170,10 +196,11 @@ def test_campaign_json_output(capsys):
     assert data["digest"]
 
 
-def test_chaos_accepts_timeout_knobs(capsys):
+def test_chaos_cell_accepts_timeout_knobs(capsys):
     code = main(
-        ["chaos", "--protocol", "damysus", "--seed", "1",
+        ["campaign", "--protocols", "damysus", "--adversaries", "none",
+         "--plans", "chaos", "--topologies", "eu",
          "--max-timeout-ms", "2000", "--timeout-jitter", "0.05"]
     )
     assert code == 0
-    assert "safety               OK" in capsys.readouterr().out
+    assert "0 unsafe, 0 stalled" in capsys.readouterr().out
