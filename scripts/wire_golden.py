@@ -3,10 +3,12 @@
 
 ``tests/core/golden_wire_v2.json`` holds the hex of ``encode_message(m)``
 for every entry of ``tests/core/test_codec.ALL_MESSAGES`` (with the hash
-of every block the message carries) plus the standalone
-``encode_checkpoint``.  The file was generated before the table-driven
-codec replaced the hand-written one and is committed unchanged: byte
-equality against it is the argument that two builds interoperate.
+of every block the message carries), the standalone checkpoint row, the
+seal store's three records (``encode_record`` of ``test_codec.RECORDS``)
+and the ``Step`` row.  The messages and the checkpoint were generated
+before the table-driven codec replaced the hand-written one and are
+committed unchanged: byte equality against them is the argument that two
+builds interoperate.  The records and the step were added later.
 
 Without arguments the file is (re)written; ``--check`` compares what this
 checkout encodes against the committed file and exits 1 on any difference.
@@ -36,8 +38,10 @@ def _block_hashes(msg: object) -> list[str]:
 def vectors() -> dict[str, object]:
     """What this checkout puts on the wire for the whole catalogue."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    from repro.core.codec import WIRE_VERSION, encode_checkpoint, encode_message
-    from tests.core.test_codec import ALL_MESSAGES, checkpoint
+    from repro.core.codec import WIRE_VERSION, encode_fields, encode_message, encode_record
+    from repro.core.phases import Step
+    from repro.tee.checkpoint import Checkpoint
+    from tests.core.test_codec import ALL_MESSAGES, RECORDS, STEP, checkpoint
 
     return {
         "wire_version": WIRE_VERSION,
@@ -50,7 +54,12 @@ def vectors() -> dict[str, object]:
             }
             for index, msg in enumerate(ALL_MESSAGES)
         ],
-        "checkpoint": encode_checkpoint(checkpoint()).hex(),
+        "checkpoint": encode_fields((Checkpoint,), (checkpoint(),)).hex(),
+        "records": [
+            {"type": type(record).__name__, "hex": encode_record(record).hex()}
+            for record in RECORDS
+        ],
+        "step": encode_fields((Step,), (STEP,)).hex(),
     }
 
 
@@ -62,21 +71,21 @@ def main() -> int:
     current = vectors()
     if not args.check:
         GOLDEN.write_text(json.dumps(current, indent=1) + "\n")
-        print(f"wrote {len(current['messages'])} messages + checkpoint to {GOLDEN}")
+        print(f"wrote {len(current['messages'])} messages + checkpoint + records to {GOLDEN}")
         return 0
     golden = json.loads(GOLDEN.read_text())
     if golden == current:
-        print(f"wire_golden: {len(golden['messages'])} messages + checkpoint byte-identical")
+        print(f"wire_golden: {len(golden['messages'])} messages + checkpoint + "
+              f"{len(golden['records'])} records + step byte-identical")
         return 0
     for want, got in zip(golden["messages"], current["messages"], strict=False):
         if want != got:
             print(f"wire_golden: message {want['index']} ({want['type']}) differs")
     if len(golden["messages"]) != len(current["messages"]):
         print("wire_golden: catalogue length differs")
-    if golden["checkpoint"] != current["checkpoint"]:
-        print("wire_golden: standalone checkpoint differs")
-    if golden["wire_version"] != current["wire_version"]:
-        print("wire_golden: WIRE_VERSION differs")
+    for key in ("checkpoint", "records", "step", "wire_version"):
+        if golden.get(key) != current[key]:
+            print(f"wire_golden: {key} differs")
     return 1
 
 

@@ -49,8 +49,6 @@ _TRUSTED_PRIVATE = {
     "_ckpt_height",
     "_ckpt_hash",
     "_ckpt_root",
-    "_seal_fields",
-    "_restore_seal_fields",
     "_create_unique_sign",
     "_verify_commitment",
     "_verify_accumulator",

@@ -19,6 +19,12 @@ run), every other field one step, and the encoder and the decoder of a
 type are both derived from the same row, so they cannot drift apart.
 Nothing outside the table knows a message's shape.
 
+The same table is the byte format of the seal store's files:
+:func:`encode_record` writes one durable record (a sealed checker
+snapshot, the seal-counter record, a certified checkpoint) behind a
+magic, ``WIRE_VERSION`` and a kind byte, and :func:`encode_fields` a bare
+run of kinds (the fields a Checker declares ``SEALED``).
+
 Every malformed-input failure surfaces as :class:`CodecError`;
 ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` never escape
 this module - a value out of range for its field included.
@@ -29,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple, Union
@@ -42,7 +48,7 @@ from repro.core.block import Block
 from repro.core.certificate import Accumulator, QuorumCert
 from repro.core.commitment import Commitment
 from repro.core.mempool import AdmissionVerdict, Transaction
-from repro.core.phases import Phase
+from repro.core.phases import Phase, Step
 
 #: Wire-format generation.  Version 2 added the transaction ``fee``
 #: field and the admission verdict byte in client replies; peers
@@ -335,11 +341,12 @@ def wire_table() -> tuple[Layout, ...]:
 
     Tags and field order *are* wire version 2 (``tests/core/golden_wire_v2.json``
     pins the bytes).  A function, run once, only because the modules that
-    own four of the message classes import this one."""
+    own seven of its classes import this one."""
     from repro.protocols.chained_damysus import ChainedVote
     from repro.protocols.fast_hotstuff import FastProposal
     from repro.protocols.sync import SyncBlocks, SyncCheckpoint, SyncRequest
     from repro.tee.checkpoint import Checkpoint
+    from repro.tee.sealed import SealCounter, SealedState
 
     def row(cls: type[Any], tag: int | None, *entries: Entry) -> Layout:
         return Layout(cls, tag, entries)
@@ -361,6 +368,10 @@ def wire_table() -> tuple[Layout, ...]:
         row(Checkpoint, None, ("replica", I64), ("counter", I64), ("height", I64), view,
             ("block_hash", HASH), ("state_root", HASH), ("qc", Commitment),
             ("signature", Signature)),
+        row(Step, None, view, ("phase", PHASE)),
+        row(SealedState, None, ("component_id", I64), ("seal_counter", I64), ("payload", BYTES),
+            ("mac", BYTES)),
+        row(SealCounter, None, ("component_id", I64), ("latest", I64)),
         row(m.NewViewMsg, 0, view, ("justify", QuorumCert)),
         row(m.NewViewAMsg, 1, view, ("justify", QuorumCert), ("sender_sig", Signature)),
         row(m.ProposalMsg, 2, view, ("block", Block), ("justify", QuorumCert)),
@@ -514,85 +525,51 @@ def decode_message(data: bytes) -> Any:
     return _decoded(dec, data, 1)
 
 
-def encode_checkpoint(ckpt: Any) -> bytes:
-    """Serialize a certified checkpoint standalone (no message tag), as the
-    durable seal store keeps it next to the sealed checker snapshot."""
-    return _encoded(b"", _compile(type(ckpt))[0], ckpt)
+def encode_fields(kinds: Sequence[Kind], values: Sequence[Any]) -> bytes:
+    """Values of the given wire kinds back to back: no tag, no header."""
+    if len(kinds) != len(values):
+        raise CodecError(f"{len(values)} values for {len(kinds)} kinds")
+    return b"".join(_encoded(b"", _compile(k)[0], v) for k, v in zip(kinds, values))
 
 
-def decode_checkpoint(data: bytes) -> Any:
-    """Parse bytes produced by :func:`encode_checkpoint`."""
+def decode_fields(kinds: Sequence[Kind], data: bytes) -> list[Any]:
+    """Parse bytes produced by :func:`encode_fields`; trailing bytes refused."""
+
+    def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+        out.append([])
+        for kind in kinds:
+            pos = _compile(kind)[1](buf, pos, out[0])
+        return pos
+
+    values: list[Any] = _decoded(dec, data, 0)
+    return values
+
+
+#: Leading bytes of every durable record; then ``WIRE_VERSION`` and its kind.
+RECORD_MAGIC = b"DMYS"
+
+
+def _record_head(cls: type[Any]) -> bytes:
     from repro.tee.checkpoint import Checkpoint
+    from repro.tee.sealed import SealCounter, SealedState
 
-    return _decoded(_compile(Checkpoint)[1], data, 0)
-
-
-# -- one primitive at a time -------------------------------------------------------
-
-
-def _writer(kind: Kind) -> Callable[["Encoder", Any], "Encoder"]:
-    def write(self: "Encoder", value: Any) -> "Encoder":
-        self._buf += _encoded(b"", _compile(kind)[0], value)
-        return self
-
-    return write
+    kinds = (SealedState, SealCounter, Checkpoint)  # in kind-byte order
+    if cls not in kinds:
+        raise CodecError(f"{cls.__name__} is not a durable record")
+    return RECORD_MAGIC + bytes((WIRE_VERSION, kinds.index(cls)))
 
 
-def _reader(kind: Kind) -> Callable[["Decoder"], Any]:
-    def read(self: "Decoder") -> Any:
-        out: list[Any] = []
-        try:
-            self._pos = _compile(kind)[1](self._data, self._pos, out)
-        except struct.error as exc:
-            raise CodecError(_TRUNCATED) from exc
-        return out[0]
-
-    return read
+def encode_record(record: Any) -> bytes:
+    """One seal-store file: magic, wire version and kind, then the record's row."""
+    return _encoded(_record_head(type(record)), _compile(type(record))[0], record)
 
 
-class Encoder:
-    """Append-only writer of single wire primitives, each through the compiled
-    plan of its kind: the primitive tests exercise the plans' building blocks."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def bytes(self) -> bytes:
-        return bytes(self._buf)
-
-    u8, u32, i64, f64 = _writer(U8), _writer(U32), _writer(I64), _writer(F64)
-    var_bytes, string, hash32 = _writer(BYTES), _writer(STR), _writer(HASH)
-
-    def opt(self, value: Any, write: Callable[[Any], Any]) -> "Encoder":
-        self.u8(value is not None)
-        if value is not None:
-            write(value)
-        return self
-
-    def patch_u32(self, offset: int, value: int) -> "Encoder":
-        """Overwrite a previously written u32."""
-        if offset + 4 > len(self._buf):
-            raise CodecError("patch offset past the write cursor")
-        self._buf[offset : offset + 4] = _COUNT.pack(value)
-        return self
-
-
-class Decoder:
-    """Bounds-checked reader of single wire primitives (see :class:`Encoder`)."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    u8, u32, i64, f64 = _reader(U8), _reader(U32), _reader(I64), _reader(F64)
-    var_bytes, string = _reader(BYTES), _reader(STR)
-
-    def opt(self, read: Callable[[], Any]) -> Any:
-        return read() if self.u8() else None
-
-    def expect_done(self) -> None:
-        if self._pos != len(self._data):
-            raise CodecError(f"{len(self._data) - self._pos} trailing bytes")
+def decode_record(cls: type[Any], data: bytes) -> Any:
+    """Parse bytes produced by :func:`encode_record` for a ``cls`` record."""
+    head = _record_head(cls)
+    if not data.startswith(head):
+        raise CodecError(f"not a wire version {WIRE_VERSION} {cls.__name__} record")
+    return _decoded(_compile(cls)[1], data, len(head))
 
 
 def wire_size_of(payload: Any) -> int:

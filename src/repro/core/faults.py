@@ -37,7 +37,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.core.codec import msg_type_of
 from repro.core.rng import RngStream
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 
 
 @dataclass(frozen=True)
@@ -454,42 +454,46 @@ class FaultPlan:
         return json.dumps({"version": 1, "rules": encoded}, indent=2, sort_keys=True)
 
     @classmethod
-    def from_rules_spec(cls, spec: str) -> "FaultPlan":
-        """Rebuild a (rules-only) plan from :meth:`rules_spec` output."""
-        data = json.loads(spec)
-        plan = cls()
-        for entry in data.get("rules", []):
-            kind = entry.get("kind")
-            if kind == "link":
-                plan.add_rule(
-                    LinkFaultRule(
-                        drop_prob=float(entry.get("drop_prob", 0.0)),
-                        duplicate_prob=float(entry.get("duplicate_prob", 0.0)),
-                        delay_prob=float(entry.get("delay_prob", 0.0)),
-                        max_extra_delay_ms=float(entry.get("max_extra_delay_ms", 0.0)),
-                        src=_as_pidset(entry.get("src")),
-                        dst=_as_pidset(entry.get("dst")),
-                        msg_types=(
-                            None
-                            if entry.get("msg_types") is None
-                            else frozenset(entry["msg_types"])
-                        ),
-                        start_ms=_parse_num(entry.get("start_ms", 0.0)),
-                        end_ms=_parse_num(entry.get("end_ms", "inf")),
-                    )
-                )
-            elif kind == "partition":
-                plan.add_rule(
-                    PartitionRule(
-                        groups=tuple(frozenset(g) for g in entry["groups"]),
-                        start_ms=_parse_num(entry.get("start_ms", 0.0)),
-                        heal_ms=_parse_num(entry.get("heal_ms", "inf")),
-                        symmetric=bool(entry.get("symmetric", True)),
-                    )
-                )
-            else:
-                raise SimulationError(f"unknown fault rule kind {kind!r} in spec")
-        return plan
+    def from_rules_spec(cls, spec: str | bytes) -> "FaultPlan":
+        """Rebuild a (rules-only) plan from :meth:`rules_spec` output.
+
+        The spec is outside input (an orchestrator rewrites it while
+        replicas run), so every malformed one - bad JSON or UTF-8, a wrong
+        shape, an unknown kind, a value of the wrong type - is a
+        :class:`~repro.errors.ConfigError` and nothing else.
+        """
+        try:
+            entries = json.loads(spec).get("rules", [])
+            return cls(rules=[_rule_from_spec(entry) for entry in entries])
+        except (AttributeError, ArithmeticError, KeyError, RecursionError, TypeError,
+                ValueError) as exc:
+            raise ConfigError(f"malformed fault spec: {exc!r}") from exc
+
+
+def _rule_from_spec(entry: dict[str, Any]) -> FaultRule:
+    kind = entry.get("kind")
+    if kind == "link":
+        return LinkFaultRule(
+            drop_prob=float(entry.get("drop_prob", 0.0)),
+            duplicate_prob=float(entry.get("duplicate_prob", 0.0)),
+            delay_prob=float(entry.get("delay_prob", 0.0)),
+            max_extra_delay_ms=float(entry.get("max_extra_delay_ms", 0.0)),
+            src=_as_pidset(entry.get("src")),
+            dst=_as_pidset(entry.get("dst")),
+            msg_types=(
+                None if entry.get("msg_types") is None else frozenset(entry["msg_types"])
+            ),
+            start_ms=_parse_num(entry.get("start_ms", 0.0)),
+            end_ms=_parse_num(entry.get("end_ms", "inf")),
+        )
+    if kind == "partition":
+        return PartitionRule(
+            groups=tuple(frozenset(g) for g in entry["groups"]),
+            start_ms=_parse_num(entry.get("start_ms", 0.0)),
+            heal_ms=_parse_num(entry.get("heal_ms", "inf")),
+            symmetric=bool(entry.get("symmetric", True)),
+        )
+    raise ConfigError(f"unknown fault rule kind {kind!r} in spec")
 
 
 def _json_num(value: float) -> float | str:

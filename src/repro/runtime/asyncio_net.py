@@ -700,8 +700,8 @@ def _load_fault_rules(path: Path) -> tuple:
     from repro.core.faults import FaultPlan
 
     try:
-        return tuple(FaultPlan.from_rules_spec(path.read_text()).rules)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
+        return tuple(FaultPlan.from_rules_spec(path.read_bytes()).rules)
+    except (OSError, ConfigError):
         return tuple()
 
 

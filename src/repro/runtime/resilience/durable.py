@@ -22,6 +22,7 @@ certified horizon instead of replaying the whole chain.
 
 from __future__ import annotations
 
+from repro.core.phases import Step
 from repro.errors import TEERefusal
 from repro.protocols.replica import BaseReplica
 from repro.tee.checkpoint import verify_checkpoint
@@ -34,7 +35,7 @@ class DurableSealer:
     def __init__(self, replica: BaseReplica, store: FileSealStore) -> None:
         self.replica = replica
         self.store = store
-        self._last_sealed: tuple[int, str] | None = None
+        self._last_sealed: Step | None = None
         self._last_ckpt_height = 0
         self.seal_writes = 0
         self.checkpoint_writes = 0
@@ -45,10 +46,6 @@ class DurableSealer:
     def enabled(self) -> bool:
         """Protocols without a trusted component have nothing to seal."""
         return getattr(self.replica, "checker", None) is not None
-
-    def _step_key(self) -> tuple[int, str]:
-        step = self.replica.checker.step
-        return (step.view, step.phase.value)
 
     def restore(self) -> bool:
         """Restore the latest durable snapshot into the (fresh) replica.
@@ -68,7 +65,7 @@ class DurableSealer:
             self._restore_checkpoint(component_id)
             return False
         self.replica.restore_tee_state(sealed)  # raises TEERefusal on rollback
-        self._last_sealed = self._step_key()
+        self._last_sealed = self.replica.checker.step
         self.restored = True
         self._restore_checkpoint(component_id)
         return True
@@ -122,7 +119,7 @@ class DurableSealer:
             checkpoint is not None and checkpoint.height > self._last_ckpt_height
         )
         wrote = False
-        key = self._step_key()
+        key = self.replica.checker.step
         # A checkpoint-height advance forces a re-seal even at an unchanged
         # step: the snapshot carries the checker's monotonic certified
         # height, and the rollback check on restore is only as fresh as the

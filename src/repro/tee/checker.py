@@ -15,6 +15,9 @@ follows the chained step cycle.
 
 from __future__ import annotations
 
+from typing import ClassVar
+
+from repro.core.codec import HASH, I64, Kind
 from repro.crypto.hashing import Hash
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.scheme import SignatureScheme
@@ -32,6 +35,18 @@ class Checker(TrustedComponent):
     """Damysus's checker instance (Fig 2b)."""
 
     step_rule = StepRule.BASIC
+
+    #: Protected state a sealed snapshot carries, with its wire kinds
+    #: (:mod:`repro.tee.sealed`); a subclass declares only what it adds.
+    SEALED: ClassVar[dict[str, Kind]] = {
+        "_prepv": I64,
+        "_preph": HASH,
+        "_step": Step,
+        "_ckpt_counter": I64,
+        "_ckpt_height": I64,
+        "_ckpt_hash": HASH,
+        "_ckpt_root": HASH,
+    }
 
     def __init__(
         self,
@@ -96,39 +111,6 @@ class Checker(TrustedComponent):
         # view+phase+prepv+preph plus the checkpoint counter, height, and
         # certified (tip hash, state root) pair
         return super().storage_bytes() + 4 + 1 + 4 + 32 + 8 + 8 + 32 + 32
-
-    # -- sealing (repro.tee.sealed) -------------------------------------------
-
-    def _seal_fields(self) -> list[bytes]:
-        """Protected state serialized into a sealed snapshot.
-
-        Subclasses with extra protected state (the Damysus-C lock) append
-        their fields; order must match :meth:`_restore_seal_fields`.
-        """
-        return [
-            str(self._prepv).encode(),
-            self._preph.hex().encode(),
-            str(self._step.view).encode(),
-            self._step.phase.value.encode(),
-            str(self._ckpt_counter).encode(),
-            str(self._ckpt_height).encode(),
-            self._ckpt_hash.hex().encode(),
-            self._ckpt_root.hex().encode(),
-        ]
-
-    #: Number of fields :meth:`_seal_fields` emits for the base checker;
-    #: subclasses slice their own suffix relative to this.
-    BASE_SEAL_FIELDS = 8
-
-    def _restore_seal_fields(self, fields: list[bytes]) -> None:
-        """Restore protected state from an authenticated snapshot."""
-        self._prepv = int(fields[0])
-        self._preph = bytes.fromhex(fields[1].decode())
-        self._step = Step(int(fields[2]), Phase(fields[3].decode()))
-        self._ckpt_counter = int(fields[4])
-        self._ckpt_height = int(fields[5])
-        self._ckpt_hash = bytes.fromhex(fields[6].decode())
-        self._ckpt_root = bytes.fromhex(fields[7].decode())
 
     # -- internals ------------------------------------------------------------
 

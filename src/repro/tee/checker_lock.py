@@ -12,6 +12,9 @@ conflicts with its lock.
 
 from __future__ import annotations
 
+from typing import ClassVar
+
+from repro.core.codec import HASH, I64, Kind
 from repro.crypto.hashing import Hash
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.scheme import SignatureScheme
@@ -25,6 +28,10 @@ class LockingChecker(Checker):
     """Checker with locked-block storage and in-TEE SafeNode (Damysus-C)."""
 
     step_rule = StepRule.THREE_PHASE
+
+    # The lock is protected state too: a restart must not forget it, or
+    # the host could vote for a conflicting branch after recovery.
+    SEALED: ClassVar[dict[str, Kind]] = {"_lockv": I64, "_lockh": HASH}
 
     def __init__(
         self,
@@ -50,21 +57,6 @@ class LockingChecker(Checker):
         """Constant, but larger than Damysus's checker: Section 4.2.3 notes
         that the accumulator removes the need to store locked blocks."""
         return super().storage_bytes() + 4 + 32  # lockv + lockh
-
-    def _seal_fields(self) -> list[bytes]:
-        # The lock is protected state too: a restart must not forget it,
-        # or the host could vote for a conflicting branch after recovery.
-        return [
-            *super()._seal_fields(),
-            str(self._lockv).encode(),
-            self._lockh.hex().encode(),
-        ]
-
-    def _restore_seal_fields(self, fields: list[bytes]) -> None:
-        base = Checker.BASE_SEAL_FIELDS
-        super()._restore_seal_fields(fields[:base])
-        self._lockv = int(fields[base])
-        self._lockh = bytes.fromhex(fields[base + 1].decode())
 
     # -- TEE interface ----------------------------------------------------------
 

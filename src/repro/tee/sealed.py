@@ -11,29 +11,34 @@ equivocate.
 We model sealing with an authenticated (HMAC) snapshot bound to the
 component's private identity, plus a monotonic seal counter so stale
 snapshots are rejected on unseal (rollback protection, as provided by
-SGX's monotonic counters or an external trusted store).
+SGX's monotonic counters or an external trusted store).  The payload is
+the wire-codec bytes of the fields a Checker declares ``SEALED``.
 
 :class:`FileSealStore` makes sealing *durable*: snapshots and the
 trusted latest-counter record survive a real process death (SIGKILL
 included) via atomic write-temp + fsync + rename, so a replica process
 restarted by :class:`repro.runtime.resilience.supervisor.ReplicaSupervisor`
 resumes from its latest sealed step - and refuses rollback exactly as
-the in-memory path does, even across restarts.
+the in-memory path does, even across restarts.  Each file is one
+versioned record (:func:`repro.core.codec.encode_record`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, TypeVar
 
-from repro.core.codec import CodecError, decode_checkpoint, encode_checkpoint
+from repro.core import codec
 from repro.errors import TEERefusal
 from repro.tee.checker import Checker
 from repro.tee.checkpoint import Checkpoint
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -46,30 +51,35 @@ class SealedState:
     mac: bytes
 
 
-def _seal_key(checker: Checker) -> bytes:
-    # Derived from the component's confidential signing identity: only
-    # this component can produce or verify its seals.  Reaching into the
-    # private attribute mirrors "inside the enclave" code.  The scheme is
-    # bound by its stable name, never id(): seal keys must be identical
-    # across identically-seeded runs.
-    return hashlib.sha256(
-        b"seal-key"
-        + str(checker._signer).encode()
-        + checker._scheme.name.encode()
-    ).digest()
+@dataclass(frozen=True)
+class SealCounter:
+    """The durable latest-counter record of one component."""
+
+    component_id: int
+    latest: int
 
 
-def _encode_state(checker: Checker, seal_counter: int) -> bytes:
-    # The checker serializes its own protected fields (subclasses append
-    # theirs, e.g. the Damysus-C lock); the seal header binds identity
-    # and the rollback counter.
-    return b"|".join(
-        [
-            str(checker._signer).encode(),
-            str(seal_counter).encode(),
-            *checker._seal_fields(),
-        ]
-    )
+def _mac(checker: Checker, counter: int, payload: bytes) -> bytes:
+    # Keyed by the component's confidential signing identity: only this
+    # component can produce or verify its seals.  Reaching into the private
+    # attribute mirrors "inside the enclave" code.  The scheme is bound by
+    # its stable name, never id(): seal keys must be identical across
+    # identically-seeded runs.  The MAC covers the whole record, so its
+    # counter cannot be raised past the rollback check on its own.
+    name = str(checker._signer).encode() + checker._scheme.name.encode()
+    key = hashlib.sha256(b"seal-key" + name).digest()
+    kinds = (codec.I64, codec.I64, codec.BYTES)
+    record = codec.encode_fields(kinds, (checker.component_id, counter, payload))
+    return hmac.new(key, record, hashlib.sha256).digest()
+
+
+@functools.cache
+def _sealed_fields(cls: type[Checker]) -> tuple[tuple[str, ...], tuple[codec.Kind, ...]]:
+    """``cls``'s ``SEALED`` names and kinds, merged once along the MRO."""
+    fields: dict[str, codec.Kind] = {}
+    for klass in reversed(cls.__mro__):
+        fields.update(vars(klass).get("SEALED", {}))
+    return tuple(fields), tuple(fields.values())
 
 
 class SealManager:
@@ -98,26 +108,23 @@ class SealManager:
 
     def seal(self, checker: Checker) -> SealedState:
         """Snapshot the checker's protected state."""
-        counter = self._latest.get(checker.component_id, 0) + 1
-        self._latest[checker.component_id] = counter
-        payload = _encode_state(checker, counter)
-        mac = hmac.new(_seal_key(checker), payload, hashlib.sha256).digest()
-        return SealedState(
-            component_id=checker.component_id,
-            seal_counter=counter,
-            payload=payload,
-            mac=mac,
-        )
+        component = checker.component_id
+        counter = self._latest.get(component, 0) + 1
+        self._latest[component] = counter
+        names, kinds = _sealed_fields(type(checker))
+        payload = codec.encode_fields(kinds, [getattr(checker, name) for name in names])
+        return SealedState(component, counter, payload, _mac(checker, counter, payload))
 
     def unseal_into(self, checker: Checker, sealed: SealedState) -> None:
         """Restore a fresh checker from a sealed snapshot.
 
-        Refuses snapshots with a bad MAC, for a different component, or
-        older than the latest seal (rollback).
+        Refuses snapshots with a bad MAC, for a different component,
+        older than the latest seal (rollback), or whose authenticated
+        payload does not decode - in which case nothing is assigned.
         """
         if sealed.component_id != checker.component_id:
             raise TEERefusal("unseal: snapshot belongs to a different component")
-        expected = hmac.new(_seal_key(checker), sealed.payload, hashlib.sha256).digest()
+        expected = _mac(checker, sealed.seal_counter, sealed.payload)
         if not hmac.compare_digest(expected, sealed.mac):
             raise TEERefusal("unseal: authentication failed")
         latest = self._latest.get(checker.component_id, 0)
@@ -126,26 +133,35 @@ class SealManager:
                 f"unseal: rollback detected (snapshot {sealed.seal_counter} < "
                 f"latest {latest})"
             )
-        checker._restore_seal_fields(sealed.payload.split(b"|")[2:])
+        names, kinds = _sealed_fields(type(checker))
+        try:
+            values = codec.decode_fields(kinds, sealed.payload)
+        except codec.CodecError as exc:
+            raise TEERefusal(f"unseal: payload does not decode: {exc}") from exc
+        for name, value in zip(names, values):
+            setattr(checker, name, value)
         self._latest[checker.component_id] = max(latest, sealed.seal_counter)
 
 
 class FileSealStore:
     """Durable sealed snapshots: survive SIGKILL, refuse rollback.
 
-    Two files per component under ``root``:
+    Three files per component under ``root``, one record each:
 
-    * ``component-<id>.seal.json`` - the latest :class:`SealedState`;
-    * ``component-<id>.counter.json`` - the trusted monotonic-counter
-      record (the role SGX delegates to a counter service).  It is
-      written *after* the snapshot, so a crash between the two writes
-      leaves a counter one behind the snapshot - which still unseals -
-      never a counter ahead of every available snapshot.
+    * ``component-<id>.seal`` - the latest :class:`SealedState`;
+    * ``component-<id>.counter`` - the trusted monotonic-counter record
+      (the role SGX delegates to a counter service).  It is written
+      *after* the snapshot, so a crash between the two writes leaves a
+      counter one behind the snapshot - which still unseals - never a
+      counter ahead of every available snapshot;
+    * ``component-<id>.checkpoint`` - the latest certified checkpoint.
 
     Every write is atomic: write a temp file in the same directory,
     flush + fsync, then :func:`os.replace` over the target and fsync the
     directory.  A process killed mid-write leaves either the old file or
-    the new one, never a torn half of each.
+    the new one, never a torn half of each.  A record that does not
+    decode, and an old ``.json`` file beside it, are refused - never read
+    as "no file", which would cold-start the Checker at step 0.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -155,58 +171,36 @@ class FileSealStore:
     # -- paths --------------------------------------------------------------
 
     def seal_path(self, component_id: int) -> Path:
-        return self.root / f"component-{component_id}.seal.json"
+        return self.root / f"component-{component_id}.seal"
 
     def counter_path(self, component_id: int) -> Path:
-        return self.root / f"component-{component_id}.counter.json"
+        return self.root / f"component-{component_id}.counter"
 
     def checkpoint_path(self, component_id: int) -> Path:
-        return self.root / f"component-{component_id}.checkpoint.json"
+        return self.root / f"component-{component_id}.checkpoint"
 
     # -- persistence --------------------------------------------------------
 
     def save(self, sealed: SealedState) -> None:
         """Persist ``sealed`` and advance the durable counter record."""
-        snapshot = {
-            "component_id": sealed.component_id,
-            "seal_counter": sealed.seal_counter,
-            "payload": sealed.payload.hex(),
-            "mac": sealed.mac.hex(),
-        }
-        self._atomic_write(self.seal_path(sealed.component_id), snapshot)
-        stored = self.load_counter(sealed.component_id)
-        if sealed.seal_counter > stored:
+        component = sealed.component_id
+        self._atomic_write(self.seal_path(component), sealed)
+        if sealed.seal_counter > self.load_counter(component):
             self._atomic_write(
-                self.counter_path(sealed.component_id),
-                {"component_id": sealed.component_id, "latest": sealed.seal_counter},
+                self.counter_path(component), SealCounter(component, sealed.seal_counter)
             )
 
     def load(self, component_id: int) -> SealedState | None:
         """Read the latest durable snapshot, or ``None`` if none exists."""
-        path = self.seal_path(component_id)
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-            return SealedState(
-                component_id=int(data["component_id"]),
-                seal_counter=int(data["seal_counter"]),
-                payload=bytes.fromhex(data["payload"]),
-                mac=bytes.fromhex(data["mac"]),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise TEERefusal(f"durable seal file {path} is corrupt: {exc}") from exc
+        return self._read(self.seal_path(component_id), SealedState)
 
     def load_counter(self, component_id: int) -> int:
         """The durable latest-counter record (0 when none was written)."""
         path = self.counter_path(component_id)
-        if not path.exists():
-            return 0
-        try:
-            data = json.loads(path.read_text())
-            return int(data["latest"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise TEERefusal(f"durable counter file {path} is corrupt: {exc}") from exc
+        record = self._read(path, SealCounter) or SealCounter(component_id, 0)
+        if record.component_id != component_id or record.latest < 0:
+            raise TEERefusal(f"durable SealCounter record {path} is corrupt: {record}")
+        return record.latest
 
     def save_checkpoint(self, component_id: int, checkpoint: Checkpoint) -> None:
         """Persist the latest certified checkpoint (atomic, never regresses).
@@ -220,14 +214,7 @@ class FileSealStore:
         existing = self.load_checkpoint(component_id)
         if existing is not None and existing.height >= checkpoint.height:
             return
-        self._atomic_write(
-            self.checkpoint_path(component_id),
-            {
-                "component_id": component_id,
-                "height": checkpoint.height,
-                "encoded": encode_checkpoint(checkpoint).hex(),
-            },
-        )
+        self._atomic_write(self.checkpoint_path(component_id), checkpoint)
 
     def load_checkpoint(self, component_id: int) -> Checkpoint | None:
         """Read the durable certified checkpoint, or ``None`` if absent.
@@ -236,19 +223,7 @@ class FileSealStore:
         embedded quorum commitment (:func:`repro.tee.checkpoint.
         verify_checkpoint`) - durability is not authenticity.
         """
-        path = self.checkpoint_path(component_id)
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-            ckpt = decode_checkpoint(bytes.fromhex(data["encoded"]))
-        except (ValueError, KeyError, TypeError, CodecError) as exc:
-            raise TEERefusal(
-                f"durable checkpoint file {path} is corrupt: {exc}"
-            ) from exc
-        if not isinstance(ckpt, Checkpoint):  # pragma: no cover - decoder invariant
-            raise TEERefusal(f"durable checkpoint file {path} is corrupt")
-        return ckpt
+        return self._read(self.checkpoint_path(component_id), Checkpoint)
 
     def prime_manager(self, manager: SealManager, component_id: int) -> None:
         """Prime ``manager`` with the durable counter floor for a component."""
@@ -256,12 +231,27 @@ class FileSealStore:
 
     # -- internals ----------------------------------------------------------
 
-    def _atomic_write(self, path: Path, payload: dict[str, object]) -> None:
+    @staticmethod
+    def _read(path: Path, cls: type[R]) -> R | None:
+        """The ``cls`` record in ``path``, ``None`` when there is none."""
+        legacy = path.with_name(path.name + ".json")
+        if legacy.exists():
+            raise TEERefusal(f"{legacy} is in the old JSON seal format: delete the seal dir")
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        try:
+            record: R = codec.decode_record(cls, data)
+        except codec.CodecError as exc:
+            raise TEERefusal(f"durable {cls.__name__} record {path} is corrupt: {exc}") from exc
+        return record
+
+    def _atomic_write(self, path: Path, record: Any) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
-        data = json.dumps(payload, sort_keys=True).encode()
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            os.write(fd, data)
+            os.write(fd, codec.encode_record(record))
             os.fsync(fd)
         finally:
             os.close(fd)

@@ -1,0 +1,108 @@
+"""One fuzz target for every decoder of bytes a replica did not write.
+
+A replica reads outside bytes in five places: peer frames
+(``decode_message``), the stream they arrive on (``FrameDecoder.feed``),
+a connection's hello (``decode_hello``), the seal store's three records
+(``decode_record``) and the orchestrator's fault spec
+(``FaultPlan.from_rules_spec``).  Each is held to one contract: on any
+input it answers the same way twice, and it either returns or raises its
+boundary's named error - ``CodecError``, ``FramingError`` or
+``ConfigError`` (the seal store turns a ``CodecError`` into a named
+``TEERefusal``, ``tests/tee/test_seal_store.py``).  Never ``IndexError``,
+``UnicodeDecodeError``, ``RecursionError`` or the like.  Hypothesis
+starts from a valid input of each decoder and truncates, splices, flips
+and replaces its bytes.
+"""
+
+from functools import partial
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.codec import CodecError, decode_message, decode_record, encode_message, encode_record
+from repro.core.faults import FaultPlan, net_chaos_plans, standard_chaos_plan
+from repro.errors import ConfigError
+from repro.runtime.framing import (
+    FrameDecoder,
+    FramingError,
+    decode_hello,
+    encode_frame,
+    encode_hello,
+)
+from tests.core.test_codec import ALL_MESSAGES, RECORDS
+
+#: Input that blows a recursive parser's stack.
+DEEP = b"[" * 100_000
+
+
+def _feed(data):
+    # A small cap, so hostile length prefixes reach the refusal.
+    return FrameDecoder(max_frame_bytes=4096).feed(data)
+
+
+def _specs():
+    plans = [standard_chaos_plan(4, 1), *net_chaos_plans(4).values()]
+    return [plan.rules_spec().encode() for plan in plans]
+
+
+#: name -> (decoder, valid inputs to mutate, the one error it may raise)
+TARGETS = {
+    "decode_message": (decode_message, [encode_message(m) for m in ALL_MESSAGES], CodecError),
+    **{
+        f"decode_record[{type(record).__name__}]": (
+            partial(decode_record, type(record)), [encode_record(record)], CodecError
+        )
+        for record in RECORDS
+    },
+    "decode_hello": (decode_hello, [encode_hello(3)[4:], encode_hello(0)[4:]], FramingError),
+    "FrameDecoder.feed": (
+        _feed, [b"".join(encode_frame(encode_message(m)) for m in ALL_MESSAGES[:6])], FramingError
+    ),
+    "FaultPlan.from_rules_spec": (FaultPlan.from_rules_spec, _specs(), ConfigError),
+}
+
+
+@st.composite
+def hostile(draw, seeds):
+    """A valid input of the decoder, mutated a few times over."""
+    data = bytearray(draw(st.sampled_from([*seeds, DEEP])))
+    ops = st.sampled_from(("truncate", "flip", "splice", "garbage"))
+    for op in draw(st.lists(ops, min_size=1, max_size=4)):
+        if op == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif op == "garbage":
+            data = bytearray(draw(st.binary(max_size=300)))
+        elif data and op == "flip":
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        elif data:
+            start = draw(st.integers(0, len(data)))
+            data[start : start + draw(st.integers(0, 8))] = draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+def outcome(decode, data, allowed):
+    """What the decoder makes of ``data``; any other error escapes."""
+    try:
+        return "decoded", repr(decode(data))
+    except allowed as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("name", TARGETS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_hostile_bytes_raise_only_the_boundary_error(name, data):
+    decode, seeds, allowed = TARGETS[name]
+    bytes_in = data.draw(hostile(seeds))
+    assert outcome(decode, bytes_in, allowed) == outcome(decode, bytes_in, allowed)
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_every_target_decodes_its_seeds_and_refuses_deep_nesting(name):
+    decode, seeds, allowed = TARGETS[name]
+    for seed in seeds:
+        decode(seed)
+    with pytest.raises(allowed):
+        decode(DEEP)

@@ -5,7 +5,23 @@ import pytest
 from repro.crypto.scheme import Signature
 from repro.core.block import Block, create_chain, create_leaf, genesis_block
 from repro.core.certificate import Accumulator, QuorumCert, genesis_qc
-from repro.core.codec import CodecError, Decoder, Encoder, decode_message, encode_message
+from repro.core.codec import (
+    BYTES,
+    F64,
+    HASH,
+    I64,
+    STR,
+    U8,
+    U32,
+    CodecError,
+    Opt,
+    decode_fields,
+    decode_message,
+    decode_record,
+    encode_fields,
+    encode_message,
+    encode_record,
+)
 from repro.core.commitment import Commitment
 from repro.core.mempool import AdmissionVerdict, Transaction
 from repro.core.messages import (
@@ -24,12 +40,12 @@ from repro.core.messages import (
     ViewAnnounce,
     VoteMsg,
 )
-from repro.core.phases import Phase
+from repro.core.phases import Phase, Step
 from repro.protocols.chained_damysus import ChainedVote
 from repro.protocols.fast_hotstuff import FastProposal
 from repro.protocols.sync import SyncBlocks, SyncCheckpoint, SyncRequest
-from repro.core.codec import decode_checkpoint, encode_checkpoint
 from repro.tee.checkpoint import Checkpoint
+from repro.tee.sealed import SealCounter, SealedState
 
 
 def sig(signer=3):
@@ -68,6 +84,18 @@ def checkpoint():
         qc=decide,
         signature=sig(1_000_001),
     )
+
+
+def sealed_state():
+    return SealedState(component_id=1_000_001, seal_counter=7, payload=b"\x05" * 40,
+                       mac=b"\x06" * 32)
+
+
+#: One of each record the seal store writes, in the order of their kind byte.
+RECORDS = [sealed_state(), SealCounter(component_id=1_000_001, latest=7), checkpoint()]
+
+#: A Checker's sealed step.
+STEP = Step(12, Phase.PRECOMMIT)
 
 
 def block(justify=None):
@@ -114,13 +142,14 @@ ALL_MESSAGES = [
 
 def test_checkpoint_standalone_roundtrip():
     ckpt = checkpoint()
-    assert decode_checkpoint(encode_checkpoint(ckpt)) == ckpt
+    assert decode_record(Checkpoint, encode_record(ckpt)) == ckpt
+    assert decode_fields((Checkpoint,), encode_fields((Checkpoint,), (ckpt,))) == [ckpt]
 
 
 def test_checkpoint_standalone_truncation_rejected():
-    data = encode_checkpoint(checkpoint())
+    data = encode_record(checkpoint())
     with pytest.raises(CodecError):
-        decode_checkpoint(data[:-2])
+        decode_record(Checkpoint, data[:-2])
 
 
 @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: type(m).__name__)
@@ -209,25 +238,19 @@ def test_unknown_type_rejected():
 
 
 def test_encoder_decoder_primitives():
-    enc = Encoder()
-    enc.u8(7).u32(1234).i64(-5).f64(2.5).var_bytes(b"xy").string("hi")
-    enc.opt(None, enc.i64).opt(42, enc.i64)
-    dec = Decoder(enc.bytes())
-    assert dec.u8() == 7
-    assert dec.u32() == 1234
-    assert dec.i64() == -5
-    assert dec.f64() == 2.5
-    assert dec.var_bytes() == b"xy"
-    assert dec.string() == "hi"
-    assert dec.opt(dec.i64) is None
-    assert dec.opt(dec.i64) == 42
-    dec.expect_done()
+    kinds = (U8, U32, I64, F64, BYTES, STR, Opt(I64), Opt(I64), HASH, Step)
+    values = [7, 1234, -5, 2.5, b"xy", "hi", None, 42, b"\x01" * 32, STEP]
+    data = encode_fields(kinds, values)
+    assert decode_fields(kinds, data) == values
+    with pytest.raises(CodecError, match="trailing"):
+        decode_fields(kinds, data + b"\x00")
+    with pytest.raises(CodecError):
+        decode_fields(kinds, data[:-1])
 
 
 def test_bad_hash_length_rejected():
-    enc = Encoder()
     with pytest.raises(CodecError):
-        enc.hash32(b"short")
+        encode_fields((HASH,), (b"short",))
 
 
 def test_transaction_payload_bytes_materialized():

@@ -13,9 +13,12 @@ import struct
 import pytest
 
 from repro.core.codec import (
+    I64,
+    U8,
+    U32,
     CodecError,
-    Encoder,
     decode_message,
+    encode_fields,
     encode_message,
 )
 from repro.runtime.framing import FrameDecoder, encode_frame
@@ -105,12 +108,8 @@ def test_framed_roundtrip(msg):
 
 
 def test_encoder_range_errors_are_codec_errors():
-    enc = Encoder()
+    for kind, value in ((U8, 256), (U32, 1 << 32), (I64, 1 << 63), (U32, -1)):
+        with pytest.raises(CodecError):
+            encode_fields((kind,), (value,))
     with pytest.raises(CodecError):
-        enc.u8(256)
-    with pytest.raises(CodecError):
-        enc.u32(1 << 32)
-    with pytest.raises(CodecError):
-        enc.i64(1 << 63)
-    with pytest.raises(CodecError):
-        enc.patch_u32(0, 1)  # nothing written yet
+        encode_fields((U8, U8), (1,))  # a value short

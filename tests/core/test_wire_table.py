@@ -3,7 +3,9 @@
 * Golden vectors: ``golden_wire_v2.json`` was written by
   ``scripts/wire_golden.py`` from the hand-written codec that preceded
   the table and is committed unchanged; byte equality with it is the
-  argument that builds on either side of that change interoperate.
+  argument that builds on either side of that change interoperate.  The
+  seal store's records and the ``Step`` row were added to it later,
+  every earlier entry byte-identical.
 * Ranges: an integer that does not fit its field is a ``CodecError``
   whichever fused ``struct`` call it lands in, never a ``struct.error``.
 """
@@ -19,14 +21,18 @@ from hypothesis import strategies as st
 from repro.core import codec
 from repro.core.codec import (
     CodecError,
-    decode_checkpoint,
+    decode_fields,
     decode_message,
-    encode_checkpoint,
+    decode_record,
+    encode_fields,
     encode_message,
+    encode_record,
 )
 from repro.core.messages import ProposalAMsg
+from repro.core.phases import Step
 from repro.protocols.sync import SyncCheckpoint
-from tests.core.test_codec import ALL_MESSAGES, acc, block, checkpoint, sig
+from repro.tee.checkpoint import Checkpoint
+from tests.core.test_codec import ALL_MESSAGES, RECORDS, STEP, acc, block, checkpoint, sig
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_wire_v2.json").read_text())
 
@@ -42,6 +48,9 @@ def test_golden_file_covers_the_catalogue():
     ]
     registered = {row.cls.__name__ for row in codec.wire_table() if row.tag is not None}
     assert registered == {entry["type"] for entry in GOLDEN["messages"]}
+    assert [entry["type"] for entry in GOLDEN["records"]] == [
+        type(record).__name__ for record in RECORDS
+    ]
 
 
 @pytest.mark.parametrize(
@@ -60,8 +69,24 @@ def test_golden_bytes_both_ways(msg, golden):
 
 def test_golden_standalone_checkpoint():
     wire = bytes.fromhex(GOLDEN["checkpoint"])
-    assert encode_checkpoint(checkpoint()) == wire
-    assert decode_checkpoint(wire) == checkpoint()
+    assert encode_fields((Checkpoint,), (checkpoint(),)) == wire
+    assert decode_fields((Checkpoint,), wire) == [checkpoint()]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_golden_records_both_ways(record):
+    wire = bytes.fromhex({e["type"]: e["hex"] for e in GOLDEN["records"]}[type(record).__name__])
+    assert encode_record(record) == wire
+    assert decode_record(type(record), wire) == record
+    # Magic, wire version and kind byte, then the record's row.
+    head = codec.RECORD_MAGIC + bytes((codec.WIRE_VERSION, RECORDS.index(record)))
+    assert wire == head + encode_fields((type(record),), (record,))
+
+
+def test_golden_step_row():
+    wire = bytes.fromhex(GOLDEN["step"])
+    assert encode_fields((Step,), (STEP,)) == wire
+    assert decode_fields((Step,), wire) == [STEP]
 
 
 # -- ranges ----------------------------------------------------------------------
@@ -69,12 +94,20 @@ def test_golden_standalone_checkpoint():
 LIMITS = {codec.I64: (-(2**63), 2**63 - 1), codec.U32: (0, 2**32 - 1)}
 
 #: The catalogue, plus the shapes it lacks: a working-form accumulator
-#: (``ids`` set) and a checkpoint travelling in a registered message.
+#: (``ids`` set), a checkpoint travelling in a registered message, the
+#: seal store's records and a Checker's step.
 CARRIERS = [
     *ALL_MESSAGES,
     ProposalAMsg(2, block(), acc(finalized=False), sig()),
     SyncCheckpoint(checkpoint()),
+    *RECORDS,
+    STEP,
 ]
+
+
+def _encode(obj):
+    """``obj``'s row (a message without its tag)."""
+    return encode_fields((type(obj),), (obj,))
 
 
 def _integer_fields():
@@ -143,7 +176,8 @@ def test_the_table_declares_integer_fields_everywhere_expected():
     assert {
         ("Transaction", "payload_bytes"), ("Accumulator", "count"), ("Accumulator", "ids"),
         ("Commitment", "v_just"), ("ClientReply", "tx_id"), ("Checkpoint", "height"),
-        ("Block", "view"), ("SyncBlocks", "start_height"),
+        ("Block", "view"), ("SyncBlocks", "start_height"), ("SealedState", "seal_counter"),
+        ("SealCounter", "latest"), ("Step", "view"),
     } <= declared
     assert len(declared) == len(INTEGER_FIELDS)
 
@@ -161,7 +195,7 @@ def test_out_of_range_integers_are_codec_errors(field, excess, above):
     mutated = _swapped(msg, inst, dataclasses.replace(inst, **{name: wrap(bad)}))
     assert mutated != msg
     with pytest.raises(CodecError):
-        encode_message(mutated)
+        _encode(mutated)
 
 
 @pytest.mark.parametrize("field", INTEGER_FIELDS, ids=FIELD_IDS)
@@ -172,4 +206,4 @@ def test_each_integer_field_accepts_its_limits(field):
         if (cls.__name__, name) == ("Transaction", "payload_bytes") and value:
             continue  # 4 GiB of zeros: the limit is real, the test box is not
         mutated = _swapped(msg, inst, dataclasses.replace(inst, **{name: wrap(value)}))
-        assert decode_message(encode_message(mutated)) == mutated
+        assert decode_fields((type(mutated),), _encode(mutated)) == [mutated]

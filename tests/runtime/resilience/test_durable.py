@@ -11,12 +11,16 @@ from the same arguments and restoring through a fresh
 :class:`DurableSealer`, just as ``repro serve --seal-dir`` does.
 """
 
+import json
+from dataclasses import replace
+
 import pytest
 
+from repro.core.codec import decode_record, encode_record
 from repro.errors import TEERefusal
 from repro.runtime.asyncio_net import WallClock, build_machine
 from repro.runtime.resilience.durable import DurableSealer
-from repro.tee.sealed import FileSealStore
+from repro.tee.sealed import FileSealStore, SealedState
 
 
 def fresh_machine(pid=0, n=4, seed=11):
@@ -109,6 +113,20 @@ def test_restore_without_any_files_is_a_clean_cold_start(tmp_path):
     assert not sealer.restored
 
 
+def test_restart_refuses_a_seal_directory_of_the_old_json_format(tmp_path):
+    """An upgraded build meets a directory the JSON-format build wrote:
+    the restart is refused by name, not a cold start at step 0."""
+    store = FileSealStore(tmp_path)
+    machine = fresh_machine()
+    component = machine.checker.component_id
+    for suffix in ("seal", "counter"):
+        legacy = tmp_path / f"component-{component}.{suffix}.json"
+        legacy.write_text(json.dumps({"component_id": component, "seal_counter": 4,
+                                      "latest": 4, "payload": "", "mac": ""}))
+    with pytest.raises(TEERefusal, match="old JSON seal format"):
+        DurableSealer(machine, store).restore()
+
+
 def test_corrupt_seal_file_is_refused_not_parsed(tmp_path):
     store = FileSealStore(tmp_path)
     machine = fresh_machine()
@@ -123,18 +141,15 @@ def test_corrupt_seal_file_is_refused_not_parsed(tmp_path):
 
 
 def test_tampered_snapshot_fails_authentication(tmp_path):
-    import json
-
     store = FileSealStore(tmp_path)
     machine = fresh_machine()
     advance_checker(machine, 2)
     DurableSealer(machine, store).maybe_seal()
     path = store.seal_path(machine.checker.component_id)
-    data = json.loads(path.read_text())
-    payload = bytearray.fromhex(data["payload"])
+    sealed = decode_record(SealedState, path.read_bytes())
+    payload = bytearray(sealed.payload)
     payload[-1] ^= 0xFF  # flip a bit of the sealed fields
-    data["payload"] = bytes(payload).hex()
-    path.write_text(json.dumps(data))
+    path.write_bytes(encode_record(replace(sealed, payload=bytes(payload))))
     del machine
 
     reborn = fresh_machine()

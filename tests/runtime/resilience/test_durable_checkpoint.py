@@ -10,7 +10,6 @@ a real decide certificate, so every record the tests plant is authentic
 - the attacks here are on the *file system*, not on the signatures.
 """
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -137,13 +136,13 @@ def test_truncated_checkpoint_bytes_never_decode(tmp_path):
     component = machine.checker.component_id
     store.save_checkpoint(component, ckpt)
     path = store.checkpoint_path(component)
-    full = path.read_text()
+    full = path.read_bytes()
     assert store.load_checkpoint(component) == ckpt
-    for cut in range(0, len(full), max(1, len(full) // 40)):
-        path.write_text(full[:cut])
-        with pytest.raises(TEERefusal):
+    for cut in range(len(full)):
+        path.write_bytes(full[:cut])
+        with pytest.raises(TEERefusal, match="Checkpoint record .* is corrupt"):
             store.load_checkpoint(component)
-    path.write_text(full)
+    path.write_bytes(full)
     assert store.load_checkpoint(component) == ckpt
 
 
@@ -154,15 +153,15 @@ def test_corrupt_encoded_checkpoint_is_refused(tmp_path):
     component = machine.checker.component_id
     store.save_checkpoint(component, ckpt)
     path = store.checkpoint_path(component)
-    data = json.loads(path.read_text())
+    data = path.read_bytes()
     # Structurally broken record: the codec cannot finish decoding it.
-    path.write_text(json.dumps({**data, "encoded": data["encoded"][:-4]}))
-    with pytest.raises(TEERefusal):
+    path.write_bytes(data[:-4])
+    with pytest.raises(TEERefusal, match="Checkpoint record .* is corrupt"):
         store.load_checkpoint(component)
     # Bit-flipped record: decodes, but the Checker signature no longer
     # covers the payload - a restart refuses it rather than cold-start.
-    flipped = data["encoded"][:-8] + "00" * 4
-    path.write_text(json.dumps({**data, "encoded": flipped}))
+    path.write_bytes(data[:-4] + b"\x00" * 4)
+    assert store.load_checkpoint(component) != ckpt
     del machine
 
     reborn = fresh_machine(0)

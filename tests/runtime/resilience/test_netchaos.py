@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.faults import FaultPlan, LinkFaultRule, PartitionRule, net_chaos_plans
 from repro.errors import ConfigError
+from repro.runtime.asyncio_net import _load_fault_rules
 from repro.runtime.resilience.netchaos import ForkRule, run_net_chaos, timeline
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec
 from repro.runtime.resilience.transport import decision_digest
@@ -47,6 +48,41 @@ def test_net_chaos_needs_a_partitionable_cluster():
 def test_unknown_plan_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown plan"):
         run_net_chaos("damysus", 4, plan="stormy")
+
+
+# -- the fault-spec file a replica reloads --------------------------------------
+
+#: Specs that once escaped the reader as AttributeError, SimulationError,
+#: RecursionError, OverflowError or UnicodeDecodeError.
+MALFORMED_SPECS = {
+    "list": b"[]",
+    "int-rule": b'{"rules": [1]}',
+    "unknown-kind": b'{"rules": [{"kind": "zebra"}]}',
+    "deep": b"[" * 100_000,
+    "bad-number": b'{"rules": [{"kind": "link", "drop_prob": "x"}]}',
+    "huge-number": b'{"rules": [{"kind": "partition", "groups": [], "heal_ms": '
+    + b"9" * 400 + b"}]}",
+    "bad-utf8": b"\xff{",
+    "rules-int": b'{"rules": 5}',
+}
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_malformed_fault_spec_is_one_config_error(spec):
+    with pytest.raises(ConfigError, match="fault"):
+        FaultPlan.from_rules_spec(spec)
+
+
+def test_replica_reads_a_malformed_fault_spec_as_no_rules(tmp_path):
+    """At start-up and on every reload: never a dead ``repro serve`` or a
+    silently ended reload task."""
+    path = tmp_path / "faults.json"
+    for spec in MALFORMED_SPECS.values():
+        path.write_bytes(spec)
+        assert _load_fault_rules(path) == ()
+    path.write_text(FaultPlan().lossy_links(0.1).rules_spec())
+    assert _load_fault_rules(path) == (LinkFaultRule(drop_prob=0.1),)
+    assert _load_fault_rules(tmp_path / "absent.json") == ()
 
 
 # -- the plan walk (no processes) ---------------------------------------------

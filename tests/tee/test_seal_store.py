@@ -1,15 +1,19 @@
 """Tests for the durable seal store: atomicity, counters, rollback floor."""
 
 import json
+import random
 
 import pytest
 
 from repro.core.block import genesis_block
+from repro.core.codec import decode_record, encode_record
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
 from repro.errors import TEERefusal
 from repro.tee.checker import Checker
-from repro.tee.sealed import FileSealStore, SealManager
+from repro.tee.checkpoint import Checkpoint
+from repro.tee.sealed import FileSealStore, SealCounter, SealedState, SealManager
+from tests.core.test_codec import checkpoint
 
 
 @pytest.fixture
@@ -97,12 +101,90 @@ def test_corrupt_snapshot_raises_refusal(tmp_path, checker_factory):
 
 
 def test_corrupt_counter_raises_refusal(tmp_path, checker_factory):
+    """What the JSON counter file let through - an out-of-range number, a
+    fraction or a boolean read as a counter, nesting deep enough to blow
+    the parser's stack - is each a named refusal now."""
     store = FileSealStore(tmp_path)
     checker = checker_factory()
     store.save(SealManager().seal(checker))
-    store.counter_path(checker.component_id).write_text('{"latest": "zebra"}')
-    with pytest.raises(TEERefusal, match="corrupt"):
-        store.load_counter(checker.component_id)
+    path = store.counter_path(checker.component_id)
+    hostile = [b'{"latest": 1e999}', b'{"latest": 2.9}', b'{"latest": true}',
+               b'{"latest": "zebra"}', b"[" * 100_000, b"\xff\xfe garbage"]
+    for data in hostile:
+        path.write_bytes(data)
+        with pytest.raises(TEERefusal, match="SealCounter record .* is corrupt"):
+            store.load_counter(checker.component_id)
+
+
+def test_counter_record_names_its_component_and_a_non_negative_count(tmp_path):
+    store = FileSealStore(tmp_path)
+    for planted in (SealCounter(component_id=8, latest=5), SealCounter(component_id=7, latest=-1)):
+        store.counter_path(7).write_bytes(encode_record(planted))
+        with pytest.raises(TEERefusal, match="SealCounter record .* is corrupt"):
+            store.load_counter(7)
+
+
+def stored_records(tmp_path, checker_factory):
+    """A store holding all three records of one component."""
+    store = FileSealStore(tmp_path)
+    checker = checker_factory()
+    checker.tee_sign()
+    store.save(SealManager().seal(checker))
+    store.save_checkpoint(checker.component_id, checkpoint())
+    return store, checker.component_id
+
+
+#: ``(record class, path accessor, loader)`` for each file of a component.
+RECORD_FILES = [
+    (SealedState, FileSealStore.seal_path, FileSealStore.load),
+    (SealCounter, FileSealStore.counter_path, FileSealStore.load_counter),
+    (Checkpoint, FileSealStore.checkpoint_path, FileSealStore.load_checkpoint),
+]
+RECORD_IDS = [cls.__name__ for cls, _path_of, _load in RECORD_FILES]
+
+
+@pytest.mark.parametrize("record", RECORD_FILES, ids=RECORD_IDS)
+def test_every_strict_prefix_of_a_record_is_refused(tmp_path, checker_factory, record):
+    cls, path_of, load = record
+    store, component = stored_records(tmp_path, checker_factory)
+    path = path_of(store, component)
+    full = path.read_bytes()
+    for cut in range(len(full)):
+        path.write_bytes(full[:cut])
+        with pytest.raises(TEERefusal, match=f"{cls.__name__} record .* is corrupt"):
+            load(store, component)
+    path.write_bytes(full)
+    load(store, component)
+
+
+@pytest.mark.parametrize("record", RECORD_FILES, ids=RECORD_IDS)
+def test_hostile_record_bytes_are_refused_by_name(tmp_path, checker_factory, record):
+    """Garbage, another version, another kind, a trailing byte: refused."""
+    cls, path_of, load = record
+    store, component = stored_records(tmp_path, checker_factory)
+    path = path_of(store, component)
+    full = path.read_bytes()
+    other_version = full[:4] + bytes((full[4] + 1,)) + full[5:]
+    other_kind = full[:5] + bytes(((full[5] + 1) % 3,)) + full[6:]
+    rng = random.Random(29)
+    for data in (rng.randbytes(64), other_version, other_kind, full + b"\x00",
+                 b"[" * 100_000, b'{"latest": 1e999}'):
+        path.write_bytes(data)
+        with pytest.raises(TEERefusal, match=f"{cls.__name__} record .* is corrupt"):
+            load(store, component)
+
+
+@pytest.mark.parametrize("record", RECORD_FILES, ids=RECORD_IDS)
+def test_old_json_seal_directory_is_refused_by_name(tmp_path, record):
+    """A directory the JSON-format build wrote is refused, never read as
+    "no files": that would cold-start the Checker at step 0."""
+    _cls, path_of, load = record
+    store = FileSealStore(tmp_path)
+    path = path_of(store, 7)
+    legacy = path.with_name(path.name + ".json")
+    legacy.write_text(json.dumps({"component_id": 7, "seal_counter": 3, "latest": 3}))
+    with pytest.raises(TEERefusal, match="old JSON seal format"):
+        load(store, 7)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, checker_factory):
@@ -129,12 +211,13 @@ def test_components_are_isolated(tmp_path, checker_factory):
 
 
 def test_snapshot_files_are_json_with_counter(tmp_path, checker_factory):
-    """The on-disk format is inspectable: plain JSON naming the counter
+    """Each file decodes to one record, and the records name the counter
     (operators can audit what a replica will restore)."""
     store = FileSealStore(tmp_path)
     checker = checker_factory()
     sealed = SealManager().seal(checker)
     store.save(sealed)
-    data = json.loads(store.seal_path(checker.component_id).read_text())
-    assert data["seal_counter"] == sealed.seal_counter
-    assert bytes.fromhex(data["mac"]) == sealed.mac
+    component = checker.component_id
+    assert decode_record(SealedState, store.seal_path(component).read_bytes()) == sealed
+    counter = decode_record(SealCounter, store.counter_path(component).read_bytes())
+    assert counter == SealCounter(component, sealed.seal_counter)

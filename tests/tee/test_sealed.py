@@ -6,9 +6,10 @@ from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
 from repro.errors import TEERefusal
 from repro.core.block import genesis_block
-from repro.core.phases import Phase
-from repro.tee.checker import Checker
-from repro.tee.sealed import SealManager
+from repro.core.codec import decode_fields, encode_fields
+from repro.core.phases import Phase, Step
+from repro.tee.checker import ChainedChecker, Checker
+from repro.tee.sealed import SealedState, SealManager, _mac, _sealed_fields
 
 
 @pytest.fixture
@@ -75,12 +76,64 @@ def test_tampered_seal_rejected(env):
     checker = new_checker()
     advance(checker, 3)
     sealed = manager.seal(checker)
-    # Try to rewind the sealed step by editing the payload.
-    forged_payload = sealed.payload.replace(b"|1|", b"|0|", 1)
-    forged = replace(sealed, payload=forged_payload)
+    # Try to rewind the sealed step by editing the decoded payload.
+    names, kinds = _sealed_fields(Checker)
+    values = decode_fields(kinds, sealed.payload)
+    values[names.index("_step")] = Step(0, Phase.NEW_VIEW)
+    forged = replace(sealed, payload=encode_fields(kinds, values))
+    assert forged.payload != sealed.payload
     restarted = new_checker()
-    with pytest.raises(TEERefusal):
+    with pytest.raises(TEERefusal, match="authentication"):
         manager.unseal_into(restarted, forged)
+
+
+def test_bumped_seal_counter_is_not_a_rollback_pass(env):
+    """The MAC covers the record's counter: raising an old snapshot's
+    counter past the floor does not get it through the rollback check."""
+    from dataclasses import replace
+
+    new_checker, manager = env
+    checker = new_checker()
+    old = manager.seal(checker)
+    advance(checker, 4)
+    newest = manager.seal(checker)
+    bumped = replace(old, seal_counter=newest.seal_counter + 1)
+    restarted = new_checker()
+    with pytest.raises(TEERefusal, match="authentication"):
+        manager.unseal_into(restarted, bumped)
+    assert restarted.step == new_checker().step
+
+
+def sealed_state(checker):
+    names, _kinds = _sealed_fields(type(checker))
+    return {name: getattr(checker, name) for name in names}
+
+
+def test_undecodable_authentic_payload_leaves_the_checker_untouched(env):
+    """No partial restore: every field decodes before any is assigned."""
+    new_checker, manager = env
+    checker = new_checker()
+    advance(checker, 5)
+    sealed = manager.seal(checker)
+    for payload in (sealed.payload[:-1], sealed.payload + b"\x00", b""):
+        # A MAC the seal key really made: only decoding can refuse it.
+        forged = SealedState(sealed.component_id, sealed.seal_counter, payload,
+                             _mac(checker, sealed.seal_counter, payload))
+        restarted = new_checker()
+        before = sealed_state(restarted)
+        with pytest.raises(TEERefusal, match="does not decode"):
+            manager.unseal_into(restarted, forged)
+        assert sealed_state(restarted) == before
+
+
+def test_sealed_fields_are_declared_once_along_the_mro():
+    from repro.tee.checker_lock import LockingChecker
+
+    base, _ = _sealed_fields(Checker)
+    locking, kinds = _sealed_fields(LockingChecker)
+    assert locking == (*base, "_lockv", "_lockh")
+    assert len(kinds) == len(locking)
+    assert _sealed_fields(ChainedChecker) == _sealed_fields(Checker)
 
 
 def test_repeated_crash_recover_cycles_stay_monotone(env):
