@@ -40,8 +40,8 @@ RESTRICTED_PACKAGES = (
 #: resilience modules that orchestrate OS processes (the supervisor and
 #: the net-chaos scenario).  Everything else under ``repro.runtime`` -
 #: the effect algebra, the machine base class, the simulator adapter,
-#: and the *pure* resilience modules (fault decider, durable sealer,
-#: watchdog) - must stay a pure function of the config.
+#: and the *pure* resilience modules (fault decider, durable sealer) -
+#: must stay a pure function of the config.
 _WALL_CLOCK_MODULES = (
     "repro.runtime.asyncio_net",
     "repro.runtime.resilience.supervisor",

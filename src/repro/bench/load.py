@@ -10,7 +10,7 @@ runtime:
 * :func:`run_load_sim` - the discrete-event simulator (deterministic:
   the same seed produces a bit-identical :class:`LoadReport`);
 * :func:`run_load_net` - real asyncio TCP sockets on localhost, the
-  same machines re-seated on :class:`~repro.runtime.asyncio_net.AsyncioRuntime`.
+  same config seated by :class:`~repro.runtime.asyncio_net.LocalCluster`.
 
 Both report saturation throughput, p50/p99 end-to-end latency, the
 admission-drop and eviction rates the bounded mempool produces, and the
@@ -21,17 +21,13 @@ one trip through consensus.
 
 from __future__ import annotations
 
-import asyncio
-import time
 from dataclasses import asdict, dataclass, field
 
 from repro.config import SystemConfig
 from repro.core.executor import Ledger
-from repro.core.rng import RngStream
 from repro.protocols.client import Client
-from repro.protocols.registry import get_spec
 from repro.protocols.replica import BaseReplica
-from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, build_machine
+from repro.runtime.asyncio_net import LocalCluster
 from repro.runtime.sim import ConsensusSystem
 
 
@@ -241,86 +237,23 @@ async def run_load_net(
     n: int | None = None,
     host: str = "127.0.0.1",
 ) -> LoadReport:
-    """Drive a localhost TCP cluster open-loop with real client machines.
+    """Drive ``config`` as a :class:`LocalCluster` on localhost TCP.
 
     The same sans-I/O replica and client machines as the simulator,
-    re-seated on :class:`AsyncioRuntime`: clients occupy transport pids
-    after the replicas, the replicas' ``client_pids`` address book routes
-    execution replies and admission NACKs back over TCP.
+    re-seated on :class:`~repro.runtime.asyncio_net.AsyncioRuntime`:
+    clients occupy transport pids after the replicas, and the replicas'
+    ``client_pids`` address book routes execution replies and admission
+    NACKs back over TCP.
     """
-    spec = get_spec(config.protocol)
-    num_replicas = n if n is not None else spec.num_replicas(config.f)
-    senders = config.num_clients
-    clock = WallClock()
-    client_pids = {cid: num_replicas + cid for cid in range(senders)}
-    overrides = dict(
-        open_loop=False,
-        num_clients=senders,
-        client_interval_ms=config.client_interval_ms,
-        client_poisson=True,
-        client_payload_mix=config.client_payload_mix,
-        client_max_fee=config.client_max_fee,
-        client_retry_limit=config.client_retry_limit,
-        mempool_max_txs=config.mempool_max_txs,
-        mempool_max_bytes=config.mempool_max_bytes,
-        max_block_bytes=config.max_block_bytes,
-        sender_rate_limit=config.sender_rate_limit,
-        sender_rate_burst=config.sender_rate_burst,
-    )
-    replicas = [
-        build_machine(
-            config.protocol,
-            pid,
-            num_replicas,
-            clock,
-            seed=config.seed,
-            payload_bytes=config.payload_bytes,
-            block_size=config.block_size,
-            timeout_ms=config.timeout_ms,
-            client_pids=client_pids,
-            config_overrides=overrides,
-        )
-        for pid in range(num_replicas)
-    ]
-    clients = [
-        Client(
-            pid=client_pids[cid],
-            clock=clock,
-            client_id=cid,
-            replica_pids=list(range(num_replicas)),
-            payload_bytes=config.payload_bytes,
-            interval_ms=config.client_interval_ms,
-            rng=RngStream(config.seed, f"client:{cid}"),
-            poisson=True,
-            payload_mix=config.client_payload_mix or None,
-            max_fee=config.client_max_fee,
-            retry_limit=config.client_retry_limit,
-        )
-        for cid in range(senders)
-    ]
-    runtimes = [AsyncioRuntime(machine, host=host) for machine in [*replicas, *clients]]
-    addresses = {}
-    for runtime in runtimes:
-        addresses[runtime.machine.pid] = await runtime.start_server()
-    for runtime in runtimes:
-        runtime.set_peers(addresses)
-    t0 = time.monotonic()
-    try:
-        for runtime in runtimes:
-            runtime.start_machine()
-        await asyncio.sleep(duration_s)
-    finally:
-        elapsed = time.monotonic() - t0
-        for runtime in runtimes:
-            await runtime.close()
-    committed = min(rt.committed_blocks for rt in runtimes[:num_replicas])
+    cluster = LocalCluster(config, n, host=host)
+    elapsed = await cluster.run(duration_s)
     return _aggregate(
         runtime="net",
         protocol=config.protocol,
-        num_replicas=num_replicas,
-        clients=clients,
-        replicas=replicas,
-        committed_blocks=committed,
+        num_replicas=cluster.n,
+        clients=cluster.clients,
+        replicas=cluster.replicas,
+        committed_blocks=min(rt.committed_blocks for rt in cluster.runtimes[: cluster.n]),
         duration_ms=elapsed * 1000.0,
         offered_rate_per_s=rate_per_s,
     )

@@ -47,6 +47,7 @@ from repro.analysis.dataflow import BASELINE_DEFAULT as ANALYZE_BASELINE_DEFAULT
 from repro.bench.experiments import fig6, fig7, fig8, fig9, table1_experiment
 from repro.bench.reporting import format_table
 from repro.config import SystemConfig
+from repro.errors import ConfigError
 from repro.protocols.registry import PROTOCOL_ORDER, SPECS, get_spec
 from repro.runtime.sim import ConsensusSystem
 from repro.sim.regions import EU_REGIONS, WORLD_REGIONS
@@ -62,6 +63,33 @@ _EXPERIMENTS = {
     "fig8": lambda: fig8(),
     "fig9": lambda: fig9(),
 }
+
+
+def _add_deployment_flags(
+    parser: argparse.ArgumentParser, seed_help: str | None = None
+) -> None:
+    """The flags `serve` and `net-bench` describe a TCP deployment with."""
+    parser.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
+    parser.add_argument("--n", type=int, default=4, help="cluster size")
+    parser.add_argument("--seed", type=int, default=1, help=seed_help)
+    parser.add_argument("--payload", type=int, default=128, help="tx payload bytes")
+    parser.add_argument("--block-size", type=int, default=32, help="txs per block")
+    parser.add_argument("--timeout-ms", type=float, default=2_000.0,
+                        help="pacemaker base view timeout")
+    parser.add_argument("--max-timeout-ms", type=float, default=0.0,
+                        help="pacemaker backoff ceiling (0 = 4x the base)")
+    parser.add_argument("--timeout-jitter", type=float, default=0.0,
+                        help="+/- fraction of seeded pacemaker jitter")
+
+
+def deployment_config(args: argparse.Namespace) -> SystemConfig:
+    """The :class:`SystemConfig` the deployment flags describe (``f`` is sized from ``--n``)."""
+    return SystemConfig(
+        protocol=args.protocol, seed=args.seed, payload_bytes=args.payload,
+        block_size=args.block_size, timeout_ms=args.timeout_ms,
+        max_timeout_ms=args.max_timeout_ms, timeout_jitter=args.timeout_jitter,
+        checkpoint_interval=args.checkpoint_interval,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,22 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p = sub.add_parser(
         "serve", help="run one replica on real asyncio TCP sockets"
     )
-    serve_p.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
+    _add_deployment_flags(
+        serve_p, seed_help="must match across the cluster (keys HMAC secrets)"
+    )
     serve_p.add_argument("--pid", type=int, required=True, help="this replica's pid")
-    serve_p.add_argument("--n", type=int, default=4, help="cluster size")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--base-port", type=int, default=47000,
                          help="replica i listens on base-port + i")
-    serve_p.add_argument("--seed", type=int, default=1,
-                         help="must match across the cluster (keys HMAC secrets)")
-    serve_p.add_argument("--payload", type=int, default=128, help="tx payload bytes")
-    serve_p.add_argument("--block-size", type=int, default=32, help="txs per block")
-    serve_p.add_argument("--timeout-ms", type=float, default=2_000.0,
-                         help="pacemaker base view timeout")
-    serve_p.add_argument("--max-timeout-ms", type=float, default=0.0,
-                         help="pacemaker backoff ceiling (0 = 4x the base)")
-    serve_p.add_argument("--timeout-jitter", type=float, default=0.0,
-                         help="+/- fraction of seeded pacemaker jitter")
     serve_p.add_argument("--adversary", default=None, metavar="NAME",
                          help="run this replica as the named registered attack "
                          "(same sans-I/O Machine the simulator runs)")
@@ -210,20 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     net_p = sub.add_parser(
         "net-bench", help="run a localhost TCP cluster and report committed tx/s"
     )
-    net_p.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
-    net_p.add_argument("--n", type=int, default=4, help="cluster size")
-    net_p.add_argument("--seed", type=int, default=1)
+    _add_deployment_flags(net_p)
+    net_p.set_defaults(checkpoint_interval=0)
     net_p.add_argument("--duration", type=float, default=5.0, help="seconds to run")
     net_p.add_argument("--target-blocks", type=int, default=0,
                        help="stop early once every replica committed this many")
-    net_p.add_argument("--payload", type=int, default=128, help="tx payload bytes")
-    net_p.add_argument("--block-size", type=int, default=32, help="txs per block")
-    net_p.add_argument("--timeout-ms", type=float, default=2_000.0,
-                       help="pacemaker base view timeout")
-    net_p.add_argument("--max-timeout-ms", type=float, default=0.0,
-                       help="pacemaker backoff ceiling (0 = 4x the base)")
-    net_p.add_argument("--timeout-jitter", type=float, default=0.0,
-                       help="+/- fraction of seeded pacemaker jitter")
     net_p.add_argument("--adversary", default=None, metavar="NAME",
                        help="seat the named registered attack at its default "
                        "pids; honest replicas must stay safe and live")
@@ -565,8 +575,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.runtime.asyncio_net import serve_replica
+    from repro.runtime.asyncio_net import seat_class, serve_replica
 
+    config = deployment_config(args)
+    seat_class(config, args.pid, args.n, args.adversary)  # a bad seat is never announced
     print(
         f"replica {args.pid}/{args.n} ({args.protocol}) listening on "
         f"{args.host}:{args.base_port + args.pid}",
@@ -575,23 +587,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         runtime = asyncio.run(
             serve_replica(
-                args.protocol,
-                args.pid,
-                args.n,
-                base_port=args.base_port,
-                host=args.host,
-                seed=args.seed,
-                duration_s=args.duration,
-                payload_bytes=args.payload,
-                block_size=args.block_size,
-                timeout_ms=args.timeout_ms,
-                max_timeout_ms=args.max_timeout_ms,
-                timeout_jitter=args.timeout_jitter,
-                adversary=args.adversary,
-                checkpoint_interval=args.checkpoint_interval,
-                seal_dir=args.seal_dir,
-                health_file=args.health_file,
-                health_interval_s=args.health_interval,
+                config, args.pid, args.n, base_port=args.base_port, host=args.host,
+                duration_s=args.duration, adversary=args.adversary, seal_dir=args.seal_dir,
+                health_file=args.health_file, health_interval_s=args.health_interval,
                 fault_spec=args.fault_spec,
             )
         )
@@ -656,16 +654,10 @@ def _cmd_net_bench(args: argparse.Namespace) -> int:
 
     report = asyncio.run(
         run_local_cluster(
-            args.protocol,
+            deployment_config(args),
             args.n,
-            seed=args.seed,
             duration_s=args.duration,
             target_blocks=args.target_blocks,
-            payload_bytes=args.payload,
-            block_size=args.block_size,
-            timeout_ms=args.timeout_ms,
-            max_timeout_ms=args.max_timeout_ms,
-            timeout_jitter=args.timeout_jitter,
             adversary=args.adversary,
         )
     )
@@ -752,7 +744,11 @@ def main(argv: list[str] | None = None) -> int:
         "analyze": _cmd_analyze,
         "protocols": _cmd_protocols,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

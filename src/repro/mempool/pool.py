@@ -110,7 +110,7 @@ class PriorityMempool:
         self._seen = ClientKeySet()
         self._count = 0
         self._bytes = 0
-        # -- monotone counters for stats()/watchdog snapshots ------------
+        # -- monotone counters for stats()/health snapshots --------------
         self.admitted = 0
         self.drained = 0
         self.evicted = 0
@@ -343,7 +343,7 @@ class PriorityMempool:
         return 0
 
     def stats(self) -> dict[str, int | bool]:
-        """Monotone counters + current occupancy, for watchdog snapshots."""
+        """Monotone counters + current occupancy, for health snapshots."""
         return {
             "pending_txs": self._count,
             "pending_bytes": self._bytes,

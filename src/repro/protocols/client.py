@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, ClassVar, Sequence
 
+from repro.config import SystemConfig
 from repro.core.clock import Clock
 from repro.core.mempool import AdmissionVerdict, Transaction
 from repro.core.messages import ClientReply, ClientRequest
@@ -88,6 +89,40 @@ class Client(Machine):
         self._inflight: dict[int, Transaction] = {}
         self._nacks: dict[int, set[int]] = {}
         self._retries_used: dict[int, int] = {}
+
+    @classmethod
+    def from_config(
+        cls,
+        config: SystemConfig,
+        cid: int,
+        pid: int,
+        replica_pids: list[int],
+        clock: Clock,
+    ) -> "Client":
+        """Client ``cid`` of ``config``'s deployment, seated at transport ``pid``.
+
+        The one rule both runtimes seat clients by.  Payload mixes and fee
+        draws need client randomness even when arrivals stay periodic; the
+        explicit ``poisson`` flag keeps the two concerns independent (and
+        historical seeds bit-identical).
+        """
+        needs_rng = bool(
+            config.client_poisson or config.client_payload_mix or config.client_max_fee
+        )
+        return cls(
+            pid=pid,
+            clock=clock,
+            client_id=cid,
+            replica_pids=replica_pids,
+            payload_bytes=config.payload_bytes,
+            interval_ms=config.client_interval_ms,
+            total_txs=config.client_total_txs,
+            rng=RngStream(config.seed, f"client:{cid}") if needs_rng else None,
+            poisson=config.client_poisson,
+            payload_mix=config.client_payload_mix or None,
+            max_fee=config.client_max_fee,
+            retry_limit=config.client_retry_limit,
+        )
 
     def start(self) -> None:
         self._submit_next()

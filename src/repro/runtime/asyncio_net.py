@@ -12,12 +12,13 @@ run here unchanged against real sockets and wall-clock timers:
   list however many peers it goes to, and each peer's sender writes what
   is queued for it in one go (up to the stream's high-water mark).
   ``ChargeCpu`` is a no-op - real CPUs charge themselves.
-* :func:`run_local_cluster` boots an n-replica localhost deployment
-  (two-phase: bind every server on an ephemeral port, then exchange the
-  real addresses) and reports committed throughput - the backing of the
-  ``repro net-bench`` CLI and the cross-runtime equivalence test.
-* :func:`serve_replica` runs a single replica on a fixed port for
-  multi-process deployments (``repro serve``).
+* :class:`LocalCluster` seats one :class:`~repro.config.SystemConfig` on
+  localhost as the simulator seats it (replicas, then its clients);
+  :func:`run_local_cluster` backs ``repro net-bench`` and the
+  cross-runtime equivalence tests.
+* :func:`serve_replica` runs one replica of a config on a fixed port
+  (``repro serve``).  Both size ``f`` from the replica count they are
+  given and ignore only :data:`SIMULATOR_ONLY`.
 
 Resilience hooks (all optional, see :mod:`repro.runtime.resilience`):
 
@@ -47,15 +48,17 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.config import SystemConfig
+from repro.core.clock import Clock
 from repro.core.codec import CodecError, decode_message, encode_message
 from repro.core.rng import RngStream
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
 from repro.errors import ConfigError, TEERefusal
+from repro.protocols.client import Client
 from repro.protocols.registry import ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica
 from repro.runtime.effects import (
@@ -77,7 +80,6 @@ from repro.runtime.framing import (
 from repro.runtime.machine import Machine
 from repro.runtime.resilience.durable import DurableSealer
 from repro.runtime.resilience.transport import FaultDecider
-from repro.runtime.resilience.watchdog import LivenessWatchdog
 from repro.tee.sealed import FileSealStore
 
 _LOG = logging.getLogger("repro.net")
@@ -442,7 +444,14 @@ class AsyncioRuntime:
         )
 
 
-# -- cluster construction ---------------------------------------------------
+
+# -- deployments ------------------------------------------------------------
+
+#: :class:`SystemConfig` fields only the simulator can honour: the latency
+#: model (regions, GST), FIFO links, the CPU cost model and real crypto.
+SIMULATOR_ONLY = frozenset({
+    "regions", "gst_ms", "delta_ms", "pre_gst_extra_ms", "fifo_links", "costs", "use_real_crypto"
+})
 
 
 def _sized_quorum(spec: ProtocolSpec, n: int) -> tuple[int, int]:
@@ -458,11 +467,65 @@ def _sized_quorum(spec: ProtocolSpec, n: int) -> tuple[int, int]:
     return f, spec.quorum(f) + (n - spec.num_replicas(f))
 
 
+def seat_class(
+    config: SystemConfig, pid: int, n: int, adversary: str | None = None
+) -> type | None:
+    """The machine class replica ``pid`` of ``n`` runs: the named attack, or None for honest.
+
+    Raises :class:`ConfigError` for a seat that cannot exist: a pid outside
+    the cluster, a cluster too small for the protocol, an unknown attack.
+    """
+    if not 0 <= pid < n:
+        raise ConfigError(f"pid {pid} outside cluster of {n} replicas")
+    _sized_quorum(get_spec(config.protocol), n)
+    if adversary is None:
+        return None
+    from repro.adversary.registry import get_adversary
+
+    return get_adversary(adversary).replica_class(config.protocol)
+
+
+def replica_machine(
+    config: SystemConfig,
+    pid: int,
+    n: int,
+    clock: Clock,
+    *,
+    client_pids: dict[int, int] | None = None,
+    replica_class: type | None = None,
+) -> BaseReplica:
+    """Replica ``pid`` of an ``n``-replica TCP deployment of ``config``.
+
+    The HMAC scheme is keyed off the config's seed, and ``f`` and the
+    quorum are sized from ``n``: the machine runs ``replace(config,
+    f=sized_f)``.  ``client_pids`` maps client ids to transport pids;
+    ``replica_class`` seats another sans-I/O machine class (a registered
+    adversary) in place of the protocol's honest one.
+    """
+    spec = get_spec(config.protocol)
+    f, quorum = _sized_quorum(spec, n)
+    scheme = HmacScheme(secret=f"system-{config.seed}".encode())
+    directory = KeyDirectory(scheme)
+    # Unlike the simulator, each process holds its own directory, so the
+    # peers' trusted-component identities must be registered here too
+    # (each replica's own TEE self-registers during construction).
+    for peer in range(n):
+        directory.register_replica(peer)
+        directory.register_tee(peer)
+    cls = replica_class or spec.replica_class
+    replica = cls(
+        pid, clock, replace(config, f=f), scheme, directory, n, quorum,
+        client_pids=dict(client_pids or {}),
+    )
+    replica.replica_pids = list(range(n))
+    return replica
+
+
 def build_machine(
     protocol: str,
     pid: int,
     n: int,
-    clock: WallClock,
+    clock: Clock,
     *,
     seed: int = 1,
     payload_bytes: int = 128,
@@ -473,50 +536,115 @@ def build_machine(
     config_overrides: dict[str, object] | None = None,
     replica_class: type | None = None,
 ) -> BaseReplica:
-    """Construct one protocol machine for an ``n``-replica TCP deployment.
+    """:func:`replica_machine` for a config spelled as keyword arguments.
 
-    Every replica of a deployment must be built with the same arguments:
-    the HMAC scheme is keyed off ``seed`` and quorum sizing off ``n``.
-
-    ``client_pids`` maps client ids to their transport pids (for
-    closed-loop deployments driven by ``repro load``), and
-    ``config_overrides`` merges extra :class:`SystemConfig` fields -
-    the ingest-pipeline knobs - into the derived configuration.
-    ``replica_class`` substitutes another machine class (a registered
-    adversary from :mod:`repro.adversary.registry`) for the protocol's
-    honest one - same constructor signature, sans-I/O, so attacks run
-    unchanged over real sockets.
+    ``config_overrides`` merges further :class:`SystemConfig` fields.
     """
-    spec = get_spec(protocol)
-    f, quorum = _sized_quorum(spec, n)
-    kwargs: dict[str, object] = dict(
-        protocol=protocol,
-        f=f,
-        seed=seed,
-        payload_bytes=payload_bytes,
-        block_size=block_size,
-        timeout_ms=timeout_ms,
-        open_loop=True,
-        checkpoint_interval=checkpoint_interval,
+    config = SystemConfig(
+        protocol=protocol, seed=seed, payload_bytes=payload_bytes, block_size=block_size,
+        timeout_ms=timeout_ms, checkpoint_interval=checkpoint_interval,
+        **(config_overrides or {}),  # type: ignore[arg-type]
     )
-    if config_overrides:
-        kwargs.update(config_overrides)
-    config = SystemConfig(**kwargs)  # type: ignore[arg-type]
-    scheme = HmacScheme(secret=f"system-{seed}".encode())
-    directory = KeyDirectory(scheme)
-    # Unlike the simulator, each process holds its own directory, so the
-    # peers' trusted-component identities must be registered here too
-    # (each replica's own TEE self-registers during construction).
-    for peer in range(n):
-        directory.register_replica(peer)
-        directory.register_tee(peer)
-    cls = replica_class if replica_class is not None else spec.replica_class
-    replica = cls(
-        pid, clock, config, scheme, directory, n, quorum,
-        client_pids=dict(client_pids or {}),
+    return replica_machine(
+        config, pid, n, clock, client_pids=client_pids, replica_class=replica_class
     )
-    replica.replica_pids = list(range(n))
-    return replica
+
+
+class LocalCluster:
+    """One localhost deployment of a :class:`SystemConfig`, every machine on its own runtime.
+
+    Replicas hold pids ``0..n-1`` and the config's clients the pids after
+    them, as on the simulator; ``n`` defaults to the protocol's N(f).
+    ``adversary`` seats a registered attack at its default pids, and
+    ``replica_overrides`` explicit classes per pid (winning where both
+    name one).  Construction opens no socket; :meth:`run` does.
+    """
+
+    def __init__(
+        self,
+        config: SystemConfig,
+        n: int | None = None,
+        *,
+        adversary: str | None = None,
+        replica_overrides: dict[int, type] | None = None,
+        host: str = "127.0.0.1",
+    ) -> None:
+        spec = get_spec(config.protocol)
+        self.n = spec.num_replicas(config.f) if n is None else n
+        self.f, self.quorum = _sized_quorum(spec, self.n)
+        clock = WallClock()
+        classes: dict[int, type] = {}
+        if adversary is not None:
+            from repro.adversary.registry import get_adversary
+
+            adv = get_adversary(adversary)
+            classes.update(
+                {pid: adv.replica_class(config.protocol) for pid in adv.seats(self.n, self.f)}
+            )
+        classes.update(replica_overrides or {})
+        replica_pids = list(range(self.n))
+        client_pids = {cid: self.n + cid for cid in range(config.num_clients)}
+        self.replicas = [
+            replica_machine(
+                config, pid, self.n, clock, client_pids=client_pids, replica_class=classes.get(pid)
+            )
+            for pid in replica_pids
+        ]
+        self.clients = [
+            Client.from_config(config, cid, pid, replica_pids, clock)
+            for cid, pid in client_pids.items()
+        ]
+        self.runtimes = [
+            AsyncioRuntime(machine, host=host) for machine in (*self.replicas, *self.clients)
+        ]
+
+    async def run(
+        self,
+        duration_s: float,
+        *,
+        target_blocks: int = 0,
+        start_delay_s: dict[int, float] | None = None,
+    ) -> float:
+        """Boot, run, close; returns the seconds the machines ran.
+
+        Two-phase boot: bind every server on an ephemeral port, then
+        exchange the real addresses (no fixed ports, so parallel runs
+        never race).  Stops after ``duration_s`` seconds, or once every
+        replica's ledger reaches ``target_blocks`` (when > 0).
+        ``start_delay_s`` holds named pids back (seconds); their servers
+        bind at once, so they look partitioned from genesis.
+        """
+        late: list[asyncio.TimerHandle] = []
+        try:
+            addresses = {}
+            for runtime in self.runtimes:
+                addresses[runtime.machine.pid] = await runtime.start_server()
+            for runtime in self.runtimes:
+                runtime.set_peers(addresses)
+            started = time.monotonic()
+            delays = start_delay_s or {}
+            for runtime in self.runtimes:
+                delay = delays.get(runtime.machine.pid, 0.0)
+                if delay > 0.0:
+                    loop = asyncio.get_running_loop()
+                    late.append(loop.call_later(delay, runtime.start_machine))
+                else:
+                    runtime.start_machine()
+            while time.monotonic() < started + duration_s:
+                # Ledger height counts checkpoint-skipped prefixes too, so a
+                # replica that rejoined by state transfer satisfies the
+                # target without replaying every block.
+                if target_blocks > 0 and all(
+                    replica.ledger.height() >= target_blocks for replica in self.replicas
+                ):
+                    break
+                await asyncio.sleep(0.02)
+            return time.monotonic() - started
+        finally:
+            for handle in late:
+                handle.cancel()
+            for runtime in self.runtimes:
+                await runtime.close()
 
 
 @dataclass
@@ -552,115 +680,34 @@ class ClusterReport:
 
 
 async def run_local_cluster(
-    protocol: str,
-    n: int,
+    config: SystemConfig,
+    n: int | None = None,
     *,
-    seed: int = 1,
     duration_s: float = 5.0,
     target_blocks: int = 0,
-    payload_bytes: int = 128,
-    block_size: int = 32,
-    timeout_ms: float = 2_000.0,
-    max_timeout_ms: float = 0.0,
-    timeout_jitter: float = 0.0,
-    host: str = "127.0.0.1",
-    checkpoint_interval: int = 0,
     start_delay_s: dict[int, float] | None = None,
     adversary: str | None = None,
     replica_overrides: dict[int, type] | None = None,
+    host: str = "127.0.0.1",
 ) -> ClusterReport:
-    """Run an ``n``-replica cluster on localhost TCP; report throughput.
+    """Run ``config`` as a :class:`LocalCluster` (see :meth:`LocalCluster.run`); report it.
 
-    Stops after ``duration_s`` seconds, or as soon as every replica has
-    committed ``target_blocks`` blocks (when ``target_blocks`` > 0).
-
-    ``adversary`` seats a registered attack (by name) at its default
-    pids; ``replica_overrides`` seats explicit machine classes per pid
-    (and wins where both name a pid).  Honest replicas must stay safe
-    and live - the returned per-replica ``chains`` let callers check.
-
-    ``start_delay_s`` holds back named pids (seconds) before starting
-    their machines - the servers still bind immediately, so a delayed
-    replica looks cleanly partitioned-from-genesis and must rejoin via
-    state transfer once ``checkpoint_interval`` is on.
+    Honest replicas must stay safe and live - the per-replica ``chains``
+    let callers check.
     """
-    spec = get_spec(protocol)
-    f, quorum = _sized_quorum(spec, n)
-    clock = WallClock()
-    overrides: dict[int, type] = {}
-    if adversary is not None:
-        from repro.adversary.registry import get_adversary
-
-        adv = get_adversary(adversary)
-        overrides.update(
-            {pid: adv.replica_class(protocol) for pid in adv.seats(n, f)}
-        )
-    overrides.update(replica_overrides or {})
-    config_overrides: dict[str, object] = dict(
-        max_timeout_ms=max_timeout_ms, timeout_jitter=timeout_jitter
+    cluster = LocalCluster(
+        config, n, adversary=adversary, replica_overrides=replica_overrides, host=host
     )
-    machines = [
-        build_machine(
-            protocol,
-            pid,
-            n,
-            clock,
-            seed=seed,
-            payload_bytes=payload_bytes,
-            block_size=block_size,
-            timeout_ms=timeout_ms,
-            checkpoint_interval=checkpoint_interval,
-            config_overrides=config_overrides,
-            replica_class=overrides.get(pid),
-        )
-        for pid in range(n)
-    ]
-    runtimes = [AsyncioRuntime(machine, host=host) for machine in machines]
-    # Phase 1: bind every server on an ephemeral port; phase 2: exchange
-    # the real addresses.  No fixed ports, so parallel CI runs never race.
-    addresses = {}
-    for pid, runtime in enumerate(runtimes):
-        addresses[pid] = await runtime.start_server()
-    for runtime in runtimes:
-        runtime.set_peers(addresses)
-    t0 = time.monotonic()
-    delays = start_delay_s or {}
-    late_tasks: list[asyncio.Task[None]] = []
-
-    async def _start_late(rt: AsyncioRuntime, delay: float) -> None:
-        await asyncio.sleep(delay)
-        rt.start_machine()
-
-    for pid, runtime in enumerate(runtimes):
-        delay = delays.get(pid, 0.0)
-        if delay > 0.0:
-            late_tasks.append(asyncio.ensure_future(_start_late(runtime, delay)))
-        else:
-            runtime.start_machine()
-    deadline = t0 + duration_s
-    try:
-        while time.monotonic() < deadline:
-            # Ledger height counts checkpoint-skipped prefixes too, so a
-            # replica that rejoined by state transfer satisfies the
-            # target without replaying every block.
-            if target_blocks > 0 and all(
-                rt.machine.ledger.height() >= target_blocks for rt in runtimes
-            ):
-                break
-            await asyncio.sleep(0.02)
-    finally:
-        elapsed = time.monotonic() - t0
-        for task in late_tasks:
-            task.cancel()
-        if late_tasks:
-            await asyncio.gather(*late_tasks, return_exceptions=True)
-        for runtime in runtimes:
-            await runtime.close()
+    elapsed = await cluster.run(
+        duration_s, target_blocks=target_blocks, start_delay_s=start_delay_s
+    )
+    runtimes = cluster.runtimes[: cluster.n]
+    ledgers = {replica.pid: replica.ledger for replica in cluster.replicas}
     return ClusterReport(
-        protocol=protocol,
-        num_replicas=n,
-        f=f,
-        quorum=quorum,
+        protocol=config.protocol,
+        num_replicas=cluster.n,
+        f=cluster.f,
+        quorum=cluster.quorum,
         elapsed_s=elapsed,
         committed_blocks=min(rt.committed_blocks for rt in runtimes),
         committed_txs=min(rt.committed_txs for rt in runtimes),
@@ -668,21 +715,15 @@ async def run_local_cluster(
         bytes_sent=sum(rt.sent_bytes for rt in runtimes),
         dropped_messages=sum(rt.dropped_messages for rt in runtimes),
         chains={
-            rt.machine.pid: [block.hash.hex() for block in rt.machine.ledger.executed]
-            for rt in runtimes
+            pid: [block.hash.hex() for block in ledger.executed]
+            for pid, ledger in ledgers.items()
         },
-        state_roots={
-            rt.machine.pid: rt.machine.ledger.state_root.hex() for rt in runtimes
-        },
-        heights={rt.machine.pid: rt.machine.ledger.height() for rt in runtimes},
-        base_heights={
-            rt.machine.pid: rt.machine.ledger.base_height for rt in runtimes
-        },
-        base_roots={
-            rt.machine.pid: rt.machine.ledger.base_state_root.hex() for rt in runtimes
-        },
+        state_roots={pid: ledger.state_root.hex() for pid, ledger in ledgers.items()},
+        heights={pid: ledger.height() for pid, ledger in ledgers.items()},
+        base_heights={pid: ledger.base_height for pid, ledger in ledgers.items()},
+        base_roots={pid: ledger.base_state_root.hex() for pid, ledger in ledgers.items()},
         caught_up_pids=tuple(
-            rt.machine.pid for rt in runtimes if rt.machine.caught_up_via_checkpoint
+            replica.pid for replica in cluster.replicas if replica.caught_up_via_checkpoint
         ),
     )
 
@@ -712,28 +753,62 @@ def _write_health_file(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def health_snapshot(
+    machine: BaseReplica, runtime: AsyncioRuntime, uptime_s: float, restored: bool
+) -> dict:
+    """The liveness sample ``repro serve --health-file`` publishes for ``machine``."""
+    sealer, decider = runtime.sealer, runtime.fault_decider
+    checker = machine.checker
+    latest_ckpt = machine.latest_checkpoint
+    return {
+        "pid": machine.pid,
+        "protocol": machine.config.protocol,
+        "uptime_s": uptime_s,
+        "committed_blocks": runtime.committed_blocks,
+        "committed_txs": runtime.committed_txs,
+        "view": machine.view,
+        "last_committed_view": machine.last_committed_view,
+        "view_lag": machine.viewsync.view_lag(),
+        "ledger_height": machine.ledger.height(),
+        "state_root": machine.ledger.state_root.hex(),
+        "timeouts_fired": machine.pacemaker.timeouts_fired,
+        "timeout_ms": machine.pacemaker.current_timeout_ms,
+        "checker_view": None if checker is None else checker.step.view,
+        "checker_phase": None if checker is None else checker.step.phase.value,
+        "checkpoint_interval": machine.config.checkpoint_interval,
+        "checkpoint_height": 0 if latest_ckpt is None else latest_ckpt.height,
+        "caught_up_via_checkpoint": machine.caught_up_via_checkpoint,
+        "catchup_active": machine.catchup.active,
+        "catchup_retries": machine.catchup.retries,
+        "catchup_rounds": machine.catchup.completed,
+        "restored_from_seal": restored,
+        "seal_writes": 0 if sealer is None else sealer.seal_writes,
+        "checkpoint_writes": 0 if sealer is None else sealer.checkpoint_writes,
+        "restored_checkpoint_height": (
+            0 if sealer is None else sealer.restored_checkpoint_height
+        ),
+        "dropped_messages": runtime.dropped_messages,
+        "rejected_connections": runtime.rejected_connections,
+        "mempool": machine.mempool.stats(),
+        "faults": {} if decider is None else decider.counts(),
+    }
+
+
 async def serve_replica(
-    protocol: str,
+    config: SystemConfig,
     pid: int,
     n: int,
     *,
     base_port: int,
     host: str = "127.0.0.1",
-    seed: int = 1,
     duration_s: float = 0.0,
-    payload_bytes: int = 128,
-    block_size: int = 32,
-    timeout_ms: float = 2_000.0,
-    max_timeout_ms: float = 0.0,
-    timeout_jitter: float = 0.0,
     adversary: str | None = None,
-    checkpoint_interval: int = 0,
     seal_dir: str | Path | None = None,
     health_file: str | Path | None = None,
     health_interval_s: float = 0.5,
     fault_spec: str | Path | None = None,
 ) -> AsyncioRuntime:
-    """Run one replica of a fixed-port deployment (``repro serve``).
+    """Run replica ``pid`` of an ``n``-replica fixed-port deployment of ``config``.
 
     Peers are assumed at ``base_port + pid`` on ``host`` - start one
     process per pid with identical arguments.  Runs for ``duration_s``
@@ -745,10 +820,9 @@ async def serve_replica(
       persisted before frames leave, and on start the latest snapshot is
       restored (rollback-refusing).  A process SIGKILLed mid-view can be
       respawned with identical arguments and rejoins safely.
-    * ``health_file`` - a JSON liveness snapshot rewritten atomically
-      every ``health_interval_s`` seconds (commit counts, checker step,
-      fault counters, ledger height and state root); ``repro net-chaos``
-      samples these for its verdict.
+    * ``health_file`` - a :func:`health_snapshot` rewritten atomically
+      every ``health_interval_s`` seconds; ``repro net-chaos`` samples
+      these for its verdict.
     * ``fault_spec`` - a :meth:`~repro.core.faults.FaultPlan.rules_spec`
       file applied to outbound frames, re-read whenever its mtime
       changes (live partition/heal without restarting processes).
@@ -757,39 +831,14 @@ async def serve_replica(
     (the same sans-I/O Machine the simulator seats); which pid plays
     Byzantine is the orchestrator's choice.
     """
-    if not 0 <= pid < n:
-        raise ConfigError(f"pid {pid} outside cluster of {n} replicas")
-    clock = WallClock()
-    replica_class: type | None = None
-    if adversary is not None:
-        from repro.adversary.registry import get_adversary
-
-        replica_class = get_adversary(adversary).replica_class(protocol)
-    machine = build_machine(
-        protocol,
-        pid,
-        n,
-        clock,
-        seed=seed,
-        payload_bytes=payload_bytes,
-        block_size=block_size,
-        timeout_ms=timeout_ms,
-        checkpoint_interval=checkpoint_interval,
-        config_overrides=dict(
-            max_timeout_ms=max_timeout_ms, timeout_jitter=timeout_jitter
-        ),
-        replica_class=replica_class,
-    )
+    replica_class = seat_class(config, pid, n, adversary)
+    machine = replica_machine(config, pid, n, WallClock(), replica_class=replica_class)
     decider: FaultDecider | None = None
-    spec_path: Path | None = None
     spec_mtime = -1.0
     if fault_spec is not None:
-        spec_path = Path(fault_spec)
-        decider = FaultDecider(_load_fault_rules(spec_path), seed)
-        try:
-            spec_mtime = spec_path.stat().st_mtime
-        except OSError:
-            spec_mtime = -1.0
+        decider = FaultDecider(_load_fault_rules(Path(fault_spec)), config.seed)
+        with contextlib.suppress(OSError):
+            spec_mtime = Path(fault_spec).stat().st_mtime
     sealer: DurableSealer | None = None
     restored = False
     if seal_dir is not None:
@@ -797,85 +846,26 @@ async def serve_replica(
         try:
             restored = sealer.restore()
         except TEERefusal:
-            _LOG.error(
-                "replica %d: durable sealed state refused (rollback?); "
-                "refusing to start",
-                pid,
-            )
+            _LOG.error("replica %d: sealed state refused (rollback?); not starting", pid)
             raise
         if restored:
-            _LOG.info(
-                "replica %d: restored sealed checker state at view %d",
-                pid,
-                machine.checker.step.view,
-            )
+            _LOG.info("replica %d: restored sealed checker state at view %d",
+                      pid, machine.checker.step.view)
     runtime = AsyncioRuntime(
-        machine,
-        host=host,
-        port=base_port + pid,
-        fault_decider=decider,
-        sealer=sealer,
+        machine, host=host, port=base_port + pid, fault_decider=decider, sealer=sealer
     )
     await runtime.start_server()
     runtime.set_peers({peer: (host, base_port + peer) for peer in range(n)})
     runtime.start_machine()
-
-    watchdog = LivenessWatchdog()
+    started = time.monotonic()
     aux_tasks: list[asyncio.Task[None]] = []
 
     async def health_loop(path: Path) -> None:
-        started = time.monotonic()
-        last_blocks = -1
         while True:
-            blocks = runtime.committed_blocks
-            now_ms = clock.now
-            watchdog.record_alive(pid, now_ms)
-            if blocks > max(last_blocks, 0):
-                watchdog.record_commit(
-                    pid,
-                    now_ms,
-                    blocks,
-                    committed_view=machine.last_committed_view,
-                    catchup_retries=machine.catchup.retries,
-                )
-            last_blocks = blocks
-            checker = machine.checker
-            latest_ckpt = machine.latest_checkpoint
-            payload = {
-                "pid": pid,
-                "protocol": protocol,
-                "uptime_s": time.monotonic() - started,
-                "committed_blocks": blocks,
-                "committed_txs": runtime.committed_txs,
-                "view": machine.view,
-                "last_committed_view": machine.last_committed_view,
-                "view_lag": machine.viewsync.view_lag(),
-                "ledger_height": machine.ledger.height(),
-                "state_root": machine.ledger.state_root.hex(),
-                "timeouts_fired": machine.pacemaker.timeouts_fired,
-                "timeout_ms": machine.pacemaker.current_timeout_ms,
-                "checker_view": None if checker is None else checker.step.view,
-                "checker_phase": None if checker is None else checker.step.phase.value,
-                "checkpoint_interval": checkpoint_interval,
-                "checkpoint_height": 0 if latest_ckpt is None else latest_ckpt.height,
-                "caught_up_via_checkpoint": machine.caught_up_via_checkpoint,
-                "catchup_active": machine.catchup.active,
-                "catchup_retries": machine.catchup.retries,
-                "catchup_rounds": machine.catchup.completed,
-                "restored_from_seal": restored,
-                "seal_writes": 0 if sealer is None else sealer.seal_writes,
-                "checkpoint_writes": 0 if sealer is None else sealer.checkpoint_writes,
-                "restored_checkpoint_height": (
-                    0 if sealer is None else sealer.restored_checkpoint_height
-                ),
-                "dropped_messages": runtime.dropped_messages,
-                "rejected_connections": runtime.rejected_connections,
-                "mempool": machine.mempool.stats(),
-                "faults": {} if decider is None else decider.counts(),
-                "watchdog": watchdog.snapshot(now_ms).to_dict(),
-            }
             try:
-                _write_health_file(path, payload)
+                _write_health_file(
+                    path, health_snapshot(machine, runtime, time.monotonic() - started, restored)
+                )
             except OSError:  # health reporting must never kill the replica
                 _LOG.warning("replica %d: could not write health file %s", pid, path)
             await asyncio.sleep(health_interval_s)
@@ -899,8 +889,8 @@ async def serve_replica(
 
     if health_file is not None:
         aux_tasks.append(asyncio.ensure_future(health_loop(Path(health_file))))
-    if spec_path is not None and decider is not None:
-        aux_tasks.append(asyncio.ensure_future(fault_spec_loop(spec_path, decider)))
+    if fault_spec is not None and decider is not None:
+        aux_tasks.append(asyncio.ensure_future(fault_spec_loop(Path(fault_spec), decider)))
 
     try:
         if duration_s > 0:

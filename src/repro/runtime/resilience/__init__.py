@@ -11,13 +11,13 @@ real sockets and closes the crash-recovery loop end-to-end:
   every checker step advance is persisted (atomic write + fsync) before
   its signature reaches the wire, so a SIGKILLed replica restarts from
   its latest sealed step and refuses rollback;
-* :mod:`~repro.runtime.resilience.watchdog` - per-replica liveness
-  tracking with structured health snapshots;
 * :mod:`~repro.runtime.resilience.supervisor` - spawn / SIGKILL /
   respawn replica processes (the ``repro serve`` entry point);
 * :mod:`~repro.runtime.resilience.netchaos` - plays a named fault plan
   (kill, restart, partition, heal) on OS processes behind
-  ``repro net-chaos`` and gives it a campaign cell's verdict.
+  ``repro net-chaos`` and gives it a campaign cell's verdict, read off
+  the health samples each ``repro serve`` process writes
+  (:func:`repro.runtime.asyncio_net.health_snapshot`).
 """
 
 from repro.runtime.resilience.durable import DurableSealer
@@ -26,18 +26,10 @@ from repro.runtime.resilience.transport import (
     FaultRecord,
     decision_digest,
 )
-from repro.runtime.resilience.watchdog import (
-    HealthSnapshot,
-    LivenessWatchdog,
-    ReplicaHealth,
-)
 
 __all__ = [
     "DurableSealer",
     "FaultDecider",
     "FaultRecord",
-    "HealthSnapshot",
-    "LivenessWatchdog",
-    "ReplicaHealth",
     "decision_digest",
 ]

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.config import SystemConfig
 from repro.core.faults import FaultPlan, net_chaos_plans, unwindowed
 from repro.errors import ConfigError
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec, ReplicaSupervisor
@@ -351,6 +352,16 @@ def run_net_chaos(
         run_dir=str(root),
     )
 
+    # The `repro serve` defaults (128 B payloads, 32-transaction blocks).
+    config = SystemConfig(
+        protocol=protocol,
+        seed=seed,
+        payload_bytes=128,
+        block_size=32,
+        timeout_ms=_TIMEOUT_MS,
+        timeout_jitter=_TIMEOUT_JITTER,
+        checkpoint_interval=checkpoint_interval,
+    )
     supervisors = []
     health_paths = []
     for pid in range(n):
@@ -358,15 +369,11 @@ def run_net_chaos(
         health_paths.append(health_path)
         spec = ReplicaProcessSpec(
             pid=pid,
-            protocol=protocol,
+            config=config,
             n=n,
             base_port=base_port,
-            seed=seed,
             host=host,
-            timeout_ms=_TIMEOUT_MS,
-            timeout_jitter=_TIMEOUT_JITTER,
             adversary=adversary if pid in adversary_pids else None,
-            checkpoint_interval=checkpoint_interval,
             seal_dir=seal_dir,
             health_file=health_path,
             fault_spec=fault_spec,

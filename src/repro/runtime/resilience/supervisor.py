@@ -21,70 +21,57 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.config import SystemConfig
+
 
 @dataclass(frozen=True)
 class ReplicaProcessSpec:
-    """Everything needed to (re)spawn one ``repro serve`` process."""
+    """Everything needed to (re)spawn one ``repro serve`` process.
+
+    ``config`` is the deployment, written out as ``repro serve`` flags:
+    only the fields those flags carry may differ from the defaults
+    (``f`` is sized from ``n`` by the replica).
+    """
 
     pid: int
-    protocol: str
+    config: SystemConfig
     n: int
     base_port: int
-    seed: int = 1
     host: str = "127.0.0.1"
-    payload_bytes: int = 128
-    block_size: int = 32
-    timeout_ms: float = 2_000.0
-    max_timeout_ms: float = 0.0
-    timeout_jitter: float = 0.0
     adversary: str | None = None
-    checkpoint_interval: int = 0
     seal_dir: Path | None = None
     health_file: Path | None = None
     health_interval_s: float = 0.5
     fault_spec: Path | None = None
 
     def argv(self) -> list[str]:
+        config = self.config
         argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--protocol",
-            self.protocol,
-            "--pid",
-            str(self.pid),
-            "--n",
-            str(self.n),
-            "--host",
-            self.host,
-            "--base-port",
-            str(self.base_port),
-            "--seed",
-            str(self.seed),
-            "--payload",
-            str(self.payload_bytes),
-            "--block-size",
-            str(self.block_size),
-            "--timeout-ms",
-            str(self.timeout_ms),
+            sys.executable, "-m", "repro", "serve",
+            "--protocol", config.protocol,
+            "--pid", str(self.pid),
+            "--n", str(self.n),
+            "--host", self.host,
+            "--base-port", str(self.base_port),
+            "--seed", str(config.seed),
+            "--payload", str(config.payload_bytes),
+            "--block-size", str(config.block_size),
+            "--timeout-ms", str(config.timeout_ms),
         ]
-        if self.max_timeout_ms > 0:
-            argv += ["--max-timeout-ms", str(self.max_timeout_ms)]
-        if self.timeout_jitter > 0:
-            argv += ["--timeout-jitter", str(self.timeout_jitter)]
+        if config.max_timeout_ms > 0:
+            argv += ["--max-timeout-ms", str(config.max_timeout_ms)]
+        if config.timeout_jitter > 0:
+            argv += ["--timeout-jitter", str(config.timeout_jitter)]
         if self.adversary is not None:
             argv += ["--adversary", self.adversary]
-        if self.checkpoint_interval > 0:
-            argv += ["--checkpoint-interval", str(self.checkpoint_interval)]
+        if config.checkpoint_interval > 0:
+            argv += ["--checkpoint-interval", str(config.checkpoint_interval)]
         if self.seal_dir is not None:
             argv += ["--seal-dir", str(self.seal_dir)]
         if self.health_file is not None:
             argv += [
-                "--health-file",
-                str(self.health_file),
-                "--health-interval",
-                str(self.health_interval_s),
+                "--health-file", str(self.health_file),
+                "--health-interval", str(self.health_interval_s),
             ]
         if self.fault_spec is not None:
             argv += ["--fault-spec", str(self.fault_spec)]

@@ -264,26 +264,9 @@ class ConsensusSystem:
             replica.replica_pids = list(range(self.num_replicas))
             self.network.add_process(MachineProcess(replica, self.sim))
             self.replicas.append(replica)
-        # Payload mixes and fee draws need client randomness even when
-        # arrivals stay periodic; the explicit ``poisson`` flag keeps the
-        # two concerns independent (and historical seeds bit-identical).
-        needs_rng = bool(
-            config.client_poisson or config.client_payload_mix or config.client_max_fee
-        )
         for cid in range(config.num_clients):
-            client = Client(
-                pid=client_pids[cid],
-                clock=self.sim,
-                client_id=cid,
-                replica_pids=list(range(self.num_replicas)),
-                payload_bytes=config.payload_bytes,
-                interval_ms=config.client_interval_ms,
-                total_txs=config.client_total_txs,
-                rng=self.rng.stream(f"client:{cid}") if needs_rng else None,
-                poisson=config.client_poisson,
-                payload_mix=config.client_payload_mix or None,
-                max_fee=config.client_max_fee,
-                retry_limit=config.client_retry_limit,
+            client = Client.from_config(
+                config, cid, client_pids[cid], list(range(self.num_replicas)), self.sim
             )
             self.network.add_process(MachineProcess(client, self.sim))
             self.clients.append(client)

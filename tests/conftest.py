@@ -52,6 +52,13 @@ def small_config(protocol: str, f: int = 1, **overrides) -> SystemConfig:
     return SystemConfig(**params)
 
 
+def tcp_config(protocol: str = "damysus", **overrides) -> SystemConfig:
+    """The `repro serve` / `net-bench` defaults: 128 B payloads, 32-tx blocks."""
+    params: dict[str, Any] = dict(payload_bytes=128, block_size=32)
+    params.update(overrides)
+    return SystemConfig(protocol=protocol, **params)
+
+
 def run_protocol(protocol: str, views: int = 5, f: int = 1, **overrides):
     """Build, run and return (system, result) for quick assertions."""
     system = ConsensusSystem(small_config(protocol, f=f, **overrides))

@@ -15,12 +15,13 @@ from repro.runtime.asyncio_net import _load_fault_rules
 from repro.runtime.resilience.netchaos import ForkRule, run_net_chaos, timeline
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec
 from repro.runtime.resilience.transport import decision_digest
+from tests.conftest import tcp_config
 
 
 def test_spec_argv_carries_the_resilience_flags(tmp_path):
     spec = ReplicaProcessSpec(
         pid=2,
-        protocol="damysus",
+        config=tcp_config(),
         n=4,
         base_port=5000,
         seal_dir=tmp_path / "seal",
@@ -36,7 +37,7 @@ def test_spec_argv_carries_the_resilience_flags(tmp_path):
 
 
 def test_spec_argv_omits_unset_options():
-    argv = ReplicaProcessSpec(pid=0, protocol="damysus", n=4, base_port=5000).argv()
+    argv = ReplicaProcessSpec(pid=0, config=tcp_config(), n=4, base_port=5000).argv()
     assert "--seal-dir" not in argv and "--fault-spec" not in argv
 
 

@@ -17,6 +17,7 @@ from repro.errors import ConfigError
 from repro.runtime.asyncio_net import build_machine, run_local_cluster
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec
 from repro.runtime.sim import ConsensusSystem
+from tests.conftest import tcp_config
 
 
 def test_cross_runtime_equivalence_under_equivocation():
@@ -40,16 +41,13 @@ def test_cross_runtime_equivalence_under_equivocation():
 
     report = asyncio.run(
         run_local_cluster(
-            "damysus",
-            system.num_replicas,
-            seed=7,
-            payload_bytes=64,
-            block_size=8,
+            config,
             duration_s=30.0,
             target_blocks=5,
             replica_overrides={1: EquivocatingDamysusLeader},
         )
     )
+    assert report.num_replicas == system.num_replicas
     honest = {pid: chain for pid, chain in report.chains.items() if pid != 1}
     for pid, net_chain in honest.items():
         prefix = min(len(sim_chain), len(net_chain), 4)
@@ -61,11 +59,10 @@ def test_named_adversary_on_sockets_commits():
     """``adversary=`` seats the registry attack; honest liveness holds."""
     report = asyncio.run(
         run_local_cluster(
-            "damysus",
+            tcp_config(timeout_ms=1_000.0),
             4,
             duration_s=30.0,
             target_blocks=2,
-            timeout_ms=1_000.0,
             adversary="silent",
         )
     )
@@ -79,7 +76,7 @@ def test_named_adversary_on_sockets_commits():
 
 def test_unknown_adversary_fails_fast():
     with pytest.raises(ConfigError, match="unknown adversary"):
-        asyncio.run(run_local_cluster("damysus", 4, adversary="nope"))
+        asyncio.run(run_local_cluster(tcp_config(), 4, adversary="nope"))
 
 
 def test_build_machine_accepts_a_replica_class_override():
@@ -103,11 +100,9 @@ def test_adversary_seats_resolve_like_the_simulator():
 def test_process_spec_argv_carries_adversary_flags():
     spec = ReplicaProcessSpec(
         pid=1,
-        protocol="damysus",
+        config=tcp_config(max_timeout_ms=4_000.0, timeout_jitter=0.1),
         n=4,
         base_port=7000,
-        max_timeout_ms=4_000.0,
-        timeout_jitter=0.1,
         adversary="equivocate",
     )
     argv = spec.argv()
@@ -117,7 +112,7 @@ def test_process_spec_argv_carries_adversary_flags():
 
 
 def test_process_spec_argv_omits_defaults():
-    argv = ReplicaProcessSpec(pid=0, protocol="damysus", n=4, base_port=7000).argv()
+    argv = ReplicaProcessSpec(pid=0, config=tcp_config(), n=4, base_port=7000).argv()
     assert "--adversary" not in argv
     assert "--max-timeout-ms" not in argv
     assert "--timeout-jitter" not in argv

@@ -8,25 +8,31 @@ its first block within milliseconds and every run stops early via
 """
 
 import asyncio
+import json
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.runtime.asyncio_net import (
+    SIMULATOR_ONLY,
     AsyncioRuntime,
+    LocalCluster,
     _sized_quorum,
     build_machine,
+    health_snapshot,
     run_local_cluster,
 )
 from repro.runtime.sim import ConsensusSystem
 from repro.protocols.registry import get_spec
+from tests.conftest import tcp_config
 
 
 def test_smoke_damysus_n4_commits_a_block():
     """The CI acceptance gate: n=4 Damysus commits >= 1 block in 30 s."""
     report = asyncio.run(
-        run_local_cluster("damysus", 4, duration_s=30.0, target_blocks=1)
+        run_local_cluster(tcp_config(), 4, duration_s=30.0, target_blocks=1)
     )
     assert report.committed_blocks >= 1
     assert report.committed_txs > 0
@@ -35,7 +41,7 @@ def test_smoke_damysus_n4_commits_a_block():
 
 def test_replicas_agree_on_the_committed_chain():
     report = asyncio.run(
-        run_local_cluster("damysus", 4, duration_s=30.0, target_blocks=3)
+        run_local_cluster(tcp_config(), 4, duration_s=30.0, target_blocks=3)
     )
     chains = list(report.chains.values())
     prefix = min(len(chain) for chain in chains)
@@ -60,17 +66,8 @@ def test_cross_runtime_equivalence_same_block_hashes():
     sim_chain = [block.hash.hex() for block in system.replicas[0].ledger.executed]
     assert len(sim_chain) >= 4
 
-    report = asyncio.run(
-        run_local_cluster(
-            "damysus",
-            system.num_replicas,
-            seed=7,
-            payload_bytes=64,
-            block_size=8,
-            duration_s=30.0,
-            target_blocks=5,
-        )
-    )
+    report = asyncio.run(run_local_cluster(config, duration_s=30.0, target_blocks=5))
+    assert report.num_replicas == system.num_replicas
     net_chain = report.chains[0]
     prefix = min(len(sim_chain), len(net_chain), 4)
     assert prefix >= 4
@@ -80,7 +77,7 @@ def test_cross_runtime_equivalence_same_block_hashes():
 @pytest.mark.parametrize("protocol", ["hotstuff", "chained-damysus"])
 def test_other_protocols_commit_on_sockets(protocol):
     report = asyncio.run(
-        run_local_cluster(protocol, 4, duration_s=30.0, target_blocks=1)
+        run_local_cluster(tcp_config(protocol), 4, duration_s=30.0, target_blocks=1)
     )
     assert report.committed_blocks >= 1
 
@@ -135,6 +132,89 @@ def test_build_machine_registers_all_peer_identities():
     for peer in range(4):
         assert machine.directory.kind_of(peer) == "replica"
         assert machine.directory.kind_of(1_000_000 + peer) == "tee"
+
+
+#: A value off the default for every field a socket deployment reads.
+_OFF_DEFAULT = dict(
+    protocol="hotstuff",
+    f=2,
+    payload_bytes=100,
+    block_size=7,
+    seed=5,
+    compact_qcs=True,
+    timeout_ms=900.0,
+    timeout_jitter=0.1,
+    max_timeout_ms=3_000.0,
+    open_loop=False,
+    num_clients=3,
+    client_interval_ms=3.0,
+    client_total_txs=7,
+    client_poisson=True,
+    client_payload_mix=(0, 64),
+    client_max_fee=9,
+    client_retry_limit=2,
+    mempool_max_txs=500,
+    mempool_max_bytes=10_000,
+    max_block_bytes=5_000,
+    sender_rate_limit=0.5,
+    sender_rate_burst=8.0,
+    checkpoint_interval=5,
+)
+
+
+def _client_inputs(client):
+    rng = None if client.rng is None else (client.rng.name, client.rng._rng.getstate())
+    return (
+        client.pid, client.client_id, client.replica_pids, client.payload_bytes,
+        client.interval_ms, client.total_txs, client.poisson, client.payload_mix,
+        client.max_fee, client.retry_limit, rng,
+    )
+
+
+def test_tcp_cluster_seats_every_config_field():
+    """One SystemConfig describes the same deployment on both runtimes.
+
+    Every field but the simulator-only ones is set off its default; the
+    socket cluster (built, not booted) must hand each replica the config
+    with ``f`` sized from its replica count, and build its clients from
+    exactly the simulator's constructor inputs.
+    """
+    defaults = SystemConfig()
+    assert set(_OFF_DEFAULT) == {f.name for f in fields(SystemConfig)} - SIMULATOR_ONLY
+    for name, value in _OFF_DEFAULT.items():
+        assert value != getattr(defaults, name), name
+    config = SystemConfig(**_OFF_DEFAULT)
+    sim = ConsensusSystem(config)
+
+    cluster = LocalCluster(config)
+    assert (cluster.n, cluster.f, cluster.quorum) == (sim.num_replicas, 2, sim.quorum)
+    assert [replica.config for replica in cluster.replicas] == [config] * cluster.n
+    assert [r.client_pids for r in cluster.replicas] == [r.client_pids for r in sim.replicas]
+    assert len(cluster.clients) == config.num_clients
+    assert [_client_inputs(c) for c in cluster.clients] == [
+        _client_inputs(c) for c in sim.clients
+    ]
+
+    wider = LocalCluster(config, 10)  # 3f+1 <= 10 tolerates f = 3
+    assert [replica.config for replica in wider.replicas] == [replace(config, f=3)] * 10
+    assert [client.pid for client in wider.clients] == [10, 11, 12]
+
+
+def test_health_snapshot_keeps_every_key_netchaos_reads():
+    machine = build_machine("damysus", 0, 4, _FixedClock(), checkpoint_interval=5)
+    sample = health_snapshot(machine, AsyncioRuntime(machine), 1.5, restored=True)
+    assert set(sample) == {
+        "pid", "protocol", "uptime_s", "committed_blocks", "committed_txs", "view",
+        "last_committed_view", "view_lag", "ledger_height", "state_root",
+        "timeouts_fired", "timeout_ms", "checker_view", "checker_phase",
+        "checkpoint_interval", "checkpoint_height", "caught_up_via_checkpoint",
+        "catchup_active", "catchup_retries", "catchup_rounds", "restored_from_seal",
+        "seal_writes", "checkpoint_writes", "restored_checkpoint_height",
+        "dropped_messages", "rejected_connections", "mempool", "faults",
+    }
+    assert sample["restored_from_seal"] is True
+    assert sample["checkpoint_interval"] == 5
+    assert json.loads(json.dumps(sample)) == sample  # plain JSON types only
 
 
 class _FixedClock:

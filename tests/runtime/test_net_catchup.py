@@ -12,9 +12,11 @@ pairwise and against the simulator, closing the cross-runtime digest loop.
 import asyncio
 
 from repro.config import SystemConfig
+from repro.core.block import genesis_block
 from repro.core.executor import fold_state_root
 from repro.runtime.asyncio_net import run_local_cluster
 from repro.runtime.sim import ConsensusSystem
+from tests.conftest import tcp_config
 
 
 def root_at(report, pid, height):
@@ -32,15 +34,11 @@ def late_starter_cluster(**overrides):
     """Four Damysus replicas with checkpointing on; replica 3 starts 2 s late."""
     report = asyncio.run(
         run_local_cluster(
-            "damysus",
+            tcp_config(seed=9, block_size=4, checkpoint_interval=5, **overrides),
             4,
-            seed=9,
-            block_size=4,
-            checkpoint_interval=5,
             start_delay_s={3: 2.0},
             duration_s=90.0,
             target_blocks=40,
-            **overrides,
         )
     )
     # The cluster only stops once *every* replica - the late starter
@@ -89,34 +87,29 @@ def test_cross_runtime_checkpoint_digest_equivalence():
     with checkpointing on, the rolling roots are folds of that chain, so
     any height both runtimes still retain must carry the same root.
     """
-    # The sim side keeps the full log (no compaction) and runs well past
-    # the net frontier, so it can recompute the root at *any* height the
-    # net side reports - including the certified compaction horizon.
+    # Both sides checkpoint every 4 blocks and compact their ledgers; the
+    # sim's monitor still holds replica 0's full execution log, and the
+    # sim runs well past the net frontier, so it can recompute the root
+    # at *any* height the net side reports - including the certified
+    # compaction horizon.
     config = SystemConfig(
-        protocol="damysus", f=1, payload_bytes=64, block_size=8, seed=7
+        protocol="damysus", f=1, payload_bytes=64, block_size=8, seed=7,
+        checkpoint_interval=4,
     )
     system = ConsensusSystem(config)
     system.run_until_views(20, max_time_ms=240_000)
-    sim_ledger = system.replicas[0].ledger
+    sim_chain = [rec.block_hash for rec in system.monitor.executions if rec.replica == 0]
 
-    report = asyncio.run(
-        run_local_cluster(
-            "damysus",
-            system.num_replicas,
-            seed=7,
-            payload_bytes=64,
-            block_size=8,
-            checkpoint_interval=4,
-            duration_s=30.0,
-            target_blocks=6,
-        )
-    )
+    report = asyncio.run(run_local_cluster(config, duration_s=30.0, target_blocks=6))
+    assert report.num_replicas == system.num_replicas
     assert report.base_heights[0] > 0  # the net side really checkpointed
-    assert sim_ledger.height() >= report.heights[0]
+    assert len(sim_chain) >= report.heights[0]
     # The certified horizon root and the tip root both match the sim's
     # full-log fold bit-for-bit.
     for h in (report.base_heights[0], report.heights[0]):
-        sim_root = sim_ledger.state_root_at(h)
+        sim_root = genesis_block().hash
+        for block_hash in sim_chain[:h]:
+            sim_root = fold_state_root(sim_root, block_hash)
         net_root = root_at(report, 0, h)
-        assert sim_root is not None and net_root is not None
+        assert net_root is not None
         assert sim_root.hex() == net_root

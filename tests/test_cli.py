@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, deployment_config, main
+from repro.runtime.resilience.supervisor import ReplicaProcessSpec
+from tests.conftest import tcp_config
 
 
 def test_run_command(capsys):
@@ -204,3 +206,56 @@ def test_chaos_cell_accepts_timeout_knobs(capsys):
     )
     assert code == 0
     assert "0 unsafe, 0 stalled" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["net-bench", "--protocol", "hotstuff", "--n", "3"],
+        ["net-bench", "--timeout-jitter", "1.5"],
+        ["serve", "--pid", "9", "--n", "4"],
+        ["serve", "--pid", "0", "--adversary", "nope"],
+        ["serve", "--pid", "0", "--protocol", "hotstuff", "--n", "3"],
+    ],
+)
+def test_a_bad_deployment_is_one_line_not_a_traceback(argv, capsys):
+    """A ConfigError exits 2 with one stderr line; ``serve`` announces nothing first."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"repro {argv[0]}: ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        tcp_config(),
+        tcp_config(
+            protocol="hotstuff", seed=3, payload_bytes=0, block_size=400, timeout_ms=1_000.0,
+            max_timeout_ms=4_000.0, timeout_jitter=0.1, checkpoint_interval=5,
+        ),
+    ],
+)
+def test_supervisor_argv_round_trips_through_the_cli(config, tmp_path):
+    """A respawn is the same replica: the argv a supervisor writes parses back
+    into the spec's config and seat."""
+    spec = ReplicaProcessSpec(
+        pid=2,
+        config=config,
+        n=4,
+        base_port=5000,
+        adversary="silent",
+        seal_dir=tmp_path / "seal",
+        health_file=tmp_path / "h.json",
+        health_interval_s=0.25,
+        fault_spec=tmp_path / "faults.json",
+    )
+    args = build_parser().parse_args(spec.argv()[3:])
+    assert deployment_config(args) == spec.config
+    assert (args.pid, args.n, args.base_port, args.host, args.adversary) == (
+        2, 4, 5000, "127.0.0.1", "silent"
+    )
+    assert (args.seal_dir, args.health_file, args.health_interval, args.fault_spec) == (
+        str(spec.seal_dir), str(spec.health_file), 0.25, str(spec.fault_spec)
+    )
