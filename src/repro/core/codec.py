@@ -16,8 +16,11 @@ kind, in wire order.  First use compiles every row into a *plan*: each
 run of consecutive fixed-width fields becomes one precompiled
 :class:`struct.Struct` (a single ``pack`` / ``unpack_from`` for the whole
 run), every other field one step, and the encoder and the decoder of a
-type are both derived from the same row, so they cannot drift apart.
-Nothing outside the table knows a message's shape.
+type are both derived from the same row, so they cannot drift apart.  A
+row that is fixed-width throughout, rows nested in it included (a client
+request and its transaction), is one struct, and its plan is generated
+code: one ``pack`` or ``unpack_from`` and one constructor call.  Nothing
+outside the table knows a message's shape.
 
 The same table is the byte format of the seal store's files:
 :func:`encode_record` writes one durable record (a sealed checker
@@ -94,32 +97,19 @@ class Fixed:
     from_wire: Callable[[Any], Any] | None = None
 
     def plan(self) -> Plan:
-        return _run([self], lambda value: value)
+        packer = struct.Struct("<" + self.fmt)
+        pack, unpack_from, size = packer.pack, packer.unpack_from, packer.size
+        to_wire, from_wire = self.to_wire, self.from_wire
 
+        def enc(value: Any, put: Put) -> None:
+            put(pack(value if to_wire is None else to_wire(value)))
 
-def _run(kinds: list[Fixed], get: Callable[[Any], Any]) -> Plan:
-    """One ``struct`` call each way for a run of consecutive fixed-width fields;
-    ``get`` takes their values off the object (a bare value for a single field)."""
-    packer = struct.Struct("<" + "".join(kind.fmt for kind in kinds))
-    pack, unpack_from, size = packer.pack, packer.unpack_from, packer.size
-    single = len(kinds) == 1
-    outs = [(i, kind.to_wire) for i, kind in enumerate(kinds) if kind.to_wire]
-    ins = [(i, kind.from_wire) for i, kind in enumerate(kinds) if kind.from_wire]
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            (value,) = unpack_from(buf, pos)
+            out.append(value if from_wire is None else from_wire(value))
+            return pos + size
 
-    def enc(obj: Any, put: Put) -> None:
-        values = [get(obj)] if single else list(get(obj))
-        for i, convert in outs:
-            values[i] = convert(values[i])
-        put(pack(*values))
-
-    def dec(buf: bytes, pos: int, out: list[Any]) -> int:
-        values = list(unpack_from(buf, pos))
-        for i, convert in ins:
-            values[i] = convert(values[i])
-        out += values
-        return pos + size
-
-    return enc, dec
+        return enc, dec
 
 
 @dataclass(frozen=True)
@@ -152,11 +142,15 @@ class Var:
 
 @dataclass(frozen=True)
 class Seq:
-    """A ``u32`` count, then that many items of one kind; decodes to a tuple."""
+    """A ``u32`` count, then that many items of one kind; decodes to a tuple.
+    Items of a fixed-width row take one generated loop each way."""
 
     item: Kind
 
     def plan(self) -> Plan:
+        head = _head(self.item)
+        if head is not None:
+            return head.seq_plan()
         enc_item, dec_item = _compile(self.item)
 
         def enc(items: Any, put: Put) -> None:
@@ -235,24 +229,10 @@ class OneOf:
 
 @dataclass(frozen=True)
 class Zeros:
-    """Row entry without a value: as many zero bytes as field ``count`` says."""
+    """Last entry of a fixed-width row: as many zero bytes as field ``count``
+    of the row says (a transaction's payload, whose content is abstract)."""
 
     count: str
-
-    def step(self, count_at: int) -> Plan:
-        """``count_at``: where among the row's decoded values the count sits."""
-        get = attrgetter(self.count)
-
-        def enc(obj: Any, put: Put) -> None:
-            put(bytes(get(obj)))
-
-        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
-            pos += out[count_at]
-            if pos > len(buf):
-                raise CodecError(_TRUNCATED)
-            return pos
-
-        return enc, dec
 
 
 @dataclass(frozen=True)
@@ -402,15 +382,232 @@ def wire_table() -> tuple[Layout, ...]:
 # -- the row compiler ----------------------------------------------------------
 
 
+def _layout(cls: type[Any]) -> Layout:
+    for layout in wire_table():
+        if layout.cls is cls:
+            return layout
+    raise CodecError(f"no wire table row for {cls.__name__}")
+
+
 @functools.cache
 def _compile(kind: Kind) -> Plan:
     """The ``(encode, decode)`` plan of a wire kind, built once per kind."""
     if not isinstance(kind, type):
         return kind.plan()
-    for layout in wire_table():
-        if layout.cls is kind:
-            return _compile_row(layout)
-    raise CodecError(f"no wire table row for {kind.__name__}")
+    return _compile_row(_layout(kind))
+
+
+#: A run member: a field's name and its fixed-width kind or row.
+Member = tuple[str, Union[Fixed, "_Head"]]
+
+
+def _fusable(entry: Entry) -> Member | None:
+    """``entry`` as a run member, if its field is fixed-width."""
+    if isinstance(entry, tuple):
+        name, kind = entry
+        if isinstance(kind, Fixed):
+            return name, kind
+        head = _head(kind)
+        if head is not None:
+            return name, head
+    return None
+
+
+@functools.cache
+def _head(kind: Kind) -> _Head | None:
+    """The whole-row plan of ``kind`` if it is a fixed-width row: fixed-width
+    fields and rows only, a zero run (its own or its last row's) at the end."""
+    if not isinstance(kind, type):
+        return None
+    layout = _layout(kind)
+    entries, last = layout.entries, layout.entries[-1]
+    zeros: str | None = None
+    if isinstance(last, Zeros):
+        entries, zeros = entries[:-1], last.count
+    members = [_fusable(entry) for entry in entries]
+    fused = [member for member in members if member is not None]
+    if len(fused) < len(members) or not fused:
+        return None
+    nested_zeros = [isinstance(row, _Head) and row.zeros is not None for _, row in fused]
+    if any(nested_zeros[:-1]) or (zeros is not None and nested_zeros[-1]):
+        return None  # one zero run per row, and only at its end
+    return _Head(layout, fused, zeros)
+
+
+def _order(cls: type[Any], produced: list[str]) -> list[int]:
+    """Where the constructor's arguments sit among ``produced``, the
+    attribute names a row's decoder yields in wire order."""
+    params = [f.name for f in dataclasses.fields(cls) if f.init][: len(produced)]
+    if sorted(params) != sorted(produced):
+        raise TypeError(f"wire table row of {cls.__name__} does not match its constructor")
+    return [produced.index(name) for name in params]
+
+
+class _Run:
+    """Consecutive fixed-width fields of a row, packed and unpacked by one
+    precompiled :class:`struct.Struct`.  In a fixed-width row
+    (:class:`_Head`) the fields of a nested fixed-width row join the struct
+    too, and the row's zero run - its own, or its last nested row's -
+    follows it."""
+
+    def __init__(self, members: list[Member], zeros: str | None = None) -> None:
+        self.members = members
+        #: ``(first value, byte offset)`` of each member inside the struct.
+        self.offsets: list[tuple[int, int]] = []
+        #: Every packed value: its dotted attribute and its kind.
+        self.leaves: list[tuple[str, Fixed]] = []
+        fmt = "<"
+        for name, kind in members:
+            self.offsets.append((len(self.leaves), struct.calcsize(fmt)))
+            if isinstance(kind, Fixed):
+                fmt += kind.fmt
+                self.leaves.append((name, kind))
+            else:
+                fmt += kind.packer.format[1:]
+                self.leaves += [(f"{name}.{path}", leaf) for path, leaf in kind.leaves]
+                if kind.zeros is not None:
+                    zeros = f"{name}.{kind.zeros}"
+        self.packer = struct.Struct(fmt)
+        self.size = self.packer.size
+        #: The dotted attribute whose value is the zero run's length.
+        self.zeros = zeros
+
+    def plan(self) -> Plan:
+        """As one step of a row: the fields' values onto the decoder's list."""
+        enc = _Source()
+        enc.pack(self, "obj", 1)
+        dec = _Source()
+        dec.line(1, f"v = {dec.ref(self.packer.unpack_from)}(buf, pos)")
+        dec.line(1, f"out += ({', '.join(dec.values(self, 0, 0, 1))},)")
+        dec.line(1, f"return pos + {self.size}")
+        return enc.function("encode_run", "obj, put"), dec.function("decode_run", "buf, pos, out")
+
+
+class _Head(_Run):
+    """A fixed-width row compiled whole.  Its decoder is one ``unpack_from``
+    and one constructor call."""
+
+    def __init__(self, layout: Layout, members: list[Member], zeros: str | None) -> None:
+        super().__init__(members, zeros)
+        self.cls = layout.cls
+        self.order = _order(self.cls, [name for name, _ in members])
+
+    def plan(self) -> Plan:
+        name = self.cls.__name__
+        enc = _Source()
+        enc.pack(self, "obj", 1)
+        dec = _Source()
+        obj = dec.build(self, None, 0, 1)
+        dec.line(1, f"out.append({obj})")
+        dec.skip(self, obj, 1, check=True)
+        dec.line(1, "return pos")
+        return (
+            enc.function(f"encode_{name}", "obj, put"),
+            dec.function(f"decode_{name}", "buf, pos, out"),
+        )
+
+    def seq_plan(self) -> Plan:
+        """A ``Seq`` of this row: one loop each way."""
+        name = self.cls.__name__
+        enc = _Source()
+        enc.line(1, f"put({enc.ref(_COUNT.pack)}(len(items)))")
+        enc.line(1, "for obj in items:")
+        enc.pack(self, "obj", 2)
+        dec = _Source()
+        dec.line(1, f"(count,) = {dec.ref(_COUNT.unpack_from)}(buf, pos)")
+        dec.line(1, "pos += 4")
+        dec.line(1, "items = []")
+        dec.line(1, "for _ in range(count):")
+        obj = dec.build(self, None, 0, 2)
+        dec.line(2, f"items.append({obj})")
+        dec.skip(self, obj, 2, check=False)
+        if self.zeros is not None:  # one check for the whole loop
+            dec.line(1, "if pos > len(buf):")
+            dec.line(2, "raise CodecError(TRUNCATED)")
+        dec.line(1, "out.append(tuple(items))")
+        dec.line(1, "return pos")
+        return (
+            enc.function(f"encode_{name}s", "items, put"),
+            dec.function(f"decode_{name}s", "buf, pos, out"),
+        )
+
+
+class _Source:
+    """The Python a hand-written codec would spell out for fixed-width runs,
+    generated from their table rows and compiled once: no call per field,
+    none per nested row.  Names come from the table, never from input."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.scope: dict[str, Any] = {"CodecError": CodecError, "TRUNCATED": _TRUNCATED}
+        self.objects = 0  # names bound to built objects so far
+
+    def ref(self, value: Any) -> str:
+        """The name the generated code reads ``value`` by."""
+        for name, known in self.scope.items():
+            if known is value:
+                return name
+        name = f"_{len(self.scope)}"
+        self.scope[name] = value
+        return name
+
+    def line(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def function(self, name: str, params: str) -> Any:
+        source = f"def {name}({params}):\n" + "\n".join(self.lines)
+        exec(source, self.scope)  # noqa: S102 - source built from the wire table alone
+        return self.scope[name]
+
+    def pack(self, run: _Run, obj: str, indent: int) -> None:
+        """Statements writing ``run``'s bytes for the object named ``obj``."""
+        values = []
+        for path, leaf in run.leaves:
+            value = f"{obj}.{path}"
+            values.append(value if leaf.to_wire is None else f"{self.ref(leaf.to_wire)}({value})")
+        self.line(indent, f"put({self.ref(run.packer.pack)}({', '.join(values)}))")
+        if run.zeros is not None:
+            self.line(indent, f"if {obj}.{run.zeros}:")
+            self.line(indent + 1, f"put(bytes({obj}.{run.zeros}))")
+
+    def build(self, head: _Head, first: int | None, at: int, indent: int) -> str:
+        """Statements binding a new name to the ``head`` object whose bytes
+        start at ``buf[pos + at]``, already unpacked to ``v[first:]``
+        unless ``first`` is ``None``; returns the name."""
+        self.objects += 1
+        obj = f"o{self.objects}"
+        if first is None:
+            start = f"pos + {at}" if at else "pos"
+            self.line(indent, f"v = {self.ref(head.packer.unpack_from)}(buf, {start})")
+            first = 0
+        values = self.values(head, first, at, indent)
+        args = ", ".join(values[i] for i in head.order)
+        self.line(indent, f"{obj} = {self.ref(head.cls)}({args})")
+        return obj
+
+    def values(self, run: _Run, first: int, at: int, indent: int) -> list[str]:
+        """Expressions for ``run``'s member values, unpacked to ``v[first:]``
+        from ``buf[pos + at]``; a nested row is built by statements first."""
+        values = []
+        for (_, kind), (index, offset) in zip(run.members, run.offsets, strict=True):
+            if isinstance(kind, Fixed):
+                value = f"v[{first + index}]"
+                convert = kind.from_wire
+                values.append(value if convert is None else f"{self.ref(convert)}({value})")
+            else:
+                values.append(self.build(kind, first + index, at + offset, indent))
+        return values
+
+    def skip(self, head: _Head, obj: str, indent: int, check: bool) -> None:
+        """Statements moving ``pos`` past the ``head`` object named ``obj``,
+        its zero run included."""
+        if head.zeros is None:
+            self.line(indent, f"pos += {head.size}")
+            return
+        self.line(indent, f"pos += {head.size} + {obj}.{head.zeros}")
+        if check:
+            self.line(indent, "if pos > len(buf):")
+            self.line(indent + 1, "raise CodecError(TRUNCATED)")
 
 
 def _of_attr(name: str, enc: Enc) -> Enc:
@@ -425,16 +622,18 @@ def _of_attr(name: str, enc: Enc) -> Enc:
 
 def _compile_row(layout: Layout) -> Plan:
     """Both directions of one table row."""
+    head = _head(layout.cls)
+    if head is not None:
+        return head.plan()
     cls = layout.cls
     steps: list[Plan] = []
     produced: list[str] = []  # attribute names, in the order the decoder yields them
-    run: list[tuple[str, Fixed]] = []  # the fixed-width fields since the last step
+    run: list[Member] = []  # the fixed-width fields since the last step
 
     def close_run() -> None:
         if run:
-            names = [name for name, _ in run]
-            steps.append(_run([kind for _, kind in run], attrgetter(*names)))
-            produced.extend(names)
+            steps.append(_Run(list(run)).plan())
+            produced.extend(name for name, _ in run)
             run.clear()
 
     for entry in layout.entries:
@@ -443,8 +642,8 @@ def _compile_row(layout: Layout) -> Plan:
             continue
         close_run()
         if isinstance(entry, Zeros):
-            steps.append(entry.step(produced.index(entry.count)))
-        elif isinstance(entry, Either):
+            raise TypeError(f"{cls.__name__}: a zero run must end a fixed-width row")
+        if isinstance(entry, Either):
             steps.append(entry.step())
             produced += [entry.name, entry.other]
         else:
@@ -454,12 +653,7 @@ def _compile_row(layout: Layout) -> Plan:
     close_run()
     enc_steps = [enc_step for enc_step, _ in steps]
     dec_steps = [dec_step for _, dec_step in steps]
-
-    # The decoder yields values in wire order; the constructor wants its own.
-    params = [f.name for f in dataclasses.fields(cls) if f.init][: len(produced)]
-    if sorted(params) != sorted(produced):
-        raise TypeError(f"wire table row of {cls.__name__} does not match its constructor")
-    order = [produced.index(name) for name in params]
+    order = _order(cls, produced)
     reorder = None if order == sorted(order) else itemgetter(*order)
 
     def enc(obj: Any, put: Put) -> None:

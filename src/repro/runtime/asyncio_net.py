@@ -303,8 +303,10 @@ class AsyncioRuntime:
             # moved on), so this keeps recovery traffic - new-views, fresh
             # votes - flowing to a slow peer.
             outbox.frames.popleft()
+        elif not outbox.frames:
+            # The sender sleeps only on an empty outbox: wake it on the first frame.
+            outbox.wake.set()
         outbox.frames.append(frame)
-        outbox.wake.set()
         self.sent_messages += 1
         self.sent_bytes += len(frame)
 

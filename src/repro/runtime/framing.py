@@ -110,22 +110,27 @@ class FrameDecoder:
         """
         if self._poisoned:
             raise FramingError("decoder already rejected this stream")
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         frames: list[bytes] = []
-        while True:
-            if len(self._buffer) < _LEN.size:
-                break
-            (length,) = _LEN.unpack_from(self._buffer, 0)
-            if length > self.max_frame_bytes:
-                self._poisoned = True
-                raise FramingError(
-                    f"peer announced a {length}-byte frame (cap {self.max_frame_bytes})"
-                )
-            end = _LEN.size + length
-            if len(self._buffer) < end:
-                break
-            frames.append(bytes(self._buffer[_LEN.size:end]))
-            del self._buffer[:end]
+        end, pos = len(buffer), 0  # pos: start of the first frame not yet taken
+        try:
+            while end - pos >= _LEN.size:
+                (length,) = _LEN.unpack_from(buffer, pos)
+                if length > self.max_frame_bytes:
+                    self._poisoned = True
+                    raise FramingError(
+                        f"peer announced a {length}-byte frame (cap {self.max_frame_bytes})"
+                    )
+                start = pos + _LEN.size
+                if end - start < length:
+                    break
+                pos = start + length
+                frames.append(bytes(buffer[start:pos]))
+        finally:
+            # The consumed prefix goes once per call, not once per frame.
+            # Frames before a poisoning announcement are consumed all the same.
+            del buffer[:pos]
         return frames
 
     @property

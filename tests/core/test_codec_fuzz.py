@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+from repro.core.block import create_leaf, genesis_block
 from repro.core.codec import (
     I64,
     U8,
@@ -21,8 +22,10 @@ from repro.core.codec import (
     encode_fields,
     encode_message,
 )
+from repro.core.mempool import Transaction
+from repro.core.messages import BlockProposal, ClientRequest
 from repro.runtime.framing import FrameDecoder, encode_frame
-from tests.core.test_codec import ALL_MESSAGES
+from tests.core.test_codec import ALL_MESSAGES, acc, sig, tx
 
 #: Exceptions a hostile frame must never surface.
 FORBIDDEN = (struct.error, IndexError, UnicodeDecodeError, KeyError, ValueError)
@@ -113,3 +116,29 @@ def test_encoder_range_errors_are_codec_errors():
             encode_fields((kind,), (value,))
     with pytest.raises(CodecError):
         encode_fields((U8, U8), (1,))  # a value short
+
+
+# -- fused rows ---------------------------------------------------------------
+
+#: A request is one fused struct plus its zero run; a proposal's
+#: transactions decode in one loop over their fused heads.
+FUSED = [
+    ClientRequest(2, Transaction(2, 7, 16, submitted_at=1.5, fee=42)),
+    BlockProposal(
+        2,
+        create_leaf(genesis_block().hash, 2, (tx(11), tx(12, payload=0), tx(13, payload=5))),
+        acc(),
+        sig(),
+    ),
+]
+
+
+@pytest.mark.parametrize("msg", FUSED, ids=lambda m: type(m).__name__)
+def test_fused_rows_refuse_every_truncation_and_a_trailing_byte(msg):
+    data = encode_message(msg)
+    assert decode_message(data) == msg
+    for cut in range(len(data)):
+        with pytest.raises(CodecError):
+            decode_message(data[:cut])
+    with pytest.raises(CodecError):
+        decode_message(data + b"\x00")

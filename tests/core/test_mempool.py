@@ -1,11 +1,19 @@
 """Tests for transactions and the mempool."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import mempool as mempool_mod
-from repro.core.mempool import TX_METADATA_BYTES, Transaction, payload_digest
-from repro.crypto.hashing import hash_fields
+from repro.core.mempool import (
+    SYNTHETIC_CLIENT_ID,
+    TX_METADATA_BYTES,
+    Transaction,
+    payload_digest,
+)
+from repro.crypto.hashing import hash_fields, sha256
 from repro.mempool.pool import PriorityMempool
+from tests.crypto.test_hashing import spec_encoding
 
 
 def test_tx_wire_size_includes_metadata():
@@ -58,6 +66,22 @@ def test_payload_digest_memo_is_the_hash_beneath_it(count):
     assert payload_digest(txs) == expected  # miss
     assert payload_digest(txs) == expected  # hit, same object
     assert payload_digest(twin) == expected
+
+
+#: Ids the digest must take: the filler's, negatives, zero, and past 64 bits.
+_IDS = st.one_of(
+    st.sampled_from([SYNTHETIC_CLIENT_ID, 0, 2**63 - 1, 2**63, -(2**63) - 1]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@given(rows=st.lists(st.tuples(_IDS, _IDS, st.integers(0, 2**40), _IDS), max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_flat_payload_digest_is_the_nested_hash(rows):
+    txs = tuple(Transaction(c, t, p, submitted_at=0.5, fee=f) for c, t, p, f in rows)
+    nested = tuple(tx.digest_fields() for tx in txs)
+    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs, None)
+    assert payload_digest(txs) == hash_fields(nested) == sha256(spec_encoding(nested))
 
 
 def test_payload_digest_differs_by_fee():

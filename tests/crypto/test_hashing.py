@@ -1,6 +1,8 @@
 """Tests for hashing and canonical field encoding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.hashing import (
     HASH_SIZE,
@@ -69,3 +71,34 @@ def test_hash_block_fields_depends_on_view():
     payload = sha256(b"payload")
     parent = b"\x00" * 32
     assert hash_block_fields(parent, 1, payload) != hash_block_fields(parent, 2, payload)
+
+
+def spec_encoding(value):
+    """The documented encoding, one value at a time and recursively."""
+    if value is None:
+        return b"\x00"
+    if isinstance(value, bool):
+        return b"\x05" + (b"\x01" if value else b"\x00")
+    if isinstance(value, int):
+        raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+        return b"\x01" + len(raw).to_bytes(4, "big") + raw
+    if isinstance(value, bytes):
+        return b"\x02" + len(value).to_bytes(4, "big") + value
+    if isinstance(value, str):
+        return b"\x03" + len(value.encode()).to_bytes(4, "big") + value.encode()
+    return b"\x04" + len(value).to_bytes(4, "big") + b"".join(map(spec_encoding, value))
+
+
+_FIELDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**60, 2**200).map(lambda v: -v)
+    | st.binary(max_size=8) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=20,
+)
+
+
+@given(fields=st.lists(_FIELDS, max_size=5).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_the_flat_pass_writes_the_documented_encoding(fields):
+    assert encode_fields(fields) == spec_encoding(fields)
+    assert hash_fields(fields) == sha256(spec_encoding(fields))

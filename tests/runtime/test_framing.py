@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.runtime.framing import (
+    MAX_FRAME_BYTES,
     FrameDecoder,
     FramingError,
     decode_hello,
@@ -140,11 +141,10 @@ def test_poisoned_decoder_stays_rejected():
 def test_feed_is_linear_in_frames_per_chunk():
     """Ten times the frames in one chunk cost about ten times the time.
 
-    A 64 KiB read of minimal frames holds ~1 700 of them.  ``feed``
-    deletes the consumed prefix once per frame, which reads quadratic and
-    is not: CPython drops a ``bytearray`` prefix by moving its start
-    pointer.  A decoder that did shift its buffer would pay ~100x here;
-    the ceiling is generous (30x) because the box is shared.
+    A 64 KiB read of minimal frames holds ~1 700 of them.  ``feed`` walks
+    their offsets and drops the consumed prefix once per call; a decoder
+    that shifted its buffer once per frame would pay ~100x here.  The
+    ceiling is generous (30x) because the box is shared.
     """
 
     def best_feed_s(count):
@@ -159,6 +159,26 @@ def test_feed_is_linear_in_frames_per_chunk():
         return best
 
     assert best_feed_s(5_000) <= 30 * best_feed_s(500)
+
+
+def test_a_frame_spread_over_many_reads_costs_linear_time():
+    """While a frame is still short a read only appends to the buffer: it
+    is not copied out again per read, which would make a 4 MiB frame in
+    4 KiB reads cost ~100x a 400 KiB one instead of ~10x."""
+
+    def best_feed_s(size):
+        frame = encode_frame(bytes(size))
+        reads = [frame[i : i + 4096] for i in range(0, len(frame), 4096)]
+        best = float("inf")
+        for _ in range(3):
+            decoder = FrameDecoder()
+            started = time.perf_counter()
+            frames = [f for data in reads for f in decoder.feed(data)]
+            best = min(best, time.perf_counter() - started)
+            assert frames == [bytes(size)] and decoder.pending_bytes == 0
+        return best
+
+    assert best_feed_s(MAX_FRAME_BYTES) <= 30 * best_feed_s(MAX_FRAME_BYTES // 10)
 
 
 def test_frames_before_a_poisoning_announcement_are_consumed():
