@@ -4,11 +4,13 @@
 ``tests/core/golden_wire_v2.json`` holds the hex of ``encode_message(m)``
 for every entry of ``tests/core/test_codec.ALL_MESSAGES`` (with the hash
 of every block the message carries), the standalone checkpoint row, the
-seal store's three records (``encode_record`` of ``test_codec.RECORDS``)
-and the ``Step`` row.  The messages and the checkpoint were generated
-before the table-driven codec replaced the hand-written one and are
-committed unchanged: byte equality against them is the argument that two
-builds interoperate.  The records and the step were added later.
+durable records (``encode_record`` of ``test_codec.RECORDS``), the
+``Step`` row and the connection hello's row.  The messages and the
+checkpoint were generated before the table-driven codec replaced the
+hand-written one and are committed unchanged: byte equality against them
+is the argument that two builds interoperate.  The records, the step and
+the hello were added later, each addition leaving every earlier entry
+byte-identical.
 
 Without arguments the file is (re)written; ``--check`` compares what this
 checkout encodes against the committed file and exits 1 on any difference.
@@ -40,6 +42,7 @@ def vectors() -> dict[str, object]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from repro.core.codec import WIRE_VERSION, encode_fields, encode_message, encode_record
     from repro.core.phases import Step
+    from repro.runtime.framing import Hello
     from repro.tee.checkpoint import Checkpoint
     from tests.core.test_codec import ALL_MESSAGES, RECORDS, STEP, checkpoint
 
@@ -60,6 +63,7 @@ def vectors() -> dict[str, object]:
             for record in RECORDS
         ],
         "step": encode_fields((Step,), (STEP,)).hex(),
+        "hello": encode_fields((Hello,), (Hello(3, WIRE_VERSION),)).hex(),
     }
 
 
@@ -71,19 +75,20 @@ def main() -> int:
     current = vectors()
     if not args.check:
         GOLDEN.write_text(json.dumps(current, indent=1) + "\n")
-        print(f"wrote {len(current['messages'])} messages + checkpoint + records to {GOLDEN}")
+        print(f"wrote {len(current['messages'])} messages + checkpoint + records + step + "
+              f"hello to {GOLDEN}")
         return 0
     golden = json.loads(GOLDEN.read_text())
     if golden == current:
         print(f"wire_golden: {len(golden['messages'])} messages + checkpoint + "
-              f"{len(golden['records'])} records + step byte-identical")
+              f"{len(golden['records'])} records + step + hello byte-identical")
         return 0
     for want, got in zip(golden["messages"], current["messages"], strict=False):
         if want != got:
             print(f"wire_golden: message {want['index']} ({want['type']}) differs")
     if len(golden["messages"]) != len(current["messages"]):
         print("wire_golden: catalogue length differs")
-    for key in ("checkpoint", "records", "step", "wire_version"):
+    for key in ("checkpoint", "records", "step", "hello", "wire_version"):
         if golden.get(key) != current[key]:
             print(f"wire_golden: {key} differs")
     return 1

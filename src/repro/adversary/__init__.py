@@ -23,8 +23,8 @@ read TEE-private state, which is exactly the paper's hybrid fault model.
   attacker isolating the next f leaders.
 * :mod:`~repro.adversary.sync_server` - forged checkpoints and block
   suffixes served to catching-up peers.
-* :mod:`~repro.adversary.amnesia` - crash-recovery presenting pre-seal
-  TEE state, expecting :class:`~repro.errors.TEERefusal`.
+* :mod:`~repro.adversary.amnesia` - crash-recovery presenting an older
+  durable record, expecting :class:`~repro.errors.TEERefusal`.
 * :mod:`~repro.adversary.spammer` - min-fee transaction floods against
   the bounded priority mempool.
 * :mod:`~repro.adversary.registry` - every attack addressable by name

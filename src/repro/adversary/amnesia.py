@@ -1,56 +1,51 @@
-"""Crash-recover amnesia: restart presenting pre-seal TEE state.
+"""Crash-recover amnesia: restart from an older durable record.
 
 The classic rollback attack on TEE-backed BFT (the reason TrInc-style
 designs need monotonic counters): crash a replica, then restart it from
-an *older* sealed snapshot, so its Checker forgets certificates it
-already issued and can be driven to equivocate.  The platform's seal
-service models SGX's monotonic counter: every seal bumps a counter the
-host cannot rewind, so presenting a stale - however authentic -
-snapshot raises :class:`~repro.errors.TEERefusal` and the replica
-cannot rejoin with amnesia.
+an *older* record, so its Checker forgets certificates it already issued
+and can be driven to equivocate.  The platform's seal service models
+SGX's monotonic counter: every seal bumps a counter the host cannot
+rewind, so the stale - however authentic - sealed checker in an older
+record raises :class:`~repro.errors.TEERefusal` and the replica cannot
+rejoin with amnesia.
 
-This adversary automates the attempt: it stashes its very first sealed
-snapshot at startup, and on every recovery it first presents that
-pre-crash state.  The refusal is counted (``rollback_refusals``); the
-host then gives up and restores the genuine latest seal, so the replica
-rejoins with full memory - the attack buys nothing but downtime.
+This adversary is the host playing that attack: before its first crash
+it writes a record and keeps it, and before every recovery it puts that
+older record back on its disk.  The refusal is counted
+(``rollback_refusals``); the host then puts the genuine record back, so
+the replica rejoins with full memory - the attack buys nothing but
+downtime.
 """
 
 from __future__ import annotations
 
 from repro.errors import TEERefusal
 from repro.protocols.damysus import DamysusReplica
-from repro.protocols.replica import _OWN_SNAPSHOT
-from repro.tee.sealed import SealedState
 
 
 class AmnesiaDamysusReplica(DamysusReplica):
-    """Presents rolled-back sealed state on every recovery."""
+    """Presents an older durable record on every recovery."""
 
-    DURABLE = ("_stale_seal",)  # the host's copy of the pristine seal
-    WIRING = ("rollback_attempts", "rollback_refusals")
-    _stale_seal: SealedState | None = None
+    WIRING = ("stale_disk", "rollback_attempts", "rollback_refusals")
+    stale_disk = b""  # the older record the host keeps aside
     rollback_attempts = rollback_refusals = 0
 
-    def start(self) -> None:
-        # Seal the pristine checker before doing anything: this is the
-        # "pre-seal state" the host will later try to restart from.
-        self._stale_seal = self.seal_tee_state()
-        super().start()
+    def crash(self) -> None:
+        if not self.crashed and not self.stale_disk:
+            self.stale_disk = self.durable_record()
+        super().crash()
 
-    def recover(self, sealed=_OWN_SNAPSHOT) -> None:
-        if sealed is _OWN_SNAPSHOT and self._stale_seal is not None:
+    def recover(self) -> None:
+        if self.crashed and self.stale_disk:
+            genuine, self.disk = self.disk, self.stale_disk
             self.rollback_attempts += 1
             try:
-                super().recover(sealed=self._stale_seal)
+                super().recover()
             except TEERefusal:
                 self.rollback_refusals += 1
             else:
                 # The seal service accepted a rollback: the defense this
                 # adversary exists to probe is broken.  Surface it hard.
-                raise AssertionError(
-                    "amnesia adversary: stale sealed state was accepted"
-                )
-            # Rollback refused; fall through to an honest restart from
-            # the genuine latest snapshot taken at crash time.
-        super().recover(sealed=sealed)
+                raise AssertionError("amnesia adversary: an older durable record was accepted")
+            self.disk = genuine
+        super().recover()

@@ -16,7 +16,7 @@ Commands:
 * ``serve`` - run one replica on real asyncio TCP sockets (fixed ports);
 * ``net-bench`` - run a localhost TCP cluster and report committed tx/s;
 * ``net-chaos`` - multi-process chaos: plays a named fault plan (SIGKILL
-  + restart from sealed state, a live partition/heal) on OS processes and
+  + restart from the durable record, a live partition/heal) on OS processes and
   gives it a campaign cell's verdict (PASS / UNSAFE / STALLED);
 * ``lint`` - run the AST invariant linter (TEE boundaries, determinism);
 * ``analyze`` - whole-program dataflow analysis (TEE taint tracking,
@@ -216,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="certify a checkpoint every N committed blocks "
                          "(0 = off); must match across the cluster")
     serve_p.add_argument("--seal-dir", default=None, metavar="DIR",
-                         help="persist sealed checker state here; restart "
-                         "restores it (rollback-refusing)")
+                         help="persist the replica's durable record here; "
+                         "restart restores it (rollback-refusing)")
     serve_p.add_argument("--health-file", default=None, metavar="PATH",
                          help="rewrite a JSON liveness snapshot here")
     serve_p.add_argument("--health-interval", type=float, default=0.5,

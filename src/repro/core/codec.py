@@ -22,11 +22,12 @@ request and its transaction), is one struct, and its plan is generated
 code: one ``pack`` or ``unpack_from`` and one constructor call.  Nothing
 outside the table knows a message's shape.
 
-The same table is the byte format of the seal store's files:
-:func:`encode_record` writes one durable record (a sealed checker
-snapshot, the seal-counter record, a certified checkpoint) behind a
-magic, ``WIRE_VERSION`` and a kind byte, and :func:`encode_fields` a bare
-run of kinds (the fields a Checker declares ``SEALED``).
+The same table is the byte format of a connection's hello and of the
+seal store's files: :func:`encode_record` writes one durable record (a
+replica's durable state, the seal-counter record) behind a magic,
+``WIRE_VERSION`` and a kind byte, and :func:`encode_fields` a bare run of
+kinds (the hello, the fields a Checker declares ``SEALED`` or a replica
+``DURABLE``).
 
 Every malformed-input failure surfaces as :class:`CodecError`;
 ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` never escape
@@ -321,12 +322,13 @@ def wire_table() -> tuple[Layout, ...]:
 
     Tags and field order *are* wire version 2 (``tests/core/golden_wire_v2.json``
     pins the bytes).  A function, run once, only because the modules that
-    own seven of its classes import this one."""
+    own ten of its classes import this one."""
     from repro.protocols.chained_damysus import ChainedVote
     from repro.protocols.fast_hotstuff import FastProposal
     from repro.protocols.sync import SyncBlocks, SyncCheckpoint, SyncRequest
+    from repro.runtime.framing import Hello
     from repro.tee.checkpoint import Checkpoint
-    from repro.tee.sealed import SealCounter, SealedState
+    from repro.tee.sealed import DurableState, SealCounter, SealedState
 
     def row(cls: type[Any], tag: int | None, *entries: Entry) -> Layout:
         return Layout(cls, tag, entries)
@@ -352,6 +354,8 @@ def wire_table() -> tuple[Layout, ...]:
         row(SealedState, None, ("component_id", I64), ("seal_counter", I64), ("payload", BYTES),
             ("mac", BYTES)),
         row(SealCounter, None, ("component_id", I64), ("latest", I64)),
+        row(DurableState, None, ("payload", BYTES), ("sealed", Opt(SealedState))),
+        row(Hello, None, ("pid", U32), ("version", U32)),
         row(m.NewViewMsg, 0, view, ("justify", QuorumCert)),
         row(m.NewViewAMsg, 1, view, ("justify", QuorumCert), ("sender_sig", Signature)),
         row(m.ProposalMsg, 2, view, ("block", Block), ("justify", QuorumCert)),
@@ -745,16 +749,16 @@ RECORD_MAGIC = b"DMYS"
 
 def _record_head(cls: type[Any]) -> bytes:
     from repro.tee.checkpoint import Checkpoint
-    from repro.tee.sealed import SealCounter, SealedState
+    from repro.tee.sealed import DurableState, SealCounter, SealedState
 
-    kinds = (SealedState, SealCounter, Checkpoint)  # in kind-byte order
+    kinds = (SealedState, SealCounter, Checkpoint, DurableState)  # in kind-byte order
     if cls not in kinds:
         raise CodecError(f"{cls.__name__} is not a durable record")
     return RECORD_MAGIC + bytes((WIRE_VERSION, kinds.index(cls)))
 
 
 def encode_record(record: Any) -> bytes:
-    """One seal-store file: magic, wire version and kind, then the record's row."""
+    """One durable record: magic, wire version and kind, then the record's row."""
     return _encoded(_record_head(type(record)), _compile(type(record))[0], record)
 
 

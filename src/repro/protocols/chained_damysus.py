@@ -21,6 +21,7 @@ from typing import Any, ClassVar
 from repro.errors import TEERefusal
 from repro.core.block import Block
 from repro.core.certificate import Accumulator, QuorumCert, genesis_qc
+from repro.core.codec import OneOf
 from repro.core.commitment import Commitment, c_combine
 from repro.core.messages import MSG_HEADER_BYTES, ChainedProposal
 from repro.core.phases import Phase
@@ -74,7 +75,7 @@ class ChainedDamysusReplica(BaseReplica):
     # Votes stamped view-1 are still being collected by this view's
     # leader, so prune two views back.
     PRUNE_SLACK = 2
-    DURABLE = ("qc_prep",)
+    DURABLE: ClassVar[dict[str, Any]] = {"qc_prep": OneOf((QuorumCert, Accumulator, Commitment))}
     WIRING = ("acc_service",)
     checker: ChainedChecker
 

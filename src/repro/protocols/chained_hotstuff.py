@@ -40,7 +40,7 @@ class ChainedHotStuffReplica(BaseReplica):
     # Votes stamped view-1 are still being collected by this view's
     # leader, so prune two views back.
     PRUNE_SLACK = 2
-    DURABLE = ("high_qc", "locked_qc")
+    DURABLE: ClassVar[dict[str, Any]] = {"high_qc": QuorumCert, "locked_qc": QuorumCert}
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

@@ -34,7 +34,7 @@ class HotStuffReplica(SignatureVoteReplica):
         ProposalMsg: "_handle_proposal",
     }
     STALE_BLOCK_MSGS = (ProposalMsg,)
-    DURABLE = ("locked_qc",)
+    DURABLE: ClassVar[dict[str, Any]] = {"locked_qc": QuorumCert}
     WIRING = ("threshold",)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:

@@ -10,8 +10,9 @@ leader, chosen deterministically and known to all nodes", Section 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
+from repro.core.codec import F64, I64
 from repro.protocols.state import reset_volatile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,7 +29,7 @@ class Pacemaker:
     """Per-replica view timer with exponential backoff."""
 
     VOLATILE = {"_timer": None}  # a crash disarms it; the backoff survives
-    DURABLE = ("current_timeout_ms", "_view")
+    DURABLE: ClassVar[dict[str, Any]] = {"current_timeout_ms": F64, "_view": I64}
     WIRING = ("process", "base_timeout_ms", "backoff", "on_timeout", "linear_decrease_ms",
               "max_timeout_ms", "jitter_fraction", "rng", "timeouts_fired")
     _timer: "MachineTimer | None"

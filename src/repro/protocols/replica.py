@@ -24,7 +24,8 @@ from repro.crypto.scheme import SignatureScheme
 from repro.core.chain import BlockStore
 from repro.core.block import Block, create_chain, create_leaf
 from repro.core.clock import Clock
-from repro.core.codec import wire_size_of
+from repro.core import codec
+from repro.core.codec import I64, Opt, wire_size_of
 from repro.core.commitment import Commitment
 from repro.core.executor import Ledger, SafetyOracle
 from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict, Transaction
@@ -41,14 +42,11 @@ from repro.protocols.sync import BlockFetch, StateTransfer, ViewSync
 from repro.runtime.effects import Commit
 from repro.runtime.machine import Machine
 from repro.tee.checker import Checker
-from repro.tee.checkpoint import Checkpoint
-from repro.tee.sealed import SealedState, SealManager
+from repro.tee.checkpoint import Checkpoint, verify_checkpoint
+from repro.tee.sealed import DurableState, SealManager
 
 #: Cap on the messages a replica holds back (Byzantine flood guard).
 MAX_BUFFERED_MESSAGES = 10_000
-
-#: Sentinel: ``recover()`` restores the snapshot taken by ``crash()``.
-_OWN_SNAPSHOT = object()
 
 
 class MessageBuffer:
@@ -91,6 +89,21 @@ def _served_by(component: str, handler: Callable[..., None]) -> Callable[..., No
             handler(getattr(replica, component), sender, payload)
 
     return serve
+
+
+@functools.cache
+def durable_fields(cls: type["BaseReplica"]) -> tuple[tuple[str, str, Any], ...]:
+    """``(owner, attribute, wire kind)`` of what a ``cls`` replica's record
+    carries: the ``DURABLE`` declarations of the replica (owner ``""``),
+    its pacemaker and its components, each merged along its MRO."""
+    owners: dict[str, type] = {"": cls, "pacemaker": Pacemaker, **cls.COMPONENTS}
+    fields: list[tuple[str, str, Any]] = []
+    for owner, klass in owners.items():
+        declared: dict[str, Any] = {}
+        for base in reversed(klass.__mro__):
+            declared.update(vars(base).get("DURABLE", {}))
+        fields += [(owner, name, kind) for name, kind in declared.items() if kind is not None]
+    return tuple(fields)
 
 
 class BaseReplica(Machine):
@@ -158,14 +171,18 @@ class BaseReplica(Machine):
     # The seal manager is the platform's rollback-protected seal service
     # (the role SGX delegates to a trusted monotonic counter).
     SEALED: ClassVar[tuple[str, ...]] = ("checker", "seal_manager")
-    DURABLE: ClassVar[tuple[str, ...]] = (
-        "view", "store", "ledger", "latest_checkpoint", "last_committed_view",
-        "_sealed_snapshot",  # what the host's disk kept at the last crash
-    )
+    # By wire kind, as the durable record carries them; the block store and
+    # the ledger (``None``) are the exception: the checkpoint in the record,
+    # then transfer or fetch, rebuild them in a respawned process.
+    DURABLE: ClassVar[dict[str, Any]] = {
+        "view": I64, "store": None, "ledger": None,
+        "latest_checkpoint": Opt(Checkpoint), "last_committed_view": I64,
+    }
     WIRING: ClassVar[tuple[str, ...]] = (
         "config", "costs", "scheme", "directory", "num_replicas", "quorum", "client_pids",
         "replica_pids", "pacemaker", "crash_count", "recovery_count",
         "caught_up_via_checkpoint",
+        "disk",  # the simulated host's disk: the record the last crash wrote
     )
     buffer: MessageBuffer
     last_commit_qc: Commitment | None
@@ -250,7 +267,7 @@ class BaseReplica(Machine):
             ),
         )
         self.seal_manager = SealManager()
-        self._sealed_snapshot: SealedState | None = None
+        self.disk = b""
         self.crash_count = 0
         self.recovery_count = 0
         # What this replica serves and what the durable layer persists.
@@ -275,59 +292,88 @@ class BaseReplica(Machine):
     # -- crash / recovery ------------------------------------------------------
 
     def crash(self) -> None:
-        """Crash-stop: seal TEE state, lose every ``VOLATILE`` attribute, go silent."""
+        """Crash-stop: write the durable record to the host's disk, lose
+        every ``VOLATILE`` attribute, go silent."""
         if self.crashed:
             return
-        self._sealed_snapshot = self.seal_tee_state()
+        self.disk = self.durable_record()
         super().crash()
         self.crash_count += 1
         components = [getattr(self, attr) for attr in self.COMPONENTS]
         for owner in (self, self.pacemaker, *components):
             reset_volatile(owner)
 
-    def recover(self, sealed: "SealedState | None | object" = _OWN_SNAPSHOT) -> None:
-        """Restart this replica from sealed TEE state and rejoin.
+    def recover(self) -> None:
+        """Restart from the record on the host's disk and rejoin.
 
-        ``sealed`` defaults to the snapshot taken by :meth:`crash`; tests
-        and adversaries may present a different (e.g. rolled-back) seal,
-        which the TEE rejects with :class:`~repro.errors.TEERefusal` -
-        the replica then stays crashed.  On success it rejoins at its
-        pacemaker's view and tells every peer where it is
-        (:meth:`ViewSync.announce`).
+        A record :meth:`restore` refuses (a host that put an older one
+        back, say) raises :class:`~repro.errors.TEERefusal` and leaves the
+        replica crashed.  On success it rejoins at its pacemaker's view and
+        tells every peer where it is (:meth:`ViewSync.announce`).
         """
         if not self.crashed:
             return
-        snapshot = self._sealed_snapshot if sealed is _OWN_SNAPSHOT else sealed
-        self.restore_tee_state(snapshot)  # raises TEERefusal on rollback
+        self.restore(self.disk)
         super().recover()
         self.recovery_count += 1
         self.pacemaker.start_view(self.view)
         self.viewsync.announce()
         self.on_recovered()
 
-    def seal_tee_state(self) -> SealedState | None:
-        """Seal the checker's protected state (``None`` without a TEE)."""
-        if self.checker is None:
-            return None
-        return self.seal_manager.seal(self.checker)
+    def durable_payload(self) -> bytes:
+        """The ``DURABLE`` attributes of the replica, its pacemaker and its
+        components, in :func:`durable_fields` order."""
+        fields = durable_fields(type(self))
+        return codec.encode_fields(
+            [kind for _, _, kind in fields],
+            [getattr(getattr(self, owner) if owner else self, name) for owner, name, _ in fields],
+        )
 
-    def restore_tee_state(self, sealed: SealedState | None) -> None:
-        """Rebuild the checker from ``sealed``, refusing rollbacks.
+    def durable_record(self) -> bytes:
+        """What a host keeps across a restart: one :class:`DurableState`
+        record of :meth:`durable_payload` and the sealed checker."""
+        sealed = None if self.checker is None else self.seal_manager.seal(self.checker)
+        return codec.encode_record(DurableState(self.durable_payload(), sealed))
 
-        Without a checker there is nothing to restore: the simulator keeps
-        the ``DURABLE`` certificates (``prepare_qc``...) across a crash, but
-        a respawned ``repro serve`` process restarts from genesis ones.
+    def restore(self, record: bytes) -> None:
+        """Put back what a :meth:`durable_record` kept.
+
+        Refuses, with :class:`~repro.errors.TEERefusal` and nothing
+        assigned, a record that does not decode, that lacks or rolls back
+        the sealed checker, or whose checkpoint is forged or below the
+        checker's certified height.  A ledger short of the checkpoint (a
+        respawned process) is fast-forwarded to it.
         """
-        if self.checker is None:
-            return
-        if sealed is None:
-            raise TEERefusal("recover: host provided no sealed checker state")
-        fresh = self._make_checker()
-        self.seal_manager.unseal_into(fresh, sealed)
-        self.checker = fresh
-        # The checker's step is the trustworthy record of how far this
-        # node got; rejoin no earlier than that view.
-        self.view = max(self.view, self.checker.step.view)
+        fields = durable_fields(type(self))
+        try:
+            state = codec.decode_record(DurableState, record)
+            values = codec.decode_fields([kind for _, _, kind in fields], state.payload)
+        except codec.CodecError as exc:
+            raise TEERefusal(f"restore: the durable record does not decode: {exc}") from exc
+        durable = {(owner, name): value for (owner, name, _), value in zip(fields, values)}
+        checker: Checker | None = None
+        if self.CHECKER is not None:
+            if state.sealed is None:
+                raise TEERefusal("restore: the record holds no sealed checker state")
+            checker = self._make_checker()
+            self.seal_manager.unseal_into(checker, state.sealed)  # refuses rollback
+        checkpoint: Checkpoint | None = durable["", "latest_checkpoint"]
+        if checkpoint is not None:
+            verify_checkpoint(checkpoint, self.scheme, self.directory, self.quorum)
+            if checker is not None and checkpoint.height < checker.checkpoint_height:
+                raise TEERefusal(
+                    f"restore: checkpoint rolled back (height {checkpoint.height} < "
+                    f"certified {checker.checkpoint_height})"
+                )
+        for (owner, name), value in durable.items():
+            setattr(getattr(self, owner) if owner else self, name, value)
+        if checker is not None:
+            self.checker = checker
+            # The checker's step is the trustworthy record of how far this
+            # node got; rejoin no earlier than that view.
+            self.view = max(self.view, checker.step.view)
+        if checkpoint is not None and checkpoint.height > self.ledger.height():
+            self.view = self.catchup.adopt_checkpoint(checkpoint)
 
     def _make_checker(self) -> Checker:
         """A fresh instance of the declared checker flavour."""

@@ -37,7 +37,7 @@ class SignatureVoteReplica(BaseReplica):
     HANDLERS: ClassVar[dict[Any, Any]] = {VoteMsg: "_handle_vote", QCMsg: "_handle_qc"}
     COLLECTORS = ("_new_views", "_votes")
     VIEW_SETS = ("_proposed", "_voted", "_decided")
-    DURABLE = ("prepare_qc",)
+    DURABLE: ClassVar[dict[str, Any]] = {"prepare_qc": QuorumCert}
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

@@ -6,8 +6,9 @@ its starting value (a type is called, a function empties the object in
 place, anything else is the value); ``SEALED`` - the Checker and the
 seal service that keeps its snapshots rollback-proof; ``DURABLE`` - what
 the host keeps across a restart (chain, certificates, checkpoint,
-views); ``WIRING`` - identity, configuration, keys, components, seeded
-streams and run counters.  A replica's ``COLLECTORS`` and ``VIEW_SETS``
+views), by the wire kind its durable record carries it as; ``WIRING`` -
+identity, configuration, keys, components, seeded streams and run
+counters.  A replica's ``COLLECTORS`` and ``VIEW_SETS``
 are volatile and its ``COMPONENTS`` wiring without a second listing.
 :func:`reset_volatile` is the one place a volatile attribute's start is
 written (``docs/architecture.md`` tabulates the declarations).

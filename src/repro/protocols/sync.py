@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.core.block import Block
+from repro.core.codec import I64
 from repro.core.commitment import Commitment
 from repro.core.messages import MSG_HEADER_BYTES, BlockRequest, BlockResponse, ViewAnnounce
 from repro.core.rng import RngStream
@@ -117,7 +118,7 @@ class ViewSync:
         "_last_new_view": None,  # re-sent as stored, never re-signed
         "_resent_in_view": dict,  # the own view each peer was last re-sent it in
     }
-    DURABLE = ("highest_view_seen",)
+    DURABLE: ClassVar[dict[str, Any]] = {"highest_view_seen": I64}
     WIRING = ("replica",)
     _peer_view_claims: dict[int, int]
     _resent_in_view: dict[int, int]

@@ -27,8 +27,9 @@ Resilience hooks (all optional, see :mod:`repro.runtime.resilience`):
   :class:`~repro.core.faults.FaultPlan` to real frames (drop, duplicate,
   delay) with seeded-deterministic decisions;
 * a :class:`~repro.runtime.resilience.durable.DurableSealer` persists
-  sealed checker state before any frame leaves the host, so a SIGKILLed
-  process restarts without ever being able to re-sign a lower step;
+  the replica's durable record before any frame leaves the host, so a
+  SIGKILLed process restarts with its locks and certificates and without
+  ever being able to re-sign a lower step;
 * the runtime's appetite is bounded: per-peer outbound queues of
   :data:`MAX_OUTBOUND_QUEUE` frames that shed their oldest frame (and
   count it) when full, and a :data:`~repro.runtime.framing.MAX_FRAME_BYTES`
@@ -213,10 +214,10 @@ class AsyncioRuntime:
     # -- Runtime interface -------------------------------------------------
 
     def execute(self, effects: list[Effect]) -> None:
-        # Durability before visibility: persist the checker's advanced
-        # (view, phase) step before any frame that depends on it can be
-        # queued, so a SIGKILL at any later instant leaves a seal at
-        # least as high as every signature the cluster may have seen.
+        # Durability before visibility: persist a changed durable record
+        # before any frame that depends on it can be queued, so a SIGKILL
+        # at any later instant leaves a record at least as far along as
+        # every signature the cluster may have seen.
         if self.sealer is not None:
             self.sealer.maybe_seal()
         # One encoding per payload *object* per flush: a broadcast, or a
@@ -785,7 +786,6 @@ def health_snapshot(
         "catchup_rounds": machine.catchup.completed,
         "restored_from_seal": restored,
         "seal_writes": 0 if sealer is None else sealer.seal_writes,
-        "checkpoint_writes": 0 if sealer is None else sealer.checkpoint_writes,
         "restored_checkpoint_height": (
             0 if sealer is None else sealer.restored_checkpoint_height
         ),
@@ -818,8 +818,8 @@ async def serve_replica(
 
     Resilience options:
 
-    * ``seal_dir`` - durable sealed checker state: every step advance is
-      persisted before frames leave, and on start the latest snapshot is
+    * ``seal_dir`` - the replica's durable record: every change is
+      persisted before frames leave, and on start the latest record is
       restored (rollback-refusing).  A process SIGKILLed mid-view can be
       respawned with identical arguments and rejoins safely.
     * ``health_file`` - a :func:`health_snapshot` rewritten atomically
@@ -848,11 +848,10 @@ async def serve_replica(
         try:
             restored = sealer.restore()
         except TEERefusal:
-            _LOG.error("replica %d: sealed state refused (rollback?); not starting", pid)
+            _LOG.error("replica %d: durable record refused (rollback?); not starting", pid)
             raise
         if restored:
-            _LOG.info("replica %d: restored sealed checker state at view %d",
-                      pid, machine.checker.step.view)
+            _LOG.info("replica %d: restored its durable record at view %d", pid, machine.view)
     runtime = AsyncioRuntime(
         machine, host=host, port=base_port + pid, fault_decider=decider, sealer=sealer
     )

@@ -15,8 +15,9 @@ any transport.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
-from repro.core.codec import WIRE_VERSION
+from repro.core.codec import WIRE_VERSION, CodecError, decode_fields, encode_fields
 from repro.errors import ProtocolError
 
 #: Frames above this size are treated as a protocol violation (a byzantine
@@ -46,6 +47,15 @@ def encode_frame(payload: bytes) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
+@dataclass(frozen=True)
+class Hello:
+    """The first frame's row (after :data:`HELLO_MAGIC`): the sender's pid
+    and the codec generation it will speak."""
+
+    pid: int
+    version: int
+
+
 def encode_hello(pid: int) -> bytes:
     """The hello frame a connecting peer sends first: magic + pid + version.
 
@@ -54,7 +64,7 @@ def encode_hello(pid: int) -> bytes:
     generation refuses the connection at the hello instead of misparsing
     consensus frames mid-stream.
     """
-    return encode_frame(HELLO_MAGIC + _LEN.pack(pid) + _LEN.pack(WIRE_VERSION))
+    return encode_frame(HELLO_MAGIC + encode_fields((Hello,), (Hello(pid, WIRE_VERSION),)))
 
 
 def decode_hello(payload: bytes, max_pid: int = MAX_HELLO_PID) -> int:
@@ -66,30 +76,26 @@ def decode_hello(payload: bytes, max_pid: int = MAX_HELLO_PID) -> int:
     mismatched wire versions (including version-1 peers, whose hello
     predates the version word entirely).
     """
-    if len(payload) < len(HELLO_MAGIC) or not payload.startswith(HELLO_MAGIC):
+    if not payload.startswith(HELLO_MAGIC):
         raise FramingError("hello frame has wrong magic")
-    body = len(payload) - len(HELLO_MAGIC)
-    if body < _LEN.size:
-        raise FramingError("hello frame truncated before the sender pid")
-    if body == _LEN.size:
+    body = payload[len(HELLO_MAGIC) :]
+    if len(body) == _LEN.size:
         # The version-1 hello layout: magic + pid, no version word.
         raise FramingError(
             f"peer speaks wire version 1 (pre-version hello); "
             f"this build requires {WIRE_VERSION}"
         )
-    if body < 2 * _LEN.size:
-        raise FramingError("hello frame truncated before the wire version")
-    if body > 2 * _LEN.size:
-        raise FramingError("hello frame carries trailing bytes after the version")
-    pid = int(_LEN.unpack_from(payload, len(HELLO_MAGIC))[0])
-    version = int(_LEN.unpack_from(payload, len(HELLO_MAGIC) + _LEN.size)[0])
-    if version != WIRE_VERSION:
+    try:
+        (hello,) = decode_fields((Hello,), body)
+    except CodecError as exc:
+        raise FramingError(f"hello frame: {exc}") from exc
+    if hello.version != WIRE_VERSION:
         raise FramingError(
-            f"peer speaks wire version {version}; this build requires {WIRE_VERSION}"
+            f"peer speaks wire version {hello.version}; this build requires {WIRE_VERSION}"
         )
-    if pid > max_pid:
-        raise FramingError(f"hello pid {pid} exceeds the bound {max_pid}")
-    return pid
+    if hello.pid > max_pid:
+        raise FramingError(f"hello pid {hello.pid} exceeds the bound {max_pid}")
+    return int(hello.pid)
 
 
 class FrameDecoder:

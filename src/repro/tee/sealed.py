@@ -14,13 +14,17 @@ snapshots are rejected on unseal (rollback protection, as provided by
 SGX's monotonic counters or an external trusted store).  The payload is
 the wire-codec bytes of the fields a Checker declares ``SEALED``.
 
-:class:`FileSealStore` makes sealing *durable*: snapshots and the
-trusted latest-counter record survive a real process death (SIGKILL
-included) via atomic write-temp + fsync + rename, so a replica process
-restarted by :class:`repro.runtime.resilience.supervisor.ReplicaSupervisor`
-resumes from its latest sealed step - and refuses rollback exactly as
-the in-memory path does, even across restarts.  Each file is one
-versioned record (:func:`repro.core.codec.encode_record`).
+A sealed snapshot travels inside a replica's :class:`DurableState`: the
+one record a host keeps across a restart, whatever the protocol (its
+``DURABLE`` attributes, the latest checkpoint among them, and the sealed
+checker if it has one).  :class:`FileSealStore` makes that record
+*durable*: the record and the trusted latest-counter record survive a
+real process death (SIGKILL included) via atomic write-temp + fsync +
+rename, so a replica process restarted by
+:class:`repro.runtime.resilience.supervisor.ReplicaSupervisor` resumes
+from its latest record - and refuses rollback exactly as the simulator's
+crash and recovery do.  Each file is one versioned record
+(:func:`repro.core.codec.encode_record`).
 """
 
 from __future__ import annotations
@@ -31,14 +35,10 @@ import hmac
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, TypeVar
 
 from repro.core import codec
 from repro.errors import TEERefusal
 from repro.tee.checker import Checker
-from repro.tee.checkpoint import Checkpoint
-
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,20 @@ class SealCounter:
 
     component_id: int
     latest: int
+
+
+@dataclass(frozen=True)
+class DurableState:
+    """What a replica's host keeps across a restart, as one record.
+
+    ``payload`` is the wire-codec bytes of the ``DURABLE`` attributes of
+    the replica, its pacemaker and its components
+    (``BaseReplica.durable_record``); ``sealed`` the checker's snapshot,
+    ``None`` for a protocol without one.
+    """
+
+    payload: bytes
+    sealed: SealedState | None
 
 
 def _mac(checker: Checker, counter: int, payload: bytes) -> bytes:
@@ -143,24 +157,33 @@ class SealManager:
         self._latest[checker.component_id] = max(latest, sealed.seal_counter)
 
 
+#: The files older builds left in a seal directory, and what they were.
+_OLDER_LAYOUTS = (
+    ("component-*.json", "the old JSON seal format"),
+    ("component-*.seal", "the three-file seal format"),
+    ("component-*.checkpoint", "the three-file seal format"),
+)
+
+
 class FileSealStore:
-    """Durable sealed snapshots: survive SIGKILL, refuse rollback.
+    """Durable replica records: survive SIGKILL, refuse rollback.
 
-    Three files per component under ``root``, one record each:
+    Two files per replica under ``root``, one record each:
 
-    * ``component-<id>.seal`` - the latest :class:`SealedState`;
-    * ``component-<id>.counter`` - the trusted monotonic-counter record
-      (the role SGX delegates to a counter service).  It is written
-      *after* the snapshot, so a crash between the two writes leaves a
-      counter one behind the snapshot - which still unseals - never a
-      counter ahead of every available snapshot;
-    * ``component-<id>.checkpoint`` - the latest certified checkpoint.
+    * ``replica-<pid>.state`` - the latest :class:`DurableState`;
+    * ``component-<id>.counter`` - its checker's trusted monotonic-counter
+      record (the role SGX delegates to a counter service), for a replica
+      with a checker.  It is written *after* the state, so a crash
+      between the two writes leaves a counter one behind the sealed
+      snapshot - which still unseals - never a counter ahead of every
+      available snapshot.
 
     Every write is atomic: write a temp file in the same directory,
     flush + fsync, then :func:`os.replace` over the target and fsync the
     directory.  A process killed mid-write leaves either the old file or
-    the new one, never a torn half of each.  A record that does not
-    decode, and an old ``.json`` file beside it, are refused - never read
+    the new one, never a torn half of each.  A counter that does not
+    decode, and a directory an older build wrote (``.json`` files, or
+    separate ``.seal`` / ``.checkpoint`` files), are refused - never read
     as "no file", which would cold-start the Checker at step 0.
     """
 
@@ -168,90 +191,57 @@ class FileSealStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # -- paths --------------------------------------------------------------
-
-    def seal_path(self, component_id: int) -> Path:
-        return self.root / f"component-{component_id}.seal"
+    def record_path(self, pid: int) -> Path:
+        return self.root / f"replica-{pid}.state"
 
     def counter_path(self, component_id: int) -> Path:
         return self.root / f"component-{component_id}.counter"
 
-    def checkpoint_path(self, component_id: int) -> Path:
-        return self.root / f"component-{component_id}.checkpoint"
+    def save(self, pid: int, record: bytes) -> None:
+        """Persist ``pid``'s record, then advance its sealed checker's counter."""
+        self._atomic_write(self.record_path(pid), record)
+        sealed = codec.decode_record(DurableState, record).sealed
+        if sealed is not None and sealed.seal_counter > self.load_counter(sealed.component_id):
+            counter = SealCounter(sealed.component_id, sealed.seal_counter)
+            self._atomic_write(self.counter_path(sealed.component_id), codec.encode_record(counter))
 
-    # -- persistence --------------------------------------------------------
+    def load(self, pid: int) -> bytes | None:
+        """``pid``'s latest record, ``None`` if it never wrote one.
 
-    def save(self, sealed: SealedState) -> None:
-        """Persist ``sealed`` and advance the durable counter record."""
-        component = sealed.component_id
-        self._atomic_write(self.seal_path(component), sealed)
-        if sealed.seal_counter > self.load_counter(component):
-            self._atomic_write(
-                self.counter_path(component), SealCounter(component, sealed.seal_counter)
-            )
-
-    def load(self, component_id: int) -> SealedState | None:
-        """Read the latest durable snapshot, or ``None`` if none exists."""
-        return self._read(self.seal_path(component_id), SealedState)
+        The bytes are the replica's to decode and check
+        (``BaseReplica.restore``): durability is not authenticity.
+        """
+        try:
+            return self.record_path(pid).read_bytes()
+        except FileNotFoundError:
+            pass
+        for pattern, layout in _OLDER_LAYOUTS:
+            for legacy in self.root.glob(pattern):
+                raise TEERefusal(f"{legacy} is in {layout}: delete the seal dir")
+        return None
 
     def load_counter(self, component_id: int) -> int:
         """The durable latest-counter record (0 when none was written)."""
         path = self.counter_path(component_id)
-        record = self._read(path, SealCounter) or SealCounter(component_id, 0)
+        try:
+            record = codec.decode_record(SealCounter, path.read_bytes())
+        except FileNotFoundError:
+            return 0
+        except codec.CodecError as exc:
+            raise TEERefusal(f"durable SealCounter record {path} is corrupt: {exc}") from exc
         if record.component_id != component_id or record.latest < 0:
             raise TEERefusal(f"durable SealCounter record {path} is corrupt: {record}")
-        return record.latest
-
-    def save_checkpoint(self, component_id: int, checkpoint: Checkpoint) -> None:
-        """Persist the latest certified checkpoint (atomic, never regresses).
-
-        The checkpoint rides next to the sealed snapshot so a restarted
-        replica resumes from its certified horizon instead of replaying
-        (or re-fetching) the whole chain.  A write for a height at or
-        below the durable one is skipped: the file only ever moves
-        forward, so a crash mid-sequence cannot demote it.
-        """
-        existing = self.load_checkpoint(component_id)
-        if existing is not None and existing.height >= checkpoint.height:
-            return
-        self._atomic_write(self.checkpoint_path(component_id), checkpoint)
-
-    def load_checkpoint(self, component_id: int) -> Checkpoint | None:
-        """Read the durable certified checkpoint, or ``None`` if absent.
-
-        The caller must still verify the Checker signature and the
-        embedded quorum commitment (:func:`repro.tee.checkpoint.
-        verify_checkpoint`) - durability is not authenticity.
-        """
-        return self._read(self.checkpoint_path(component_id), Checkpoint)
+        return int(record.latest)
 
     def prime_manager(self, manager: SealManager, component_id: int) -> None:
         """Prime ``manager`` with the durable counter floor for a component."""
         manager.prime(component_id, self.load_counter(component_id))
 
-    # -- internals ----------------------------------------------------------
-
-    @staticmethod
-    def _read(path: Path, cls: type[R]) -> R | None:
-        """The ``cls`` record in ``path``, ``None`` when there is none."""
-        legacy = path.with_name(path.name + ".json")
-        if legacy.exists():
-            raise TEERefusal(f"{legacy} is in the old JSON seal format: delete the seal dir")
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        try:
-            record: R = codec.decode_record(cls, data)
-        except codec.CodecError as exc:
-            raise TEERefusal(f"durable {cls.__name__} record {path} is corrupt: {exc}") from exc
-        return record
-
-    def _atomic_write(self, path: Path, record: Any) -> None:
+    def _atomic_write(self, path: Path, data: bytes) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            os.write(fd, codec.encode_record(record))
+            os.write(fd, data)
             os.fsync(fd)
         finally:
             os.close(fd)

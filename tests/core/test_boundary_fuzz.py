@@ -2,12 +2,13 @@
 
 A replica reads outside bytes in five places: peer frames
 (``decode_message``), the stream they arrive on (``FrameDecoder.feed``),
-a connection's hello (``decode_hello``), the seal store's three records
-(``decode_record``) and the orchestrator's fault spec
+a connection's hello (``decode_hello``), the seal directory's records
+(``decode_record``: its durable state, with or without a sealed checker,
+and its counter) and the orchestrator's fault spec
 (``FaultPlan.from_rules_spec``).  Each is held to one contract: on any
 input it answers the same way twice, and it either returns or raises its
 boundary's named error - ``CodecError``, ``FramingError`` or
-``ConfigError`` (the seal store turns a ``CodecError`` into a named
+``ConfigError`` (a restart turns a ``CodecError`` into a named
 ``TEERefusal``, ``tests/tee/test_seal_store.py``).  Never ``IndexError``,
 ``UnicodeDecodeError``, ``RecursionError`` or the like.  Hypothesis
 starts from a valid input of each decoder and truncates, splices, flips
@@ -30,7 +31,8 @@ from repro.runtime.framing import (
     encode_frame,
     encode_hello,
 )
-from tests.core.test_codec import ALL_MESSAGES, RECORDS
+from repro.tee.sealed import DurableState
+from tests.core.test_codec import ALL_MESSAGES, RECORDS, durable_state
 
 #: Input that blows a recursive parser's stack.
 DEEP = b"[" * 100_000
@@ -55,6 +57,12 @@ TARGETS = {
         )
         for record in RECORDS
     },
+    # A checker-bearing and a checker-less replica's record.
+    "decode_record[DurableState]": (
+        partial(decode_record, DurableState),
+        [encode_record(durable_state()), encode_record(durable_state(sealed=False))],
+        CodecError,
+    ),
     "decode_hello": (decode_hello, [encode_hello(3)[4:], encode_hello(0)[4:]], FramingError),
     "FrameDecoder.feed": (
         _feed, [b"".join(encode_frame(encode_message(m)) for m in ALL_MESSAGES[:6])], FramingError

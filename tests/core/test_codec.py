@@ -45,7 +45,7 @@ from repro.protocols.chained_damysus import ChainedVote
 from repro.protocols.fast_hotstuff import FastProposal
 from repro.protocols.sync import SyncBlocks, SyncCheckpoint, SyncRequest
 from repro.tee.checkpoint import Checkpoint
-from repro.tee.sealed import SealCounter, SealedState
+from repro.tee.sealed import DurableState, SealCounter, SealedState
 
 
 def sig(signer=3):
@@ -91,8 +91,21 @@ def sealed_state():
                        mac=b"\x06" * 32)
 
 
-#: One of each record the seal store writes, in the order of their kind byte.
-RECORDS = [sealed_state(), SealCounter(component_id=1_000_001, latest=7), checkpoint()]
+def durable_state(sealed=True):
+    """A replica's durable record: its ``DURABLE`` fields (view, latest
+    checkpoint, last committed view; a checker-less one adds its lock) and
+    the sealed checker if it has one."""
+    if sealed:
+        payload = encode_fields((I64, Opt(Checkpoint), I64), (45, checkpoint(), 44))
+        return DurableState(payload, sealed_state())
+    payload = encode_fields((I64, Opt(Checkpoint), I64, QuorumCert), (9, None, 7, qc(8)))
+    return DurableState(payload, None)
+
+
+#: One of each durable record kind, in the order of their kind byte.
+RECORDS = [
+    sealed_state(), SealCounter(component_id=1_000_001, latest=7), checkpoint(), durable_state()
+]
 
 #: A Checker's sealed step.
 STEP = Step(12, Phase.PRECOMMIT)

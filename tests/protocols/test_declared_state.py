@@ -131,8 +131,8 @@ def snapshot(obj, name):
 
 
 #: What ``crash()`` itself writes: the seat's flag, effect buffer and timer
-#: table, the run counter, and the seal the host's disk keeps.
-WRITTEN_BY_CRASH = {"crashed", "_effects", "_timer_fns", "crash_count", "_sealed_snapshot"}
+#: table, the run counter, and the durable record the host's disk keeps.
+WRITTEN_BY_CRASH = {"crashed", "_effects", "_timer_fns", "crash_count", "disk"}
 
 
 def test_a_crash_loses_exactly_the_volatile_state():

@@ -1,26 +1,30 @@
 """Crash-during-checkpoint durability: the seal store never exposes a
-torn or rolled-back checkpoint (satellite of the checkpoint/catch-up PR).
+torn or rolled-back checkpoint.
 
 Same modelling as ``test_durable.py``: real Damysus machines built via
 the socket runtime's ``build_machine``, process death as *discarding*
 the machine object, SIGKILL mid-write as cutting the write short before
-the atomic rename (or between the seal write and the checkpoint write).
+the atomic rename.  The checkpoint travels in the replica's one durable
+record, beside the sealed checker, so no crash can land between the two.
 Certified checkpoints are produced by driving two machines' Checkers to
-a real decide certificate, so every record the tests plant is authentic
-- the attacks here are on the *file system*, not on the signatures.
+a real decide certificate, so every checkpoint the tests plant is
+authentic - the attacks here are on the *file system*, not on the
+signatures.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.core.codec import decode_fields, decode_record, encode_fields, encode_record
 from repro.core.phases import Phase
 from repro.crypto.hashing import hash_fields
 from repro.errors import TEERefusal
+from repro.protocols.replica import durable_fields
 from repro.runtime.asyncio_net import WallClock, build_machine
 from repro.runtime.resilience.durable import DurableSealer
 from repro.tee.accumulator import AccumulatorService
-from repro.tee.sealed import FileSealStore
+from repro.tee.sealed import DurableState, FileSealStore
 
 BLOCK_HASH = b"\x0b" * 32
 
@@ -78,14 +82,26 @@ def certify(machine, helper, height, qc=None):
     return ckpt, qc
 
 
+def with_checkpoint(machine, record, checkpoint):
+    """``record`` with its checkpoint swapped for ``checkpoint``: the host
+    editing the file, the sealed checker left as it was."""
+    state = decode_record(DurableState, record)
+    fields = durable_fields(type(machine))
+    kinds = [kind for _, _, kind in fields]
+    values = decode_fields(kinds, state.payload)
+    values[[name for _, name, _ in fields].index("latest_checkpoint")] = checkpoint
+    return encode_record(replace(state, payload=encode_fields(kinds, values)))
+
+
 def test_checkpoint_persisted_with_the_seal_and_restored(tmp_path):
     store = FileSealStore(tmp_path)
     machine, helper = fresh_machine(0), fresh_machine(1)
     ckpt, _ = certify(machine, helper, 10)
     sealer = DurableSealer(machine, store)
     assert sealer.maybe_seal()
-    assert sealer.checkpoint_writes == 1
-    assert store.checkpoint_path(machine.checker.component_id).exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"component-{machine.checker.component_id}.counter", "replica-0.state"
+    ]
     del machine  # SIGKILL: only the files survive
 
     reborn = fresh_machine(0)
@@ -109,22 +125,26 @@ def test_torn_checkpoint_write_is_invisible(tmp_path, monkeypatch):
 
     store = FileSealStore(tmp_path)
     machine, helper = fresh_machine(0), fresh_machine(1)
-    old, qc = certify(machine, helper, 10)
-    component = machine.checker.component_id
-    store.save_checkpoint(component, old)
+    sealer = DurableSealer(machine, store)
+    _, qc = certify(machine, helper, 10)
+    assert sealer.maybe_seal()
+    old = store.load(0)
 
-    newer, _ = certify(machine, helper, 20, qc)
+    certify(machine, helper, 20, qc)
 
     def killed_mid_write(src, dst):
         raise OSError("simulated SIGKILL before rename")
 
     monkeypatch.setattr(sealed_mod.os, "replace", killed_mid_write)
     with pytest.raises(OSError):
-        store.save_checkpoint(component, newer)
+        sealer.maybe_seal()
     monkeypatch.undo()
-    # The visible record is still the complete old checkpoint - never a
-    # half-written new one.
-    assert store.load_checkpoint(component) == old
+    # The visible record is still the complete old one - never a
+    # half-written new one - and it restores the old checkpoint.
+    assert store.load(0) == old
+    reborn = fresh_machine(0)
+    assert DurableSealer(reborn, store).restore()
+    assert reborn.latest_checkpoint.height == 10
 
 
 def test_truncated_checkpoint_bytes_never_decode(tmp_path):
@@ -133,35 +153,34 @@ def test_truncated_checkpoint_bytes_never_decode(tmp_path):
     store = FileSealStore(tmp_path)
     machine, helper = fresh_machine(0), fresh_machine(1)
     ckpt, _ = certify(machine, helper, 10)
-    component = machine.checker.component_id
-    store.save_checkpoint(component, ckpt)
-    path = store.checkpoint_path(component)
+    DurableSealer(machine, store).maybe_seal()
+    path = store.record_path(0)
     full = path.read_bytes()
-    assert store.load_checkpoint(component) == ckpt
     for cut in range(len(full)):
         path.write_bytes(full[:cut])
-        with pytest.raises(TEERefusal, match="Checkpoint record .* is corrupt"):
-            store.load_checkpoint(component)
+        with pytest.raises(TEERefusal, match="durable record does not decode"):
+            DurableSealer(fresh_machine(0), store).restore()
     path.write_bytes(full)
-    assert store.load_checkpoint(component) == ckpt
+    reborn = fresh_machine(0)
+    assert DurableSealer(reborn, store).restore()
+    assert reborn.latest_checkpoint == ckpt
 
 
 def test_corrupt_encoded_checkpoint_is_refused(tmp_path):
     store = FileSealStore(tmp_path)
     machine, helper = fresh_machine(0), fresh_machine(1)
     ckpt, _ = certify(machine, helper, 10)
-    component = machine.checker.component_id
-    store.save_checkpoint(component, ckpt)
-    path = store.checkpoint_path(component)
+    DurableSealer(machine, store).maybe_seal()
+    path = store.record_path(0)
     data = path.read_bytes()
     # Structurally broken record: the codec cannot finish decoding it.
     path.write_bytes(data[:-4])
-    with pytest.raises(TEERefusal, match="Checkpoint record .* is corrupt"):
-        store.load_checkpoint(component)
-    # Bit-flipped record: decodes, but the Checker signature no longer
-    # covers the payload - a restart refuses it rather than cold-start.
-    path.write_bytes(data[:-4] + b"\x00" * 4)
-    assert store.load_checkpoint(component) != ckpt
+    with pytest.raises(TEERefusal, match="durable record does not decode"):
+        DurableSealer(fresh_machine(0), store).restore()
+    # Bit-flipped checkpoint: decodes, but the Checker signature no longer
+    # covers it - a restart refuses it rather than cold-start.
+    flipped = replace(ckpt, signature=replace(ckpt.signature, data=bytes(len(ckpt.signature.data))))
+    path.write_bytes(with_checkpoint(machine, data, flipped))
     del machine
 
     reborn = fresh_machine(0)
@@ -169,33 +188,20 @@ def test_corrupt_encoded_checkpoint_is_refused(tmp_path):
         DurableSealer(reborn, store).restore()
 
 
-def test_checkpoint_file_never_regresses(tmp_path):
-    store = FileSealStore(tmp_path)
-    machine, helper = fresh_machine(0), fresh_machine(1)
-    old, qc = certify(machine, helper, 10)
-    newer, _ = certify(machine, helper, 20, qc)
-    component = machine.checker.component_id
-    store.save_checkpoint(component, newer)
-    # Writing the older (authentic!) record is a no-op, not a downgrade.
-    store.save_checkpoint(component, old)
-    assert store.load_checkpoint(component) == newer
-
-
 def test_restore_refuses_rolled_back_checkpoint_file(tmp_path):
-    """The sealed monotonic certified height outlives a file rollback."""
+    """The sealed monotonic certified height outlives a checkpoint rollback."""
     store = FileSealStore(tmp_path)
     machine, helper = fresh_machine(0), fresh_machine(1)
     sealer = DurableSealer(machine, store)
-    _, qc = certify(machine, helper, 10)
+    stale, qc = certify(machine, helper, 10)
     assert sealer.maybe_seal()
-    component = machine.checker.component_id
-    stale = store.checkpoint_path(component).read_bytes()
     certify(machine, helper, 20, qc)
-    assert sealer.maybe_seal()  # re-seals: the snapshot now certifies 20
-    assert sealer.checkpoint_writes == 2
-    # Rollback attack: put the height-10 record back (it is authentic
-    # and self-verifies, so only the sealed floor can catch this).
-    store.checkpoint_path(component).write_bytes(stale)
+    assert sealer.maybe_seal()  # a checkpoint advance alone is a new record
+    assert sealer.seal_writes == 2
+    # Rollback attack: put the height-10 checkpoint back into the latest
+    # record (it is authentic and self-verifies, so only the sealed floor
+    # can catch this).
+    store.record_path(0).write_bytes(with_checkpoint(machine, store.load(0), stale))
     del machine
 
     reborn = fresh_machine(0)
@@ -203,49 +209,15 @@ def test_restore_refuses_rolled_back_checkpoint_file(tmp_path):
         DurableSealer(reborn, store).restore()
 
 
-def test_sigkill_between_seal_and_checkpoint_write(tmp_path, monkeypatch):
-    """Crash after the seal landed but before the checkpoint write: the
-    restart holds the certified floor with no checkpoint file - it must
-    come up clean (and catch up over the network) rather than brick or
-    re-certify below the floor."""
-    store = FileSealStore(tmp_path)
-    machine, helper = fresh_machine(0), fresh_machine(1)
-    sealer = DurableSealer(machine, store)
-    _, qc = certify(machine, helper, 10)
-    monkeypatch.setattr(
-        FileSealStore,
-        "save_checkpoint",
-        lambda self, component_id, checkpoint: (_ for _ in ()).throw(
-            OSError("simulated SIGKILL before checkpoint write")
-        ),
-    )
-    with pytest.raises(OSError):
-        sealer.maybe_seal()
-    monkeypatch.undo()
-    assert not store.checkpoint_path(machine.checker.component_id).exists()
-    del machine
-
-    reborn = fresh_machine(0)
-    assert DurableSealer(reborn, store).restore()
-    assert reborn.latest_checkpoint is None
-    assert reborn.ledger.height() == 0
-    assert reborn.checker.checkpoint_height == 10
-    with pytest.raises(TEERefusal):
-        # Re-certifying below the restored floor: a from-genesis suffix no
-        # longer chains from the sealed certified tip.
-        reborn.checker.tee_checkpoint(
-            chain_headers(reborn.store.genesis.hash, 5), qc
-        )
-
-
 def test_forged_checkpoint_file_is_refused_on_restore(tmp_path):
-    """A planted record signed under a different deployment's keys."""
+    """A planted checkpoint whose certified payload was tampered with."""
     store = FileSealStore(tmp_path)
     machine, helper = fresh_machine(0), fresh_machine(1)
     ckpt, _ = certify(machine, helper, 10)
-    component = machine.checker.component_id
+    DurableSealer(machine, store).maybe_seal()
     # Tamper with the certified payload: signature no longer covers it.
-    store.save_checkpoint(component, replace(ckpt, height=11))
+    forged = replace(ckpt, height=11)
+    store.record_path(0).write_bytes(with_checkpoint(machine, store.load(0), forged))
     del machine
 
     reborn = fresh_machine(0)

@@ -4,29 +4,41 @@ In-process counterparts of the ``repro net-chaos`` scenario: real
 asyncio TCP sockets on ephemeral localhost ports, with process death
 modelled by closing a runtime and discarding its machine (volatile
 state gone - only the :class:`FileSealStore` files survive, as under
-SIGKILL).
+SIGKILL).  A respawned replica restores its durable record whatever the
+protocol, with or without a checker.
 """
 
 import asyncio
 
 from repro.core.faults import FaultPlan
 from repro.runtime import asyncio_net
-from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, _Outbox, build_machine
+from repro.runtime.asyncio_net import (
+    AsyncioRuntime,
+    WallClock,
+    _Outbox,
+    build_machine,
+    health_snapshot,
+)
 from repro.runtime.framing import MAX_FRAME_BYTES, encode_frame
 from repro.runtime.resilience.durable import DurableSealer
 from repro.runtime.resilience.transport import FaultDecider
 from repro.tee.sealed import FileSealStore
 
 
-async def start_cluster(n=4, seed=21, stores=None, deciders=None, timeout_ms=500.0):
+def small_machine(pid, n=4, seed=21, timeout_ms=500.0, clock=None, protocol="damysus"):
+    return build_machine(
+        protocol, pid, n, clock or WallClock(), seed=seed, timeout_ms=timeout_ms,
+        payload_bytes=16, block_size=4,
+    )
+
+
+async def start_cluster(n=4, seed=21, stores=None, deciders=None, timeout_ms=500.0,
+                        protocol="damysus"):
     """Boot an n-replica cluster on ephemeral ports; returns the runtimes."""
     clock = WallClock()
     runtimes = []
     for pid in range(n):
-        machine = build_machine(
-            "damysus", pid, n, clock, seed=seed, timeout_ms=timeout_ms,
-            payload_bytes=16, block_size=4,
-        )
+        machine = small_machine(pid, n, seed, timeout_ms, clock, protocol)
         sealer = None
         if stores is not None:
             sealer = DurableSealer(machine, stores[pid])
@@ -79,11 +91,7 @@ def test_crash_restart_resumes_from_durable_seal(tmp_path):
         assert await wait_commits(runtimes[:3], target)
 
         # Restart from the durable seal, same port, fresh everything else.
-        clock = WallClock()
-        machine = build_machine(
-            "damysus", 3, 4, clock, seed=21, timeout_ms=500.0,
-            payload_bytes=16, block_size=4,
-        )
+        machine = small_machine(3)
         sealer = DurableSealer(machine, stores[3])
         assert sealer.restore()
         assert machine.checker.step.view >= sealed_view  # no rollback
@@ -95,6 +103,39 @@ def test_crash_restart_resumes_from_durable_seal(tmp_path):
 
         try:
             assert await wait_commits([reborn], 1)
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_killed_hotstuff_replica_respawns_with_its_certificates(tmp_path):
+    """A protocol without a checker keeps its lock over TCP too: a
+    HotStuff replica killed after it locked comes back from its seal
+    directory with its pre-kill ``locked_qc`` and ``prepare_qc``, says so
+    in its health sample, and commits again."""
+
+    async def scenario():
+        stores = [FileSealStore(tmp_path / f"seal-{pid}") for pid in range(4)]
+        runtimes, addresses = await start_cluster(stores=stores, protocol="hotstuff")
+        try:
+            assert await wait_commits(runtimes, 3)
+            victim = runtimes[3]
+            await victim.close()  # death: only the seal directory survives
+            killed = victim.machine
+            assert killed.locked_qc.view > 0  # it had locked
+            reborn = small_machine(3, protocol="hotstuff")
+            sealer = DurableSealer(reborn, stores[3])
+            restored = sealer.restore()
+            assert (reborn.locked_qc, reborn.prepare_qc) == (killed.locked_qc, killed.prepare_qc)
+            runtimes[3] = AsyncioRuntime(reborn, port=victim.port, sealer=sealer)
+            health = health_snapshot(reborn, runtimes[3], 0.0, restored)
+            assert health["restored_from_seal"] is True
+            await runtimes[3].start_server()
+            runtimes[3].set_peers(addresses)
+            runtimes[3].start_machine()
+            assert await wait_commits([runtimes[3]], 1)
         finally:
             for runtime in runtimes:
                 await runtime.close()

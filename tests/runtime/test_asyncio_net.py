@@ -209,7 +209,7 @@ def test_health_snapshot_keeps_every_key_netchaos_reads():
         "timeouts_fired", "timeout_ms", "checker_view", "checker_phase",
         "checkpoint_interval", "checkpoint_height", "caught_up_via_checkpoint",
         "catchup_active", "catchup_retries", "catchup_rounds", "restored_from_seal",
-        "seal_writes", "checkpoint_writes", "restored_checkpoint_height",
+        "seal_writes", "restored_checkpoint_height",
         "dropped_messages", "rejected_connections", "mempool", "faults",
     }
     assert sample["restored_from_seal"] is True
