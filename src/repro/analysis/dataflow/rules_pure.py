@@ -45,7 +45,7 @@ from repro.analysis.dataflow.graph import (
 from repro.analysis.engine import class_attr_values, dotted_name
 
 #: Entry points every Machine exposes; classes extend via ENTRY_POINTS.
-_DEFAULT_ENTRY_POINTS = {"start", "on_message", "on_timer", "crash", "recover"}
+_DEFAULT_ENTRY_POINTS = {"start", "on_message", "on_messages", "on_timer", "crash", "recover"}
 
 #: Class attributes whose string constants name entry points: the
 #: explicit list, and the handler tables ``dispatch`` / ``on_message``

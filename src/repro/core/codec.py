@@ -440,8 +440,13 @@ def _head(kind: Kind) -> _Head | None:
 
 def _order(cls: type[Any], produced: list[str]) -> list[int]:
     """Where the constructor's arguments sit among ``produced``, the
-    attribute names a row's decoder yields in wire order."""
-    params = [f.name for f in dataclasses.fields(cls) if f.init][: len(produced)]
+    attribute names a row's decoder yields in wire order.  A tuple record
+    takes every one of its fields from the wire; a dataclass may leave
+    trailing ones to their defaults."""
+    if issubclass(cls, tuple):
+        params = list(cls._fields)
+    else:
+        params = [f.name for f in dataclasses.fields(cls) if f.init][: len(produced)]
     if sorted(params) != sorted(produced):
         raise TypeError(f"wire table row of {cls.__name__} does not match its constructor")
     return [produced.index(name) for name in params]
@@ -489,7 +494,10 @@ class _Run:
 
 class _Head(_Run):
     """A fixed-width row compiled whole.  Its decoder is one ``unpack_from``
-    and one constructor call."""
+    and one constructor call per object: ``cls(...)`` for a dataclass, and
+    for a tuple record (``Transaction``, ``ClientRequest``, ``ClientReply``:
+    the rows built once per transaction per hop) one C call,
+    ``tuple.__new__(cls, (...))``, that runs no Python ``__new__``."""
 
     def __init__(self, layout: Layout, members: list[Member], zeros: str | None) -> None:
         super().__init__(members, zeros)
@@ -586,7 +594,11 @@ class _Source:
             first = 0
         values = self.values(head, first, at, indent)
         args = ", ".join(values[i] for i in head.order)
-        self.line(indent, f"{obj} = {self.ref(head.cls)}({args})")
+        if issubclass(head.cls, tuple):
+            new = self.ref(tuple.__new__)
+            self.line(indent, f"{obj} = {new}({self.ref(head.cls)}, ({args},))")
+        else:
+            self.line(indent, f"{obj} = {self.ref(head.cls)}({args})")
         return obj
 
     def values(self, run: _Run, first: int, at: int, indent: int) -> list[str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.crypto.hashing import Hash, hash_fields
 
@@ -45,13 +45,16 @@ class AdmissionVerdict(enum.Enum):
     DUPLICATE = "duplicate"
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(NamedTuple):
     """A client transaction; payload content is abstracted to its size.
 
     ``fee`` is the client-declared priority: the pool drains higher fees
     first and evicts lower fees first, and a fee of zero (the default,
     and the only value the paper's workloads use) degenerates to FIFO.
+
+    An immutable tuple record, not a dataclass: it is built once per
+    transaction per hop, and the codec builds a decoded one with a single
+    ``tuple.__new__`` (see ``docs/architecture.md``, "The wire path").
     """
 
     client_id: int

@@ -10,6 +10,7 @@ link.  ``msg_type`` labels feed the monitor's per-type counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import SIGNATURE_WIRE_SIZE, Signature
@@ -234,14 +235,20 @@ class BlockResponse:
         return MSG_HEADER_BYTES + self.block.wire_size()
 
 
-@dataclass(frozen=True, slots=True)
-class ClientRequest:
-    """A client transaction submission."""
+class ClientRequest(NamedTuple):
+    """A client transaction submission.
+
+    This and :class:`ClientReply` are tuple records like
+    :class:`~repro.core.mempool.Transaction`: they travel once per
+    transaction, where every other message travels once per block.
+    """
 
     client_id: int
     tx: Transaction
 
-    msg_type = "client-request"
+    @property
+    def msg_type(self) -> str:
+        return "client-request"
 
     @property
     def view(self) -> None:
@@ -251,8 +258,7 @@ class ClientRequest:
         return MSG_HEADER_BYTES + self.tx.wire_size()
 
 
-@dataclass(frozen=True, slots=True)
-class ClientReply:
+class ClientReply(NamedTuple):
     """A replica's reply to a client transaction.
 
     Carries the admission verdict: ``ACCEPTED`` replies are sent at
@@ -267,7 +273,9 @@ class ClientReply:
     executed_at: float
     verdict: AdmissionVerdict = AdmissionVerdict.ACCEPTED
 
-    msg_type = "client-reply"
+    @property
+    def msg_type(self) -> str:
+        return "client-reply"
 
     @property
     def view(self) -> None:

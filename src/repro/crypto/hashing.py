@@ -42,7 +42,13 @@ def encode_fields(fields: tuple[Any, ...] | list[Any]) -> bytes:
     length-prefixed so the encoding is injective.  One flat pass: nested
     sequences are written into the same buffer, and integers - all a
     block's payload digest holds - without a call of their own.
+
+    A sequence is exactly a ``tuple`` or a ``list``.  A tuple *record*
+    (a ``NamedTuple`` such as a transaction) is a ``TypeError`` like any
+    other object, never silently hashed as the list of its fields.
     """
+    if type(fields) is not tuple and type(fields) is not list:
+        raise TypeError(f"cannot canonically encode {type(fields).__name__}")
     parts: list[bytes] = []
     _put_seq(parts.append, fields)
     return b"".join(parts)
@@ -76,7 +82,7 @@ def _put_seq(put: Callable[[bytes], object], values: tuple[Any, ...] | list[Any]
             # unsigned bytes are its signed ones (and cost half as much).
             signed = value < 0
             put(value.to_bytes(size, "big", signed=True) if signed else value.to_bytes(size, "big"))
-        elif isinstance(value, (tuple, list)):
+        elif type(value) is tuple or type(value) is list:
             _put_seq(put, value)
         else:
             put(_encode_one(value))

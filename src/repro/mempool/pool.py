@@ -286,13 +286,9 @@ class PriorityMempool:
             while len(batch) < self.block_size and not (
                 self.max_block_bytes and batch and used + synth_size > self.max_block_bytes
             ):
+                # Positional: a tuple record's keyword form costs twice as much.
                 batch.append(
-                    Transaction(
-                        client_id=SYNTHETIC_CLIENT_ID,
-                        tx_id=next(self._synth),
-                        payload_bytes=self.payload_bytes,
-                        submitted_at=now,
-                    )
+                    Transaction(SYNTHETIC_CLIENT_ID, next(self._synth), self.payload_bytes, now)
                 )
                 used += synth_size
         self.watermark.update(self._fill())

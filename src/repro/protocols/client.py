@@ -134,13 +134,7 @@ class Client(Machine):
         fee = 0
         if self.max_fee and self.rng is not None:
             fee = self.rng.randint(0, self.max_fee)
-        return Transaction(
-            client_id=self.client_id,
-            tx_id=tx_id,
-            payload_bytes=payload,
-            submitted_at=self.now,
-            fee=fee,
-        )
+        return Transaction(self.client_id, tx_id, payload, self.now, fee)
 
     def _submit_next(self) -> None:
         if self.crashed:

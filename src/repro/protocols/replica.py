@@ -557,7 +557,7 @@ class BaseReplica(Machine):
         if verdict is AdmissionVerdict.DUPLICATE and tx.key in self.ledger.applied:
             verdict = AdmissionVerdict.ACCEPTED
         if pid is not None:
-            self._reply(pid, tx, verdict)
+            self._reply(pid, tx, verdict, self.now)
 
     def submit(self, tx: Transaction) -> None:
         """Queue an in-process command (an application's), without admission
@@ -566,17 +566,9 @@ class BaseReplica(Machine):
         if self.parked is not None and self.mempool.pending():
             self.parked.wake()
 
-    def _reply(self, pid: int, tx: Transaction, verdict: AdmissionVerdict) -> None:
-        self.send_charged(
-            pid,
-            ClientReply(
-                replica=self.pid,
-                client_id=tx.client_id,
-                tx_id=tx.tx_id,
-                executed_at=self.now,
-                verdict=verdict,
-            ),
-        )
+    def _reply(self, pid: int, tx: Transaction, verdict: AdmissionVerdict, at: float) -> None:
+        # Positional: a tuple record's keyword form costs twice as much.
+        self.send_charged(pid, ClientReply(self.pid, tx.client_id, tx.tx_id, at, verdict))
 
     def on_stale(self, sender: int, payload: Any) -> None:
         """A message from a view this replica already left: keep its block."""
@@ -650,10 +642,13 @@ class BaseReplica(Machine):
 
         If an ancestor's body is missing (a Byzantine leader can commit a
         block without delivering it everywhere), the execution is parked
-        and the missing blocks are fetched from peers.
+        and the missing blocks are fetched from peers.  The clock is read
+        once: every reply to the blocks executed here carries the same
+        commit timestamp, the ledger's.
         """
+        now = self.now
         try:
-            newly = self.ledger.execute(block, self.now, view)
+            newly = self.ledger.execute(block, now, view)
         except MissingBlockError:
             self.fetch.park_execution(block, view)
             return []
@@ -666,7 +661,7 @@ class BaseReplica(Machine):
                 for tx in self.ledger.applied_transactions(executed):
                     pid = self.client_pids.get(tx.client_id)
                     if pid is not None:
-                        self._reply(pid, tx, AdmissionVerdict.ACCEPTED)
+                        self._reply(pid, tx, AdmissionVerdict.ACCEPTED, now)
             self._emit(Commit(executed, view))
         if newly:
             self.last_committed_view = max(self.last_committed_view, view)

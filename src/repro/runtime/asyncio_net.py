@@ -402,19 +402,24 @@ class AsyncioRuntime:
                 data = await reader.read(_RECV_CHUNK)
                 if not data:
                     break
-                for frame in decoder.feed(data):
-                    if sender is None:
-                        sender = decode_hello(frame)
-                        continue
-                    if not self._machine_started:
-                        # The process is up (socket bound) but the machine
-                        # has not been started yet - a deliberately held-
-                        # back replica.  Dropping mirrors a dark process:
-                        # consensus retransmits cover the loss.
-                        self.dropped_messages += 1
-                        continue
-                    payload = decode_message(frame)
-                    self.machine.on_message(sender, payload)
+                frames = decoder.feed(data)
+                if sender is None and frames:
+                    sender = decode_hello(frames.pop(0))
+                if not frames:
+                    continue
+                if not self._machine_started:
+                    # The process is up (socket bound) but the machine has
+                    # not been started yet - a deliberately held-back
+                    # replica.  Dropping mirrors a dark process: consensus
+                    # retransmits cover the loss.
+                    self.dropped_messages += len(frames)
+                    continue
+                # The frames of one read are one entry: one flush of their
+                # effects.  Each is decoded as the machine reaches it, so a
+                # decoded message lives no longer than it did with a flush
+                # per frame, and a malformed one raises only after the
+                # frames before it were handled (and their effects flushed).
+                self.machine.on_messages(sender, map(decode_message, frames))
         except (FramingError, CodecError) as exc:
             # Malformed peer stream: disconnect, never buffer or guess.
             self.rejected_connections += 1

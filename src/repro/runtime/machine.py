@@ -4,10 +4,10 @@ A :class:`Machine` is a pure state machine with an identity and an
 injected :class:`~repro.core.clock.Clock`.  Its handlers never perform
 I/O; helper methods (``send``, ``broadcast``, ``set_timer``, ``charge``)
 append :mod:`~repro.runtime.effects` to an ordered buffer, and when the
-outermost *entry point* (``on_message``, ``on_timer``, ``start``,
-``crash``, ``recover``...) returns, the buffered effects are handed - in
-emission order - to the attached :class:`~repro.runtime.effects.Runtime`
-and also returned to the caller.
+outermost *entry point* (``on_message``, ``on_messages``, ``on_timer``,
+``start``, ``crash``, ``recover``...) returns, the buffered effects are
+handed - in emission order - to the attached
+:class:`~repro.runtime.effects.Runtime` and also returned to the caller.
 
 Emission order is load-bearing: the simulator runtime replays the effect
 list inside the same simulator event that invoked the handler, so the
@@ -24,6 +24,7 @@ each effect immediately, which preserves the old imperative behaviour.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from typing import Any, Callable, ClassVar
 
 from repro.core.clock import Clock
@@ -40,7 +41,7 @@ from repro.runtime.effects import (
 #: Entry points whose wrapper returns the flushed effect list (the pure
 #: ``handler(input) -> list[Effect]`` shape); the rest keep their own
 #: return value so internal callers (and tests) see normal results.
-_RETURNS_EFFECTS = ("on_message", "on_timer")
+_RETURNS_EFFECTS = ("on_message", "on_messages", "on_timer")
 
 
 def _wrap_entry(fn: Callable[..., Any], returns_effects: bool) -> Callable[..., Any]:
@@ -93,7 +94,9 @@ class Machine:
     """Base class for sans-I/O actors (replicas, clients, adversaries)."""
 
     #: Methods wrapped as entry points on every subclass.
-    ENTRY_POINTS: tuple[str, ...] = ("start", "on_message", "on_timer", "crash", "recover")
+    ENTRY_POINTS: tuple[str, ...] = (
+        "start", "on_message", "on_messages", "on_timer", "crash", "recover"
+    )
     #: Messages served by their type alone: message class to the name of
     #: the ``(sender, payload)`` method that handles it.  Resolved once per
     #: class into ``_service``, where an ``on_message`` looks up the
@@ -199,6 +202,14 @@ class Machine:
         """Handle an incoming message.  Subclasses override."""
         raise NotImplementedError
 
+    def on_messages(self, sender: int, payloads: Iterable[Any]) -> None:
+        """Handle ``payloads`` from ``sender`` in order, one ``on_message``
+        each, as one entry: their effects flush once, when the last returns
+        (or when taking the next payload raises).  A socket host hands over
+        every frame one read completed, decoded as each is reached."""
+        for payload in payloads:
+            self.on_message(sender, payload)
+
     # -- timers ------------------------------------------------------------
 
     def set_timer(self, delay_ms: float, fn: Callable[[], None]) -> MachineTimer:
@@ -218,6 +229,6 @@ class Machine:
 
 # ``Machine`` itself is not covered by ``__init_subclass__``; wrap its own
 # effect-emitting entry points in place.
-for _name in ("on_timer", "crash", "recover"):
+for _name in ("on_messages", "on_timer", "crash", "recover"):
     setattr(Machine, _name, _wrap_entry(Machine.__dict__[_name], _name in _RETURNS_EFFECTS))
 del _name

@@ -1,11 +1,15 @@
 """Tests for wire messages and byte accounting."""
 
+import pytest
+
+from repro.core.codec import decode_fields, decode_message, encode_fields, encode_message
 from repro.crypto.scheme import Signature
 from repro.core.block import create_leaf, genesis_block
 from repro.core.certificate import QuorumCert, genesis_qc
 from repro.core.commitment import Commitment
-from repro.core.mempool import Transaction
+from repro.core.mempool import TX_METADATA_BYTES, AdmissionVerdict, Transaction
 from repro.core.messages import (
+    MSG_HEADER_BYTES,
     BlockProposal,
     ChainedProposal,
     ClientReply,
@@ -91,3 +95,47 @@ def test_block_proposal_counts_optional_fields():
     without = BlockProposal(1, block(), None, sig())
     with_j = BlockProposal(1, block(), None, sig(), justify_commitment=phi)
     assert with_j.wire_size() - without.wire_size() == phi.wire_size()
+
+
+# -- the three tuple records ---------------------------------------------------
+
+TX = Transaction(3, 11, 256, 5.0, 7)
+RECORDS = (TX, ClientRequest(3, TX), ClientReply(1, 3, 11, 9.5, AdmissionVerdict.POOL_FULL))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        record.client_id = 99
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no __dict__ to grow one in
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_survive_the_wire_equal_and_with_equal_hashes(record):
+    if isinstance(record, Transaction):
+        (back,) = decode_fields((Transaction,), encode_fields((Transaction,), (record,)))
+    else:
+        back = decode_message(encode_message(record))
+    assert type(back) is type(record)
+    assert back == record and hash(back) == hash(record)
+    assert back is not record
+
+
+def test_record_labels_views_and_sizes_are_unchanged():
+    request, reply = RECORDS[1], RECORDS[2]
+    assert (request.msg_type, reply.msg_type) == ("client-request", "client-reply")
+    assert request.view is None and reply.view is None
+    assert request.wire_size() == MSG_HEADER_BYTES + 256 + TX_METADATA_BYTES
+    assert reply.wire_size() == MSG_HEADER_BYTES + 13
+    assert TX.wire_size() == 256 + TX_METADATA_BYTES
+    # ``msg_type`` is a property, never a field: the wire row and the tuple
+    # carry exactly the declared fields.
+    assert ClientRequest._fields == ("client_id", "tx")
+    assert ClientReply._fields == ("replica", "client_id", "tx_id", "executed_at", "verdict")
+
+
+def test_record_hash_is_the_hash_of_its_fields():
+    # What a frozen dataclass hashed, so set and dict order cannot move.
+    assert hash(TX) == hash((3, 11, 256, 5.0, 7))
+    assert {TX: 1}[Transaction(3, 11, 256, 5.0, 7)] == 1

@@ -8,6 +8,8 @@
   added to it later, every earlier entry byte-identical.
 * Ranges: an integer that does not fit its field is a ``CodecError``
   whichever fused ``struct`` call it lands in, never a ``struct.error``.
+  A row object is a dataclass or a tuple record; the walker that finds a
+  field's carrier treats both as rows and a plain tuple as a sequence.
 """
 
 import dataclasses
@@ -143,12 +145,31 @@ def _integer_fields():
 INTEGER_FIELDS = list(_integer_fields())
 
 
-def _walk(obj):
-    """Every dataclass instance inside ``obj``, itself included."""
+def _row_fields(obj):
+    """``(name, settable)`` for each field of a row object - a dataclass or a
+    tuple record (``Transaction``, ``ClientRequest``, ``ClientReply``) - else
+    ``None``: a plain tuple is a sequence, not a row."""
     if dataclasses.is_dataclass(obj):
+        return [(f.name, f.init) for f in dataclasses.fields(obj)]
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return [(name, True) for name in obj._fields]
+    return None
+
+
+def _replaced(obj, **changes):
+    """``obj`` with ``changes``, by the record's own copy constructor."""
+    if isinstance(obj, tuple):
+        return obj._replace(**changes)
+    return dataclasses.replace(obj, **changes)
+
+
+def _walk(obj):
+    """Every row object inside ``obj``, itself included."""
+    fields = _row_fields(obj)
+    if fields is not None:
         yield obj
-        for f in dataclasses.fields(obj):
-            yield from _walk(getattr(obj, f.name))
+        for name, _settable in fields:
+            yield from _walk(getattr(obj, name))
     elif isinstance(obj, tuple):
         for item in obj:
             yield from _walk(item)
@@ -158,12 +179,13 @@ def _swapped(obj, target, replacement):
     """``obj`` rebuilt with the object ``target`` inside it replaced."""
     if obj is target:
         return replacement
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            old = getattr(obj, f.name) if f.init else None
+    fields = _row_fields(obj)
+    if fields is not None:
+        for name, settable in fields:
+            old = getattr(obj, name) if settable else None
             new = _swapped(old, target, replacement)
             if new is not old:
-                return dataclasses.replace(obj, **{f.name: new})
+                return _replaced(obj, **{name: new})
     elif isinstance(obj, tuple):
         for i, old in enumerate(obj):
             new = _swapped(old, target, replacement)
@@ -184,7 +206,8 @@ def _carrier_of(cls, name):
 def test_the_table_declares_integer_fields_everywhere_expected():
     declared = {(cls.__name__, name) for cls, name, _limits, _wrap in INTEGER_FIELDS}
     assert {
-        ("Transaction", "payload_bytes"), ("Accumulator", "count"), ("Accumulator", "ids"),
+        ("Transaction", "client_id"), ("Transaction", "payload_bytes"),
+        ("ClientRequest", "client_id"), ("Accumulator", "count"), ("Accumulator", "ids"),
         ("Commitment", "v_just"), ("ClientReply", "tx_id"), ("Checkpoint", "height"),
         ("Block", "view"), ("SyncBlocks", "start_height"), ("SealedState", "seal_counter"),
         ("SealCounter", "latest"), ("Step", "view"),
@@ -202,7 +225,7 @@ def test_out_of_range_integers_are_codec_errors(field, excess, above):
     cls, name, (low, high), wrap = field
     msg, inst = _carrier_of(cls, name)
     bad = high + excess if above else low - excess
-    mutated = _swapped(msg, inst, dataclasses.replace(inst, **{name: wrap(bad)}))
+    mutated = _swapped(msg, inst, _replaced(inst, **{name: wrap(bad)}))
     assert mutated != msg
     with pytest.raises(CodecError):
         _encode(mutated)
@@ -215,5 +238,5 @@ def test_each_integer_field_accepts_its_limits(field):
     for value in limits:
         if (cls.__name__, name) == ("Transaction", "payload_bytes") and value:
             continue  # 4 GiB of zeros: the limit is real, the test box is not
-        mutated = _swapped(msg, inst, dataclasses.replace(inst, **{name: wrap(value)}))
+        mutated = _swapped(msg, inst, _replaced(inst, **{name: wrap(value)}))
         assert decode_fields((type(mutated),), _encode(mutated)) == [mutated]

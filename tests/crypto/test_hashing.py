@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mempool import Transaction
+from repro.core.messages import ClientReply, ClientRequest
 from repro.crypto.hashing import (
     HASH_SIZE,
     encode_fields,
@@ -53,6 +55,19 @@ def test_encode_nested_sequences():
 def test_encode_rejects_unknown_types():
     with pytest.raises(TypeError):
         encode_fields((object(),))
+
+
+def test_tuple_records_are_not_sequences():
+    # A record handed to the hasher by mistake fails loudly, as a
+    # dataclass does, instead of hashing as the list of its fields.
+    tx = Transaction(1, 2, 0)
+    request = ClientRequest(1, tx)
+    reply = ClientReply(0, 1, 2, 0.0)
+    for record in (tx, request, reply):
+        with pytest.raises(TypeError):
+            hash_fields((record,))
+        with pytest.raises(TypeError):
+            encode_fields(record)
 
 
 def test_hash_fields_stable():

@@ -146,3 +146,40 @@ def test_block_recarrying_an_applied_key_is_not_answered_twice():
     assert replica.mempool.pending() == 0 and replica.mempool.stats()["purged"] == 2
     [_, record] = system.monitor.executions
     assert record.num_transactions == 1
+
+
+class TickingClock:
+    """A wall clock at its worst: every read is a microsecond later."""
+
+    def __init__(self):
+        self.reads = 0
+
+    @property
+    def now(self):
+        self.reads += 1
+        return 1_000.0 + self.reads * 0.001
+
+
+def test_every_reply_of_one_execution_carries_one_commit_timestamp():
+    """``executed_at`` is the commit timestamp: one clock read per executed
+    block (here two blocks, the parent executed with its child), however
+    many replies it sends and however far the clock moves meanwhile."""
+    system = ConsensusSystem(small_config("damysus", open_loop=False, num_clients=1))
+    replica = system.replicas[0]
+    parent = create_leaf(
+        replica.store.genesis.hash, 1, tuple(Transaction(0, i, 0) for i in range(8))
+    )
+    child = create_leaf(parent.hash, 2, tuple(Transaction(0, i, 0) for i in range(8, 16)))
+    for block in (parent, child):
+        replica.store.add(block)
+    replica.clock = TickingClock()
+    flushed = []
+    replica.runtime.execute = flushed.extend
+    replica.execute_block(child, 2)
+    stamps = [
+        effect.payload.executed_at
+        for effect in flushed
+        if type(effect) is Send and isinstance(effect.payload, ClientReply)
+    ]
+    assert len(stamps) == 16
+    assert set(stamps) == {system.monitor.executions[-1].executed_at}

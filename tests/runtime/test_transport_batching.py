@@ -1,10 +1,13 @@
-"""The send path's two economies, and the accounting they must not touch.
+"""The transport's economies, and the accounting they must not touch.
 
 A payload object is encoded once per ``execute()`` flush however many
 peers it goes to, and a peer's sender writes what is queued for that
-peer in one go, up to the stream's high-water mark.  Counters, the queue
-bound and the fault decisions stay per frame and per destination.  Real sockets on ephemeral localhost
-ports; the machines only record what they are handed.
+peer in one go, up to the stream's high-water mark.  On the receiving
+side, the frames one read completes reach the machine as one entry
+(``on_messages``), so their effects flush once.  Counters, the queue
+bound and the fault decisions stay per frame and per destination.  Real
+sockets on ephemeral localhost ports; the machines only record what they
+are handed.
 """
 
 import asyncio
@@ -14,6 +17,7 @@ from repro.core.faults import DROP, FaultAction, FaultRule
 from repro.core.messages import BlockRequest, ClientReply
 from repro.runtime import asyncio_net
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock
+from repro.runtime.effects import ChargeCpu
 from repro.runtime.framing import FrameDecoder, encode_frame, encode_hello
 from repro.runtime.machine import Machine
 from repro.runtime.resilience.transport import FaultDecider
@@ -379,3 +383,82 @@ def test_close_returns_behind_a_peer_that_stopped_reading(monkeypatch):
         assert stray == []
 
     asyncio.run(scenario())
+
+
+class Charging(Scripted):
+    """Emits one effect per delivery, so every flush has something to carry."""
+
+    def on_message(self, sender, payload):
+        super().on_message(sender, payload)
+        self.charge(0.25)
+
+
+async def _one_segment_to(runtime, *frames):
+    """Connect as pid 0 and write the hello and ``frames`` in one segment."""
+    host, port = await runtime.start_server()
+    runtime.start_machine()
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(encode_hello(0) + b"".join(frames))
+    return reader, writer
+
+
+def test_one_read_is_one_entry_and_one_flush(monkeypatch):
+    feeds = _count_feeds(monkeypatch)
+    burst = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(16)]
+    flushes = []
+
+    async def scenario():
+        runtime = AsyncioRuntime(Charging(1, WallClock()))
+        runtime.execute = flushes.append
+        _reader, writer = await _one_segment_to(
+            runtime, *(encode_frame(asyncio_net.encode_message(msg)) for msg in burst)
+        )
+        try:
+            await _until(lambda: len(runtime.machine.received) == len(burst))
+            assert feeds == [1 + len(burst)]  # the hello and the burst, one read
+            assert [msg for _, msg in runtime.machine.received] == burst
+            assert len(flushes) == 1
+            assert [type(effect) for effect in flushes[0]] == [ChargeCpu] * len(burst)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_malformed_frame_rejects_the_connection_after_the_valid_prefix(monkeypatch):
+    feeds = _count_feeds(monkeypatch)
+    valid = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(3)]
+    frames = [encode_frame(asyncio_net.encode_message(msg)) for msg in valid]
+    junk = encode_frame(b"\xff junk")  # an unknown message tag
+    after = encode_frame(asyncio_net.encode_message(ClientReply(0, 7, 99, 0.5)))
+
+    flushes = []
+
+    async def scenario():
+        runtime = AsyncioRuntime(Charging(1, WallClock()))
+        runtime.execute = flushes.append
+        reader, writer = await _one_segment_to(runtime, *frames, junk, after)
+        try:
+            assert await asyncio.wait_for(reader.read(), timeout=10.0) == b""  # closed on us
+            assert feeds == [1 + len(valid) + 2]  # everything arrived in one read
+            assert runtime.machine.received == [(0, msg) for msg in valid]
+            # The prefix's effects were flushed, once, on the way out.
+            assert flushes == [[ChargeCpu(0.25)] * len(valid)]
+            assert runtime.rejected_connections == 1
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_on_messages_returns_the_flushed_effects_like_on_message():
+    machine = Charging(1, WallClock())
+    replies = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(3)]
+    assert machine.on_messages(0, replies) == [ChargeCpu(0.25)] * 3
+    assert machine.on_message(0, replies[0]) == [ChargeCpu(0.25)]
+    assert machine.on_messages(0, []) == []
+    assert [msg for _, msg in machine.received] == [*replies, replies[0]]
