@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.crypto.hashing import HASH_SIZE, Hash, hash_block_fields, hash_fields
-from repro.core.mempool import SYNTHETIC_CLIENT_ID, Transaction, payload_digest
+from repro.core.mempool import TxBatch, payload_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.certificate import Accumulator, QuorumCert
@@ -32,11 +32,15 @@ GENESIS_PAYLOAD_DIGEST: Hash = hash_fields(("genesis",))
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """A proposal: transactions plus a pointer to the extended block."""
+    """A proposal: transactions plus a pointer to the extended block.
+
+    ``transactions`` is one packed column (:class:`TxBatch`); handed any
+    other iterable of transactions, the constructor packs it.
+    """
 
     parent_hash: Hash
     view: int
-    transactions: tuple[Transaction, ...]
+    transactions: TxBatch
     justify: "QuorumCert | Accumulator | None" = None
     is_genesis: bool = False
     is_blank: bool = False
@@ -45,6 +49,8 @@ class Block:
     _wire_size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.transactions) is not TxBatch:
+            object.__setattr__(self, "transactions", TxBatch.of(self.transactions))
         just_digest = self.justify.digest() if self.justify is not None else b""
         digest = hash_block_fields(
             self.parent_hash,
@@ -79,15 +85,12 @@ class Block:
     def client_keys(self) -> tuple[tuple[int, int], ...]:
         """``(client_id, tx_id)`` of every client transaction carried, in order.
 
-        Synthetic filler is left out.  Scanned on every call: the keys are
+        Synthetic filler is left out.  Read off the column on every call
+        (the key fields only, :meth:`TxBatch.client_keys`): the keys are
         wanted until the block executes, and a memo on the block would keep
         them for as long as the chain keeps the block.
         """
-        return tuple(
-            (tx.client_id, tx.tx_id)
-            for tx in self.transactions
-            if tx.client_id != SYNTHETIC_CLIENT_ID
-        )
+        return self.transactions.client_keys()
 
     def wire_size(self) -> int:
         """Bytes of this block on the wire (header + txs + justification).
@@ -99,7 +102,7 @@ class Block:
         """
         size = self._wire_size
         if size < 0:
-            size = BLOCK_HEADER_BYTES + sum(tx.wire_size() for tx in self.transactions)
+            size = BLOCK_HEADER_BYTES + self.transactions.wire_size()
             if self.justify is not None:
                 size += self.justify.wire_size()
             object.__setattr__(self, "_wire_size", size)
@@ -111,7 +114,7 @@ def genesis_block() -> Block:
     return Block(
         parent_hash=b"\x00" * HASH_SIZE,
         view=0,
-        transactions=(),
+        transactions=TxBatch(),
         justify=None,
         is_genesis=True,
     )
@@ -120,7 +123,7 @@ def genesis_block() -> Block:
 def create_leaf(
     parent_hash: Hash,
     view: int,
-    transactions: tuple[Transaction, ...],
+    transactions: TxBatch,
     created_at: float = 0.0,
 ) -> Block:
     """Paper's ``createLeaf``: a new block extending ``parent_hash``."""
@@ -135,7 +138,7 @@ def create_leaf(
 def create_chain(
     justify: "QuorumCert | Accumulator",
     view: int,
-    transactions: tuple[Transaction, ...],
+    transactions: TxBatch,
     created_at: float = 0.0,
 ) -> Block:
     """Paper's ``createChain``: a chained block justified by a certificate.

@@ -19,8 +19,11 @@ run), every other field one step, and the encoder and the decoder of a
 type are both derived from the same row, so they cannot drift apart.  A
 row that is fixed-width throughout, rows nested in it included (a client
 request and its transaction), is one struct, and its plan is generated
-code: one ``pack`` or ``unpack_from`` and one constructor call.  Nothing
-outside the table knows a message's shape.
+code: one ``pack`` or ``unpack_from`` and one constructor call.  A
+block's transactions are a :class:`Column`: the bytes of
+``Seq(Transaction)``, sliced to and from the block's packed column with
+no record built per transaction.  Nothing outside the table knows a
+message's shape.
 
 The same table is the byte format of a connection's hello and of the
 seal store's files: :func:`encode_record` writes one durable record (a
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import struct
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -46,12 +50,18 @@ from typing import Any, NamedTuple, Union
 
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import Signature
-from repro.errors import ProtocolError
+from repro.errors import CodecError
 from repro.core import messages as m
 from repro.core.block import Block
 from repro.core.certificate import Accumulator, QuorumCert
 from repro.core.commitment import Commitment
-from repro.core.mempool import AdmissionVerdict, Transaction
+from repro.core.mempool import (
+    TX_PAYLOAD_SIZE,
+    TX_RECORD,
+    AdmissionVerdict,
+    Transaction,
+    TxBatch,
+)
 from repro.core.phases import Phase, Step
 
 #: Wire-format generation.  Version 2 added the transaction ``fee``
@@ -60,10 +70,6 @@ from repro.core.phases import Phase, Step
 #: (:mod:`repro.runtime.framing`) and mismatched generations are
 #: refused at connect time rather than misparsed mid-stream.
 WIRE_VERSION = 2
-
-
-class CodecError(ProtocolError):
-    """Malformed bytes on the wire."""
 
 
 # -- wire kinds: what a table row may say about a field, and its plan ----------
@@ -143,15 +149,11 @@ class Var:
 
 @dataclass(frozen=True)
 class Seq:
-    """A ``u32`` count, then that many items of one kind; decodes to a tuple.
-    Items of a fixed-width row take one generated loop each way."""
+    """A ``u32`` count, then that many items of one kind; decodes to a tuple."""
 
     item: Kind
 
     def plan(self) -> Plan:
-        head = _head(self.item)
-        if head is not None:
-            return head.seq_plan()
         enc_item, dec_item = _compile(self.item)
 
         def enc(items: Any, put: Put) -> None:
@@ -166,6 +168,60 @@ class Seq:
             for _ in range(count):
                 pos = dec_item(buf, pos, items)
             out.append(tuple(items))
+            return pos
+
+        return enc, dec
+
+
+@dataclass(frozen=True)
+class Column:
+    """A block's transactions: the bytes of ``Seq(Transaction)`` - a ``u32``
+    count, then each ``Transaction`` row with its zero run - carried by one
+    packed :class:`~repro.core.mempool.TxBatch`.  The records are the row's
+    fixed-width part, so encoding writes them as they are, with the zero
+    runs between them, and decoding slices them out of the frame: no
+    record object is built either way."""
+
+    def plan(self) -> Plan:
+        head = _head(Transaction)
+        in_field_order = head is not None and head.order == sorted(head.order)
+        if head is None or not in_field_order or head.packer.format != TX_RECORD.format:
+            raise TypeError("a column record must be the Transaction row, in field order")
+        record = TX_RECORD.size
+        size_at = TX_PAYLOAD_SIZE.unpack_from
+
+        def enc(batch: TxBatch, put: Put) -> None:
+            packed = batch.packed
+            put(_COUNT.pack(len(batch)))
+            runs = batch.payload_sizes()
+            if not any(map(any, runs)):  # no zero run anywhere: the column as it is
+                put(packed)
+                return
+            start = end = 0
+            for size in itertools.chain.from_iterable(runs):
+                end += record
+                if size:
+                    put(packed[start:end])
+                    put(bytes(size))
+                    start = end
+            put(packed[start:])
+
+        def dec(buf: bytes, pos: int, out: list[Any]) -> int:
+            (count,) = _COUNT.unpack_from(buf, pos)
+            pos += 4
+            runs: list[bytes] = []  # the records between zero runs
+            start = pos
+            for _ in range(count):
+                (size,) = size_at(buf, pos)
+                pos += record
+                if size:
+                    runs.append(buf[start:pos])
+                    pos += size
+                    start = pos
+            if pos > len(buf):
+                raise CodecError(_TRUNCATED)
+            runs.append(buf[start:pos])
+            out.append(TxBatch(b"".join(runs)))
             return pos
 
         return enc, dec
@@ -275,7 +331,7 @@ class Either:
 
 
 #: A value's wire kind; a class stands for its own row of the table.
-Kind = Union[Fixed, Var, Seq, Opt, OneOf, type]
+Kind = Union[Fixed, Var, Seq, Column, Opt, OneOf, type]
 #: One entry of a row: a named field, or one of the two pseudo-fields.
 Entry = Union[tuple[str, Kind], Zeros, Either]
 
@@ -345,7 +401,7 @@ def wire_table() -> tuple[Layout, ...]:
         row(Commitment, None, ("h_prep", Opt(HASH)), ("v_prep", I64), ("h_just", Opt(HASH)),
             ("v_just", Opt(I64)), ("phase", PHASE), ("sigs", Seq(Signature))),
         row(Block, None, ("parent_hash", HASH), view, ("is_genesis", BOOL),
-            ("is_blank", BOOL), ("created_at", F64), ("transactions", Seq(Transaction)),
+            ("is_blank", BOOL), ("created_at", F64), ("transactions", Column()),
             ("justify", OneOf((None, QuorumCert, Accumulator, Commitment)))),
         row(Checkpoint, None, ("replica", I64), ("counter", I64), ("height", I64), view,
             ("block_hash", HASH), ("state_root", HASH), ("qc", Commitment),
@@ -511,36 +567,11 @@ class _Head(_Run):
         dec = _Source()
         obj = dec.build(self, None, 0, 1)
         dec.line(1, f"out.append({obj})")
-        dec.skip(self, obj, 1, check=True)
+        dec.skip(self, obj, 1)
         dec.line(1, "return pos")
         return (
             enc.function(f"encode_{name}", "obj, put"),
             dec.function(f"decode_{name}", "buf, pos, out"),
-        )
-
-    def seq_plan(self) -> Plan:
-        """A ``Seq`` of this row: one loop each way."""
-        name = self.cls.__name__
-        enc = _Source()
-        enc.line(1, f"put({enc.ref(_COUNT.pack)}(len(items)))")
-        enc.line(1, "for obj in items:")
-        enc.pack(self, "obj", 2)
-        dec = _Source()
-        dec.line(1, f"(count,) = {dec.ref(_COUNT.unpack_from)}(buf, pos)")
-        dec.line(1, "pos += 4")
-        dec.line(1, "items = []")
-        dec.line(1, "for _ in range(count):")
-        obj = dec.build(self, None, 0, 2)
-        dec.line(2, f"items.append({obj})")
-        dec.skip(self, obj, 2, check=False)
-        if self.zeros is not None:  # one check for the whole loop
-            dec.line(1, "if pos > len(buf):")
-            dec.line(2, "raise CodecError(TRUNCATED)")
-        dec.line(1, "out.append(tuple(items))")
-        dec.line(1, "return pos")
-        return (
-            enc.function(f"encode_{name}s", "items, put"),
-            dec.function(f"decode_{name}s", "buf, pos, out"),
         )
 
 
@@ -614,16 +645,15 @@ class _Source:
                 values.append(self.build(kind, first + index, at + offset, indent))
         return values
 
-    def skip(self, head: _Head, obj: str, indent: int, check: bool) -> None:
+    def skip(self, head: _Head, obj: str, indent: int) -> None:
         """Statements moving ``pos`` past the ``head`` object named ``obj``,
         its zero run included."""
         if head.zeros is None:
             self.line(indent, f"pos += {head.size}")
             return
         self.line(indent, f"pos += {head.size} + {obj}.{head.zeros}")
-        if check:
-            self.line(indent, "if pos > len(buf):")
-            self.line(indent + 1, "raise CodecError(TRUNCATED)")
+        self.line(indent, "if pos > len(buf):")
+        self.line(indent + 1, "raise CodecError(TRUNCATED)")
 
 
 def _of_attr(name: str, enc: Enc) -> Enc:

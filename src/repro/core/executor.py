@@ -31,7 +31,7 @@ from repro.errors import ProtocolError, SafetyViolation
 from repro.core.block import Block
 from repro.core.chain import BlockStore
 from repro.core.keyset import ClientKeySet, Key
-from repro.core.mempool import SYNTHETIC_CLIENT_ID, Transaction
+from repro.core.mempool import SYNTHETIC_CLIENT_ID, Transaction, TxBatch
 from repro.core.monitor import ExecutionMonitor, ExecutionRecord
 
 
@@ -240,7 +240,7 @@ class Ledger:
         #: that re-carried some - the transactions that did take effect.
         self.applied = ClientKeySet()
         self.filtered = 0
-        self._partly_applied: dict[Hash, tuple[Transaction, ...]] = {}
+        self._partly_applied: dict[Hash, TxBatch] = {}
         # Checkpoint support: executions below ``base_height`` were either
         # garbage-collected (compaction) or never replayed locally (state
         # transfer); ``state_root`` is the rolling fold over every block
@@ -316,10 +316,10 @@ class Ledger:
             elif tx.key in pending:
                 pending.remove(tx.key)
                 took_effect.append(tx)
-        self._partly_applied[block.hash] = tuple(took_effect)
+        self._partly_applied[block.hash] = TxBatch.of(took_effect)
         return fresh
 
-    def applied_transactions(self, block: Block) -> tuple[Transaction, ...]:
+    def applied_transactions(self, block: Block) -> TxBatch:
         """The transactions of an executed ``block`` that took effect.
 
         All of them, unless the block re-carried a client key an earlier
@@ -383,9 +383,13 @@ class Ledger:
     def compact(self, below_height: int) -> int:
         """Garbage-collect executed blocks at or below ``below_height``.
 
-        Returns how many blocks were dropped.  The rolling state root and
-        the executed-hash set survive compaction, so execution dedup and
-        checkpoint certification are unaffected.
+        Returns how many blocks were dropped from the executed log.  The
+        rolling state root and the executed-hash set survive compaction,
+        so execution dedup and checkpoint certification are unaffected.
+        The block store is not compacted: it keeps every block it was
+        handed, the dropped ones included (ancestry walks and block
+        fetches still reach below the checkpoint), so compaction frees
+        only the log's references.
         """
         drop = min(below_height - self.base_height, len(self.executed))
         if drop <= 0:

@@ -10,16 +10,22 @@ The replica-side pool lives in :mod:`repro.mempool` (bounded priority
 ordering, per-sender rate limiting, watermark backpressure); this module
 keeps the core data model the wire codec and block hashing depend on:
 the :class:`Transaction` record and the :class:`AdmissionVerdict` a
-replica returns to the submitting client.
+replica returns to the submitting client, and the :class:`TxBatch` a
+block keeps its transactions in.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import NamedTuple
+import struct
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, NamedTuple
 
 from repro.crypto.hashing import Hash, hash_fields
+from repro.errors import CodecError
 
 #: Metadata bytes per transaction (2 x 4 B ids + 32 B previous-block hash).
 TX_METADATA_BYTES = 40
@@ -76,26 +82,140 @@ class Transaction(NamedTuple):
         return (self.client_id, self.tx_id, self.payload_bytes, self.fee)
 
 
-#: Memoized payload digests keyed by the (immutable) transaction tuple.
-#: The same tuple is re-digested whenever a block is reconstructed from
-#: the wire or re-hashed; the digest is a pure function of its content.
-_PAYLOAD_DIGEST_CACHE: dict[tuple[Transaction, ...], Hash] = {}
+#: One transaction's record in a block: the ``Transaction`` wire row
+#: without its zero run (``client_id``, ``tx_id``, ``payload_bytes``,
+#: ``submitted_at``, ``fee``; 36 bytes).
+TX_RECORD = struct.Struct("<qqIdq")
+#: Views of one record that unpack only some of its fields.
+#: ``TX_PAYLOAD_SIZE`` reads ``payload_bytes``, the length of the record's
+#: zero run on the wire, from the record's start.
+TX_PAYLOAD_SIZE = struct.Struct("<16xI")
+_KEY = struct.Struct("<qq20x")
+_DIGEST_FIELDS = struct.Struct("<qqI8xq")
+
+#: ``tuple.__new__``: a record from its fields in one C call, where the
+#: record class's own ``__new__`` runs Python.
+_new_record: Callable[..., Any] = tuple.__new__
+
+#: Records per strided unpack.  The structs are cached by count, so a
+#: column of any length (a peer's block too) compiles at most this many
+#: per view, plus one.
+_STRIDE = 64
+
+
+@lru_cache(maxsize=None)
+def _strided(record: str, count: int) -> struct.Struct:
+    return struct.Struct("<" + record * count)
+
+
+def _field(record: str, packed: bytes) -> list[tuple[int, ...]]:
+    """One field of every record in ``packed``, in runs of up to ``_STRIDE``
+    records, one ``unpack`` each: ``record`` is the record's format with
+    the other fields padding."""
+    count = len(packed) // TX_RECORD.size
+    tail = count % _STRIDE
+    cut = (count - tail) * TX_RECORD.size
+    runs = list(_strided(record, _STRIDE).iter_unpack(memoryview(packed)[:cut]))
+    runs.append(_strided(record, tail).unpack_from(packed, cut))
+    return runs
+
+
+@dataclass(frozen=True, slots=True)
+class TxBatch:
+    """A block's transactions as one immutable column of packed records.
+
+    ``packed`` is the records back to back, in block order and in the
+    wire format of the ``Transaction`` row (:data:`TX_RECORD`).  A block
+    retained for the life of the chain is then one ``bytes`` the cycle
+    collector never walks, not a tracked record per transaction.  The
+    records come back as :class:`Transaction` tuples when iterated or
+    indexed; :meth:`client_keys` and :meth:`wire_size` read only the
+    fields they need.  Equality and hashing are the packed bytes'.
+    """
+
+    packed: bytes = b""
+
+    def __post_init__(self) -> None:
+        if len(self.packed) % TX_RECORD.size:
+            raise CodecError(f"{len(self.packed)} bytes are no whole number of records")
+
+    @classmethod
+    def of(cls, transactions: Iterable[Transaction]) -> TxBatch:
+        """The column of ``transactions``, in order.
+
+        A field outside its wire range (a negative payload size, an id
+        beyond 64 bits...) raises :class:`~repro.errors.CodecError`: the
+        column is the wire format, on the simulator too.
+        """
+        pack = TX_RECORD.pack
+        try:
+            return cls(b"".join([pack(*tx) for tx in transactions]))
+        except struct.error as exc:
+            raise CodecError(f"transaction field out of range: {exc}") from exc
+
+    def __len__(self) -> int:
+        return len(self.packed) // TX_RECORD.size
+
+    def __iter__(self) -> Iterator[Transaction]:
+        fields = TX_RECORD.iter_unpack(self.packed)
+        return map(_new_record, itertools.repeat(Transaction), fields)
+
+    def __getitem__(self, index: int) -> Transaction:
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("transaction index out of range")
+        fields = TX_RECORD.unpack_from(self.packed, index * TX_RECORD.size)
+        record: Transaction = _new_record(Transaction, fields)
+        return record
+
+    def client_keys(self) -> tuple[tuple[int, int], ...]:
+        """``(client_id, tx_id)`` of every record but the filler, in order.
+
+        The client ids come first, in one call: a block of filler only (an
+        open-loop block) or of no filler (a closed-loop one) is then
+        answered without a test per record.
+        """
+        packed = self.packed
+        filler = sum(ids.count(SYNTHETIC_CLIENT_ID) for ids in _field("q28x", packed))
+        if not filler:
+            return tuple(_KEY.iter_unpack(packed))
+        if filler == len(self):
+            return ()
+        return tuple(key for key in _KEY.iter_unpack(packed) if key[0] != SYNTHETIC_CLIENT_ID)
+
+    def payload_sizes(self) -> list[tuple[int, ...]]:
+        """``payload_bytes`` of every record, in order, in runs of records."""
+        return _field("16xI16x", self.packed)
+
+    def wire_size(self) -> int:
+        """Bytes the transactions occupy inside a block (payloads + metadata)."""
+        return sum(map(sum, self.payload_sizes())) + TX_METADATA_BYTES * len(self)
+
+
+#: Memoized payload digests keyed by a column's packed bytes.  A block is
+#: re-digested whenever it is reconstructed from the wire or re-hashed;
+#: the digest is a pure function of the bytes, whose hash CPython caches.
+_PAYLOAD_DIGEST_CACHE: dict[bytes, Hash] = {}
 _DIGEST_CACHE_MAX = 4096
 
 
-def payload_digest(transactions: tuple[Transaction, ...]) -> Hash:
-    """Digest binding a block to its transaction list."""
-    digest = _PAYLOAD_DIGEST_CACHE.get(transactions)
+def payload_digest(transactions: TxBatch) -> Hash:
+    """Digest binding a block to its transaction list: the canonical hash
+    of ``(client_id, tx_id, payload_bytes, fee)`` per transaction."""
+    packed = transactions.packed
+    digest = _PAYLOAD_DIGEST_CACHE.get(packed)
     if digest is None:
         if len(_PAYLOAD_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
             # Evict the oldest half (dicts preserve insertion order)
-            # rather than clearing wholesale: recent tuples are the ones
+            # rather than clearing wholesale: recent columns are the ones
             # a live chain keeps re-hashing, and dropping them too costs
             # a re-digest per block on the hot path.
             for stale in list(
                 itertools.islice(_PAYLOAD_DIGEST_CACHE, _DIGEST_CACHE_MAX // 2)
             ):
                 del _PAYLOAD_DIGEST_CACHE[stale]
-        digest = hash_fields(tuple(tx.digest_fields() for tx in transactions))
-        _PAYLOAD_DIGEST_CACHE[transactions] = digest
+        digest = hash_fields(tuple(_DIGEST_FIELDS.iter_unpack(packed)))
+        _PAYLOAD_DIGEST_CACHE[packed] = digest
     return digest

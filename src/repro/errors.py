@@ -47,6 +47,10 @@ class ProtocolError(ReproError):
     """A replica observed a malformed or inconsistent protocol message."""
 
 
+class CodecError(ProtocolError):
+    """Malformed bytes on the wire, or a value out of range for its wire field."""
+
+
 class MissingBlockError(ProtocolError):
     """An operation needed a block body this replica has not received.
 

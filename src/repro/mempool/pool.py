@@ -38,8 +38,10 @@ from repro.core.keyset import ClientKeySet
 from repro.core.mempool import (
     SYNTHETIC_CLIENT_ID,
     TX_METADATA_BYTES,
+    TX_RECORD,
     AdmissionVerdict,
     Transaction,
+    TxBatch,
 )
 from repro.mempool.limiter import SenderRateLimiter
 from repro.mempool.watermark import Watermark
@@ -93,7 +95,7 @@ class PriorityMempool:
         self.max_block_bytes = max_block_bytes  # 0 = unbounded blocks
         self.limiter = SenderRateLimiter(rate_limit_per_ms, rate_burst)
         self.watermark = Watermark(high_watermark, low_watermark)
-        self._synth = itertools.count()
+        self._next_synth = 0  # the next filler's tx_id
         self._seq = itertools.count()
         #: Residents by (client_id, tx_id); the single source of truth.
         self._entries: dict[tuple[int, int], _Entry] = {}
@@ -237,10 +239,8 @@ class PriorityMempool:
 
     # -- proposal ----------------------------------------------------------
 
-    def take_block(
-        self, now: float, exclude: Collection[tuple[int, int]] = ()
-    ) -> tuple[Transaction, ...]:
-        """Drain up to ``block_size`` transactions by priority.
+    def take_block(self, now: float, exclude: Collection[tuple[int, int]] = ()) -> TxBatch:
+        """Drain up to ``block_size`` transactions by priority, packed.
 
         Both caps apply: at most ``block_size`` transactions and (when
         ``max_block_bytes`` is set) at most that many payload+metadata
@@ -257,7 +257,8 @@ class PriorityMempool:
         always full; in closed-loop mode the block may be short, and it is
         empty only on a heartbeat or in a chained pipeline's flush: a
         leader with nothing to order parks its proposal until an admission
-        (``repro.protocols.idle``).
+        (``repro.protocols.idle``).  Filler is packed straight into the
+        column, never built as records.
         """
         batch: list[Transaction] = []
         used = 0
@@ -281,18 +282,20 @@ class PriorityMempool:
             self.drained += 1
         for heap_item in passed_over:
             heapq.heappush(self._drain_heap, heap_item)
-        if self.open_loop:
-            synth_size = self.payload_bytes + TX_METADATA_BYTES
-            while len(batch) < self.block_size and not (
-                self.max_block_bytes and batch and used + synth_size > self.max_block_bytes
-            ):
-                # Positional: a tuple record's keyword form costs twice as much.
-                batch.append(
-                    Transaction(SYNTHETIC_CLIENT_ID, next(self._synth), self.payload_bytes, now)
-                )
-                used += synth_size
         self.watermark.update(self._fill())
-        return tuple(batch)
+        column = TxBatch.of(batch)
+        if not self.open_loop:
+            return column
+        fill = self.block_size - len(batch)
+        synth_size = self.payload_bytes + TX_METADATA_BYTES
+        if self.max_block_bytes and fill > 0:
+            # Filler that fits the byte cap; an empty block still takes one.
+            room = (self.max_block_bytes - used) // synth_size
+            fill = min(fill, max(room, 0 if batch else 1))
+        first, self._next_synth = self._next_synth, self._next_synth + fill
+        pack, payload = TX_RECORD.pack, self.payload_bytes
+        filler = [pack(SYNTHETIC_CLIENT_ID, i, payload, now, 0) for i in range(first, first + fill)]
+        return TxBatch(b"".join([column.packed, *filler]))
 
     def _pop_extreme(
         self, heap: list[tuple[int, int, tuple[int, int]]]

@@ -557,7 +557,7 @@ class BaseReplica(Machine):
         if verdict is AdmissionVerdict.DUPLICATE and tx.key in self.ledger.applied:
             verdict = AdmissionVerdict.ACCEPTED
         if pid is not None:
-            self._reply(pid, tx, verdict, self.now)
+            self._reply(pid, tx.client_id, tx.tx_id, verdict, self.now)
 
     def submit(self, tx: Transaction) -> None:
         """Queue an in-process command (an application's), without admission
@@ -566,9 +566,11 @@ class BaseReplica(Machine):
         if self.parked is not None and self.mempool.pending():
             self.parked.wake()
 
-    def _reply(self, pid: int, tx: Transaction, verdict: AdmissionVerdict, at: float) -> None:
+    def _reply(
+        self, pid: int, client_id: int, tx_id: int, verdict: AdmissionVerdict, at: float
+    ) -> None:
         # Positional: a tuple record's keyword form costs twice as much.
-        self.send_charged(pid, ClientReply(self.pid, tx.client_id, tx.tx_id, at, verdict))
+        self.send_charged(pid, ClientReply(self.pid, client_id, tx_id, at, verdict))
 
     def on_stale(self, sender: int, payload: Any) -> None:
         """A message from a view this replica already left: keep its block."""
@@ -657,11 +659,13 @@ class BaseReplica(Machine):
             self.mempool.purge_committed(keys)
             if keys:
                 # One reply per transaction that took effect, none for a
-                # copy the ledger skipped (its first application answered).
-                for tx in self.ledger.applied_transactions(executed):
-                    pid = self.client_pids.get(tx.client_id)
+                # copy the ledger skipped (its first application answered),
+                # read off the column's key fields: no record is built.
+                applied = self.ledger.applied_transactions(executed)
+                for client_id, tx_id in applied.client_keys():
+                    pid = self.client_pids.get(client_id)
                     if pid is not None:
-                        self._reply(pid, tx, AdmissionVerdict.ACCEPTED, now)
+                        self._reply(pid, client_id, tx_id, AdmissionVerdict.ACCEPTED, now)
             self._emit(Commit(executed, view))
         if newly:
             self.last_committed_view = max(self.last_committed_view, view)

@@ -37,7 +37,10 @@ Resilience hooks (all optional, see :mod:`repro.runtime.resilience`):
 
 Outbound connections are lazy with exponential reconnect backoff; each
 starts with a hello frame naming the sender pid so the acceptor can
-attribute inbound messages before parsing any consensus payload.
+attribute inbound messages before parsing any consensus payload.  An
+inbound connection is an :class:`asyncio.BufferedProtocol` that reads
+into one buffer of its own, reused for every read, and hands the frames
+a read completes to the machine inside the read callback.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ RECONNECT_INITIAL_S = 0.05
 RECONNECT_MAX_S = 1.0
 RECONNECT_JITTER = 0.25
 
+#: Bytes of the buffer each inbound connection reads into (a larger frame
+#: arrives over several reads).
 _RECV_CHUNK = 64 * 1024
 
 #: Frames queued per peer before the oldest is shed for the newest.
@@ -142,7 +147,7 @@ class AsyncioRuntime:
         self._server: asyncio.Server | None = None
         self._queues: dict[int, _Outbox] = {}
         self._sender_tasks: dict[int, asyncio.Task[None]] = {}
-        self._reader_tasks: set[asyncio.Task[None]] = set()
+        self._inbound: set[asyncio.BaseTransport] = set()
         self._timers: dict[int, asyncio.TimerHandle] = {}
         self._delayed: set[asyncio.TimerHandle] = set()
         self._closed = False
@@ -164,8 +169,8 @@ class AsyncioRuntime:
 
     async def start_server(self) -> tuple[str, int]:
         """Bind the listening socket; returns the (host, port) peers dial."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.host, self.port
@@ -179,12 +184,12 @@ class AsyncioRuntime:
         self.machine.start()
 
     async def close(self) -> None:
-        """Tear down timers, sender tasks, inbound readers and the server.
+        """Tear down timers, sender tasks, inbound connections and the server.
 
         Every sender aborts its transport and awaits ``wait_closed`` (bytes
         the transport still holds are dropped like the frames still queued:
         a stalled peer must not be able to hold ``close()`` up), and every
-        reader closes its transport, so a completed ``close()`` leaves no
+        inbound transport is aborted, so a completed ``close()`` leaves no
         pending tasks and no open sockets behind (asserted by the shutdown
         tests).
         """
@@ -197,11 +202,12 @@ class AsyncioRuntime:
         self._delayed.clear()
         # Detach all shared teardown state *before* the first await: a
         # concurrent or re-entrant close() then finds nothing left to
-        # tear down, and a reader task registered during the gather can
-        # never be orphaned by a stale clear() afterwards.
-        tasks = list(self._sender_tasks.values()) + list(self._reader_tasks)
+        # tear down.
+        tasks = list(self._sender_tasks.values())
         self._sender_tasks.clear()
-        self._reader_tasks.clear()
+        inbound, self._inbound = self._inbound, set()
+        for transport in inbound:
+            transport.abort()
         server, self._server = self._server, None
         for task in tasks:
             task.cancel()
@@ -386,59 +392,6 @@ class AsyncioRuntime:
                 with contextlib.suppress(Exception, asyncio.CancelledError):
                     await writer.wait_closed()
 
-    # -- receiving ---------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is None:  # pragma: no cover - handlers always run on the loop
-            raise RuntimeError("connection handler invoked outside the event loop")
-        self._reader_tasks.add(task)
-        sender: int | None = None
-        decoder = FrameDecoder()
-        try:
-            while not self._closed:
-                data = await reader.read(_RECV_CHUNK)
-                if not data:
-                    break
-                frames = decoder.feed(data)
-                if sender is None and frames:
-                    sender = decode_hello(frames.pop(0))
-                if not frames:
-                    continue
-                if not self._machine_started:
-                    # The process is up (socket bound) but the machine has
-                    # not been started yet - a deliberately held-back
-                    # replica.  Dropping mirrors a dark process: consensus
-                    # retransmits cover the loss.
-                    self.dropped_messages += len(frames)
-                    continue
-                # The frames of one read are one entry: one flush of their
-                # effects.  Each is decoded as the machine reaches it, so a
-                # decoded message lives no longer than it did with a flush
-                # per frame, and a malformed one raises only after the
-                # frames before it were handled (and their effects flushed).
-                self.machine.on_messages(sender, map(decode_message, frames))
-        except (FramingError, CodecError) as exc:
-            # Malformed peer stream: disconnect, never buffer or guess.
-            self.rejected_connections += 1
-            peer = writer.get_extra_info("peername")
-            _LOG.warning(
-                "replica %d: rejecting connection from %s (claimed pid %s): %s",
-                self.machine.pid,
-                peer,
-                sender,
-                exc,
-            )
-        except (OSError, ConnectionError, asyncio.CancelledError):  # noqa: S110 - peer loss is the normal end of a reader; the reconnect loop owns recovery
-            pass
-        finally:
-            self._reader_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
     # -- timers ------------------------------------------------------------
 
     def _arm_timer(self, timer_id: int, delay_ms: float) -> None:
@@ -451,6 +404,73 @@ class AsyncioRuntime:
             max(delay_ms, 0.0) / 1000.0, fire
         )
 
+
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection: its hello, then the frames of every read.
+
+    The transport reads into :attr:`buffer`, the same one for every read,
+    so a read allocates nothing before its frames are cut out.
+    :meth:`buffer_updated` runs with no ``await``: the frames a read
+    completes reach the machine, as one entry, before the loop turns.
+    """
+
+    transport: asyncio.BaseTransport  # from connection_made on
+
+    def __init__(self, runtime: AsyncioRuntime) -> None:
+        self.runtime = runtime
+        self.buffer = memoryview(bytearray(_RECV_CHUNK))
+        self.decoder = FrameDecoder()
+        self.sender: int | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        if self.runtime._closed:
+            transport.abort()
+        else:
+            self.runtime._inbound.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # A peer's EOF, a reset, a rejection or close(): the reconnect loop
+        # on the peer's side owns recovery.
+        self.runtime._inbound.discard(self.transport)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        runtime = self.runtime
+        if runtime._closed:
+            return
+        try:
+            frames = self.decoder.feed(self.buffer[:nbytes])
+            if self.sender is None and frames:
+                self.sender = decode_hello(frames.pop(0))
+            if not frames:
+                return
+            if not runtime._machine_started:
+                # The process is up (socket bound) but the machine has not
+                # been started yet - a deliberately held-back replica.
+                # Dropping mirrors a dark process: consensus retransmits
+                # cover the loss.
+                runtime.dropped_messages += len(frames)
+                return
+            # The frames of one read are one entry: one flush of their
+            # effects.  Each is decoded as the machine reaches it, so a
+            # decoded message lives no longer than it did with a flush per
+            # frame, and a malformed one raises only after the frames
+            # before it were handled (and their effects flushed).
+            runtime.machine.on_messages(self.sender, map(decode_message, frames))
+        except (FramingError, CodecError) as exc:
+            # Malformed peer stream: disconnect, never buffer or guess.
+            runtime.rejected_connections += 1
+            _LOG.warning(
+                "replica %d: rejecting connection from %s (claimed pid %s): %s",
+                runtime.machine.pid,
+                self.transport.get_extra_info("peername"),
+                self.sender,
+                exc,
+            )
+            self.transport.close()
 
 
 # -- deployments ------------------------------------------------------------

@@ -1,7 +1,9 @@
 """One fuzz target for every decoder of bytes a replica did not write.
 
 A replica reads outside bytes in five places: peer frames
-(``decode_message``), the stream they arrive on (``FrameDecoder.feed``),
+(``decode_message``; a block's transaction column is also fuzzed on its
+own, since its decoder slices records instead of parsing each), the
+stream they arrive on (``FrameDecoder.feed``),
 a connection's hello (``decode_hello``), the seal directory's records
 (``decode_record``: its durable state, with or without a sealed checker,
 and its counter) and the orchestrator's fault spec
@@ -21,8 +23,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.codec import CodecError, decode_message, decode_record, encode_message, encode_record
+from repro.core.codec import (
+    CodecError,
+    Column,
+    decode_fields,
+    decode_message,
+    decode_record,
+    encode_fields,
+    encode_message,
+    encode_record,
+)
 from repro.core.faults import FaultPlan, net_chaos_plans, standard_chaos_plan
+from repro.core.mempool import Transaction, TxBatch
 from repro.errors import ConfigError
 from repro.runtime.framing import (
     FrameDecoder,
@@ -41,6 +53,15 @@ DEEP = b"[" * 100_000
 def _feed(data):
     # A small cap, so hostile length prefixes reach the refusal.
     return FrameDecoder(max_frame_bytes=4096).feed(data)
+
+
+def _columns():
+    """Columns with and without zero runs, filler and client records mixed."""
+    mixed = [Transaction(-1, 0, 0), Transaction(3, 9, 40, 1.5, 7), Transaction(4, 1, 0, fee=2)]
+    return [
+        encode_fields((Column(),), (TxBatch.of(txs),))
+        for txs in (mixed, [Transaction(-1, i, 0) for i in range(12)], mixed[1:2] * 3)
+    ]
 
 
 def _specs():
@@ -63,6 +84,7 @@ TARGETS = {
         [encode_record(durable_state()), encode_record(durable_state(sealed=False))],
         CodecError,
     ),
+    "decode_fields[Column]": (partial(decode_fields, (Column(),)), _columns(), CodecError),
     "decode_hello": (decode_hello, [encode_hello(3)[4:], encode_hello(0)[4:]], FramingError),
     "FrameDecoder.feed": (
         _feed, [b"".join(encode_frame(encode_message(m)) for m in ALL_MESSAGES[:6])], FramingError

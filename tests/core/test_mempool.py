@@ -9,6 +9,7 @@ from repro.core.mempool import (
     SYNTHETIC_CLIENT_ID,
     TX_METADATA_BYTES,
     Transaction,
+    TxBatch,
     payload_digest,
 )
 from repro.crypto.hashing import hash_fields, sha256
@@ -22,8 +23,8 @@ def test_tx_wire_size_includes_metadata():
 
 
 def test_payload_digest_depends_on_contents():
-    txs1 = (Transaction(0, 1, 0), Transaction(0, 2, 0))
-    txs2 = (Transaction(0, 1, 0), Transaction(0, 3, 0))
+    txs1 = TxBatch.of((Transaction(0, 1, 0), Transaction(0, 2, 0)))
+    txs2 = TxBatch.of((Transaction(0, 1, 0), Transaction(0, 3, 0)))
     assert payload_digest(txs1) != payload_digest(txs2)
     assert payload_digest(txs1) == payload_digest(txs1)
 
@@ -38,55 +39,59 @@ def test_payload_digest_cache_evicts_oldest_half():
     cache = mempool_mod._PAYLOAD_DIGEST_CACHE
     cache_max = mempool_mod._DIGEST_CACHE_MAX
     cache.clear()
-    tuples = [(Transaction(0, i, 0),) for i in range(cache_max + 1)]
-    for txs in tuples:
+    columns = [TxBatch.of((Transaction(0, i, 0),)) for i in range(cache_max + 1)]
+    for txs in columns:
         payload_digest(txs)
     # The insertion that overflowed evicted the oldest half first.
     assert len(cache) == cache_max // 2 + 1
-    assert tuples[0] not in cache
-    assert tuples[cache_max // 2 - 1] not in cache
-    assert tuples[cache_max // 2] in cache
-    assert tuples[-1] in cache
-    # Evicted tuples still digest correctly (and re-enter the cache).
-    assert payload_digest(tuples[0]) == payload_digest((Transaction(0, 0, 0),))
+    assert columns[0].packed not in cache
+    assert columns[cache_max // 2 - 1].packed not in cache
+    assert columns[cache_max // 2].packed in cache
+    assert columns[-1].packed in cache
+    # Evicted columns still digest correctly (and re-enter the cache).
+    assert payload_digest(columns[0]) == payload_digest(TxBatch.of((Transaction(0, 0, 0),)))
     cache.clear()
 
 
 @pytest.mark.parametrize("count", [0, 1, 128])
 def test_payload_digest_memo_is_the_hash_beneath_it(count):
-    """Miss, hit, and a tuple equal to a cached one but not the same object
+    """Miss, hit, and a column equal to a cached one but not the same object
     (what every decoded block hands in) all read the plain hash."""
     def build():
-        return tuple(Transaction(3, i, 16, submitted_at=0.5 * i, fee=i % 7) for i in range(count))
+        return TxBatch.of(
+            Transaction(3, i, 16, submitted_at=0.5 * i, fee=i % 7) for i in range(count)
+        )
 
     txs, twin = build(), build()
-    assert twin == txs and (count == 0 or twin is not txs)
+    assert twin == txs and (count == 0 or twin.packed is not txs.packed)
     expected = hash_fields(tuple(tx.digest_fields() for tx in txs))
-    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs, None)
+    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs.packed, None)
     assert payload_digest(txs) == expected  # miss
     assert payload_digest(txs) == expected  # hit, same object
     assert payload_digest(twin) == expected
 
 
-#: Ids the digest must take: the filler's, negatives, zero, and past 64 bits.
+#: Ids the digest must take: the filler's, negatives, zero, and both ends of
+#: the wire's 64 bits (a column holds nothing wider; ``hash_fields`` past 64
+#: bits is ``tests/crypto/test_hashing.py``'s).
 _IDS = st.one_of(
-    st.sampled_from([SYNTHETIC_CLIENT_ID, 0, 2**63 - 1, 2**63, -(2**63) - 1]),
-    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([SYNTHETIC_CLIENT_ID, 0, 2**63 - 1, -(2**63)]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
 )
 
 
-@given(rows=st.lists(st.tuples(_IDS, _IDS, st.integers(0, 2**40), _IDS), max_size=24))
+@given(rows=st.lists(st.tuples(_IDS, _IDS, st.integers(0, 2**32 - 1), _IDS), max_size=24))
 @settings(max_examples=150, deadline=None)
 def test_flat_payload_digest_is_the_nested_hash(rows):
-    txs = tuple(Transaction(c, t, p, submitted_at=0.5, fee=f) for c, t, p, f in rows)
+    txs = TxBatch.of(Transaction(c, t, p, submitted_at=0.5, fee=f) for c, t, p, f in rows)
     nested = tuple(tx.digest_fields() for tx in txs)
-    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs, None)
+    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs.packed, None)
     assert payload_digest(txs) == hash_fields(nested) == sha256(spec_encoding(nested))
 
 
 def test_payload_digest_differs_by_fee():
-    assert payload_digest((Transaction(0, 1, 0, fee=1),)) != payload_digest(
-        (Transaction(0, 1, 0, fee=2),)
+    assert payload_digest(TxBatch.of((Transaction(0, 1, 0, fee=1),))) != payload_digest(
+        TxBatch.of((Transaction(0, 1, 0, fee=2),))
     )
 
 
@@ -99,7 +104,7 @@ def test_open_loop_blocks_are_full():
 
 def test_open_loop_synthetic_ids_unique():
     pool = PriorityMempool(payload_bytes=0, block_size=5, open_loop=True)
-    ids = [tx.tx_id for tx in pool.take_block(0.0) + pool.take_block(0.0)]
+    ids = [tx.tx_id for tx in (*pool.take_block(0.0), *pool.take_block(0.0))]
     assert len(set(ids)) == 10
 
 
@@ -110,7 +115,7 @@ def test_closed_loop_blocks_limited_to_queue():
     block = pool.take_block(0.0)
     assert len(block) == 2
     assert pool.pending() == 0
-    assert pool.take_block(0.0) == ()
+    assert pool.take_block(0.0) == TxBatch()
 
 
 def test_closed_loop_respects_block_size():

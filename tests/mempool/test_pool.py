@@ -46,7 +46,7 @@ def test_replay_of_drained_transaction_rejected():
     """A transaction that already made it into a block must not re-enter."""
     pool = closed_pool()
     pool.admit(tx(0, 1), 0.0)
-    assert pool.take_block(1.0) == (tx(0, 1),)
+    assert tuple(pool.take_block(1.0)) == (tx(0, 1),)
     assert pool.admit(tx(0, 1), 2.0) is DUPLICATE
 
 
@@ -100,7 +100,7 @@ def test_equal_fee_overload_sheds_the_newcomer():
     pool.admit(tx(0, 1, fee=3), 0.0)
     pool.admit(tx(0, 2, fee=3), 0.0)
     assert pool.admit(tx(0, 3, fee=3), 0.0) is POOL_FULL
-    assert pool.take_block(1.0) == (tx(0, 1, fee=3), tx(0, 2, fee=3))
+    assert tuple(pool.take_block(1.0)) == (tx(0, 1, fee=3), tx(0, 2, fee=3))
 
 
 def test_evicted_transaction_may_be_resubmitted():
@@ -319,7 +319,7 @@ def test_crash_loses_residents_and_replay_memory_but_not_counters():
     for counter in ("admitted", "drained", "evicted", "purged", "rejected_duplicate"):
         assert after[counter] == before[counter]
     assert pool.admit(tx(0, 1), 2.0) is ACCEPTED  # the replay memory is gone too
-    assert first == (tx(0, 1), tx(0, 2))
+    assert tuple(first) == (tx(0, 1), tx(0, 2))
 
 
 def test_crash_does_not_reissue_synthetic_ids():
@@ -441,7 +441,7 @@ class PoolModel(RuleBasedStateMachine):
                 break  # the byte-capped drain stop: nothing cheaper jumps the queue
             expected.append(candidate)
             used += candidate.wire_size()
-        assert self.pool.take_block(1.0, exclude) == tuple(expected)
+        assert tuple(self.pool.take_block(1.0, exclude)) == tuple(expected)
         for candidate in expected:
             del self.residents[candidate.key]
             self.gone.add(candidate.key)

@@ -223,7 +223,7 @@ def test_close_leaves_no_pending_tasks_or_sockets():
         assert stray == []
         for runtime in runtimes:
             assert runtime._server is None
-            assert not runtime._sender_tasks and not runtime._reader_tasks
+            assert not runtime._sender_tasks and not runtime._inbound
 
     asyncio.run(scenario())
 

@@ -98,18 +98,19 @@ def test_concurrent_close_is_safe():
     """Regression: ``close()`` used to read task/server registries, await
     the gather, then clear them - so a concurrent ``close()`` (or a reader
     registered during the gather) raced the stale teardown.  Both callers
-    must now complete and leave no server or tracked tasks behind.
+    must now complete and leave no server, tracked task or inbound
+    transport behind.
     """
 
     async def scenario():
         runtime = AsyncioRuntime(build_machine("damysus", 0, 4, _FixedClock()))
         host, port = await runtime.start_server()
         reader, writer = await asyncio.open_connection(host, port)
-        await asyncio.sleep(0.05)  # let the server register its reader task
+        await asyncio.sleep(0.05)  # let the server accept the connection
         await asyncio.gather(runtime.close(), runtime.close())
         assert runtime._server is None
         assert runtime._sender_tasks == {}
-        assert runtime._reader_tasks == set()
+        assert runtime._inbound == set()  # no inbound transport left
         writer.close()
         return True
 

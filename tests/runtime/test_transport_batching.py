@@ -3,7 +3,8 @@
 A payload object is encoded once per ``execute()`` flush however many
 peers it goes to, and a peer's sender writes what is queued for that
 peer in one go, up to the stream's high-water mark.  On the receiving
-side, the frames one read completes reach the machine as one entry
+side, every read of a connection lands in one buffer the connection
+reuses, and the frames one read completes reach the machine as one entry
 (``on_messages``), so their effects flush once.  Counters, the queue
 bound and the fault decisions stay per frame and per destination.  Real
 sockets on ephemeral localhost ports; the machines only record what they
@@ -14,7 +15,9 @@ import asyncio
 import socket
 
 from repro.core.faults import DROP, FaultAction, FaultRule
-from repro.core.messages import BlockRequest, ClientReply
+from repro.core.block import create_leaf
+from repro.core.mempool import Transaction
+from repro.core.messages import BlockRequest, BlockResponse, ClientReply
 from repro.runtime import asyncio_net
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock
 from repro.runtime.effects import ChargeCpu
@@ -462,3 +465,110 @@ def test_on_messages_returns_the_flushed_effects_like_on_message():
     assert machine.on_message(0, replies[0]) == [ChargeCpu(0.25)]
     assert machine.on_messages(0, []) == []
     assert [msg for _, msg in machine.received] == [*replies, replies[0]]
+
+
+# -- the inbound reader: one reused buffer per connection ------------------------
+
+
+def _record_buffers(monkeypatch):
+    """Every buffer an inbound connection hands the transport to read into."""
+    handed = []
+    real = asyncio_net._Inbound.get_buffer
+
+    def recording(self, sizehint):
+        buffer = real(self, sizehint)
+        handed.append(buffer)
+        return buffer
+
+    monkeypatch.setattr(asyncio_net._Inbound, "get_buffer", recording)
+    return handed
+
+
+def test_every_read_of_a_connection_lands_in_the_same_buffer(monkeypatch):
+    handed = _record_buffers(monkeypatch)
+    feeds = _count_feeds(monkeypatch)
+    replies = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(4)]
+
+    async def scenario():
+        runtime = AsyncioRuntime(Scripted(1, WallClock()))
+        _reader, writer = await _one_segment_to(runtime)
+        try:
+            for count, reply in enumerate(replies, start=1):
+                writer.write(encode_frame(asyncio_net.encode_message(reply)))
+                await writer.drain()
+                await _until(lambda count=count: len(runtime.machine.received) == count)
+            assert len(feeds) >= len(replies)  # one read per write, at least
+            assert len(handed) >= len(feeds)
+            assert all(buffer is handed[0] for buffer in handed)
+            assert [msg for _, msg in runtime.machine.received] == replies
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_frame_larger_than_the_buffer_arrives_over_several_reads(monkeypatch):
+    handed = _record_buffers(monkeypatch)
+    feeds = _count_feeds(monkeypatch)
+    txs = tuple(Transaction(3, i, 1024, 0.5, i % 5) for i in range(400))
+    response = BlockResponse(create_leaf(b"\x05" * 32, 9, txs))
+    frame = encode_frame(asyncio_net.encode_message(response))
+
+    async def scenario():
+        runtime = AsyncioRuntime(Scripted(1, WallClock()))
+        _reader, writer = await _one_segment_to(runtime, frame)
+        try:
+            await _until(lambda: bool(runtime.machine.received))
+            assert len(frame) > len(handed[0])
+            assert len(feeds) > 1 and sum(feeds) == 2  # the hello and the block
+            ((sender, received),) = runtime.machine.received
+            assert sender == 0 and received == response
+            assert tuple(received.block.transactions) == txs
+            assert received.block.hash == response.block.hash
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_peer_eof_removes_its_transport():
+    async def scenario():
+        runtime = AsyncioRuntime(Scripted(1, WallClock()))
+        _reader, writer = await _one_segment_to(runtime)
+        try:
+            await _until(lambda: len(runtime._inbound) == 1)
+            writer.write_eof()
+            await _until(lambda: not runtime._inbound)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_close_leaves_no_inbound_transport():
+    async def scenario():
+        runtime = AsyncioRuntime(Scripted(1, WallClock()))
+        reader, writer = await _one_segment_to(runtime)
+        host, port = runtime.host, runtime.port
+        second_reader, second_writer = await asyncio.open_connection(host, port)
+        try:
+            await _until(lambda: len(runtime._inbound) == 2)
+            await runtime.close()
+            assert runtime._inbound == set()
+            for peer in (reader, second_reader):  # both connections are gone
+                try:
+                    assert await asyncio.wait_for(peer.read(), timeout=10.0) == b""
+                except ConnectionResetError:
+                    pass  # aborted with bytes unread: a reset, not a FIN
+        finally:
+            for peer_writer in (writer, second_writer):
+                peer_writer.close()
+        await asyncio.sleep(0.05)
+
+    asyncio.run(scenario())
