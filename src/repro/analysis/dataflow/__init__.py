@@ -1,8 +1,8 @@
-"""``repro analyze``: whole-program dataflow analysis.
+"""The whole-program rule families of ``repro lint``.
 
-Where ``repro lint`` checks per-file syntactic invariants, this package
-builds a symbol table and call graph over the whole tree
-(:mod:`.graph`) and runs three interprocedural rule families on top:
+Where the per-file families (:mod:`repro.analysis.lint`) read one file
+at a time, these build a symbol table and call graph over the whole tree
+(:mod:`.graph`) and run three interprocedural rule families on top:
 
 * ``TAINT00x`` - host-influenced data crossing the TEE trust boundary
   without passing a registered verifier (:mod:`.rules_taint`); the
@@ -14,34 +14,7 @@ builds a symbol table and call graph over the whole tree
 * ``ASYNC00x`` - await-race hazards in the asyncio runtime
   (:mod:`.rules_async`).
 
-Suppression (``# repro-analyze: ignore[RULE]``) and baselines share the
-lint engine's machinery (:mod:`repro.analysis.engine`), so both tools
-behave identically around a finding.
+The rules register in the one registry of :mod:`repro.analysis.engine`,
+so suppression (``# repro-lint: ignore[RULE]``) and the baseline work
+the same for them as for every other rule.
 """
-
-from repro.analysis.dataflow.base import (
-    BASELINE_DEFAULT,
-    Finding,
-    all_analyze_rule_ids,
-    format_findings_json,
-    format_findings_text,
-    load_baseline,
-    run_analyze,
-    write_baseline,
-)
-from repro.analysis.dataflow import (  # noqa: F401  (register rules)
-    rules_async,
-    rules_pure,
-    rules_taint,
-)
-
-__all__ = [
-    "BASELINE_DEFAULT",
-    "Finding",
-    "all_analyze_rule_ids",
-    "format_findings_json",
-    "format_findings_text",
-    "load_baseline",
-    "run_analyze",
-    "write_baseline",
-]

@@ -1,4 +1,4 @@
-"""Symbol table and call graph for ``repro analyze``.
+"""Symbol table and call graph for the whole-program rules of ``repro lint``.
 
 The dataflow rules need to reason across function boundaries: a tainted
 wire-message field handed through one helper call, or a wall-clock read

@@ -28,14 +28,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.dataflow.base import (
-    FileContext,
-    Finding,
-    Rule,
-    register,
-)
 from repro.analysis.dataflow.graph import scoped_statements
-from repro.analysis.engine import receiver_tokens
+from repro.analysis.engine import FileContext, Finding, Rule, receiver_tokens, register
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = {

@@ -28,13 +28,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.dataflow.base import (
-    Finding,
-    ProjectContext,
-    ProjectRule,
-    in_package,
-    register,
-)
 from repro.analysis.dataflow.graph import (
     ClassInfo,
     FunctionInfo,
@@ -42,7 +35,15 @@ from repro.analysis.dataflow.graph import (
     graph_for,
     scoped_statements,
 )
-from repro.analysis.engine import class_attr_values, dotted_name
+from repro.analysis.engine import (
+    Finding,
+    ProjectContext,
+    ProjectRule,
+    class_attr_values,
+    dotted_name,
+    in_package,
+    register,
+)
 
 #: Entry points every Machine exposes; classes extend via ENTRY_POINTS.
 _DEFAULT_ENTRY_POINTS = {"start", "on_message", "on_messages", "on_timer", "crash", "recover"}

@@ -40,19 +40,19 @@ from dataclasses import dataclass
 from typing import Iterator
 from weakref import WeakKeyDictionary
 
-from repro.analysis.dataflow.base import (
-    Finding,
-    ProjectContext,
-    ProjectRule,
-    in_package,
-    register,
-)
 from repro.analysis.dataflow.flow import VERIFIERS, CallSite, FunctionFlow
 from repro.analysis.dataflow.graph import (
     ClassInfo,
     FunctionInfo,
     ProgramGraph,
     graph_for,
+)
+from repro.analysis.engine import (
+    Finding,
+    ProjectContext,
+    ProjectRule,
+    in_package,
+    register,
 )
 
 #: Calls certifying data under the TEE's key: host influence must never

@@ -1,19 +1,21 @@
-"""Shared rule/finding/baseline core for repro's static analyzers.
+"""``repro lint``: one rule registry, one baseline, one suppression spelling.
 
-Two analyzers ride on this engine: ``repro lint`` (per-file syntactic
-invariants: TEE fencing, determinism, message exhaustiveness, layering)
-and ``repro analyze`` (whole-program dataflow: taint tracking across the
-host/TEE boundary, transitive effect purity, await-race detection).
-Each owns a :class:`RuleRegistry`; everything else - parsing, findings,
-inline suppression, baselines, selection and formatting - is shared, so
-a suppression comment or a baseline file behaves identically under both
-tools.
+Every static invariant of this reproduction is a rule in one
+:class:`RuleRegistry`, run by one :func:`run_lint` over one parsed
+project.  The rules come in seven families:
+
+* per-file syntactic invariants (:mod:`repro.analysis.lint`): ``TEE``
+  trust-boundary fencing, ``DET`` determinism, ``MSG`` message
+  exhaustiveness and ``ARCH`` layering;
+* whole-program dataflow (:mod:`repro.analysis.dataflow`): ``TAINT``
+  host data crossing the TEE boundary unverified, ``PURE`` transitive
+  effect purity and ``ASYNC`` await races.
 
 Findings carry a stable rule id, location and fix hint; they can be
-silenced per line with ``# repro-lint: ignore[RULE]`` or
-``# repro-analyze: ignore[RULE]`` (or a bare ``ignore`` for all rules),
-per file with ``# repro-lint: skip-file``, or per finding via a
-committed JSON baseline.  Suppression comments are matched over the
+silenced per line with ``# repro-lint: ignore[RULE]`` (or a bare
+``ignore`` for all rules), per file with ``# repro-lint: skip-file``,
+or per finding via the committed JSON baseline
+(:data:`BASELINE_DEFAULT`).  Suppression comments are matched over the
 whole physical extent of the offending node - including decorator lines
 above a decorated ``def``/``class`` and every line of a multiline
 expression - so the comment can sit wherever the code is readable.
@@ -28,8 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-_IGNORE_RE = re.compile(r"#\s*repro-(?:lint|analyze):\s*ignore(?:\[([A-Za-z0-9,\s]+)\])?")
-_SKIP_FILE_RE = re.compile(r"#\s*repro-(?:lint|analyze):\s*skip-file")
+_IGNORE_RE = re.compile(r"#\s*repro-lint:\s*ignore(?:\[([A-Za-z0-9,\s]+)\])?")
+_SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
+
+#: Default baseline location, resolved against the current directory.
+BASELINE_DEFAULT = ".repro-lint-baseline.json"
 
 
 @dataclass(frozen=True)
@@ -165,10 +170,9 @@ class ProjectRule(Rule):
 
 
 class RuleRegistry:
-    """The rule set of one analyzer (``repro lint`` or ``repro analyze``)."""
+    """Every rule ``repro lint`` knows, keyed by rule id."""
 
-    def __init__(self, label: str) -> None:
-        self.label = label
+    def __init__(self) -> None:
         self.rules: dict[str, Rule] = {}
 
     def register(self, rule_cls: type[Rule]) -> type[Rule]:
@@ -195,6 +199,15 @@ class RuleRegistry:
         return selected
 
 
+#: The one registry; rule modules fill it through :func:`register`.
+REGISTRY = RuleRegistry()
+register = REGISTRY.register
+
+
+def all_rule_ids() -> list[str]:
+    return REGISTRY.ids()
+
+
 # -- helpers shared by rule modules -------------------------------------------
 
 
@@ -202,7 +215,7 @@ def module_name(path: Path) -> str:
     """Dotted module path, inferred from ``__init__.py`` package markers.
 
     Walking up the directory tree (rather than relying on a ``src`` root
-    passed in) makes the analyzers work identically on the real tree and
+    passed in) makes the rules work identically on the real tree and
     on fixture trees tests build under a temp directory.
     """
     parts = [] if path.stem == "__init__" else [path.stem]
@@ -323,20 +336,19 @@ def write_baseline(path: Path | str, findings: Sequence[Finding]) -> None:
 # -- entry point ---------------------------------------------------------------
 
 
-def run_rules(
+def run_lint(
     paths: Sequence[Path | str],
-    registry: RuleRegistry,
     *,
     rules: Sequence[str] | None = None,
     baseline: set[str] | None = None,
 ) -> list[Finding]:
-    """Run ``registry``'s rules over ``paths``; return surviving findings.
+    """Run every registered rule over ``paths``; return surviving findings.
 
     ``rules`` restricts the run to the given rule ids; ``baseline`` is a
     set of finding keys to drop (see :func:`load_baseline`).  Findings
     are sorted by location.
     """
-    selected = registry.select(rules)
+    selected = REGISTRY.select(rules)
     contexts, findings = parse_files(Path(p) for p in paths)
     project = ProjectContext(contexts)
     by_rel = {ctx.rel: ctx for ctx in contexts}
@@ -356,11 +368,11 @@ def run_rules(
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
 
-def format_findings_text(findings: Sequence[Finding], prog: str = "repro lint") -> str:
+def format_findings_text(findings: Sequence[Finding]) -> str:
     if not findings:
-        return f"{prog}: no findings"
+        return "repro lint: no findings"
     lines = [finding.render() for finding in findings]
-    lines.append(f"{prog}: {len(findings)} finding(s)")
+    lines.append(f"repro lint: {len(findings)} finding(s)")
     return "\n".join(lines)
 
 
@@ -369,3 +381,9 @@ def format_findings_json(findings: Sequence[Finding]) -> str:
         {"count": len(findings), "findings": [f.to_json() for f in findings]},
         indent=2,
     )
+
+
+# The rule modules register on import and import this module's vocabulary,
+# so they load once everything above is defined.
+from repro.analysis.dataflow import rules_async, rules_pure, rules_taint  # noqa: E402,F401
+from repro.analysis.lint import rules_arch, rules_det, rules_msg, rules_tee  # noqa: E402,F401

@@ -1,9 +1,9 @@
-"""``repro lint``: AST-based invariant linter for this reproduction.
+"""The per-file rule families of ``repro lint``.
 
 The simulator's two load-bearing properties - trusted state lives only
 behind the TEE interface (paper Section 4.1) and every run is
-bit-identical under a seed - are invisible to ordinary linters.  This
-package enforces them mechanically:
+bit-identical under a seed - are invisible to ordinary linters.  These
+modules enforce them, and two more invariants, one file at a time:
 
 * ``TEE00x`` - trust-boundary rules: code outside :mod:`repro.tee` must
   use the public ``TEEsign``/``TEEprepare``/``TEEstore``/``TEEstart``/
@@ -20,34 +20,7 @@ package enforces them mechanically:
   :mod:`repro.runtime.asyncio_net`), and no module may consist of
   re-exports alone.
 
-Findings can be suppressed per line with ``# repro-lint: ignore[RULE]``
-or waived wholesale via a committed baseline file.
+The rules register in the one registry of :mod:`repro.analysis.engine`,
+which also owns suppression, the baseline and :func:`run_lint
+<repro.analysis.engine.run_lint>`.
 """
-
-from repro.analysis.lint.engine import (
-    BASELINE_DEFAULT,
-    Finding,
-    all_rule_ids,
-    format_findings_json,
-    format_findings_text,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
-from repro.analysis.lint import (  # noqa: F401  (register rules)
-    rules_arch,
-    rules_det,
-    rules_msg,
-    rules_tee,
-)
-
-__all__ = [
-    "BASELINE_DEFAULT",
-    "Finding",
-    "all_rule_ids",
-    "format_findings_json",
-    "format_findings_text",
-    "load_baseline",
-    "run_lint",
-    "write_baseline",
-]

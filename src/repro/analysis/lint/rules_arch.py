@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint.engine import FileContext, Finding, Rule, in_package, register
+from repro.analysis.engine import FileContext, Finding, Rule, in_package, register
 
 #: Host packages/modules the protocol layers must never import.
 FORBIDDEN_TARGETS = ("repro.sim", "repro.runtime.asyncio_net")

@@ -16,13 +16,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import class_attr_values
-from repro.analysis.lint.engine import (
+from repro.analysis.engine import (
     FileContext,
     Finding,
     ProjectContext,
     ProjectRule,
     Rule,
+    class_attr_values,
     in_package,
     register,
 )

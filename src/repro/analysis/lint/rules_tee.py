@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint.engine import (
+from repro.analysis.engine import (
     FileContext,
     Finding,
     Rule,

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.config import SystemConfig
 from repro.core.executor import Ledger
+from repro.errors import ConfigError
 from repro.protocols.client import Client
 from repro.protocols.replica import BaseReplica
 from repro.runtime.asyncio_net import LocalCluster
@@ -131,9 +132,9 @@ def load_config(
     aggregate arrival process is Poisson at the requested rate.
     """
     if rate_per_s <= 0:
-        raise ValueError("rate_per_s must be positive")
+        raise ConfigError("rate_per_s must be positive")
     if senders < 1:
-        raise ValueError("senders must be at least 1")
+        raise ConfigError("senders must be at least 1")
     interval_ms = senders * 1000.0 / rate_per_s
     return SystemConfig(
         protocol=protocol,

@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.metrics import Summary, summarize_runs
+from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.runner import ExperimentRunner
@@ -28,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def resolve_jobs(jobs: int) -> int:
     """Normalize a ``--jobs`` value: 0 means "all cores", negatives reject."""
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise ConfigError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs

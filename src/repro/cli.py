@@ -2,10 +2,10 @@
 
 Commands:
 
-* ``run`` - simulate one protocol deployment and print its metrics;
-* ``compare`` - run several protocols on the same deployment side by side;
-* ``experiment`` - regenerate one of the paper's tables/figures;
-* ``bench`` - run an experiment grid, optionally sharded across processes;
+* ``run`` - simulate one protocol deployment and print its metrics, or
+  several protocols on the same deployment side by side;
+* ``experiment`` - regenerate one of the paper's tables/figures; the
+  grids (Figs 6-8) take their size as flags and shard across processes;
 * ``profile`` - cProfile one scenario cell and print the hot functions;
 * ``chaos`` - the campaign cell with nobody seated on the ``chaos`` plan
   (lossy links, a partition, crash/recovery), printed as a verdict row;
@@ -18,18 +18,21 @@ Commands:
 * ``net-chaos`` - multi-process chaos: plays a named fault plan (SIGKILL
   + restart from the durable record, a live partition/heal) on OS processes and
   gives it a campaign cell's verdict (PASS / UNSAFE / STALLED);
-* ``lint`` - run the AST invariant linter (TEE boundaries, determinism);
-* ``analyze`` - whole-program dataflow analysis (TEE taint tracking,
-  transitive effect purity, asyncio await-race detection);
+* ``lint`` - check the repo's static invariants: per-file (TEE boundaries,
+  determinism, message exhaustiveness, layering) and whole-program (TEE
+  taint tracking, transitive effect purity, asyncio await races);
 * ``protocols`` - list the implemented protocols and their properties.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from functools import partial
 
-from repro.analysis.lint import (
+from repro.analysis.counterexample import run_checker_scenario, run_counter_scenario
+from repro.analysis.engine import (
     BASELINE_DEFAULT,
     all_rule_ids,
     format_findings_json,
@@ -38,12 +41,6 @@ from repro.analysis.lint import (
     run_lint,
     write_baseline,
 )
-from repro.analysis.counterexample import run_checker_scenario, run_counter_scenario
-from repro.analysis.dataflow import (
-    all_analyze_rule_ids,
-    run_analyze,
-)
-from repro.analysis.dataflow import BASELINE_DEFAULT as ANALYZE_BASELINE_DEFAULT
 from repro.bench.experiments import fig6, fig7, fig8, fig9, table1_experiment
 from repro.bench.reporting import format_table
 from repro.config import SystemConfig
@@ -55,13 +52,21 @@ from repro.sim.regions import EU_REGIONS, WORLD_REGIONS
 _REGIONS = {"eu": EU_REGIONS, "world": WORLD_REGIONS}
 
 _EXPERIMENTS = {
-    "table1": lambda: table1_experiment(f=2),
-    "fig6a": lambda: fig6(payload_bytes=256),
-    "fig6b": lambda: fig6(payload_bytes=0),
-    "fig7a": lambda: fig7(payload_bytes=256),
-    "fig7b": lambda: fig7(payload_bytes=0),
-    "fig8": lambda: fig8(),
-    "fig9": lambda: fig9(),
+    "table1": partial(table1_experiment, f=2),
+    "fig6a": partial(fig6, payload_bytes=256),
+    "fig6b": partial(fig6, payload_bytes=0),
+    "fig7a": partial(fig7, payload_bytes=256),
+    "fig7b": partial(fig7, payload_bytes=0),
+    "fig8": fig8,
+    "fig9": fig9,
+}
+
+#: ``experiment`` flags and the parameter each sets; unset, a figure keeps its default.
+_GRID_FLAGS = {
+    "thresholds": "thresholds",
+    "views": "views_per_run",
+    "reps": "repetitions",
+    "jobs": "jobs",
 }
 
 
@@ -100,8 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate one protocol deployment")
-    run_p.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
+    run_p = sub.add_parser(
+        "run", help="simulate one protocol deployment, or several side by side"
+    )
+    run_p.add_argument("--protocol", nargs="+", default=["damysus"],
+                       choices=sorted(SPECS), metavar="NAME",
+                       help="one name prints its metrics, several a comparison "
+                       "table (see `repro protocols`)")
     run_p.add_argument("--f", type=int, default=1, help="fault threshold")
     run_p.add_argument("--views", type=int, default=10, help="blocks to commit")
     run_p.add_argument("--payload", type=int, default=256, help="tx payload bytes")
@@ -112,33 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--real-crypto", action="store_true",
                        help="use the Schnorr scheme instead of fast HMAC")
 
-    cmp_p = sub.add_parser("compare", help="run several protocols side by side")
-    cmp_p.add_argument("--protocols", nargs="*", default=PROTOCOL_ORDER,
-                       choices=sorted(SPECS), metavar="NAME")
-    cmp_p.add_argument("--f", type=int, default=1)
-    cmp_p.add_argument("--views", type=int, default=8)
-    cmp_p.add_argument("--payload", type=int, default=256)
-    cmp_p.add_argument("--regions", default="eu", choices=sorted(_REGIONS))
-    cmp_p.add_argument("--seed", type=int, default=1)
-
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp_p.add_argument("name", choices=sorted(_EXPERIMENTS))
-
-    bench_p = sub.add_parser(
-        "bench", help="run an experiment grid, optionally sharded across processes"
-    )
-    bench_p.add_argument(
-        "name", choices=["fig6a", "fig6b", "fig7a", "fig7b", "fig8"],
-        help="which grid to run",
-    )
-    bench_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the grid (0 = one per core, 1 = in-process)",
-    )
-    bench_p.add_argument("--thresholds", type=int, nargs="*", default=None,
-                         metavar="F", help="fault thresholds (fig6/fig7 only)")
-    bench_p.add_argument("--views", type=int, default=6, help="views per run")
-    bench_p.add_argument("--reps", type=int, default=2, help="repetitions per cell")
+    exp_p.add_argument("--thresholds", type=int, nargs="*", metavar="F",
+                       help="fault thresholds (fig6/fig7 only)")
+    exp_p.add_argument("--views", type=int, help="views per run (not fig9)")
+    exp_p.add_argument("--reps", type=int, help="repetitions per cell (fig6-fig8)")
+    exp_p.add_argument("--jobs", type=int, help="worker processes for the grid "
+                       "(fig6-fig8; 0 = one per core, 1 = in-process)")
 
     prof_p = sub.add_parser(
         "profile", help="cProfile one scenario cell and print the hot functions"
@@ -305,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="AST invariant linter: TEE boundaries, determinism, exhaustiveness",
+        help="static invariants: TEE boundaries, determinism, exhaustiveness, "
+        "layering, TEE taint, effect purity, await races",
     )
     lint_p.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
@@ -332,118 +324,63 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="list rule ids and exit",
     )
 
-    analyze_p = sub.add_parser(
-        "analyze",
-        help="whole-program dataflow analysis: TEE taint, effect purity, "
-        "await races",
-    )
-    analyze_p.add_argument(
-        "paths", nargs="*", default=["src"], metavar="PATH",
-        help="files or directories to analyze (default: src)",
-    )
-    analyze_p.add_argument(
-        "--rule", action="append", dest="rules", metavar="ID",
-        help="restrict to the given rule id(s), e.g. --rule TAINT002",
-    )
-    analyze_p.add_argument("--format", choices=["text", "json"], default="text")
-    analyze_p.add_argument(
-        "--baseline", default=ANALYZE_BASELINE_DEFAULT,
-        help=f"baseline of waived findings (default: {ANALYZE_BASELINE_DEFAULT})",
-    )
-    analyze_p.add_argument(
-        "--no-baseline", action="store_true",
-        help="report findings even if the baseline waives them",
-    )
-    analyze_p.add_argument(
-        "--write-baseline", action="store_true",
-        help="waive every current finding by rewriting the baseline",
-    )
-    analyze_p.add_argument(
-        "--list-rules", action="store_true", help="list rule ids and exit",
-    )
-
     sub.add_parser("protocols", help="list implemented protocols")
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = SystemConfig(
-        protocol=args.protocol,
-        f=args.f,
-        payload_bytes=args.payload,
-        block_size=args.block_size,
-        regions=_REGIONS[args.regions],
-        seed=args.seed,
-        use_real_crypto=args.real_crypto,
-    )
-    system = ConsensusSystem(config)
-    if args.crash:
-        system.crash_replicas(args.crash)
-    result = system.run_until_views(args.views)
-    print(f"protocol           {result.protocol}")
-    print(f"replicas           {result.num_replicas} (f={result.f})")
-    print(f"committed blocks   {result.committed_blocks}")
-    print(f"virtual time       {result.duration_ms:.0f} ms")
-    print(f"throughput         {result.throughput_kops:.2f} Kops/s")
-    print(f"latency            {result.mean_latency_ms:.1f} ms")
-    print(f"messages / bytes   {result.messages_sent} / {result.bytes_sent}")
-    print(f"safety             {'OK' if result.safe else 'VIOLATED'}")
-    return 0 if result.safe else 1
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
-    for protocol in args.protocols:
+    results = []
+    for protocol in args.protocol:
         config = SystemConfig(
             protocol=protocol,
             f=args.f,
             payload_bytes=args.payload,
+            block_size=args.block_size,
             regions=_REGIONS[args.regions],
             seed=args.seed,
+            use_real_crypto=args.real_crypto,
         )
-        result = ConsensusSystem(config).run_until_views(args.views)
-        rows.append(
-            [
-                protocol,
-                result.num_replicas,
-                result.throughput_kops,
-                result.mean_latency_ms,
-                result.messages_sent,
-                "OK" if result.safe else "VIOLATED",
-            ]
+        system = ConsensusSystem(config)
+        if args.crash:
+            system.crash_replicas(args.crash)
+        results.append(system.run_until_views(args.views))
+    if len(results) > 1:
+        rows = [
+            [r.protocol, r.num_replicas, r.throughput_kops, r.mean_latency_ms,
+             r.messages_sent, "OK" if r.safe else "VIOLATED"]
+            for r in results
+        ]
+        print(
+            format_table(
+                ["protocol", "N", "Kops/s", "latency ms", "msgs", "safety"],
+                rows,
+                title=f"f={args.f}, {args.payload}B payload, {args.regions} regions",
+            )
         )
-    print(
-        format_table(
-            ["protocol", "N", "Kops/s", "latency ms", "msgs", "safety"],
-            rows,
-            title=f"f={args.f}, {args.payload}B payload, {args.regions} regions",
-        )
-    )
-    return 0
+    else:
+        result = results[0]
+        print(f"protocol           {result.protocol}")
+        print(f"replicas           {result.num_replicas} (f={result.f})")
+        print(f"committed blocks   {result.committed_blocks}")
+        print(f"virtual time       {result.duration_ms:.0f} ms")
+        print(f"throughput         {result.throughput_kops:.2f} Kops/s")
+        print(f"latency            {result.mean_latency_ms:.1f} ms")
+        print(f"messages / bytes   {result.messages_sent} / {result.bytes_sent}")
+        print(f"safety             {'OK' if result.safe else 'VIOLATED'}")
+    return 0 if all(r.safe for r in results) else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    report = _EXPERIMENTS[args.name]()
-    print(report.render())
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig6, fig7, fig8
-
-    if args.name == "fig8":
-        report = fig8(views_per_run=args.views, repetitions=args.reps, jobs=args.jobs)
-    else:
-        fig = fig6 if args.name.startswith("fig6") else fig7
-        payload = 256 if args.name.endswith("a") else 0
-        report = fig(
-            payload_bytes=payload,
-            thresholds=args.thresholds,
-            views_per_run=args.views,
-            repetitions=args.reps,
-            jobs=args.jobs,
-        )
-    print(report.render())
+    experiment = _EXPERIMENTS[args.name]
+    takes = inspect.signature(experiment).parameters
+    kwargs = {}
+    for flag, param in _GRID_FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            if param not in takes:
+                raise ConfigError(f"{args.name} takes no --{flag}")
+            kwargs[param] = value
+    print(experiment(**kwargs).render())
     return 0
 
 
@@ -547,28 +484,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(format_findings_json(findings))
     else:
         print(format_findings_text(findings))
-    return 1 if findings else 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        for rule_id in all_analyze_rule_ids():
-            print(rule_id)
-        return 0
-    baseline = None if args.no_baseline else load_baseline(args.baseline)
-    try:
-        findings = run_analyze(args.paths, rules=args.rules, baseline=baseline)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(f"baseline: waived {len(findings)} finding(s) in {args.baseline}")
-        return 0
-    if args.format == "json":
-        print(format_findings_json(findings))
-    else:
-        print(format_findings_text(findings, prog="repro analyze"))
     return 1 if findings else 0
 
 
@@ -729,9 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "run": _cmd_run,
-        "compare": _cmd_compare,
         "experiment": _cmd_experiment,
-        "bench": _cmd_bench,
         "profile": _cmd_profile,
         "chaos": _cmd_chaos,
         "campaign": _cmd_campaign,
@@ -741,7 +654,6 @@ def main(argv: list[str] | None = None) -> int:
         "net-chaos": _cmd_net_chaos,
         "counterexample": _cmd_counterexample,
         "lint": _cmd_lint,
-        "analyze": _cmd_analyze,
         "protocols": _cmd_protocols,
     }[args.command]
     try:

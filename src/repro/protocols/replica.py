@@ -657,16 +657,16 @@ class BaseReplica(Machine):
         for executed in newly:
             keys = executed.client_keys()
             self.mempool.purge_committed(keys)
+            applied = self.ledger.applied_transactions(executed)
             if keys:
                 # One reply per transaction that took effect, none for a
                 # copy the ledger skipped (its first application answered),
                 # read off the column's key fields: no record is built.
-                applied = self.ledger.applied_transactions(executed)
                 for client_id, tx_id in applied.client_keys():
                     pid = self.client_pids.get(client_id)
                     if pid is not None:
                         self._reply(pid, client_id, tx_id, AdmissionVerdict.ACCEPTED, now)
-            self._emit(Commit(executed, view))
+            self._emit(Commit(executed, view, len(applied)))
         if newly:
             self.last_committed_view = max(self.last_committed_view, view)
             self._maybe_checkpoint()

@@ -542,7 +542,9 @@ class StateTransfer:
             replica.store.add(block)
             replica.ledger.apply_synced(block, replica.now)
             replica.mempool.purge_committed(block.client_keys())
-            replica._emit(Commit(block, block.view))
+            replica._emit(
+                Commit(block, block.view, len(replica.ledger.applied_transactions(block)))
+            )
         tip = buffer[-1] if buffer else None
         self.finish()
         if tip is not None:

@@ -163,7 +163,6 @@ class AsyncioRuntime:
         self.rejected_connections = 0  # malformed hello / framing violations
         self.committed_blocks = 0
         self.committed_txs = 0
-        self.commit_event = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -248,8 +247,7 @@ class AsyncioRuntime:
                     handle.cancel()
             elif type(effect) is Commit:
                 self.committed_blocks += 1
-                self.committed_txs += effect.block.num_transactions()
-                self.commit_event.set()
+                self.committed_txs += effect.txs
             # ChargeCpu models simulated CPU occupancy; real CPUs charge
             # themselves, so it needs no interpretation here.
 

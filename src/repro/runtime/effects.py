@@ -63,11 +63,14 @@ class Commit(NamedTuple):
     """Announce that ``block`` was executed (committed) in ``view``.
 
     Runtimes use this for progress reporting; the ledger has already
-    applied the block by the time this effect is emitted.
+    applied the block by the time this effect is emitted.  ``txs`` counts
+    the block's transactions that took effect: a re-carried copy the
+    exactly-once ledger skipped is not one.
     """
 
     block: Any
     view: int
+    txs: int
 
 
 class ChargeCpu(NamedTuple):

@@ -62,7 +62,7 @@ class TrustedCounter(TrustedComponent):
             # certificate binds presentation order, not validity - which
             # is precisely why Section 4.1 (and counterexample.py) show a
             # bare counter cannot make a 2f+1 protocol safe.
-            signature=self._sign(payload),  # repro-analyze: ignore[TAINT002]
+            signature=self._sign(payload),  # repro-lint: ignore[TAINT002]
         )
 
     def verify_certificate(self, cert: CounterCertificate) -> bool:

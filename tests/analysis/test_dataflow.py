@@ -1,4 +1,4 @@
-"""Tests for ``repro analyze``: the whole-program dataflow analyses.
+"""Tests for the whole-program dataflow rules of ``repro lint``.
 
 Each rule family gets firing and clean fixtures under a temp tree, the
 PR-6 ``tee_checkpoint`` bug is re-detected from its historical shape,
@@ -13,21 +13,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow import (
-    all_analyze_rule_ids,
+from repro.analysis.engine import (
+    BASELINE_DEFAULT,
+    all_rule_ids,
     load_baseline,
-    run_analyze,
+    run_lint,
 )
 from repro.cli import main
 from tests.analysis.test_lint import make_module
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
+#: The whole-program rule families, run alone unless a test names its rules.
+DATAFLOW_RULES = [r for r in all_rule_ids() if r.startswith(("TAINT", "PURE", "ASYNC"))]
+
 
 def analyze_ids(
     root: Path, rules: list[str] | None = None
 ) -> list[tuple[str, int]]:
-    findings = run_analyze([root], rules=rules)
+    findings = run_lint([root], rules=rules or DATAFLOW_RULES)
     return [(f.rule_id, f.line) for f in findings]
 
 
@@ -107,7 +111,7 @@ def test_taint001_propagates_through_helper(tmp_path):
                 self._root = root
         """,
     )
-    findings = run_analyze([tmp_path], rules=["TAINT001"])
+    findings = run_lint([tmp_path], rules=["TAINT001"])
     assert [(f.rule_id, f.line) for f in findings] == [("TAINT001", 4)]
     assert "via" in findings[0].message
 
@@ -191,7 +195,7 @@ def test_taint002_multiline_call_suppressed_on_last_line(tmp_path):
                 payload = checkpoint_payload(
                     self._signer,
                     height,
-                )  # repro-analyze: ignore[TAINT002]
+                )  # repro-lint: ignore[TAINT002]
                 return payload
         """,
     )
@@ -228,7 +232,7 @@ def test_pr6_checkpoint_bug_is_redetected(tmp_path):
                 return self._sign(payload)
         """,
     )
-    findings = run_analyze([tmp_path], rules=["TAINT001", "TAINT002"])
+    findings = run_lint([tmp_path], rules=["TAINT001", "TAINT002"])
     assert [(f.rule_id, f.line) for f in findings] == [
         ("TAINT001", 13),
         ("TAINT002", 14),
@@ -343,7 +347,7 @@ def test_taint003_propagates_through_helper(tmp_path):
             replica.checker.tee_checkpoint(height)
         """,
     )
-    findings = run_analyze([tmp_path], rules=["TAINT003"])
+    findings = run_lint([tmp_path], rules=["TAINT003"])
     assert [(f.rule_id, f.line) for f in findings] == [("TAINT003", 3)]
     assert "via" in findings[0].message
 
@@ -367,7 +371,7 @@ def test_pure001_nondeterminism_reachable_through_helper(tmp_path):
                 return time.time()
         """,
     )
-    findings = run_analyze([tmp_path], rules=["PURE001"])
+    findings = run_lint([tmp_path], rules=["PURE001"])
     assert [(f.rule_id, f.line) for f in findings] == [("PURE001", 10)]
     assert "Proto.on_timer" in findings[0].message
 
@@ -397,7 +401,7 @@ def test_pure001_crosses_module_boundaries(tmp_path):
                 return stamp()
         """,
     )
-    findings = run_analyze([tmp_path], rules=["PURE001"])
+    findings = run_lint([tmp_path], rules=["PURE001"])
     assert [(f.rule_id, f.line) for f in findings] == [("PURE001", 5)]
     assert findings[0].path.endswith("util.py")
 
@@ -628,7 +632,7 @@ def test_async001_inline_suppression(tmp_path):
             async def close(self):
                 tasks = list(self._tasks)
                 await tasks[0]
-                self._tasks.clear()  # repro-analyze: ignore[ASYNC001]
+                self._tasks.clear()  # repro-lint: ignore[ASYNC001]
         """,
     )
     assert analyze_ids(tmp_path, ["ASYNC001"]) == []
@@ -683,7 +687,7 @@ def test_async002_async_for_header_is_the_loop_itself(tmp_path):
 
 
 def test_registry_has_all_analyze_families():
-    ids = set(all_analyze_rule_ids())
+    ids = set(all_rule_ids())
     assert {"TAINT001", "TAINT002", "TAINT003"} <= ids
     assert {"PURE001", "PURE002"} <= ids
     assert {"ASYNC001", "ASYNC002"} <= ids
@@ -691,12 +695,12 @@ def test_registry_has_all_analyze_families():
 
 def test_unknown_analyze_rule_raises(tmp_path):
     with pytest.raises(KeyError):
-        run_analyze([tmp_path], rules=["NOPE999"])
+        run_lint([tmp_path], rules=["NOPE999"])
 
 
 def test_cli_analyze_clean_tree_exits_zero(tmp_path, capsys):
     make_module(tmp_path, "repro.core.clean", "VALUE = 1\n")
-    assert main(["analyze", str(tmp_path)]) == 0
+    assert main(["lint", str(tmp_path)]) == 0
     assert "no findings" in capsys.readouterr().out
 
 
@@ -710,7 +714,7 @@ def test_cli_analyze_violation_exits_nonzero(tmp_path, capsys):
                 self._height = height
         """,
     )
-    assert main(["analyze", str(tmp_path)]) == 1
+    assert main(["lint", str(tmp_path)]) == 1
     assert "TAINT001" in capsys.readouterr().out
 
 
@@ -724,7 +728,7 @@ def test_cli_analyze_json_format(tmp_path, capsys):
                 self._height = height
         """,
     )
-    assert main(["analyze", str(tmp_path), "--format", "json"]) == 1
+    assert main(["lint", str(tmp_path), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 1
     assert payload["findings"][0]["rule"] == "TAINT001"
@@ -740,11 +744,11 @@ def test_cli_analyze_rule_filter(tmp_path):
                 self._height = height
         """,
     )
-    assert main(["analyze", str(tmp_path), "--rule", "ASYNC001"]) == 0
+    assert main(["lint", str(tmp_path), "--rule", "ASYNC001"]) == 0
 
 
 def test_cli_analyze_unknown_rule_exits_two(tmp_path, capsys):
-    assert main(["analyze", str(tmp_path), "--rule", "NOPE999"]) == 2
+    assert main(["lint", str(tmp_path), "--rule", "NOPE999"]) == 2
     assert "unknown rule" in capsys.readouterr().err
 
 
@@ -760,17 +764,17 @@ def test_cli_analyze_write_baseline_then_clean(tmp_path, capsys):
     )
     baseline = tmp_path / "baseline.json"
     assert main(
-        ["analyze", str(tmp_path), "--baseline", str(baseline), "--write-baseline"]
+        ["lint", str(tmp_path), "--baseline", str(baseline), "--write-baseline"]
     ) == 0
     capsys.readouterr()
-    assert main(["analyze", str(tmp_path), "--baseline", str(baseline)]) == 0
+    assert main(["lint", str(tmp_path), "--baseline", str(baseline)]) == 0
     assert main(
-        ["analyze", str(tmp_path), "--baseline", str(baseline), "--no-baseline"]
+        ["lint", str(tmp_path), "--baseline", str(baseline), "--no-baseline"]
     ) == 1
 
 
 def test_cli_analyze_list_rules(capsys):
-    assert main(["analyze", "--list-rules"]) == 0
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out.split()
     assert "TAINT001" in out and "ASYNC002" in out
 
@@ -779,11 +783,13 @@ def test_cli_analyze_list_rules(capsys):
 
 
 def test_repo_src_has_zero_analyze_findings():
-    findings = run_analyze([REPO_SRC])
+    findings = run_lint([REPO_SRC], rules=DATAFLOW_RULES)
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
 def test_repo_analyze_baseline_is_committed_and_empty():
-    baseline_path = REPO_SRC.parent / ".repro-analyze-baseline.json"
+    """The dataflow rules share the one committed lint baseline."""
+    assert not (REPO_SRC.parent / ".repro-analyze-baseline.json").exists()
+    baseline_path = REPO_SRC.parent / BASELINE_DEFAULT
     assert baseline_path.exists()
     assert load_baseline(baseline_path) == set()

@@ -1,19 +1,17 @@
-"""Edge-case tests for the shared analyzer engine.
+"""Edge-case tests for the rule engine of ``repro lint``.
 
-``repro lint`` and ``repro analyze`` ride on one finding/suppression/
-baseline core (:mod:`repro.analysis.engine`); these tests pin the
-corners of that shared behaviour: suppression comments on decorated and
-multiline nodes, cross-tool ignore tags, baseline write stability, and
-unknown-rule handling.
+Every rule family rides on one finding/suppression/baseline core
+(:mod:`repro.analysis.engine`); these tests pin the corners of that
+behaviour: suppression comments on decorated and multiline nodes, one
+ignore tag for every family, baseline write stability, and unknown-rule
+handling.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.engine import Finding, write_baseline
-from repro.analysis.dataflow import run_analyze
-from repro.analysis.lint import load_baseline, run_lint
+from repro.analysis.engine import Finding, load_baseline, run_lint, write_baseline
 from tests.analysis.test_lint import make_module
 
 
@@ -80,12 +78,13 @@ def test_comment_in_compound_statement_body_does_not_silence_header(tmp_path):
 
 
 def test_lint_and_analyze_ignore_tags_are_interchangeable(tmp_path):
-    """One engine, one suppression story: either tag silences either tool."""
+    """One engine, one suppression story: one tag silences per-file and
+    whole-program rules alike."""
     make_module(
         tmp_path,
         "repro.sim.suppressed",
         """
-        import random  # repro-analyze: ignore[DET001]
+        import random  # repro-lint: ignore[DET001]
         """,
     )
     assert run_lint([tmp_path], rules=["DET001"]) == []
@@ -98,7 +97,18 @@ def test_lint_and_analyze_ignore_tags_are_interchangeable(tmp_path):
                 self._height = height  # repro-lint: ignore[TAINT001]
         """,
     )
-    assert run_analyze([tmp_path], rules=["TAINT001"]) == []
+    assert run_lint([tmp_path], rules=["TAINT001"]) == []
+
+
+def test_the_retired_analyze_tag_silences_nothing(tmp_path):
+    make_module(
+        tmp_path,
+        "repro.sim.suppressed",
+        """
+        import random  # repro-analyze: ignore[DET001]
+        """,
+    )
+    assert [f.rule_id for f in run_lint([tmp_path], rules=["DET001"])] == ["DET001"]
 
 
 # -- baseline stability ---------------------------------------------------------
@@ -153,7 +163,7 @@ def test_unknown_rule_error_names_the_known_rules(tmp_path):
     assert "NOPE999" in str(excinfo.value)
     assert "DET001" in str(excinfo.value)
     with pytest.raises(KeyError) as excinfo:
-        run_analyze([tmp_path], rules=["NOPE999"])
+        run_lint([tmp_path], rules=["NOPE999"])
     assert "TAINT001" in str(excinfo.value)
 
 

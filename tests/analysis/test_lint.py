@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
+from repro.analysis.engine import (
     Finding,
     all_rule_ids,
     load_baseline,
@@ -630,6 +630,81 @@ def test_cli_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out.split()
     assert "TEE001" in out and "MSG003" in out
+
+
+def test_cli_lint_lists_every_rule_of_the_seven_families(capsys):
+    """The one registry: the 13 per-file rules and the 7 whole-program ones."""
+    assert main(["lint", "--list-rules"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "ARCH001", "ARCH002", "ARCH003", "ARCH004", "ASYNC001", "ASYNC002",
+        "DET001", "DET002", "DET003", "MSG001", "MSG002", "MSG003",
+        "PURE001", "PURE002", "TAINT001", "TAINT002", "TAINT003",
+        "TEE001", "TEE002", "TEE003",
+    ]
+
+
+def test_one_lint_run_reports_every_family(tmp_path, capsys):
+    """One fixture breaks one rule of each family; one run finds all seven."""
+    make_module(
+        tmp_path,
+        "repro.protocols.bad",
+        """
+        def leak(replica):
+            return replica.checker._preph
+        """,
+    )
+    make_module(tmp_path, "repro.sim.dirty", "import random\n")
+    make_module(
+        tmp_path,
+        "repro.core.messages",
+        """
+        class OrphanMsg:
+            msg_type = "orphan"
+        """,
+    )
+    make_module(tmp_path, "repro.core.leaky", "from repro.sim.events import Simulator\n")
+    make_module(
+        tmp_path,
+        "repro.tee.fixture",
+        """
+        class Checker:
+            def tee_adopt(self, height):
+                self._height = height
+        """,
+    )
+    make_module(
+        tmp_path,
+        "repro.protocols.proto",
+        """
+        class Machine:
+            pass
+
+        class Proto(Machine):
+            def on_timer(self, time):
+                return self._stamp(time)
+
+            def _stamp(self, time):
+                return time.time()
+        """,
+    )
+    make_module(
+        tmp_path,
+        "repro.runtime.netty",
+        """
+        import asyncio
+
+        class Net:
+            async def close(self):
+                tasks = list(self._tasks)
+                await asyncio.gather(*tasks)
+                self._tasks.clear()
+        """,
+    )
+    assert main(["lint", str(tmp_path), "--format", "json"]) == 1
+    found = {f["rule"] for f in json.loads(capsys.readouterr().out)["findings"]}
+    families = {rule.rstrip("0123456789") for rule in found}
+    assert families == {"TEE", "DET", "MSG", "ARCH", "TAINT", "PURE", "ASYNC"}
+    assert {"TEE001", "DET001", "MSG001", "ARCH001", "TAINT001", "PURE001", "ASYNC001"} <= found
 
 
 # -- the meta-test: this repository obeys its own invariants --------------------

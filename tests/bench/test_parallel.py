@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.parallel import resolve_jobs, run_cells
 from repro.bench.runner import ExperimentRunner
+from repro.errors import ConfigError
 
 
 def small_runner(**overrides):
@@ -21,7 +22,7 @@ def test_resolve_jobs():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(7) == 7
     assert resolve_jobs(0) >= 1  # all cores
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         resolve_jobs(-1)
 
 

@@ -14,6 +14,8 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.block import create_leaf
+from repro.core.mempool import Transaction
 from repro.errors import ConfigError
 from repro.runtime.asyncio_net import (
     SIMULATOR_ONLY,
@@ -199,6 +201,19 @@ def test_tcp_cluster_seats_every_config_field():
     wider = LocalCluster(config, 10)  # 3f+1 <= 10 tolerates f = 3
     assert [replica.config for replica in wider.replicas] == [replace(config, f=3)] * 10
     assert [client.pid for client in wider.clients] == [10, 11, 12]
+
+
+def test_committed_txs_counts_only_transactions_that_took_effect():
+    """A block re-carrying an applied key adds only its fresh transaction."""
+    machine = build_machine("damysus", 0, 4, _FixedClock())
+    runtime = AsyncioRuntime(machine)
+    first = create_leaf(machine.store.genesis.hash, 1, (Transaction(0, 0, 0),))
+    second = create_leaf(first.hash, 2, (Transaction(0, 0, 0), Transaction(0, 1, 0)))
+    for view, block in enumerate((first, second), start=1):
+        machine.store.add(block)
+        machine.execute_block(block, view)
+    assert machine.ledger.filtered == 1
+    assert (runtime.committed_blocks, runtime.committed_txs) == (2, 2)
 
 
 def test_health_snapshot_keeps_every_key_netchaos_reads():

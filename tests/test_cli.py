@@ -28,8 +28,9 @@ def test_run_with_crash(capsys):
 
 
 def test_compare_command(capsys):
+    """``run`` over several protocols prints them side by side."""
     code = main(
-        ["compare", "--protocols", "hotstuff", "damysus", "--views", "3",
+        ["run", "--protocol", "hotstuff", "damysus", "--views", "3",
          "--payload", "0"]
     )
     out = capsys.readouterr().out
@@ -107,8 +108,9 @@ def test_removed_scenario_switches_are_usage_errors(argv, capsys):
 
 
 def test_bench_command_parallel(capsys):
+    """``experiment`` takes a grid's size and shards it across processes."""
     code = main(
-        ["bench", "fig6a", "--thresholds", "1", "--views", "3", "--reps", "1",
+        ["experiment", "fig6a", "--thresholds", "1", "--views", "3", "--reps", "1",
          "--jobs", "2"]
     )
     out = capsys.readouterr().out
@@ -216,6 +218,10 @@ def test_chaos_cell_accepts_timeout_knobs(capsys):
         ["serve", "--pid", "9", "--n", "4"],
         ["serve", "--pid", "0", "--adversary", "nope"],
         ["serve", "--pid", "0", "--protocol", "hotstuff", "--n", "3"],
+        ["load", "--rate", "0"],
+        ["load", "--rate", "10", "--senders", "0"],
+        ["experiment", "fig8", "--jobs", "-1"],
+        ["experiment", "table1", "--jobs", "2"],
     ],
 )
 def test_a_bad_deployment_is_one_line_not_a_traceback(argv, capsys):
