@@ -8,9 +8,10 @@ durable records (``encode_record`` of ``test_codec.RECORDS``), the
 ``Step`` row and the connection hello's row.  The messages and the
 checkpoint were generated before the table-driven codec replaced the
 hand-written one and are committed unchanged: byte equality against them
-is the argument that two builds interoperate.  The records, the step and
-the hello were added later, each addition leaving every earlier entry
-byte-identical.
+is the argument that two builds interoperate.  The records, the step,
+the hello and the two packed client rows (``ClientRequests``,
+``ClientReplies``) were added later, each addition leaving every earlier
+entry byte-identical.
 
 Without arguments the file is (re)written; ``--check`` compares what this
 checkout encodes against the committed file and exits 1 on any difference.

@@ -22,7 +22,10 @@ request and its transaction), is one struct, and its plan is generated
 code: one ``pack`` or ``unpack_from`` and one constructor call.  A
 block's transactions are a :class:`Column`: the bytes of
 ``Seq(Transaction)``, sliced to and from the block's packed column with
-no record built per transaction.  Nothing outside the table knows a
+no record built per transaction.  So are the client rows a socket host
+packs into one message (:class:`Packed`: ``ClientRequests`` and
+``ClientReplies``, the bytes of ``Seq`` of the row), whose records are
+built only as they are iterated.  Nothing outside the table knows a
 message's shape.
 
 The same table is the byte format of a connection's hello and of the
@@ -43,10 +46,10 @@ import dataclasses
 import functools
 import itertools
 import struct
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, NamedTuple, Union
+from typing import Any, ClassVar, NamedTuple, Union
 
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import Signature
@@ -56,11 +59,11 @@ from repro.core.block import Block
 from repro.core.certificate import Accumulator, QuorumCert
 from repro.core.commitment import Commitment
 from repro.core.mempool import (
-    TX_PAYLOAD_SIZE,
     TX_RECORD,
     AdmissionVerdict,
     Transaction,
     TxBatch,
+    record_field,
 )
 from repro.core.phases import Phase, Step
 
@@ -68,7 +71,10 @@ from repro.core.phases import Phase, Step
 #: field and the admission verdict byte in client replies; peers
 #: announce their version in the connection hello
 #: (:mod:`repro.runtime.framing`) and mismatched generations are
-#: refused at connect time rather than misparsed mid-stream.
+#: refused at connect time rather than misparsed mid-stream.  The packed
+#: client rows (tags 19 and 20) came later within version 2: a build
+#: without them refuses the first packed frame as an unknown tag
+#: (``CodecError``, connection closed), it does not misparse it.
 WIRE_VERSION = 2
 
 
@@ -175,25 +181,49 @@ class Seq:
 
 @dataclass(frozen=True)
 class Column:
-    """A block's transactions: the bytes of ``Seq(Transaction)`` - a ``u32``
-    count, then each ``Transaction`` row with its zero run - carried by one
-    packed :class:`~repro.core.mempool.TxBatch`.  The records are the row's
-    fixed-width part, so encoding writes them as they are, with the zero
-    runs between them, and decoding slices them out of the frame: no
-    record object is built either way."""
+    """``Seq(item)`` on the wire for a fixed-width row ``item`` - a ``u32``
+    count, then each record with its zero run - carried by one ``box``:
+    ``bytes(value)`` is the records back to back without their zero runs,
+    in the row's fused struct, and ``box(packed)`` is the value again.  So
+    encoding writes the records as they are, with the zero runs between
+    them, and decoding slices them out of the frame: no record object is
+    built either way.  A block's transactions are a
+    :class:`~repro.core.mempool.TxBatch` column, the records of a
+    :class:`Packed` message a ``bytes`` one."""
+
+    item: type = Transaction
+    box: Callable[[bytes], Any] = TxBatch
 
     def plan(self) -> Plan:
-        head = _head(Transaction)
-        in_field_order = head is not None and head.order == sorted(head.order)
-        if head is None or not in_field_order or head.packer.format != TX_RECORD.format:
-            raise TypeError("a column record must be the Transaction row, in field order")
-        record = TX_RECORD.size
-        size_at = TX_PAYLOAD_SIZE.unpack_from
+        head = _head(self.item)
+        if head is None:
+            raise TypeError(f"a column's item must be a fixed-width row, not {self.item}")
+        box, record = self.box, head.size
+        if box is TxBatch and (
+            head.order != sorted(head.order) or head.packer.format != TX_RECORD.format
+        ):
+            raise TypeError("a TxBatch column's record must be the Transaction row, in field order")
+        # The zero run's length: read from one record's start, and a view
+        # of every record for ``record_field``.
+        size_at: Callable[[bytes, int], tuple[Any, ...]] | None = None
+        zeros_view: str | None = None
+        checks: list[tuple[int, Callable[[Any], Any]]] = []  # one-byte fields to convert
+        at = 0
+        for path, leaf in head.leaves:
+            width = struct.calcsize("<" + leaf.fmt)
+            if path == head.zeros:
+                size_at = struct.Struct(f"<{at}x{leaf.fmt}").unpack_from
+                zeros_view = f"{at}x{leaf.fmt}{record - at - width}x"
+            if leaf.from_wire is not None:
+                if width != 1:
+                    raise TypeError(f"{path}: a column converts one-byte fields only")
+                checks.append((at, leaf.from_wire))
+            at += width
 
-        def enc(batch: TxBatch, put: Put) -> None:
-            packed = batch.packed
-            put(_COUNT.pack(len(batch)))
-            runs = batch.payload_sizes()
+        def enc(value: Any, put: Put) -> None:
+            packed = bytes(value)
+            put(_COUNT.pack(len(packed) // record))
+            runs = () if zeros_view is None else record_field(zeros_view, packed)
             if not any(map(any, runs)):  # no zero run anywhere: the column as it is
                 put(packed)
                 return
@@ -209,19 +239,29 @@ class Column:
         def dec(buf: bytes, pos: int, out: list[Any]) -> int:
             (count,) = _COUNT.unpack_from(buf, pos)
             pos += 4
-            runs: list[bytes] = []  # the records between zero runs
-            start = pos
-            for _ in range(count):
-                (size,) = size_at(buf, pos)
-                pos += record
-                if size:
-                    runs.append(buf[start:pos])
-                    pos += size
-                    start = pos
-            if pos > len(buf):
-                raise CodecError(_TRUNCATED)
-            runs.append(buf[start:pos])
-            out.append(TxBatch(b"".join(runs)))
+            if size_at is None:
+                start, pos = pos, pos + count * record
+                if pos > len(buf):
+                    raise CodecError(_TRUNCATED)
+                packed = buf[start:pos]
+            else:
+                runs: list[bytes] = []  # the records between zero runs
+                start = pos
+                for _ in range(count):
+                    (size,) = size_at(buf, pos)
+                    pos += record
+                    if size:
+                        runs.append(buf[start:pos])
+                        pos += size
+                        start = pos
+                if pos > len(buf):
+                    raise CodecError(_TRUNCATED)
+                runs.append(buf[start:pos])
+                packed = b"".join(runs)
+            for offset, from_wire in checks:  # an enum's tag: refused here, not when built
+                for value in set(packed[offset::record]):
+                    from_wire(value)
+            out.append(box(packed))
             return pos
 
         return enc, dec
@@ -363,6 +403,61 @@ VERDICT = _tagged(AdmissionVerdict, "admission verdict")
 BYTES, STR = Var(text=False), Var(text=True)
 
 
+@dataclass(frozen=True)
+class Packed:
+    """Several messages of one fixed-width row (``ROW``) sent as one: their
+    records back to back in ``packed``, without their zero runs.
+
+    A socket host sends the rows one flush has for a peer as one ``Packed``
+    message, a registered row whose body is a :class:`Column` of ``ROW``
+    (the bytes of ``Seq(ROW)``).  Iterating one builds the records as they
+    are reached, each equal to the message it was packed from.  Protocols
+    never see one.
+    """
+
+    packed: bytes
+    ROW: ClassVar[type]
+
+    def __post_init__(self) -> None:
+        if len(self.packed) % _records(self.ROW)[2].size:
+            raise CodecError(f"{len(self.packed)} bytes are no whole number of records")
+
+    @classmethod
+    def of(cls, rows: Iterable[Any]) -> Packed:
+        """The rows' records, in order; a field outside its wire range raises
+        :class:`CodecError`."""
+        try:
+            return cls(b"".join(map(_records(cls.ROW)[0], rows)))
+        except struct.error as exc:
+            raise CodecError(f"{cls.ROW.__name__} field out of range: {exc}") from exc
+
+    def __len__(self) -> int:
+        return len(self.packed) // _records(self.ROW)[2].size
+
+    def __iter__(self) -> Iterator[Any]:
+        _pack, build, record = _records(self.ROW)
+        return map(build, record.iter_unpack(self.packed))
+
+    def wire_size(self) -> int:
+        """One message header, then each record's declared size without its own."""
+        return m.MSG_HEADER_BYTES + sum(row.wire_size() - m.MSG_HEADER_BYTES for row in self)
+
+
+class ClientRequests(Packed):
+    ROW = m.ClientRequest
+
+
+class ClientReplies(Packed):
+    ROW = m.ClientReply
+
+
+#: The packed message that carries each packable row.
+PACKED: dict[type[Any], type[Packed]] = {
+    m.ClientRequest: ClientRequests,
+    m.ClientReply: ClientReplies,
+}
+
+
 class Layout(NamedTuple):
     """One row of the wire table: ``tag`` is a registered message's leading type
     byte (``None``: only travels inside one)."""
@@ -436,6 +531,8 @@ def wire_table() -> tuple[Layout, ...]:
         row(SyncBlocks, 17, ("start_height", I64), ("done", BOOL), ("tip_qc", Opt(Commitment)),
             ("blocks", Seq(Block))),
         row(m.ViewAnnounce, 18, view),
+        row(ClientRequests, 19, ("packed", Column(m.ClientRequest, bytes))),
+        row(ClientReplies, 20, ("packed", Column(m.ClientReply, bytes))),
     )
 
 
@@ -575,6 +672,25 @@ class _Head(_Run):
         )
 
 
+@functools.cache
+def _records(
+    row: type,
+) -> tuple[Callable[[Any], bytes], Callable[[tuple[Any, ...]], Any], struct.Struct]:
+    """``(pack, build, struct)`` of a fixed-width row's records, the form a
+    :class:`Column` carries them in: ``pack(obj)`` is one object's struct
+    bytes without its zero run, and ``build(values)`` the object again
+    from what the struct unpacks, in one generated call each."""
+    head = _head(row)
+    if head is None:
+        raise TypeError(f"{row.__name__} is not a fixed-width row")
+    enc = _Source()
+    enc.line(1, f"return {enc.packed(head, 'obj')}")
+    dec = _Source()
+    dec.line(1, f"return {dec.build(head, 0, 0, 1)}")
+    name = row.__name__
+    return enc.function(f"record_{name}", "obj"), dec.function(f"build_{name}", "v"), head.packer
+
+
 class _Source:
     """The Python a hand-written codec would spell out for fixed-width runs,
     generated from their table rows and compiled once: no call per field,
@@ -602,13 +718,17 @@ class _Source:
         exec(source, self.scope)  # noqa: S102 - source built from the wire table alone
         return self.scope[name]
 
-    def pack(self, run: _Run, obj: str, indent: int) -> None:
-        """Statements writing ``run``'s bytes for the object named ``obj``."""
+    def packed(self, run: _Run, obj: str) -> str:
+        """An expression for ``run``'s struct bytes of the object named ``obj``."""
         values = []
         for path, leaf in run.leaves:
             value = f"{obj}.{path}"
             values.append(value if leaf.to_wire is None else f"{self.ref(leaf.to_wire)}({value})")
-        self.line(indent, f"put({self.ref(run.packer.pack)}({', '.join(values)}))")
+        return f"{self.ref(run.packer.pack)}({', '.join(values)})"
+
+    def pack(self, run: _Run, obj: str, indent: int) -> None:
+        """Statements writing ``run``'s bytes for the object named ``obj``."""
+        self.line(indent, f"put({self.packed(run, obj)})")
         if run.zeros is not None:
             self.line(indent, f"if {obj}.{run.zeros}:")
             self.line(indent + 1, f"put(bytes({obj}.{run.zeros}))")
@@ -763,6 +883,21 @@ def decode_message(data: bytes) -> Any:
     if dec is None:
         raise CodecError(f"unknown message tag {data[0]}")
     return _decoded(dec, data, 1)
+
+
+@functools.cache
+def _packed_tags() -> frozenset[int]:
+    packed = PACKED.values()
+    return frozenset(row.tag for row in wire_table() if row.tag is not None and row.cls in packed)
+
+
+def message_rows(data: bytes, pos: int = 0) -> int:
+    """How many messages the encoded message at ``data[pos:]`` stands for:
+    a :class:`Packed` message's record count (as its header claims), else 1."""
+    if len(data) >= pos + 5 and data[pos] in _packed_tags():
+        count: int = _COUNT.unpack_from(data, pos + 1)[0]
+        return count
+    return 1
 
 
 def encode_fields(kinds: Sequence[Kind], values: Sequence[Any]) -> bytes:

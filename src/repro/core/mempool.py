@@ -87,9 +87,6 @@ class Transaction(NamedTuple):
 #: ``submitted_at``, ``fee``; 36 bytes).
 TX_RECORD = struct.Struct("<qqIdq")
 #: Views of one record that unpack only some of its fields.
-#: ``TX_PAYLOAD_SIZE`` reads ``payload_bytes``, the length of the record's
-#: zero run on the wire, from the record's start.
-TX_PAYLOAD_SIZE = struct.Struct("<16xI")
 _KEY = struct.Struct("<qq20x")
 _DIGEST_FIELDS = struct.Struct("<qqI8xq")
 
@@ -108,13 +105,15 @@ def _strided(record: str, count: int) -> struct.Struct:
     return struct.Struct("<" + record * count)
 
 
-def _field(record: str, packed: bytes) -> list[tuple[int, ...]]:
+def record_field(record: str, packed: bytes) -> list[tuple[int, ...]]:
     """One field of every record in ``packed``, in runs of up to ``_STRIDE``
     records, one ``unpack`` each: ``record`` is the record's format with
-    the other fields padding."""
-    count = len(packed) // TX_RECORD.size
+    the other fields padding (any fixed-width row's records, not only a
+    transaction's)."""
+    size = _strided(record, 1).size
+    count = len(packed) // size
     tail = count % _STRIDE
-    cut = (count - tail) * TX_RECORD.size
+    cut = (count - tail) * size
     runs = list(_strided(record, _STRIDE).iter_unpack(memoryview(packed)[:cut]))
     runs.append(_strided(record, tail).unpack_from(packed, cut))
     return runs
@@ -156,6 +155,9 @@ class TxBatch:
     def __len__(self) -> int:
         return len(self.packed) // TX_RECORD.size
 
+    def __bytes__(self) -> bytes:
+        return self.packed
+
     def __iter__(self) -> Iterator[Transaction]:
         fields = TX_RECORD.iter_unpack(self.packed)
         return map(_new_record, itertools.repeat(Transaction), fields)
@@ -178,7 +180,7 @@ class TxBatch:
         answered without a test per record.
         """
         packed = self.packed
-        filler = sum(ids.count(SYNTHETIC_CLIENT_ID) for ids in _field("q28x", packed))
+        filler = sum(ids.count(SYNTHETIC_CLIENT_ID) for ids in record_field("q28x", packed))
         if not filler:
             return tuple(_KEY.iter_unpack(packed))
         if filler == len(self):
@@ -187,7 +189,7 @@ class TxBatch:
 
     def payload_sizes(self) -> list[tuple[int, ...]]:
         """``payload_bytes`` of every record, in order, in runs of records."""
-        return _field("16xI16x", self.packed)
+        return record_field("16xI16x", self.packed)
 
     def wire_size(self) -> int:
         """Bytes the transactions occupy inside a block (payloads + metadata)."""

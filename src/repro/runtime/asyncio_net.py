@@ -8,10 +8,14 @@ run here unchanged against real sockets and wall-clock timers:
 * :class:`AsyncioRuntime` is one machine's seat on an event loop.  It
   interprets effect lists onto per-peer outbound queues (length-prefixed
   frames over :mod:`repro.core.codec`, see :mod:`repro.runtime.framing`)
-  and ``loop.call_later`` timers.  A payload is encoded once per effect
-  list however many peers it goes to, and each peer's sender writes what
-  is queued for it in one go (up to the stream's high-water mark).
-  ``ChargeCpu`` is a no-op - real CPUs charge themselves.
+  and ``loop.call_later`` timers.  The ``ClientRequest`` / ``ClientReply``
+  rows an effect list has for one peer travel as one packed frame (a
+  column of the rows, :class:`~repro.core.codec.Packed`), in the peer's
+  order; a payload, or a group of rows, is encoded once per effect list
+  however many peers it goes to; and each peer's sender writes what is
+  queued for it in one go (up to the stream's high-water mark).  The
+  counters count messages, not frames.  ``ChargeCpu`` is a no-op - real
+  CPUs charge themselves.
 * :class:`LocalCluster` seats one :class:`~repro.config.SystemConfig` on
   localhost as the simulator seats it (replicas, then its clients);
   :func:`run_local_cluster` backs ``repro net-bench`` and the
@@ -24,8 +28,8 @@ Resilience hooks (all optional, see :mod:`repro.runtime.resilience`):
 
 * a :class:`~repro.runtime.resilience.transport.FaultDecider` sits on
   the sending side of every peer link, applying the cluster's
-  :class:`~repro.core.faults.FaultPlan` to real frames (drop, duplicate,
-  delay) with seeded-deterministic decisions;
+  :class:`~repro.core.faults.FaultPlan` to each message before packing
+  (drop, duplicate, delay) with seeded-deterministic decisions;
 * a :class:`~repro.runtime.resilience.durable.DurableSealer` persists
   the replica's durable record before any frame leaves the host, so a
   SIGKILLed process restarts with its locks and certificates and without
@@ -39,8 +43,9 @@ Outbound connections are lazy with exponential reconnect backoff; each
 starts with a hello frame naming the sender pid so the acceptor can
 attribute inbound messages before parsing any consensus payload.  An
 inbound connection is an :class:`asyncio.BufferedProtocol` that reads
-into one buffer of its own, reused for every read, and hands the frames
-a read completes to the machine inside the read callback.
+into one buffer of its own, reused for every read, and hands the
+messages of the frames a read completes to the machine inside the read
+callback, a packed frame's records built as the machine reaches them.
 """
 
 from __future__ import annotations
@@ -52,12 +57,20 @@ import json
 import logging
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.config import SystemConfig
 from repro.core.clock import Clock
-from repro.core.codec import CodecError, decode_message, encode_message
+from repro.core.codec import (
+    PACKED,
+    CodecError,
+    Packed,
+    decode_message,
+    encode_message,
+    message_rows,
+)
 from repro.core.rng import RngStream
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
@@ -75,6 +88,8 @@ from repro.runtime.effects import (
     SetTimer,
 )
 from repro.runtime.framing import (
+    FRAME_PREFIX_BYTES,
+    MAX_FRAME_BYTES,
     FrameDecoder,
     FramingError,
     decode_hello,
@@ -123,6 +138,31 @@ class _Outbox:
     def __init__(self) -> None:
         self.frames: collections.deque[bytes] = collections.deque()
         self.wake = asyncio.Event()
+
+
+def _framed(payload: object, frames: dict[int, bytes]) -> bytes:
+    """``payload``'s frame, encoded once per flush: ``frames`` is keyed by
+    payload *object* (a broadcast, or a client's back-to-back sends of one
+    request, frames it once).  The effects keep every payload alive until
+    the flush ends, so an id cannot be reused for another object meanwhile."""
+    memo = id(payload)
+    frame = frames.get(memo)
+    if frame is None:
+        frame = frames[memo] = encode_frame(encode_message(payload))
+    return frame
+
+
+def _packed_frames(rows: list[object]) -> list[tuple[bytes, int]]:
+    """``rows`` of one packable class as one packed frame; halved, in
+    order, until each frame is within ``MAX_FRAME_BYTES`` (a lone row is
+    its own frame)."""
+    if len(rows) == 1:
+        return [(encode_frame(encode_message(rows[0])), 1)]
+    message = encode_message(PACKED[type(rows[0])].of(rows))
+    if len(message) <= MAX_FRAME_BYTES:
+        return [(encode_frame(message), len(rows))]
+    half = len(rows) // 2
+    return _packed_frames(rows[:half]) + _packed_frames(rows[half:])
 
 
 class AsyncioRuntime:
@@ -225,20 +265,21 @@ class AsyncioRuntime:
         # every signature the cluster may have seen.
         if self.sealer is not None:
             self.sealer.maybe_seal()
-        # One encoding per payload *object* per flush: a broadcast, or a
-        # client's back-to-back sends of one request, frames it once.  The
-        # effects keep every payload alive until the loop ends, so an id
-        # cannot be reused for another object in the meantime.
+        # The flush's economies: each payload object framed once
+        # (``_framed``), each group of row objects framed once, and per peer
+        # the packable rows of one class sent since its last frame.
         frames: dict[int, bytes] = {}
+        groups: dict[tuple[int, ...], list[tuple[bytes, int]]] = {}
+        rows: dict[int, list[object]] = {}
         for effect in effects:
             if type(effect) is Send:
-                self._send(effect.dest, effect.payload, frames)
+                self._send(effect.dest, effect.payload, frames, groups, rows)
             elif type(effect) is Broadcast:
                 dests = list(effect.dests)
                 if effect.include_self and self.machine.pid not in dests:
                     dests.append(self.machine.pid)
                 for dest in dests:
-                    self._send(dest, effect.payload, frames)
+                    self._send(dest, effect.payload, frames, groups, rows)
             elif type(effect) is SetTimer:
                 self._arm_timer(effect.timer_id, effect.delay_ms)
             elif type(effect) is CancelTimer:
@@ -250,13 +291,22 @@ class AsyncioRuntime:
                 self.committed_txs += effect.txs
             # ChargeCpu models simulated CPU occupancy; real CPUs charge
             # themselves, so it needs no interpretation here.
+        for dest, pending in rows.items():
+            self._send_rows(dest, pending, frames, groups)
 
     def machine_recovered(self) -> None:
         """No CPU model to reset on a real host."""
 
     # -- sending -----------------------------------------------------------
 
-    def _send(self, dest: int, payload: object, frames: dict[int, bytes]) -> None:
+    def _send(
+        self,
+        dest: int,
+        payload: object,
+        frames: dict[int, bytes],
+        groups: dict[tuple[int, ...], list[tuple[bytes, int]]],
+        rows: dict[int, list[object]],
+    ) -> None:
         if self._closed:
             return
         if dest == self.machine.pid:
@@ -278,21 +328,50 @@ class AsyncioRuntime:
                     return
                 copies += action.duplicates
                 delay_ms = action.extra_delay_ms
-        memo = id(payload)
-        frame = frames.get(memo)
-        if frame is None:
-            frame = frames[memo] = encode_frame(encode_message(payload))
+        # A packable row joins the rows pending for ``dest``; anything else
+        # sends those first, so the peer's order is the effects' order.
+        packable = copies == 1 and delay_ms == 0.0 and type(payload) in PACKED
+        pending = rows.get(dest)
+        if pending is not None:
+            if packable and type(pending[0]) is type(payload):
+                pending.append(payload)
+                return
+            self._send_rows(dest, rows.pop(dest), frames, groups)
+        if packable:
+            rows[dest] = [payload]
+            return
+        frame = _framed(payload, frames)
         for _ in range(copies):
             if delay_ms > 0.0:
                 self._enqueue_later(dest, frame, delay_ms)
             else:
                 self._enqueue(dest, frame)
 
+    def _send_rows(
+        self,
+        dest: int,
+        rows: list[object],
+        frames: dict[int, bytes],
+        groups: dict[tuple[int, ...], list[tuple[bytes, int]]],
+    ) -> None:
+        """Queue ``rows`` for ``dest``: a lone row as its own frame, more as
+        packed frames, the same group of row objects encoded once."""
+        if len(rows) == 1:
+            self._enqueue(dest, _framed(rows[0], frames))
+            return
+        memo = tuple(map(id, rows))
+        packed = groups.get(memo)
+        if packed is None:
+            packed = groups[memo] = _packed_frames(rows)
+        for frame, count in packed:
+            self._enqueue(dest, frame, count)
+
     def _deliver_self(self, payload: object) -> None:
         if not self._closed:
             self.machine.on_message(self.machine.pid, payload)
 
-    def _enqueue(self, dest: int, frame: bytes) -> None:
+    def _enqueue(self, dest: int, frame: bytes, rows: int = 1) -> None:
+        """Queue ``frame``, which carries ``rows`` messages, for ``dest``."""
         if self._closed:
             return
         outbox = self._queues.get(dest)
@@ -302,17 +381,16 @@ class AsyncioRuntime:
                 self._sender_loop(dest, outbox)
             )
         if len(outbox.frames) >= MAX_OUTBOUND_QUEUE:
-            self.dropped_messages += 1
             # Sacrifice the stalest frame for the fresh one.  Old consensus
             # messages are the most likely to be obsolete (their view has
             # moved on), so this keeps recovery traffic - new-views, fresh
             # votes - flowing to a slow peer.
-            outbox.frames.popleft()
+            self.dropped_messages += message_rows(outbox.frames.popleft(), FRAME_PREFIX_BYTES)
         elif not outbox.frames:
             # The sender sleeps only on an empty outbox: wake it on the first frame.
             outbox.wake.set()
         outbox.frames.append(frame)
-        self.sent_messages += 1
+        self.sent_messages += rows
         self.sent_bytes += len(frame)
 
     def _enqueue_later(self, dest: int, frame: bytes, delay_ms: float) -> None:
@@ -403,6 +481,17 @@ class AsyncioRuntime:
         )
 
 
+def _messages(frames: list[bytes]) -> Iterator[object]:
+    """The messages ``frames`` carry, each frame decoded as it is reached and
+    a packed frame's records built as they are reached."""
+    for frame in frames:
+        message = decode_message(frame)
+        if isinstance(message, Packed):
+            yield from message
+        else:
+            yield message
+
+
 class _Inbound(asyncio.BufferedProtocol):
     """One accepted connection: its hello, then the frames of every read.
 
@@ -450,14 +539,15 @@ class _Inbound(asyncio.BufferedProtocol):
                 # been started yet - a deliberately held-back replica.
                 # Dropping mirrors a dark process: consensus retransmits
                 # cover the loss.
-                runtime.dropped_messages += len(frames)
+                runtime.dropped_messages += sum(map(message_rows, frames))
                 return
             # The frames of one read are one entry: one flush of their
-            # effects.  Each is decoded as the machine reaches it, so a
+            # effects.  Each is decoded as the machine reaches it, and a
+            # packed frame's records are built as it reaches them, so a
             # decoded message lives no longer than it did with a flush per
-            # frame, and a malformed one raises only after the frames
+            # message, and a malformed frame raises only after the frames
             # before it were handled (and their effects flushed).
-            runtime.machine.on_messages(self.sender, map(decode_message, frames))
+            runtime.machine.on_messages(self.sender, _messages(frames))
         except (FramingError, CodecError) as exc:
             # Malformed peer stream: disconnect, never buffer or guess.
             runtime.rejected_connections += 1

@@ -25,6 +25,8 @@ from repro.errors import ProtocolError
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _LEN = struct.Struct("<I")
+#: Bytes of the length prefix before each frame's payload.
+FRAME_PREFIX_BYTES = _LEN.size
 
 #: First-frame payload prefix identifying a peer connection.
 HELLO_MAGIC = b"repro-hello\x00"

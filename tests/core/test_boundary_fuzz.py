@@ -1,8 +1,10 @@
 """One fuzz target for every decoder of bytes a replica did not write.
 
 A replica reads outside bytes in five places: peer frames
-(``decode_message``; a block's transaction column is also fuzzed on its
-own, since its decoder slices records instead of parsing each), the
+(``decode_message``; a block's transaction column and the packed client
+rows are also fuzzed on their own, since their decoders slice records
+instead of parsing each, and a packed frame's records are built only as
+they are iterated), the
 stream they arrive on (``FrameDecoder.feed``),
 a connection's hello (``decode_hello``), the seal directory's records
 (``decode_record``: its durable state, with or without a sealed checker,
@@ -24,8 +26,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codec import (
+    ClientReplies,
+    ClientRequests,
     CodecError,
     Column,
+    Packed,
     decode_fields,
     decode_message,
     decode_record,
@@ -34,7 +39,8 @@ from repro.core.codec import (
     encode_record,
 )
 from repro.core.faults import FaultPlan, net_chaos_plans, standard_chaos_plan
-from repro.core.mempool import Transaction, TxBatch
+from repro.core.mempool import AdmissionVerdict, Transaction, TxBatch
+from repro.core.messages import ClientReply, ClientRequest
 from repro.errors import ConfigError
 from repro.runtime.framing import (
     FrameDecoder,
@@ -64,6 +70,29 @@ def _columns():
     ]
 
 
+def _records_of(data):
+    """A peer frame decoded, and a packed one's records built, as a host does."""
+    message = decode_message(data)
+    return list(message) if isinstance(message, Packed) else message
+
+
+def _packed_requests():
+    """Packed requests with and without zero runs."""
+    return [
+        encode_message(ClientRequests.of(
+            [ClientRequest(3, Transaction(3, i, size, 0.5, i)) for i, size in enumerate(sizes)]
+        ))
+        for sizes in ((0, 40, 0, 7), (0, 0, 0))
+    ]
+
+
+def _packed_replies():
+    verdicts = list(AdmissionVerdict)
+    return [encode_message(ClientReplies.of(
+        [ClientReply(i % 3, 4, i, 2.5, verdicts[i % len(verdicts)]) for i in range(5)]
+    ))]
+
+
 def _specs():
     plans = [standard_chaos_plan(4, 1), *net_chaos_plans(4).values()]
     return [plan.rules_spec().encode() for plan in plans]
@@ -85,6 +114,8 @@ TARGETS = {
         CodecError,
     ),
     "decode_fields[Column]": (partial(decode_fields, (Column(),)), _columns(), CodecError),
+    "decode_message[ClientRequests]": (_records_of, _packed_requests(), CodecError),
+    "decode_message[ClientReplies]": (_records_of, _packed_replies(), CodecError),
     "decode_hello": (decode_hello, [encode_hello(3)[4:], encode_hello(0)[4:]], FramingError),
     "FrameDecoder.feed": (
         _feed, [b"".join(encode_frame(encode_message(m)) for m in ALL_MESSAGES[:6])], FramingError
@@ -136,3 +167,23 @@ def test_every_target_decodes_its_seeds_and_refuses_deep_nesting(name):
         decode(seed)
     with pytest.raises(allowed):
         decode(DEEP)
+
+
+@pytest.mark.parametrize("data", [*_packed_requests(), *_packed_replies()],
+                         ids=["requests-zero-runs", "requests", "replies"])
+def test_a_packed_frame_that_lies_is_a_codec_error(data):
+    count = int.from_bytes(data[1:5], "little")
+    lies = {
+        "a count one past the records": data[:1] + (count + 1).to_bytes(4, "little") + data[5:],
+        "a count far past the frame": data[:1] + (2**32 - 1).to_bytes(4, "little") + data[5:],
+        "a truncated record": data[:-3],
+        "a record too many bytes": data + b"\x00",
+    }
+    if data[0] == 19:  # a request's zero run, longer than the rest of the frame
+        lies["a zero run past the end"] = data[:29] + (1 << 20).to_bytes(4, "little") + data[33:]
+    else:  # a reply's verdict no build knows
+        lies["an unknown verdict"] = data[:-1] + b"\xff"
+    for lie, wrong in lies.items():
+        with pytest.raises(CodecError):
+            _records_of(wrong)
+        assert wrong != data, lie

@@ -13,6 +13,8 @@ from repro.core.codec import (
     STR,
     U8,
     U32,
+    ClientReplies,
+    ClientRequests,
     CodecError,
     Opt,
     decode_fields,
@@ -150,6 +152,8 @@ ALL_MESSAGES = [
     SyncBlocks(0, (), done=True),
     SyncBlocks(40, (block(),), done=True, tip_qc=commitment()),
     ViewAnnounce(107),
+    ClientRequests.of([ClientRequest(2, tx()), ClientRequest(2, Transaction(2, 7, 0, 2.5, fee=3))]),
+    ClientReplies.of([ClientReply(0, 2, 9, 12.5), ClientReply(1, 3, 10, 0.5, AdmissionVerdict.POOL_FULL)]),
 ]
 
 

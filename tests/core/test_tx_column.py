@@ -3,7 +3,10 @@
 A block holds its transactions as one packed :class:`TxBatch`.  Whatever
 it is built from, iterating, indexing and the sizes, keys, bytes and
 digest read off it must equal what a tuple of ``Transaction`` records
-gave - each written out here as it was defined before the column.
+gave - each written out here as it was defined before the column.  The
+same ``Column`` kind carries a packed frame's client rows
+(:class:`~repro.core.codec.Packed`), held to the same contract against
+``Seq`` of the row.
 """
 
 import struct
@@ -13,14 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.block import BLOCK_HEADER_BYTES, create_leaf
-from repro.core.codec import Column, CodecError, Seq, decode_fields, encode_fields
+from repro.core.codec import (
+    PACKED,
+    Column,
+    CodecError,
+    Seq,
+    decode_fields,
+    decode_message,
+    encode_fields,
+    encode_message,
+    message_rows,
+)
 from repro.core.mempool import (
     SYNTHETIC_CLIENT_ID,
     TX_RECORD,
+    AdmissionVerdict,
     Transaction,
     TxBatch,
     payload_digest,
 )
+from repro.core.messages import ClientReply, ClientRequest
 from repro.crypto.hashing import hash_fields
 from repro.mempool.pool import PriorityMempool
 
@@ -123,3 +138,41 @@ def test_a_field_outside_its_wire_range_is_refused_by_name_when_the_block_is_bui
 def test_a_column_is_whole_records():
     with pytest.raises(CodecError):
         TxBatch(b"\x00" * (TX_RECORD.size + 1))
+
+
+# -- the same column for a packed frame's client rows ----------------------------
+
+REQUESTS = ENCODABLE.map(lambda txs: tuple(ClientRequest(tx.client_id, tx) for tx in txs))
+REPLIES = st.lists(
+    st.builds(ClientReply, I64, I64, I64, st.floats(allow_nan=False),
+              st.sampled_from(list(AdmissionVerdict))),
+    max_size=80,
+).map(tuple)
+
+
+@given(rows=st.one_of(REQUESTS, REPLIES))
+@settings(max_examples=200, deadline=None)
+def test_a_packed_message_is_seq_of_its_row_and_reads_back_its_rows(rows):
+    row = type(rows[0]) if rows else ClientReply
+    packed = PACKED[row].of(rows)
+    assert len(packed) == len(rows) and tuple(packed) == rows
+    assert all(type(record) is row for record in packed)
+    data = encode_message(packed)
+    assert data[1:] == encode_fields((Seq(row),), (rows,))
+    assert decode_message(data) == packed and message_rows(data) == len(rows)
+    assert decode_fields((Column(row, bytes),), data[1:]) == [packed.packed]
+
+
+def test_a_packed_message_refuses_a_field_out_of_range_and_a_partial_record():
+    for cls, bad in ((ClientReply, ClientReply(0, 0, 2**63, 0.0)),
+                     (ClientRequest, ClientRequest(0, Transaction(0, 0, -1)))):
+        with pytest.raises(CodecError, match="out of range"):
+            PACKED[cls].of([bad])
+        whole = PACKED[cls].of([]).packed
+        with pytest.raises(CodecError):
+            PACKED[cls](whole + b"\x00")
+
+
+def test_any_other_message_counts_as_one():
+    assert message_rows(encode_message(ClientReply(0, 1, 2, 0.5))) == 1
+    assert message_rows(b"") == 1

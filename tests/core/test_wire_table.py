@@ -4,8 +4,9 @@
   ``scripts/wire_golden.py`` from the hand-written codec that preceded
   the table and is committed unchanged; byte equality with it is the
   argument that builds on either side of that change interoperate.  The
-  durable records, the ``Step`` row and the connection hello's row were
-  added to it later, every earlier entry byte-identical.
+  durable records, the ``Step`` row, the connection hello's row and the
+  two packed client rows were added to it later, every earlier entry
+  byte-identical.
 * Ranges: an integer that does not fit its field is a ``CodecError``
   whichever fused ``struct`` call it lands in, never a ``struct.error``.
   A row object is a dataclass or a tuple record; the walker that finds a

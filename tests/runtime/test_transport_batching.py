@@ -1,29 +1,36 @@
 """The transport's economies, and the accounting they must not touch.
 
 A payload object is encoded once per ``execute()`` flush however many
-peers it goes to, and a peer's sender writes what is queued for that
-peer in one go, up to the stream's high-water mark.  On the receiving
-side, every read of a connection lands in one buffer the connection
-reuses, and the frames one read completes reach the machine as one entry
-(``on_messages``), so their effects flush once.  Counters, the queue
-bound and the fault decisions stay per frame and per destination.  Real
-sockets on ephemeral localhost ports; the machines only record what they
-are handed.
+peers it goes to, the client rows a flush has for one peer travel as one
+packed frame, and a peer's sender writes what is queued for that peer in
+one go, up to the stream's high-water mark.  On the receiving side, every
+read of a connection lands in one buffer the connection reuses, and the
+frames one read completes reach the machine as one entry
+(``on_messages``), so their effects flush once.  Counters and fault
+decisions stay per message and per destination.  Real sockets on
+ephemeral localhost ports, except where a property test drives the
+receiving protocol by hand; the machines only record what they are
+handed.
 """
 
 import asyncio
 import socket
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.codec import ClientReplies, ClientRequests
 from repro.core.faults import DROP, FaultAction, FaultRule
 from repro.core.block import create_leaf
-from repro.core.mempool import Transaction
-from repro.core.messages import BlockRequest, BlockResponse, ClientReply
+from repro.core.mempool import AdmissionVerdict, Transaction
+from repro.core.messages import BlockRequest, BlockResponse, ClientReply, ClientRequest
 from repro.runtime import asyncio_net
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock
-from repro.runtime.effects import ChargeCpu
-from repro.runtime.framing import FrameDecoder, encode_frame, encode_hello
+from repro.runtime.effects import ChargeCpu, Send
+from repro.runtime.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame, encode_hello
 from repro.runtime.machine import Machine
-from repro.runtime.resilience.transport import FaultDecider
+from repro.runtime.resilience.transport import FaultDecider, decision_table
 
 
 class Scripted(Machine):
@@ -65,6 +72,11 @@ async def _until(condition, timeout_s=10.0):
     while not condition():
         assert asyncio.get_running_loop().time() < deadline, "timed out waiting for delivery"
         await asyncio.sleep(0.005)
+
+
+def _block_request(number):
+    """A consensus message that always travels as its own frame."""
+    return BlockRequest(number.to_bytes(32, "big"))
 
 
 def _count_encodes(monkeypatch):
@@ -137,9 +149,9 @@ def test_broadcast_is_encoded_once_and_counted_per_frame(monkeypatch):
 
 def test_consecutive_sends_share_an_encoding_by_object_not_by_luck(monkeypatch):
     calls = _count_encodes(monkeypatch)
-    first = ClientReply(0, 7, 1, 1.5)
-    second = ClientReply(0, 7, 2, 2.5)
-    twin = ClientReply(0, 7, 1, 1.5)  # equal to ``first``, another object
+    first = BlockRequest(b"\x01" * 32)
+    second = BlockRequest(b"\x02" * 32)
+    twin = BlockRequest(b"\x01" * 32)  # equal to ``first``, another object
 
     def script(machine):
         for dest, msg in ((1, first), (2, second), (3, first), (1, second), (2, first), (3, twin)):
@@ -222,7 +234,7 @@ def test_fault_decisions_stay_per_destination_over_a_shared_frame(monkeypatch):
 
 def test_a_burst_to_one_peer_arrives_in_order_in_fewer_reads(monkeypatch):
     feeds = _count_feeds(monkeypatch)
-    burst = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(200)]
+    burst = [_block_request(number) for number in range(200)]
 
     def script(machine):
         for msg in burst:
@@ -407,7 +419,7 @@ async def _one_segment_to(runtime, *frames):
 
 def test_one_read_is_one_entry_and_one_flush(monkeypatch):
     feeds = _count_feeds(monkeypatch)
-    burst = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(16)]
+    burst = [_block_request(number) for number in range(16)]
     flushes = []
 
     async def scenario():
@@ -432,10 +444,10 @@ def test_one_read_is_one_entry_and_one_flush(monkeypatch):
 
 def test_a_malformed_frame_rejects_the_connection_after_the_valid_prefix(monkeypatch):
     feeds = _count_feeds(monkeypatch)
-    valid = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(3)]
+    valid = [_block_request(number) for number in range(3)]
     frames = [encode_frame(asyncio_net.encode_message(msg)) for msg in valid]
     junk = encode_frame(b"\xff junk")  # an unknown message tag
-    after = encode_frame(asyncio_net.encode_message(ClientReply(0, 7, 99, 0.5)))
+    after = encode_frame(asyncio_net.encode_message(_block_request(99)))
 
     flushes = []
 
@@ -572,3 +584,294 @@ def test_close_leaves_no_inbound_transport():
         await asyncio.sleep(0.05)
 
     asyncio.run(scenario())
+
+
+# -- client rows travel as columns ------------------------------------------------
+
+
+def _request(tx_id, payload=0):
+    return ClientRequest(7, Transaction(7, tx_id, payload, 0.5, tx_id % 3))
+
+
+def _reply(tx_id, replica=0):
+    return ClientReply(replica, 7, tx_id, 0.5)
+
+
+def test_a_flush_packs_each_peers_rows_in_order_around_other_frames(monkeypatch):
+    """Rows to one peer wait for its next other frame, or the flush's end:
+    the peer's order is the effects' order, and the counters count rows."""
+    calls = _count_encodes(monkeypatch)
+    feeds = _count_feeds(monkeypatch)
+    sent = [_request(1), _request(2), _block_request(1), _reply(3), _reply(4), _request(5),
+            _request(6), _request(7)]
+
+    def script(machine):
+        for msg in sent:
+            machine.send(1, msg)
+
+    async def scenario():
+        runtimes = await _cluster(1, script)
+        try:
+            await _until(lambda: len(runtimes[1].machine.received) == len(sent))
+            assert [msg for _, msg in runtimes[1].machine.received] == sent
+            assert [type(msg) for msg in calls] == [
+                ClientRequests, BlockRequest, ClientReplies, ClientRequests
+            ]
+            assert sum(feeds) == 1 + 4  # the hello, then four frames
+            assert runtimes[0].sent_messages == len(sent)
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_group_of_rows_is_encoded_once_for_every_peer_it_goes_to(monkeypatch):
+    """A client's requests to every replica: one packed encoding, one
+    frame per replica; a lone row is today's frame, byte for byte."""
+    calls = _count_encodes(monkeypatch)
+    requests = [_request(tx_id) for tx_id in range(5)]
+    lone = _reply(9)
+
+    def script(machine):
+        for request in requests:
+            for dest in (1, 2, 3):
+                machine.send(dest, request)
+        machine.send(1, lone)
+
+    async def scenario():
+        runtimes = await _cluster(3, None)
+        sender, queued = runtimes[0], []
+        real = sender._enqueue
+
+        def recording(dest, frame, rows=1):
+            queued.append((dest, frame, rows))
+            real(dest, frame, rows)
+
+        sender._enqueue = recording
+        try:
+            sender.machine.script = script
+            sender.machine.start()  # one entry point: one flush
+            await _until(lambda: len(runtimes[1].machine.received) == len(requests) + 1)
+            for runtime in runtimes[1:]:
+                assert [msg for _, msg in runtime.machine.received][: len(requests)] == requests
+            assert runtimes[1].machine.received[-1] == (0, lone)
+            assert [type(msg) for msg in calls] == [ClientRequests, ClientReply]
+            packed = [frame for _dest, frame, rows in queued if rows == len(requests)]
+            assert len(packed) == 3 and len(set(packed)) == 1
+            assert (1, encode_frame(asyncio_net.encode_message(lone)), 1) in queued
+            assert sender.sent_messages == 3 * len(requests) + 1
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_rows_past_the_frame_cap_split_into_several_frames(monkeypatch):
+    """A catching-up client's burst of 1 KiB requests packs to more than
+    ``MAX_FRAME_BYTES``: it leaves as several frames, every row in order."""
+    feeds = _count_feeds(monkeypatch)
+    burst = [_request(tx_id, payload=1024) for tx_id in range(MAX_FRAME_BYTES // 1024 + 64)]
+
+    def script(machine):
+        for msg in burst:
+            machine.send(1, msg)
+
+    async def scenario():
+        runtimes = await _cluster(1, script)
+        try:
+            await _until(lambda: len(runtimes[1].machine.received) == len(burst))
+            assert [msg for _, msg in runtimes[1].machine.received] == burst
+            assert sum(feeds) - 1 > 1  # past the hello: more than one frame
+            assert runtimes[0].sent_messages == len(burst)
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    asyncio.run(scenario())
+
+
+async def _unreachable_peer():
+    """An address nothing listens on: a sender to it never drains its outbox."""
+    server = await asyncio.start_server(lambda _reader, _writer: None, "127.0.0.1", 0)
+    address = server.sockets[0].getsockname()[:2]
+    server.close()
+    await server.wait_closed()
+    return address
+
+
+def test_shedding_a_packed_frame_counts_its_rows(monkeypatch):
+    monkeypatch.setattr(asyncio_net, "MAX_OUTBOUND_QUEUE", 2)
+    replies = [_reply(tx_id) for tx_id in range(5)]
+
+    async def scenario():
+        runtime = AsyncioRuntime(Scripted(0, WallClock()))
+        runtime.set_peers({9: await _unreachable_peer()})
+        try:
+            runtime.execute([Send(9, reply) for reply in replies])
+            runtime.execute([Send(9, _block_request(1))])
+            assert (runtime.sent_messages, runtime.dropped_messages) == (6, 0)
+            runtime.execute([Send(9, _block_request(2))])  # sheds the packed frame
+            assert (runtime.sent_messages, runtime.dropped_messages) == (7, len(replies))
+            assert len(runtime._queues[9].frames) == 2
+        finally:
+            await runtime.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_held_back_machine_counts_a_dropped_packed_frame_by_its_rows():
+    replies = [_reply(tx_id) for tx_id in range(5)]
+    frame = encode_frame(asyncio_net.encode_message(ClientReplies.of(replies)))
+
+    async def scenario():
+        runtime = AsyncioRuntime(Scripted(1, WallClock()))
+        host, port = await runtime.start_server()  # never started: held back
+        _reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(encode_hello(0) + frame + encode_frame(
+                asyncio_net.encode_message(_block_request(1))
+            ))
+            await _until(lambda: runtime.dropped_messages == len(replies) + 1)
+            assert runtime.machine.received == []
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await runtime.close()
+
+    asyncio.run(scenario())
+
+
+class _Chaos(FaultRule):
+    """Seeded drops, duplicates and a fixed delay, so delayed frames leave
+    in the order they were decided."""
+
+    DELAY_MS = 4.0
+
+    def decide(self, src, dst, payload, now, rng):
+        if src == dst:
+            return None
+        draw = rng.random()
+        if draw < 0.15:
+            return DROP
+        if draw < 0.3:
+            return FaultAction(duplicates=1)
+        if draw < 0.45:
+            return FaultAction(extra_delay_ms=self.DELAY_MS)
+        if draw < 0.55:
+            return FaultAction(duplicates=1, extra_delay_ms=self.DELAY_MS)
+        return None
+
+
+class _Transport:
+    """The little of a transport an inbound protocol touches."""
+
+    def get_extra_info(self, name):
+        return None
+
+    def close(self):
+        raise AssertionError("a well-formed stream was rejected")
+
+
+def _payload(kind, number):
+    if kind == "request":
+        return _request(number, payload=16 * (number % 2))
+    if kind == "reply":
+        return ClientReply(number % 3, 7, number, 0.5, list(AdmissionVerdict)[number % 3])
+    return _block_request(number)
+
+
+async def _deliveries(sends, peers, decider):
+    """Run ``sends`` - ``(payload, dest)`` in effect order, dest 0 is the
+    sender itself - as one flush; hand each peer's queued frames to a
+    receiving runtime's inbound protocol.  Returns what every machine
+    received, the sender's row count and the frames each peer read."""
+    clock = WallClock()
+
+    def script(machine):
+        for payload, dest in sends:
+            machine.send(dest, payload)
+
+    sender = AsyncioRuntime(Scripted(0, clock, script), fault_decider=decider)
+    address = await _unreachable_peer()
+    sender.set_peers({pid: address for pid in range(1, peers + 1)})
+    try:
+        sender.start_machine()
+        await asyncio.sleep(3 * _Chaos.DELAY_MS / 1000.0)  # the delayed frames, the self-sends
+        received = {0: sender.machine.received}
+        frames = 0
+        for pid in range(1, peers + 1):
+            outbox = sender._queues.get(pid)
+            data = encode_hello(0) + b"".join(outbox.frames if outbox else ())
+            receiver = AsyncioRuntime(Scripted(pid, clock))
+            receiver._machine_started = True
+            inbound = asyncio_net._Inbound(receiver)
+            inbound.transport = _Transport()
+            frames += len(FrameDecoder().feed(data)) - 1
+            chunk = len(inbound.buffer)
+            for start in range(0, len(data), chunk):
+                piece = data[start : start + chunk]
+                inbound.buffer[: len(piece)] = piece
+                inbound.buffer_updated(len(piece))
+            received[pid] = receiver.machine.received
+        return received, sender.sent_messages, frames
+    finally:
+        await sender.close()
+
+
+_SENDS = st.integers(min_value=2, max_value=4).flatmap(
+    lambda peers: st.tuples(
+        st.just(peers),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["request", "reply", "block"]),
+                st.lists(st.integers(min_value=0, max_value=peers), min_size=1, max_size=4),
+            ),
+            max_size=30,
+        ),
+    )
+)
+
+
+@given(case=_SENDS, seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)))
+@settings(max_examples=40, deadline=None)
+def test_packing_delivers_what_a_per_message_host_delivers(case, seed):
+    """Every peer receives the sequence a host without packing delivers -
+    duplicates and drops included - from the same per-row fault decisions,
+    and each frame it reads is one ``decode_message`` call."""
+    peers, actions = case
+    sends = [
+        (payload, dest)
+        for number, (kind, dests) in enumerate(actions)
+        for payload in [_payload(kind, number)]  # one object per action, sent to each dest
+        for dest in dests
+    ]
+    deciders = [None if seed is None else FaultDecider([_Chaos()], seed) for _ in range(2)]
+    decodes = []
+    real_decode = asyncio_net.decode_message
+
+    def counting(data):
+        decodes.append(data)
+        return real_decode(data)
+
+    with mock.patch.object(asyncio_net, "decode_message", counting):
+        packed, packed_rows, packed_frames = asyncio.run(_deliveries(sends, peers, deciders[0]))
+        assert len(decodes) == packed_frames
+        with mock.patch.object(asyncio_net, "PACKED", {}):
+            reference, reference_rows, reference_frames = asyncio.run(
+                _deliveries(sends, peers, deciders[1])
+            )
+    assert packed == reference
+    assert packed_rows == reference_rows == reference_frames
+    assert packed_frames <= reference_frames
+    if seed is not None:
+        # The same decision at every (link, sequence) coordinate, and each
+        # is the decision table's - what ``decision_digest`` fingerprints.
+        assert deciders[0].records == deciders[1].records
+        table = {
+            (entry.src, entry.dst, entry.seq): entry
+            for entry in decision_table([_Chaos()], seed, range(peers + 1), horizon=len(sends))
+        }
+        for record in deciders[0].records:
+            assert table[(record.src, record.dst, record.seq)] == record
