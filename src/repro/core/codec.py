@@ -411,8 +411,10 @@ class Packed:
     A socket host sends the rows one flush has for a peer as one ``Packed``
     message, a registered row whose body is a :class:`Column` of ``ROW``
     (the bytes of ``Seq(ROW)``).  Iterating one builds the records as they
-    are reached, each equal to the message it was packed from.  Protocols
-    never see one.
+    are reached, each equal to the message it was packed from.
+    :meth:`~repro.runtime.machine.Machine.on_messages` hands one whole to a
+    machine that serves its type (a replica admits a frame of requests in
+    one pass) and its records to any other.
     """
 
     packed: bytes

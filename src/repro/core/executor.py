@@ -275,6 +275,10 @@ class Ledger:
     def _execute_one(self, block: Block, now: float, view: int | None) -> None:
         if block.parent_hash != self.last_executed_hash:
             raise ProtocolError("execution out of chain order")
+        if self.executed:
+            # Past its own execution a column is read only to serve a peer
+            # that catches up; the chain keeps it stowed.
+            self.executed[-1].transactions.stow()
         self.executed.append(block)
         self._executed_hashes.add(block.hash)
         self.last_executed_hash = block.hash

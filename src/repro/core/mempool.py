@@ -17,10 +17,11 @@ block keeps its transactions in.
 from __future__ import annotations
 
 import enum
+import hashlib
 import itertools
 import struct
+import zlib
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, NamedTuple
 
@@ -119,7 +120,6 @@ def record_field(record: str, packed: bytes) -> list[tuple[int, ...]]:
     return runs
 
 
-@dataclass(frozen=True, slots=True)
 class TxBatch:
     """A block's transactions as one immutable column of packed records.
 
@@ -129,14 +129,54 @@ class TxBatch:
     collector never walks, not a tracked record per transaction.  The
     records come back as :class:`Transaction` tuples when iterated or
     indexed; :meth:`client_keys` and :meth:`wire_size` read only the
-    fields they need.  Equality and hashing are the packed bytes'.
+    fields they need.  Equality is the packed bytes', and the hash their
+    CRC-32 (the same in every run).
+
+    A chain keeps the columns it has executed stowed (:meth:`stow`): the
+    batch then holds the column compressed and every read of ``packed``
+    decompresses it.  Its value, length, equality and hash stay the same.
     """
 
-    packed: bytes = b""
+    __slots__ = ("_column", "_count", "_stowed")
 
-    def __post_init__(self) -> None:
-        if len(self.packed) % TX_RECORD.size:
-            raise CodecError(f"{len(self.packed)} bytes are no whole number of records")
+    def __init__(self, packed: bytes = b"") -> None:
+        count, rest = divmod(len(packed), TX_RECORD.size)
+        if rest:
+            raise CodecError(f"{len(packed)} bytes are no whole number of records")
+        self._column = packed
+        self._count = count
+        self._stowed = False
+
+    @property
+    def packed(self) -> bytes:
+        """The records back to back."""
+        if self._stowed:
+            return zlib.decompress(self._column)
+        return self._column
+
+    def stow(self) -> None:
+        """Hold the column compressed from now on, if that is smaller.
+
+        Idempotent.  Records of one client's traffic share most of their
+        bytes (small ids counting up, zero fees and sizes), so a block of
+        them stows in about a quarter of its size.
+        """
+        if not self._stowed:
+            compressed = zlib.compress(self._column, 1)
+            if len(compressed) < len(self._column):
+                self._column = compressed
+                self._stowed = True
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TxBatch:
+            return NotImplemented
+        return self is other or self.packed == other.packed
+
+    def __hash__(self) -> int:
+        return zlib.crc32(self.packed)
+
+    def __repr__(self) -> str:
+        return f"TxBatch(packed={self.packed!r})"
 
     @classmethod
     def of(cls, transactions: Iterable[Transaction]) -> TxBatch:
@@ -153,7 +193,7 @@ class TxBatch:
             raise CodecError(f"transaction field out of range: {exc}") from exc
 
     def __len__(self) -> int:
-        return len(self.packed) // TX_RECORD.size
+        return self._count
 
     def __bytes__(self) -> bytes:
         return self.packed
@@ -196,18 +236,27 @@ class TxBatch:
         return sum(map(sum, self.payload_sizes())) + TX_METADATA_BYTES * len(self)
 
 
-#: Memoized payload digests keyed by a column's packed bytes.  A block is
-#: re-digested whenever it is reconstructed from the wire or re-hashed;
-#: the digest is a pure function of the bytes, whose hash CPython caches.
+#: Memoized payload digests, keyed by a column's fingerprint
+#: (:func:`_memo_key`).  A block is re-digested whenever it is
+#: reconstructed from the wire or re-hashed; the digest is a pure function
+#: of the bytes.  A key is not the bytes themselves, so the memo pins no
+#: column: the chain stows the columns it has executed.
 _PAYLOAD_DIGEST_CACHE: dict[bytes, Hash] = {}
 _DIGEST_CACHE_MAX = 4096
+
+
+def _memo_key(packed: bytes) -> bytes:
+    """A column's BLAKE2b fingerprint: one C pass, where the digest
+    encodes every record."""
+    return hashlib.blake2b(packed).digest()
 
 
 def payload_digest(transactions: TxBatch) -> Hash:
     """Digest binding a block to its transaction list: the canonical hash
     of ``(client_id, tx_id, payload_bytes, fee)`` per transaction."""
     packed = transactions.packed
-    digest = _PAYLOAD_DIGEST_CACHE.get(packed)
+    key = _memo_key(packed)
+    digest = _PAYLOAD_DIGEST_CACHE.get(key)
     if digest is None:
         if len(_PAYLOAD_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
             # Evict the oldest half (dicts preserve insertion order)
@@ -219,5 +268,5 @@ def payload_digest(transactions: TxBatch) -> Hash:
             ):
                 del _PAYLOAD_DIGEST_CACHE[stale]
         digest = hash_fields(tuple(_DIGEST_FIELDS.iter_unpack(packed)))
-        _PAYLOAD_DIGEST_CACHE[packed] = digest
+        _PAYLOAD_DIGEST_CACHE[key] = digest
     return digest

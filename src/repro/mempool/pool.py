@@ -122,6 +122,9 @@ class PriorityMempool:
             AdmissionVerdict.POOL_FULL: 0,
             AdmissionVerdict.DUPLICATE: 0,
         }
+        # The latch observes every change of fill, this first one included,
+        # so admission reads it as it stands.
+        self.watermark.update(self._fill())
 
     # -- admission ---------------------------------------------------------
 
@@ -132,7 +135,8 @@ class PriorityMempool:
         first (a duplicate must never consume the sender's rate budget),
         then the sender's token bucket, then backpressure, then the hard
         caps (insert-then-evict, so a transaction that cannot displace
-        anything cheaper bounces as ``POOL_FULL``).
+        anything cheaper bounces as ``POOL_FULL``).  Every change of fill
+        updates the watermark, so backpressure is its latch as it stands.
         """
         key = (tx.client_id, tx.tx_id)
         if key in self._seen:
@@ -141,13 +145,13 @@ class PriorityMempool:
         if not self.limiter.allow(tx.client_id, now):
             self.rejected[AdmissionVerdict.RATE_LIMITED] += 1
             return AdmissionVerdict.RATE_LIMITED
-        if self.watermark.update(self._fill()) and tx.fee <= self._lowest_fee():
+        if self.watermark.backpressured and tx.fee <= self._lowest_fee():
             self.rejected[AdmissionVerdict.POOL_FULL] += 1
             return AdmissionVerdict.POOL_FULL
         self._insert(tx, key)
-        evicted = self._enforce_caps()
+        bounced = self._over_caps() and key in self._enforce_caps()
         self.watermark.update(self._fill())
-        if key in evicted:
+        if bounced:
             self.evicted -= 1  # bounced, not a resident casualty
             self.rejected[AdmissionVerdict.POOL_FULL] += 1
             return AdmissionVerdict.POOL_FULL
@@ -185,12 +189,13 @@ class PriorityMempool:
         self._count += 1
         self._bytes += tx.wire_size()
 
+    def _over_caps(self) -> bool:
+        return self._count > self.max_txs or bool(self.max_bytes and self._bytes > self.max_bytes)
+
     def _enforce_caps(self) -> set[tuple[int, int]]:
         """Evict lowest-priority residents until both caps hold."""
         evicted: set[tuple[int, int]] = set()
-        while self._count > self.max_txs or (
-            self.max_bytes and self._bytes > self.max_bytes
-        ):
+        while self._over_caps():
             victim = self._pop_extreme(self._evict_heap)
             if victim is None:  # pragma: no cover - caps imply residents
                 break

@@ -16,6 +16,10 @@ class Watermark:
     __slots__ = ("high", "low", "backpressured", "engagements")
 
     def __init__(self, high: float, low: float) -> None:
+        # With the gap, observing one fill twice leaves the latch as it was,
+        # so a pool can read it between changes without updating it.
+        if not low < high:
+            raise ValueError(f"the low watermark {low} must sit below the high one {high}")
         self.high = high
         self.low = low
         self.backpressured = False

@@ -16,6 +16,7 @@ construction, crash reset, pruning and the view lifecycle derive from that.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from typing import Any, Callable, ClassVar
 
 from repro.config import SystemConfig
@@ -39,7 +40,7 @@ from repro.protocols.idle import ParkedProposal, idle_rule, unpark
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
 from repro.protocols.state import QuorumCollector, discard_views_below, reset_volatile
 from repro.protocols.sync import BlockFetch, StateTransfer, ViewSync
-from repro.runtime.effects import Commit
+from repro.runtime.effects import Commit, Reply
 from repro.runtime.machine import Machine
 from repro.tee.checker import Checker
 from repro.tee.checkpoint import Checkpoint, verify_checkpoint
@@ -134,9 +135,12 @@ class BaseReplica(Machine):
     #: that overrides a handler by name is routed to its override.
     HANDLERS: ClassVar[dict[Any, Any]] = {}
     #: View-less traffic, served in any view and without a receive charge
-    #: before the view check: client requests here, from anyone, and the
-    #: ``COMPONENTS``' rows, from replicas only.
-    SERVICE_HANDLERS: ClassVar[dict[type, str]] = {ClientRequest: "_handle_client_request"}
+    #: before the view check: client requests here, from anyone - one, or
+    #: a socket host's packed frame of them, admitted in one pass - and
+    #: the ``COMPONENTS``' rows, from replicas only.
+    SERVICE_HANDLERS: ClassVar[dict[type, str]] = {
+        ClientRequest: "_handle_client_request", codec.ClientRequests: "_admit"
+    }
     #: The chassis's components by attribute; each owns its state and its
     #: ``SERVICE_HANDLERS`` rows (a subclass swaps one by naming a class).
     COMPONENTS: ClassVar[dict[str, Any]] = {
@@ -527,14 +531,21 @@ class BaseReplica(Machine):
         self.dispatch(sender, payload)
 
     def _handle_client_request(self, sender: int, request: ClientRequest) -> None:
-        """Run the admission pipeline; NACK the client on rejection.
+        """One request: the one-row case of :meth:`_admit`."""
+        self._admit(sender, (request,))
+
+    def _admit(self, sender: int, requests: Iterable[ClientRequest]) -> None:
+        """Run the admission pipeline on ``requests``, in order, at one
+        instant; NACK the client on rejection.
 
         Accepted transactions are acknowledged implicitly by the
         execution-time reply; every other verdict is returned at once so
         an open-loop client can account for drops (and retry after a
         rate-limit window) instead of waiting forever.  A request whose
         key the chain already applied gets the committed reply again, so
-        a client whose first replies were lost still completes.
+        a client whose first replies were lost still completes.  The
+        NACKs leave in row order, stamped with the admission instant, and
+        a parked proposal is woken once, after the last row.
 
         ``(client_id, tx_id)`` decides what is a duplicate, so who may
         speak for a client id is checked first: a request whose two ids
@@ -543,21 +554,31 @@ class BaseReplica(Machine):
         next key and have the real request filtered as a replay.  So is
         one that names the filler id, which is exempt from all of this.
         """
-        tx = request.tx
-        if request.client_id != tx.client_id or tx.client_id == SYNTHETIC_CLIENT_ID:
-            return
-        pid = self.client_pids.get(tx.client_id)
-        if pid is not None and pid != sender:
-            return
-        verdict = self.mempool.admit(tx, self.now)
-        if verdict is AdmissionVerdict.ACCEPTED:
-            if self.parked is not None:
-                self.parked.wake()
-            return
-        if verdict is AdmissionVerdict.DUPLICATE and tx.key in self.ledger.applied:
-            verdict = AdmissionVerdict.ACCEPTED
-        if pid is not None:
-            self._reply(pid, tx.client_id, tx.tx_id, verdict, self.now)
+        now = self.now
+        admit, client_pids = self.mempool.admit, self.client_pids
+        accepted = False
+        nacks: list[tuple[int, ClientReply]] = []
+        for request in requests:
+            tx = request.tx
+            client_id = tx.client_id
+            if request.client_id != client_id or client_id == SYNTHETIC_CLIENT_ID:
+                continue
+            pid = client_pids.get(client_id)
+            if pid is not None and pid != sender:
+                continue
+            verdict = admit(tx, now)
+            if verdict is AdmissionVerdict.ACCEPTED:
+                accepted = True
+                continue
+            if verdict is AdmissionVerdict.DUPLICATE and tx.key in self.ledger.applied:
+                verdict = AdmissionVerdict.ACCEPTED
+            if pid is not None:
+                # Positional: a tuple record's keyword form costs twice as much.
+                nacks.append((pid, ClientReply(self.pid, client_id, tx.tx_id, now, verdict)))
+        if accepted and self.parked is not None:
+            self.parked.wake()
+        if nacks:
+            self._reply(nacks)
 
     def submit(self, tx: Transaction) -> None:
         """Queue an in-process command (an application's), without admission
@@ -566,11 +587,16 @@ class BaseReplica(Machine):
         if self.parked is not None and self.mempool.pending():
             self.parked.wake()
 
-    def _reply(
-        self, pid: int, client_id: int, tx_id: int, verdict: AdmissionVerdict, at: float
-    ) -> None:
-        # Positional: a tuple record's keyword form costs twice as much.
-        self.send_charged(pid, ClientReply(self.pid, client_id, tx_id, at, verdict))
+    def _reply(self, sends: list[tuple[int, ClientReply]]) -> None:
+        """Answer clients, ``(pid, reply)`` in order, as one :class:`Reply`
+        effect; each reply is charged like a :meth:`send_charged`."""
+        size = wire_size_of(sends[0][1])  # every ClientReply is one size
+        cost = self.costs.send_ms(size)
+        if cost > 0:
+            for _ in sends:
+                self.cpu_time_charged += cost
+        if not self.crashed:
+            self._emit(Reply(sends, cost, size))
 
     def on_stale(self, sender: int, payload: Any) -> None:
         """A message from a view this replica already left: keep its block."""
@@ -646,7 +672,8 @@ class BaseReplica(Machine):
         block without delivering it everywhere), the execution is parked
         and the missing blocks are fetched from peers.  The clock is read
         once: every reply to the blocks executed here carries the same
-        commit timestamp, the ledger's.
+        commit timestamp, the ledger's.  Each executed block's replies are
+        one :class:`Reply` effect.
         """
         now = self.now
         try:
@@ -661,11 +688,15 @@ class BaseReplica(Machine):
             if keys:
                 # One reply per transaction that took effect, none for a
                 # copy the ledger skipped (its first application answered),
-                # read off the column's key fields: no record is built.
-                for client_id, tx_id in applied.client_keys():
-                    pid = self.client_pids.get(client_id)
-                    if pid is not None:
-                        self._reply(pid, client_id, tx_id, AdmissionVerdict.ACCEPTED, now)
+                # read off the column's key fields: no Transaction is built.
+                me, pid_of, accepted = self.pid, self.client_pids.get, AdmissionVerdict.ACCEPTED
+                replies = [
+                    (pid, ClientReply(me, client_id, tx_id, now, accepted))
+                    for client_id, tx_id in applied.client_keys()
+                    if (pid := pid_of(client_id)) is not None
+                ]
+                if replies:
+                    self._reply(replies)
             self._emit(Commit(executed, view, len(applied)))
         if newly:
             self.last_committed_view = max(self.last_committed_view, view)

@@ -22,6 +22,7 @@ from repro.runtime.effects import (
     ChargeCpu,
     Commit,
     Effect,
+    Reply,
     Runtime,
     Send,
     SetTimer,
@@ -36,6 +37,7 @@ __all__ = [
     "Effect",
     "Machine",
     "MachineTimer",
+    "Reply",
     "Runtime",
     "Send",
     "SetTimer",

@@ -11,11 +11,12 @@ run here unchanged against real sockets and wall-clock timers:
   and ``loop.call_later`` timers.  The ``ClientRequest`` / ``ClientReply``
   rows an effect list has for one peer travel as one packed frame (a
   column of the rows, :class:`~repro.core.codec.Packed`), in the peer's
-  order; a payload, or a group of rows, is encoded once per effect list
-  however many peers it goes to; and each peer's sender writes what is
-  queued for it in one go (up to the stream's high-water mark).  The
-  counters count messages, not frames.  ``ChargeCpu`` is a no-op - real
-  CPUs charge themselves.
+  order; a :class:`~repro.runtime.effects.Reply` adds its replies to
+  those rows; a payload, or a group of rows, is encoded once per effect
+  list however many peers it goes to; and each peer's sender writes what
+  is queued for it in one go (up to the stream's high-water mark).  The
+  counters count messages, not frames.  Real CPUs charge themselves, so
+  a replica is seated with a zero cost model and ``ChargeCpu`` is a no-op.
 * :class:`LocalCluster` seats one :class:`~repro.config.SystemConfig` on
   localhost as the simulator seats it (replicas, then its clients);
   :func:`run_local_cluster` backs ``repro net-bench`` and the
@@ -44,8 +45,9 @@ starts with a hello frame naming the sender pid so the acceptor can
 attribute inbound messages before parsing any consensus payload.  An
 inbound connection is an :class:`asyncio.BufferedProtocol` that reads
 into one buffer of its own, reused for every read, and hands the
-messages of the frames a read completes to the machine inside the read
-callback, a packed frame's records built as the machine reaches them.
+frames a read completes to the machine's ``on_messages`` inside the read
+callback, each decoded as the machine reaches it (the machine decides
+whether it takes a packed frame whole or row by row).
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ import json
 import logging
 import os
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -66,12 +67,12 @@ from repro.core.clock import Clock
 from repro.core.codec import (
     PACKED,
     CodecError,
-    Packed,
     decode_message,
     encode_message,
     message_rows,
 )
 from repro.core.rng import RngStream
+from repro.costs import CostModel
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
 from repro.errors import ConfigError, TEERefusal
@@ -84,6 +85,7 @@ from repro.runtime.effects import (
     ChargeCpu,
     Commit,
     Effect,
+    Reply,
     Send,
     SetTimer,
 )
@@ -286,6 +288,9 @@ class AsyncioRuntime:
                 handle = self._timers.pop(effect.timer_id, None)
                 if handle is not None:
                     handle.cancel()
+            elif type(effect) is Reply:
+                for dest, reply in effect.sends:
+                    self._send(dest, reply, frames, groups, rows)
             elif type(effect) is Commit:
                 self.committed_blocks += 1
                 self.committed_txs += effect.txs
@@ -481,17 +486,6 @@ class AsyncioRuntime:
         )
 
 
-def _messages(frames: list[bytes]) -> Iterator[object]:
-    """The messages ``frames`` carry, each frame decoded as it is reached and
-    a packed frame's records built as they are reached."""
-    for frame in frames:
-        message = decode_message(frame)
-        if isinstance(message, Packed):
-            yield from message
-        else:
-            yield message
-
-
 class _Inbound(asyncio.BufferedProtocol):
     """One accepted connection: its hello, then the frames of every read.
 
@@ -542,12 +536,13 @@ class _Inbound(asyncio.BufferedProtocol):
                 runtime.dropped_messages += sum(map(message_rows, frames))
                 return
             # The frames of one read are one entry: one flush of their
-            # effects.  Each is decoded as the machine reaches it, and a
-            # packed frame's records are built as it reaches them, so a
-            # decoded message lives no longer than it did with a flush per
-            # message, and a malformed frame raises only after the frames
-            # before it were handled (and their effects flushed).
-            runtime.machine.on_messages(self.sender, _messages(frames))
+            # effects.  Each is decoded as the machine reaches it (and
+            # ``on_messages`` builds the records of a packed frame the
+            # machine does not serve whole as it reaches them), so a decoded
+            # message lives no longer than it did with a flush per message,
+            # and a malformed frame raises only after the frames before it
+            # were handled (and their effects flushed).
+            runtime.machine.on_messages(self.sender, map(decode_message, frames))
         except (FramingError, CodecError) as exc:
             # Malformed peer stream: disconnect, never buffer or guess.
             runtime.rejected_connections += 1
@@ -565,6 +560,8 @@ class _Inbound(asyncio.BufferedProtocol):
 
 #: :class:`SystemConfig` fields only the simulator can honour: the latency
 #: model (regions, GST), FIFO links, the CPU cost model and real crypto.
+#: A replica on this host runs with :meth:`CostModel.zero` in place of
+#: ``costs`` (its ``config`` keeps the field), so it never prices a charge.
 SIMULATOR_ONLY = frozenset({
     "regions", "gst_ms", "delta_ms", "pre_gst_extra_ms", "fifo_links", "costs", "use_real_crypto"
 })
@@ -614,7 +611,8 @@ def replica_machine(
 
     The HMAC scheme is keyed off the config's seed, and ``f`` and the
     quorum are sized from ``n``: the machine runs ``replace(config,
-    f=sized_f)``.  ``client_pids`` maps client ids to transport pids;
+    f=sized_f)``, with a zero cost model (:data:`SIMULATOR_ONLY`).
+    ``client_pids`` maps client ids to transport pids;
     ``replica_class`` seats another sans-I/O machine class (a registered
     adversary) in place of the protocol's honest one.
     """
@@ -634,6 +632,7 @@ def replica_machine(
         client_pids=dict(client_pids or {}),
     )
     replica.replica_pids = list(range(n))
+    replica.costs = CostModel.zero()
     return replica
 
 

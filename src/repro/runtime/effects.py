@@ -11,9 +11,10 @@ effects in list order, because the simulator derives its deterministic
 event ordering from the order side effects are scheduled.
 
 Effects are named tuples: immutable, and built at the cost of a tuple -
-a handler emits one per send, charge and timer.  Tell them apart by
-class (``type(effect) is Send``), as the runtimes do; tuple equality
-looks at the fields only.
+a handler emits one per send, charge and timer, and one :class:`Reply`
+for all the answers to clients one execution or one admission pass
+gives.  Tell them apart by class (``type(effect) is Send``), as the
+runtimes do; tuple equality looks at the fields only.
 """
 
 from __future__ import annotations
@@ -84,8 +85,23 @@ class ChargeCpu(NamedTuple):
     ms: float = 0.0
 
 
+class Reply(NamedTuple):
+    """Answer clients: each ``(dest, reply)`` of ``sends`` in order, every
+    reply charged ``cost_ms`` of CPU and sent as ``size_bytes``.
+
+    It stands for ``ChargeCpu(cost_ms), Send(dest, reply, size_bytes)``
+    per reply (no ``ChargeCpu`` when ``cost_ms`` is 0), and the simulator
+    plays it as exactly that.  A socket host, which models no CPU, adds
+    each reply to the rows it packs for the client.
+    """
+
+    sends: list[tuple[int, Any]]
+    cost_ms: float
+    size_bytes: int
+
+
 #: Union of every effect a machine may emit.
-Effect = Send | Broadcast | SetTimer | CancelTimer | Commit | ChargeCpu
+Effect = Send | Broadcast | SetTimer | CancelTimer | Commit | ChargeCpu | Reply
 
 
 class Runtime(Protocol):

@@ -28,6 +28,7 @@ from collections.abc import Iterable
 from typing import Any, Callable, ClassVar
 
 from repro.core.clock import Clock
+from repro.core.codec import Packed
 from repro.runtime.effects import (
     Broadcast,
     CancelTimer,
@@ -206,9 +207,17 @@ class Machine:
         """Handle ``payloads`` from ``sender`` in order, one ``on_message``
         each, as one entry: their effects flush once, when the last returns
         (or when taking the next payload raises).  A socket host hands over
-        every frame one read completed, decoded as each is reached."""
+        every frame one read completed, decoded as each is reached.  A
+        packed frame (:class:`~repro.core.codec.Packed`) is one payload to a
+        machine whose ``SERVICE_HANDLERS`` name its type; any other machine
+        handles its rows, one ``on_message`` each, built as it reaches them."""
+        service = self._service
         for payload in payloads:
-            self.on_message(sender, payload)
+            if isinstance(payload, Packed) and type(payload) not in service:
+                for row in payload:
+                    self.on_message(sender, row)
+            else:
+                self.on_message(sender, payload)
 
     # -- timers ------------------------------------------------------------
 

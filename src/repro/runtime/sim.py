@@ -35,6 +35,7 @@ from repro.runtime.effects import (
     CancelTimer,
     ChargeCpu,
     Effect,
+    Reply,
     Send,
     SetTimer,
 )
@@ -140,7 +141,8 @@ class MachineProcess:
 
         Runs inside the simulator event that invoked the machine handler,
         so scheduled deliveries get the same (time, seq) keys as when the
-        handler performed the sends itself.
+        handler performed the sends itself.  A :class:`Reply` plays as the
+        charge-and-send pair per reply it stands for.
         """
         for effect in effects:
             if type(effect) is Send:
@@ -157,6 +159,10 @@ class MachineProcess:
                 timer = self._timers.pop(effect.timer_id, None)
                 if timer is not None:
                     timer.cancel()
+            elif type(effect) is Reply:
+                for dest, reply in effect.sends:
+                    self.charge(effect.cost_ms)
+                    self.send(dest, reply, effect.size_bytes)
             # Commit needs no interpretation here: the monitor already
             # observed the execution through the ledger.
 

@@ -11,6 +11,7 @@ from repro.costs import CostModel
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import KeyDirectory
 from repro.core.block import genesis_block
+from repro.runtime.effects import Reply
 from repro.runtime.machine import Machine
 from repro.runtime.sim import ConsensusSystem, MachineProcess
 from repro.sim.network import Network
@@ -64,6 +65,13 @@ def run_protocol(protocol: str, views: int = 5, f: int = 1, **overrides):
     system = ConsensusSystem(small_config(protocol, f=f, **overrides))
     result = system.run_until_views(views, max_time_ms=120_000)
     return system, result
+
+
+def client_replies(effects: list[Any]) -> list[tuple[int, Any]]:
+    """``(pid, ClientReply)`` of every client answer in an effect list: a
+    replica answers clients with :class:`Reply` effects, one per executed
+    block or admission pass."""
+    return [send for effect in effects if type(effect) is Reply for send in effect.sends]
 
 
 class Recorder(Machine):

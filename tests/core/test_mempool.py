@@ -44,13 +44,25 @@ def test_payload_digest_cache_evicts_oldest_half():
         payload_digest(txs)
     # The insertion that overflowed evicted the oldest half first.
     assert len(cache) == cache_max // 2 + 1
-    assert columns[0].packed not in cache
-    assert columns[cache_max // 2 - 1].packed not in cache
-    assert columns[cache_max // 2].packed in cache
-    assert columns[-1].packed in cache
+    key = mempool_mod._memo_key
+    assert key(columns[0].packed) not in cache
+    assert key(columns[cache_max // 2 - 1].packed) not in cache
+    assert key(columns[cache_max // 2].packed) in cache
+    assert key(columns[-1].packed) in cache
     # Evicted columns still digest correctly (and re-enter the cache).
     assert payload_digest(columns[0]) == payload_digest(TxBatch.of((Transaction(0, 0, 0),)))
     cache.clear()
+
+
+def test_the_digest_memo_pins_no_column():
+    """The chain stows the columns it has executed; a memo keyed by the
+    raw bytes would keep one raw copy of each alive all the same."""
+    txs = TxBatch.of(Transaction(5, i, 0) for i in range(64))
+    payload_digest(txs)
+    cache = mempool_mod._PAYLOAD_DIGEST_CACHE
+    assert mempool_mod._memo_key(txs.packed) in cache
+    assert not any(key == txs.packed for key in cache)
+    assert max(map(len, cache)) < len(txs.packed)
 
 
 @pytest.mark.parametrize("count", [0, 1, 128])
@@ -65,7 +77,7 @@ def test_payload_digest_memo_is_the_hash_beneath_it(count):
     txs, twin = build(), build()
     assert twin == txs and (count == 0 or twin.packed is not txs.packed)
     expected = hash_fields(tuple(tx.digest_fields() for tx in txs))
-    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs.packed, None)
+    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(mempool_mod._memo_key(txs.packed), None)
     assert payload_digest(txs) == expected  # miss
     assert payload_digest(txs) == expected  # hit, same object
     assert payload_digest(twin) == expected
@@ -85,7 +97,7 @@ _IDS = st.one_of(
 def test_flat_payload_digest_is_the_nested_hash(rows):
     txs = TxBatch.of(Transaction(c, t, p, submitted_at=0.5, fee=f) for c, t, p, f in rows)
     nested = tuple(tx.digest_fields() for tx in txs)
-    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(txs.packed, None)
+    mempool_mod._PAYLOAD_DIGEST_CACHE.pop(mempool_mod._memo_key(txs.packed), None)
     assert payload_digest(txs) == hash_fields(nested) == sha256(spec_encoding(nested))
 
 

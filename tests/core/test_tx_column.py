@@ -107,6 +107,47 @@ def test_the_column_is_seq_transaction_on_the_wire(txs):
     assert decode_fields((Column(),), data) == [batch]
 
 
+#: One client's traffic - small ids counting up, zero sizes and fees - which
+#: is most of what a chain keeps, and what stows smaller than it is.
+CLIENT_RUNS = st.builds(
+    lambda client, first, count: tuple(
+        Transaction(client, first + i, 0, 0.25 * (first + i)) for i in range(count)
+    ),
+    st.integers(0, 16),
+    st.integers(0, 2**40),
+    st.integers(0, 80),
+)
+
+
+@given(txs=st.one_of(ENCODABLE, CLIENT_RUNS))
+@settings(max_examples=200, deadline=None)
+def test_a_stowed_column_keeps_every_contract(txs):
+    raw, stowed = TxBatch.of(txs), TxBatch.of(txs)
+    stowed.stow()
+    stowed.stow()
+    assert stowed.packed == raw.packed and bytes(stowed) == bytes(raw)
+    assert len(stowed) == len(txs) and tuple(stowed) == txs
+    assert [stowed[i] for i in range(len(txs))] == list(txs)
+    assert stowed.client_keys() == raw.client_keys()
+    assert stowed.payload_sizes() == raw.payload_sizes()
+    assert stowed.wire_size() == raw.wire_size()
+    assert stowed == raw and raw == stowed and hash(stowed) == hash(raw)
+    assert payload_digest(stowed) == payload_digest(raw)
+    assert create_leaf(b"\x07" * 32, 3, stowed).hash == create_leaf(b"\x07" * 32, 3, raw).hash
+    assert encode_fields((Column(),), (stowed,)) == encode_fields((Column(),), (raw,))
+
+
+def test_one_clients_traffic_stows_in_under_a_third_of_its_bytes():
+    batch = TxBatch.of(Transaction(1, i, 0, 0.25 * i) for i in range(256))
+    size = len(batch.packed)
+    batch.stow()
+    assert batch._stowed and 3 * len(batch._column) < size
+    # A column that compression would not shrink stays as it is.
+    lone = TxBatch.of([Transaction(0x1234567890ABCDEF, -0x0FEDCBA987654321, 0xDEADBEEF, 0.1, 0x7A5B3C1D2E4F6081)])
+    lone.stow()
+    assert not lone._stowed and lone._column is lone.packed
+
+
 def test_a_truncated_zero_run_is_a_codec_error():
     data = encode_fields((Column(),), (TxBatch.of([Transaction(1, 2, 300), Transaction(1, 3, 9)]),))
     for cut in (1, 9, 10, 40):

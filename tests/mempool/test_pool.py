@@ -1,5 +1,6 @@
 """The bounded priority mempool: verdicts, ordering, caps, determinism."""
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -152,6 +153,13 @@ def test_watermark_backpressure_engages_and_releases():
     pool.take_block(1.0)
     assert pool.admit(tx(0, 102), 2.0) is ACCEPTED
     assert pool.stats()["backpressure_engagements"] == 1
+
+
+def test_the_watermarks_need_a_gap():
+    """Without one, observing the same fill twice could flip the latch, and
+    admission reads it without observing."""
+    with pytest.raises(ValueError, match="below the high one"):
+        closed_pool(high_watermark=0.5, low_watermark=0.5)
 
 
 # -- proposal drain ----------------------------------------------------------

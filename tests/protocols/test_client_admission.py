@@ -1,17 +1,22 @@
 """Admission, both ends: the client's verdict accounting (histogram, drops,
-retries) and the replica's check of who may submit under a client id."""
+retries), the replica's check of who may submit under a client id, and
+its one pass over a packed frame of requests."""
 
 import asyncio
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.adversary.spammer import SPAM_CLIENT_BASE
-from repro.core.mempool import AdmissionVerdict, Transaction
+from repro.core.codec import ClientRequests
+from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict, Transaction
 from repro.core.messages import ClientReply, ClientRequest
 from repro.protocols.client import Client
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock, build_machine
-from repro.runtime.effects import Send
+from repro.runtime.effects import Reply, Send
 from repro.runtime.machine import Machine
 from repro.runtime.sim import ConsensusSystem
-from tests.conftest import small_config
+from tests.conftest import client_replies, small_config
 
 
 class FakeClock:
@@ -205,13 +210,14 @@ def test_request_for_an_applied_key_gets_the_committed_reply():
     replica = system.replicas[0]
     late_copy = ClientRequest(0, Transaction(0, 3, HONEST_PAYLOAD))
     effects = replica.on_message(client.pid, late_copy)
-    [reply] = [e.payload for e in effects if isinstance(e, Send)]
+    [(pid, reply)] = client_replies(effects)
+    assert pid == client.pid
     assert (reply.client_id, reply.tx_id, reply.verdict) == (0, 3, AdmissionVerdict.ACCEPTED)
     assert replica.mempool.pending() == 0
     # A key still on its way is a plain duplicate.
     replica.mempool.admit(Transaction(0, REQUESTS, HONEST_PAYLOAD), system.sim.now)
     effects = replica.on_message(client.pid, ClientRequest(0, Transaction(0, REQUESTS, 0)))
-    [reply] = [e.payload for e in effects if isinstance(e, Send)]
+    [(_pid, reply)] = client_replies(effects)
     assert reply.verdict is AdmissionVerdict.DUPLICATE
 
 
@@ -275,3 +281,108 @@ def test_tcp_peer_cannot_preempt_a_clients_keys():
         assert client_payloads(replica) <= {HONEST_PAYLOAD}
         assert replica.mempool.stats()["rejected_duplicate"] == 0
     assert any(client_payloads(replica) for replica in replicas)
+
+
+# -- one admission pass per packed frame ----------------------------------------
+#
+# A socket host hands a replica a client's packed frame whole; the pass over
+# it must give what the simulator's one request per delivery gives.
+
+STRANGER = 5  # a pid no client id is registered to (client ids 0, 1 are pids 3, 4)
+
+
+class CountingWakes:
+    """A parked proposal that only counts its wake-ups."""
+
+    def __init__(self):
+        self.wakes = 0
+
+    def wake(self):
+        self.wakes += 1
+
+
+def admission_replica(max_txs=100, rate_limit=0.0, burst=32, applied=()):
+    """Replica 0 of an idle closed-loop cluster, its effects returned, not
+    played; ``applied`` keys are on its chain already."""
+    system = ConsensusSystem(small_config(
+        "damysus", open_loop=False, num_clients=2, mempool_max_txs=max_txs,
+        sender_rate_limit=rate_limit, sender_rate_burst=burst,
+    ))
+    replica = system.replicas[0]
+    replica.runtime = None
+    replica.parked = CountingWakes()
+    for key in applied:
+        replica.ledger.applied.add(key)
+    replica.mempool.purge_committed(sorted(applied))
+    return replica
+
+
+def as_request(client_id, forged, tx_id, fee, payload):
+    """A request, naming another client id than its transaction if ``forged``."""
+    transaction = Transaction(client_id, tx_id, payload, 0.0, fee)
+    return ClientRequest(client_id + 1 if forged else client_id, transaction)
+
+
+REQUESTS_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 2, SYNTHETIC_CLIENT_ID]),  # client 2 has no pid
+        st.booleans(),
+        st.integers(0, 5),  # repeats are duplicates
+        st.integers(0, 3),  # fees: backpressure refuses the cheap ones
+        st.sampled_from([0, 8, 32]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=REQUESTS_ROWS,
+    sender=st.sampled_from([3, 4, STRANGER]),
+    max_txs=st.integers(2, 6),
+    rate_limit=st.sampled_from([0.0, 0.001]),
+    burst=st.integers(1, 4),
+    applied=st.sets(st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, 5)), max_size=3),
+)
+def test_a_packed_frame_is_admitted_as_its_requests_one_by_one(
+    rows, sender, max_txs, rate_limit, burst, applied
+):
+    requests = [as_request(*row) for row in rows]
+    whole, single = (admission_replica(max_txs, rate_limit, burst, applied) for _ in range(2))
+    frame_effects = whole.on_message(sender, ClientRequests.of(requests))
+    row_effects = [
+        effect for request in requests for effect in single.on_message(sender, request)
+    ]
+    assert client_replies(frame_effects) == client_replies(row_effects)
+    assert sum(type(effect) is Reply for effect in frame_effects) <= 1
+    assert whole.mempool.stats() == single.mempool.stats()
+    assert tuple(whole.mempool.take_block(0.0)) == tuple(single.mempool.take_block(0.0))
+    assert whole.parked.wakes == min(single.parked.wakes, 1)
+
+
+class TickingClock:
+    """Every read is a microsecond later than the one before."""
+
+    def __init__(self):
+        self.reads = 0
+
+    @property
+    def now(self):
+        self.reads += 1
+        return 1_000.0 + self.reads * 0.001
+
+
+def test_a_frame_reads_the_clock_once_and_stamps_its_nacks_with_that_instant():
+    replica = admission_replica(rate_limit=0.001, burst=1)
+    replica.clock = clock = TickingClock()
+    replica.on_message(3, as_request(0, False, 0, 0, 0))
+    frame = ClientRequests.of([as_request(0, False, tx_id, 0, 0) for tx_id in (0, 1)])
+    effects = replica.on_message(3, frame)
+    assert clock.reads == 2
+    instant = 1_000.0 + 2 * 0.001
+    assert [(pid, reply.tx_id, reply.verdict, reply.executed_at) for pid, reply in
+            client_replies(effects)] == [
+        (3, 0, AdmissionVerdict.DUPLICATE, instant),
+        (3, 1, AdmissionVerdict.RATE_LIMITED, instant),
+    ]

@@ -16,11 +16,10 @@ import pytest
 from repro.core.block import create_leaf
 from repro.core.faults import FaultPlan
 from repro.core.mempool import Transaction
-from repro.core.messages import ClientReply
 from repro.protocols.registry import SPECS
-from repro.runtime.effects import Commit, Send
+from repro.runtime.effects import Commit
 from repro.runtime.sim import ConsensusSystem
-from tests.conftest import small_config
+from tests.conftest import client_replies, small_config
 
 CLIENTS = 4
 REQUESTS = 50
@@ -33,7 +32,8 @@ PLANS = {
 
 
 def watch_execution_replies(system):
-    """Count the replies each replica sends in the batch that commits a block.
+    """Count the replies each replica sends in the batch that commits a block:
+    the rows of its ``Reply`` effects.
 
     A reply to a late copy of a request (already applied, answered again)
     leaves in a batch without a ``Commit`` and is not an execution reply.
@@ -42,9 +42,8 @@ def watch_execution_replies(system):
     for replica in system.replicas:
         def execute(effects, inner=replica.runtime.execute, pid=replica.pid):
             if any(type(effect) is Commit for effect in effects):
-                for effect in effects:
-                    if type(effect) is Send and isinstance(effect.payload, ClientReply):
-                        counts[pid, effect.payload.client_id, effect.payload.tx_id] += 1
+                for _dest, reply in client_replies(effects):
+                    counts[pid, reply.client_id, reply.tx_id] += 1
             inner(effects)
 
         replica.runtime.execute = execute
@@ -129,11 +128,7 @@ def test_block_recarrying_an_applied_key_is_not_answered_twice():
         replica.mempool.add(block.transactions[-1])
 
     def replies(effects):
-        return [
-            (effect.payload.tx_id, effect.payload.verdict.value)
-            for effect in effects
-            if type(effect) is Send and isinstance(effect.payload, ClientReply)
-        ]
+        return [(reply.tx_id, reply.verdict.value) for _dest, reply in client_replies(effects)]
 
     flushed = []
     replica.runtime.execute = flushed.extend  # execute_block is an entry point
@@ -176,10 +171,6 @@ def test_every_reply_of_one_execution_carries_one_commit_timestamp():
     flushed = []
     replica.runtime.execute = flushed.extend
     replica.execute_block(child, 2)
-    stamps = [
-        effect.payload.executed_at
-        for effect in flushed
-        if type(effect) is Send and isinstance(effect.payload, ClientReply)
-    ]
+    stamps = [reply.executed_at for _dest, reply in client_replies(flushed)]
     assert len(stamps) == 16
     assert set(stamps) == {system.monitor.executions[-1].executed_at}

@@ -49,3 +49,21 @@ def test_committed_transactions_are_retained_as_bytes_only():
     inflight = sum(len(client._inflight) for client in system.clients)
     assert live <= pending + inflight
     assert live < committed // 10
+
+
+def test_a_chain_keeps_the_columns_below_its_newest_execution_stowed():
+    """Past its execution a block's column is read only to serve a peer
+    that catches up, so the ledger stows it: held compressed, read the
+    same."""
+    config = small_config(
+        "damysus", open_loop=False, num_clients=4, client_interval_ms=2.0, block_size=50
+    )
+    system = ConsensusSystem(config)
+    system.run(1_500.0)
+    for replica in system.replicas:
+        *below, _newest = replica.ledger.executed
+        full = [block for block in below if len(block.transactions) >= 16]
+        assert full and all(block.transactions._stowed for block in full)
+        assert all(
+            len(block.transactions._column) < len(block.transactions.packed) for block in full
+        )

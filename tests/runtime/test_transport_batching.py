@@ -14,6 +14,7 @@ handed.
 """
 
 import asyncio
+import itertools
 import socket
 from unittest import mock
 
@@ -27,7 +28,7 @@ from repro.core.mempool import AdmissionVerdict, Transaction
 from repro.core.messages import BlockRequest, BlockResponse, ClientReply, ClientRequest
 from repro.runtime import asyncio_net
 from repro.runtime.asyncio_net import AsyncioRuntime, WallClock
-from repro.runtime.effects import ChargeCpu, Send
+from repro.runtime.effects import ChargeCpu, Reply, Send
 from repro.runtime.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame, encode_hello
 from repro.runtime.machine import Machine
 from repro.runtime.resilience.transport import FaultDecider, decision_table
@@ -479,6 +480,27 @@ def test_on_messages_returns_the_flushed_effects_like_on_message():
     assert [msg for _, msg in machine.received] == [*replies, replies[0]]
 
 
+class ServesReplies(Charging):
+    """Names the packed reply row in ``SERVICE_HANDLERS``."""
+
+    SERVICE_HANDLERS = {ClientReplies: "on_message"}
+
+
+def test_on_messages_hands_a_packed_frame_whole_only_to_a_machine_that_serves_it():
+    replies = [ClientReply(0, 7, tx_id, 0.5) for tx_id in range(3)]
+    packed = ClientReplies.of(replies)
+    rows = Charging(1, WallClock())
+    assert rows.on_messages(0, [packed, replies[0]]) == [ChargeCpu(0.25)] * 4
+    assert [msg for _, msg in rows.received] == [*replies, replies[0]]
+    whole = ServesReplies(1, WallClock())
+    assert whole.on_messages(0, [packed, replies[0]]) == [ChargeCpu(0.25)] * 2
+    assert [msg for _, msg in whole.received] == [packed, replies[0]]
+    # Serving the reply row does not serve the packed request row.
+    requests = ClientRequests.of([ClientRequest(7, Transaction(7, 0, 0, 0.0, 0))] * 2)
+    whole.on_messages(0, [requests])
+    assert [msg for _, msg in whole.received][2:] == list(requests)
+
+
 # -- the inbound reader: one reused buffer per connection ------------------------
 
 
@@ -701,6 +723,36 @@ async def _unreachable_peer():
     return address
 
 
+class _Counting(FaultRule):
+    """Decides nothing; counts what it was asked about."""
+
+    def __init__(self):
+        self.asked = []
+
+    def decide(self, src, dst, payload, now, rng):
+        self.asked.append((dst, payload))
+
+
+def test_a_reply_effect_joins_the_packed_replies_and_each_row_is_decided():
+    replies = [_reply(tx_id) for tx_id in range(3)]
+
+    async def scenario(decider):
+        runtime = AsyncioRuntime(Scripted(0, WallClock()), fault_decider=decider)
+        runtime.set_peers({9: await _unreachable_peer()})
+        try:
+            runtime.execute([Send(9, replies[0]), Reply([(9, r) for r in replies[1:]], 0.0, 51)])
+            return runtime.sent_messages, list(runtime._queues[9].frames)
+        finally:
+            await runtime.close()
+
+    rule = _Counting()
+    for decider in (None, FaultDecider([rule], seed=1)):
+        sent, [frame] = asyncio.run(scenario(decider))
+        assert sent == len(replies)
+        assert frame == encode_frame(asyncio_net.encode_message(ClientReplies.of(replies)))
+    assert rule.asked == [(9, reply) for reply in replies]
+
+
 def test_shedding_a_packed_frame_counts_its_rows(monkeypatch):
     monkeypatch.setattr(asyncio_net, "MAX_OUTBOUND_QUEUE", 2)
     replies = [_reply(tx_id) for tx_id in range(5)]
@@ -782,18 +834,30 @@ def _payload(kind, number):
     return _block_request(number)
 
 
-async def _deliveries(sends, peers, decider):
+async def _deliveries(sends, peers, decider, as_reply=False):
     """Run ``sends`` - ``(payload, dest)`` in effect order, dest 0 is the
-    sender itself - as one flush; hand each peer's queued frames to a
-    receiving runtime's inbound protocol.  Returns what every machine
-    received, the sender's row count and the frames each peer read."""
+    sender itself - as one flush, the replies as ``Reply`` effects if
+    ``as_reply``; hand each peer's queued frames to a receiving runtime's
+    inbound protocol.  Returns what every machine received, the sender's
+    row count and the frames each peer read."""
     clock = WallClock()
 
     def script(machine):
         for payload, dest in sends:
             machine.send(dest, payload)
 
-    sender = AsyncioRuntime(Scripted(0, clock, script), fault_decider=decider)
+    def script_with_replies(machine):
+        # Each run of consecutive replies is one Reply effect, as a replica emits.
+        for is_reply, run in itertools.groupby(sends, lambda send: type(send[0]) is ClientReply):
+            if is_reply:
+                machine._emit(Reply([(dest, reply) for reply, dest in run], 0.0, 51))
+            else:
+                for payload, dest in run:
+                    machine.send(dest, payload)
+
+    sender = AsyncioRuntime(
+        Scripted(0, clock, script_with_replies if as_reply else script), fault_decider=decider
+    )
     address = await _unreachable_peer()
     sender.set_peers({pid: address for pid in range(1, peers + 1)})
     try:
@@ -839,7 +903,8 @@ _SENDS = st.integers(min_value=2, max_value=4).flatmap(
 def test_packing_delivers_what_a_per_message_host_delivers(case, seed):
     """Every peer receives the sequence a host without packing delivers -
     duplicates and drops included - from the same per-row fault decisions,
-    and each frame it reads is one ``decode_message`` call."""
+    and each frame it reads is one ``decode_message`` call.  The packing
+    host gets its replies as ``Reply`` effects, the other as sends."""
     peers, actions = case
     sends = [
         (payload, dest)
@@ -856,7 +921,9 @@ def test_packing_delivers_what_a_per_message_host_delivers(case, seed):
         return real_decode(data)
 
     with mock.patch.object(asyncio_net, "decode_message", counting):
-        packed, packed_rows, packed_frames = asyncio.run(_deliveries(sends, peers, deciders[0]))
+        packed, packed_rows, packed_frames = asyncio.run(
+            _deliveries(sends, peers, deciders[0], as_reply=True)
+        )
         assert len(decodes) == packed_frames
         with mock.patch.object(asyncio_net, "PACKED", {}):
             reference, reference_rows, reference_frames = asyncio.run(

@@ -1,8 +1,13 @@
 """Tests for a machine's seat on the simulator: sends, deliveries, CPU time."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.mempool import AdmissionVerdict
+from repro.core.messages import ClientReply
 from repro.errors import SimulationError
+from repro.runtime.effects import ChargeCpu, Reply, Send
 from repro.runtime.sim import MachineProcess
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency
@@ -103,3 +108,44 @@ def test_charge_nonpositive_is_noop():
     seat.charge(-5.0)
     assert seat._busy_until == 0.0
     assert a.cpu_time_charged == 0.0
+
+
+# -- a Reply effect plays as the charge-and-send pair per reply --------------------
+
+
+def play(effects):
+    """Seat pid 0 with clients 1 and 2, let it play ``effects`` at t=0 on an
+    otherwise idle seat, and report what the world saw."""
+    sim, net, a, _b = make_pair(latency_ms=2.0)
+    (c,) = seat_recorders(net, 2)
+    process = net.processes[0]
+    process.charge(0.5)  # a busy CPU: every charge moves the sends behind it
+    process.execute(effects)
+    sim.run()
+    monitor = net.monitor
+    return (
+        [(pid, received) for pid, recorder in ((1, _b), (2, c)) for received in recorder.received],
+        process._busy_until,
+        (monitor.messages_sent, monitor.bytes_sent),
+        a.received,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    replies=st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(0, 9)), min_size=1,
+                     max_size=8),
+    cost_ms=st.sampled_from([0.0, 0.0001, 0.25, 1.5]),
+    size_bytes=st.integers(1, 64),
+)
+def test_a_reply_effect_plays_as_a_charge_and_a_send_per_reply(replies, cost_ms, size_bytes):
+    sends = [
+        (dest, ClientReply(0, dest, tx_id, 1.0, AdmissionVerdict.DUPLICATE))
+        for dest, tx_id in replies
+    ]
+    reference = []
+    for dest, reply in sends:
+        if cost_ms > 0:  # a machine emits no ChargeCpu for a free operation
+            reference.append(ChargeCpu(cost_ms))
+        reference.append(Send(dest, reply, size_bytes))
+    assert play([Reply(sends, cost_ms, size_bytes)]) == play(reference)
