@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.crypto.hashing import HASH_SIZE, Hash, encode_fields, sha256
 from repro.crypto.scheme import SIGNATURE_WIRE_SIZE, Signature, SignatureScheme
 from repro.core.phases import Phase
+from repro.memo import remember
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +62,7 @@ class QuorumCert:
             return True
         if len(self.sigs) != quorum:
             return False
-        return scheme.verify_all(self.signed_payload(), list(self.sigs))
+        return scheme.verify_all(self.signed_payload(), self.sigs)
 
     def digest(self) -> Hash:
         """Digest for embedding the certificate in a block hash.
@@ -96,6 +97,7 @@ class QuorumCert:
 #: the encoding is a pure function of the key, so memoization is
 #: invisible to results.
 _VOTE_PAYLOAD_CACHE: dict[tuple[int, str, Hash], bytes] = {}
+_VOTE_PAYLOAD_CACHE_MAX = 65536
 
 
 def vote_payload(view: int, phase: Phase, block_hash: Hash) -> bytes:
@@ -103,10 +105,12 @@ def vote_payload(view: int, phase: Phase, block_hash: Hash) -> bytes:
     key = (view, phase.value, block_hash)
     payload = _VOTE_PAYLOAD_CACHE.get(key)
     if payload is None:
-        if len(_VOTE_PAYLOAD_CACHE) >= 65536:  # bound memory, not results
-            _VOTE_PAYLOAD_CACHE.clear()
-        payload = encode_fields(("vote", view, phase.value, block_hash))
-        _VOTE_PAYLOAD_CACHE[key] = payload
+        payload = remember(
+            _VOTE_PAYLOAD_CACHE,
+            key,
+            encode_fields(("vote", view, phase.value, block_hash)),
+            _VOTE_PAYLOAD_CACHE_MAX,
+        )
     return payload
 
 

@@ -27,6 +27,7 @@ from typing import Any, NamedTuple
 
 from repro.crypto.hashing import Hash, hash_fields
 from repro.errors import CodecError
+from repro.memo import remember
 
 #: Metadata bytes per transaction (2 x 4 B ids + 32 B previous-block hash).
 TX_METADATA_BYTES = 40
@@ -258,15 +259,10 @@ def payload_digest(transactions: TxBatch) -> Hash:
     key = _memo_key(packed)
     digest = _PAYLOAD_DIGEST_CACHE.get(key)
     if digest is None:
-        if len(_PAYLOAD_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
-            # Evict the oldest half (dicts preserve insertion order)
-            # rather than clearing wholesale: recent columns are the ones
-            # a live chain keeps re-hashing, and dropping them too costs
-            # a re-digest per block on the hot path.
-            for stale in list(
-                itertools.islice(_PAYLOAD_DIGEST_CACHE, _DIGEST_CACHE_MAX // 2)
-            ):
-                del _PAYLOAD_DIGEST_CACHE[stale]
-        digest = hash_fields(tuple(_DIGEST_FIELDS.iter_unpack(packed)))
-        _PAYLOAD_DIGEST_CACHE[key] = digest
+        digest = remember(
+            _PAYLOAD_DIGEST_CACHE,
+            key,
+            hash_fields(tuple(_DIGEST_FIELDS.iter_unpack(packed))),
+            _DIGEST_CACHE_MAX,
+        )
     return digest

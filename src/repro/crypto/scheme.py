@@ -29,6 +29,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.memo import remember
+
 #: Wire size we account for one signature, matching ECDSA/prime256v1 (64 B).
 SIGNATURE_WIRE_SIZE = 64
 
@@ -57,10 +59,22 @@ class Signature:
         return SIGNATURE_WIRE_SIZE
 
 
-#: Entries kept in a scheme's verification memo before eviction kicks in.
-#: The cap only bounds memory; eviction never changes results because
-#: every entry is recomputable from its key.
-_VERIFY_CACHE_MAX = 1 << 18
+#: Entries kept in a scheme's per-signature verification memo before its
+#: oldest half goes.  Sized in views, not in run length: one view of the
+#: largest simulated cluster (hotstuff at f = 20, 61 replicas sharing one
+#: scheme) leaves about 160 signatures here - a vote per replica per phase
+#: plus the new-views - so 1024 hold the last six views or more.  Repeats
+#: of a whole certificate are answered by the quorum memo in front of this
+#: one; what is left to absorb here is a vote or commitment checked again
+#: inside its view (first alone, then inside the certificate it joined).
+#: The cap only bounds memory: every entry is recomputable from its key.
+_VERIFY_CACHE_MAX = 1024
+
+#: Entries kept in a scheme's quorum memo (:meth:`SignatureScheme.verify_all`)
+#: before its oldest half goes.  A view yields a few distinct certificates
+#: (about eight at damysus f = 20), each checked by every replica it
+#: reaches, so 256 cover dozens of views.
+_QUORUM_CACHE_MAX = 256
 
 #: A pair accepted by :meth:`SignatureScheme.verify_many`.
 VerifyPair = tuple[bytes, Signature]
@@ -79,6 +93,12 @@ class SignatureScheme:
         # messages (every replica checks the same quorum certificate)
         # skip the underlying crypto.  Keygen invalidates the memo.
         self._verify_cache: dict[tuple[int, bytes, bytes], bool] = {}
+        # Memoized verify_all verdicts keyed by (message, signatures).  The
+        # key holds every signature whole (signer, bytes, scheme) and the
+        # verdict is a pure function of it and the directory, so a repeat
+        # of the same certificate costs one lookup; any other signature
+        # list, or the same one over another message, is another key.
+        self._quorum_cache: dict[tuple[bytes, tuple[Signature, ...]], bool] = {}
 
     def keygen(self, signer: int) -> None:
         """Create and register a key pair for ``signer``."""
@@ -110,29 +130,14 @@ class SignatureScheme:
 
     # -- memo ------------------------------------------------------------------
 
-    def _evict_oldest(self) -> None:
-        """Drop the oldest half of the memo (FIFO: dicts keep insertion order).
-
-        A full ``clear()`` here caused a latency cliff: the next quorum
-        certificate re-verified every signature at once.  Halving keeps
-        the hot (recent) entries resident while bounding memory.
-        """
-        cache = self._verify_cache
-        for key in list(itertools.islice(cache, len(cache) // 2)):
-            del cache[key]
-
-    def _remember(self, key: tuple[int, bytes, bytes], outcome: bool) -> None:
-        if len(self._verify_cache) >= _VERIFY_CACHE_MAX:
-            self._evict_oldest()
-        self._verify_cache[key] = outcome
-
     def verify_cached(self, message: bytes, signature: Signature) -> bool:
         """:meth:`verify`, memoized by ``(signer, message, sig bytes)``."""
         key = (signature.signer, message, signature.data)
         cached = self._verify_cache.get(key)
         if cached is None:
-            cached = self.verify(message, signature)
-            self._remember(key, cached)
+            cached = remember(
+                self._verify_cache, key, self.verify(message, signature), _VERIFY_CACHE_MAX
+            )
         return cached
 
     def cached_verification(self, message: bytes, signature: Signature) -> bool | None:
@@ -142,6 +147,7 @@ class SignatureScheme:
     def _forget_cached_verifications(self) -> None:
         """Drop memoized outcomes; called whenever the key directory changes."""
         self._verify_cache.clear()
+        self._quorum_cache.clear()
 
     def verify_many_cached(self, pairs: Sequence[VerifyPair]) -> list[bool]:
         """:meth:`verify_many` with the memo consulted and updated per pair.
@@ -160,7 +166,7 @@ class SignatureScheme:
         if misses:
             fresh = self.verify_many([pair for _, pair in misses])
             for (index, (message, sig)), outcome in zip(misses, fresh):
-                self._remember((sig.signer, message, sig.data), outcome)
+                remember(cache, (sig.signer, message, sig.data), outcome, _VERIFY_CACHE_MAX)
                 outcomes[index] = outcome
         return [bool(outcome) for outcome in outcomes]
 
@@ -170,11 +176,18 @@ class SignatureScheme:
         """Verify signatures over the same message, via the batch fast path.
 
         Also enforces the quorum-certificate requirement that all
-        signatures come from *distinct* signers.  Outcomes are memoized
-        per signature, so the next replica validating the same quorum
-        certificate skips the crypto entirely.
+        signatures come from *distinct* signers.  The verdict is memoized
+        per ``(message, signatures)``, so the next replica validating the
+        same quorum certificate pays one lookup; a miss runs the distinct-
+        signer check and then the per-signature memo, so a certificate
+        that shares signatures with an earlier one skips their crypto.
         """
-        signers = {sig.signer for sig in signatures}
-        if len(signers) != len(signatures):
-            return False
-        return all(self.verify_many_cached([(message, sig) for sig in signatures]))
+        sigs = tuple(signatures)
+        key = (message, sigs)
+        verdict = self._quorum_cache.get(key)
+        if verdict is None:
+            verdict = len({sig.signer for sig in sigs}) == len(sigs) and all(
+                self.verify_many_cached([(message, sig) for sig in sigs])
+            )
+            remember(self._quorum_cache, key, verdict, _QUORUM_CACHE_MAX)
+        return verdict

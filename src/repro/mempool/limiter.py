@@ -10,7 +10,7 @@ are, while ``burst`` bounds how far a quiet sender can get ahead.
 
 from __future__ import annotations
 
-import itertools
+from repro.memo import remember
 
 #: Distinct senders tracked before the oldest half of the bucket map is
 #: evicted (an evicted sender restarts with a full burst; bounded memory
@@ -78,13 +78,12 @@ class SenderRateLimiter:
             return True
         bucket = self._buckets.get(sender)
         if bucket is None:
-            if len(self._buckets) >= self.max_senders:
-                for stale in list(
-                    itertools.islice(self._buckets, self.max_senders // 2)
-                ):
-                    del self._buckets[stale]
-            bucket = TokenBucket(self.rate_per_ms, self.burst, now)
-            self._buckets[sender] = bucket
+            bucket = remember(
+                self._buckets,
+                sender,
+                TokenBucket(self.rate_per_ms, self.burst, now),
+                self.max_senders,
+            )
         return bucket.try_acquire(now)
 
     def tracked_senders(self) -> int:

@@ -99,7 +99,7 @@ class MachineProcess:
         sim = self.sim
         wait = self._busy_until - sim.now
         if wait > 0:
-            sim.schedule(wait, network.send, self.pid, dest, payload, size_bytes)
+            sim.post(wait, network.send, self.pid, dest, payload, size_bytes)
         else:
             network.send(self.pid, dest, payload, size_bytes)
 
@@ -130,7 +130,7 @@ class MachineProcess:
         sim = self.sim
         wait = self._busy_until - sim.now
         if wait > 0:
-            sim.schedule(wait, self.deliver, sender, payload)
+            sim.post(wait, self.deliver, sender, payload)
             return
         self.machine.on_message(sender, payload)
 

@@ -1,13 +1,26 @@
 """Deterministic discrete-event loop with a virtual clock.
 
-The simulator keeps a heap of ``(time, seq, event)`` tuples.  ``seq`` is
-a per-simulator counter, so two events scheduled for the same instant
-fire in the order they were scheduled, and since no two entries share a
-``seq`` a comparison is settled by the first two elements - in C, on a
-float and an int - and never reaches the :class:`Event`, which is not
-orderable.  That tie-break rule is what makes every simulation run
-bit-for-bit reproducible from its seed; nothing in the library reads the
-wall clock.
+The simulator keeps a heap of ``(time, seq, fn, args, handle)`` entries,
+one shape for every event.  ``seq`` is a per-simulator counter, so two
+events scheduled for the same instant fire in the order they were
+scheduled, and since no two entries share a ``seq`` a comparison is
+settled by the first two elements - in C, on a float and an int - and
+never reaches the callback or the handle, which are not orderable.  That
+tie-break rule is what makes every simulation run bit-for-bit
+reproducible from its seed; nothing in the library reads the wall clock.
+
+Two calls push an entry, and they differ only in the handle:
+
+* :meth:`Simulator.schedule` returns a cancellable :class:`Event` and
+  stores it as the entry's handle.  Timers and fault-plan crashes and
+  recoveries are scheduled this way, because something may cancel them.
+* :meth:`Simulator.post` stores ``None``: no object is built and nothing
+  is returned.  Message deliveries, deliveries deferred while a CPU is
+  busy and sends deferred behind charged CPU time are posted - nothing
+  ever cancels them, and they are the bulk of every run.
+
+Both draw ``seq`` from the same counter, so which call scheduled an event
+never changes when it fires.
 
 Times are floats in *milliseconds* of virtual time.  Milliseconds are the
 natural unit for wide-area consensus (inter-region RTTs are tens of ms,
@@ -26,9 +39,9 @@ only the reporting counters, never the event order.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -40,11 +53,11 @@ _COMPACT_MIN_HEAP = 64
 
 @dataclass(slots=True, eq=False)
 class Event:
-    """A scheduled call ``fn(*args)``.
+    """The handle of a call ``fn(*args)`` made with :meth:`Simulator.schedule`.
 
-    Deliberately not orderable: the heap orders ``(time, seq, event)``
-    entries and ``seq`` is unique, so a comparison never gets as far as
-    the event (see the module docstring).
+    Deliberately not orderable: the heap orders ``(time, seq, fn, args,
+    event)`` entries and ``seq`` is unique, so a comparison never gets as
+    far as the event (see the module docstring).
     """
 
     time: float
@@ -76,7 +89,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        # (time, seq, fn, args, handle); the handle is None for a posted call.
+        self._heap: list[tuple[float, int, Callable[..., None], tuple[Any, ...], Event | None]] = []
         self._seq = itertools.count()
         #: Current virtual time in milliseconds.  A plain attribute rather
         #: than a property because every send, delivery, charge and handler
@@ -150,12 +164,23 @@ class Simulator:
         time = self.now + delay
         seq = next(self._seq)
         event = Event(time, seq, fn, args, False, self)
-        heapq.heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, fn, args, event))
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
         return self.schedule(time - self.now, fn, *args)
+
+    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule` without a handle, for a call nothing will cancel.
+
+        Same delay rule and the same ``seq`` counter, so the call fires
+        exactly when a scheduled one would; it just builds no
+        :class:`Event`.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        heappush(self._heap, (self.now + delay, next(self._seq), fn, args, None))
 
     # -- cancellation accounting -------------------------------------------
 
@@ -176,8 +201,8 @@ class Simulator:
         callback does not invalidate the heap list the run loop iterates.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
+        heap[:] = [entry for entry in heap if entry[4] is None or not entry[4].cancelled]
+        heapify(heap)
         self._cancelled_pending = 0
 
     # -- running ------------------------------------------------------------
@@ -195,16 +220,15 @@ class Simulator:
         self._running = True
         fired = 0
         heap = self._heap
-        heappop = heapq.heappop
         clock = self._wall_clock
         started = clock() if clock is not None else 0.0
         try:
             while heap:
-                time, _, event = heap[0]
+                time, _, fn, args, event = heap[0]
                 if until is not None and time > until:
                     self.now = until
                     break
-                if event.cancelled:
+                if event is not None and event.cancelled:
                     heappop(heap)
                     event.sim = None
                     self._cancelled_pending -= 1
@@ -214,11 +238,12 @@ class Simulator:
                         f"exceeded max_events={max_events}; runaway event chain?"
                     )
                 heappop(heap)
-                event.sim = None
+                if event is not None:
+                    event.sim = None
                 self.now = time
                 self._events_processed += 1
                 fired += 1
-                event.fn(*event.args)
+                fn(*args)
             else:
                 if until is not None and until > self.now:
                     self.now = until
@@ -243,9 +268,9 @@ class Simulator:
         try:
             heap = self._heap
             while heap:
-                time, _, event = heap[0]
-                if event.cancelled:
-                    heapq.heappop(heap)
+                time, _, fn, args, event = heap[0]
+                if event is not None and event.cancelled:
+                    heappop(heap)
                     event.sim = None
                     self._cancelled_pending -= 1
                     continue
@@ -253,11 +278,12 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway event chain?"
                     )
-                heapq.heappop(heap)
-                event.sim = None
+                heappop(heap)
+                if event is not None:
+                    event.sim = None
                 self.now = time
                 self._events_processed += 1
-                event.fn(*event.args)
+                fn(*args)
                 return True
             return False
         finally:

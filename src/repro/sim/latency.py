@@ -51,7 +51,8 @@ class MatrixLatency(LatencyModel):
     ``placement[i]`` gives the region index of node ``i``.  The delay of a
     message is ``matrix[region(src)][region(dst)] * (1 +/- jitter) +
     size/bandwidth``.  Jitter draws come from a dedicated RNG stream so the
-    model is deterministic per seed.
+    model is deterministic per seed.  The region lookups are done once, at
+    construction: :attr:`base_ms` holds every pid pair's base latency.
     """
 
     def __init__(
@@ -69,10 +70,17 @@ class MatrixLatency(LatencyModel):
         self.rng = rng
         self.bandwidth = bandwidth
         self.jitter = jitter
+        # One row per region, shared by the pids placed there, so the table
+        # grows with regions x pids, not pids squared.
+        rows = [
+            [regions.latency(a, b) for b in self.placement]
+            for a in range(regions.num_regions)
+        ]
+        #: ``base_ms[src][dst]``: the propagation delay before jitter.
+        self.base_ms = [rows[region] for region in self.placement]
 
     def delay(self, src: int, dst: int, size_bytes: int, now: float) -> float:
-        base = self.regions.latency(self.placement[src], self.placement[dst])
-        propagation = self.rng.jitter(base, self.jitter)
+        propagation = self.rng.jitter(self.base_ms[src][dst], self.jitter)
         transfer = size_bytes / self.bandwidth if self.bandwidth else 0.0
         return propagation + transfer
 

@@ -105,21 +105,23 @@ class Network:
         label = msg_type_of(payload)
         monitor = self.monitor
         monitor.record_send(label, size, getattr(payload, "view", None))
-        for tap in self.taps:
-            tap(src, dst, payload)
+        if self.taps:
+            for tap in self.taps:
+                tap(src, dst, payload)
         copies = 1
         extra_delay = 0.0
-        for fault in self.fault_filters:
-            decision = fault(src, dst, payload)
-            if decision is None or decision is False:
-                continue
-            if decision is True or decision.drop:
-                monitor.record_drop(label)
-                return
-            copies += decision.duplicates
-            extra_delay += decision.extra_delay_ms
-        if copies > 1:
-            monitor.record_duplicate(label, copies - 1)
+        if self.fault_filters:
+            for fault in self.fault_filters:
+                decision = fault(src, dst, payload)
+                if decision is None or decision is False:
+                    continue
+                if decision is True or decision.drop:
+                    monitor.record_drop(label)
+                    return
+                copies += decision.duplicates
+                extra_delay += decision.extra_delay_ms
+            if copies > 1:
+                monitor.record_duplicate(label, copies - 1)
         sim = self.sim
         now = sim.now
         for _ in range(copies):
@@ -132,4 +134,4 @@ class Network:
                 arrival = max(now + delay, self._last_arrival.get(link, 0.0))
                 self._last_arrival[link] = arrival
                 delay = arrival - now
-            sim.schedule(delay, target.deliver, src, payload)
+            sim.post(delay, target.deliver, src, payload)

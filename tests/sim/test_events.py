@@ -363,11 +363,55 @@ def test_schedule_passes_arguments_to_the_callback():
     assert seen == [(1, "two", None), "at"]
 
 
+# -- posted events: the same heap, no handle ---------------------------------------
+
+
+def test_posted_and_scheduled_events_share_one_order():
+    sim = Simulator()
+    log = []
+    sim.post(1.0, log.append, "p0")
+    sim.schedule(1.0, log.append, "s1")
+    sim.post(0.5, log.append, "p2")
+    sim.schedule_at(1.0, log.append, "s3")
+    assert sim.post(1.0, log.append, "p4") is None
+    sim.run()
+    assert log == ["p2", "p0", "s1", "s3", "p4"]
+    assert sim.events_processed == 5
+
+
+def test_post_refuses_the_past_like_schedule():
+    sim = Simulator()
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.post(delay, print)
+    assert sim.pending == 0
+
+
+def test_posted_events_under_max_events_step_and_cancellation():
+    sim = Simulator()
+    fired = []
+    for tag in "abc":
+        sim.post(1.0, fired.append, tag)
+    sim.schedule(1.0, fired.append, "dead").cancel()
+    assert (sim.pending, sim.cancelled_pending) == (4, 1)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=2)
+    assert fired == ["a", "b"]
+    assert (sim.pending, sim.cancelled_pending) == (2, 1)
+    with pytest.raises(SimulationError):
+        sim.step(max_events=2)
+    assert sim.step() is True
+    assert sim.step() is False  # only the cancelled entry was left
+    assert fired == ["a", "b", "c"]
+    assert (sim.pending, sim.cancelled_pending, sim.events_processed) == (0, 0, 3)
+
+
 # -- model-based: the scheduler against a sorted list -------------------------------
 #
 # A program is a list of top-level operations; every scheduled event
-# carries a *behaviour* it performs when it fires (schedule children,
-# cancel other events by handle index).  ``_RealWorld`` runs the program
+# carries a *behaviour* it performs when it fires (schedule or post
+# children, cancel other events by handle index).  Posted events get
+# negative idents and no handle, so a cancel can never reach them.  ``_RealWorld`` runs the program
 # on a Simulator, ``_ModelWorld`` on a plain list ordered by (time, seq)
 # with the documented lazy-discard and compaction rules; both log what
 # they observe around every callback and must agree after every operation.
@@ -381,6 +425,9 @@ def _perform(world, behaviour):
     if kind == "spawn":
         for delay, child in behaviour[1]:
             world.schedule(delay, child)
+    elif kind == "post":
+        for delay, child in behaviour[1]:
+            world.post(delay, child)
     elif kind == "cancel":
         for index in behaviour[1]:
             world.cancel(index)
@@ -393,6 +440,7 @@ class _RealWorld:
     def __init__(self):
         self.sim = Simulator()
         self.handles = []
+        self.posted = 0
         self.log = []
 
     def observe(self):
@@ -402,6 +450,10 @@ class _RealWorld:
     def schedule(self, delay, behaviour):
         ident = len(self.handles)
         self.handles.append(self.sim.schedule(delay, self._fire, ident, behaviour))
+
+    def post(self, delay, behaviour):
+        self.posted += 1
+        self.sim.post(delay, self._fire, -self.posted, behaviour)
 
     def cancel(self, index):
         if self.handles:
@@ -436,15 +488,23 @@ class _ModelWorld:
         self.compactions = 0
         self.entries = []  # what the heap holds, cancelled entries included
         self.handles = []
+        self.seq = 0
+        self.posted = 0
         self.log = []
 
     def observe(self):
         return (self.now, self.events_processed, len(self.entries), self.cancelled_pending)
 
     def schedule(self, delay, behaviour):
-        entry = _Entry(self.now + delay, len(self.handles), len(self.handles), behaviour)
+        entry = _Entry(self.now + delay, self.seq, len(self.handles), behaviour)
+        self.seq += 1
         self.handles.append(entry)
         self.entries.append(entry)
+
+    def post(self, delay, behaviour):
+        self.posted += 1
+        self.entries.append(_Entry(self.now + delay, self.seq, -self.posted, behaviour))
+        self.seq += 1
 
     def cancel(self, index):
         if not self.handles:
@@ -506,9 +566,14 @@ def _run_program(program):
         for world in (real, model):
             if kind == "schedule":
                 world.schedule(op[1], op[2])
+            elif kind == "post":
+                world.post(op[1], op[2])
             elif kind == "bulk":
                 for _ in range(op[1]):
                     world.schedule(op[2], ("none",))
+            elif kind == "bulk_post":
+                for _ in range(op[1]):
+                    world.post(op[2], ("none",))
             elif kind == "run_until":
                 world.run(until=world.observe()[0] + op[1])
             elif kind == "run":
@@ -532,13 +597,15 @@ _cancels = st.one_of(
 _behaviours = st.recursive(
     st.one_of(st.just(("none",)), _cancels),
     lambda children: st.tuples(
-        st.just("spawn"), st.lists(st.tuples(_delays, children), max_size=3)
+        st.sampled_from(("spawn", "post")), st.lists(st.tuples(_delays, children), max_size=3)
     ),
     max_leaves=6,
 )
 _operations = st.one_of(
-    st.tuples(st.just("schedule"), _delays, _behaviours),
-    st.tuples(st.just("bulk"), st.integers(min_value=0, max_value=90), _delays),
+    st.tuples(st.sampled_from(("schedule", "post")), _delays, _behaviours),
+    st.tuples(
+        st.sampled_from(("bulk", "bulk_post")), st.integers(min_value=0, max_value=90), _delays
+    ),
     _cancels,
     st.tuples(st.just("run_until"), st.sampled_from((*_DELAYS, 5.0))),
     st.just(("run",)),
@@ -567,4 +634,19 @@ def test_model_agrees_across_a_compaction_triggered_inside_a_callback():
     assert model.compactions == 1
     fired = [entry[1] for entry in real.log if entry[0] == "fire"]
     assert fired == [80, 81, *range(50, 60), *range(61, 80)]
+    assert real.sim.pending == 0 and real.sim.cancelled_pending == 0
+
+
+def test_model_agrees_when_posted_events_share_an_instant_with_a_compaction():
+    program = [
+        ("bulk", 70, 1.0),
+        ("bulk_post", 10, 1.0),
+        ("post", 0.5, ("cancel_span", 0, 60)),  # 60 of 81 entries dead: compacts
+        ("schedule", 1.0, ("post", [(0.0, ("none",))])),
+        ("run",),
+    ]
+    real, model = _run_program(program)
+    assert model.compactions == 1
+    fired = [entry[1] for entry in real.log if entry[0] == "fire"]
+    assert fired == [-11, *range(60, 70), *range(-1, -11, -1), 70, -12]
     assert real.sim.pending == 0 and real.sim.cancelled_pending == 0
