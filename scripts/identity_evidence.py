@@ -37,7 +37,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SIM_WORKLOADS = ("sim-load", "sim-quorum", "sim-leader-crash")
-SIM_ORDER_PROTOCOLS = ("damysus", "chained-damysus")
+SIM_ORDER_PROTOCOLS = ("damysus", "chained-damysus", "chained-hotstuff")
 
 #: Child program behind the ``sim-order`` lines; the protocol is ``argv[1]``.
 _SIM_ORDER = """

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import ConfigError
+from repro.protocols.registry import get_spec
 
 
 @dataclass(frozen=True)
@@ -156,16 +156,13 @@ def table1(f: int) -> list[dict]:
 
 
 def expected_messages(protocol: str, f: int) -> int:
-    """Normal-case messages per decided block, per Table 1."""
-    # The simulator also implements Damysus-C and Damysus-A, which Table 1
-    # does not list; derive their counts from steps x replicas.
-    extra = {
-        "damysus-c": lambda f: 8 * (2 * f + 1),  # 16f+8
-        "damysus-a": lambda f: 6 * (3 * f + 1),  # 18f+6
-        "chained-hotstuff": lambda f: 24 * f + 8,
-    }
+    """Normal-case messages per decided block, per Table 1.
+
+    A protocol Table 1 does not list (Damysus-C, Damysus-A, chained
+    HotStuff, Fast-HotStuff) sends one message to every replica per
+    communication step; an unknown name raises ``ConfigError``.
+    """
     if protocol in _BY_NAME:
         return _BY_NAME[protocol].msgs_normal(f)
-    if protocol in extra:
-        return extra[protocol](f)
-    raise ConfigError(f"no Table 1 expression for {protocol!r}")
+    spec = get_spec(protocol)
+    return spec.comm_steps * spec.num_replicas(f)

@@ -6,9 +6,10 @@ message legs plus CPU:
     latency ~ legs x mean_one_way + leader_cpu + backup_cpu
 
 where ``legs`` is the number of sequential message delays between a
-proposal's creation and its execution (5 for the 2-phase protocols:
-proposal, votes, certificate, votes, decide; 7 for the 3-phase ones),
-and the CPU terms charge quorum-sized signature verification, vote
+proposal's creation and its execution - the proposal, then a vote and a
+certificate leg per core phase (5 for the 2-phase protocols: proposal,
+votes, certificate, votes, decide; 7 for the 3-phase ones) - and the CPU
+terms charge quorum-sized signature verification, vote
 signing/TEE calls, and the leader's N-copy proposal serialization.
 
 The model is deliberately first-order - no queueing, no jitter - yet
@@ -26,24 +27,6 @@ from repro.config import SystemConfig
 from repro.core.mempool import TX_METADATA_BYTES
 from repro.errors import ConfigError
 from repro.protocols.registry import get_spec
-
-#: Sequential message legs from proposal creation to execution.
-_LEGS = {
-    "hotstuff": 7,  # proposal, votes, qc, votes, qc, votes, decide
-    "damysus-c": 7,
-    "damysus-a": 5,  # proposal, votes, qc, votes, decide
-    "damysus": 5,
-    "fast-hotstuff": 5,
-}
-
-#: Vote rounds the leader aggregates per view (each costs quorum verifies).
-_VOTE_ROUNDS = {
-    "hotstuff": 3,
-    "damysus-c": 3,
-    "damysus-a": 2,
-    "damysus": 2,
-    "fast-hotstuff": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -76,14 +59,16 @@ def mean_one_way_ms(config: SystemConfig, num_nodes: int) -> float:
 def predict_latency(config: SystemConfig) -> LatencyPrediction:
     """Closed-form commit latency for a basic protocol deployment."""
     protocol = config.protocol
-    if protocol not in _LEGS:
-        raise ConfigError(f"no latency formula for {protocol!r} (chained protocols pipeline)")
     spec = get_spec(protocol)
+    if spec.chained:
+        raise ConfigError(f"no latency formula for {protocol!r} (chained protocols pipeline)")
     n = spec.num_replicas(config.f)
     quorum = spec.quorum(config.f)
     costs = config.costs
-    legs = _LEGS[protocol]
-    vote_rounds = _VOTE_ROUNDS[protocol]
+    # One vote round per core phase, each aggregated by the leader at the
+    # price of a quorum of verifications.
+    vote_rounds = spec.core_phases
+    legs = 2 * vote_rounds + 1
 
     block_bytes = config.block_size * (config.payload_bytes + TX_METADATA_BYTES)
 

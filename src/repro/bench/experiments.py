@@ -22,6 +22,7 @@ from repro.analysis.metrics import (
 from repro.bench.reporting import format_table
 from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
+from repro.protocols.registry import get_spec
 from repro.runtime.sim import ConsensusSystem
 from repro.sim.regions import EU_REGIONS, WORLD_REGIONS, RegionMap
 
@@ -82,7 +83,8 @@ def table1_experiment(
             counts = system.monitor.view_message_counts
             steady = [counts[v] for v in sorted(counts) if 2 <= v <= views_per_run - 2]
             per_view = mean([float(c) for c in steady]) if steady else 0.0
-            span = {"chained-hotstuff": 4, "chained-damysus": 3}.get(protocol, 1)
+            spec = get_spec(protocol)
+            span = spec.comm_steps // 2 if spec.chained else 1  # two steps per view
             measured[protocol] = per_view * span
     for entry in table1(f):
         name = entry["protocol"]

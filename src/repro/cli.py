@@ -623,7 +623,7 @@ def _cmd_protocols(_: argparse.Namespace) -> int:
         rows.append(
             [
                 name,
-                spec.num_replicas.__doc__,  # "3f+1" or "2f+1"
+                spec.replicas_expr,
                 spec.core_phases,
                 spec.comm_steps,
                 "yes" if spec.chained else "no",

@@ -114,6 +114,12 @@ def vote_payload(view: int, phase: Phase, block_hash: Hash) -> bytes:
     return payload
 
 
+#: Memoized accumulator payloads, like the vote payloads above.  An
+#: accumulator is verified in the view it was made for: a small cap will do.
+_ACC_PAYLOAD_CACHE: dict[tuple[object, ...], bytes] = {}
+_ACC_PAYLOAD_CACHE_MAX = 1024
+
+
 def genesis_qc(genesis_hash: Hash) -> QuorumCert:
     """The special bottom certificate for view 0 (Section 7.1)."""
     return QuorumCert(
@@ -169,14 +175,14 @@ class Accumulator:
     # -- signing -------------------------------------------------------------
 
     def signed_payload(self) -> bytes:
-        """Bytes the accumulator TEE signed (depends on the form)."""
-        if self.finalized:
-            return encode_fields(
-                ("acc-final", self.made_in_view, self.prep_view, self.prep_hash, self.count)
-            )
-        return encode_fields(
-            ("acc", self.made_in_view, self.prep_view, self.prep_hash, tuple(self.ids or ()))
-        )
+        """Bytes the accumulator TEE signed (depends on the form); encoded
+        once per field tuple, however many replicas verify it."""
+        form = ("acc-final", self.count) if self.finalized else ("acc", tuple(self.ids or ()))
+        key = (form[0], self.made_in_view, self.prep_view, self.prep_hash, form[1])
+        payload = _ACC_PAYLOAD_CACHE.get(key)
+        if payload is None:
+            payload = remember(_ACC_PAYLOAD_CACHE, key, encode_fields(key), _ACC_PAYLOAD_CACHE_MAX)
+        return payload
 
     def verify(self, scheme: SignatureScheme) -> bool:
         """Check the accumulator TEE's signature over the current form."""

@@ -9,8 +9,9 @@
 
 plus the TEE-free 2-phase baseline :mod:`~repro.protocols.fast_hotstuff`.
 All seven are declarations over one chassis,
-:class:`~repro.protocols.replica.BaseReplica` (``docs/protocols.md`` has
-the grid).  :class:`repro.runtime.sim.ConsensusSystem` builds and runs a
+:class:`~repro.protocols.replica.BaseReplica`, and one of three vote
+engines; the chained pair share :mod:`~repro.protocols.pipeline`
+(``docs/protocols.md`` has the grid).  :class:`repro.runtime.sim.ConsensusSystem` builds and runs a
 whole simulated deployment from a :class:`~repro.config.SystemConfig`.
 """
 

@@ -1,8 +1,7 @@
 """Chained-Damysus (paper Section 7, Fig 5): pipelined Damysus.
 
-2f+1 replicas, Checker + Accumulator per node, one block proposed per
-view.  Executing a block needs only a chain of 3 consecutive blocks (one
-less than chained HotStuff) because Damysus has one phase less.
+2f+1 replicas, Checker + Accumulator per node, one block per view, and
+execution below a 3-chain: one link less than chained HotStuff.
 
 Per view each replica sends one proposal-or-vote message: the leader
 broadcasts ``<b, sigma'>`` where sigma' is its TEE prepare-commitment
@@ -25,13 +24,12 @@ from repro.core.codec import OneOf
 from repro.core.commitment import Commitment, c_combine
 from repro.core.messages import MSG_HEADER_BYTES, ChainedProposal
 from repro.core.phases import Phase
-from repro.protocols.replica import BaseReplica
+from repro.protocols.pipeline import PipelinedReplica
 from repro.tee.accumulator import AccumulatorService
 from repro.tee.checker import ChainedChecker
 
 
-#: What may justify a chained block: the genesis certificate, a combined
-#: prepare commitment, or an accumulator.
+#: What justifies a chained block: genesis, a combined commitment or an accumulator.
 Certificate = QuorumCert | Commitment | Accumulator
 
 
@@ -57,43 +55,26 @@ class ChainedVote:
         return size
 
 
-class ChainedDamysusReplica(BaseReplica):
+class ChainedDamysusReplica(PipelinedReplica):
     """One Chained-Damysus replica (Fig 5a) with its trusted services."""
 
     protocol_name = "chained-damysus"
     CHECKER = ChainedChecker
+    ACCUMULATOR = AccumulatorService
     HANDLERS: ClassVar[dict[Any, Any]] = {
-        ChainedProposal: "_handle_proposal",
-        ChainedVote: "_handle_vote",
+        ChainedProposal: "_handle_proposal", ChainedVote: "_handle_vote"
     }
-    STALE_BLOCK_MSGS = (ChainedProposal,)
     NEXT_VIEW_MSGS = (ChainedVote,)
-    # _new_views gathers new-view commitments under the view they were
-    # stamped in, one per TEE signer (the stale-certificate path).
-    COLLECTORS = ("_votes", "_new_views")
-    VIEW_SETS = ("_proposed", "_voted")
-    # Votes stamped view-1 are still being collected by this view's
-    # leader, so prune two views back.
-    PRUNE_SLACK = 2
+    DEPTH = 2  # execute below the 2-chain: one phase less than chained HotStuff
     DURABLE: ClassVar[dict[str, Any]] = {"qc_prep": OneOf((QuorumCert, Accumulator, Commitment))}
-    WIRING = ("acc_service",)
     checker: ChainedChecker
+    acc_service: AccumulatorService
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.acc_service = AccumulatorService(
-            self.pid, self.scheme, self.directory, self.quorum
-        )
         # qc_prep is durable, like the block store; the sealed checker
         # carries the trusted prepared/step state.
         self.qc_prep: Certificate = genesis_qc(self.store.genesis.hash)
-
-    # -- helpers --------------------------------------------------------------------
-
-    def _just_of(self, block: Block) -> QuorumCert | Accumulator:
-        if block.justify is not None:
-            return block.justify
-        return genesis_qc(self.store.genesis.hash)
 
     def _certified_block(self, qc: Certificate) -> Block | None:
         """The block ``qc`` certifies, if its body is here."""
@@ -116,34 +97,22 @@ class ChainedDamysusReplica(BaseReplica):
             )
         self._try_propose(self.view)
 
-    def on_recovered(self) -> None:
-        # No rejoin action: a restarted leader has forgotten what it
-        # proposed, and the checker refuses a second prepare anyway.  It
-        # rejoins on the next proposal or timeout.
-        pass
-
     # -- leader: proposing (Fig 5a lines 7-19) ------------------------------------------------
 
-    def _try_propose(self, view: int, trigger: tuple[int, Any] | None = None) -> None:
-        """Propose if leading ``view`` with a certificate from ``view - 1``.
-
-        ``trigger`` is the (sender, message) that prompted the attempt, if
-        one did: parked when the proposal only waits for a block body.
-        """
-        if view in self._proposed or not self.is_leader(view):
-            return
-        if self.qc_prep.cview != view - 1:
-            # Stale certificate: wait for f+1 new-view commitments stamped
-            # (view-1, nv_p) and certify the selection with the accumulator.
-            phis = self._new_views.reached(view - 1)
-            if phis is None:
-                return
-            self.charge((self.quorum + 1) * self.costs.tee_op_ms(signs=1, verifies=1))
-            try:
-                self.qc_prep = self.acc_service.accumulate(phis)
-            except TEERefusal:
-                return
-        self._propose(view, trigger)
+    def _certified_previous(self, view: int) -> bool:
+        if self.qc_prep.cview == view - 1:
+            return True
+        # Stale certificate: wait for f+1 new-view commitments stamped
+        # (view-1, nv_p) and certify the selection with the accumulator.
+        phis = self._new_views.reached(view - 1)
+        if phis is None:
+            return False
+        self.charge((self.quorum + 1) * self.costs.tee_op_ms(signs=1, verifies=1))
+        try:
+            self.qc_prep = self.acc_service.accumulate(phis)
+        except TEERefusal:
+            return False
+        return True
 
     def _propose(self, view: int, trigger: tuple[int, Any] | None) -> None:
         qc = self.qc_prep
@@ -196,13 +165,9 @@ class ChainedDamysusReplica(BaseReplica):
             # Own proposal: chain bookkeeping only, the vote already went out.
             phi_leader = None
         else:
+            # (h_prep, v_prep, h_just, v_just, phase, sigs)
             phi_leader = Commitment(
-                h_prep=block.hash,
-                v_prep=msg.view,
-                h_just=None,
-                v_just=None,
-                phase=Phase.PREPARE,
-                sigs=(msg.leader_sig,),
+                block.hash, msg.view, None, None, Phase.PREPARE, (msg.leader_sig,)
             )
             self.charge_verify(1)
             if not self._verify_tee_commitment(phi_leader, expected_sigs=1):
@@ -210,7 +175,6 @@ class ChainedDamysusReplica(BaseReplica):
             if not block.extends(qc.hash):
                 return
             self.store.add(block)
-        next_leader = self.leader_of(msg.view + 1)
         if sender != self.pid and msg.view not in self._voted:
             self._voted.add(msg.view)
             self.charge_tee(signs=2, verifies=self.quorum)  # TEEprepare + TEEsign
@@ -220,13 +184,14 @@ class ChainedDamysusReplica(BaseReplica):
                 phi = None
             if phi is not None:
                 phi_nv = self.checker.tee_sign()
-                self.viewsync.send_new_view(next_leader, ChainedVote(msg.view, phi, phi_nv))
+                self.viewsync.send_new_view(
+                    self.leader_of(msg.view + 1), ChainedVote(msg.view, phi, phi_nv)
+                )
         if self.is_leader(msg.view + 1) and phi_leader is not None:
             # Extract the proposing leader's vote from the proposal.
-            self._collect_vote(msg.view, phi_leader)
+            self._collect_vote(msg.view, block.hash, phi_leader, msg.leader_sig.signer)
         # Execute rule (Fig 5a lines 35-37): a 3-chain of direct parents.
-        if block.extends(b0.hash) and b0.extends(b1.hash) and not b1.is_genesis:
-            self.execute_block(b1, msg.view)
+        self._execute_chain(self._links(block), msg.view)
         self.pacemaker.view_succeeded()
         self.advance_view(msg.view + 1)
 
@@ -241,18 +206,13 @@ class ChainedDamysusReplica(BaseReplica):
             if phi.phase == Phase.PREPARE and phi.v_prep == msg.view and len(phi.sigs) == 1:
                 self.charge_verify(1)
                 if self._verify_tee_commitment(phi, expected_sigs=1):
-                    self._collect_vote(msg.view, phi)
+                    self._collect_vote(msg.view, phi.h_prep, phi, phi.sigs[0].signer)
         # A stale leader may be able to propose now that new-views arrived.
         if self.view == msg.view + 1:
             self._try_propose(self.view, (sender, msg))
 
-    def _collect_vote(self, view: int, phi: Commitment) -> None:
-        quorum = self._votes.add((view, phi.h_prep), phi, phi.sigs[0].signer)
-        if quorum is None:
-            return
-        self.qc_prep = c_combine(quorum)
-        if self.view == view + 1:
-            self._try_propose(self.view)
+    def _certify(self, view: int, block_hash: Any, votes: list[Any]) -> None:
+        self.qc_prep = c_combine(votes)
 
     def _await_certified(self, qc: Certificate, sender: int, msg: Any) -> None:
         """Park ``msg`` on the body ``qc`` names; dropped if that body is here."""
@@ -261,13 +221,11 @@ class ChainedDamysusReplica(BaseReplica):
         if qc.hash is not None:
             self.fetch.await_block(qc.hash, sender, msg)
 
-    # -- new-view commitment storage (for the stale-certificate path) --------------------------------
-
     def _store_new_view(self, msg: ChainedVote) -> None:
+        """Keep a valid new-view commitment for the stale-certificate path."""
         phi = msg.nv
-        if phi.phase != Phase.NEW_VIEW or phi.h_prep is not None or len(phi.sigs) != 1:
-            return
-        if phi.v_prep != msg.view:
+        fields = (phi.phase, phi.h_prep, phi.v_prep, len(phi.sigs))
+        if fields != (Phase.NEW_VIEW, None, msg.view, 1):
             return
         self.charge_verify(1)
         if not self._verify_tee_commitment(phi, expected_sigs=1):

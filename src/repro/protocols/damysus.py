@@ -39,7 +39,9 @@ class DamysusReplica(BaseReplica):
 
     protocol_name = "damysus"
     CHECKER = Checker
+    ACCUMULATOR = AccumulatorService
     checker: Checker
+    acc_service: AccumulatorService
     PHASES = (Phase.PREPARE, Phase.PRECOMMIT)
     HANDLERS: ClassVar[dict[Any, Any]] = {
         BlockProposal: "_handle_proposal",
@@ -52,17 +54,10 @@ class DamysusReplica(BaseReplica):
     STALE_BLOCK_MSGS = (BlockProposal,)
     COLLECTORS = ("_new_views", "_prep_votes", "_pcom_votes")
     VIEW_SETS = ("_proposed", "_stored", "_decided")
-    WIRING = ("acc_service",)
 
     #: CommitmentMsg kind used for this protocol's new-view messages
     #: (Damysus-C overrides it).
     nv_kind = KIND_NEW_VIEW
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.acc_service = AccumulatorService(
-            self.pid, self.scheme, self.directory, self.quorum
-        )
 
     def _new_view_action(self) -> None:
         """Fig 2a lines 41-47: TEEsign until stamped (view, nv_p), then send."""

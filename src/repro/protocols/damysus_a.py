@@ -40,18 +40,9 @@ class DamysusAReplica(SignatureVoteReplica):
         ProposalAMsg: "_handle_proposal",
     }
     STALE_BLOCK_MSGS = (ProposalAMsg,)
-    WIRING = ("acc_service",)
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        # No checker to seal; the accumulator is stateless between calls.
-        self.acc_service = QCAccumulatorService(
-            self.pid,
-            self.scheme,
-            self.directory,
-            quorum=self.quorum,
-            qc_quorum=self.quorum,
-        )
+    # No checker to seal; the accumulator is stateless between calls.
+    ACCUMULATOR = QCAccumulatorService
+    acc_service: QCAccumulatorService
 
     # -- prepare phase: leader --------------------------------------------------------------
 

@@ -35,6 +35,7 @@ class DamysusCReplica(DamysusReplica):
 
     protocol_name = "damysus-c"
     CHECKER = LockingChecker
+    ACCUMULATOR = None  # the checker alone: no accumulator, so the commit phase stays
     PHASES = (Phase.PREPARE, Phase.PRECOMMIT, Phase.COMMIT)
     HANDLERS: ClassVar[dict[Any, Any]] = {
         BlockProposal: "_handle_proposal",
@@ -52,10 +53,6 @@ class DamysusCReplica(DamysusReplica):
     VIEW_SETS = (*DamysusReplica.VIEW_SETS, "_locked")
     nv_kind = KIND_NEW_VIEW
     checker: LockingChecker
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.acc_service = None  # Damysus-C has no accumulator component
 
     # -- prepare phase ----------------------------------------------------------------
 

@@ -1,16 +1,18 @@
-"""Protocol registry: names, replica factories and analytic properties.
+"""Protocol registry: each protocol's replica class, and what it declares.
 
 One row per evaluated protocol (the table in Section 8, "Implemented
-protocols"), carrying the replica class plus the closed-form quantities
-Table 1 reports: replica count, quorum size, core phases and
-communication steps.  The normal-case message count per decided block
-is :func:`repro.analysis.complexity.expected_messages`.
+protocols").  Every property Table 1 reports is read off the class: a
+``CHECKER`` gives 2f+1 replicas and f+1 quorums (3f+1 and 2f+1 without),
+the core phases are the declared ``PHASES`` (a chained protocol's
+``DEPTH``), each costs a vote and a certificate step on top of the
+new-view and the proposal, and the trusted components are the declared
+``CHECKER`` and ``ACCUMULATOR``.  The normal-case message count per
+decided block is :func:`repro.analysis.complexity.expected_messages`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Type
 
 from repro.errors import ConfigError
 from repro.protocols.chained_damysus import ChainedDamysusReplica
@@ -20,6 +22,7 @@ from repro.protocols.damysus_a import DamysusAReplica
 from repro.protocols.damysus_c import DamysusCReplica
 from repro.protocols.fast_hotstuff import FastHotStuffReplica
 from repro.protocols.hotstuff import HotStuffReplica
+from repro.protocols.pipeline import PipelinedReplica
 from repro.protocols.replica import BaseReplica
 from repro.protocols.signature_vote import SignatureVoteReplica
 from repro.runtime.machine import Machine
@@ -27,109 +30,72 @@ from repro.runtime.machine import Machine
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Static properties of one protocol."""
+    """Static properties of one protocol, as its replica class declares them."""
 
-    name: str
-    replica_class: Type[BaseReplica]
-    num_replicas: Callable[[int], int]  # N as a function of f
-    quorum: Callable[[int], int]  # quorum size as a function of f
-    core_phases: int
-    comm_steps: int  # communication steps per decided block
-    chained: bool
-    trusted_components: tuple[str, ...]
-    max_faults: Callable[[int], int]  # tolerated faults for N replicas
+    replica_class: type[BaseReplica]
 
+    @property
+    def name(self) -> str:
+        return self.replica_class.protocol_name
 
-def _n_3f1(f: int) -> int:
-    """3f+1"""
-    return 3 * f + 1
+    @property
+    def _k(self) -> int:
+        """n = kf+1: a Checker lets 2f+1 replicas do the work of 3f+1."""
+        return 3 if self.replica_class.CHECKER is None else 2
 
+    def num_replicas(self, f: int) -> int:
+        return self._k * f + 1
 
-def _n_2f1(f: int) -> int:
-    """2f+1"""
-    return 2 * f + 1
+    def quorum(self, f: int) -> int:
+        return (self._k - 1) * f + 1
+
+    def max_faults(self, n: int) -> int:
+        """Faults ``n`` replicas tolerate."""
+        return (n - 1) // self._k
+
+    @property
+    def replicas_expr(self) -> str:
+        return f"{self._k}f+1"
+
+    @property
+    def quorum_expr(self) -> str:
+        return "2f+1" if self._k == 3 else "f+1"
+
+    @property
+    def chained(self) -> bool:
+        return issubclass(self.replica_class, PipelinedReplica)
+
+    @property
+    def core_phases(self) -> int:
+        cls = self.replica_class
+        return cls.DEPTH if issubclass(cls, PipelinedReplica) else len(cls.PHASES)
+
+    @property
+    def comm_steps(self) -> int:
+        """Communication steps per decided block: new-view, proposal, and
+        a vote and a certificate per core phase."""
+        return 2 * self.core_phases + 2
+
+    @property
+    def trusted_components(self) -> tuple[str, ...]:
+        cls = self.replica_class
+        declared = (("checker", cls.CHECKER), ("accumulator", cls.ACCUMULATOR))
+        return tuple(name for name, component in declared if component is not None)
 
 
 SPECS: dict[str, ProtocolSpec] = {
-    "hotstuff": ProtocolSpec(
-        name="hotstuff",
-        replica_class=HotStuffReplica,
-        num_replicas=_n_3f1,
-        quorum=lambda f: 2 * f + 1,
-        core_phases=3,
-        comm_steps=8,
-        chained=False,
-        trusted_components=(),
-        max_faults=lambda n: (n - 1) // 3,
-    ),
-    "damysus-c": ProtocolSpec(
-        name="damysus-c",
-        replica_class=DamysusCReplica,
-        num_replicas=_n_2f1,
-        quorum=lambda f: f + 1,
-        core_phases=3,
-        comm_steps=8,
-        chained=False,
-        trusted_components=("checker",),
-        max_faults=lambda n: (n - 1) // 2,
-    ),
-    "damysus-a": ProtocolSpec(
-        name="damysus-a",
-        replica_class=DamysusAReplica,
-        num_replicas=_n_3f1,
-        quorum=lambda f: 2 * f + 1,
-        core_phases=2,
-        comm_steps=6,
-        chained=False,
-        trusted_components=("accumulator",),
-        max_faults=lambda n: (n - 1) // 3,
-    ),
-    "damysus": ProtocolSpec(
-        name="damysus",
-        replica_class=DamysusReplica,
-        num_replicas=_n_2f1,
-        quorum=lambda f: f + 1,
-        core_phases=2,
-        comm_steps=6,
-        chained=False,
-        trusted_components=("checker", "accumulator"),
-        max_faults=lambda n: (n - 1) // 2,
-    ),
-    "chained-hotstuff": ProtocolSpec(
-        name="chained-hotstuff",
-        replica_class=ChainedHotStuffReplica,
-        num_replicas=_n_3f1,
-        quorum=lambda f: 2 * f + 1,
-        core_phases=3,
-        comm_steps=8,
-        chained=True,
-        trusted_components=(),
-        max_faults=lambda n: (n - 1) // 3,
-    ),
-    "chained-damysus": ProtocolSpec(
-        name="chained-damysus",
-        replica_class=ChainedDamysusReplica,
-        num_replicas=_n_2f1,
-        quorum=lambda f: f + 1,
-        core_phases=2,
-        comm_steps=6,
-        chained=True,
-        trusted_components=("checker", "accumulator"),
-        max_faults=lambda n: (n - 1) // 2,
-    ),
-    # Not one of the paper's six evaluated protocols: the TEE-free 2-phase
-    # baseline discussed in Section 2, used by the ablation benchmarks.
-    "fast-hotstuff": ProtocolSpec(
-        name="fast-hotstuff",
-        replica_class=FastHotStuffReplica,
-        num_replicas=_n_3f1,
-        quorum=lambda f: 2 * f + 1,
-        core_phases=2,
-        comm_steps=6,
-        chained=False,
-        trusted_components=(),
-        max_faults=lambda n: (n - 1) // 3,
-    ),
+    cls.protocol_name: ProtocolSpec(cls)
+    for cls in (
+        HotStuffReplica,
+        DamysusCReplica,
+        DamysusAReplica,
+        DamysusReplica,
+        ChainedHotStuffReplica,
+        ChainedDamysusReplica,
+        # Not one of the paper's six evaluated protocols: the TEE-free
+        # 2-phase baseline discussed in Section 2, used by the ablations.
+        FastHotStuffReplica,
+    )
 }
 
 #: Evaluation order used in the paper's Section 8 table.
@@ -152,27 +118,28 @@ CHASSIS_HOOKS = (
 )
 
 #: Why each override exists: a genuine behavioural difference between the
-#: protocols, not scaffolding (``docs/protocols.md`` renders this list).
+#: protocols, not scaffolding, tied to the pseudocode line it departs from
+#: (``docs/protocols.md`` renders this list).  The engines' own rules (the
+#: pipelined engine's no-rejoin ``on_recovered``) are documented there.
 HOOK_REASONS: dict[tuple[str, str], str] = {
-    ("hotstuff", "_verify_qc"): "also accepts compact (threshold-signature) certificates",
-    ("hotstuff", "_make_qc"): "combines vote shares into one group signature under `compact_qcs`",
+    ("hotstuff", "_verify_qc"): (
+        "also accepts compact (threshold-signature) certificates: Section 3's HotStuff form of "
+        "the quorum check Fig 2a lines 25-26 make on a list of signatures"
+    ),
+    ("hotstuff", "_make_qc"): (
+        "combines vote shares into one group signature under `compact_qcs`: Section 3's "
+        "HotStuff form of Fig 2a's `C-combine` (lines 21-22 and 29-31)"
+    ),
     ("fast-hotstuff", "on_view_entered"): (
         "a leader already holding the previous view's prepare QC proposes at once (happy "
-        "path); `start()` and recovery take the new-view action only"
+        "path), where Fig 2a lines 39-47 always report to the leader first; `start()` and "
+        "recovery take the new-view action only"
     ),
     ("chained-hotstuff", "on_view_timeout"): (
-        "after the shared advance, sends the explicit new-view with the highest certificate "
-        "(votes double as new-views on the happy path; without a checker there is no step "
-        "to tell a timed-out view from a voted one, so the send cannot live in the new-view "
-        "action as Chained-Damysus's does)"
-    ),
-    ("chained-hotstuff", "on_recovered"): (
-        "no rejoin action: a restarted leader forgot what it proposed, re-proposing could "
-        "equivocate; it rejoins on the next proposal or timeout"
-    ),
-    ("chained-damysus", "on_recovered"): (
-        "no rejoin action: rejoins on the next proposal or timeout (the checker refuses a "
-        "second prepare anyway)"
+        "after the shared advance, sends the explicit new-view with the highest certificate: "
+        "Fig 5a lines 46-51 without a checker (votes double as new-views on the happy path, "
+        "and with no checker step to tell a timed-out view from a voted one the send cannot "
+        "live in the new-view action as Chained-Damysus's does)"
     ),
 }
 
@@ -180,7 +147,7 @@ HOOK_REASONS: dict[tuple[str, str], str] = {
 def overridden_hooks(name: str) -> list[str]:
     """Chassis hooks protocol ``name`` overrides rather than inherits."""
     cls = SPECS[name].replica_class
-    shared = (BaseReplica, SignatureVoteReplica, Machine)
+    shared = (BaseReplica, SignatureVoteReplica, PipelinedReplica, Machine)
     return [
         hook
         for hook in CHASSIS_HOOKS
@@ -191,7 +158,6 @@ def overridden_hooks(name: str) -> list[str]:
 
 def grid_markdown() -> str:
     """The protocol grid of ``docs/protocols.md``, read off the declarations."""
-    quorum_expr = {(3, 5): "2f+1", (2, 3): "f+1"}
     lines = [
         "| protocol | n(f) | quorum | declared phases | vote engine | trusted components "
         "| per-view state | prune slack | routed to view+1 |",
@@ -204,7 +170,7 @@ def grid_markdown() -> str:
         elif issubclass(cls, DamysusReplica):
             engine = "commitment votes (`DamysusReplica._combine` / `_store_and_vote`)"
         else:
-            engine = "own pipelined handlers"
+            engine = "pipelined votes (`PipelinedReplica`)"
         tees = [
             f"checker (`{cls.CHECKER.__name__}`)" if t == "checker" and cls.CHECKER else t
             for t in spec.trusted_components
@@ -213,8 +179,7 @@ def grid_markdown() -> str:
         phases = " → ".join(phase.name.lower() for phase in cls.PHASES)
         state = ", ".join(f"`{attr}`" for attr in (*cls.COLLECTORS, *cls.VIEW_SETS))
         lines.append(
-            f"| `{name}` | {spec.num_replicas.__doc__} "
-            f"| {quorum_expr[spec.quorum(1), spec.quorum(2)]} "
+            f"| `{name}` | {spec.replicas_expr} | {spec.quorum_expr} "
             f"| {phases or 'one generic phase, pipelined over views'} ({spec.core_phases}) "
             f"| {engine} | {', '.join(tees) or '-'} | {state} | {cls.PRUNE_SLACK} "
             f"| {next_view or '-'} |"

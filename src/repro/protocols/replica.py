@@ -42,6 +42,7 @@ from repro.protocols.state import QuorumCollector, discard_views_below, reset_vo
 from repro.protocols.sync import BlockFetch, StateTransfer, ViewSync
 from repro.runtime.effects import Commit, Reply
 from repro.runtime.machine import Machine
+from repro.tee.accumulator import AccumulatorService, QCAccumulatorService
 from repro.tee.checker import Checker
 from repro.tee.checkpoint import Checkpoint, verify_checkpoint
 from repro.tee.sealed import DurableState, SealManager
@@ -118,13 +119,20 @@ class BaseReplica(Machine):
 
     ENTRY_POINTS = Machine.ENTRY_POINTS + ("dispatch", "advance_view", "execute_block", "submit")
 
-    #: The replica's Checker trusted component, if the protocol has one.
+    #: The replica's trusted components, if the protocol has them.
     checker: Checker | None = None
+    acc_service: AccumulatorService | QCAccumulatorService | None = None
 
     # -- what a protocol declares ---------------------------------------------
 
-    #: The Checker flavour every replica carries (``None``: no checker).
+    #: The name the registry and the command line know the protocol by.
+    protocol_name: ClassVar[str] = ""
+    #: The Checker flavour every replica carries (``None``: no checker); a
+    #: Checker lets 2f+1 replicas do the work of 3f+1 (Section 5).
     CHECKER: ClassVar[type[Checker] | None] = None
+    #: The Accumulator flavour (``None``: none); it certifies the highest
+    #: prepared block a leader extends, which removes a phase (Section 6).
+    ACCUMULATOR: ClassVar[type[AccumulatorService] | type[QCAccumulatorService] | None] = None
     #: Core phases the basic protocols vote on, in order; the last one's
     #: certificate decides.  Empty for the chained pair, whose single
     #: generic phase is pipelined across views.
@@ -185,7 +193,7 @@ class BaseReplica(Machine):
     WIRING: ClassVar[tuple[str, ...]] = (
         "config", "costs", "scheme", "directory", "num_replicas", "quorum", "client_pids",
         "replica_pids", "pacemaker", "crash_count", "recovery_count",
-        "caught_up_via_checkpoint",
+        "caught_up_via_checkpoint", "acc_service",
         "disk",  # the simulated host's disk: the record the last crash wrote
     )
     buffer: MessageBuffer
@@ -283,6 +291,8 @@ class BaseReplica(Machine):
         reset_volatile(self)
         if self.CHECKER is not None:
             self.checker = self._make_checker()
+        if self.ACCUMULATOR is not None:
+            self.acc_service = self.ACCUMULATOR(self.pid, scheme, directory, quorum)
 
     # -- leader schedule -------------------------------------------------------
 

@@ -18,6 +18,9 @@ Two variants are provided:
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Any
+
 from repro.crypto.hashing import encode_fields
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.scheme import Signature, SignatureScheme
@@ -29,18 +32,26 @@ from repro.core.phases import Phase
 from repro.tee.base import TrustedComponent
 
 
-class AccumulatorService(TrustedComponent):
-    """Accumulates new-view commitments (Fig 2b, TEEstart/TEEaccum/TEEfinalize)."""
+class _Accumulating(TrustedComponent):
+    """What both accumulators share: a quorum, and signing what they certify."""
 
     def __init__(
-        self,
-        replica: int,
-        scheme: SignatureScheme,
-        directory: KeyDirectory,
-        quorum: int,
+        self, replica: int, scheme: SignatureScheme, directory: KeyDirectory, quorum: int
     ) -> None:
         super().__init__(replica, scheme, directory)
+        # How many items to accumulate: new-view commitments (f+1 of
+        # 2f+1), or Damysus-A reports, whose prepare QCs carry as many
+        # signatures (2f+1 of 3f+1).
         self.quorum = quorum
+
+    def _signed(self, **fields: Any) -> Accumulator:
+        """An accumulator of ``fields``, signed over its current form."""
+        unsigned = Accumulator(signature=Signature(self._signer, b"", self._scheme.name), **fields)
+        return replace(unsigned, signature=self._sign(unsigned.signed_payload()))
+
+
+class AccumulatorService(_Accumulating):
+    """Accumulates new-view commitments (Fig 2b, TEEstart/TEEaccum/TEEfinalize)."""
 
     # -- helpers ---------------------------------------------------------------
 
@@ -56,28 +67,17 @@ class AccumulatorService(TrustedComponent):
         if not phi.verify(self._scheme):
             raise TEERefusal("accumulator: bad commitment signature")
 
-    def _sign_working(self, acc: Accumulator) -> Signature:
-        return self._sign(acc.signed_payload())
-
     # -- TEE interface -----------------------------------------------------------
 
     def tee_start(self, phi: Commitment) -> Accumulator:
         """``TEEstart``: initial accumulator from one new-view commitment."""
         self._count_call()
         self._check_new_view_commitment(phi)
-        acc = Accumulator(
+        return self._signed(
             made_in_view=phi.v_prep,
-            prep_view=phi.v_just,  # type: ignore[arg-type]
-            prep_hash=phi.h_just,  # type: ignore[arg-type]
-            signature=Signature(self._signer, b"", self._scheme.name),
+            prep_view=phi.v_just,
+            prep_hash=phi.h_just,
             ids=(phi.sigs[0].signer,),
-        )
-        return Accumulator(
-            made_in_view=acc.made_in_view,
-            prep_view=acc.prep_view,
-            prep_hash=acc.prep_hash,
-            signature=self._sign_working(acc),
-            ids=acc.ids,
         )
 
     def tee_accum(self, acc: Accumulator, phi: Commitment) -> Accumulator:
@@ -102,20 +102,11 @@ class AccumulatorService(TrustedComponent):
         signer = phi.sigs[0].signer
         if signer in (acc.ids or ()):
             raise TEERefusal("accumulator: node already counted")
-        new_ids = tuple(acc.ids or ()) + (signer,)
-        unsigned = Accumulator(
+        return self._signed(
             made_in_view=acc.made_in_view,
             prep_view=acc.prep_view,
             prep_hash=acc.prep_hash,
-            signature=Signature(self._signer, b"", self._scheme.name),
-            ids=new_ids,
-        )
-        return Accumulator(
-            made_in_view=acc.made_in_view,
-            prep_view=acc.prep_view,
-            prep_hash=acc.prep_hash,
-            signature=self._sign_working(unsigned),
-            ids=new_ids,
+            ids=(*(acc.ids or ()), signer),
         )
 
     def tee_finalize(self, acc: Accumulator) -> Accumulator:
@@ -125,20 +116,11 @@ class AccumulatorService(TrustedComponent):
             raise TEERefusal("accumulator: already finalized")
         if not self._verify_working(acc):
             raise TEERefusal("accumulator: invalid accumulator")
-        count = len(acc.ids or ())
-        unsigned = Accumulator(
+        return self._signed(
             made_in_view=acc.made_in_view,
             prep_view=acc.prep_view,
             prep_hash=acc.prep_hash,
-            signature=Signature(self._signer, b"", self._scheme.name),
-            count=count,
-        )
-        return Accumulator(
-            made_in_view=acc.made_in_view,
-            prep_view=acc.prep_view,
-            prep_hash=acc.prep_hash,
-            signature=self._sign(unsigned.signed_payload()),
-            count=count,
+            count=len(acc.ids or ()),
         )
 
     def _verify_working(self, acc: Accumulator) -> bool:
@@ -174,20 +156,8 @@ def new_view_a_payload(view: int, qc: QuorumCert) -> bytes:
     return encode_fields(("newview-a", view, qc.view, qc.block_hash))
 
 
-class QCAccumulatorService(TrustedComponent):
+class QCAccumulatorService(_Accumulating):
     """Damysus-A accumulator: items are replica-signed prepare-QC reports."""
-
-    def __init__(
-        self,
-        replica: int,
-        scheme: SignatureScheme,
-        directory: KeyDirectory,
-        quorum: int,
-        qc_quorum: int,
-    ) -> None:
-        super().__init__(replica, scheme, directory)
-        self.quorum = quorum  # how many reports to accumulate (2f+1)
-        self.qc_quorum = qc_quorum  # signatures per prepare QC (2f+1)
 
     def _check_report_shape(self, msg: NewViewAMsg) -> None:
         if self._directory.kind_of(msg.sender_sig.signer) != "replica":
@@ -238,19 +208,11 @@ class QCAccumulatorService(TrustedComponent):
                     f"from {msg.sender_sig.signer}"
                 )
         best = max(reports, key=lambda msg: msg.justify.view)
-        if not best.justify.verify(self._scheme, self.qc_quorum):
+        if not best.justify.verify(self._scheme, self.quorum):
             raise TEERefusal("qc-accumulator: invalid prepare QC in selected report")
-        unsigned = Accumulator(
+        return self._signed(
             made_in_view=best.view,
             prep_view=best.justify.view,
             prep_hash=best.justify.block_hash,
-            signature=Signature(self._signer, b"", self._scheme.name),
             count=len(reports),
-        )
-        return Accumulator(
-            made_in_view=unsigned.made_in_view,
-            prep_view=unsigned.prep_view,
-            prep_hash=unsigned.prep_hash,
-            signature=self._sign(unsigned.signed_payload()),
-            count=unsigned.count,
         )

@@ -117,7 +117,7 @@ def test_an_undeclared_or_twice_declared_attribute_fails_the_check():
             self._seen_digests = {}  # nobody said what a crash does to it
 
     class Twice(DamysusReplica):
-        DURABLE = ("acc_service",)  # DamysusReplica already calls it wiring
+        DURABLE = ("acc_service",)  # the chassis already calls it wiring
 
     system = ConsensusSystem(small_config("damysus"), replica_overrides={1: Sloppy, 2: Twice})
     assert problems(system.replicas[1]) == (["_seen_digests"], [])

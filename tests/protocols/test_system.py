@@ -22,20 +22,31 @@ def test_registry_covers_evaluated_protocols():
 
 
 def test_spec_table_matches_paper_section8():
-    """The protocol table of Section 8 ('Implemented protocols')."""
+    """The protocol table of Section 8 ('Implemented protocols') and Table 1,
+    plus the Section 2 baseline, as literal values: the registry reads them
+    all off the replica classes."""
+    hybrid = ((3, 21, 81), (2, 11, 41), (1, 3, 30))  # 2f+1, f+1, (n-1)//2
+    plain = ((4, 31, 121), (3, 21, 81), (1, 2, 20))  # 3f+1, 2f+1, (n-1)//3
+    both = ("checker", "accumulator")
+    # name: (n, quorum and max faults, core phases, steps, chained, trusted components)
     expect = {
-        "hotstuff": (lambda f: 3 * f + 1, 3, ()),
-        "damysus-c": (lambda f: 2 * f + 1, 3, ("checker",)),
-        "damysus-a": (lambda f: 3 * f + 1, 2, ("accumulator",)),
-        "damysus": (lambda f: 2 * f + 1, 2, ("checker", "accumulator")),
-        "chained-hotstuff": (lambda f: 3 * f + 1, 3, ()),
-        "chained-damysus": (lambda f: 2 * f + 1, 2, ("checker", "accumulator")),
+        "hotstuff": (plain, 3, 8, False, ()),
+        "damysus-c": (hybrid, 3, 8, False, ("checker",)),
+        "damysus-a": (plain, 2, 6, False, ("accumulator",)),
+        "damysus": (hybrid, 2, 6, False, both),
+        "chained-hotstuff": (plain, 3, 8, True, ()),
+        "chained-damysus": (hybrid, 2, 6, True, both),
+        "fast-hotstuff": (plain, 2, 6, False, ()),
     }
-    for name, (n_fn, phases, tees) in expect.items():
+    assert list(expect) == list(SPECS)
+    for name, ((ns, quorums, faults), phases, steps, chained, tees) in expect.items():
         spec = get_spec(name)
-        for f in (1, 10, 40):
-            assert spec.num_replicas(f) == n_fn(f)
-        assert spec.core_phases == phases
+        assert spec.name == name
+        assert tuple(spec.num_replicas(f) for f in (1, 10, 40)) == ns
+        assert tuple(spec.quorum(f) for f in (1, 10, 40)) == quorums
+        assert tuple(spec.max_faults(n) for n in (4, 7, 61)) == faults
+        assert (spec.core_phases, spec.comm_steps) == (phases, steps)
+        assert spec.chained is chained
         assert spec.trusted_components == tees
 
 

@@ -21,7 +21,7 @@ def env():
     for pid in range(4):
         directory.register_replica(pid)
     genesis = genesis_block()
-    service = QCAccumulatorService(0, scheme, directory, quorum=QUORUM, qc_quorum=QUORUM)
+    service = QCAccumulatorService(0, scheme, directory, quorum=QUORUM)
     return scheme, directory, genesis, service
 
 
