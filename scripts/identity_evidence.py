@@ -15,14 +15,21 @@
   recovery (f = 1, 4 clients, 500 virtual ms) - as the SHA-256 of every
   ``(now, src, dst, msg_type, view)`` the tap saw plus the event, drop
   and duplicate counts;
+* ``pool-order``: one replica's mempool on its own, fed
+  ``tcp-paced-mixed``'s traffic shape (fees 0-100, payloads of 0, 256 and
+  1 024 B) in alternating fill and drain phases, so the count and byte
+  caps evict, backpressure engages and releases, blocks drain around an
+  ``exclude`` set and stop at the byte cap, committed keys are purged,
+  replays bounce, and the pool crashes once - as the SHA-256 of every
+  verdict and every drained block plus the final ``stats()``;
 * ``rejoin``: per protocol, the views and executed heights of all
   replicas at 9 s and 16 s of the ledger's crash shape (f = 1, 500 tx/s,
   replica 1 down from 3 s to 8 s) and the requests answered by 10 s of
   4 992 - whether a restarted replica still comes back level.
 
 ``--quick`` keeps the smoke campaign, the chaos runs, ``sim-order``,
-``rejoin`` and seed 1 of the ledger digests (under a minute); CI uploads
-that half as an artifact.  Run it at two commits and diff the output:
+``pool-order``, ``rejoin`` and seed 1 of the ledger digests (under a
+minute); CI uploads that half as an artifact.  Run it at two commits and diff the output:
 everything that has no clients must agree line for line.
 """
 
@@ -73,6 +80,53 @@ system.run(500.0)
 counts = (sim.events_processed, monitor.messages_dropped, monitor.messages_duplicated)
 seen.update(repr(counts).encode())
 print(seen.hexdigest(), "events/dropped/duplicated", *counts)
+"""
+
+
+#: Child program behind the ``pool-order`` line.
+_POOL_ORDER = """
+import hashlib
+
+from repro.core.mempool import Transaction
+from repro.core.rng import RngStream
+from repro.mempool.pool import PriorityMempool
+
+rng = RngStream(1, "identity:pool-order")
+pool = PriorityMempool(
+    0, 50, open_loop=False, max_txs=200, max_bytes=100_000, max_block_bytes=16_384,
+)
+seen = hashlib.sha256()
+next_id = [0] * 8
+recent = []  # keys of the latest submissions: exclude, purge and replay candidates
+for step in range(20_000):
+    now = step * 0.1
+    draining = (step // 1_500) % 2
+    roll = rng.random()
+    if step == 12_345:
+        pool.lose_memory()
+        seen.update(b"crash")
+    elif roll < (0.15 if draining else 0.003):
+        exclude = {rng.choice(recent) for _ in range(rng.randint(0, 6))} if recent else set()
+        block = pool.take_block(now, exclude)
+        seen.update(repr((step, len(block))).encode() + block.packed)
+    elif roll < 0.18 and recent:
+        committed = sorted({rng.choice(recent) for _ in range(rng.randint(1, 8))})
+        pool.purge_committed(committed)
+        seen.update(repr((step, "purge", committed)).encode())
+    else:
+        client = rng.randint(0, 7)
+        if roll < 0.23 and recent:
+            client, tx_id = rng.choice(recent)  # a replay, or a resubmission after eviction
+        else:
+            tx_id, next_id[client] = next_id[client], next_id[client] + 1
+        tx = Transaction(client, tx_id, rng.choice((0, 256, 1024)), now, rng.randint(0, 100))
+        verdict = pool.admit(tx, now)
+        recent = [*recent[-63:], (client, tx_id)]
+        seen.update(repr((step, client, tx_id, verdict.value)).encode())
+stats = pool.stats()
+seen.update(repr(sorted(stats.items())).encode())
+print(seen.hexdigest(), "admitted/evicted/engagements",
+      stats["admitted"], stats["evicted"], stats["backpressure_engagements"])
 """
 
 
@@ -147,6 +201,10 @@ def sim_order(protocol: str) -> str:
     return _run(["-c", _SIM_ORDER, protocol]).strip()
 
 
+def pool_order() -> str:
+    return _run(["-c", _POOL_ORDER]).strip()
+
+
 def rejoin(protocol: str) -> str:
     return _run(["-c", _REJOIN, protocol]).strip()
 
@@ -166,6 +224,7 @@ def main() -> int:
         print(f"chaos {protocol:18s} --seed 1  {chaos_cell(protocol)}", flush=True)
     for protocol in SIM_ORDER_PROTOCOLS:
         print(f"sim-order {protocol:14s} seed 1  {sim_order(protocol)}", flush=True)
+    print(f"pool-order                seed 1  {pool_order()}", flush=True)
     for protocol in SPECS:
         print(f"rejoin {protocol:17s} seed 1  {rejoin(protocol)}", flush=True)
     for seed in (1,) if args.quick else (1, 2, 3):

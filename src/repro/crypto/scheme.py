@@ -26,8 +26,7 @@ per-signature checks so the caller learns exactly which signer was bad.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.memo import remember
 
@@ -42,9 +41,13 @@ SIGNATURE_WIRE_SIZE = 64
 _SCHEME_NONCE = itertools.count()
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
-    """A signature over some message bytes, tagged with the signer id."""
+class Signature(NamedTuple):
+    """A signature over some message bytes, tagged with the signer id.
+
+    An immutable tuple record, not a dataclass, like ``Transaction``: the
+    quorum memo of :meth:`SignatureScheme.verify_all` hashes every
+    signature of a certificate per lookup, and a tuple hashes in C.
+    """
 
     signer: int
     data: bytes

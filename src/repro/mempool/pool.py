@@ -21,18 +21,20 @@ client's broadcast, one leader proposed it), and
 ancestor already carries, leaving those residents where they are.
 
 Priority is ``(fee desc, arrival asc)`` for draining and the exact
-reverse for eviction, via two lazy-deletion heaps over one entry index:
-heap entries are never removed in place, they are skipped at pop time
-when their sequence number no longer matches the index.  All paper
-workloads use ``fee=0``, which degenerates to FIFO - so the refactor
-leaves every seed benchmark figure bit-identical.
+reverse for eviction.  The pool keeps one *lane* per resident fee, an
+insertion-ordered dict of that fee's residents, and the lanes' fees in
+one sorted list: a drain walks the highest lane oldest first, an
+eviction pops the lowest lane's newest resident, and a purge or a drain
+deletes a key from its lane in place - no heap, no dead entries, nothing
+to rebuild.  All paper workloads use ``fee=0``, one lane in arrival
+order, which is FIFO - so the pool leaves every seed benchmark figure
+bit-identical.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections.abc import Collection
+from bisect import bisect_left, insort
+from collections.abc import Collection, KeysView
 
 from repro.core.keyset import ClientKeySet
 from repro.core.mempool import (
@@ -49,19 +51,6 @@ from repro.mempool.watermark import Watermark
 #: Default resident-transaction cap (the paper's blocks are 400 txs, so
 #: this is ~250 blocks of queued work before eviction starts).
 DEFAULT_MAX_TXS = 100_000
-
-#: Dead eviction-heap entries tolerated beyond the live ones before a rebuild.
-_HEAP_SLACK = 1024
-
-
-class _Entry:
-    """One resident transaction; ``seq`` doubles as the liveness token."""
-
-    __slots__ = ("tx", "seq")
-
-    def __init__(self, tx: Transaction, seq: int) -> None:
-        self.tx = tx
-        self.seq = seq
 
 
 class PriorityMempool:
@@ -96,21 +85,20 @@ class PriorityMempool:
         self.limiter = SenderRateLimiter(rate_limit_per_ms, rate_burst)
         self.watermark = Watermark(high_watermark, low_watermark)
         self._next_synth = 0  # the next filler's tx_id
-        self._seq = itertools.count()
-        #: Residents by (client_id, tx_id); the single source of truth.
-        self._entries: dict[tuple[int, int], _Entry] = {}
-        #: Drain order: highest fee first, oldest first within a fee.
-        self._drain_heap: list[tuple[int, int, tuple[int, int]]] = []
-        #: Eviction order: lowest fee first, *newest* first within a fee,
-        #: so an overload sheds the latecomer, never a queued elder.
-        self._evict_heap: list[tuple[int, int, tuple[int, int]]] = []
+        #: Residents by (client_id, tx_id); the one index by key.
+        self._residents: dict[tuple[int, int], Transaction] = {}
+        #: Residents by fee, each lane in arrival order: drained oldest
+        #: first, evicted *newest* first, so an overload sheds the
+        #: latecomer, never a queued elder.
+        self._lanes: dict[int, dict[tuple[int, int], Transaction]] = {}
+        #: The lanes' fees, ascending: one entry per non-empty lane.
+        self._fees: list[int] = []
         #: Replay memory: keys admitted and not since evicted, plus keys
         #: seen committed (residents, already-proposed and committed
         #: transactions all reject as DUPLICATE; an evicted transaction
         #: may be resubmitted).  Exact for the life of the pool; costs one
         #: entry per client plus one per evicted resident not resubmitted.
         self._seen = ClientKeySet()
-        self._count = 0
         self._bytes = 0
         # -- monotone counters for stats()/health snapshots --------------
         self.admitted = 0
@@ -149,9 +137,9 @@ class PriorityMempool:
             self.rejected[AdmissionVerdict.POOL_FULL] += 1
             return AdmissionVerdict.POOL_FULL
         self._insert(tx, key)
-        bounced = self._over_caps() and key in self._enforce_caps()
+        self._enforce_caps()
         self.watermark.update(self._fill())
-        if bounced:
+        if key not in self._residents:
             self.evicted -= 1  # bounced, not a resident casualty
             self.rejected[AdmissionVerdict.POOL_FULL] += 1
             return AdmissionVerdict.POOL_FULL
@@ -172,39 +160,27 @@ class PriorityMempool:
         self.watermark.update(self._fill())
 
     def _insert(self, tx: Transaction, key: tuple[int, int]) -> None:
-        seq = next(self._seq)
-        self._entries[key] = _Entry(tx, seq)
-        heapq.heappush(self._drain_heap, (-tx.fee, seq, key))
-        heapq.heappush(self._evict_heap, (tx.fee, -seq, key))
-        if len(self._evict_heap) > 2 * self._count + _HEAP_SLACK:
-            # Drained and purged residents leave dead entries behind that
-            # only an eviction would pop; a pool that never fills sheds
-            # them here instead of keeping one per transaction ever seen.
-            self._evict_heap = [
-                (entry.tx.fee, -entry.seq, resident)
-                for resident, entry in self._entries.items()
-            ]
-            heapq.heapify(self._evict_heap)
+        self._residents[key] = tx
+        lane = self._lanes.get(tx.fee)
+        if lane is None:
+            lane = self._lanes[tx.fee] = {}
+            insort(self._fees, tx.fee)
+        lane[key] = tx
         self._seen.add(key)
-        self._count += 1
         self._bytes += tx.wire_size()
 
     def _over_caps(self) -> bool:
-        return self._count > self.max_txs or bool(self.max_bytes and self._bytes > self.max_bytes)
+        return len(self._residents) > self.max_txs or bool(
+            self.max_bytes and self._bytes > self.max_bytes
+        )
 
-    def _enforce_caps(self) -> set[tuple[int, int]]:
+    def _enforce_caps(self) -> None:
         """Evict lowest-priority residents until both caps hold."""
-        evicted: set[tuple[int, int]] = set()
         while self._over_caps():
-            victim = self._pop_extreme(self._evict_heap)
-            if victim is None:  # pragma: no cover - caps imply residents
-                break
-            key, entry = victim
-            self._remove(key, entry)
+            key, tx = next(reversed(self._lanes[self._fees[0]].items()))
+            self._remove(key, tx)
             self._seen.discard(key)  # an evicted tx may be resubmitted
             self.evicted += 1
-            evicted.add(key)
-        return evicted
 
     # -- what the chain did --------------------------------------------------
 
@@ -217,12 +193,12 @@ class PriorityMempool:
         """
         if not keys:
             return  # all filler (every open-loop block): nothing a client sent
-        entries = self._entries
+        residents = self._residents
         remember = self._seen.add
         for key in keys:
-            entry = entries.get(key)
-            if entry is not None:
-                self._remove(key, entry)
+            tx = residents.get(key)
+            if tx is not None:
+                self._remove(key, tx)
                 self.purged += 1
             remember(key)
         self.watermark.update(self._fill())
@@ -234,11 +210,10 @@ class PriorityMempool:
         and so does the synthetic-id counter: filler ids restarting from
         zero would change every open-loop block after a crash.
         """
-        self._entries.clear()
-        self._drain_heap.clear()
-        self._evict_heap.clear()
+        self._residents.clear()
+        self._lanes.clear()
+        self._fees.clear()
         self._seen = ClientKeySet()
-        self._count = 0
         self._bytes = 0
         self.watermark.update(self._fill())
 
@@ -267,26 +242,35 @@ class PriorityMempool:
         """
         batch: list[Transaction] = []
         used = 0
-        passed_over: list[tuple[int, int, tuple[int, int]]] = []
-        while self._count > len(passed_over) and len(batch) < self.block_size:
-            item = self._pop_extreme(self._drain_heap)
-            if item is None:
+        fees, lanes, residents = self._fees, self._lanes, self._residents
+        stop = False
+        # Highest lane first; deleting fees[at] leaves every lower index as it is.
+        for at in range(len(fees) - 1, -1, -1):
+            lane = lanes[fees[at]]
+            taken: list[tuple[int, int]] = []
+            for key, tx in lane.items():
+                if len(batch) >= self.block_size:
+                    stop = True
+                    break
+                if key in exclude:
+                    continue  # stays resident, in its place in its lane
+                size = tx.wire_size()
+                if self.max_block_bytes and batch and used + size > self.max_block_bytes:
+                    stop = True  # the byte-capped drain stop: nothing cheaper jumps it
+                    break
+                batch.append(tx)
+                taken.append(key)
+                used += size
+            for key in taken:  # the lane changes only once its walk is done
+                del lane[key]
+                del residents[key]
+            if not lane:
+                del lanes[fees[at]]
+                del fees[at]
+            if stop:
                 break
-            key, entry = item
-            if key in exclude:
-                passed_over.append((-entry.tx.fee, entry.seq, key))
-                continue
-            size = entry.tx.wire_size()
-            if self.max_block_bytes and batch and used + size > self.max_block_bytes:
-                # The byte-capped drain stop: back it goes, nothing cheaper jumps it.
-                passed_over.append((-entry.tx.fee, entry.seq, key))
-                break
-            self._remove(key, entry)
-            batch.append(entry.tx)
-            used += size
-            self.drained += 1
-        for heap_item in passed_over:
-            heapq.heappush(self._drain_heap, heap_item)
+        self._bytes -= used
+        self.drained += len(batch)
         self.watermark.update(self._fill())
         column = TxBatch.of(batch)
         if not self.open_loop:
@@ -302,54 +286,43 @@ class PriorityMempool:
         filler = [pack(SYNTHETIC_CLIENT_ID, i, payload, now, 0) for i in range(first, first + fill)]
         return TxBatch(b"".join([column.packed, *filler]))
 
-    def _pop_extreme(
-        self, heap: list[tuple[int, int, tuple[int, int]]]
-    ) -> tuple[tuple[int, int], _Entry] | None:
-        """Pop the live extreme of a lazy-deletion heap."""
-        while heap:
-            item = heapq.heappop(heap)
-            entry = self._entries.get(item[2])
-            if entry is None or entry.seq != abs(item[1]):
-                continue  # stale: evicted, drained or purged since pushed
-            return item[2], entry
-        return None
-
-    def _remove(self, key: tuple[int, int], entry: _Entry) -> None:
-        del self._entries[key]
-        self._count -= 1
-        self._bytes -= entry.tx.wire_size()
+    def _remove(self, key: tuple[int, int], tx: Transaction) -> None:
+        del self._residents[key]
+        lane = self._lanes[tx.fee]
+        del lane[key]
+        if not lane:
+            del self._lanes[tx.fee]
+            del self._fees[bisect_left(self._fees, tx.fee)]
+        self._bytes -= tx.wire_size()
 
     # -- introspection -----------------------------------------------------
 
     def pending(self) -> int:
         """Number of resident client transactions."""
-        return self._count
+        return len(self._residents)
 
     def pending_bytes(self) -> int:
         """Bytes (payload + metadata) occupied by resident transactions."""
         return self._bytes
 
+    def resident_keys(self) -> KeysView[tuple[int, int]]:
+        """The keys of the resident client transactions, a live view."""
+        return self._residents.keys()
+
     def _fill(self) -> float:
-        fill = self._count / self.max_txs
+        fill = len(self._residents) / self.max_txs
         if self.max_bytes:
             fill = max(fill, self._bytes / self.max_bytes)
         return fill
 
     def _lowest_fee(self) -> int:
         """Fee of the current eviction candidate (0 for an empty pool)."""
-        while self._evict_heap:
-            fee, neg_seq, key = self._evict_heap[0]
-            entry = self._entries.get(key)
-            if entry is None or entry.seq != -neg_seq:
-                heapq.heappop(self._evict_heap)
-                continue
-            return fee
-        return 0
+        return self._fees[0] if self._fees else 0
 
     def stats(self) -> dict[str, int | bool]:
         """Monotone counters + current occupancy, for health snapshots."""
         return {
-            "pending_txs": self._count,
+            "pending_txs": len(self._residents),
             "pending_bytes": self._bytes,
             "admitted": self.admitted,
             "drained": self.drained,

@@ -375,20 +375,22 @@ def test_replay_memory_grows_with_resident_casualties_not_with_bounces():
 class PoolModel(RuleBasedStateMachine):
     """The pool against a list-based reference, one operation at a time.
 
-    Backpressure is parked out of reach (``high_watermark`` above any
-    reachable fill), so every verdict follows from residents, replay
+    Here backpressure is parked out of reach (``high_watermark`` above
+    any reachable fill), so every verdict follows from residents, replay
     memory and the two hard caps - which the reference states in a few
-    lines each.  Ids arrive in any order and may be negative, so the
-    replay memory's watermark, its ids ahead and its evicted ids below
-    all come into play; after every step it must hold exactly the keys
-    a plain ``set`` would (residents, drained, purged; never an evicted
-    key that was not resubmitted).
+    lines each; :class:`LatchedPoolModel` brings the latch into reach.
+    Ids arrive in any order and may be negative, so the replay memory's
+    watermark, its ids ahead and its evicted ids below all come into
+    play; after every step it must hold exactly the keys a plain ``set``
+    would (residents, drained, purged; never an evicted key that was not
+    resubmitted, nothing from before a crash).
     """
 
     MAX_TXS = 8
     MAX_BYTES = 600
     BLOCK_SIZE = 4
     MAX_BLOCK_BYTES = 200
+    HIGH_WATERMARK, LOW_WATERMARK = 2.0, 1.0
 
     keys = st.tuples(st.integers(0, 2), st.integers(-2, 13))
     ALL_KEYS = [(client, tx_id) for client in range(3) for tx_id in range(-3, 15)]
@@ -398,17 +400,31 @@ class PoolModel(RuleBasedStateMachine):
         self.pool = PriorityMempool(
             16, self.BLOCK_SIZE, open_loop=False, max_txs=self.MAX_TXS,
             max_bytes=self.MAX_BYTES, max_block_bytes=self.MAX_BLOCK_BYTES,
-            high_watermark=2.0, low_watermark=1.0,
+            high_watermark=self.HIGH_WATERMARK, low_watermark=self.LOW_WATERMARK,
         )
         self.residents = {}  # key -> (tx, arrival)
         self.gone = set()  # drained or purged: never again
+        self.backpressured = False
         self.arrivals = 0
         self.drained = 0
         self.evicted = 0
         self.purged = 0
+        self.lost = 0  # residents a crash took
+        self.refused = 0  # POOL_FULL verdicts
 
     def drain_order(self):
         return sorted(self.residents, key=lambda k: (-self.residents[k][0].fee, self.residents[k][1]))
+
+    def observe_fill(self):
+        """The latch: on at the high watermark, off again at the low one."""
+        fill = max(
+            len(self.residents) / self.MAX_TXS,
+            sum(t.wire_size() for t, _ in self.residents.values()) / self.MAX_BYTES,
+        )
+        if self.backpressured and fill <= self.LOW_WATERMARK:
+            self.backpressured = False
+        elif not self.backpressured and fill >= self.HIGH_WATERMARK:
+            self.backpressured = True
 
     @rule(key=keys, payload=st.sampled_from([0, 16, 64]), fee=st.integers(0, 3))
     def admit(self, key, payload, fee):
@@ -416,6 +432,11 @@ class PoolModel(RuleBasedStateMachine):
         verdict = self.pool.admit(candidate, 0.0)
         if key in self.residents or key in self.gone:
             assert verdict is DUPLICATE
+            return
+        lowest = min((t.fee for t, _ in self.residents.values()), default=0)
+        if self.backpressured and fee <= lowest:
+            assert verdict is POOL_FULL  # only a higher bid gets in under backpressure
+            self.refused += 1
             return
         self.residents[key] = (candidate, self.arrivals)
         self.arrivals += 1
@@ -431,6 +452,8 @@ class PoolModel(RuleBasedStateMachine):
                 bounced = True
             else:
                 self.evicted += 1
+        self.observe_fill()
+        self.refused += bounced
         assert verdict is (POOL_FULL if bounced else ACCEPTED)
 
     @rule(data=st.data(), strangers=st.sets(keys, max_size=3))
@@ -454,6 +477,7 @@ class PoolModel(RuleBasedStateMachine):
             del self.residents[candidate.key]
             self.gone.add(candidate.key)
         self.drained += len(expected)
+        self.observe_fill()
 
     @rule(committed=st.sets(keys, max_size=6))
     def purge(self, committed):
@@ -462,6 +486,15 @@ class PoolModel(RuleBasedStateMachine):
             if self.residents.pop(key, None) is not None:
                 self.purged += 1
             self.gone.add(key)
+        self.observe_fill()
+
+    @rule()
+    def lose_memory(self):
+        self.pool.lose_memory()
+        self.lost += len(self.residents)
+        self.residents.clear()
+        self.gone.clear()  # a restarted replica admits any key again
+        self.observe_fill()
 
     @invariant()
     def replay_memory_is_exactly_the_model_set(self):
@@ -479,7 +512,11 @@ class PoolModel(RuleBasedStateMachine):
         assert (stats["drained"], stats["evicted"], stats["purged"]) == (
             self.drained, self.evicted, self.purged
         )
-        assert stats["admitted"] == len(self.residents) + self.drained + self.evicted + self.purged
+        assert stats["admitted"] == (
+            len(self.residents) + self.drained + self.evicted + self.purged + self.lost
+        )
+        assert stats["rejected_pool_full"] == self.refused
+        assert stats["backpressured"] is self.backpressured
 
     def teardown(self):
         # Whatever was passed over is still there, in the original order.
@@ -490,5 +527,14 @@ class PoolModel(RuleBasedStateMachine):
         assert drained == remaining
 
 
+class LatchedPoolModel(PoolModel):
+    """:class:`PoolModel` with backpressure in reach: six residents or
+    450 bytes engage it, four or 300 release it."""
+
+    HIGH_WATERMARK, LOW_WATERMARK = 0.75, 0.5
+
+
 TestPoolModel = PoolModel.TestCase
 TestPoolModel.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestLatchedPoolModel = LatchedPoolModel.TestCase
+TestLatchedPoolModel.settings = TestPoolModel.settings

@@ -193,7 +193,7 @@ def test_no_block_is_proposed_empty_while_a_transaction_waits(protocol, monkeypa
 
     def recording(self, extends, view):
         parent = extends if isinstance(extends, bytes) else extends.hash
-        waiting = set(self.mempool._entries) - self._uncommitted_keys(parent)
+        waiting = self.mempool.resident_keys() - self._uncommitted_keys(parent)
         block = new_block(self, extends, view)
         blocks.append(block)
         if waiting and not block.transactions:

@@ -179,7 +179,7 @@ def test_corrupt_encoded_checkpoint_is_refused(tmp_path):
         DurableSealer(fresh_machine(0), store).restore()
     # Bit-flipped checkpoint: decodes, but the Checker signature no longer
     # covers it - a restart refuses it rather than cold-start.
-    flipped = replace(ckpt, signature=replace(ckpt.signature, data=bytes(len(ckpt.signature.data))))
+    flipped = replace(ckpt, signature=ckpt.signature._replace(data=bytes(len(ckpt.signature.data))))
     path.write_bytes(with_checkpoint(machine, data, flipped))
     del machine
 
