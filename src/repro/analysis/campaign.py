@@ -252,7 +252,7 @@ def _cell_config(
 
 
 def _commits(system: ConsensusSystem) -> int:
-    return len({rec.block_hash for rec in system.monitor.executions})
+    return system.monitor.committed_block_count()
 
 
 def _frontier(system: ConsensusSystem, attackers: tuple[int, ...]) -> tuple[int, dict[int, int]]:

@@ -29,6 +29,9 @@ class RngStream:
     def __init__(self, master_seed: int, name: str) -> None:
         self.name = name
         self._rng = random.Random(derive_seed(master_seed, name))  # noqa: S311 - deterministic simulation stream, not cryptography
+        #: Uniform float in [0, 1): the generator's own method, so a hot
+        #: caller (the latency model's jitter) pays no wrapper call.
+        self.random = self._rng.random
 
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform float in [lo, hi]."""
@@ -53,10 +56,6 @@ class RngStream:
     def shuffle(self, seq: MutableSequence[T]) -> None:
         """In-place Fisher-Yates shuffle."""
         self._rng.shuffle(seq)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._rng.random()
 
     def jitter(self, base: float, fraction: float) -> float:
         """``base`` perturbed by up to +/- ``fraction`` of itself, floored at 0."""

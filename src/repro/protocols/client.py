@@ -27,6 +27,8 @@ from repro.core.messages import ClientReply, ClientRequest
 from repro.core.rng import RngStream
 from repro.runtime.machine import Machine
 
+_ACCEPTED = AdmissionVerdict.ACCEPTED
+
 
 @dataclass
 class CompletedRequest:
@@ -168,8 +170,11 @@ class Client(Machine):
     def _handle_reply(self, sender: int, payload: ClientReply) -> None:
         if payload.client_id != self.client_id:
             return
-        self.verdicts[payload.verdict.value] += 1
-        if payload.verdict is not AdmissionVerdict.ACCEPTED:
+        verdict = payload.verdict
+        # ``_value_`` is the member's value as stored; ``.value`` reads the
+        # same string through the enum's property, once per reply.
+        self.verdicts[verdict._value_] += 1
+        if verdict is not _ACCEPTED:
             self._on_nack(sender, payload.tx_id)
             return
         submitted = self.submitted.pop(payload.tx_id, None)

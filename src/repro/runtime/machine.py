@@ -46,26 +46,27 @@ _RETURNS_EFFECTS = ("on_message", "on_messages", "on_timer")
 
 
 def _wrap_entry(fn: Callable[..., Any], returns_effects: bool) -> Callable[..., Any]:
-    """Wrap ``fn`` so effects flush when the outermost entry returns."""
+    """Wrap ``fn`` so effects flush when the outermost entry returns.
+
+    A nested entry (one entry point calling another) costs one branch: it
+    runs ``fn`` straight, and the outermost entry flushes for both.
+    """
     if getattr(fn, "_machine_entry", False):
         return fn
 
     @functools.wraps(fn)
     def wrapper(self: "Machine", *args: Any, **kwargs: Any) -> Any:
-        depth = self._entry_depth
-        self._entry_depth = depth + 1
+        if self._entry_depth:
+            return fn(self, *args, **kwargs)
+        self._entry_depth = 1
         try:
             result = fn(self, *args, **kwargs)
         finally:
-            self._entry_depth = depth
-            flushed = None
-            if depth == 0:
-                # Most entries emit nothing (an admitted request, a counted
-                # reply): only a non-empty buffer pays for the flush call.
-                flushed = self._flush() if self._effects else []
-        if returns_effects and flushed is not None:
-            return flushed
-        return result
+            self._entry_depth = 0
+            # Most entries emit nothing (an admitted request, a counted
+            # reply): only a non-empty buffer pays for the flush call.
+            flushed = self._flush() if self._effects else []
+        return flushed if returns_effects else result
 
     wrapper._machine_entry = True  # type: ignore[attr-defined]
     return wrapper

@@ -84,12 +84,13 @@ class MachineProcess:
             return
         self._busy_until = max(self._busy_until, self.sim.now) + cost_ms
 
-    def send(self, dest: int, payload: Any, size_bytes: int | None = None) -> None:
-        """Send ``payload`` to ``dest``, after any pending CPU work.
+    def send(self, dests: Sequence[int], payload: Any, size_bytes: int | None = None) -> None:
+        """Send ``payload`` to each pid of ``dests``, after any pending CPU work.
 
-        If charged CPU time extends past ``now``, the message is handed to
+        If charged CPU time extends past ``now``, each copy is handed to
         the network only when the CPU frees up - the wire cannot outrun
-        the crypto that produced the message.
+        the crypto that produced the message - as one posted event per
+        destination, the keys a send per destination would get.
         """
         network = self.network
         if network is None:
@@ -99,24 +100,11 @@ class MachineProcess:
         sim = self.sim
         wait = self._busy_until - sim.now
         if wait > 0:
-            sim.post(wait, network.send, self.pid, dest, payload, size_bytes)
+            pid = self.pid
+            for dest in dests:
+                sim.post(wait, network.send, pid, (dest,), payload, size_bytes)
         else:
-            network.send(self.pid, dest, payload, size_bytes)
-
-    def broadcast(
-        self,
-        dests: Sequence[int],
-        payload: Any,
-        size_bytes: int | None = None,
-        include_self: bool = False,
-    ) -> None:
-        """Send ``payload`` to every pid in ``dests`` (optionally self too)."""
-        for dest in dests:
-            if dest == self.pid and not include_self:
-                continue
-            self.send(dest, payload, size_bytes=size_bytes)
-        if include_self and self.pid not in dests:
-            self.send(self.pid, payload, size_bytes=size_bytes)
+            network.send(self.pid, dests, payload, size_bytes)
 
     def deliver(self, sender: int, payload: Any) -> None:
         """Called by the network when a message arrives.
@@ -141,30 +129,90 @@ class MachineProcess:
 
         Runs inside the simulator event that invoked the machine handler,
         so scheduled deliveries get the same (time, seq) keys as when the
-        handler performed the sends itself.  A :class:`Reply` plays as the
+        handler performed the sends itself.  A run of consecutive
+        :class:`Send` effects of one payload and size (a client's request
+        to every replica) is one fan-out send; a :class:`Broadcast` is one
+        send to its destinations; a :class:`Reply` plays in one loop as the
         charge-and-send pair per reply it stands for.
         """
-        for effect in effects:
-            if type(effect) is Send:
-                self.send(effect.dest, effect.payload, effect.size_bytes)
-            elif type(effect) is Broadcast:
-                self.broadcast(
-                    effect.dests, effect.payload, effect.size_bytes, effect.include_self
-                )
-            elif type(effect) is ChargeCpu:
+        index = 0
+        count = len(effects)
+        while index < count:
+            effect = effects[index]
+            index += 1
+            kind = type(effect)
+            if kind is Send:
+                payload = effect.payload
+                size = effect.size_bytes
+                dests = [effect.dest]
+                while index < count:
+                    follower = effects[index]
+                    if (
+                        type(follower) is not Send
+                        or follower.payload is not payload
+                        or follower.size_bytes != size
+                    ):
+                        break
+                    dests.append(follower.dest)
+                    index += 1
+                self.send(dests, payload, size)
+            elif kind is Broadcast:
+                self.send(self._fan_out(effect), effect.payload, effect.size_bytes)
+            elif kind is ChargeCpu:
                 self.charge(effect.ms)
-            elif type(effect) is SetTimer:
+            elif kind is SetTimer:
                 self._arm_timer(effect.timer_id, effect.delay_ms)
-            elif type(effect) is CancelTimer:
+            elif kind is CancelTimer:
                 timer = self._timers.pop(effect.timer_id, None)
                 if timer is not None:
                     timer.cancel()
-            elif type(effect) is Reply:
-                for dest, reply in effect.sends:
-                    self.charge(effect.cost_ms)
-                    self.send(dest, reply, effect.size_bytes)
+            elif kind is Reply:
+                self._reply(effect)
             # Commit needs no interpretation here: the monitor already
             # observed the execution through the ledger.
+
+    def _fan_out(self, effect: Broadcast) -> Sequence[int]:
+        """A broadcast's destinations: ``dests`` in order, this seat's pid only
+        with ``include_self`` (and then last unless ``dests`` names it)."""
+        pid = self.pid
+        dests = effect.dests
+        if effect.include_self:
+            return dests if pid in dests else (*dests, pid)
+        return [dest for dest in dests if dest != pid] if pid in dests else dests
+
+    def _reply(self, effect: Reply) -> None:
+        """Each reply of ``effect`` charged, then sent behind the CPU.
+
+        The busy clock accumulates as the per-reply charges would move it,
+        and a reply still behind it is posted with the wait that charge left.
+        """
+        sends = effect.sends
+        if not sends:
+            return
+        network = self.network
+        if network is None:
+            raise SimulationError(f"process {self.pid} is not attached to a network")
+        sim = self.sim
+        now = sim.now
+        cost = effect.cost_ms
+        charged = not cost <= 0  # what ``charge`` tests
+        size = effect.size_bytes
+        busy = self._busy_until
+        if charged and busy < now:
+            busy = now
+        crashed = self.machine.crashed
+        pid = self.pid
+        for dest, reply in sends:
+            if charged:
+                busy += cost
+            if crashed:
+                continue
+            wait = busy - now
+            if wait > 0:
+                sim.post(wait, network.send, pid, (dest,), reply, size)
+            else:
+                network.send(pid, (dest,), reply, size)
+        self._busy_until = busy
 
     def _arm_timer(self, timer_id: int, delay_ms: float) -> None:
         self._timers[timer_id] = self.sim.schedule(delay_ms, self._timer_fired, timer_id)
@@ -319,7 +367,7 @@ class ConsensusSystem:
         """Run until ``num_views`` blocks committed (or the time cap)."""
         self.start()
         while self.sim.now < max_time_ms:
-            if len(self.monitor.committed_views()) >= num_views:
+            if self.monitor.committed_view_count() >= num_views:
                 break
             if self.sim.pending == 0:
                 break
@@ -329,18 +377,19 @@ class ConsensusSystem:
     # -- results ---------------------------------------------------------------------
 
     def result(self) -> RunResult:
-        distinct_blocks = {rec.block_hash for rec in self.monitor.executions}
+        """The run so far, read off the monitor's running tallies."""
+        monitor = self.monitor
         duration = self.sim.now
         return RunResult(
             protocol=self.config.protocol,
             f=self.config.f,
             num_replicas=self.num_replicas,
             duration_ms=duration,
-            committed_blocks=len(distinct_blocks),
-            committed_views=len(self.monitor.committed_views()),
-            throughput_kops=self.monitor.throughput_kops(duration),
-            mean_latency_ms=self.monitor.mean_latency_ms(),
-            messages_sent=self.monitor.messages_sent,
-            bytes_sent=self.monitor.bytes_sent,
+            committed_blocks=monitor.committed_block_count(),
+            committed_views=monitor.committed_view_count(),
+            throughput_kops=monitor.throughput_kops(duration),
+            mean_latency_ms=monitor.mean_latency_ms(),
+            messages_sent=monitor.messages_sent,
+            bytes_sent=monitor.bytes_sent,
             safe=self.oracle.safe,
         )

@@ -22,6 +22,15 @@ Two calls push an entry, and they differ only in the handle:
 Both draw ``seq`` from the same counter, so which call scheduled an event
 never changes when it fires.
 
+:meth:`Simulator.run` is the one place events fire.  Without
+``max_events`` its loop pops each entry once and makes two tests - the
+time bound (infinite when ``until`` is unset) and the handle (``None`` for
+a posted call) - before the call; an entry past ``until`` goes back on
+the heap unchanged.  With ``max_events`` (tests guarding against runaway
+event chains) it peeks before popping, so the event the bound refuses
+stays pending.  Either way :attr:`Simulator.events_processed` counts each
+event before its callback runs, so a callback reads the exact count.
+
 Times are floats in *milliseconds* of virtual time.  Milliseconds are the
 natural unit for wide-area consensus (inter-region RTTs are tens of ms,
 crypto operations are fractions of a ms).
@@ -49,6 +58,9 @@ from repro.errors import SimulationError
 #: Compact the heap when more than half its entries are cancelled and it
 #: is at least this large (tiny heaps are not worth rebuilding).
 _COMPACT_MIN_HEAP = 64
+
+#: ``until`` of a run with no time bound: no event time exceeds it.
+_NEVER = float("inf")
 
 
 @dataclass(slots=True, eq=False)
@@ -95,7 +107,7 @@ class Simulator:
         #: Current virtual time in milliseconds.  A plain attribute rather
         #: than a property because every send, delivery, charge and handler
         #: reads it (~30 reads per committed transaction); only
-        #: :meth:`run` and :meth:`step` write it.
+        #: :meth:`run` writes it.
         self.now = 0.0
         self._running = False
         self._events_processed = 0
@@ -212,79 +224,76 @@ class Simulator:
 
         ``until`` stops the clock at that virtual time (events at exactly
         ``until`` still run).  ``max_events`` bounds the number of callbacks
-        fired, which guards tests against accidental infinite event chains;
-        the event the bound refuses stays pending.
+        this call fires, which guards tests against accidental infinite
+        event chains; the event the bound refuses stays pending.  A call
+        without ``max_events`` takes a loop that never tests it.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        fired = 0
-        heap = self._heap
         clock = self._wall_clock
         started = clock() if clock is not None else 0.0
         try:
-            while heap:
-                time, _, fn, args, event = heap[0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                if event is not None and event.cancelled:
-                    heappop(heap)
-                    event.sim = None
-                    self._cancelled_pending -= 1
-                    continue
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway event chain?"
-                    )
-                heappop(heap)
-                if event is not None:
-                    event.sim = None
-                self.now = time
-                self._events_processed += 1
-                fired += 1
-                fn(*args)
+            if max_events is None:
+                self._run_unbounded(until)
             else:
-                if until is not None and until > self.now:
-                    self.now = until
+                self._run_bounded(until, max_events)
         finally:
             self._running = False
             if clock is not None:
                 self._wall_seconds += clock() - started
 
-    def step(self, max_events: int | None = None) -> bool:
-        """Fire exactly one (non-cancelled) event; return False if none left.
+    def _run_unbounded(self, until: float | None) -> None:
+        """The run loop: one pop, one bound test and one handle test per event.
 
-        Applies the same reentrancy guard and accounting as :meth:`run`:
-        calling ``step()`` from inside a callback raises, cancelled events
-        are discarded (and counted off ``cancelled_pending``), and
-        ``max_events`` - checked against the lifetime
-        :attr:`events_processed` counter - guards stepped drains against
-        runaway event chains just like ``run(max_events=...)`` does.
+        An entry past ``until`` is pushed back unchanged: entries are
+        ordered by their unique ``(time, seq)`` keys alone, so the heap
+        pops exactly as if it had never left.
         """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        try:
-            heap = self._heap
-            while heap:
-                time, _, fn, args, event = heap[0]
-                if event is not None and event.cancelled:
-                    heappop(heap)
-                    event.sim = None
+        heap = self._heap
+        limit = _NEVER if until is None else until
+        while heap:
+            entry = heappop(heap)
+            time, _, fn, args, event = entry
+            if time > limit:
+                heappush(heap, entry)
+                self.now = limit
+                return
+            if event is not None:
+                event.sim = None
+                if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
-                if max_events is not None and self._events_processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway event chain?"
-                    )
+            self.now = time
+            self._events_processed += 1
+            fn(*args)
+        if until is not None and until > self.now:
+            self.now = until
+
+    def _run_bounded(self, until: float | None, max_events: int) -> None:
+        """:meth:`_run_unbounded` that refuses the event past ``max_events``."""
+        heap = self._heap
+        fired = 0
+        while heap:
+            time, _, fn, args, event = heap[0]
+            if until is not None and time > until:
+                self.now = until
+                return
+            if event is not None and event.cancelled:
                 heappop(heap)
-                if event is not None:
-                    event.sim = None
-                self.now = time
-                self._events_processed += 1
-                fn(*args)
-                return True
-            return False
-        finally:
-            self._running = False
+                event.sim = None
+                self._cancelled_pending -= 1
+                continue
+            if fired >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; runaway event chain?"
+                )
+            heappop(heap)
+            if event is not None:
+                event.sim = None
+            self.now = time
+            self._events_processed += 1
+            fired += 1
+            fn(*args)
+        if until is not None and until > self.now:
+            self.now = until

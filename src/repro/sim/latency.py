@@ -80,7 +80,15 @@ class MatrixLatency(LatencyModel):
         self.base_ms = [rows[region] for region in self.placement]
 
     def delay(self, src: int, dst: int, size_bytes: int, now: float) -> float:
-        propagation = self.rng.jitter(self.base_ms[src][dst], self.jitter)
+        # ``RngStream.jitter`` inlined: the same single ``random()`` draw and
+        # CPython's ``uniform(a, b) = a + (b - a) * random()`` arithmetic.
+        propagation = self.base_ms[src][dst]
+        jitter = self.jitter
+        if not jitter <= 0:  # what ``RngStream.jitter`` tests
+            factor = 1.0 + (-jitter + (jitter + jitter) * self.rng.random())
+            propagation *= factor
+            if not propagation > 0.0:
+                propagation = 0.0
         transfer = size_bytes / self.bandwidth if self.bandwidth else 0.0
         return propagation + transfer
 

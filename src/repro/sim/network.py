@@ -18,11 +18,20 @@ and partitions.  A filter is called for every send and may return:
 Faults are never enabled in the paper-reproduction benchmarks; dropped
 and duplicated messages are counted by the monitor so chaos experiments
 can report exactly what they injected.
+
+:meth:`Network.send` is the one send path, and it takes a sequence of
+destinations: a seat hands it a broadcast, or a run of sends of one
+payload, whole.  The payload is sized, labelled and its view read once;
+with no tap, filter or FIFO link the fan-out is counted once and each
+destination costs one latency draw and one post.  Taps, filters and FIFO
+links see each destination in turn, exactly as separate sends would.
+Either way every destination's draws and posts come in list order, so
+the heap keys are those of one send per destination.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.codec import msg_type_of, wire_size_of
 from repro.errors import SimulationError
@@ -87,27 +96,63 @@ class Network:
     def send(
         self,
         src: int,
-        dst: int,
+        dsts: Sequence[int],
         payload: Any,
         size_bytes: int | None = None,
     ) -> None:
-        """Queue ``payload`` for delivery from ``src`` to ``dst``.
+        """Queue ``payload`` for delivery from ``src`` to each pid of ``dsts``.
 
-        One pass, in this order: size and label the payload, count the
-        send, show it to the taps, ask the fault filters, then for each
-        copy draw one latency, clamp it to the link's FIFO order and
-        schedule the delivery.
+        One pass per payload: size it, label it and read its view once,
+        then per destination in order - count the send, show it to the
+        taps, ask the fault filters, and for each copy draw one latency,
+        clamp it to the link's FIFO order and post the delivery.  With no
+        tap, filter or FIFO link installed the whole fan-out is counted by
+        one ``record_send`` and each destination costs one latency draw and
+        one post, in the same order.  An unknown pid raises
+        :class:`SimulationError`.
         """
-        target = self.processes.get(dst)
-        if target is None:
-            raise SimulationError(f"unknown destination pid {dst}")
+        if not dsts:
+            return  # nothing to count: an empty fan-out sends nothing
         size = size_bytes if size_bytes is not None else wire_size_of(payload)
         label = msg_type_of(payload)
+        view = getattr(payload, "view", None)
+        processes = self.processes
+        if self.taps or self.fault_filters or self.fifo:
+            for dst in dsts:
+                target = processes.get(dst)
+                if target is None:
+                    raise SimulationError(f"unknown destination pid {dst}")
+                self._send_one(src, dst, target, payload, size, label, view)
+            return
+        self.monitor.record_send(label, size, view, len(dsts))
+        sim = self.sim
+        now = sim.now
+        post = sim.post
+        delay = self.latency.delay
+        for dst in dsts:
+            target = processes.get(dst)
+            if target is None:
+                raise SimulationError(f"unknown destination pid {dst}")
+            if src == dst:
+                post(SELF_DELIVERY_MS, target.deliver, src, payload)
+            else:
+                post(delay(src, dst, size, now), target.deliver, src, payload)
+
+    def _send_one(
+        self,
+        src: int,
+        dst: int,
+        target: MachineProcess,
+        payload: Any,
+        size: int,
+        label: str,
+        view: int | None,
+    ) -> None:
+        """One destination of :meth:`send` through the taps, filters and FIFO clamp."""
         monitor = self.monitor
-        monitor.record_send(label, size, getattr(payload, "view", None))
-        if self.taps:
-            for tap in self.taps:
-                tap(src, dst, payload)
+        monitor.record_send(label, size, view)
+        for tap in self.taps:
+            tap(src, dst, payload)
         copies = 1
         extra_delay = 0.0
         if self.fault_filters:

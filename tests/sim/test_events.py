@@ -119,15 +119,36 @@ def test_max_events_guard():
 
 
 def test_step_fires_single_event():
+    """``run(max_events=1)`` steps: it fires one event and refuses the next."""
     sim = Simulator()
     order = []
     sim.schedule(1.0, lambda: order.append("a"))
     sim.schedule(2.0, lambda: order.append("b"))
-    assert sim.step() is True
+    with pytest.raises(SimulationError):
+        sim.run(max_events=1)
     assert order == ["a"]
-    assert sim.step() is True
-    assert sim.step() is False
+    sim.run(max_events=1)  # the last event: the heap drains, nothing is refused
     assert order == ["a", "b"]
+    sim.run(max_events=1)  # an empty heap fires nothing
+    assert order == ["a", "b"]
+    assert sim.events_processed == 2
+
+
+def test_step_respects_max_events():
+    """``max_events`` counts the callbacks of one call, not of the simulator."""
+    sim = Simulator()
+    order = []
+    for delay, tag in ((1.0, "a"), (2.0, "b"), (3.0, "c")):
+        sim.schedule(delay, order.append, tag)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=1)
+    assert order == ["a"] and sim.now == 1.0
+    with pytest.raises(SimulationError):
+        sim.run(max_events=1)
+    assert order == ["a", "b"]
+    sim.run(max_events=1)
+    assert order == ["a", "b", "c"]
+    assert sim.events_processed == 3
 
 
 def test_schedule_at_absolute_time():
@@ -162,39 +183,32 @@ def test_simulator_not_reentrant():
 
 
 def test_step_not_reentrant():
+    """A bounded run refuses re-entry, and is refused inside either loop."""
     sim = Simulator()
     errors = []
 
     def reenter():
         try:
-            sim.step()
+            sim.run(max_events=1)
         except SimulationError as exc:
             errors.append(exc)
 
     sim.schedule(1.0, reenter)
     sim.run()
     assert len(errors) == 1
+    sim.schedule(1.0, reenter)
+    sim.run(max_events=5)
+    assert len(errors) == 2
 
 
-def test_step_respects_max_events():
-    """step() enforces max_events against the lifetime counter, like run()."""
-    sim = Simulator()
-    for _ in range(5):
-        sim.schedule(1.0, lambda: None)
-    assert sim.step(max_events=2) is True
-    assert sim.step(max_events=2) is True
-    with pytest.raises(SimulationError):
-        sim.step(max_events=2)
-
-
-def test_step_skips_cancelled_and_updates_counter():
+def test_bounded_run_skips_cancelled_and_updates_counter():
     sim = Simulator()
     fired = []
     cancelled = sim.schedule(1.0, lambda: fired.append("dead"))
     sim.schedule(2.0, lambda: fired.append("live"))
     cancelled.cancel()
     assert sim.cancelled_pending == 1
-    assert sim.step() is True
+    sim.run(max_events=1)
     assert fired == ["live"]
     assert sim.cancelled_pending == 0
     assert sim.events_processed == 1
@@ -312,7 +326,7 @@ def test_max_events_leaves_the_refused_event_pending():
     assert fired == ["a", "b"]
     assert sim.pending == 1
     with pytest.raises(SimulationError):
-        sim.step(max_events=2)
+        sim.run(max_events=0)
     assert sim.pending == 1
     sim.run()
     assert fired == ["a", "b", "c"]
@@ -387,7 +401,7 @@ def test_post_refuses_the_past_like_schedule():
     assert sim.pending == 0
 
 
-def test_posted_events_under_max_events_step_and_cancellation():
+def test_posted_events_under_max_events_and_cancellation():
     sim = Simulator()
     fired = []
     for tag in "abc":
@@ -399,9 +413,8 @@ def test_posted_events_under_max_events_step_and_cancellation():
     assert fired == ["a", "b"]
     assert (sim.pending, sim.cancelled_pending) == (2, 1)
     with pytest.raises(SimulationError):
-        sim.step(max_events=2)
-    assert sim.step() is True
-    assert sim.step() is False  # only the cancelled entry was left
+        sim.run(max_events=0)
+    sim.run(max_events=1)  # fires "c", then drops the cancelled entry
     assert fired == ["a", "b", "c"]
     assert (sim.pending, sim.cancelled_pending, sim.events_processed) == (0, 0, 3)
 
@@ -464,11 +477,16 @@ class _RealWorld:
         _perform(self, behaviour)
         self.log.append(("done", ident, *self.observe()))
 
-    def run(self, until=None):
-        self.sim.run(until=until)
+    def run(self, until=None, max_events=None):
+        try:
+            self.sim.run(until=until, max_events=max_events)
+        except SimulationError:
+            return "refused"
+        return "ran"
 
-    def step(self):
-        return self.sim.step()
+
+#: What the model's ``_next`` returns for an event ``max_events`` refuses.
+_REFUSED = object()
 
 
 class _Entry:
@@ -523,17 +541,22 @@ class _ModelWorld:
             self.cancelled_pending = 0
             self.compactions += 1
 
-    def _next(self, until):
-        """Pop the next live entry; ``None`` when the heap drains or ``until`` is hit."""
+    def _next(self, until, refuse):
+        """Pop the next live entry; ``None`` when the heap drains or ``until`` is
+        hit, ``_REFUSED`` (the entry left pending) when ``refuse`` is set."""
         while self.entries:
             entry = min(self.entries, key=lambda e: e.key)
             if until is not None and entry.key[0] > until:
                 return None
-            self.entries.remove(entry)
-            entry.on_heap = False
             if entry.cancelled:
+                self.entries.remove(entry)
+                entry.on_heap = False
                 self.cancelled_pending -= 1
                 continue
+            if refuse:
+                return _REFUSED
+            self.entries.remove(entry)
+            entry.on_heap = False
             return entry
         return None
 
@@ -544,18 +567,18 @@ class _ModelWorld:
         _perform(self, entry.behaviour)
         self.log.append(("done", entry.ident, *self.observe()))
 
-    def run(self, until=None):
-        while (entry := self._next(until)) is not None:
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while (
+            entry := self._next(until, max_events is not None and fired >= max_events)
+        ) is not None:
+            if entry is _REFUSED:
+                return "refused"
             self._fire(entry)
+            fired += 1
         if until is not None and until > self.now:
             self.now = until
-
-    def step(self):
-        entry = self._next(None)
-        if entry is None:
-            return False
-        self._fire(entry)
-        return True
+        return "ran"
 
 
 def _run_program(program):
@@ -578,8 +601,8 @@ def _run_program(program):
                 world.run(until=world.observe()[0] + op[1])
             elif kind == "run":
                 world.run()
-            elif kind == "step":
-                world.log.append(("step", world.step()))
+            elif kind == "run_max":
+                world.log.append(("run_max", world.run(max_events=op[1])))
             else:
                 _perform(world, op)
         assert real.log == model.log, op
@@ -609,7 +632,7 @@ _operations = st.one_of(
     _cancels,
     st.tuples(st.just("run_until"), st.sampled_from((*_DELAYS, 5.0))),
     st.just(("run",)),
-    st.just(("step",)),
+    st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=3)),
 )
 
 
@@ -626,7 +649,7 @@ def test_model_agrees_across_a_compaction_triggered_inside_a_callback():
         # Handle 81: cancels a compacted-away event, a pending one (twice),
         # a fired one and itself.
         ("schedule", 0.75, ("cancel", [3, 60, 60, 80, 81])),
-        ("step",),
+        ("run_max", 1),
         ("run_until", 0.5),
         ("run",),
     ]

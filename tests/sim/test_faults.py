@@ -157,7 +157,7 @@ def test_total_loss_drops_everything_and_counts_drops():
     sim, net, procs = build()
     FaultPlan().lossy_links(1.0).install(net, stream())
     for _ in range(5):
-        net.send(0, 1, "m")
+        net.send(0, (1,), "m")
     sim.run()
     assert procs[1].received == []
     assert net.monitor.messages_dropped == 5
@@ -168,7 +168,7 @@ def test_total_loss_drops_everything_and_counts_drops():
 def test_duplication_delivers_extra_copies_and_counts_them():
     sim, net, procs = build()
     FaultPlan().duplicating_links(1.0).install(net, stream())
-    net.send(0, 1, "m")
+    net.send(0, (1,), "m")
     sim.run()
     assert len(procs[1].received) == 2
     assert net.monitor.messages_duplicated == 1
@@ -182,8 +182,8 @@ def test_extra_delay_defers_and_can_reorder():
         if payload == "slow"
         else None
     )
-    net.send(0, 1, "slow")
-    net.send(0, 1, "fast")
+    net.send(0, (1,), "slow")
+    net.send(0, (1,), "fast")
     sim.run()
     payloads = [p for _, _, p in procs[1].received]
     assert payloads == ["fast", "slow"]  # the delayed message was overtaken
@@ -194,10 +194,10 @@ def test_partition_blocks_then_heals_end_to_end():
     FaultPlan().partition({0}, {1, 2}, at_ms=0.0, heal_ms=50.0).install(
         net, stream()
     )
-    net.send(0, 1, "before")
+    net.send(0, (1,), "before")
     sim.run(until=60.0)
     assert procs[1].received == []
-    net.send(0, 1, "after")  # now past heal_ms
+    net.send(0, (1,), "after")  # now past heal_ms
     sim.run()
     assert [p for _, _, p in procs[1].received] == ["after"]
 
@@ -207,7 +207,7 @@ def test_chaos_filter_merges_duplicate_and_delay_rules():
     plan = FaultPlan().duplicating_links(1.0).delaying_links(5.0, delay_prob=1.0)
     plan.install(net, stream())
     assert len(net.fault_filters) == 1  # one merged filter per plan
-    net.send(0, 1, "m")
+    net.send(0, (1,), "m")
     sim.run()
     assert len(procs[1].received) == 2
     assert all(t > 1.0 for t, _, _ in procs[1].received)  # latency + extra
@@ -220,7 +220,7 @@ def test_identical_plans_and_seeds_replay_identically():
             net, stream(seed=5)
         )
         for i in range(50):
-            net.send(0, 1, f"m{i}")
+            net.send(0, (1,), f"m{i}")
         sim.run()
         return [(t, p) for t, _, p in procs[1].received]
 
@@ -237,6 +237,6 @@ def test_remove_fault_filter_is_idempotent():
     net.remove_fault_filter(fn)
     net.remove_fault_filter(fn)
     assert net.fault_filters == []
-    net.send(0, 1, "m")
+    net.send(0, (1,), "m")
     sim.run()
     assert len(procs[1].received) == 1

@@ -50,6 +50,18 @@ def test_matrix_latency_jitter_bounded():
         assert base * 0.95 <= delay <= base * 1.05
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.05, 0.5, 3.0])
+def test_matrix_latency_draws_what_rng_jitter_draws(jitter):
+    """The inlined draw is ``RngStream.jitter`` bit for bit, the floor at 0
+    included (a jitter above 1 reaches it)."""
+    model = make_matrix(jitter=jitter, bandwidth=1000.0)
+    reference = RngStream(1, "lat")
+    for step in range(400):
+        src, dst, size = step % 8, (step * 3 + 1) % 8, step * 7
+        expected = reference.jitter(model.base_ms[src][dst], jitter) + size / 1000.0
+        assert model.delay(src, dst, size, 0.0) == expected
+
+
 def test_matrix_latency_bandwidth_term():
     model = make_matrix(bandwidth=1000.0)
     base = EU_REGIONS.latency(0, 1)

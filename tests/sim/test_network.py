@@ -33,20 +33,20 @@ def test_duplicate_pid_rejected():
 def test_unknown_destination_rejected():
     sim, net, procs = build()
     with pytest.raises(SimulationError):
-        net.send(0, 99, "x")
+        net.send(0, (99,), "x")
 
 
 def test_self_send_uses_loopback_delay():
     sim, net, procs = build(latency=50.0)
-    net.send(0, 0, "self")
+    net.send(0, (0,), "self")
     sim.run()
     assert procs[0].received[0][0] == pytest.approx(SELF_DELIVERY_MS)
 
 
 def test_monitor_counts_messages_and_bytes():
     sim, net, procs = build()
-    net.send(0, 1, SizedPayload())
-    net.send(0, 0, SizedPayload())  # self-messages are counted too
+    net.send(0, (1,), SizedPayload())
+    net.send(0, (0,), SizedPayload())  # self-messages are counted too
     sim.run()
     assert net.monitor.messages_sent == 2
     assert net.monitor.bytes_sent == 2000
@@ -58,16 +58,16 @@ def test_tap_sees_all_sends():
     sim, net, procs = build()
     seen = []
     net.add_tap(lambda src, dst, payload: seen.append((src, dst, payload)))
-    net.send(0, 1, "a")
-    net.send(1, 0, "b")
+    net.send(0, (1,), "a")
+    net.send(1, (0,), "b")
     assert seen == [(0, 1, "a"), (1, 0, "b")]
 
 
 def test_drop_filter_suppresses_delivery_but_counts_send():
     sim, net, procs = build()
     net.add_fault_filter(lambda src, dst, payload: dst == 1)
-    net.send(0, 1, "dropped")
-    net.send(1, 0, "kept")
+    net.send(0, (1,), "dropped")
+    net.send(1, (0,), "kept")
     sim.run()
     assert procs[1].received == []
     assert len(procs[0].received) == 1
@@ -88,6 +88,6 @@ def test_bandwidth_affects_delay():
     sim = Simulator()
     net = Network(sim, ConstantLatency(1.0, bandwidth=100.0))
     _, b = seat_recorders(net, 0, 1)
-    net.send(0, 1, SizedPayload())  # 1000 bytes / 100 B-per-ms = 10 ms
+    net.send(0, (1,), SizedPayload())  # 1000 bytes / 100 B-per-ms = 10 ms
     sim.run()
     assert b.received[0][0] == pytest.approx(11.0)

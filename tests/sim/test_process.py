@@ -40,7 +40,7 @@ def test_send_without_network_raises():
 def test_crashed_process_does_not_send():
     sim, net, a, b = make_pair()
     a.crash()
-    net.processes[0].send(1, "x")  # the seat drops it too, not only the machine
+    net.processes[0].send((1,), "x")  # the seat drops it too, not only the machine
     sim.run()
     assert b.received == []
 
