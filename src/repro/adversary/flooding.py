@@ -32,7 +32,5 @@ class FloodingDamysusReplica(DamysusReplica):
                 phase=Phase.NEW_VIEW,
                 sigs=(junk_sig,),
             )
-            for pid in self.replica_pids:
-                if pid != self.pid:
-                    self.send(pid, CommitmentMsg(phi, KIND_NEW_VIEW))
+            self.broadcast(self.replica_pids, CommitmentMsg(phi, KIND_NEW_VIEW))
         super().start()

@@ -61,11 +61,8 @@ class _MempoolSpammerMixin:
                 submitted_at=self.now,
                 fee=1 if tx_id % self.tickle_every == self.tickle_every - 1 else 0,
             )
-            request = ClientRequest(tx.client_id, tx)
-            for pid in self.replica_pids:
-                if pid != self.pid:
-                    self.send(pid, request)
-                    self.spam_sent += 1
+            self.broadcast(self.replica_pids, ClientRequest(tx.client_id, tx))
+            self.spam_sent += len(self.replica_pids) - 1
         self.set_timer(self.spam_interval_ms, self._spam_tick)
 
 

@@ -94,8 +94,8 @@ class CoreLayerRule(_LayerImportRule):
     layer = "repro.core"
     hint = (
         "repro.core is pure protocol data and interfaces; depend on "
-        "repro.core.clock.Clock / repro.core.monitor.ExecutionMonitor "
-        "instead of a concrete host"
+        "repro.core.clock.Clock instead of a concrete host, and report "
+        "to a host through a machine's effects"
     )
 
 

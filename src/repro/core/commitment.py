@@ -28,49 +28,12 @@ class Commitment:
     phase: Phase
     sigs: tuple[Signature, ...]
 
-    # -- paper accessors -----------------------------------------------------
-
-    @property
-    def hprep(self) -> Hash | None:
-        """Paper's ``phi.Hprep``."""
-        return self.h_prep
-
-    @property
-    def vprep(self) -> int:
-        """Paper's ``phi.Vprep``."""
-        return self.v_prep
-
-    @property
-    def hjust(self) -> Hash | None:
-        """Paper's ``phi.Hjust``."""
-        return self.h_just
-
-    @property
-    def vjust(self) -> int | None:
-        """Paper's ``phi.Vjust``."""
-        return self.v_just
-
-    @property
-    def sign(self) -> tuple[Signature, ...]:
-        """Paper's ``phi.sign``: the signature list."""
-        return self.sigs
-
     # -- chained accessors (Section 7.1) --------------------------------------
 
     @property
     def view(self) -> int:
         """Chained notation ``phi.view``: the view the commitment was signed in."""
         return self.v_prep
-
-    @property
-    def hcomm(self) -> Hash | None:
-        """Chained ``phi.Hcomm``: the certified block's hash."""
-        return self.h_prep if self.phase == Phase.PREPARE else self.h_just
-
-    @property
-    def vcomm(self) -> int | None:
-        """Chained ``phi.Vcomm``: the view the certified block got f+1 votes in."""
-        return self.v_prep if self.phase == Phase.PREPARE else self.v_just
 
     # -- certificate vocabulary (combined prepare commitments justify
     # chained blocks, Section 7.1: qc.cview = qc.view = view) ---------------

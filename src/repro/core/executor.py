@@ -12,6 +12,12 @@ counter-example, which deliberately breaks a weakened protocol); in
 *strict* mode it raises :class:`~repro.errors.SafetyViolation` immediately,
 which is how the test suite guards every Damysus/HotStuff run.
 
+The oracle is the only observer the ledger calls: strict mode must raise
+at the violating execution itself, and a checkpoint install is no
+execution a host would hear of.  Hosts learn of executions from the
+replica's ``Commit`` effects (the simulator's monitor records one per
+``Commit``), so the ledger keeps no clock and no metrics sink.
+
 Execution is also where a client transaction takes effect *exactly once*:
 clients broadcast each request, so a request can reach a second block (a
 leader that was down while it committed, a Byzantine proposer).  The
@@ -32,7 +38,6 @@ from repro.core.block import Block
 from repro.core.chain import BlockStore
 from repro.core.keyset import ClientKeySet, Key
 from repro.core.mempool import SYNTHETIC_CLIENT_ID, Transaction, TxBatch
-from repro.core.monitor import ExecutionMonitor, ExecutionRecord
 
 
 def fold_state_root(prev_root: Hash, block_hash: Hash) -> Hash:
@@ -225,12 +230,10 @@ class Ledger:
         replica: int,
         store: BlockStore,
         oracle: SafetyOracle | None = None,
-        monitor: ExecutionMonitor | None = None,
     ) -> None:
         self.replica = replica
         self.store = store
         self.oracle = oracle
-        self.monitor = monitor
         self.executed: list[Block] = []
         self._executed_hashes: set[Hash] = set()
         self.last_executed_hash: Hash = store.genesis.hash
@@ -255,7 +258,7 @@ class Ledger:
     def is_executed(self, block_hash: Hash) -> bool:
         return block_hash in self._executed_hashes
 
-    def execute(self, block: Block, now: float, view: int | None = None) -> list[Block]:
+    def execute(self, block: Block) -> list[Block]:
         """Execute ``block`` and any not-yet-executed ancestors, in order.
 
         Returns the blocks newly executed.  Raises
@@ -268,11 +271,11 @@ class Ledger:
         path = self.store.path_between(self.last_executed_hash, block.hash)
         newly: list[Block] = []
         for ancestor in path:
-            self._execute_one(ancestor, now, view)
+            self._execute_one(ancestor)
             newly.append(ancestor)
         return newly
 
-    def _execute_one(self, block: Block, now: float, view: int | None) -> None:
+    def _execute_one(self, block: Block) -> None:
         if block.parent_hash != self.last_executed_hash:
             raise ProtocolError("execution out of chain order")
         if self.executed:
@@ -287,20 +290,6 @@ class Ledger:
         applied_keys = self._apply(block)
         if self.oracle is not None:
             self.oracle.record(self.replica, block.hash, applied_keys)
-        if self.monitor is not None:
-            # Ancestors executed during catch-up are recorded under their
-            # own proposal view, not the view of the descendant that
-            # triggered the execution.
-            self.monitor.record_execution(
-                ExecutionRecord(
-                    replica=self.replica,
-                    view=block.view,
-                    block_hash=block.hash,
-                    num_transactions=len(self.applied_transactions(block)),
-                    proposed_at=block.created_at,
-                    executed_at=now,
-                )
-            )
 
     def _apply(self, block: Block) -> tuple[Key, ...]:
         """Mark ``block``'s client keys applied; returns those that were new."""
@@ -334,7 +323,7 @@ class Ledger:
     def height(self) -> int:
         return self.base_height + len(self.executed)
 
-    def apply_synced(self, block: Block, now: float) -> None:
+    def apply_synced(self, block: Block) -> None:
         """Execute one state-transfer block delivered by a peer.
 
         Unlike :meth:`execute`, no stored path to the block is required -
@@ -343,7 +332,7 @@ class Ledger:
         """
         if self.is_executed(block.hash):
             return
-        self._execute_one(block, now, block.view)
+        self._execute_one(block)
 
     def install_checkpoint(
         self, height: int, block_hash: Hash, state_root: Hash, view: int

@@ -156,9 +156,7 @@ class Client(Machine):
         self.set_timer(max(delay, 0.001), self._submit_next)
 
     def _broadcast_request(self, tx: Transaction) -> None:
-        request = ClientRequest(self.client_id, tx)
-        for pid in self.replica_pids:
-            self.send(pid, request)
+        self.broadcast(self.replica_pids, ClientRequest(self.client_id, tx))
 
     def on_message(self, sender: int, payload: Any) -> None:
         if self.crashed:

@@ -32,7 +32,6 @@ from repro.core.executor import Ledger, SafetyOracle
 from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict, Transaction
 from repro.mempool.pool import PriorityMempool
 from repro.core.messages import ClientReply, ClientRequest, CommitmentMsg
-from repro.core.monitor import ExecutionMonitor
 from repro.core.phases import Phase, Step
 from repro.core.rng import RngStream
 from repro.errors import MissingBlockError, TEERefusal
@@ -239,7 +238,6 @@ class BaseReplica(Machine):
         num_replicas: int,
         quorum: int,
         oracle: SafetyOracle | None = None,
-        monitor: ExecutionMonitor | None = None,
         client_pids: dict[int, int] | None = None,
     ) -> None:
         super().__init__(pid, clock)
@@ -250,7 +248,7 @@ class BaseReplica(Machine):
         self.num_replicas = num_replicas
         self.quorum = quorum
         self.store = BlockStore()
-        self.ledger = Ledger(pid, self.store, oracle, monitor)
+        self.ledger = Ledger(pid, self.store, oracle)
         self.mempool = PriorityMempool(
             config.payload_bytes,
             config.block_size,
@@ -682,12 +680,13 @@ class BaseReplica(Machine):
         block without delivering it everywhere), the execution is parked
         and the missing blocks are fetched from peers.  The clock is read
         once: every reply to the blocks executed here carries the same
-        commit timestamp, the ledger's.  Each executed block's replies are
-        one :class:`Reply` effect.
+        commit timestamp.  Each executed block's replies are one
+        :class:`Reply` effect, followed by its :class:`Commit`, which is how
+        a host learns of the execution.
         """
         now = self.now
         try:
-            newly = self.ledger.execute(block, now, view)
+            newly = self.ledger.execute(block)
         except MissingBlockError:
             self.fetch.park_execution(block, view)
             return []
@@ -707,7 +706,7 @@ class BaseReplica(Machine):
                 ]
                 if replies:
                     self._reply(replies)
-            self._emit(Commit(executed, view, len(applied)))
+            self._emit(Commit(executed, len(applied)))
         if newly:
             self.last_committed_view = max(self.last_committed_view, view)
             self._maybe_checkpoint()

@@ -540,11 +540,9 @@ class StateTransfer:
             replica.note_commit_qc(msg.tip_qc)
         for block in buffer:
             replica.store.add(block)
-            replica.ledger.apply_synced(block, replica.now)
+            replica.ledger.apply_synced(block)
             replica.mempool.purge_committed(block.client_keys())
-            replica._emit(
-                Commit(block, block.view, len(replica.ledger.applied_transactions(block)))
-            )
+            replica._emit(Commit(block, len(replica.ledger.applied_transactions(block))))
         tip = buffer[-1] if buffer else None
         self.finish()
         if tip is not None:

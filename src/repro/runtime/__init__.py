@@ -17,7 +17,6 @@ drags in the simulator or asyncio.
 """
 
 from repro.runtime.effects import (
-    Broadcast,
     CancelTimer,
     ChargeCpu,
     Commit,
@@ -30,7 +29,6 @@ from repro.runtime.effects import (
 from repro.runtime.machine import Machine, MachineTimer
 
 __all__ = [
-    "Broadcast",
     "CancelTimer",
     "ChargeCpu",
     "Commit",

@@ -80,7 +80,6 @@ from repro.protocols.client import Client
 from repro.protocols.registry import ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica
 from repro.runtime.effects import (
-    Broadcast,
     CancelTimer,
     ChargeCpu,
     Commit,
@@ -275,12 +274,7 @@ class AsyncioRuntime:
         rows: dict[int, list[object]] = {}
         for effect in effects:
             if type(effect) is Send:
-                self._send(effect.dest, effect.payload, frames, groups, rows)
-            elif type(effect) is Broadcast:
-                dests = list(effect.dests)
-                if effect.include_self and self.machine.pid not in dests:
-                    dests.append(self.machine.pid)
-                for dest in dests:
+                for dest in effect.dests:
                     self._send(dest, effect.payload, frames, groups, rows)
             elif type(effect) is SetTimer:
                 self._arm_timer(effect.timer_id, effect.delay_ms)

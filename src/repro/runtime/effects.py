@@ -6,14 +6,19 @@ the exact order the actions should happen, and a :class:`Runtime` carries
 them out - on the discrete-event simulator, on real asyncio sockets, or
 on nothing at all (unit tests can simply assert on the list).
 
+The effect list is everything a machine says to its host: what it
+sends, the CPU it charges, its timers and the blocks it executed.  No
+host learns of anything through another channel, so two hosts playing
+the same list agree on who receives what.
+
 Effect interpretation order is part of the contract: runtimes must apply
 effects in list order, because the simulator derives its deterministic
 event ordering from the order side effects are scheduled.
 
 Effects are named tuples: immutable, and built at the cost of a tuple -
-a handler emits one per send, charge and timer, and one :class:`Reply`
-for all the answers to clients one execution or one admission pass
-gives.  Tell them apart by class (``type(effect) is Send``), as the
+a handler emits one per fan-out, charge, timer and executed block, and
+one :class:`Reply` for all the answers to clients one execution or one
+admission pass gives.  Tell them apart by class (``type(effect) is Send``), as the
 runtimes do; tuple equality looks at the fields only.
 """
 
@@ -23,24 +28,17 @@ from typing import Any, NamedTuple, Protocol
 
 
 class Send(NamedTuple):
-    """Deliver ``payload`` to the peer ``dest`` (best effort)."""
+    """Deliver ``payload`` to every pid of ``dests``, in order (best effort).
 
-    dest: int
-    payload: Any
-    size_bytes: int | None = None
-
-
-class Broadcast(NamedTuple):
-    """Deliver ``payload`` to every pid in ``dests`` in order.
-
-    ``include_self`` mirrors the paper's message counting: self-messages
-    are real sends (Table 1 "includes self-messages"), delivered through
-    the same path as peer traffic.
+    One effect per fan-out: :meth:`Machine.broadcast
+    <repro.runtime.machine.Machine.broadcast>` has already decided whether
+    the sender is one of ``dests`` (Table 1 counts self-messages, so a
+    self-message is a real send, delivered through the same path as peer
+    traffic), and every host delivers to exactly these pids.
     """
 
     dests: tuple[int, ...]
     payload: Any
-    include_self: bool = False
     size_bytes: int | None = None
 
 
@@ -61,16 +59,16 @@ class CancelTimer(NamedTuple):
 
 
 class Commit(NamedTuple):
-    """Announce that ``block`` was executed (committed) in ``view``.
+    """Announce that ``block`` was executed (committed).
 
-    Runtimes use this for progress reporting; the ledger has already
-    applied the block by the time this effect is emitted.  ``txs`` counts
-    the block's transactions that took effect: a re-carried copy the
-    exactly-once ledger skipped is not one.
+    The ledger has already applied the block by the time this effect is
+    emitted; it is how a host learns of executions (the simulator's
+    monitor records one per ``Commit``, the socket host counts them).
+    ``txs`` counts the block's transactions that took effect: a re-carried
+    copy the exactly-once ledger skipped is not one.
     """
 
     block: Any
-    view: int
     txs: int
 
 
@@ -89,7 +87,7 @@ class Reply(NamedTuple):
     """Answer clients: each ``(dest, reply)`` of ``sends`` in order, every
     reply charged ``cost_ms`` of CPU and sent as ``size_bytes``.
 
-    It stands for ``ChargeCpu(cost_ms), Send(dest, reply, size_bytes)``
+    It stands for ``ChargeCpu(cost_ms), Send((dest,), reply, size_bytes)``
     per reply (no ``ChargeCpu`` when ``cost_ms`` is 0), and the simulator
     plays it as exactly that.  A socket host, which models no CPU, adds
     each reply to the rows it packs for the client.
@@ -101,7 +99,7 @@ class Reply(NamedTuple):
 
 
 #: Union of every effect a machine may emit.
-Effect = Send | Broadcast | SetTimer | CancelTimer | Commit | ChargeCpu | Reply
+Effect = Send | SetTimer | CancelTimer | Commit | ChargeCpu | Reply
 
 
 class Runtime(Protocol):

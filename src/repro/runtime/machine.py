@@ -30,7 +30,6 @@ from typing import Any, Callable, ClassVar
 from repro.core.clock import Clock
 from repro.core.codec import Packed
 from repro.runtime.effects import (
-    Broadcast,
     CancelTimer,
     ChargeCpu,
     Effect,
@@ -186,7 +185,7 @@ class Machine:
         """Emit a point-to-point send (dropped while crashed)."""
         if self.crashed:
             return
-        self._emit(Send(dest, payload, size_bytes))
+        self._emit(Send((dest,), payload, size_bytes))
 
     def broadcast(
         self,
@@ -195,10 +194,22 @@ class Machine:
         size_bytes: int | None = None,
         include_self: bool = False,
     ) -> None:
-        """Emit a broadcast to ``dests`` (optionally self too)."""
+        """Emit one send of ``payload`` to ``dests`` in order (dropped while crashed).
+
+        This is where a fan-out's receivers are decided, for every host:
+        without ``include_self`` this machine is filtered out of ``dests``;
+        with it, it keeps its place in ``dests`` or is appended last.
+        """
         if self.crashed:
             return
-        self._emit(Broadcast(tuple(dests), payload, include_self, size_bytes))
+        pid = self.pid
+        if include_self:
+            dests = tuple(dests) if pid in dests else (*dests, pid)
+        elif pid in dests:
+            dests = tuple(dest for dest in dests if dest != pid)
+        else:
+            dests = tuple(dests)
+        self._emit(Send(dests, payload, size_bytes))
 
     def on_message(self, sender: int, payload: Any) -> None:
         """Handle an incoming message.  Subclasses override."""

@@ -4,10 +4,12 @@
 is what the network registers and delivers to, and it interprets the
 machine's effect lists (in emission order, inside the same simulator
 event that invoked the handler) onto a single-core CPU model, the
-network and the timer wheel.  Because effect order equals the order the
-old imperative handlers performed those calls, every (time, seq) event
-ordering - and therefore every benchmark, figure and chaos result - is
-bit-identical to the pre-refactor architecture.
+network, the timer wheel and the network's monitor: the effect list is
+all the simulator hears from a machine, executions (``Commit``)
+included.  Because effect order equals the order the old imperative
+handlers performed those calls, every (time, seq) event ordering - and
+therefore every benchmark, figure and chaos result - is bit-identical to
+the pre-refactor architecture.
 
 :class:`ConsensusSystem` wires one complete simulated deployment and is
 the single entry point used by tests, examples and the bench harness.
@@ -31,9 +33,9 @@ from repro.protocols.client import Client
 from repro.protocols.registry import ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica
 from repro.runtime.effects import (
-    Broadcast,
     CancelTimer,
     ChargeCpu,
+    Commit,
     Effect,
     Reply,
     Send,
@@ -42,7 +44,7 @@ from repro.runtime.effects import (
 from repro.runtime.machine import Machine
 from repro.sim.events import Event, Simulator
 from repro.sim.latency import MatrixLatency, PartialSynchronyLatency
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import ExecutionRecord, Monitor
 from repro.sim.network import Network
 
 #: Simulation chunk size (virtual ms) between stop-condition checks.
@@ -129,35 +131,16 @@ class MachineProcess:
 
         Runs inside the simulator event that invoked the machine handler,
         so scheduled deliveries get the same (time, seq) keys as when the
-        handler performed the sends itself.  A run of consecutive
-        :class:`Send` effects of one payload and size (a client's request
-        to every replica) is one fan-out send; a :class:`Broadcast` is one
-        send to its destinations; a :class:`Reply` plays in one loop as the
-        charge-and-send pair per reply it stands for.
+        handler performed the sends itself.  A :class:`Send` is one
+        fan-out send to its destinations; a :class:`Reply` plays in one
+        loop as the charge-and-send pair per reply it stands for; a
+        :class:`Commit` is one execution record in the network's monitor,
+        stamped now.
         """
-        index = 0
-        count = len(effects)
-        while index < count:
-            effect = effects[index]
-            index += 1
+        for effect in effects:
             kind = type(effect)
             if kind is Send:
-                payload = effect.payload
-                size = effect.size_bytes
-                dests = [effect.dest]
-                while index < count:
-                    follower = effects[index]
-                    if (
-                        type(follower) is not Send
-                        or follower.payload is not payload
-                        or follower.size_bytes != size
-                    ):
-                        break
-                    dests.append(follower.dest)
-                    index += 1
-                self.send(dests, payload, size)
-            elif kind is Broadcast:
-                self.send(self._fan_out(effect), effect.payload, effect.size_bytes)
+                self.send(effect.dests, effect.payload, effect.size_bytes)
             elif kind is ChargeCpu:
                 self.charge(effect.ms)
             elif kind is SetTimer:
@@ -168,17 +151,21 @@ class MachineProcess:
                     timer.cancel()
             elif kind is Reply:
                 self._reply(effect)
-            # Commit needs no interpretation here: the monitor already
-            # observed the execution through the ledger.
+            elif kind is Commit:
+                self._record(effect)
 
-    def _fan_out(self, effect: Broadcast) -> Sequence[int]:
-        """A broadcast's destinations: ``dests`` in order, this seat's pid only
-        with ``include_self`` (and then last unless ``dests`` names it)."""
-        pid = self.pid
-        dests = effect.dests
-        if effect.include_self:
-            return dests if pid in dests else (*dests, pid)
-        return [dest for dest in dests if dest != pid] if pid in dests else dests
+    def _record(self, effect: Commit) -> None:
+        """One execution of ``effect.block`` here, under the block's own view
+        (an ancestor executed on a descendant's decision keeps its view)."""
+        network = self.network
+        if network is None:
+            raise SimulationError(f"process {self.pid} is not attached to a network")
+        block = effect.block
+        network.monitor.record_execution(
+            ExecutionRecord(
+                self.pid, block.view, block.hash, effect.txs, block.created_at, self.sim.now
+            )
+        )
 
     def _reply(self, effect: Reply) -> None:
         """Each reply of ``effect`` charged, then sent behind the CPU.
@@ -312,7 +299,6 @@ class ConsensusSystem:
                 self.num_replicas,
                 self.quorum,
                 oracle=self.oracle,
-                monitor=self.monitor,
                 client_pids=client_pids,
             )
             replica.replica_pids = list(range(self.num_replicas))

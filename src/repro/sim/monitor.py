@@ -3,7 +3,9 @@
 The paper reports throughput in Kops/s and latency in ms, and Table 1
 counts protocol messages.  The :class:`Monitor` observes every network send
 and every block execution so that experiments can pull those numbers out of
-a finished simulation without the protocols carrying measurement code.
+a finished simulation without the protocols carrying measurement code: the
+network counts sends as it carries them, and a machine's seat records an
+:class:`ExecutionRecord` when it plays the machine's ``Commit`` effect.
 """
 
 from __future__ import annotations
@@ -11,7 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.monitor import ExecutionRecord
+
+@dataclass
+class ExecutionRecord:
+    """One block execution observed at one replica."""
+
+    replica: int
+    view: int
+    block_hash: bytes
+    num_transactions: int
+    proposed_at: float
+    executed_at: float
+
+    @property
+    def latency_ms(self) -> float:
+        """Proposal-to-execution latency of the block at this replica."""
+        return self.executed_at - self.proposed_at
 
 
 class Tally(dict[Any, int]):
@@ -77,7 +94,7 @@ class Monitor:
         self.duplicated_by_type[msg_type] += copies
 
     def record_execution(self, record: ExecutionRecord) -> None:
-        """Called by replicas when they execute (commit) a block."""
+        """Called by a replica's seat when it plays a ``Commit`` effect."""
         self.executions.append(record)
         if record.block_hash not in self._blocks:
             self._blocks.add(record.block_hash)
@@ -114,30 +131,3 @@ class Monitor:
         if not self._latencies:
             return 0.0
         return sum(self._latencies) / len(self._latencies)
-
-    def latency_percentile_ms(self, percentile: float) -> float:
-        """Latency percentile (nearest-rank) over all executions.
-
-        ``percentile`` is in [0, 100]; tail latencies (p99) expose
-        view-change stalls that the mean smooths over.
-        """
-        if not (0.0 <= percentile <= 100.0):
-            raise ValueError("percentile must be within [0, 100]")
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        rank = max(0, min(len(ordered) - 1, round(percentile / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def latency_stddev_ms(self) -> float:
-        """Population standard deviation of execution latencies."""
-        latencies = self._latencies
-        if len(latencies) < 2:
-            return 0.0
-        mean = self.mean_latency_ms()
-        var = sum((latency - mean) ** 2 for latency in latencies) / len(latencies)
-        return var**0.5
-
-    def messages_per_view(self, view: int) -> int:
-        """Protocol messages attributed to a given view (Table 1 check)."""
-        return self.view_message_counts[view]

@@ -20,8 +20,9 @@ and duplicated messages are counted by the monitor so chaos experiments
 can report exactly what they injected.
 
 :meth:`Network.send` is the one send path, and it takes a sequence of
-destinations: a seat hands it a broadcast, or a run of sends of one
-payload, whole.  The payload is sized, labelled and its view read once;
+destinations: a seat hands it a ``Send`` effect's destinations whole,
+exactly the pids the machine named (its own included only when the
+machine's ``broadcast`` put it there).  The payload is sized, labelled and its view read once;
 with no tap, filter or FIFO link the fan-out is counted once and each
 destination costs one latency draw and one post.  Taps, filters and FIFO
 links see each destination in turn, exactly as separate sends would.

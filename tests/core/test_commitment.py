@@ -24,13 +24,14 @@ def make(scheme, signer, h=b"\x01" * 32, v=3, hj=b"\x02" * 32, vj=2, ph=Phase.PR
 
 
 def test_accessors_match_paper_notation(scheme):
+    # <Hprep, Vprep, Hjust, Vjust, ph, sign> in the paper's order.
     phi = make(scheme, 0)
-    assert phi.hprep == b"\x01" * 32
-    assert phi.vprep == 3
-    assert phi.hjust == b"\x02" * 32
-    assert phi.vjust == 2
+    assert phi.h_prep == b"\x01" * 32
+    assert phi.v_prep == 3
+    assert phi.h_just == b"\x02" * 32
+    assert phi.v_just == 2
     assert phi.phase == Phase.PREPARE
-    assert len(phi.sign) == 1
+    assert len(phi.sigs) == 1
 
 
 def test_verify_roundtrip(scheme):
@@ -117,12 +118,8 @@ def test_c_match_rejects_multi_sig_entries(scheme):
 def test_chained_accessors(scheme):
     prep = make(scheme, 0, h=b"\x05" * 32, v=7, hj=None, vj=None, ph=Phase.PREPARE)
     assert prep.view == 7
-    assert prep.hcomm == b"\x05" * 32
-    assert prep.vcomm == 7
     nv = make(scheme, 1, h=None, v=7, hj=b"\x06" * 32, vj=5, ph=Phase.NEW_VIEW)
     assert nv.view == 7
-    assert nv.hcomm == b"\x06" * 32
-    assert nv.vcomm == 5
 
 
 def test_certificate_vocabulary(scheme):

@@ -8,7 +8,6 @@ from repro.core.chain import BlockStore
 from repro.core.executor import Ledger, SafetyOracle
 from repro.core.keyset import ClientKeySet
 from repro.core.mempool import Transaction
-from repro.sim.monitor import Monitor
 
 
 def tx(i):
@@ -31,7 +30,7 @@ def test_execute_in_order():
     ledger = Ledger(0, store)
     blocks = build_chain(store, 3)
     for b in blocks:
-        newly = ledger.execute(b, now=10.0)
+        newly = ledger.execute(b)
         assert [x.hash for x in newly] == [b.hash]
     assert ledger.height() == 3
     assert ledger.last_executed_hash == blocks[-1].hash
@@ -42,7 +41,7 @@ def test_execute_catches_up_ancestors():
     store = BlockStore()
     ledger = Ledger(0, store)
     blocks = build_chain(store, 4)
-    newly = ledger.execute(blocks[3], now=5.0)
+    newly = ledger.execute(blocks[3])
     assert [b.hash for b in newly] == [b.hash for b in blocks]
 
 
@@ -50,8 +49,8 @@ def test_execute_idempotent():
     store = BlockStore()
     ledger = Ledger(0, store)
     [b] = build_chain(store, 1)
-    assert len(ledger.execute(b, 1.0)) == 1
-    assert ledger.execute(b, 2.0) == []
+    assert len(ledger.execute(b)) == 1
+    assert ledger.execute(b) == []
     assert ledger.height() == 1
 
 
@@ -60,22 +59,9 @@ def test_execute_rejects_fork():
     ledger = Ledger(0, store)
     main = build_chain(store, 2, tag=1)
     fork = build_chain(store, 2, tag=2)
-    ledger.execute(main[1], 1.0)
+    ledger.execute(main[1])
     with pytest.raises(ProtocolError):
-        ledger.execute(fork[1], 2.0)
-
-
-def test_ledger_reports_to_monitor():
-    store = BlockStore()
-    monitor = Monitor()
-    ledger = Ledger(3, store, monitor=monitor)
-    [b] = build_chain(store, 1)
-    ledger.execute(b, now=42.0, view=9)
-    [rec] = monitor.executions
-    assert rec.replica == 3
-    assert rec.view == b.view  # recorded under the block's own view
-    assert rec.executed_at == 42.0
-    assert rec.block_hash == b.hash
+        ledger.execute(fork[1])
 
 
 def test_oracle_accepts_agreement():
@@ -165,8 +151,8 @@ def test_ledger_reports_to_oracle():
     ledger_a = Ledger(0, store, oracle=oracle)
     ledger_b = Ledger(1, store, oracle=oracle)
     blocks = build_chain(store, 2)
-    ledger_a.execute(blocks[1], 1.0)
-    ledger_b.execute(blocks[1], 1.0)
+    ledger_a.execute(blocks[1])
+    ledger_b.execute(blocks[1])
     assert oracle.safe
     assert len(oracle.sequences) == 2
 
@@ -178,7 +164,6 @@ def test_recarried_key_is_skipped_the_same_way_at_every_replica():
     """A block re-carrying an applied key applies only what is new - and the
     applied tuple is a function of the chain, so two replicas agree on it."""
     oracle = SafetyOracle(strict=True)
-    monitor = Monitor()
     store = BlockStore()
     first = create_leaf(store.genesis.hash, 1, (tx(0), tx(1)))
     # Carries 1 again, 2 twice, and filler that is no client's request.
@@ -187,13 +172,12 @@ def test_recarried_key_is_skipped_the_same_way_at_every_replica():
     store.add(first)
     store.add(second)
     for replica in (0, 1):
-        ledger = Ledger(replica, store, oracle, monitor)
-        ledger.execute(second, now=1.0)
+        ledger = Ledger(replica, store, oracle)
+        ledger.execute(second)
         assert tuple(ledger.applied_transactions(first)) == (tx(0), tx(1))
         assert tuple(ledger.applied_transactions(second)) == (filler, tx(2), filler)
         assert ledger.filtered == 2
         assert (0, 2) in ledger.applied and (0, 3) not in ledger.applied
-    assert [rec.num_transactions for rec in monitor.executions] == [2, 3, 2, 3]
     assert oracle.safe
 
 
@@ -219,10 +203,10 @@ def test_apply_synced_feeds_the_same_record():
     store.add(first)
     store.add(second)
     replayed = Ledger(0, store)
-    replayed.execute(second, now=1.0)
+    replayed.execute(second)
     synced = Ledger(1, BlockStore())  # state transfer: no stored path needed
-    synced.apply_synced(first, now=2.0)
-    synced.apply_synced(second, now=2.0)
+    synced.apply_synced(first)
+    synced.apply_synced(second)
     for block in (first, second):
         assert synced.applied_transactions(block) == replayed.applied_transactions(block)
     assert synced.filtered == replayed.filtered == 1
@@ -238,7 +222,7 @@ def test_synthetic_filler_is_never_a_duplicate():
     store.add(first)
     store.add(second)
     ledger = Ledger(0, store)
-    ledger.execute(second, now=1.0)
+    ledger.execute(second)
     assert tuple(ledger.applied_transactions(second)) == filler
     assert ledger.filtered == 0
     assert first.client_keys() == ()

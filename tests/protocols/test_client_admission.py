@@ -86,9 +86,9 @@ def test_full_nack_resubmits_within_retry_limit():
     for sender in range(4):
         effects = nack(client, sender, 0, AdmissionVerdict.RATE_LIMITED)
     # The final NACK triggered a rebroadcast of the same transaction...
-    sends = [e for e in effects if isinstance(e, Send)]
-    assert [e.dest for e in sends] == [0, 1, 2, 3]
-    assert all(e.payload.tx.tx_id == 0 for e in sends)
+    (send,) = [e for e in effects if isinstance(e, Send)]
+    assert send.dests == (0, 1, 2, 3)
+    assert send.payload.tx.tx_id == 0
     assert client.retried == 1
     assert client.dropped == 0
     # ...and a second full round of NACKs exhausts the budget: dropped.

@@ -137,7 +137,7 @@ def test_chassis_traffic_is_served_to_replicas_only():
     assert stranger.hash not in replica.store
     # A peer asking the same is served.
     (reply,) = replica.on_message(1, BlockRequest(held))
-    assert reply.dest == 1 and reply.payload.block.hash == held
+    assert reply.dests == (1,) and reply.payload.block.hash == held
 
 
 def test_leader_schedule_round_robin():

@@ -1,6 +1,6 @@
 """Tests for the sans-I/O machine base class and its effect flushing."""
 
-from repro.runtime.effects import Broadcast, CancelTimer, ChargeCpu, Send, SetTimer
+from repro.runtime.effects import CancelTimer, ChargeCpu, Send, SetTimer
 from repro.runtime.machine import Machine
 
 
@@ -46,17 +46,28 @@ def test_entry_point_returns_ordered_effects():
     effects = machine.on_message(1, "ping")
     assert effects == [
         ChargeCpu(1.0),
-        Send(1, "reply"),
-        Broadcast((0, 1, 2), "news"),
+        Send((1,), "reply"),
+        Send((1, 2), "news"),  # a broadcast leaves its sender out by default
     ]
     # The runtime saw exactly the same batch, exactly once.
     assert runtime.batches == [effects]
 
 
+def test_a_broadcast_decides_its_receivers_once():
+    machine, runtime = build()  # pid 0
+    machine.broadcast([1, 0, 2], "a", include_self=True)  # keeps its place
+    machine.broadcast([1, 2], "b", include_self=True)  # appended last
+    machine.broadcast([1, 0, 2], "c")  # filtered out
+    machine.broadcast((1, 2), "d")
+    assert [effect.dests for (effect,) in runtime.batches] == [
+        (1, 0, 2), (1, 2, 0), (1, 2), (1, 2)
+    ]
+
+
 def test_non_handler_entry_points_keep_their_return_value():
     machine, runtime = build()
     assert machine.poke() == "value"
-    assert runtime.batches == [[Send(2, "poked")]]
+    assert runtime.batches == [[Send((2,), "poked")]]
 
 
 def test_effects_without_runtime_are_still_returned():

@@ -18,6 +18,7 @@ import itertools
 import socket
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,10 @@ from repro.runtime.effects import ChargeCpu, Reply, Send
 from repro.runtime.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame, encode_hello
 from repro.runtime.machine import Machine
 from repro.runtime.resilience.transport import FaultDecider, decision_table
+from repro.sim.events import Simulator
+from repro.sim.latency import ConstantLatency
+from repro.sim.network import Network
+from tests.conftest import seat_recorders
 
 
 class Scripted(Machine):
@@ -146,6 +151,35 @@ def test_broadcast_is_encoded_once_and_counted_per_frame(monkeypatch):
                 await runtime.close()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_both_hosts_deliver_a_broadcast_to_the_same_pids(include_self):
+    """The machine decides a broadcast's receivers; neither host adds its
+    sender back (over TCP a self-delivery is a loop callback, so one turn of
+    the loop after the peers heard it shows whether there was one)."""
+    msg = BlockRequest(b"\x07" * 32)
+
+    def script(machine):
+        machine.broadcast([1, 0, 2], msg, include_self=include_self)
+
+    sim = Simulator()
+    recorders = seat_recorders(Network(sim, ConstantLatency(1.0)), 0, 1, 2)
+    script(recorders[0])
+    sim.run()
+    simulated = [r.pid for r in recorders if r.received]
+
+    async def scenario():
+        runtimes = await _cluster(2, script)
+        try:
+            await _until(lambda: all(rt.machine.received for rt in runtimes[1:]))
+            await asyncio.sleep(0.05)
+            return [rt.machine.pid for rt in runtimes if rt.machine.received]
+        finally:
+            for runtime in runtimes:
+                await runtime.close()
+
+    assert asyncio.run(scenario()) == simulated == ([0, 1, 2] if include_self else [1, 2])
 
 
 def test_consecutive_sends_share_an_encoding_by_object_not_by_luck(monkeypatch):
@@ -740,7 +774,7 @@ def test_a_reply_effect_joins_the_packed_replies_and_each_row_is_decided():
         runtime = AsyncioRuntime(Scripted(0, WallClock()), fault_decider=decider)
         runtime.set_peers({9: await _unreachable_peer()})
         try:
-            runtime.execute([Send(9, replies[0]), Reply([(9, r) for r in replies[1:]], 0.0, 51)])
+            runtime.execute([Send((9,), replies[0]), Reply([(9, r) for r in replies[1:]], 0.0, 51)])
             return runtime.sent_messages, list(runtime._queues[9].frames)
         finally:
             await runtime.close()
@@ -761,10 +795,10 @@ def test_shedding_a_packed_frame_counts_its_rows(monkeypatch):
         runtime = AsyncioRuntime(Scripted(0, WallClock()))
         runtime.set_peers({9: await _unreachable_peer()})
         try:
-            runtime.execute([Send(9, reply) for reply in replies])
-            runtime.execute([Send(9, _block_request(1))])
+            runtime.execute([Send((9,), reply) for reply in replies])
+            runtime.execute([Send((9,), _block_request(1))])
             assert (runtime.sent_messages, runtime.dropped_messages) == (6, 0)
-            runtime.execute([Send(9, _block_request(2))])  # sheds the packed frame
+            runtime.execute([Send((9,), _block_request(2))])  # sheds the packed frame
             assert (runtime.sent_messages, runtime.dropped_messages) == (7, len(replies))
             assert len(runtime._queues[9].frames) == 2
         finally:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.monitor import ExecutionRecord
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import ExecutionRecord, Monitor
 
 
 def record(replica=0, view=1, block=b"b1", txs=10, proposed=0.0, executed=50.0):
@@ -52,36 +51,6 @@ def test_committed_views():
     assert monitor.committed_views() == {1, 3}
 
 
-def test_latency_percentiles():
-    monitor = Monitor()
-    for i in range(100):
-        monitor.record_execution(
-            record(view=i, block=bytes([i]), proposed=0.0, executed=float(i + 1))
-        )
-    assert monitor.latency_percentile_ms(0) == 1.0
-    assert monitor.latency_percentile_ms(100) == 100.0
-    assert 49.0 <= monitor.latency_percentile_ms(50) <= 52.0
-    assert monitor.latency_percentile_ms(99) >= 98.0
-
-
-def test_latency_percentile_validation_and_empty():
-    monitor = Monitor()
-    assert monitor.latency_percentile_ms(50) == 0.0
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        monitor.latency_percentile_ms(101)
-
-
-def test_latency_stddev():
-    monitor = Monitor()
-    assert monitor.latency_stddev_ms() == 0.0
-    monitor.record_execution(record(proposed=0.0, executed=10.0))
-    assert monitor.latency_stddev_ms() == 0.0  # single sample
-    monitor.record_execution(record(view=2, block=b"y", proposed=0.0, executed=30.0))
-    assert monitor.latency_stddev_ms() == pytest.approx(10.0)
-
-
 def test_record_send_accounting():
     monitor = Monitor()
     monitor.record_send("vote", 100, view=2)
@@ -91,5 +60,5 @@ def test_record_send_accounting():
     assert monitor.bytes_sent == 5200
     assert monitor.messages_by_type["vote"] == 2
     assert monitor.bytes_by_type["proposal"] == 5000
-    assert monitor.messages_per_view(2) == 3
-    assert monitor.messages_per_view(9) == 0
+    assert monitor.view_message_counts[2] == 3
+    assert monitor.view_message_counts[9] == 0

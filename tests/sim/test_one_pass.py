@@ -1,7 +1,8 @@
 """The one-pass send paths against the per-message path they replace.
 
-A seat plays a run of same-payload ``Send`` effects, a ``Broadcast`` and a
-``Reply`` with one network pass per payload; the reference below plays
+A seat plays a ``Send`` to several pids (a broadcast, the sender's own pid
+included when the machine decided so) and a ``Reply`` with one network pass
+per payload; the reference below plays
 every copy as its own send through the full per-destination pass (the
 seat's and the network's code before the fan-out).  Both must leave the
 same heap - every entry's ``(time, seq)`` key and what it will do - the
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.codec import msg_type_of, wire_size_of
 from repro.core.faults import FaultAction
 from repro.core.rng import RngStream
-from repro.runtime.effects import Broadcast, ChargeCpu, Reply, Send
+from repro.runtime.effects import ChargeCpu, Reply, Send
 from repro.runtime.sim import MachineProcess
 from repro.sim.events import Simulator
 from repro.sim.latency import MatrixLatency
@@ -55,14 +56,8 @@ class PerMessage:
         process = self.process
         for effect in effects:
             if type(effect) is Send:
-                self.send(effect.dest, effect.payload, effect.size_bytes)
-            elif type(effect) is Broadcast:
                 for dest in effect.dests:
-                    if dest == process.pid and not effect.include_self:
-                        continue
                     self.send(dest, effect.payload, effect.size_bytes)
-                if effect.include_self and process.pid not in effect.dests:
-                    self.send(process.pid, effect.payload, effect.size_bytes)
             elif type(effect) is ChargeCpu:
                 process.charge(effect.ms)
             elif type(effect) is Reply:
@@ -183,16 +178,15 @@ pids = st.sampled_from(PIDS)
 payloads = st.sampled_from(PAYLOADS)
 sizes = st.one_of(st.none(), st.integers(1, 4000))
 effects = st.one_of(
-    # Runs of one payload to several destinations are the client's fan-out.
+    # Runs of one payload sent to one pid at a time (a loop of ``send``).
     st.builds(
-        lambda dests, payload, size: [Send(dest, payload, size) for dest in dests],
+        lambda dests, payload, size: [Send((dest,), payload, size) for dest in dests],
         st.lists(pids, min_size=1, max_size=4), payloads, sizes,
     ),
+    # One fan-out, the sender's pid among them or not (a ``broadcast``).
     st.builds(
-        lambda dests, payload, include_self, size: [
-            Broadcast(tuple(dests), payload, include_self, size)
-        ],
-        st.lists(pids, max_size=4), payloads, st.booleans(), sizes,
+        lambda dests, payload, size: [Send(tuple(dests), payload, size)],
+        st.lists(pids, max_size=4), payloads, sizes,
     ),
     st.builds(lambda ms: [ChargeCpu(ms)], st.sampled_from([0.0, 0.25, 3.0])),
     st.builds(

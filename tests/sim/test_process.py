@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.block import create_leaf
 from repro.core.mempool import AdmissionVerdict
 from repro.core.messages import ClientReply
 from repro.errors import SimulationError
-from repro.runtime.effects import ChargeCpu, Reply, Send
+from repro.runtime.effects import ChargeCpu, Commit, Reply, Send
 from repro.runtime.sim import MachineProcess
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency
+from repro.sim.monitor import ExecutionRecord
 from repro.sim.network import Network
 from tests.conftest import Recorder, seat_recorders
 
@@ -72,6 +74,17 @@ def test_broadcast_include_self():
     sim.run()
     assert len(a.received) == 1
     assert len(b.received) == 1
+
+
+def test_a_commit_effect_is_one_execution_record():
+    """Stamped with the instant the seat plays it, under the block's own view
+    (an ancestor executed on a descendant's decision keeps its view)."""
+    sim, net, _a, _b = make_pair()
+    block = create_leaf(b"\x00" * 32, 4, (), created_at=1.5)
+    sim.schedule(7.0, net.processes[1].execute, [Commit(block, 3)])
+    sim.run()
+    assert net.monitor.executions == [ExecutionRecord(1, 4, block.hash, 3, 1.5, 7.0)]
+    assert net.monitor.committed_block_count() == 1
 
 
 def test_charge_delays_send():
@@ -147,5 +160,5 @@ def test_a_reply_effect_plays_as_a_charge_and_a_send_per_reply(replies, cost_ms,
     for dest, reply in sends:
         if cost_ms > 0:  # a machine emits no ChargeCpu for a free operation
             reference.append(ChargeCpu(cost_ms))
-        reference.append(Send(dest, reply, size_bytes))
+        reference.append(Send((dest,), reply, size_bytes))
     assert play([Reply(sends, cost_ms, size_bytes)]) == play(reference)
