@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Chaos run: Damysus under loss, a partition, and crash/recovery.
 
-This is the campaign's honest chaos cell - what ``repro chaos`` runs.
+This is the campaign's honest chaos cell - what ``repro campaign
+--adversaries none --plans chaos --topologies eu`` runs.
 The ``chaos`` base plan drops 20% of all messages, cuts the first f
 replicas off behind a symmetric partition mid-run, and crash/recovers
 the trailing f replicas - sealing their Checker state through the

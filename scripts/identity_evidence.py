@@ -3,9 +3,9 @@
 
 * the digest of ``repro campaign --seed 1 --smoke`` and of the full
   ``repro campaign --seed 1``;
-* the verdict and digest of the campaign cell ``repro chaos --protocol P
-  --seed 1`` runs (adversary ``none``, plan ``chaos``, topology ``eu``),
-  for each of the seven protocols;
+* the verdict and digest of the honest chaos campaign cell (adversary
+  ``none``, plan ``chaos``, topology ``eu``, seed 1), for each of the
+  seven protocols;
 * the digest ``benchmarks/ledger/run.py`` reports for each ``sim-*``
   workload on seeds 1-3 (the ledger is *called*, one quick untraced run
   per cell; nothing under ``benchmarks/ledger`` is touched);
@@ -178,7 +178,7 @@ def campaign_digest(smoke: bool) -> str:
 
 
 def chaos_cell(protocol: str) -> str:
-    """Verdict and digest of the cell ``repro chaos --protocol P --seed 1`` runs."""
+    """Verdict and digest of the honest chaos cell for ``protocol``, seed 1."""
     report = json.loads(_run([
         "-m", "repro", "campaign", "--protocols", protocol, "--adversaries", "none",
         "--plans", "chaos", "--topologies", "eu", "--seed", "1", "--json",

@@ -6,17 +6,20 @@ harnesses need to run it on either runtime:
 * the Byzantine replica class per supported protocol (adversaries are
   sans-I/O Machines, so the same class runs on the simulator via
   ``ConsensusSystem(replica_overrides=...)`` and on asyncio TCP via
-  ``repro serve --adversary`` / ``run_local_cluster``);
+  ``LocalCluster(adversary=...)`` / ``repro serve --adversary``);
 * which pids to seat it at for a given cluster size (a coalition takes
-  ``f`` seats, most attacks take one);
+  ``f`` seats, most attacks take one) - :meth:`AdversarySpec.replica_overrides`
+  is that rule, used by ``repro run --adversary`` on both runtimes and by
+  every campaign cell;
 * an optional *colluding fault plan* - network/crash faults the attack
   coordinates with (leader isolation, the crash that triggers an
   amnesia restart, the outage that forces a victim into catch-up);
 * a counter extractor, so harnesses can assert the attack actually
   fired (``attack_events > 0``) rather than silently testing nothing.
 
-``repro campaign`` sweeps this registry; ``repro net-chaos
---adversary`` and ``repro serve --adversary`` look names up here.
+``repro campaign`` sweeps this registry; ``repro run --adversary``,
+``repro net-chaos --adversary`` and ``repro serve --adversary`` look
+names up here.
 """
 
 from __future__ import annotations
@@ -133,6 +136,14 @@ class AdversarySpec:
                 f"(supported: {', '.join(sorted(self.classes))})"
             ) from None
 
+    def replica_overrides(self, protocol: str, num_replicas: int, f: int) -> dict[int, type]:
+        """The attack's seats in a ``num_replicas``-replica ``protocol`` cluster, pid -> class.
+
+        The one seating rule every harness applies (``ConsensusSystem``'s
+        and ``LocalCluster``'s ``replica_overrides``), in seat order.
+        """
+        return {pid: self.replica_class(protocol) for pid in self.seats(num_replicas, f)}
+
 
 ADVERSARIES: dict[str, AdversarySpec] = {
     spec.name: spec
@@ -235,7 +246,7 @@ ADVERSARIES: dict[str, AdversarySpec] = {
 
 
 #: The honest "adversary" ``none``: it seats nobody and brings no plan,
-#: so a cell runs its base plan alone (``repro chaos`` is one).  Looked up
+#: so a cell runs its base plan alone (the honest ``chaos`` cell is one).  Looked up
 #: by name, never swept by default: it is not in :data:`ADVERSARIES`.
 HONEST = AdversarySpec(
     name="none",

@@ -9,7 +9,8 @@
   safe, and that the Damysus checker + accumulator close the hole.
 * :mod:`~repro.analysis.campaign` - protocols under fault plans and
   attacks, scored by safety, liveness and degradation oracles (the
-  honest ``chaos`` cell is ``repro chaos``).
+  honest ``chaos`` cell is ``repro campaign --adversaries none --plans
+  chaos --topologies eu``).
 """
 
 from repro.analysis.complexity import TABLE1_ROWS, Table1Row, expected_messages, table1

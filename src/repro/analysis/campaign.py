@@ -22,7 +22,8 @@ out the faults, and scores the run with three oracles:
   ``minimal`` / ``moderate`` / ``severe``.
 
 The honest adversary ``none`` seats nobody, so its cell is the base plan
-alone; ``repro chaos`` is the ``none`` x ``chaos`` x ``eu`` cell.
+alone: ``repro campaign --adversaries none --plans chaos --topologies eu``
+is the honest chaos cell.
 
 Everything is a pure function of the campaign seed: the same seed yields
 a bit-identical JSON report (no wall-clock fields anywhere), which CI
@@ -110,11 +111,11 @@ class CampaignCell:
     # -- SafetyOracle ---------------------------------------------------
     safe: bool
     violation: str | None
-    # -- LivenessOracle -------------------------------------------------
+    # -- LivenessOracle (None: unscored, because the cell is unsafe) -----
     live_after_heal: bool
-    views_to_recover: int | None  # view gap heal -> first fresh commit
-    commit_rate: float  # post-heal blocks per view, slowest correct replica
-    baseline_commit_rate: float  # the same, in the clean baseline
+    views_to_recover: int | None  # view gap heal -> first fresh commit (None if none)
+    commit_rate: float | None  # post-heal blocks per view, slowest correct replica
+    baseline_commit_rate: float | None  # the same, in the clean baseline
     healed_at_ms: float
     duration_ms: float  # virtual, deterministic
     # -- DegradationOracle ----------------------------------------------
@@ -206,10 +207,11 @@ class CampaignReport:
         lines = [header, "-" * len(header)]
         for cell in self.cells:
             recover = "-" if cell.views_to_recover is None else str(cell.views_to_recover)
+            rate = "-" if cell.commit_rate is None else f"{cell.commit_rate:.2f}"
             lines.append(
                 f"{cell.protocol:10s} {cell.adversary:11s} {cell.plan:6s} "
                 f"{cell.topology:6s} {cell.verdict:8s} {cell.degradation:9s} "
-                f"{cell.degradation_ratio:6.2f} {recover:>5s} {cell.commit_rate:5.2f} "
+                f"{cell.degradation_ratio:6.2f} {recover:>5s} {rate:>5s} "
                 f"{cell.attack_events:>7d}"
             )
         for adversary, protocol in self.skipped:
@@ -294,7 +296,8 @@ def run_cell(
     """
     config = _cell_config(protocol, topology, seed, dict(config_overrides or {}))
     num_replicas = get_spec(protocol).num_replicas(config.f)
-    seats = spec.seats(num_replicas, config.f)
+    overrides = spec.replica_overrides(protocol, num_replicas, config.f)
+    seats = tuple(overrides)
     colluding = (
         spec.colluding_plan(num_replicas, config.f)
         if spec.colluding_plan is not None
@@ -307,11 +310,7 @@ def run_cell(
             f"campaign plan {plan_name!r} never heals; liveness cannot be scored"
         )
 
-    system = ConsensusSystem(
-        config,
-        strict_safety=True,
-        replica_overrides={pid: spec.replica_class(protocol) for pid in seats},
-    )
+    system = ConsensusSystem(config, strict_safety=True, replica_overrides=overrides)
     system.apply_fault_plan(plan)
     violation: str | None = None
     views_at_heal: set[int] = set()
@@ -334,18 +333,28 @@ def run_cell(
         violation = str(exc)
 
     safe = violation is None and system.oracle.safe and system.oracle.monotone_prefixes_ok()
-    fresh_views = system.monitor.committed_views() - views_at_heal
-    views_to_recover: int | None = None
-    if fresh_views:
-        frontier = max(views_at_heal) if views_at_heal else 0
-        views_to_recover = min(fresh_views) - frontier
-    views_run, commit_rate = _commit_rate(system, seats, at_heal)
     duration_ms = system.sim.now
-    commits = _commits(system)
+    views_to_recover: int | None = None
+    commit_rate: float | None = None
+    views_run = 0
+    if violation is None:
+        fresh_views = system.monitor.committed_views() - views_at_heal
+        if fresh_views:
+            frontier = max(views_at_heal) if views_at_heal else 0
+            views_to_recover = min(fresh_views) - frontier
+        views_run, commit_rate = _commit_rate(system, seats, at_heal)
+        commits = _commits(system)
+    else:
+        # The oracle raised inside a ledger's execute call, so the monitor
+        # never heard of that call's blocks; the oracle recorded each one.
+        # Liveness is left unscored: an unsafe cell fails on safety alone.
+        oracle = system.oracle
+        commits = len(set(oracle.canonical_chain()).union(*oracle.sequences.values()))
 
     # DegradationOracle: the identical deployment, same seed, no
     # adversary and no colluding faults, run for the same virtual time.
     # Its stretch from the heal on is the LivenessOracle's yardstick.
+    baseline_rate: float | None
     if seats or colluding is not None:
         baseline = ConsensusSystem(config, strict_safety=True)
         baseline.apply_fault_plan(base_plans(num_replicas, config.f)[plan_name])
@@ -359,7 +368,9 @@ def run_cell(
         baseline_commits, baseline_rate = commits, commit_rate
     ratio = commits / baseline_commits if baseline_commits else 1.0
     live = (
-        views_to_recover is not None
+        commit_rate is not None
+        and baseline_rate is not None
+        and views_to_recover is not None
         and views_to_recover <= view_budget
         and views_run >= view_budget
         and commit_rate >= LIVENESS_RATE_SHARE * baseline_rate
@@ -375,8 +386,8 @@ def run_cell(
         violation=violation,
         live_after_heal=live,
         views_to_recover=views_to_recover,
-        commit_rate=round(commit_rate, 4),
-        baseline_commit_rate=round(baseline_rate, 4),
+        commit_rate=None if commit_rate is None else round(commit_rate, 4),
+        baseline_commit_rate=None if baseline_rate is None else round(baseline_rate, 4),
         healed_at_ms=healed_at,
         duration_ms=duration_ms,
         commits=commits,
@@ -384,7 +395,7 @@ def run_cell(
         degradation_ratio=round(ratio, 4),
         degradation=degradation_label(ratio),
         attack_events=sum(spec.events(system.replicas[pid]) for pid in seats),
-        attacker_pids=tuple(seats),
+        attacker_pids=seats,
         timeouts_fired=sum(r.pacemaker.timeouts_fired for r in system.replicas),
     )
 

@@ -2,19 +2,20 @@
 
 Commands:
 
-* ``run`` - simulate one protocol deployment and print its metrics, or
-  several protocols on the same deployment side by side;
+* ``run`` - run one protocol deployment and print what it measured, or
+  several protocols on the same deployment side by side; on the
+  simulator (``--runtime sim``, the default) or as a localhost cluster on
+  asyncio TCP sockets (``--runtime tcp``), from the same flags;
 * ``experiment`` - regenerate one of the paper's tables/figures; the
   grids (Figs 6-8) take their size as flags and shard across processes;
 * ``profile`` - cProfile one scenario cell and print the hot functions;
-* ``chaos`` - the campaign cell with nobody seated on the ``chaos`` plan
-  (lossy links, a partition, crash/recovery), printed as a verdict row;
 * ``campaign`` - seeded attack-campaign sweep: {protocol x adversary x
   fault plan x topology}, each cell scored by safety/liveness/degradation
-  oracles into a deterministic JSON verdict table;
+  oracles into a deterministic JSON verdict table (``--adversaries none
+  --plans chaos --topologies eu`` is the honest chaos cell: lossy links,
+  a partition, crash/recovery);
 * ``counterexample`` - print the Section 4 trusted-counter demonstration;
 * ``serve`` - run one replica on real asyncio TCP sockets (fixed ports);
-* ``net-bench`` - run a localhost TCP cluster and report committed tx/s;
 * ``net-chaos`` - multi-process chaos: plays a named fault plan (SIGKILL
   + restart from the durable record, a live partition/heal) on OS processes and
   gives it a campaign cell's verdict (PASS / UNSAFE / STALLED);
@@ -31,6 +32,7 @@ import inspect
 import sys
 from functools import partial
 
+from repro.adversary.registry import get_adversary
 from repro.analysis.counterexample import run_checker_scenario, run_counter_scenario
 from repro.analysis.engine import (
     BASELINE_DEFAULT,
@@ -51,6 +53,9 @@ from repro.sim.regions import EU_REGIONS, WORLD_REGIONS
 
 _REGIONS = {"eu": EU_REGIONS, "world": WORLD_REGIONS}
 
+#: Wall-clock seconds a ``run --runtime tcp`` may take unless ``--duration`` says.
+_TCP_DURATION_S = 5.0
+
 _EXPERIMENTS = {
     "table1": partial(table1_experiment, f=2),
     "fig6a": partial(fig6, payload_bytes=256),
@@ -70,25 +75,32 @@ _GRID_FLAGS = {
 }
 
 
+def _add_timeout_flags(
+    parser: argparse.ArgumentParser, timeout_ms: float = 2_000.0, jitter: float = 0.0
+) -> None:
+    """The pacemaker flags: ``SystemConfig``'s defaults unless a command sets its own."""
+    parser.add_argument("--timeout-ms", type=float, default=timeout_ms,
+                        help="pacemaker base view timeout")
+    parser.add_argument("--max-timeout-ms", type=float, default=0.0,
+                        help="pacemaker backoff ceiling (0 = 4x the base)")
+    parser.add_argument("--timeout-jitter", type=float, default=jitter,
+                        help="+/- fraction of seeded pacemaker jitter")
+
+
 def _add_deployment_flags(
     parser: argparse.ArgumentParser, seed_help: str | None = None
 ) -> None:
-    """The flags `serve` and `net-bench` describe a TCP deployment with."""
+    """The flags `serve` describes one replica's fixed-port TCP deployment with."""
     parser.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
     parser.add_argument("--n", type=int, default=4, help="cluster size")
     parser.add_argument("--seed", type=int, default=1, help=seed_help)
     parser.add_argument("--payload", type=int, default=128, help="tx payload bytes")
     parser.add_argument("--block-size", type=int, default=32, help="txs per block")
-    parser.add_argument("--timeout-ms", type=float, default=2_000.0,
-                        help="pacemaker base view timeout")
-    parser.add_argument("--max-timeout-ms", type=float, default=0.0,
-                        help="pacemaker backoff ceiling (0 = 4x the base)")
-    parser.add_argument("--timeout-jitter", type=float, default=0.0,
-                        help="+/- fraction of seeded pacemaker jitter")
+    _add_timeout_flags(parser)
 
 
 def deployment_config(args: argparse.Namespace) -> SystemConfig:
-    """The :class:`SystemConfig` the deployment flags describe (``f`` is sized from ``--n``)."""
+    """The :class:`SystemConfig` the `serve` flags describe (``f`` is sized from ``--n``)."""
     return SystemConfig(
         protocol=args.protocol, seed=args.seed, payload_bytes=args.payload,
         block_size=args.block_size, timeout_ms=args.timeout_ms,
@@ -106,21 +118,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser(
-        "run", help="simulate one protocol deployment, or several side by side"
+        "run", help="run one protocol deployment, or several side by side, "
+        "on the simulator or on localhost TCP"
     )
+    run_p.add_argument("--runtime", default="sim", choices=("sim", "tcp"),
+                       help="discrete-event simulator, or asyncio TCP sockets "
+                       "on localhost")
     run_p.add_argument("--protocol", nargs="+", default=["damysus"],
                        choices=sorted(SPECS), metavar="NAME",
                        help="one name prints its metrics, several a comparison "
                        "table (see `repro protocols`)")
-    run_p.add_argument("--f", type=int, default=1, help="fault threshold")
+    run_p.add_argument("--f", type=int, default=1,
+                       help="fault threshold; the cluster has the protocol's N(f) replicas")
     run_p.add_argument("--views", type=int, default=10, help="blocks to commit")
     run_p.add_argument("--payload", type=int, default=256, help="tx payload bytes")
     run_p.add_argument("--block-size", type=int, default=400, help="txs per block")
-    run_p.add_argument("--regions", default="eu", choices=sorted(_REGIONS))
     run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--crash", type=int, nargs="*", default=[], metavar="PID")
+    _add_timeout_flags(run_p)
+    run_p.add_argument("--adversary", default=None, metavar="NAME",
+                       help="seat the named registered attack at its default "
+                       "pids (see `repro campaign --list`)")
+    run_p.add_argument("--duration", type=float, default=None, metavar="S",
+                       help="tcp only: wall-clock seconds the run may take "
+                       f"(default {_TCP_DURATION_S:g})")
+    run_p.add_argument("--regions", default=None, choices=sorted(_REGIONS),
+                       help="sim only: replica placement (default eu)")
+    run_p.add_argument("--crash", type=int, nargs="*", default=[], metavar="PID",
+                       help="sim only: replicas crashed from the start")
     run_p.add_argument("--real-crypto", action="store_true",
-                       help="use the Schnorr scheme instead of fast HMAC")
+                       help="sim only: use the Schnorr scheme instead of fast HMAC")
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp_p.add_argument("name", choices=sorted(_EXPERIMENTS))
@@ -143,14 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--top", type=int, default=20,
                         help="functions to print, by cumulative time")
 
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="the campaign's honest chaos cell: lossy links, a partition, "
-        "crash/recovery",
-    )
-    chaos_p.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
-    chaos_p.add_argument("--seed", type=int, default=1)
-
     camp_p = sub.add_parser(
         "campaign",
         help="attack-campaign sweep: {protocol x adversary x plan x "
@@ -171,12 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="views scored after healing: the first fresh commit "
                         "and at least half the clean baseline's blocks per view "
                         "must fall inside them, or the LivenessOracle flags a stall")
-    camp_p.add_argument("--timeout-ms", type=float, default=250.0,
-                        help="pacemaker base view timeout")
-    camp_p.add_argument("--max-timeout-ms", type=float, default=0.0,
-                        help="pacemaker backoff ceiling (0 = 4x the base)")
-    camp_p.add_argument("--timeout-jitter", type=float, default=0.1,
-                        help="+/- fraction of seeded pacemaker jitter")
+    _add_timeout_flags(camp_p, timeout_ms=250.0, jitter=0.1)
     camp_p.add_argument("--smoke", action="store_true",
                         help="run the fixed small CI matrix instead")
     camp_p.add_argument("--json", action="store_true",
@@ -216,18 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--fault-spec", default=None, metavar="PATH",
                          help="FaultPlan rules_spec JSON applied to outbound "
                          "frames; re-read when its mtime changes")
-
-    net_p = sub.add_parser(
-        "net-bench", help="run a localhost TCP cluster and report committed tx/s"
-    )
-    _add_deployment_flags(net_p)
-    net_p.set_defaults(checkpoint_interval=0)
-    net_p.add_argument("--duration", type=float, default=5.0, help="seconds to run")
-    net_p.add_argument("--target-blocks", type=int, default=0,
-                       help="stop early once every replica committed this many")
-    net_p.add_argument("--adversary", default=None, metavar="NAME",
-                       help="seat the named registered attack at its default "
-                       "pids; honest replicas must stay safe and live")
 
     load_p = sub.add_parser(
         "load",
@@ -328,19 +329,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    results = []
-    for protocol in args.protocol:
-        config = SystemConfig(
+#: ``run`` flags only the simulator honours: ``--regions`` and
+#: ``--real-crypto`` set ``SIMULATOR_ONLY`` fields, and ``--crash`` stops
+#: a simulated replica.  Unset, each reads false.
+_SIM_FLAGS = ("regions", "real_crypto", "crash")
+
+
+def _run_configs(args: argparse.Namespace) -> list[SystemConfig]:
+    """One :class:`SystemConfig` per ``--protocol``, the same on both runtimes.
+
+    A flag the chosen runtime cannot honour is a :class:`ConfigError`, not
+    ignored.
+    """
+    if args.runtime == "tcp":
+        for name in _SIM_FLAGS:
+            if getattr(args, name):
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{flag} is simulator-only; it has no meaning on --runtime tcp")
+    elif args.duration is not None:
+        raise ConfigError("--duration bounds a tcp run; a sim run stops at --views")
+    return [
+        SystemConfig(
             protocol=protocol,
             f=args.f,
             payload_bytes=args.payload,
             block_size=args.block_size,
-            regions=_REGIONS[args.regions],
+            regions=_REGIONS[args.regions or "eu"],
             seed=args.seed,
             use_real_crypto=args.real_crypto,
+            timeout_ms=args.timeout_ms,
+            max_timeout_ms=args.max_timeout_ms,
+            timeout_jitter=args.timeout_jitter,
         )
-        system = ConsensusSystem(config)
+        for protocol in args.protocol
+    ]
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    configs = _run_configs(args)
+    if args.runtime == "tcp":
+        return _run_tcp(configs, args)
+    attack = None if args.adversary is None else get_adversary(args.adversary)
+    results = []
+    for config in configs:
+        overrides = None
+        if attack is not None:
+            num_replicas = get_spec(config.protocol).num_replicas(config.f)
+            overrides = attack.replica_overrides(config.protocol, num_replicas, config.f)
+        system = ConsensusSystem(config, replica_overrides=overrides)
         if args.crash:
             system.crash_replicas(args.crash)
         results.append(system.run_until_views(args.views))
@@ -354,7 +390,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             format_table(
                 ["protocol", "N", "Kops/s", "latency ms", "msgs", "safety"],
                 rows,
-                title=f"f={args.f}, {args.payload}B payload, {args.regions} regions",
+                title=f"f={args.f}, {args.payload}B payload, {args.regions or 'eu'} regions",
             )
         )
     else:
@@ -368,6 +404,52 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"messages / bytes   {result.messages_sent} / {result.bytes_sent}")
         print(f"safety             {'OK' if result.safe else 'VIOLATED'}")
     return 0 if all(r.safe for r in results) else 1
+
+
+def _run_tcp(configs: list[SystemConfig], args: argparse.Namespace) -> int:
+    """Each config as a :class:`LocalCluster` until every replica holds ``--views``
+    blocks or ``--duration`` runs out; exit 1 if a cluster committed nothing.
+
+    It prints what the sockets measured: no latency, which no replica
+    stamps here, and no safety verdict, which no oracle checks here.
+    """
+    import asyncio
+
+    from repro.runtime.asyncio_net import LocalCluster
+
+    clusters = [LocalCluster(config, adversary=args.adversary) for config in configs]
+    duration = _TCP_DURATION_S if args.duration is None else args.duration
+    rows: list[list[object]] = []
+    stalled = False
+    for config, cluster in zip(configs, clusters):
+        elapsed = asyncio.run(cluster.run(duration, target_blocks=args.views))
+        seated = cluster.runtimes[: cluster.n]  # the replicas' runtimes, not the clients'
+        blocks = min(rt.committed_blocks for rt in seated)  # at the slowest replica
+        txs = min(rt.committed_txs for rt in seated)
+        msgs = sum(rt.sent_messages for rt in seated)
+        stalled |= blocks == 0
+        rows.append([config.protocol, cluster.n, blocks, txs / elapsed, msgs])
+        if len(clusters) > 1:
+            continue
+        print(f"protocol           {config.protocol}")
+        print(f"replicas           {cluster.n} (f={cluster.f}, quorum={cluster.quorum})")
+        print(f"elapsed            {elapsed:.2f} s")
+        print(f"committed blocks   {blocks} (slowest replica)")
+        print(f"committed txs      {txs}")
+        print(f"throughput         {txs / elapsed:,.0f} tx/s")
+        print(f"messages / bytes   {msgs} / {sum(rt.sent_bytes for rt in seated)}")
+        dropped = sum(rt.dropped_messages for rt in seated)
+        if dropped:
+            print(f"dropped frames     {dropped}")
+    if len(rows) > 1:
+        print(
+            format_table(
+                ["protocol", "N", "blocks", "tx/s", "msgs"],
+                rows,
+                title=f"f={args.f}, {args.payload}B payload, localhost TCP",
+            )
+        )
+    return 1 if stalled else 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -414,20 +496,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"events / wall s    {sim.events_per_wall_second:,.0f}")
     print(f"wall s / sim s     {sim.wall_seconds_per_sim_second:.3f}")
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.analysis.campaign import run_campaign
-
-    report = run_campaign(
-        protocols=(args.protocol,),
-        adversaries=("none",),
-        plans=("chaos",),
-        topologies=("eu",),
-        seed=args.seed,
-    )
-    print(report.describe())
-    return 0 if report.ok else 1
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -562,33 +630,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
     return 0 if report.committed_blocks > 0 else 1
 
 
-def _cmd_net_bench(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.runtime.asyncio_net import run_local_cluster
-
-    report = asyncio.run(
-        run_local_cluster(
-            deployment_config(args),
-            args.n,
-            duration_s=args.duration,
-            target_blocks=args.target_blocks,
-            adversary=args.adversary,
-        )
-    )
-    print(f"protocol           {report.protocol}")
-    print(f"replicas           {report.num_replicas} (f={report.f}, "
-          f"quorum={report.quorum})")
-    print(f"elapsed            {report.elapsed_s:.2f} s")
-    print(f"committed blocks   {report.committed_blocks} (slowest replica)")
-    print(f"committed txs      {report.committed_txs}")
-    print(f"throughput         {report.tx_per_s:,.0f} tx/s")
-    print(f"messages / bytes   {report.messages_sent} / {report.bytes_sent}")
-    if report.dropped_messages:
-        print(f"dropped frames     {report.dropped_messages}")
-    return 0 if report.committed_blocks > 0 else 1
-
-
 def _cmd_net_chaos(args: argparse.Namespace) -> int:
     from repro.runtime.resilience.netchaos import run_net_chaos
 
@@ -646,11 +687,9 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "experiment": _cmd_experiment,
         "profile": _cmd_profile,
-        "chaos": _cmd_chaos,
         "campaign": _cmd_campaign,
         "serve": _cmd_serve,
         "load": _cmd_load,
-        "net-bench": _cmd_net_bench,
         "net-chaos": _cmd_net_chaos,
         "counterexample": _cmd_counterexample,
         "lint": _cmd_lint,

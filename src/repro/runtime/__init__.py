@@ -9,7 +9,7 @@ interprets those effects:
   architecture);
 * :mod:`repro.runtime.asyncio_net` - real asyncio TCP sockets with
   length-prefixed :mod:`repro.core.codec` frames (``repro serve`` /
-  ``repro net-bench``).
+  ``repro run --runtime tcp``).
 
 This package intentionally re-exports only the runtime-agnostic pieces;
 import the adapters from their own modules so the protocol layer never

@@ -19,8 +19,9 @@ run here unchanged against real sockets and wall-clock timers:
   a replica is seated with a zero cost model and ``ChargeCpu`` is a no-op.
 * :class:`LocalCluster` seats one :class:`~repro.config.SystemConfig` on
   localhost as the simulator seats it (replicas, then its clients);
-  :func:`run_local_cluster` backs ``repro net-bench`` and the
-  cross-runtime equivalence tests.
+  ``repro run --runtime tcp``, ``repro load --runtime net`` and the
+  cross-runtime equivalence tests run one and read its replicas'
+  ledgers and its runtimes' counters.
 * :func:`serve_replica` runs one replica of a config on a fixed port
   (``repro serve``).  Both size ``f`` from the replica count they are
   given and ignore only :data:`SIMULATOR_ONLY`.
@@ -59,7 +60,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from repro.config import SystemConfig
@@ -197,7 +198,7 @@ class AsyncioRuntime:
         # (seed, src, dst), so backoff schedules never share phase
         # across links yet stay reproducible (DET-lint clean).
         self._reconnect_rng: dict[int, RngStream] = {}
-        # Transport-level counters for net-bench / health reporting.
+        # Transport-level counters for `repro run --runtime tcp` / health reporting.
         self.sent_messages = 0
         self.sent_bytes = 0
         self.dropped_messages = 0  # outbound queue overflow
@@ -686,10 +687,7 @@ class LocalCluster:
         if adversary is not None:
             from repro.adversary.registry import get_adversary
 
-            adv = get_adversary(adversary)
-            classes.update(
-                {pid: adv.replica_class(config.protocol) for pid in adv.seats(self.n, self.f)}
-            )
+            classes = get_adversary(adversary).replica_overrides(config.protocol, self.n, self.f)
         classes.update(replica_overrides or {})
         replica_pids = list(range(self.n))
         client_pids = {cid: self.n + cid for cid in range(config.num_clients)}
@@ -754,87 +752,6 @@ class LocalCluster:
                 handle.cancel()
             for runtime in self.runtimes:
                 await runtime.close()
-
-
-@dataclass
-class ClusterReport:
-    """Outcome of one :func:`run_local_cluster` run."""
-
-    protocol: str
-    num_replicas: int
-    f: int
-    quorum: int
-    elapsed_s: float
-    committed_blocks: int  # at the slowest replica
-    committed_txs: int  # at the slowest replica
-    messages_sent: int
-    bytes_sent: int
-    dropped_messages: int
-    #: Per-replica executed block-hash chains (for equivalence checks).
-    chains: dict[int, list[str]] = field(default_factory=dict)
-    #: Per-replica rolling execution state roots (cross-runtime digests).
-    state_roots: dict[int, str] = field(default_factory=dict)
-    #: Per-replica ledger heights (checkpoint base + executed suffix).
-    heights: dict[int, int] = field(default_factory=dict)
-    #: Per-replica compaction horizons and the state roots at them, so a
-    #: caller can recompute the rolling root at any retained height.
-    base_heights: dict[int, int] = field(default_factory=dict)
-    base_roots: dict[int, str] = field(default_factory=dict)
-    #: Pids that rejoined by installing a peer's certified checkpoint.
-    caught_up_pids: tuple[int, ...] = ()
-
-    @property
-    def tx_per_s(self) -> float:
-        return self.committed_txs / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-
-async def run_local_cluster(
-    config: SystemConfig,
-    n: int | None = None,
-    *,
-    duration_s: float = 5.0,
-    target_blocks: int = 0,
-    start_delay_s: dict[int, float] | None = None,
-    adversary: str | None = None,
-    replica_overrides: dict[int, type] | None = None,
-    host: str = "127.0.0.1",
-) -> ClusterReport:
-    """Run ``config`` as a :class:`LocalCluster` (see :meth:`LocalCluster.run`); report it.
-
-    Honest replicas must stay safe and live - the per-replica ``chains``
-    let callers check.
-    """
-    cluster = LocalCluster(
-        config, n, adversary=adversary, replica_overrides=replica_overrides, host=host
-    )
-    elapsed = await cluster.run(
-        duration_s, target_blocks=target_blocks, start_delay_s=start_delay_s
-    )
-    runtimes = cluster.runtimes[: cluster.n]
-    ledgers = {replica.pid: replica.ledger for replica in cluster.replicas}
-    return ClusterReport(
-        protocol=config.protocol,
-        num_replicas=cluster.n,
-        f=cluster.f,
-        quorum=cluster.quorum,
-        elapsed_s=elapsed,
-        committed_blocks=min(rt.committed_blocks for rt in runtimes),
-        committed_txs=min(rt.committed_txs for rt in runtimes),
-        messages_sent=sum(rt.sent_messages for rt in runtimes),
-        bytes_sent=sum(rt.sent_bytes for rt in runtimes),
-        dropped_messages=sum(rt.dropped_messages for rt in runtimes),
-        chains={
-            pid: [block.hash.hex() for block in ledger.executed]
-            for pid, ledger in ledgers.items()
-        },
-        state_roots={pid: ledger.state_root.hex() for pid, ledger in ledgers.items()},
-        heights={pid: ledger.height() for pid, ledger in ledgers.items()},
-        base_heights={pid: ledger.base_height for pid, ledger in ledgers.items()},
-        base_roots={pid: ledger.base_state_root.hex() for pid, ledger in ledgers.items()},
-        caught_up_pids=tuple(
-            replica.pid for replica in cluster.replicas if replica.caught_up_via_checkpoint
-        ),
-    )
 
 
 # -- single-replica service (repro serve) -----------------------------------

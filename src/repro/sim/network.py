@@ -9,11 +9,9 @@ counts explicitly "include self-messages".
 The network also supports *taps* (observers used by tests and by scripted
 adversaries to watch traffic) and a pipeline of *fault filters* used by
 :mod:`repro.core.faults` to model lossy links, duplication, extra delay
-and partitions.  A filter is called for every send and may return:
-
-* ``None`` or ``False`` - no opinion, the message passes;
-* ``True`` - drop;
-* a :class:`~repro.core.faults.FaultAction` - drop, duplicate, or delay.
+and partitions.  A filter is called for every send and returns ``None``
+(the message passes) or a :class:`~repro.core.faults.FaultAction` (drop,
+duplicate, or delay).
 
 Faults are never enabled in the paper-reproduction benchmarks; dropped
 and duplicated messages are counted by the monitor so chaos experiments
@@ -41,7 +39,11 @@ from repro.sim.latency import LatencyModel
 from repro.sim.monitor import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover - the seat lives with the runtime
+    from repro.core.faults import FaultAction
     from repro.runtime.sim import MachineProcess
+
+    #: A fault filter: ``(src, dst, payload)`` -> the decision, or None to pass.
+    FaultFilter = Callable[[int, int, Any], FaultAction | None]
 
 __all__ = ["SELF_DELIVERY_MS", "Network"]
 
@@ -66,7 +68,7 @@ class Network:
         self.taps: list[Callable[[int, int, Any], None]] = []
         # Composable fault pipeline; see the module docstring for the
         # filter contract.
-        self.fault_filters: list[Callable[[int, int, Any], Any]] = []
+        self.fault_filters: list[FaultFilter] = []
         # TCP-like per-link ordering: with fifo=True a message never
         # overtakes an earlier one on the same (src, dst) link.
         self.fifo = fifo
@@ -74,14 +76,9 @@ class Network:
 
     # -- fault pipeline ----------------------------------------------------
 
-    def add_fault_filter(self, fn: Callable[[int, int, Any], Any]) -> None:
+    def add_fault_filter(self, fn: FaultFilter) -> None:
         """Append a filter to the fault pipeline."""
         self.fault_filters.append(fn)
-
-    def remove_fault_filter(self, fn: Callable[[int, int, Any], Any]) -> None:
-        """Remove a previously installed filter (idempotent)."""
-        if fn in self.fault_filters:
-            self.fault_filters.remove(fn)
 
     def add_process(self, process: MachineProcess) -> None:
         """Register a machine's seat; its pid must be unique on this network."""
@@ -159,9 +156,9 @@ class Network:
         if self.fault_filters:
             for fault in self.fault_filters:
                 decision = fault(src, dst, payload)
-                if decision is None or decision is False:
+                if decision is None:
                     continue
-                if decision is True or decision.drop:
+                if decision.drop:
                     monitor.record_drop(label)
                     return
                 copies += decision.duplicates

@@ -64,6 +64,17 @@ def test_withhold_takes_a_full_coalition():
     assert get_adversary("withhold").seats(7, 2) == (1, 2)
 
 
+def test_replica_overrides_seat_the_attack_class_at_its_seats():
+    """One seating rule: the spec's class at each of its seats, in seat order."""
+    withhold = get_adversary("withhold")
+    overrides = withhold.replica_overrides("hotstuff", 7, 2)
+    assert list(overrides) == [1, 2]
+    assert set(overrides.values()) == {withhold.replica_class("hotstuff")}
+    assert get_adversary("none").replica_overrides("hotstuff", 4, 1) == {}
+    with pytest.raises(ConfigError, match="does not support"):
+        get_adversary("amnesia").replica_overrides("hotstuff", 4, 1)
+
+
 def test_partition_colluder_is_never_its_own_victim():
     from repro.adversary.targeted_partition import victim_pids
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.adversary import get_adversary
-from repro.adversary.registry import HONEST
+from repro.adversary.registry import HONEST, AdversarySpec
 from repro.analysis import campaign
 from repro.analysis.campaign import (
     LIVENESS_RATE_SHARE,
@@ -19,6 +19,7 @@ from repro.analysis.campaign import (
 )
 from repro.core.faults import FaultPlan
 from repro.errors import ConfigError, SimulationError
+from repro.protocols.damysus import DamysusReplica
 from repro.protocols.registry import SPECS
 from repro.protocols.replica import BaseReplica
 from repro.protocols.sync import ViewSync
@@ -35,7 +36,8 @@ def _tiny_campaign(seed=1):
 
 
 def _chaos_cell(seed=1):
-    """What ``repro chaos --protocol damysus --seed S`` runs."""
+    """The honest chaos cell: ``repro campaign --protocols damysus
+    --adversaries none --plans chaos --topologies eu --seed S``."""
     return run_cell("damysus", HONEST, "chaos", "eu", seed=seed)
 
 
@@ -161,6 +163,57 @@ def test_an_honest_cell_runs_once(monkeypatch):
     built.clear()
     run_cell("damysus", get_adversary("silent"), "clean", "eu", seed=1)
     assert len(built) == 2  # an attack cell still runs its baseline
+
+
+class _ForkReportingDamysus(DamysusReplica):
+    """Honest, except that once its chain is two blocks high it tells the
+    strict oracle it executed a block nobody proposed."""
+
+    forged = False
+
+    def execute_block(self, block, view):
+        executed = super().execute_block(block, view)
+        if not self.forged and self.ledger.height() >= 2:
+            self.forged = True
+            self.ledger.oracle.record(self.pid, b"\xff" * 32)
+        return executed
+
+
+_FORK_REPORTER = AdversarySpec(
+    name="fork-report",
+    description="reports a conflicting execution to the oracle",
+    classes={"damysus": _ForkReportingDamysus},
+)
+
+
+def test_an_unsafe_cell_is_scored_off_the_oracle_not_the_monitor(monkeypatch):
+    """The strict oracle raises inside a ledger's execute call, before that
+    call's blocks reach the monitor: liveness is left unscored, and the
+    cell counts the blocks the oracle recorded."""
+    built = []
+    real = campaign.ConsensusSystem
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(campaign, "ConsensusSystem", recording)
+    cell = run_cell("damysus", _FORK_REPORTER, "clean", "eu", seed=1)
+    assert cell.verdict == "UNSAFE" and "applied" not in cell.violation
+    assert (cell.live_after_heal, cell.views_to_recover, cell.commit_rate) == (False, None, None)
+    attacked = built[0]
+    oracle = attacked.oracle
+    recorded = set(oracle.canonical_chain()).union(*oracle.sequences.values())
+    assert b"\xff" * 32 in recorded
+    assert cell.commits == len(recorded) > attacked.monitor.committed_block_count()
+    report = campaign.CampaignReport(
+        seed=1, view_budget=30, protocols=("damysus",), adversaries=("fork-report",),
+        plans=("clean",), topologies=("eu",), cells=[cell],
+    )
+    assert report.describe().splitlines()[2].split()[4:] == [
+        "UNSAFE", cell.degradation, f"{cell.degradation_ratio:.2f}", "-", "-", "0",
+    ]
+    assert json.loads(report.to_json())["cells"][0]["commit_rate"] is None
 
 
 def test_unhealing_plan_is_rejected():

@@ -1,6 +1,6 @@
 """Tests for the chaos run: the campaign's honest cell on the ``chaos`` plan.
 
-``repro chaos`` seats nobody and plays loss, a partition and ``f``
+The cell (adversary ``none``) seats nobody and plays loss, a partition and ``f``
 crash/recover cycles; the cell must stay safe and be live once healed.
 """
 
@@ -9,7 +9,8 @@ from repro.analysis.campaign import base_plans, run_campaign, run_cell
 
 
 def _chaos_cell(seed=1):
-    """What ``repro chaos --protocol damysus --seed S`` runs."""
+    """What ``repro campaign --protocols damysus --adversaries none --plans
+    chaos --topologies eu --seed S`` runs."""
     return run_cell("damysus", HONEST, "chaos", "eu", seed=seed)
 
 

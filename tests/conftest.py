@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 from typing import Any
 
 import pytest
@@ -54,10 +55,27 @@ def small_config(protocol: str, f: int = 1, **overrides) -> SystemConfig:
 
 
 def tcp_config(protocol: str = "damysus", **overrides) -> SystemConfig:
-    """The `repro serve` / `net-bench` defaults: 128 B payloads, 32-tx blocks."""
+    """The `repro serve` defaults: 128 B payloads, 32-tx blocks."""
     params: dict[str, Any] = dict(payload_bytes=128, block_size=32)
     params.update(overrides)
     return SystemConfig(protocol=protocol, **params)
+
+
+def run_cluster(cluster: Any, duration_s: float = 30.0, **run_args: Any) -> float:
+    """Run a loopback ``LocalCluster`` to its end; returns the seconds it ran.
+
+    The duration is a generous upper bound: a healthy cluster commits
+    within milliseconds and stops early at its ``target_blocks``.
+    """
+    return asyncio.run(cluster.run(duration_s, **run_args))
+
+
+def executed_chains(cluster: Any) -> dict[int, list[str]]:
+    """Each replica's executed block hashes (hex), by pid, for prefix checks."""
+    return {
+        replica.pid: [block.hash.hex() for block in replica.ledger.executed]
+        for replica in cluster.replicas
+    }
 
 
 def run_protocol(protocol: str, views: int = 5, f: int = 1, **overrides):

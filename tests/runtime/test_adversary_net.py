@@ -6,18 +6,17 @@ run actual loopback clusters (like ``test_asyncio_net``) and double as
 the CI demonstration that attacks work over real TCP.
 """
 
-import asyncio
-
 import pytest
 
 from repro.adversary import get_adversary
 from repro.adversary.equivocation import EquivocatingDamysusLeader
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.runtime.asyncio_net import build_machine, run_local_cluster
+from repro.protocols.registry import get_spec
+from repro.runtime.asyncio_net import LocalCluster, build_machine
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec
 from repro.runtime.sim import ConsensusSystem
-from tests.conftest import tcp_config
+from tests.conftest import executed_chains, run_cluster, tcp_config
 
 
 def test_cross_runtime_equivalence_under_equivocation():
@@ -39,16 +38,10 @@ def test_cross_runtime_equivalence_under_equivocation():
     sim_chain = [block.hash.hex() for block in system.replicas[0].ledger.executed]
     assert len(sim_chain) >= 4
 
-    report = asyncio.run(
-        run_local_cluster(
-            config,
-            duration_s=30.0,
-            target_blocks=5,
-            replica_overrides={1: EquivocatingDamysusLeader},
-        )
-    )
-    assert report.num_replicas == system.num_replicas
-    honest = {pid: chain for pid, chain in report.chains.items() if pid != 1}
+    cluster = LocalCluster(config, replica_overrides={1: EquivocatingDamysusLeader})
+    run_cluster(cluster, target_blocks=5)
+    assert cluster.n == system.num_replicas
+    honest = {pid: chain for pid, chain in executed_chains(cluster).items() if pid != 1}
     for pid, net_chain in honest.items():
         prefix = min(len(sim_chain), len(net_chain), 4)
         assert prefix >= 4, pid
@@ -57,17 +50,10 @@ def test_cross_runtime_equivalence_under_equivocation():
 
 def test_named_adversary_on_sockets_commits():
     """``adversary=`` seats the registry attack; honest liveness holds."""
-    report = asyncio.run(
-        run_local_cluster(
-            tcp_config(timeout_ms=1_000.0),
-            4,
-            duration_s=30.0,
-            target_blocks=2,
-            adversary="silent",
-        )
-    )
-    assert report.committed_blocks >= 2
-    honest = [chain for pid, chain in report.chains.items() if pid != 1]
+    cluster = LocalCluster(tcp_config(timeout_ms=1_000.0), 4, adversary="silent")
+    run_cluster(cluster, target_blocks=2)
+    assert min(runtime.committed_blocks for runtime in cluster.runtimes[: cluster.n]) >= 2
+    honest = [chain for pid, chain in executed_chains(cluster).items() if pid != 1]
     prefix = min(len(chain) for chain in honest)
     assert prefix >= 2
     for chain in honest[1:]:
@@ -76,7 +62,7 @@ def test_named_adversary_on_sockets_commits():
 
 def test_unknown_adversary_fails_fast():
     with pytest.raises(ConfigError, match="unknown adversary"):
-        asyncio.run(run_local_cluster(tcp_config(), 4, adversary="nope"))
+        LocalCluster(tcp_config(), 4, adversary="nope")
 
 
 def test_build_machine_accepts_a_replica_class_override():
@@ -94,7 +80,13 @@ def test_build_machine_accepts_a_replica_class_override():
 def test_adversary_seats_resolve_like_the_simulator():
     """The socket runtime seats a named attack at the registry's pids."""
     spec = get_adversary("withhold")
-    assert spec.seats(4, 1) == (1,)  # what run_local_cluster installs
+    assert spec.seats(4, 1) == (1,)
+    cluster = LocalCluster(tcp_config(), 4, adversary="withhold")  # built, not booted
+    assert [type(replica) for replica in cluster.replicas] == [
+        spec.replica_overrides("damysus", 4, 1).get(pid, get_spec("damysus").replica_class)
+        for pid in range(4)
+    ]
+    assert type(cluster.replicas[1]) is spec.replica_class("damysus")
 
 
 def test_process_spec_argv_carries_adversary_flags():

@@ -24,28 +24,27 @@ from repro.runtime.asyncio_net import (
     _sized_quorum,
     build_machine,
     health_snapshot,
-    run_local_cluster,
 )
 from repro.runtime.sim import ConsensusSystem
 from repro.protocols.registry import get_spec
-from tests.conftest import tcp_config
+from tests.conftest import executed_chains, run_cluster, tcp_config
 
 
 def test_smoke_damysus_n4_commits_a_block():
     """The CI acceptance gate: n=4 Damysus commits >= 1 block in 30 s."""
-    report = asyncio.run(
-        run_local_cluster(tcp_config(), 4, duration_s=30.0, target_blocks=1)
-    )
-    assert report.committed_blocks >= 1
-    assert report.committed_txs > 0
-    assert report.tx_per_s > 0
+    cluster = LocalCluster(tcp_config(), 4)
+    elapsed = run_cluster(cluster, target_blocks=1)
+    replicas = cluster.runtimes[: cluster.n]
+    assert min(runtime.committed_blocks for runtime in replicas) >= 1
+    committed_txs = min(runtime.committed_txs for runtime in replicas)
+    assert committed_txs > 0
+    assert committed_txs / elapsed > 0
 
 
 def test_replicas_agree_on_the_committed_chain():
-    report = asyncio.run(
-        run_local_cluster(tcp_config(), 4, duration_s=30.0, target_blocks=3)
-    )
-    chains = list(report.chains.values())
+    cluster = LocalCluster(tcp_config(), 4)
+    run_cluster(cluster, target_blocks=3)
+    chains = list(executed_chains(cluster).values())
     prefix = min(len(chain) for chain in chains)
     assert prefix >= 3
     for chain in chains[1:]:
@@ -68,9 +67,10 @@ def test_cross_runtime_equivalence_same_block_hashes():
     sim_chain = [block.hash.hex() for block in system.replicas[0].ledger.executed]
     assert len(sim_chain) >= 4
 
-    report = asyncio.run(run_local_cluster(config, duration_s=30.0, target_blocks=5))
-    assert report.num_replicas == system.num_replicas
-    net_chain = report.chains[0]
+    cluster = LocalCluster(config)
+    run_cluster(cluster, target_blocks=5)
+    assert cluster.n == system.num_replicas
+    net_chain = executed_chains(cluster)[0]
     prefix = min(len(sim_chain), len(net_chain), 4)
     assert prefix >= 4
     assert sim_chain[:prefix] == net_chain[:prefix]
@@ -78,10 +78,9 @@ def test_cross_runtime_equivalence_same_block_hashes():
 
 @pytest.mark.parametrize("protocol", ["hotstuff", "chained-damysus"])
 def test_other_protocols_commit_on_sockets(protocol):
-    report = asyncio.run(
-        run_local_cluster(tcp_config(protocol), 4, duration_s=30.0, target_blocks=1)
-    )
-    assert report.committed_blocks >= 1
+    cluster = LocalCluster(tcp_config(protocol), 4)
+    run_cluster(cluster, target_blocks=1)
+    assert min(runtime.committed_blocks for runtime in cluster.runtimes[: cluster.n]) >= 1
 
 
 def test_sized_quorum_tracks_extra_replicas():

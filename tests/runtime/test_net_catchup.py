@@ -9,55 +9,49 @@ lacks.  The rolling state roots reported by the runtime are cross-checked
 pairwise and against the simulator, closing the cross-runtime digest loop.
 """
 
-import asyncio
-
 from repro.config import SystemConfig
 from repro.core.block import genesis_block
 from repro.core.executor import fold_state_root
-from repro.runtime.asyncio_net import run_local_cluster
+from repro.runtime.asyncio_net import LocalCluster
 from repro.runtime.sim import ConsensusSystem
-from tests.conftest import tcp_config
+from tests.conftest import run_cluster, tcp_config
 
 
-def root_at(report, pid, height):
-    """Recompute ``pid``'s rolling root at a retained height, else None."""
-    base = report.base_heights[pid]
-    if height < base or height > report.heights[pid]:
+def root_at(ledger, height):
+    """Recompute a ledger's rolling root at a retained height, else None."""
+    base = ledger.base_height
+    if height < base or height > ledger.height():
         return None
-    root = bytes.fromhex(report.base_roots[pid])
-    for block_hash in report.chains[pid][: height - base]:
-        root = fold_state_root(root, bytes.fromhex(block_hash))
+    root = ledger.base_state_root
+    for block in ledger.executed[: height - base]:
+        root = fold_state_root(root, block.hash)
     return root.hex()
 
 
 def late_starter_cluster(**overrides):
     """Four Damysus replicas with checkpointing on; replica 3 starts 2 s late."""
-    report = asyncio.run(
-        run_local_cluster(
-            tcp_config(seed=9, block_size=4, checkpoint_interval=5, **overrides),
-            4,
-            start_delay_s={3: 2.0},
-            duration_s=90.0,
-            target_blocks=40,
-        )
+    cluster = LocalCluster(
+        tcp_config(seed=9, block_size=4, checkpoint_interval=5, **overrides), 4
     )
+    run_cluster(cluster, 90.0, start_delay_s={3: 2.0}, target_blocks=40)
+    ledgers = {replica.pid: replica.ledger for replica in cluster.replicas}
     # The cluster only stops once *every* replica - the late starter
     # included - reaches the target height.
-    assert min(report.heights.values()) >= 40
+    assert min(ledger.height() for ledger in ledgers.values()) >= 40
     # Digest equivalence at every mutually retained height: any two
     # replicas that can both recompute a root at some height agree on it
     # bit-for-bit - including the late starter, however it got there.
     checked = []
-    pids = sorted(report.heights)
+    pids = sorted(ledgers)
     for i, pid in enumerate(pids):
         for other in pids[i + 1 :]:
-            height = min(report.heights[pid], report.heights[other])
-            a, b = root_at(report, pid, height), root_at(report, other, height)
+            height = min(ledgers[pid].height(), ledgers[other].height())
+            a, b = root_at(ledgers[pid], height), root_at(ledgers[other], height)
             if a is not None and b is not None:
                 assert a == b, f"state roots diverge at height {height}"
                 checked.append((pid, other))
     assert any(3 in pair for pair in checked)
-    return report
+    return cluster
 
 
 def test_late_starter_a_few_views_behind_rejoins_on_sockets():
@@ -71,12 +65,13 @@ def test_late_starter_a_few_views_behind_rejoins_on_sockets():
 def test_late_starter_rejoins_via_checkpoint_on_sockets():
     # Short timeouts: the cluster is dozens of views on, not a handful,
     # when the late starter comes up, and state transfer wins over the jump.
-    report = late_starter_cluster(timeout_ms=200.0)
+    cluster = late_starter_cluster(timeout_ms=200.0)
     # It got there by installing a certified checkpoint, not by replay:
     # the survivors compacted the genesis prefix long before it started.
-    assert 3 in report.caught_up_pids
-    assert report.base_heights[3] > 0
-    assert len(report.chains[3]) < report.heights[3]
+    late = cluster.replicas[3]
+    assert late.caught_up_via_checkpoint
+    assert late.ledger.base_height > 0
+    assert len(late.ledger.executed) < late.ledger.height()
 
 
 def test_cross_runtime_checkpoint_digest_equivalence():
@@ -98,20 +93,22 @@ def test_cross_runtime_checkpoint_digest_equivalence():
         protocol="damysus", f=1, payload_bytes=64, block_size=8, seed=7,
         checkpoint_interval=4,
     )
-    report = asyncio.run(run_local_cluster(config, duration_s=30.0, target_blocks=6))
+    cluster = LocalCluster(config)
+    run_cluster(cluster, target_blocks=6)
+    net_ledger = cluster.replicas[0].ledger
     system = ConsensusSystem(config)
-    system.run_until_views(max(20, report.heights[0] + 4), max_time_ms=240_000)
+    system.run_until_views(max(20, net_ledger.height() + 4), max_time_ms=240_000)
     sim_chain = [rec.block_hash for rec in system.monitor.executions if rec.replica == 0]
 
-    assert report.num_replicas == system.num_replicas
-    assert report.base_heights[0] > 0  # the net side really checkpointed
-    assert len(sim_chain) >= report.heights[0]
+    assert cluster.n == system.num_replicas
+    assert net_ledger.base_height > 0  # the net side really checkpointed
+    assert len(sim_chain) >= net_ledger.height()
     # The certified horizon root and the tip root both match the sim's
     # full-log fold bit-for-bit.
-    for h in (report.base_heights[0], report.heights[0]):
+    for h in (net_ledger.base_height, net_ledger.height()):
         sim_root = genesis_block().hash
         for block_hash in sim_chain[:h]:
             sim_root = fold_state_root(sim_root, block_hash)
-        net_root = root_at(report, 0, h)
+        net_root = root_at(net_ledger, h)
         assert net_root is not None
         assert sim_root.hex() == net_root

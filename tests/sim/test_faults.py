@@ -225,18 +225,3 @@ def test_identical_plans_and_seeds_replay_identically():
         return [(t, p) for t, _, p in procs[1].received]
 
     assert run_once() == run_once()
-
-
-# -- filter removal ------------------------------------------------------------
-
-
-def test_remove_fault_filter_is_idempotent():
-    sim, net, procs = build()
-    fn = lambda src, dst, payload: True  # noqa: E731
-    net.add_fault_filter(fn)
-    net.remove_fault_filter(fn)
-    net.remove_fault_filter(fn)
-    assert net.fault_filters == []
-    net.send(0, (1,), "m")
-    sim.run()
-    assert len(procs[1].received) == 1

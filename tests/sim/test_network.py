@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.codec import msg_type_of, wire_size_of
+from repro.core.faults import DROP
 from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency
@@ -65,7 +66,7 @@ def test_tap_sees_all_sends():
 
 def test_drop_filter_suppresses_delivery_but_counts_send():
     sim, net, procs = build()
-    net.add_fault_filter(lambda src, dst, payload: dst == 1)
+    net.add_fault_filter(lambda src, dst, payload: DROP if dst == 1 else None)
     net.send(0, (1,), "dropped")
     net.send(1, (0,), "kept")
     sim.run()

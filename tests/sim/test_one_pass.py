@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codec import msg_type_of, wire_size_of
-from repro.core.faults import FaultAction
+from repro.core.faults import DROP, FaultAction
 from repro.core.rng import RngStream
 from repro.runtime.effects import ChargeCpu, Reply, Send
 from repro.runtime.sim import MachineProcess
@@ -87,9 +87,9 @@ class PerMessage:
         extra_delay = 0.0
         for fault in network.fault_filters:
             decision = fault(src, dst, payload)
-            if decision is None or decision is False:
+            if decision is None:
                 continue
-            if decision is True or decision.drop:
+            if decision.drop:
                 network.monitor.record_drop(label)
                 return
             copies += decision.duplicates
@@ -117,7 +117,7 @@ def fault_filter(seed: int):
     def decide(src: int, dst: int, payload: Any) -> Any:
         roll = rng.random()
         if roll < 0.2:
-            return True
+            return DROP
         if roll < 0.4:
             return FaultAction(duplicates=1)
         if roll < 0.6:

@@ -63,16 +63,45 @@ def test_experiment_table1(capsys):
 
 
 def test_chaos_command(capsys):
-    """``repro chaos`` is the campaign's honest chaos cell, printed as its row."""
-    code = main(["chaos", "--protocol", "damysus", "--seed", "1"])
+    """The campaign's honest chaos cell is one ``campaign`` call, printed as its row."""
+    code = main(["campaign", "--protocols", "damysus", "--adversaries", "none",
+                 "--plans", "chaos", "--topologies", "eu", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 0
     row = out.splitlines()[2].split()
     assert row[:5] == ["damysus", "none", "chaos", "eu", "PASS"]
     assert "1 cells: 1 pass, 0 unsafe, 0 stalled" in out
-    assert main(["campaign", "--protocols", "damysus", "--adversaries", "none",
-                 "--plans", "chaos", "--topologies", "eu"]) == 0
-    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("command", ["chaos", "net-bench"])
+def test_removed_commands_are_usage_errors(command, capsys):
+    """``chaos`` is a ``campaign`` cell and ``net-bench`` is ``run --runtime tcp``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command])
+    assert exit_info.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_run_on_tcp_commits_and_prints_what_it_measured(capsys):
+    code = main(["run", "--runtime", "tcp", "--views", "1", "--duration", "30",
+                 "--payload", "0", "--block-size", "10"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "replicas           3 (f=1, quorum=2)" in out
+    blocks = next(line for line in out.splitlines() if line.startswith("committed blocks"))
+    assert int(blocks.split()[2]) >= 1
+    assert "latency" not in out and "safety" not in out  # not measured on sockets
+
+
+def test_run_on_tcp_compares_protocols_side_by_side(capsys):
+    code = main(["run", "--runtime", "tcp", "--protocol", "hotstuff", "damysus",
+                 "--views", "1", "--duration", "30", "--payload", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "localhost TCP" in out
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
+    assert rows["hotstuff"][1] == "4" and rows["damysus"][1] == "3"  # N(f) for f = 1
+    assert int(rows["hotstuff"][2]) >= 1 and int(rows["damysus"][2]) >= 1
 
 
 def test_loss_only_run_is_the_lossy_campaign_cell(capsys):
@@ -88,11 +117,11 @@ def test_loss_only_run_is_the_lossy_campaign_cell(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["chaos", "--f", "2"],
-        ["chaos", "--loss", "0.1"],
-        ["chaos", "--no-crash"],
-        ["chaos", "--settle-views", "3"],
-        ["chaos", "--timeout-jitter", "0.05"],
+        ["campaign", "--plans", "chaos", "--f", "2"],
+        ["campaign", "--plans", "chaos", "--loss", "0.1"],
+        ["campaign", "--plans", "chaos", "--no-crash"],
+        ["campaign", "--plans", "chaos", "--settle-views", "3"],
+        ["campaign", "--plans", "chaos", "--no-partition"],
         ["net-chaos", "--no-partition"],
         ["net-chaos", "--loss", "0.1"],
         ["net-chaos", "--catchup-commits", "100"],
@@ -100,7 +129,10 @@ def test_loss_only_run_is_the_lossy_campaign_cell(capsys):
     ],
 )
 def test_removed_scenario_switches_are_usage_errors(argv, capsys):
-    """Scenarios are named plans now: the switches are gone, not ignored."""
+    """Scenarios are named plans now: the switches are gone, not ignored.
+
+    The old ``chaos`` command's switches are tried on ``campaign``, which
+    runs its cell."""
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args(argv)
     assert exit_info.value.code == 2
@@ -144,7 +176,7 @@ def test_parser_requires_command():
 
 
 @pytest.mark.parametrize(
-    "argv", [["serve", "--pid", "0", "--n", "3"], ["net-bench", "--n", "3"]]
+    "argv", [["serve", "--pid", "0", "--n", "3"], ["run", "--runtime", "tcp"]]
 )
 def test_removed_verify_jobs_flag_is_a_usage_error(argv, capsys):
     """The sharded-verification flag is gone, not ignored."""
@@ -213,8 +245,8 @@ def test_chaos_cell_accepts_timeout_knobs(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["net-bench", "--protocol", "hotstuff", "--n", "3"],
-        ["net-bench", "--timeout-jitter", "1.5"],
+        ["run", "--runtime", "tcp", "--f", "0"],
+        ["run", "--runtime", "tcp", "--timeout-jitter", "1.5"],
         ["serve", "--pid", "9", "--n", "4"],
         ["serve", "--pid", "0", "--adversary", "nope"],
         ["serve", "--pid", "0", "--protocol", "hotstuff", "--n", "3"],
@@ -222,6 +254,11 @@ def test_chaos_cell_accepts_timeout_knobs(capsys):
         ["load", "--rate", "10", "--senders", "0"],
         ["experiment", "fig8", "--jobs", "-1"],
         ["experiment", "table1", "--jobs", "2"],
+        ["run", "--runtime", "tcp", "--regions", "world"],
+        ["run", "--runtime", "tcp", "--real-crypto"],
+        ["run", "--runtime", "tcp", "--crash", "1"],
+        ["run", "--duration", "5"],
+        ["run", "--runtime", "tcp", "--protocol", "hotstuff", "--adversary", "flood"],
     ],
 )
 def test_a_bad_deployment_is_one_line_not_a_traceback(argv, capsys):
