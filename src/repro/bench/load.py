@@ -1,18 +1,19 @@
-"""Open-loop load generation: drive a cluster at a configured arrival rate.
+"""Client-driven load: Poisson clients at a configured arrival rate.
 
 The paper's open-loop figures (6-8) bypass clients entirely - replicas
 synthesize full blocks - so they measure the consensus core, not the
-ingest path.  ``repro load`` closes that gap: Poisson clients submit at
-a configurable aggregate rate (with a payload-size mix and optional fee
-draws) against replicas running the full admission pipeline, on either
-runtime:
+ingest path.  ``repro run --rate`` closes that gap: Poisson clients
+submit at a configurable aggregate rate (with a payload-size mix and
+optional fee draws) against replicas running the full admission
+pipeline, on either runtime.  :func:`load_config` and
+:func:`poisson_clients` are the rule that turns a rate into a
+:class:`SystemConfig`; :func:`load_report` reads a run of it - a
+:class:`~repro.runtime.sim.ConsensusSystem` (deterministic: the same seed
+gives a bit-identical :class:`LoadReport`) or a
+:class:`~repro.runtime.asyncio_net.LocalCluster` on localhost TCP - from
+its ``clients`` and ``replicas``.
 
-* :func:`run_load_sim` - the discrete-event simulator (deterministic:
-  the same seed produces a bit-identical :class:`LoadReport`);
-* :func:`run_load_net` - real asyncio TCP sockets on localhost, the
-  same config seated by :class:`~repro.runtime.asyncio_net.LocalCluster`.
-
-Both report saturation throughput, p50/p99 end-to-end latency, the
+The report gives saturation throughput, p50/p99 end-to-end latency, the
 admission-drop and eviction rates the bounded mempool produces, and the
 *commit multiplicity*: client transactions carried by the committed
 chain per distinct request among them - 1.00 when every request takes
@@ -22,14 +23,15 @@ one trip through consensus.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.config import SystemConfig
 from repro.core.executor import Ledger
 from repro.errors import ConfigError
-from repro.protocols.client import Client
-from repro.protocols.replica import BaseReplica
-from repro.runtime.asyncio_net import LocalCluster
-from repro.runtime.sim import ConsensusSystem
+
+if TYPE_CHECKING:
+    from repro.runtime.asyncio_net import LocalCluster
+    from repro.runtime.sim import ConsensusSystem
 
 
 def percentile(sorted_values: list[float], fraction: float) -> float:
@@ -48,7 +50,7 @@ def commit_multiplicity(ledger: Ledger) -> float:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Outcome of one open-loop load run (either runtime)."""
+    """Outcome of one client-driven run (either runtime)."""
 
     runtime: str
     protocol: str
@@ -107,6 +109,25 @@ class LoadReport:
         ]
 
 
+def poisson_clients(rate_per_s: float, senders: int) -> dict[str, Any]:
+    """The :class:`SystemConfig` fields that seat ``senders`` Poisson clients
+    offering ``rate_per_s`` overall in place of the synthetic block supply.
+
+    Each client submits at ``rate / senders``, so the aggregate arrival
+    process is Poisson at the requested rate.
+    """
+    if rate_per_s <= 0:
+        raise ConfigError("rate_per_s must be positive")
+    if senders < 1:
+        raise ConfigError("senders must be at least 1")
+    return dict(
+        open_loop=False,
+        num_clients=senders,
+        client_interval_ms=senders * 1000.0 / rate_per_s,
+        client_poisson=True,
+    )
+
+
 def load_config(
     protocol: str = "damysus",
     *,
@@ -126,16 +147,8 @@ def load_config(
     sender_rate_burst: float = 32.0,
     timeout_ms: float = 2_000.0,
 ) -> SystemConfig:
-    """A closed-loop :class:`SystemConfig` offering ``rate_per_s`` overall.
-
-    ``senders`` Poisson clients each submit at ``rate / senders``, so the
-    aggregate arrival process is Poisson at the requested rate.
-    """
-    if rate_per_s <= 0:
-        raise ConfigError("rate_per_s must be positive")
-    if senders < 1:
-        raise ConfigError("senders must be at least 1")
-    interval_ms = senders * 1000.0 / rate_per_s
+    """A client-driven :class:`SystemConfig` offering ``rate_per_s`` overall
+    (see :func:`poisson_clients`)."""
     return SystemConfig(
         protocol=protocol,
         f=f,
@@ -143,10 +156,6 @@ def load_config(
         payload_bytes=payload_bytes,
         block_size=block_size,
         timeout_ms=timeout_ms,
-        open_loop=False,
-        num_clients=senders,
-        client_interval_ms=interval_ms,
-        client_poisson=True,
         client_payload_mix=tuple(payload_mix),
         client_max_fee=max_fee,
         client_retry_limit=retry_limit,
@@ -155,19 +164,24 @@ def load_config(
         max_block_bytes=max_block_bytes,
         sender_rate_limit=sender_rate_limit,
         sender_rate_burst=sender_rate_burst,
+        **poisson_clients(rate_per_s, senders),
     )
 
 
-def _aggregate(
+def load_report(
     runtime: str,
-    protocol: str,
-    num_replicas: int,
-    clients: list[Client],
-    replicas: list[BaseReplica],
+    deployment: ConsensusSystem | LocalCluster,
     committed_blocks: int,
     duration_ms: float,
     offered_rate_per_s: float,
 ) -> LoadReport:
+    """What ``deployment``'s clients saw, and its replicas' pools and chains.
+
+    ``committed_blocks`` and ``duration_ms`` are the runtime's own count
+    and clock: the simulator's monitor and virtual time, or the slowest
+    TCP replica and the seconds the cluster ran.
+    """
+    clients, replicas = deployment.clients, deployment.replicas
     latencies = sorted(
         record.latency_ms for client in clients for record in client.completed
     )
@@ -186,8 +200,8 @@ def _aggregate(
     seconds = duration_ms / 1000.0 if duration_ms > 0 else 0.0
     return LoadReport(
         runtime=runtime,
-        protocol=protocol,
-        num_replicas=num_replicas,
+        protocol=replicas[0].config.protocol,
+        num_replicas=len(replicas),
         senders=len(clients),
         offered_rate_per_s=offered_rate_per_s,
         duration_ms=duration_ms,
@@ -211,50 +225,3 @@ def _aggregate(
         admission=admission,
     )
 
-
-def run_load_sim(
-    config: SystemConfig, duration_ms: float, rate_per_s: float
-) -> LoadReport:
-    """Drive a simulated cluster open-loop; deterministic per seed."""
-    system = ConsensusSystem(config)
-    result = system.run(duration_ms)
-    return _aggregate(
-        runtime="sim",
-        protocol=config.protocol,
-        num_replicas=system.num_replicas,
-        clients=system.clients,
-        replicas=system.replicas,
-        committed_blocks=result.committed_blocks,
-        duration_ms=result.duration_ms,
-        offered_rate_per_s=rate_per_s,
-    )
-
-
-async def run_load_net(
-    config: SystemConfig,
-    duration_s: float,
-    rate_per_s: float,
-    *,
-    n: int | None = None,
-    host: str = "127.0.0.1",
-) -> LoadReport:
-    """Drive ``config`` as a :class:`LocalCluster` on localhost TCP.
-
-    The same sans-I/O replica and client machines as the simulator,
-    re-seated on :class:`~repro.runtime.asyncio_net.AsyncioRuntime`:
-    clients occupy transport pids after the replicas, and the replicas'
-    ``client_pids`` address book routes execution replies and admission
-    NACKs back over TCP.
-    """
-    cluster = LocalCluster(config, n, host=host)
-    elapsed = await cluster.run(duration_s)
-    return _aggregate(
-        runtime="net",
-        protocol=config.protocol,
-        num_replicas=cluster.n,
-        clients=cluster.clients,
-        replicas=cluster.replicas,
-        committed_blocks=min(rt.committed_blocks for rt in cluster.runtimes[: cluster.n]),
-        duration_ms=elapsed * 1000.0,
-        offered_rate_per_s=rate_per_s,
-    )

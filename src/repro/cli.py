@@ -5,7 +5,10 @@ Commands:
 * ``run`` - run one protocol deployment and print what it measured, or
   several protocols on the same deployment side by side; on the
   simulator (``--runtime sim``, the default) or as a localhost cluster on
-  asyncio TCP sockets (``--runtime tcp``), from the same flags;
+  asyncio TCP sockets (``--runtime tcp``), from the same flags.  With
+  ``--rate``, Poisson clients drive it through the mempool for
+  ``--duration`` seconds and it prints their load report (throughput,
+  p50/p99 latency, drops, commit multiplicity);
 * ``experiment`` - regenerate one of the paper's tables/figures; the
   grids (Figs 6-8) take their size as flags and shard across processes;
 * ``profile`` - cProfile one scenario cell and print the hot functions;
@@ -29,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import json
 import sys
 from functools import partial
+from typing import Any
 
 from repro.adversary.registry import get_adversary
 from repro.analysis.counterexample import run_checker_scenario, run_counter_scenario
@@ -44,6 +49,7 @@ from repro.analysis.engine import (
     write_baseline,
 )
 from repro.bench.experiments import fig6, fig7, fig8, fig9, table1_experiment
+from repro.bench.load import load_report, poisson_clients
 from repro.bench.reporting import format_table
 from repro.config import SystemConfig
 from repro.errors import ConfigError
@@ -53,8 +59,13 @@ from repro.sim.regions import EU_REGIONS, WORLD_REGIONS
 
 _REGIONS = {"eu": EU_REGIONS, "world": WORLD_REGIONS}
 
-#: Wall-clock seconds a ``run --runtime tcp`` may take unless ``--duration`` says.
-_TCP_DURATION_S = 5.0
+#: ``run``'s stop rules unless ``--views`` / ``--duration`` say: blocks a run
+#: without clients commits, and the seconds a ``--rate`` run lasts (virtual on
+#: the simulator), which also bound a tcp run without clients.
+_VIEWS = 10
+_DURATION_S = 10.0
+#: ``--senders`` Poisson clients unless it says.
+_SENDERS = 4
 
 _EXPERIMENTS = {
     "table1": partial(table1_experiment, f=2),
@@ -109,6 +120,11 @@ def deployment_config(args: argparse.Namespace) -> SystemConfig:
     )
 
 
+def byte_counts(text: str) -> tuple[int, ...]:
+    """``--payload-mix``'s comma-separated byte counts."""
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -130,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "table (see `repro protocols`)")
     run_p.add_argument("--f", type=int, default=1,
                        help="fault threshold; the cluster has the protocol's N(f) replicas")
-    run_p.add_argument("--views", type=int, default=10, help="blocks to commit")
+    run_p.add_argument("--views", type=int, default=None,
+                       help=f"blocks to commit (default {_VIEWS}); not with --rate")
     run_p.add_argument("--payload", type=int, default=256, help="tx payload bytes")
     run_p.add_argument("--block-size", type=int, default=400, help="txs per block")
     run_p.add_argument("--seed", type=int, default=1)
@@ -139,14 +156,38 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seat the named registered attack at its default "
                        "pids (see `repro campaign --list`)")
     run_p.add_argument("--duration", type=float, default=None, metavar="S",
-                       help="tcp only: wall-clock seconds the run may take "
-                       f"(default {_TCP_DURATION_S:g})")
+                       help="seconds a --rate run lasts (virtual on sim); without "
+                       f"--rate, tcp only: the seconds it may take (default {_DURATION_S:g})")
     run_p.add_argument("--regions", default=None, choices=sorted(_REGIONS),
                        help="sim only: replica placement (default eu)")
     run_p.add_argument("--crash", type=int, nargs="*", default=[], metavar="PID",
                        help="sim only: replicas crashed from the start")
     run_p.add_argument("--real-crypto", action="store_true",
                        help="sim only: use the Schnorr scheme instead of fast HMAC")
+    run_p.add_argument("--rate", type=float, default=None, metavar="TX/S",
+                       help="seat Poisson clients offering this aggregate load in "
+                       "place of synthetic blocks; the flags below need it")
+    run_p.add_argument("--senders", type=int, default=None,
+                       help=f"independent Poisson clients sharing the rate (default {_SENDERS})")
+    run_p.add_argument("--payload-mix", type=byte_counts, default=None, metavar="B,B,...",
+                       help="comma-separated payload sizes drawn uniformly "
+                       "per tx (overrides --payload), e.g. 0,256,1024")
+    run_p.add_argument("--max-fee", type=int, default=None,
+                       help="clients draw fees uniformly in [0, MAX] (default 0)")
+    run_p.add_argument("--retry-limit", type=int, default=None,
+                       help="client resubmissions after a full NACK (default 0)")
+    run_p.add_argument("--max-block-bytes", type=int, default=None,
+                       help="per-proposal byte cap (default 0 = unbounded)")
+    run_p.add_argument("--pool-max-txs", type=int, default=None,
+                       help="mempool resident-transaction cap (default 100000)")
+    run_p.add_argument("--pool-max-bytes", type=int, default=None,
+                       help="mempool resident-byte cap (default 0 = unbounded)")
+    run_p.add_argument("--rate-limit", type=float, default=None,
+                       help="admitted txs/ms per sender (default 0 = off)")
+    run_p.add_argument("--rate-burst", type=float, default=None,
+                       help="per-sender token-bucket burst (default 32)")
+    run_p.add_argument("--json", action="store_true", default=None,
+                       help="emit the load report as JSON")
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp_p.add_argument("name", choices=sorted(_EXPERIMENTS))
@@ -230,45 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="FaultPlan rules_spec JSON applied to outbound "
                          "frames; re-read when its mtime changes")
 
-    load_p = sub.add_parser(
-        "load",
-        help="open-loop Poisson load generator: drive a cluster at a "
-        "configured arrival rate and report saturation throughput, "
-        "p50/p99 latency, and drop/eviction rates",
-    )
-    load_p.add_argument("--protocol", default="damysus", choices=sorted(SPECS))
-    load_p.add_argument("--runtime", default="sim", choices=("sim", "net"),
-                        help="discrete-event simulator or localhost TCP")
-    load_p.add_argument("--rate", type=float, required=True,
-                        help="aggregate offered load, transactions per second")
-    load_p.add_argument("--senders", type=int, default=4,
-                        help="independent Poisson clients sharing the rate")
-    load_p.add_argument("--duration", type=float, default=10.0,
-                        help="seconds to run (virtual seconds under sim)")
-    load_p.add_argument("--f", type=int, default=1, help="fault threshold (sim)")
-    load_p.add_argument("--n", type=int, default=4, help="cluster size (net)")
-    load_p.add_argument("--seed", type=int, default=1)
-    load_p.add_argument("--payload", type=int, default=256, help="tx payload bytes")
-    load_p.add_argument("--payload-mix", default="",
-                        help="comma-separated payload sizes drawn uniformly "
-                        "per tx (overrides --payload), e.g. 0,256,1024")
-    load_p.add_argument("--max-fee", type=int, default=0,
-                        help="clients draw fees uniformly in [0, MAX]")
-    load_p.add_argument("--retry-limit", type=int, default=0,
-                        help="client resubmissions after a full NACK")
-    load_p.add_argument("--block-size", type=int, default=400, help="txs per block")
-    load_p.add_argument("--max-block-bytes", type=int, default=0,
-                        help="per-proposal byte cap (0 = unbounded)")
-    load_p.add_argument("--pool-max-txs", type=int, default=100_000,
-                        help="mempool resident-transaction cap")
-    load_p.add_argument("--pool-max-bytes", type=int, default=0,
-                        help="mempool resident-byte cap (0 = unbounded)")
-    load_p.add_argument("--rate-limit", type=float, default=0.0,
-                        help="admitted txs/ms per sender (0 = off)")
-    load_p.add_argument("--rate-burst", type=float, default=32.0,
-                        help="per-sender token-bucket burst")
-    load_p.add_argument("--json", action="store_true", help="emit the report as JSON")
-
     nc_p = sub.add_parser(
         "net-chaos",
         help="multi-process chaos: play a fault plan (SIGKILL + restart from "
@@ -334,20 +336,51 @@ def build_parser() -> argparse.ArgumentParser:
 #: a simulated replica.  Unset, each reads false.
 _SIM_FLAGS = ("regions", "real_crypto", "crash")
 
+#: ``run`` flags that shape the clients ``--rate`` seats, and the
+#: :class:`SystemConfig` field each sets; unset, a field keeps its default.
+_CLIENT_FIELDS = {
+    "payload_mix": "client_payload_mix",
+    "max_fee": "client_max_fee",
+    "retry_limit": "client_retry_limit",
+    "max_block_bytes": "max_block_bytes",
+    "pool_max_txs": "mempool_max_txs",
+    "pool_max_bytes": "mempool_max_bytes",
+    "rate_limit": "sender_rate_limit",
+    "rate_burst": "sender_rate_burst",
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
 
 def _run_configs(args: argparse.Namespace) -> list[SystemConfig]:
-    """One :class:`SystemConfig` per ``--protocol``, the same on both runtimes.
+    """One :class:`SystemConfig` per ``--protocol``, the same on both runtimes;
+    ``--rate`` seats :func:`~repro.bench.load.poisson_clients` in it.
 
-    A flag the chosen runtime cannot honour is a :class:`ConfigError`, not
-    ignored.
+    A flag the chosen runtime cannot honour, or that the run's stop rule
+    or lack of clients leaves without meaning, is a :class:`ConfigError`,
+    not ignored.
     """
     if args.runtime == "tcp":
         for name in _SIM_FLAGS:
             if getattr(args, name):
-                flag = "--" + name.replace("_", "-")
-                raise ConfigError(f"{flag} is simulator-only; it has no meaning on --runtime tcp")
-    elif args.duration is not None:
-        raise ConfigError("--duration bounds a tcp run; a sim run stops at --views")
+                raise ConfigError(f"{_flag(name)} is simulator-only; it has no meaning on --runtime tcp")
+    clients: dict[str, Any] = {}
+    if args.rate is None:
+        for name in ("senders", *_CLIENT_FIELDS, "json"):
+            if getattr(args, name) is not None:
+                raise ConfigError(f"{_flag(name)} is for a run with clients; give --rate")
+        if args.runtime == "sim" and args.duration is not None:
+            raise ConfigError("--duration bounds a tcp or --rate run; a sim run stops at --views")
+    else:
+        if args.views is not None:
+            raise ConfigError("--views stops a run without clients; a --rate run lasts --duration")
+        senders = _SENDERS if args.senders is None else args.senders
+        clients = poisson_clients(args.rate, senders)
+        for name, field in _CLIENT_FIELDS.items():
+            if getattr(args, name) is not None:
+                clients[field] = getattr(args, name)
     return [
         SystemConfig(
             protocol=protocol,
@@ -360,26 +393,34 @@ def _run_configs(args: argparse.Namespace) -> list[SystemConfig]:
             timeout_ms=args.timeout_ms,
             max_timeout_ms=args.max_timeout_ms,
             timeout_jitter=args.timeout_jitter,
+            **clients,
         )
         for protocol in args.protocol
     ]
 
 
+def _sim_system(config: SystemConfig, args: argparse.Namespace) -> ConsensusSystem:
+    """``config`` on the simulator, with ``--adversary`` seated and ``--crash`` down."""
+    overrides = None
+    if args.adversary is not None:
+        num_replicas = get_spec(config.protocol).num_replicas(config.f)
+        attack = get_adversary(args.adversary)
+        overrides = attack.replica_overrides(config.protocol, num_replicas, config.f)
+    system = ConsensusSystem(config, replica_overrides=overrides)
+    if args.crash:
+        system.crash_replicas(args.crash)
+    return system
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     configs = _run_configs(args)
+    duration = _DURATION_S if args.duration is None else args.duration
+    if args.rate is not None:
+        return _run_clients(configs, duration, args)
+    views = _VIEWS if args.views is None else args.views
     if args.runtime == "tcp":
-        return _run_tcp(configs, args)
-    attack = None if args.adversary is None else get_adversary(args.adversary)
-    results = []
-    for config in configs:
-        overrides = None
-        if attack is not None:
-            num_replicas = get_spec(config.protocol).num_replicas(config.f)
-            overrides = attack.replica_overrides(config.protocol, num_replicas, config.f)
-        system = ConsensusSystem(config, replica_overrides=overrides)
-        if args.crash:
-            system.crash_replicas(args.crash)
-        results.append(system.run_until_views(args.views))
+        return _run_tcp(configs, views, duration, args)
+    results = [_sim_system(config, args).run_until_views(views) for config in configs]
     if len(results) > 1:
         rows = [
             [r.protocol, r.num_replicas, r.throughput_kops, r.mean_latency_ms,
@@ -406,23 +447,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if all(r.safe for r in results) else 1
 
 
-def _run_tcp(configs: list[SystemConfig], args: argparse.Namespace) -> int:
-    """Each config as a :class:`LocalCluster` until every replica holds ``--views``
-    blocks or ``--duration`` runs out; exit 1 if a cluster committed nothing.
+def _run_tcp(
+    configs: list[SystemConfig], views: int, duration: float, args: argparse.Namespace
+) -> int:
+    """Each config as a :class:`LocalCluster` until every replica holds ``views``
+    blocks or ``duration`` seconds run out; exit 1 if a cluster committed nothing.
 
     It prints what the sockets measured: no latency, which no replica
-    stamps here, and no safety verdict, which no oracle checks here.
+    stamps here (``--rate`` clients do), and no safety verdict, which no
+    oracle checks here.
     """
     import asyncio
 
     from repro.runtime.asyncio_net import LocalCluster
 
     clusters = [LocalCluster(config, adversary=args.adversary) for config in configs]
-    duration = _TCP_DURATION_S if args.duration is None else args.duration
     rows: list[list[object]] = []
     stalled = False
     for config, cluster in zip(configs, clusters):
-        elapsed = asyncio.run(cluster.run(duration, target_blocks=args.views))
+        elapsed = asyncio.run(cluster.run(duration, target_blocks=views))
         seated = cluster.runtimes[: cluster.n]  # the replicas' runtimes, not the clients'
         blocks = min(rt.committed_blocks for rt in seated)  # at the slowest replica
         txs = min(rt.committed_txs for rt in seated)
@@ -450,6 +493,48 @@ def _run_tcp(configs: list[SystemConfig], args: argparse.Namespace) -> int:
             )
         )
     return 1 if stalled else 0
+
+
+def _run_clients(
+    configs: list[SystemConfig], duration: float, args: argparse.Namespace
+) -> int:
+    """Each config with its clients for ``duration`` seconds (virtual on the
+    simulator), printed as the clients' :class:`~repro.bench.load.LoadReport`.
+
+    Exit 1 if a cluster committed nothing or the simulator's safety oracle
+    saw a violation.
+    """
+    import asyncio
+
+    from repro.runtime.asyncio_net import LocalCluster
+
+    reports = []
+    unsafe = False
+    for config in configs:
+        if args.runtime == "tcp":
+            cluster = LocalCluster(config, adversary=args.adversary)
+            elapsed = asyncio.run(cluster.run(duration))
+            blocks = min(rt.committed_blocks for rt in cluster.runtimes[: cluster.n])
+            reports.append(load_report("tcp", cluster, blocks, elapsed * 1000.0, args.rate))
+        else:
+            system = _sim_system(config, args)
+            result = system.run(duration * 1000.0)
+            unsafe |= not result.safe
+            reports.append(
+                load_report("sim", system, result.committed_blocks, result.duration_ms, args.rate)
+            )
+    if args.json:
+        docs = [report.to_dict() for report in reports]
+        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2, sort_keys=True))
+    else:
+        for report in reports:
+            print(format_table(["metric", "value"], report.summary_rows(),
+                               title="open-loop load report"))
+            verdicts = ", ".join(
+                f"{name}={count}" for name, count in sorted(report.admission.items())
+            )
+            print(f"replies by verdict: {verdicts}")
+    return 1 if unsafe or any(report.committed_blocks == 0 for report in reports) else 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -586,50 +671,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_load(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from repro.bench.load import load_config, run_load_net, run_load_sim
-    from repro.bench.reporting import format_table
-
-    mix = tuple(int(p) for p in args.payload_mix.split(",") if p.strip())
-    config = load_config(
-        args.protocol,
-        rate_per_s=args.rate,
-        senders=args.senders,
-        f=args.f,
-        seed=args.seed,
-        payload_bytes=args.payload,
-        payload_mix=mix,
-        max_fee=args.max_fee,
-        retry_limit=args.retry_limit,
-        block_size=args.block_size,
-        max_block_bytes=args.max_block_bytes,
-        mempool_max_txs=args.pool_max_txs,
-        mempool_max_bytes=args.pool_max_bytes,
-        sender_rate_limit=args.rate_limit,
-        sender_rate_burst=args.rate_burst,
-    )
-    if args.runtime == "sim":
-        report = run_load_sim(config, args.duration * 1000.0, args.rate)
-    else:
-        import asyncio
-
-        report = asyncio.run(
-            run_load_net(config, args.duration, args.rate, n=args.n)
-        )
-    if args.json:
-        print(json_mod.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_table(["metric", "value"], report.summary_rows(),
-                           title="open-loop load report"))
-        verdicts = ", ".join(
-            f"{name}={count}" for name, count in sorted(report.admission.items())
-        )
-        print(f"replies by verdict: {verdicts}")
-    return 0 if report.committed_blocks > 0 else 1
-
-
 def _cmd_net_chaos(args: argparse.Namespace) -> int:
     from repro.runtime.resilience.netchaos import run_net_chaos
 
@@ -689,7 +730,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile": _cmd_profile,
         "campaign": _cmd_campaign,
         "serve": _cmd_serve,
-        "load": _cmd_load,
         "net-chaos": _cmd_net_chaos,
         "counterexample": _cmd_counterexample,
         "lint": _cmd_lint,

@@ -41,10 +41,6 @@ class RngStream:
         """Exponential inter-arrival sample with the given rate (1/mean)."""
         return self._rng.expovariate(rate)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal sample."""
-        return self._rng.gauss(mu, sigma)
-
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi]."""
         return self._rng.randint(lo, hi)

@@ -1,4 +1,4 @@
-"""Clients for the closed-loop (Fig 9) experiments and ``repro load``.
+"""Clients for the closed-loop (Fig 9) experiments and ``repro run --rate``.
 
 A client submits transactions at a configurable interval, broadcasting
 each request to all replicas (the paper's client interaction model:
@@ -11,7 +11,7 @@ with an explicit :class:`~repro.core.mempool.AdmissionVerdict`, and the
 client records them - a transaction NACKed by *every* replica is
 dropped (or resubmitted, up to ``retry_limit``) instead of silently
 inflating the in-flight set forever.  ``dropped``/``retried`` and the
-per-verdict reply histogram feed the ``repro load`` report.
+per-verdict reply histogram feed the ``repro run --rate`` load report.
 """
 
 from __future__ import annotations
@@ -218,18 +218,3 @@ class Client(Machine):
         if not self.completed:
             return 0.0
         return sum(c.latency_ms for c in self.completed) / len(self.completed)
-
-    def throughput_kops(self, duration_ms: float) -> float:
-        if duration_ms <= 0:
-            return 0.0
-        return (len(self.completed) / (duration_ms / 1000.0)) / 1000.0
-
-    def admission_summary(self) -> dict[str, int]:
-        """Drop/retry counts plus the per-verdict reply histogram."""
-        return {
-            "submitted": self.submitted_total,
-            "completed": len(self.completed),
-            "dropped": self.dropped,
-            "retried": self.retried,
-            **{f"replies_{name}": count for name, count in self.verdicts.items()},
-        }

@@ -19,8 +19,8 @@ run here unchanged against real sockets and wall-clock timers:
   a replica is seated with a zero cost model and ``ChargeCpu`` is a no-op.
 * :class:`LocalCluster` seats one :class:`~repro.config.SystemConfig` on
   localhost as the simulator seats it (replicas, then its clients);
-  ``repro run --runtime tcp``, ``repro load --runtime net`` and the
-  cross-runtime equivalence tests run one and read its replicas'
+  ``repro run --runtime tcp`` (with or without ``--rate`` clients) and
+  the cross-runtime equivalence tests run one and read its replicas'
   ledgers and its runtimes' counters.
 * :func:`serve_replica` runs one replica of a config on a fixed port
   (``repro serve``).  Both size ``f`` from the replica count they are

@@ -1,14 +1,10 @@
-"""The open-loop load generator: determinism, percentiles, net smoke."""
+"""Client-driven load: determinism, percentiles, the report on both runtimes."""
 
 import asyncio
 
-from repro.bench.load import (
-    LoadReport,
-    load_config,
-    percentile,
-    run_load_net,
-    run_load_sim,
-)
+from repro.bench.load import LoadReport, load_config, load_report, percentile
+from repro.runtime.asyncio_net import LocalCluster
+from repro.runtime.sim import ConsensusSystem
 
 
 def test_percentile_nearest_rank():
@@ -32,8 +28,16 @@ def quick_config(**overrides):
     return load_config("damysus", **params)
 
 
+def sim_report(config, duration_ms=600.0):
+    """``config`` on the simulator for ``duration_ms``, read as ``run --rate`` reads it."""
+    system = ConsensusSystem(config)
+    result = system.run(duration_ms)
+    rate = config.num_clients * 1000.0 / config.client_interval_ms
+    return load_report("sim", system, result.committed_blocks, result.duration_ms, rate)
+
+
 def test_load_sim_commits_and_completes():
-    report = run_load_sim(quick_config(), duration_ms=600.0, rate_per_s=2_000.0)
+    report = sim_report(quick_config())
     assert report.runtime == "sim"
     assert report.committed_blocks > 0
     assert report.completed > 0
@@ -44,7 +48,7 @@ def test_load_sim_commits_and_completes():
 def test_load_sim_commits_every_transaction_once():
     """Clients broadcast to every replica; the chain still carries - and the
     ledger applies - each request once (it was n copies before)."""
-    report = run_load_sim(quick_config(), duration_ms=600.0, rate_per_s=2_000.0)
+    report = sim_report(quick_config())
     assert report.commit_multiplicity == 1.0
     assert report.filtered_duplicates == 0
     # The replicas that did not propose a transaction dropped their copy.
@@ -55,18 +59,14 @@ def test_load_sim_commits_every_transaction_once():
 
 def test_load_sim_same_seed_is_bit_identical():
     """Two runs with the same seed produce byte-for-byte equal reports."""
-    first = run_load_sim(quick_config(), duration_ms=600.0, rate_per_s=2_000.0)
-    second = run_load_sim(quick_config(), duration_ms=600.0, rate_per_s=2_000.0)
+    first = sim_report(quick_config())
+    second = sim_report(quick_config())
     assert first == second
     assert first.to_dict() == second.to_dict()
 
 
 def test_load_sim_seed_changes_the_run():
-    base = run_load_sim(quick_config(), duration_ms=600.0, rate_per_s=2_000.0)
-    other = run_load_sim(
-        quick_config(seed=12), duration_ms=600.0, rate_per_s=2_000.0
-    )
-    assert base != other
+    assert sim_report(quick_config()) != sim_report(quick_config(seed=12))
 
 
 def test_load_sim_overload_reports_drops():
@@ -77,14 +77,15 @@ def test_load_sim_overload_reports_drops():
         sender_rate_limit=0.05,
         sender_rate_burst=4.0,
     )
-    report = run_load_sim(config, duration_ms=600.0, rate_per_s=5_000.0)
+    report = sim_report(config)
+    assert report.offered_rate_per_s == 5_000.0
     assert report.admission["rate-limited"] > 0
     assert report.dropped > 0
     assert report.drop_rate > 0.0
 
 
 def test_load_report_serializes():
-    report = run_load_sim(quick_config(), duration_ms=400.0, rate_per_s=2_000.0)
+    report = sim_report(quick_config(), duration_ms=400.0)
     data = report.to_dict()
     assert isinstance(data["admission"], dict)
     rows = report.summary_rows()
@@ -92,13 +93,15 @@ def test_load_report_serializes():
     assert isinstance(report, LoadReport)
 
 
-def test_load_net_smoke():
-    """The same machines over real localhost TCP commit and complete."""
+def test_load_tcp_smoke():
+    """The same machines over real localhost TCP (N(1) = 3) commit and complete."""
     config = quick_config(rate_per_s=400.0, senders=2, timeout_ms=1_000.0)
-    report = asyncio.run(
-        run_load_net(config, duration_s=3.0, rate_per_s=400.0, n=4)
-    )
-    assert report.runtime == "net"
+    cluster = LocalCluster(config)
+    elapsed = asyncio.run(cluster.run(3.0))
+    blocks = min(rt.committed_blocks for rt in cluster.runtimes[: cluster.n])
+    report = load_report("tcp", cluster, blocks, elapsed * 1000.0, 400.0)
+    assert report.runtime == "tcp"
+    assert report.num_replicas == 3
     assert report.committed_blocks >= 1
     assert report.completed > 0
     assert report.p50_ms > 0

@@ -68,9 +68,8 @@ def test_full_nack_drops_the_transaction():
         nack(client, sender, 0, AdmissionVerdict.POOL_FULL)
     assert client.dropped == 1
     assert 0 not in client.submitted
-    summary = client.admission_summary()
-    assert summary["dropped"] == 1
-    assert summary["replies_pool-full"] == 4
+    assert client.submitted_total == 1 and not client.completed
+    assert client.verdicts["pool-full"] == 4
 
 
 def test_repeated_nacks_from_one_replica_do_not_drop():

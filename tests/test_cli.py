@@ -73,9 +73,10 @@ def test_chaos_command(capsys):
     assert "1 cells: 1 pass, 0 unsafe, 0 stalled" in out
 
 
-@pytest.mark.parametrize("command", ["chaos", "net-bench"])
+@pytest.mark.parametrize("command", ["chaos", "net-bench", "load"])
 def test_removed_commands_are_usage_errors(command, capsys):
-    """``chaos`` is a ``campaign`` cell and ``net-bench`` is ``run --runtime tcp``."""
+    """``chaos`` is a ``campaign`` cell, ``net-bench`` is ``run --runtime tcp``
+    and ``load`` is ``run --rate``."""
     with pytest.raises(SystemExit) as exit_info:
         main([command])
     assert exit_info.value.code == 2
@@ -102,6 +103,40 @@ def test_run_on_tcp_compares_protocols_side_by_side(capsys):
     rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
     assert rows["hotstuff"][1] == "4" and rows["damysus"][1] == "3"  # N(f) for f = 1
     assert int(rows["hotstuff"][2]) >= 1 and int(rows["damysus"][2]) >= 1
+
+
+def test_run_with_clients_commits_each_request_once(capsys):
+    """``--rate`` seats Poisson clients; the chain carries each request once."""
+    code = main(["run", "--rate", "2000", "--senders", "4", "--duration", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "open-loop load report" in out
+    assert "commit multiplicity       1.00" in out
+
+
+def test_run_with_clients_on_tcp_prints_latency(capsys):
+    import json
+
+    code = main(["run", "--runtime", "tcp", "--rate", "400", "--senders", "2",
+                 "--duration", "3", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["runtime"] == "tcp" and report["num_replicas"] == 3
+    assert report["committed_blocks"] > 0
+    assert report["p50_ms"] > 0
+
+
+def test_run_with_clients_and_an_adversary_completes_requests(capsys):
+    """A seated attack and clients combine: the ``withhold`` coalition slows
+    the cluster, and requests still complete, each committed once."""
+    import json
+
+    code = main(["run", "--rate", "2000", "--senders", "4", "--duration", "2",
+                 "--adversary", "withhold", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["completed"] > 0
+    assert report["commit_multiplicity"] == 1.0
 
 
 def test_loss_only_run_is_the_lossy_campaign_cell(capsys):
@@ -250,8 +285,10 @@ def test_chaos_cell_accepts_timeout_knobs(capsys):
         ["serve", "--pid", "9", "--n", "4"],
         ["serve", "--pid", "0", "--adversary", "nope"],
         ["serve", "--pid", "0", "--protocol", "hotstuff", "--n", "3"],
-        ["load", "--rate", "0"],
-        ["load", "--rate", "10", "--senders", "0"],
+        ["run", "--rate", "0"],
+        ["run", "--rate", "10", "--senders", "0"],
+        ["run", "--rate", "10", "--views", "3"],
+        ["run", "--senders", "2"],
         ["experiment", "fig8", "--jobs", "-1"],
         ["experiment", "table1", "--jobs", "2"],
         ["run", "--runtime", "tcp", "--regions", "world"],
