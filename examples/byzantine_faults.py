@@ -13,11 +13,7 @@ Part 3 runs live Damysus deployments with equivocating and stale-leader
 adversaries and shows consensus stays safe and live.
 """
 
-from repro.adversary import (
-    EquivocatingDamysusLeader,
-    EquivocatingHotStuffLeader,
-    StaleDamysusLeader,
-)
+from repro.adversary import get_adversary
 from repro.analysis import run_checker_scenario, run_counter_scenario
 from repro.config import SystemConfig
 from repro.costs import CostModel
@@ -43,11 +39,12 @@ def main() -> None:
 
     banner("Part 3: live adversaries against full protocol runs")
     scenarios = [
-        ("hotstuff", EquivocatingHotStuffLeader, "equivocating leader"),
-        ("damysus", EquivocatingDamysusLeader, "equivocating leader"),
-        ("damysus", StaleDamysusLeader, "stale (understating) leader"),
+        ("hotstuff", "equivocate", "equivocating leader"),
+        ("damysus", "equivocate", "equivocating leader"),
+        ("damysus", "stale", "stale (understating) leader"),
     ]
-    for protocol, adversary, label in scenarios:
+    for protocol, attack, label in scenarios:
+        adversary = get_adversary(attack).replica_class(protocol)
         config = SystemConfig(
             protocol=protocol,
             f=1,

@@ -7,7 +7,7 @@ all state machines converged to the same digest - the application-level
 payoff of consensus safety.
 """
 
-from repro.adversary import EquivocatingDamysusLeader
+from repro.adversary import get_adversary
 from repro.app import KVCommand, attach_state_machines
 from repro.app.kvstore import OP_DELETE, OP_INCREMENT, OP_PUT
 from repro.config import SystemConfig
@@ -25,7 +25,8 @@ def main() -> None:
         timeout_ms=300,
         costs=CostModel.zero(),
     )
-    system = ConsensusSystem(config, replica_overrides={1: EquivocatingDamysusLeader})
+    equivocator = get_adversary("equivocate").replica_class("damysus")
+    system = ConsensusSystem(config, replica_overrides={1: equivocator})
     app = attach_state_machines(system)
 
     workload = [

@@ -1,12 +1,16 @@
 """Byzantine behaviours for safety and liveness testing.
 
-Adversarial replicas subclass the honest protocol classes and deviate on
-the *untrusted* side only: they may call their trusted components in any
-order with any arguments, delay or withhold messages, and equivocate
-where no TEE stops them - but they can never forge TEE certificates or
-read TEE-private state, which is exactly the paper's hybrid fault model.
+Every attack is one :class:`~repro.adversary.behaviors.Behaviour`: the
+untrusted-side hooks it deviates on, written once and composed by the
+registry in front of any protocol's replica class whose messages it
+speaks.  Adversaries deviate on the *untrusted* side only: they may call
+their trusted components in any order with any arguments, delay or
+withhold messages, and equivocate where no TEE stops them - but they can
+never forge TEE certificates or read TEE-private state, which is exactly
+the paper's hybrid fault model.
 
-* :mod:`~repro.adversary.behaviors` - crash-style and silent-leader faults.
+* :mod:`~repro.adversary.behaviors` - the behaviour base, and the silent
+  leader whose every view times out.
 * :mod:`~repro.adversary.equivocation` - leaders proposing conflicting
   blocks (succeeds in sowing confusion in HotStuff, hard-refused by the
   Damysus checker).
@@ -28,64 +32,21 @@ read TEE-private state, which is exactly the paper's hybrid fault model.
 * :mod:`~repro.adversary.spammer` - min-fee transaction floods against
   the bounded priority mempool.
 * :mod:`~repro.adversary.registry` - every attack addressable by name
-  (``repro campaign``, ``repro net-chaos --adversary``).
+  (``repro campaign``, ``repro net-chaos --adversary``), and each one's
+  replica class per protocol (``get_adversary(name).replica_class(protocol)``).
 """
 
-from repro.adversary.amnesia import AmnesiaDamysusReplica
-from repro.adversary.behaviors import SilentLeaderHotStuff, SilentLeaderDamysus
-from repro.adversary.equivocation import (
-    EquivocatingDamysusLeader,
-    EquivocatingHotStuffLeader,
-)
-from repro.adversary.flooding import FloodingDamysusReplica
 from repro.adversary.registry import (
     ADVERSARIES,
     AdversarySpec,
     adversary_names,
     get_adversary,
 )
-from repro.adversary.slow_drip import SlowDripDamysusLeader, SlowDripHotStuffLeader
-from repro.adversary.spammer import (
-    MempoolSpammerDamysusReplica,
-    MempoolSpammerHotStuffReplica,
-)
-from repro.adversary.stale_leader import StaleDamysusLeader, StaleHotStuffLeader
-from repro.adversary.sync_server import (
-    ByzantineSyncServerDamysus,
-    ByzantineSyncServerHotStuff,
-)
-from repro.adversary.targeted_partition import (
-    TargetedPartitionDamysusReplica,
-    TargetedPartitionHotStuffReplica,
-    leader_isolation_plan,
-    victim_pids,
-)
-from repro.adversary.withholding import (
-    VoteWithholdingDamysusReplica,
-    VoteWithholdingHotStuffReplica,
-)
+from repro.adversary.targeted_partition import leader_isolation_plan, victim_pids
 
 __all__ = [
-    "SilentLeaderHotStuff",
-    "SilentLeaderDamysus",
-    "EquivocatingHotStuffLeader",
-    "EquivocatingDamysusLeader",
-    "StaleHotStuffLeader",
-    "StaleDamysusLeader",
-    "FloodingDamysusReplica",
-    "SlowDripDamysusLeader",
-    "SlowDripHotStuffLeader",
-    "VoteWithholdingDamysusReplica",
-    "VoteWithholdingHotStuffReplica",
-    "TargetedPartitionDamysusReplica",
-    "TargetedPartitionHotStuffReplica",
     "leader_isolation_plan",
     "victim_pids",
-    "ByzantineSyncServerDamysus",
-    "ByzantineSyncServerHotStuff",
-    "AmnesiaDamysusReplica",
-    "MempoolSpammerDamysusReplica",
-    "MempoolSpammerHotStuffReplica",
     "ADVERSARIES",
     "AdversarySpec",
     "adversary_names",

@@ -14,21 +14,27 @@ it writes a record and keeps it, and before every recovery it puts that
 older record back on its disk.  The refusal is counted
 (``rollback_refusals``); the host then puts the genuine record back, so
 the replica rejoins with full memory - the attack buys nothing but
-downtime.
+downtime.  A protocol without a Checker seals nothing, so it has nothing
+to roll back: the attack needs one.
 """
 
 from __future__ import annotations
 
+from repro.adversary.behaviors import Behaviour
 from repro.errors import TEERefusal
-from repro.protocols.damysus import DamysusReplica
+from repro.protocols.replica import BaseReplica
 
 
-class AmnesiaDamysusReplica(DamysusReplica):
+class Amnesia(Behaviour):
     """Presents an older durable record on every recovery."""
 
     WIRING = ("stale_disk", "rollback_attempts", "rollback_refusals")
     stale_disk = b""  # the older record the host keeps aside
     rollback_attempts = rollback_refusals = 0
+
+    @classmethod
+    def unfit(cls, base: type[BaseReplica]) -> str | None:
+        return None if base.CHECKER is not None else "no Checker, so no sealed state to roll back"
 
     def crash(self) -> None:
         if not self.crashed and not self.stale_disk:

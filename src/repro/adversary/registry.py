@@ -3,10 +3,14 @@
 One :class:`AdversarySpec` per attack binds together everything the
 harnesses need to run it on either runtime:
 
-* the Byzantine replica class per supported protocol (adversaries are
-  sans-I/O Machines, so the same class runs on the simulator via
+* the attack's :class:`~repro.adversary.behaviors.Behaviour`, written
+  once; :meth:`AdversarySpec.replica_class` composes it in front of a
+  protocol's replica class, and the behaviour's own needs
+  (:meth:`~repro.adversary.behaviors.Behaviour.unfit`) decide which
+  protocols it supports and why not the others.  Adversaries are sans-I/O
+  Machines, so the same class runs on the simulator via
   ``ConsensusSystem(replica_overrides=...)`` and on asyncio TCP via
-  ``LocalCluster(adversary=...)`` / ``repro serve --adversary``);
+  ``LocalCluster(adversary=...)`` / ``repro serve --adversary``;
 * which pids to seat it at for a given cluster size (a coalition takes
   ``f`` seats, most attacks take one) - :meth:`AdversarySpec.replica_overrides`
   is that rule, used by ``repro run --adversary`` on both runtimes and by
@@ -24,39 +28,24 @@ names up here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
-from repro.adversary.amnesia import AmnesiaDamysusReplica
-from repro.adversary.behaviors import SilentLeaderDamysus, SilentLeaderHotStuff
-from repro.adversary.equivocation import (
-    EquivocatingDamysusLeader,
-    EquivocatingHotStuffLeader,
-)
-from repro.adversary.flooding import FloodingDamysusReplica
-from repro.adversary.slow_drip import SlowDripDamysusLeader, SlowDripHotStuffLeader
-from repro.adversary.spammer import (
-    MempoolSpammerDamysusReplica,
-    MempoolSpammerHotStuffReplica,
-)
-from repro.adversary.stale_leader import StaleDamysusLeader, StaleHotStuffLeader
-from repro.adversary.sync_server import (
-    ByzantineSyncServerDamysus,
-    ByzantineSyncServerHotStuff,
-)
-from repro.adversary.targeted_partition import (
-    TargetedPartitionDamysusReplica,
-    TargetedPartitionHotStuffReplica,
-    leader_isolation_plan,
-    victim_pids,
-)
-from repro.adversary.withholding import (
-    VoteWithholdingDamysusReplica,
-    VoteWithholdingHotStuffReplica,
-)
+from repro.adversary.amnesia import Amnesia
+from repro.adversary.behaviors import Behaviour, SilentLeader
+from repro.adversary.equivocation import EquivocatingLeader
+from repro.adversary.flooding import Flooding
+from repro.adversary.slow_drip import SlowDripLeader
+from repro.adversary.spammer import MempoolSpammer
+from repro.adversary.stale_leader import Stale
+from repro.adversary.sync_server import ByzantineSyncServer
+from repro.adversary.targeted_partition import TargetedPartition, leader_isolation_plan, victim_pids
+from repro.adversary.withholding import VoteWithholding
 from repro.core.faults import FaultPlan
 from repro.errors import ConfigError
 from repro.protocols.registry import SPECS
+from repro.protocols.replica import BaseReplica
 
 
 def _single_seat(num_replicas: int, f: int) -> tuple[int, ...]:
@@ -109,14 +98,21 @@ def _counter(*names: str) -> Callable[[Any], int]:
     return events
 
 
+@functools.cache
+def _compose(behaviour: type[Behaviour], base: type[BaseReplica]) -> type[BaseReplica]:
+    """``behaviour`` in front of ``base``: one class per pair, built once."""
+    name = behaviour.__name__ + base.__name__
+    return type(name, (behaviour, base), {"__module__": behaviour.__module__, "__qualname__": name})
+
+
 @dataclass(frozen=True)
 class AdversarySpec:
     """Everything needed to run one named attack on any harness."""
 
     name: str
     description: str
-    #: Byzantine replica class per supported protocol name.
-    classes: Mapping[str, type]
+    #: The attack, written once for every protocol (``None``: honest).
+    behaviour: type[Behaviour] | None
     #: Which pids to seat the adversary at for (num_replicas, f).
     seats: Callable[[int, int], tuple[int, ...]] = _single_seat
     #: Network/crash faults the attack coordinates with (or ``None``).
@@ -124,17 +120,26 @@ class AdversarySpec:
     #: Extract the attack-event count from an adversary instance.
     events: Callable[[Any], int] = field(default=_counter())
 
-    def supports(self, protocol: str) -> bool:
-        return protocol in self.classes
+    def unsupported(self, protocol: str) -> str | None:
+        """Why the attack cannot run on ``protocol`` (``None``: it can)."""
+        if protocol not in SPECS:
+            return "unknown protocol"
+        if self.behaviour is None:
+            return None
+        return self.behaviour.unfit(SPECS[protocol].replica_class)
 
-    def replica_class(self, protocol: str) -> type:
-        try:
-            return self.classes[protocol]
-        except KeyError:
+    def supports(self, protocol: str) -> bool:
+        return self.unsupported(protocol) is None
+
+    def replica_class(self, protocol: str) -> type[BaseReplica]:
+        """The attack's replica class on ``protocol``, the same object every call."""
+        reason = self.unsupported(protocol)
+        if reason is not None:
             raise ConfigError(
-                f"adversary {self.name!r} does not support protocol {protocol!r} "
-                f"(supported: {', '.join(sorted(self.classes))})"
-            ) from None
+                f"adversary {self.name!r} does not support protocol {protocol!r}: {reason}"
+            )
+        base = SPECS[protocol].replica_class
+        return base if self.behaviour is None else _compose(self.behaviour, base)
 
     def replica_overrides(self, protocol: str, num_replicas: int, f: int) -> dict[int, type]:
         """The attack's seats in a ``num_replicas``-replica ``protocol`` cluster, pid -> class.
@@ -151,28 +156,19 @@ ADVERSARIES: dict[str, AdversarySpec] = {
         AdversarySpec(
             name="silent",
             description="leader never proposes; every one of its views times out",
-            classes={
-                "damysus": SilentLeaderDamysus,
-                "hotstuff": SilentLeaderHotStuff,
-            },
+            behaviour=SilentLeader,
             events=_counter("withheld_proposals"),
         ),
         AdversarySpec(
             name="equivocate",
             description="leader sends conflicting proposals to two halves",
-            classes={
-                "damysus": EquivocatingDamysusLeader,
-                "hotstuff": EquivocatingHotStuffLeader,
-            },
+            behaviour=EquivocatingLeader,
             events=_counter("equivocations", "failed_equivocations"),
         ),
         AdversarySpec(
             name="stale",
             description="leader certifies/extends a stale prepared block",
-            classes={
-                "damysus": StaleDamysusLeader,
-                "hotstuff": StaleHotStuffLeader,
-            },
+            behaviour=Stale,
             events=_counter(
                 "understated_views", "discarded_commitments", "stale_proposals"
             ),
@@ -180,36 +176,27 @@ ADVERSARIES: dict[str, AdversarySpec] = {
         AdversarySpec(
             name="flood",
             description="sprays far-future junk to exhaust message buffers",
-            classes={"damysus": FloodingDamysusReplica},
+            behaviour=Flooding,
             events=_counter("flood_count"),
         ),
         AdversarySpec(
             name="slow-drip",
             description="leader proposes just under the view timeout to "
             "bleed throughput without triggering view-changes",
-            classes={
-                "damysus": SlowDripDamysusLeader,
-                "hotstuff": SlowDripHotStuffLeader,
-            },
+            behaviour=SlowDripLeader,
             events=_counter("dripped_views"),
         ),
         AdversarySpec(
             name="withhold",
             description="coalition of f replicas withholds its phase votes",
-            classes={
-                "damysus": VoteWithholdingDamysusReplica,
-                "hotstuff": VoteWithholdingHotStuffReplica,
-            },
+            behaviour=VoteWithholding,
             seats=_coalition_seats,
             events=_counter("votes_withheld"),
         ),
         AdversarySpec(
             name="partition",
             description="colludes with a fault plan isolating the next f leaders",
-            classes={
-                "damysus": TargetedPartitionDamysusReplica,
-                "hotstuff": TargetedPartitionHotStuffReplica,
-            },
+            behaviour=TargetedPartition,
             seats=_colluder_seat,
             colluding_plan=leader_isolation_plan,
             events=_counter("suppressed_messages"),
@@ -217,17 +204,14 @@ ADVERSARIES: dict[str, AdversarySpec] = {
         AdversarySpec(
             name="sync-forge",
             description="serves forged checkpoints/suffixes to catching-up peers",
-            classes={
-                "damysus": ByzantineSyncServerDamysus,
-                "hotstuff": ByzantineSyncServerHotStuff,
-            },
+            behaviour=ByzantineSyncServer,
             colluding_plan=_sync_victim_plan,
             events=_counter("catchup.forged_checkpoints_sent", "catchup.forged_suffixes_sent"),
         ),
         AdversarySpec(
             name="amnesia",
             description="restarts presenting pre-seal TEE state (rollback)",
-            classes={"damysus": AmnesiaDamysusReplica},
+            behaviour=Amnesia,
             colluding_plan=_amnesia_plan,
             events=_counter("rollback_attempts"),
         ),
@@ -235,23 +219,21 @@ ADVERSARIES: dict[str, AdversarySpec] = {
             name="spam",
             description="floods peers with min-fee transactions to drive "
             "mempool eviction and backpressure",
-            classes={
-                "damysus": MempoolSpammerDamysusReplica,
-                "hotstuff": MempoolSpammerHotStuffReplica,
-            },
+            behaviour=MempoolSpammer,
             events=_counter("spam_sent"),
         ),
     )
 }
 
 
-#: The honest "adversary" ``none``: it seats nobody and brings no plan,
-#: so a cell runs its base plan alone (the honest ``chaos`` cell is one).  Looked up
+#: The honest "adversary" ``none``: no behaviour, so it runs on every
+#: protocol; it seats nobody and brings no plan, so a cell runs its base
+#: plan alone (the honest ``chaos`` cell is one).  Looked up
 #: by name, never swept by default: it is not in :data:`ADVERSARIES`.
 HONEST = AdversarySpec(
     name="none",
     description="no attack: every replica is honest",
-    classes={name: spec.replica_class for name, spec in SPECS.items()},
+    behaviour=None,
     seats=lambda num_replicas, f: (),
 )
 

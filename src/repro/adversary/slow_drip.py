@@ -13,11 +13,12 @@ makes the bleed measurable instead of silent.
 
 from __future__ import annotations
 
-from repro.protocols.damysus import DamysusReplica
-from repro.protocols.hotstuff import HotStuffReplica
+from typing import Any
+
+from repro.adversary.behaviors import Behaviour
 
 
-class _SlowDripMixin:
+class SlowDripLeader(Behaviour):
     """Defer ``_propose`` until a fraction of the current view timeout.
 
     The delay is computed from this replica's *own* pacemaker state -
@@ -34,25 +35,18 @@ class _SlowDripMixin:
     WIRING = ("dripped_views",)
     dripped_views = 0
 
-    def _propose(self, view: int, new_views) -> None:
+    def _propose(self, view: int, *args: Any) -> None:
         if view in self._drip_pending:
             return
         self._drip_pending.add(view)
         self.dripped_views += 1
         delay_ms = self.pacemaker.current_timeout_ms * self.drip_fraction
-        stash = list(new_views)
-        self.set_timer(delay_ms, lambda: self._drip_fire(view, stash))
+        # The arguments as given: a quorum list, or a pipelined leader's
+        # trigger (``None`` when it proposes on a certificate in hand).
+        self.set_timer(delay_ms, lambda: self._drip_fire(view, *args))
 
-    def _drip_fire(self, view: int, new_views) -> None:
+    def _drip_fire(self, view: int, *args: Any) -> None:
         self._drip_pending.discard(view)
         if self.crashed or self.view > view:
             return  # the view moved on (or we died) while sitting on it
-        super()._propose(view, new_views)
-
-
-class SlowDripDamysusLeader(_SlowDripMixin, DamysusReplica):
-    """Damysus leader bleeding throughput just under the timeout."""
-
-
-class SlowDripHotStuffLeader(_SlowDripMixin, HotStuffReplica):
-    """HotStuff leader bleeding throughput just under the timeout."""
+        super()._propose(view, *args)

@@ -18,17 +18,17 @@ bounced instead of admitted, so an all-zero flood would never evict).
 from __future__ import annotations
 
 import itertools
+from typing import Any
 
+from repro.adversary.behaviors import Behaviour
 from repro.core.mempool import Transaction
 from repro.core.messages import ClientRequest
-from repro.protocols.damysus import DamysusReplica
-from repro.protocols.hotstuff import HotStuffReplica
 
 #: Synthetic client id space for spam (far above real client ids).
 SPAM_CLIENT_BASE = 1_000_000
 
 
-class _MempoolSpammerMixin:
+class MempoolSpammer(Behaviour):
     """Flood peers with minimum-fee transactions on a steady timer."""
 
     #: Transactions sprayed per peer per tick.
@@ -40,7 +40,7 @@ class _MempoolSpammerMixin:
     tickle_every = 4
     WIRING = ("spam_sent", "_spam_ids")
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.spam_sent = 0
         self._spam_ids = itertools.count()
@@ -65,10 +65,3 @@ class _MempoolSpammerMixin:
             self.spam_sent += len(self.replica_pids) - 1
         self.set_timer(self.spam_interval_ms, self._spam_tick)
 
-
-class MempoolSpammerDamysusReplica(_MempoolSpammerMixin, DamysusReplica):
-    """Damysus replica flooding peers with min-fee transactions."""
-
-
-class MempoolSpammerHotStuffReplica(_MempoolSpammerMixin, HotStuffReplica):
-    """HotStuff replica flooding peers with min-fee transactions."""

@@ -27,9 +27,8 @@ from dataclasses import replace
 from repro.core.block import create_leaf
 from repro.core.commitment import Commitment
 from repro.core.phases import Phase
+from repro.adversary.behaviors import Behaviour
 from repro.crypto.hashing import hash_fields
-from repro.protocols.damysus import DamysusReplica
-from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.replica import BaseReplica
 from repro.protocols.sync import StateTransfer, SyncBlocks, SyncCheckpoint, SyncRequest
 from repro.tee.checkpoint import Checkpoint
@@ -101,17 +100,8 @@ class ForgingSyncServer(StateTransfer):
         self.replica.send(sender, self.forge_suffix(msg.have_height))
 
 
-#: The chassis with the forging server in place of the honest one.
-_FORGING = {**BaseReplica.COMPONENTS, "catchup": ForgingSyncServer}
+class ByzantineSyncServer(Behaviour):
+    """A replica serving forged state transfers: the chassis with the
+    forging server in place of the honest one."""
 
-
-class ByzantineSyncServerDamysus(DamysusReplica):
-    """Damysus replica serving forged state transfers."""
-
-    COMPONENTS = _FORGING
-
-
-class ByzantineSyncServerHotStuff(HotStuffReplica):
-    """HotStuff replica serving forged state transfers."""
-
-    COMPONENTS = _FORGING
+    COMPONENTS = {**BaseReplica.COMPONENTS, "catchup": ForgingSyncServer}

@@ -21,9 +21,10 @@ heals - which the campaign's LivenessOracle asserts.
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.adversary.behaviors import Behaviour
 from repro.core.faults import FaultPlan
-from repro.protocols.damysus import DamysusReplica
-from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.pacemaker import round_robin_leader
 
 #: Attack window (virtual ms): long enough to cover the victims' views,
@@ -59,12 +60,12 @@ def leader_isolation_plan(num_replicas: int, f: int) -> FaultPlan:
     return plan
 
 
-class _PartitionColluderMixin:
+class TargetedPartition(Behaviour):
     """Suppress all outbound traffic to the scheduled victims in-window."""
 
     WIRING = ("_victims", "suppressed_messages")
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._victims = frozenset(victim_pids(self.num_replicas, self.config.f))
         self.suppressed_messages = 0
@@ -72,23 +73,22 @@ class _PartitionColluderMixin:
     def _attacking(self) -> bool:
         return ATTACK_START_MS <= self.now < ATTACK_END_MS
 
-    def send(self, dest: int, payload, size_bytes=None) -> None:
+    def send(self, dest: int, payload: Any, size_bytes: int | None = None) -> None:
         if dest in self._victims and dest != self.pid and self._attacking():
             self.suppressed_messages += 1
             return
         super().send(dest, payload, size_bytes)
 
-    def broadcast(self, dests, payload, size_bytes=None, include_self=False) -> None:
+    def broadcast(
+        self,
+        dests: list[int] | tuple[int, ...],
+        payload: Any,
+        size_bytes: int | None = None,
+        include_self: bool = False,
+    ) -> None:
         if self._attacking():
             kept = tuple(d for d in dests if d not in self._victims or d == self.pid)
             self.suppressed_messages += len(dests) - len(kept)
             dests = kept
         super().broadcast(dests, payload, size_bytes, include_self)
 
-
-class TargetedPartitionDamysusReplica(_PartitionColluderMixin, DamysusReplica):
-    """Damysus replica colluding with a leader-isolation partition."""
-
-
-class TargetedPartitionHotStuffReplica(_PartitionColluderMixin, HotStuffReplica):
-    """HotStuff replica colluding with a leader-isolation partition."""

@@ -219,16 +219,28 @@ class ProgramGraph:
         return out
 
     def resolve_method(self, cls: ClassInfo, name: str) -> list[FunctionInfo]:
-        """Candidate implementations of ``cls.name``: MRO walk + overrides."""
+        """Candidate implementations of ``cls.name``: MRO walk + overrides.
+
+        An override may come from anywhere in the hierarchy, not only
+        from a subclass of ``cls``: a class composed at runtime (an
+        adversary's behaviour in front of a protocol's replica class)
+        overrides the protocol's methods without subclassing it.  So the
+        overrides are those of every class below ``cls``'s roots.
+        """
         found: dict[str, FunctionInfo] = {}
         for ancestor in self.ancestors(cls):
-            if name in ancestor.methods and name not in found:
+            if name in ancestor.methods:
                 found[ancestor.methods[name].qualname] = ancestor.methods[name]
                 break  # nearest inherited implementation
-        for sub in self.subclasses(cls):
+        roots = [a for a in self.ancestors(cls) if not self._resolved_bases(a)]
+        for sub in (sub for root in roots for sub in self.subclasses(root)):
             if name in sub.methods:
                 found.setdefault(sub.methods[name].qualname, sub.methods[name])
         return list(found.values())
+
+    def _resolved_bases(self, cls: ClassInfo) -> list[ClassInfo]:
+        resolved = (self.resolve_class_name(base, cls.module) for base in cls.bases)
+        return [base for base in resolved if base is not None]
 
     # -- call resolution ---------------------------------------------------
 

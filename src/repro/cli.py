@@ -381,6 +381,11 @@ def _run_configs(args: argparse.Namespace) -> list[SystemConfig]:
         for name, field in _CLIENT_FIELDS.items():
             if getattr(args, name) is not None:
                 clients[field] = getattr(args, name)
+    for protocol in args.protocol:
+        n = get_spec(protocol).num_replicas(args.f)
+        for pid in args.crash:
+            if not 0 <= pid < n:
+                raise ConfigError(f"--crash {pid}: {protocol} at f={args.f} has replicas 0-{n - 1}")
     return [
         SystemConfig(
             protocol=protocol,
@@ -590,8 +595,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.list_adversaries:
         for name in sorted(ADVERSARIES):
             spec = ADVERSARIES[name]
-            protocols = "/".join(sorted(spec.classes))
+            protocols = "/".join(p for p in SPECS if spec.supports(p))
             print(f"{name:12s} [{protocols}] {spec.description}")
+            for protocol in SPECS:
+                reason = spec.unsupported(protocol)
+                if reason is not None:
+                    print(f"{'':12s} n/a {protocol}: {reason}")
         return 0
     if args.smoke:
         report = run_smoke_campaign(seed=args.seed)

@@ -1,19 +1,18 @@
 """Safety under equivocating leaders."""
 
 
-from repro.adversary.equivocation import (
-    EquivocatingDamysusLeader,
-    EquivocatingHotStuffLeader,
-)
+from repro.adversary import get_adversary
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
+
+EQUIVOCATE = get_adversary("equivocate")
 
 
 def test_hotstuff_survives_equivocating_leader():
     """Quorum intersection tolerates equivocation at 3f+1 (no TEE needed)."""
     system = ConsensusSystem(
         small_config("hotstuff", f=1, timeout_ms=250),
-        replica_overrides={1: EquivocatingHotStuffLeader},
+        replica_overrides={1: EQUIVOCATE.replica_class("hotstuff")},
     )
     result = system.run_until_views(4, max_time_ms=300_000)
     assert result.safe
@@ -25,7 +24,7 @@ def test_hotstuff_survives_equivocating_leader():
 def test_hotstuff_equivocated_views_do_not_commit_twice():
     system = ConsensusSystem(
         small_config("hotstuff", f=1, timeout_ms=250),
-        replica_overrides={1: EquivocatingHotStuffLeader},
+        replica_overrides={1: EQUIVOCATE.replica_class("hotstuff")},
     )
     system.run_until_views(4, max_time_ms=300_000)
     # No view may have more than one executed block.
@@ -40,7 +39,7 @@ def test_damysus_checker_blocks_equivocation():
     """The second TEEprepare yields an unusable certificate (Section 6.5)."""
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250),
-        replica_overrides={1: EquivocatingDamysusLeader},
+        replica_overrides={1: EQUIVOCATE.replica_class("damysus")},
     )
     result = system.run_until_views(4, max_time_ms=300_000)
     assert result.safe
@@ -52,7 +51,7 @@ def test_damysus_checker_blocks_equivocation():
 def test_damysus_equivocating_leader_cannot_fork_executions():
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250),
-        replica_overrides={1: EquivocatingDamysusLeader},
+        replica_overrides={1: EQUIVOCATE.replica_class("damysus")},
     )
     system.run_until_views(4, max_time_ms=300_000)
     blocks_per_view = {}

@@ -1,6 +1,6 @@
 """Liveness and memory bounds under a flooding adversary."""
 
-from repro.adversary.flooding import FloodingDamysusReplica
+from repro.adversary import get_adversary
 from repro.protocols.replica import MAX_BUFFERED_MESSAGES
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
@@ -9,7 +9,7 @@ from tests.conftest import small_config
 def flooded_system():
     return ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=300),
-        replica_overrides={2: FloodingDamysusReplica},
+        replica_overrides={2: get_adversary("flood").replica_class("damysus")},
     )
 
 

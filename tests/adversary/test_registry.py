@@ -5,12 +5,17 @@ import math
 import pytest
 
 from repro.adversary import ADVERSARIES, adversary_names, get_adversary
+from repro.analysis.campaign import run_cell
 from repro.errors import ConfigError
-from repro.protocols.damysus import DamysusReplica
-from repro.protocols.hotstuff import HotStuffReplica
-from repro.protocols.registry import get_spec
+from repro.protocols.registry import SPECS, get_spec
 
-_BASES = {"damysus": DamysusReplica, "hotstuff": HotStuffReplica}
+#: Every (attack, protocol) pair the behaviours' own needs admit.
+PAIRS = [
+    (name, protocol)
+    for name, spec in sorted(ADVERSARIES.items())
+    for protocol in SPECS
+    if spec.supports(protocol)
+]
 
 
 def test_all_expected_attacks_are_registered():
@@ -37,27 +42,49 @@ def test_unknown_name_raises_config_error():
 def test_unsupported_protocol_raises_config_error():
     amnesia = get_adversary("amnesia")  # TEE rollback: Damysus-only
     assert not amnesia.supports("hotstuff")
-    with pytest.raises(ConfigError, match="does not support"):
+    with pytest.raises(ConfigError, match="does not support") as refused:
         amnesia.replica_class("hotstuff")
+    assert amnesia.unsupported("hotstuff") == "no Checker, so no sealed state to roll back"
+    assert str(refused.value).endswith(": " + amnesia.unsupported("hotstuff"))
+
+
+def test_support_is_derived_from_what_each_behaviour_needs():
+    everywhere = {"silent", "slow-drip", "spam", "partition", "sync-forge"}
+    for name in everywhere:
+        assert all(get_adversary(name).supports(p) for p in SPECS), name
+    assert {p for p in SPECS if get_adversary("amnesia").supports(p)} == {
+        p for p, spec in SPECS.items() if spec.replica_class.CHECKER is not None
+    } == {"damysus", "damysus-c", "chained-damysus"}
+    for spec in ADVERSARIES.values():
+        for protocol in SPECS:
+            reason = spec.unsupported(protocol)
+            assert reason is None or (reason and "\n" not in reason), (spec.name, protocol)
 
 
 def test_classes_subclass_the_honest_protocol_replicas():
     """Adversaries are sans-I/O Machines: same base class, any runtime."""
-    for spec in ADVERSARIES.values():
-        for protocol, cls in spec.classes.items():
-            assert issubclass(cls, _BASES[protocol]), (spec.name, protocol)
+    for name, protocol in PAIRS:
+        cls = get_adversary(name).replica_class(protocol)
+        assert issubclass(cls, SPECS[protocol].replica_class), (name, protocol)
+        assert get_adversary(name).replica_class(protocol) is cls, (name, protocol)
+
+
+@pytest.mark.parametrize("name,protocol", PAIRS, ids=[f"{a}-{p}" for a, p in PAIRS])
+def test_every_supported_pair_is_safe(name, protocol):
+    """Each pair runs one clean cell; a STALLED verdict is a finding, not a failure."""
+    cell = run_cell(protocol, get_adversary(name), "clean", "eu", seed=1)
+    assert cell.safe, cell
 
 
 @pytest.mark.parametrize("f", [1, 2])
 def test_seats_are_valid_and_within_the_fault_bound(f):
-    for spec in ADVERSARIES.values():
-        for protocol in spec.classes:
-            n = get_spec(protocol).num_replicas(f)
-            seats = spec.seats(n, f)
-            assert seats, spec.name
-            assert len(seats) <= f
-            assert len(set(seats)) == len(seats)
-            assert all(0 <= pid < n for pid in seats)
+    for name, protocol in PAIRS:
+        n = get_spec(protocol).num_replicas(f)
+        seats = get_adversary(name).seats(n, f)
+        assert seats, name
+        assert len(seats) <= f
+        assert len(set(seats)) == len(seats)
+        assert all(0 <= pid < n for pid in seats)
 
 
 def test_withhold_takes_a_full_coalition():

@@ -1,15 +1,17 @@
 """Safety under stale-certificate (understating) leaders."""
 
-from repro.adversary.stale_leader import StaleDamysusLeader, StaleHotStuffLeader
+from repro.adversary import get_adversary
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
+
+STALE = get_adversary("stale")
 
 
 def test_hotstuff_lock_rejects_stale_proposals():
     """A genesis-extending leader stalls its views but cannot fork."""
     system = ConsensusSystem(
         small_config("hotstuff", f=1, timeout_ms=250),
-        replica_overrides={2: StaleHotStuffLeader},
+        replica_overrides={2: STALE.replica_class("hotstuff")},
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe
@@ -29,7 +31,7 @@ def test_damysus_accumulator_pins_stale_leader_to_executed_chain():
     """Even choosing the lowest f+1 reports cannot fork executed blocks."""
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250),
-        replica_overrides={2: StaleDamysusLeader},
+        replica_overrides={2: STALE.replica_class("damysus")},
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe
@@ -39,7 +41,7 @@ def test_damysus_accumulator_pins_stale_leader_to_executed_chain():
 def test_damysus_stale_leader_chain_stays_linear():
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250),
-        replica_overrides={2: StaleDamysusLeader},
+        replica_overrides={2: STALE.replica_class("damysus")},
     )
     system.run_until_views(5, max_time_ms=300_000)
     replica = system.replicas[0]

@@ -6,26 +6,20 @@ run stays safe, the attack demonstrably fired (its event counters moved),
 and the defending component bounded the damage.
 """
 
-from repro.adversary.amnesia import AmnesiaDamysusReplica
-from repro.adversary.slow_drip import SlowDripDamysusLeader, SlowDripHotStuffLeader
-from repro.adversary.spammer import (
-    MempoolSpammerDamysusReplica,
-    MempoolSpammerHotStuffReplica,
-)
-from repro.adversary.sync_server import ByzantineSyncServerDamysus
+from repro.adversary import get_adversary
 from repro.adversary.targeted_partition import (
     ATTACK_END_MS,
-    TargetedPartitionDamysusReplica,
     leader_isolation_plan,
     victim_pids,
-)
-from repro.adversary.withholding import (
-    VoteWithholdingDamysusReplica,
-    VoteWithholdingHotStuffReplica,
 )
 from repro.core.faults import FaultPlan
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
+
+
+def attack(name, protocol):
+    """The registry's replica class for attack ``name`` on ``protocol``."""
+    return get_adversary(name).replica_class(protocol)
 
 
 # -- slow-drip ---------------------------------------------------------------
@@ -38,7 +32,7 @@ def test_slow_drip_commits_but_bleeds_throughput():
 
     dripped = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=500),
-        replica_overrides={1: SlowDripDamysusLeader},
+        replica_overrides={1: attack("slow-drip", "damysus")},
     )
     result = dripped.run_until_views(6, max_time_ms=300_000)
     assert result.safe
@@ -51,7 +45,7 @@ def test_slow_drip_does_not_trigger_view_changes():
     """The whole point of the attack: it stays under the timeout radar."""
     system = ConsensusSystem(
         small_config("hotstuff", f=1, timeout_ms=500),
-        replica_overrides={1: SlowDripHotStuffLeader},
+        replica_overrides={1: attack("slow-drip", "hotstuff")},
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe
@@ -67,7 +61,7 @@ def test_damysus_withholding_coalition_costs_nothing_at_f():
     """f withholders of 2f+1: the honest f+1 still form every quorum."""
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=500),
-        replica_overrides={1: VoteWithholdingDamysusReplica},
+        replica_overrides={1: attack("withhold", "damysus")},
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe
@@ -78,7 +72,7 @@ def test_damysus_withholding_coalition_costs_nothing_at_f():
 def test_hotstuff_withholding_coalition_costs_nothing_at_f():
     system = ConsensusSystem(
         small_config("hotstuff", f=1, timeout_ms=500),
-        replica_overrides={1: VoteWithholdingHotStuffReplica},
+        replica_overrides={1: attack("withhold", "hotstuff")},
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe
@@ -95,7 +89,7 @@ def test_partition_attack_heals_and_commits_resume():
     victims = victim_pids(n, config.f)
     colluder = next(pid for pid in range(n) if pid not in victims)
     system = ConsensusSystem(
-        config, replica_overrides={colluder: TargetedPartitionDamysusReplica}
+        config, replica_overrides={colluder: attack("partition", "damysus")}
     )
     system.apply_fault_plan(leader_isolation_plan(n, config.f))
     system.start()
@@ -121,7 +115,7 @@ def _rejoin_beside_a_forging_sync_server(seed):
     n = 3
     victim = n - 1
     system = ConsensusSystem(
-        config, replica_overrides={1: ByzantineSyncServerDamysus}
+        config, replica_overrides={1: attack("sync-forge", "damysus")}
     )
     system.apply_fault_plan(
         FaultPlan().crash(victim, at_ms=400.0, recover_at_ms=2_400.0)
@@ -163,7 +157,7 @@ def test_amnesia_rollback_is_refused_by_the_seal_counter():
     config = small_config(
         "damysus", f=1, timeout_ms=250, checkpoint_interval=5, seed=1
     )
-    system = ConsensusSystem(config, replica_overrides={1: AmnesiaDamysusReplica})
+    system = ConsensusSystem(config, replica_overrides={1: attack("amnesia", "damysus")})
     system.apply_fault_plan(
         FaultPlan().crash(1, at_ms=800.0, recover_at_ms=1_600.0)
     )
@@ -191,7 +185,7 @@ def test_spam_cannot_overflow_the_bounded_pool():
         "damysus", f=1, timeout_ms=500, mempool_max_txs=50, payload_bytes=8
     )
     system = ConsensusSystem(
-        config, replica_overrides={1: MempoolSpammerDamysusReplica}
+        config, replica_overrides={1: attack("spam", "damysus")}
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe
@@ -207,7 +201,7 @@ def test_spam_does_not_stop_hotstuff_commits():
         "hotstuff", f=1, timeout_ms=500, mempool_max_txs=50, payload_bytes=8
     )
     system = ConsensusSystem(
-        config, replica_overrides={2: MempoolSpammerHotStuffReplica}
+        config, replica_overrides={2: attack("spam", "hotstuff")}
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe

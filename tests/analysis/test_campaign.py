@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.adversary import get_adversary
+from repro.adversary.behaviors import Behaviour
 from repro.adversary.registry import HONEST, AdversarySpec
 from repro.analysis import campaign
 from repro.analysis.campaign import (
@@ -19,7 +20,6 @@ from repro.analysis.campaign import (
 )
 from repro.core.faults import FaultPlan
 from repro.errors import ConfigError, SimulationError
-from repro.protocols.damysus import DamysusReplica
 from repro.protocols.registry import SPECS
 from repro.protocols.replica import BaseReplica
 from repro.protocols.sync import ViewSync
@@ -165,7 +165,7 @@ def test_an_honest_cell_runs_once(monkeypatch):
     assert len(built) == 2  # an attack cell still runs its baseline
 
 
-class _ForkReportingDamysus(DamysusReplica):
+class _ForkReporting(Behaviour):
     """Honest, except that once its chain is two blocks high it tells the
     strict oracle it executed a block nobody proposed."""
 
@@ -182,7 +182,7 @@ class _ForkReportingDamysus(DamysusReplica):
 _FORK_REPORTER = AdversarySpec(
     name="fork-report",
     description="reports a conflicting execution to the oracle",
-    classes={"damysus": _ForkReportingDamysus},
+    behaviour=_ForkReporting,
 )
 
 

@@ -9,6 +9,7 @@ empty committed baseline - the acceptance criteria of the analyzer.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -485,6 +486,54 @@ def test_pure_walk_follows_class_valued_component_declarations(tmp_path):
         """,
     )
     assert analyze_ids(tmp_path, ["PURE001"]) == [("PURE001", 13)]
+
+
+def test_pure_walk_reaches_an_override_composed_in_at_runtime(tmp_path):
+    """A behaviour subclasses the chassis, not the protocol it is composed
+    in front of: the protocol's ``self._propose`` still reaches its override."""
+    make_module(
+        tmp_path,
+        "repro.protocols.proto",
+        """
+        import time
+
+        class Machine:
+            pass
+
+        class Chassis(Machine):
+            pass
+
+        class Proto(Chassis):
+            HANDLERS = {"vote": "_handle_vote"}
+
+            def _handle_vote(self):
+                self._propose()
+
+            def _propose(self):
+                pass
+
+        class Silent(Chassis):
+            def _propose(self):
+                return time.time()
+        """,
+    )
+    assert analyze_ids(tmp_path, ["PURE001"]) == [("PURE001", 21)]
+
+
+def test_pure001_still_sees_an_attack_behaviour(tmp_path):
+    """Plant a wall-clock read in the real silent leader's ``_propose``: the
+    registry composes it at runtime, and the walk reaches it all the same."""
+    tree = tmp_path / "repro"
+    shutil.copytree(REPO_SRC / "repro", tree, ignore=shutil.ignore_patterns("__pycache__"))
+    behaviours = tree / "adversary" / "behaviors.py"
+    source = behaviours.read_text()
+    counted = "        self.withheld_proposals += 1\n"
+    assert source.count(counted) == 1
+    behaviours.write_text(source.replace(counted, counted + "        time.time()\n"))
+    planted = behaviours.read_text().splitlines().index("        time.time()") + 1
+    findings = run_lint([tmp_path], rules=["PURE001"])
+    assert [(Path(f.path).name, f.line) for f in findings] == [("behaviors.py", planted)]
+    assert "SilentLeader._propose" in findings[0].message
 
 
 def test_pure_walk_stops_at_runtime_host_boundary(tmp_path):

@@ -95,11 +95,11 @@ def test_a_command_submitted_to_a_parked_cluster_commits_within_one_view(everywh
 
 
 def test_convergence_under_byzantine_leader():
-    from repro.adversary.equivocation import EquivocatingDamysusLeader
+    from repro.adversary import get_adversary
 
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250, block_size=4),
-        replica_overrides={1: EquivocatingDamysusLeader},
+        replica_overrides={1: get_adversary("equivocate").replica_class("damysus")},
     )
     app = attach_state_machines(system)
     for command in COMMANDS:

@@ -70,11 +70,11 @@ def test_equivocation_starved_replicas_catch_up_via_sync():
     The replicas that never received the block must still end up with the
     complete executed chain, fetched from peers.
     """
-    from repro.adversary.equivocation import EquivocatingDamysusLeader
+    from repro.adversary import get_adversary
 
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250),
-        replica_overrides={1: EquivocatingDamysusLeader},
+        replica_overrides={1: get_adversary("equivocate").replica_class("damysus")},
     )
     result = system.run_until_views(5, max_time_ms=300_000)
     assert result.safe

@@ -94,7 +94,12 @@ def test_every_attribute_of_every_protocol_is_declared_once(protocol):
 
 
 ADVERSARY_CLASSES = sorted(
-    {(protocol, cls) for spec in ADVERSARIES.values() for protocol, cls in spec.classes.items()},
+    {
+        (protocol, spec.replica_class(protocol))
+        for spec in ADVERSARIES.values()
+        for protocol in SPECS
+        if spec.supports(protocol)
+    },
     key=lambda entry: (entry[0], entry[1].__name__),
 )
 

@@ -5,7 +5,7 @@ protocol's ``_propose``, so every behaviour is checked for all seven."""
 
 import pytest
 
-from repro.adversary.equivocation import EquivocatingDamysusLeader, EquivocatingHotStuffLeader
+from repro.adversary import get_adversary
 from repro.core.mempool import Transaction
 from repro.core.messages import ClientRequest
 from repro.protocols.idle import ParkedProposal
@@ -153,14 +153,16 @@ def test_a_heartbeat_armed_in_an_earlier_view_never_proposes_into_a_later_one(pr
 
 @pytest.mark.parametrize(
     "protocol,adversary",
-    [("damysus", EquivocatingDamysusLeader), ("hotstuff", EquivocatingHotStuffLeader)],
+    [(p, get_adversary("equivocate").replica_class(p)) for p in ("damysus", "hotstuff")],
 )
 def test_an_adversary_override_goes_through_the_rule_and_is_still_caught(protocol, adversary):
     """(e) The equivocator's own ``_propose`` is wrapped, once: it parks
     while idle, and its conflicting proposals fork nothing under the
     strict ``SafetyOracle``."""
-    rule = vars(adversary)["_propose"]
-    assert rule.idle_rule and rule.__wrapped__.__qualname__ == f"{adversary.__name__}._propose"
+    behaviour = get_adversary("equivocate").behaviour
+    rule = vars(behaviour)["_propose"]
+    assert adversary._propose is rule and "_propose" not in vars(adversary)
+    assert rule.idle_rule and rule.__wrapped__.__qualname__ == f"{behaviour.__name__}._propose"
     assert not getattr(rule.__wrapped__, "idle_rule", False)
     system = ConsensusSystem(
         small_config(protocol, open_loop=False, num_clients=2, client_interval_ms=20.0,

@@ -1,7 +1,8 @@
 """Tests for the BaseReplica plumbing: buffering, staleness, charging."""
 
 
-from repro.adversary.sync_server import ByzantineSyncServerDamysus, ForgingSyncServer
+from repro.adversary import get_adversary
+from repro.adversary.sync_server import ForgingSyncServer
 from repro.core.block import create_leaf
 from repro.core.mempool import Transaction
 from repro.core.messages import BlockRequest, BlockResponse, ClientRequest, ViewAnnounce
@@ -113,7 +114,7 @@ def test_a_chassis_handler_overridden_by_name_gets_its_traffic():
     assert seen == [(0, announce)]
     assert len(replica.buffer) == 0
     # The Byzantine sync server's override is how its forgeries get sent.
-    served = ByzantineSyncServerDamysus._service[SyncRequest]
+    served = get_adversary("sync-forge").replica_class("damysus")._service[SyncRequest]
     assert served.__wrapped__ is ForgingSyncServer._handle_sync_request
 
 

@@ -9,7 +9,6 @@ the CI demonstration that attacks work over real TCP.
 import pytest
 
 from repro.adversary import get_adversary
-from repro.adversary.equivocation import EquivocatingDamysusLeader
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.protocols.registry import get_spec
@@ -17,6 +16,8 @@ from repro.runtime.asyncio_net import LocalCluster, build_machine
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import executed_chains, run_cluster, tcp_config
+
+EQUIVOCATOR = get_adversary("equivocate").replica_class("damysus")
 
 
 def test_cross_runtime_equivalence_under_equivocation():
@@ -31,14 +32,14 @@ def test_cross_runtime_equivalence_under_equivocation():
         protocol="damysus", f=1, payload_bytes=64, block_size=8, seed=7
     )
     system = ConsensusSystem(
-        config, replica_overrides={1: EquivocatingDamysusLeader}
+        config, replica_overrides={1: EQUIVOCATOR}
     )
     result = system.run_until_views(5, max_time_ms=120_000)
     assert result.safe
     sim_chain = [block.hash.hex() for block in system.replicas[0].ledger.executed]
     assert len(sim_chain) >= 4
 
-    cluster = LocalCluster(config, replica_overrides={1: EquivocatingDamysusLeader})
+    cluster = LocalCluster(config, replica_overrides={1: EQUIVOCATOR})
     run_cluster(cluster, target_blocks=5)
     assert cluster.n == system.num_replicas
     honest = {pid: chain for pid, chain in executed_chains(cluster).items() if pid != 1}
@@ -70,11 +71,11 @@ def test_build_machine_accepts_a_replica_class_override():
         now = 0.0
 
     machine = build_machine(
-        "damysus", 1, 4, _FixedClock(), replica_class=EquivocatingDamysusLeader
+        "damysus", 1, 4, _FixedClock(), replica_class=EQUIVOCATOR
     )
-    assert isinstance(machine, EquivocatingDamysusLeader)
+    assert isinstance(machine, EQUIVOCATOR)
     honest = build_machine("damysus", 0, 4, _FixedClock())
-    assert not isinstance(honest, EquivocatingDamysusLeader)
+    assert not isinstance(honest, EQUIVOCATOR)
 
 
 def test_adversary_seats_resolve_like_the_simulator():

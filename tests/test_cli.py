@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, deployment_config, main
+from repro.protocols.registry import SPECS
 from repro.runtime.resilience.supervisor import ReplicaProcessSpec
 from tests.conftest import tcp_config
 
@@ -230,6 +231,11 @@ def test_campaign_list(capsys):
     for name in ("silent", "equivocate", "slow-drip", "withhold",
                  "partition", "sync-forge", "amnesia", "spam"):
         assert name in out
+    listed = dict(line.split(None, 1) for line in out.splitlines() if line[0] != " ")
+    for name in ("silent", "slow-drip", "spam", "partition", "sync-forge"):
+        assert listed[name].startswith("[" + "/".join(SPECS) + "] "), name
+    assert listed["amnesia"].startswith("[damysus-c/damysus/chained-damysus] ")
+    assert "n/a hotstuff: no Checker, so no sealed state to roll back" in out
 
 
 def test_campaign_small_matrix(capsys):
@@ -294,6 +300,7 @@ def test_chaos_cell_accepts_timeout_knobs(capsys):
         ["run", "--runtime", "tcp", "--regions", "world"],
         ["run", "--runtime", "tcp", "--real-crypto"],
         ["run", "--runtime", "tcp", "--crash", "1"],
+        ["run", "--crash", "3"],
         ["run", "--duration", "5"],
         ["run", "--runtime", "tcp", "--protocol", "hotstuff", "--adversary", "flood"],
     ],
