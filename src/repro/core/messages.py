@@ -10,7 +10,7 @@ link.  ``msg_type`` labels feed the monitor's per-type counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import SIGNATURE_WIRE_SIZE, Signature
@@ -235,30 +235,39 @@ class BlockResponse:
         return MSG_HEADER_BYTES + self.block.wire_size()
 
 
-class ClientRequest(NamedTuple):
+class _ClientRequestRow(NamedTuple):
+    client_id: int
+    tx: Transaction
+
+
+class ClientRequest(_ClientRequestRow):
     """A client transaction submission.
 
     This and :class:`ClientReply` are tuple records like
     :class:`~repro.core.mempool.Transaction`: they travel once per
-    transaction, where every other message travels once per block.
+    transaction, where every other message travels once per block.  Each
+    is a ``NamedTuple`` row plus the class constants a host labels a
+    message by (a ``NamedTuple`` body holds fields only), so reading
+    ``msg_type`` or ``view`` runs no Python call.
     """
 
-    client_id: int
-    tx: Transaction
-
-    @property
-    def msg_type(self) -> str:
-        return "client-request"
-
-    @property
-    def view(self) -> None:
-        return None
+    __slots__ = ()
+    msg_type: ClassVar[str] = "client-request"
+    view: ClassVar[None] = None
 
     def wire_size(self) -> int:
         return MSG_HEADER_BYTES + self.tx.wire_size()
 
 
-class ClientReply(NamedTuple):
+class _ClientReplyRow(NamedTuple):
+    replica: int
+    client_id: int
+    tx_id: int
+    executed_at: float
+    verdict: AdmissionVerdict = AdmissionVerdict.ACCEPTED
+
+
+class ClientReply(_ClientReplyRow):
     """A replica's reply to a client transaction.
 
     Carries the admission verdict: ``ACCEPTED`` replies are sent at
@@ -267,19 +276,9 @@ class ClientReply(NamedTuple):
     with the rejection time.
     """
 
-    replica: int
-    client_id: int
-    tx_id: int
-    executed_at: float
-    verdict: AdmissionVerdict = AdmissionVerdict.ACCEPTED
-
-    @property
-    def msg_type(self) -> str:
-        return "client-reply"
-
-    @property
-    def view(self) -> None:
-        return None
+    __slots__ = ()
+    msg_type: ClassVar[str] = "client-reply"
+    view: ClassVar[None] = None
 
     def wire_size(self) -> int:
         return MSG_HEADER_BYTES + 13
