@@ -13,8 +13,8 @@ Part 3 runs live Damysus deployments with equivocating and stale-leader
 adversaries and shows consensus stays safe and live.
 """
 
-from repro.adversary import get_adversary
-from repro.analysis import run_checker_scenario, run_counter_scenario
+from repro.adversary.registry import get_adversary
+from repro.analysis.counterexample import run_checker_scenario, run_counter_scenario
 from repro.config import SystemConfig
 from repro.costs import CostModel
 from repro.runtime.sim import ConsensusSystem

@@ -7,9 +7,9 @@ all state machines converged to the same digest - the application-level
 payoff of consensus safety.
 """
 
-from repro.adversary import get_adversary
-from repro.app import KVCommand, attach_state_machines
-from repro.app.kvstore import OP_DELETE, OP_INCREMENT, OP_PUT
+from repro.adversary.registry import get_adversary
+from repro.app.kvstore import OP_DELETE, OP_INCREMENT, OP_PUT, KVCommand
+from repro.app.replicated import attach_state_machines
 from repro.config import SystemConfig
 from repro.costs import CostModel
 from repro.runtime.sim import ConsensusSystem

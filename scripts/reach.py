@@ -31,7 +31,11 @@ and ``Simulator.cancelled_pending``), the examples and whatever ``--jobs
 N`` forks.  So a ``test-only`` function whose name appears in production
 source outside its own file is listed with those files (a textual
 match: a subprocess caller, a ``getattr`` or a namesake); check each
-candidate by grep before deleting it.
+candidate by grep before deleting it.  The match reads name tokens, so
+it cannot see code inside a string program: ``scripts/identity_evidence.py``
+calls ``FaultPlan.duplicating_links`` and ``delaying_links`` in the
+program it hands ``python -c``, and both are listed as test-only with no
+production file.
 
 Usage (from the repository root; about 5 minutes on a host where the plain suite takes 2)::
 

@@ -19,39 +19,8 @@ Quickstart::
 """
 
 from repro.config import SystemConfig
-from repro.costs import DEFAULT_COSTS, CostModel
-from repro.errors import (
-    ConfigError,
-    CryptoError,
-    ProtocolError,
-    ReproError,
-    SafetyViolation,
-    SimulationError,
-    TEEError,
-    TEERefusal,
-    VerificationError,
-)
-from repro.protocols import PROTOCOL_ORDER, get_spec
-from repro.runtime.sim import ConsensusSystem, RunResult
+from repro.runtime.sim import ConsensusSystem
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SystemConfig",
-    "ConsensusSystem",
-    "RunResult",
-    "CostModel",
-    "DEFAULT_COSTS",
-    "PROTOCOL_ORDER",
-    "get_spec",
-    "ReproError",
-    "ConfigError",
-    "CryptoError",
-    "VerificationError",
-    "TEEError",
-    "TEERefusal",
-    "ProtocolError",
-    "SafetyViolation",
-    "SimulationError",
-    "__version__",
-]
+__all__ = ["ConsensusSystem", "SystemConfig", "__version__"]

@@ -35,20 +35,3 @@ the paper's hybrid fault model.
   (``repro campaign``, ``repro net-chaos --adversary``), and each one's
   replica class per protocol (``get_adversary(name).replica_class(protocol)``).
 """
-
-from repro.adversary.registry import (
-    ADVERSARIES,
-    AdversarySpec,
-    adversary_names,
-    get_adversary,
-)
-from repro.adversary.targeted_partition import leader_isolation_plan, victim_pids
-
-__all__ = [
-    "leader_isolation_plan",
-    "victim_pids",
-    "ADVERSARIES",
-    "AdversarySpec",
-    "adversary_names",
-    "get_adversary",
-]

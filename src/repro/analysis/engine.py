@@ -204,8 +204,21 @@ REGISTRY = RuleRegistry()
 register = REGISTRY.register
 
 
+def _loaded_registry() -> RuleRegistry:
+    """:data:`REGISTRY` with every rule module imported.
+
+    The rule modules register on import and import this module's
+    vocabulary, so they load on first use, not with this module: a rule
+    module imported on its own finds this one complete.
+    """
+    from repro.analysis.dataflow import rules_async, rules_pure, rules_taint  # noqa: F401
+    from repro.analysis.lint import rules_arch, rules_det, rules_msg, rules_tee  # noqa: F401
+
+    return REGISTRY
+
+
 def all_rule_ids() -> list[str]:
-    return REGISTRY.ids()
+    return _loaded_registry().ids()
 
 
 # -- helpers shared by rule modules -------------------------------------------
@@ -348,7 +361,7 @@ def run_lint(
     set of finding keys to drop (see :func:`load_baseline`).  Findings
     are sorted by location.
     """
-    selected = REGISTRY.select(rules)
+    selected = _loaded_registry().select(rules)
     contexts, findings = parse_files(Path(p) for p in paths)
     project = ProjectContext(contexts)
     by_rel = {ctx.rel: ctx for ctx in contexts}
@@ -382,8 +395,3 @@ def format_findings_json(findings: Sequence[Finding]) -> str:
         indent=2,
     )
 
-
-# The rule modules register on import and import this module's vocabulary,
-# so they load once everything above is defined.
-from repro.analysis.dataflow import rules_async, rules_pure, rules_taint  # noqa: E402,F401
-from repro.analysis.lint import rules_arch, rules_det, rules_msg, rules_tee  # noqa: E402,F401

@@ -15,7 +15,8 @@ Forbidden targets are the two hosts: the simulator package
 forbidden - they are the host-agnostic vocabulary the layers speak.
 
 A fourth rule keeps a moved module from leaving its old path behind as
-a forwarding layer: a module that defines nothing must not exist.
+a forwarding layer: a module that defines nothing must not exist, and
+a package's ``__init__.py`` is no exception.
 """
 
 from __future__ import annotations
@@ -144,11 +145,11 @@ class ReExportModuleRule(Rule):
     title = "module only forwards names defined elsewhere"
     hint = (
         "import the names from the module that defines them and delete "
-        "this one; a package's public face belongs in its __init__.py"
+        "this one; a package's __init__.py keeps only its docstring"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if not in_package(ctx.module, "repro") or ctx.path.name == "__init__.py":
+        if not in_package(ctx.module, "repro"):
             return
         imports = []
         for stmt in ctx.tree.body:

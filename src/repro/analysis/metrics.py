@@ -67,21 +67,3 @@ def latency_decrease_percent(protocol_lat: float, baseline_lat: float) -> float:
         return 0.0
     return (baseline_lat - protocol_lat) / baseline_lat * 100.0
 
-
-def average_improvements(
-    summaries: dict[int, Summary], baselines: dict[int, Summary]
-) -> tuple[float, float]:
-    """Average throughput-increase / latency-decrease over matching f values.
-
-    This mirrors the paper's per-figure averages: one improvement value
-    per fault threshold, then the arithmetic mean across thresholds.
-    """
-    tput: list[float] = []
-    lat: list[float] = []
-    for f, summary in summaries.items():
-        base = baselines.get(f)
-        if base is None:
-            continue
-        tput.append(throughput_increase_percent(summary.throughput_kops, base.throughput_kops))
-        lat.append(latency_decrease_percent(summary.latency_ms, base.latency_ms))
-    return mean(tput), mean(lat)

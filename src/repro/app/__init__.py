@@ -7,15 +7,3 @@ the executed block sequence, with a replicated key-value store as the
 reference implementation and a divergence checker that extends the
 safety oracle to application state.
 """
-
-from repro.app.kvstore import KVCommand, KVResult, KVStateMachine
-from repro.app.replicated import ReplicatedApp, StateMachine, attach_state_machines
-
-__all__ = [
-    "StateMachine",
-    "KVCommand",
-    "KVResult",
-    "KVStateMachine",
-    "ReplicatedApp",
-    "attach_state_machines",
-]

@@ -13,25 +13,3 @@ scale; run an experiment at full scale by calling it directly, e.g.::
     from repro.bench.experiments import fig6
     print(fig6(payload_bytes=256).render())
 """
-
-from repro.bench.experiments import (
-    ExperimentReport,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    table1_experiment,
-)
-from repro.bench.runner import ExperimentRunner
-from repro.bench.reporting import format_table
-
-__all__ = [
-    "ExperimentRunner",
-    "ExperimentReport",
-    "format_table",
-    "table1_experiment",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-]

@@ -3,7 +3,7 @@
 A block stores the hash value of the block it extends, which is what makes
 the relation ``b > h`` ("b is a direct extension of the block with hash
 h") checkable.  Chained blocks additionally store their justification
-certificate, accessible as ``b.just`` (Section 7.1).
+certificate, the paper's ``b.just``, as ``justify`` (Section 7.1).
 
 ``create_leaf`` is the paper's block constructor for the basic protocols;
 ``create_chain`` is the chained variant, which conceptually fills view
@@ -64,11 +64,6 @@ class Block:
     def hash(self) -> Hash:
         """SHA-256 identity of the block (paper's ``H(b)``)."""
         return self._hash
-
-    @property
-    def just(self) -> "QuorumCert | Accumulator | None":
-        """Paper notation ``b.just`` (Section 7.1)."""
-        return self.justify
 
     @property
     def parent(self) -> Hash:

@@ -1,8 +1,8 @@
 """Block store with ancestry queries.
 
-Implements the relations of Section 5: direct extension (``b > h``), the
-transitive closure (``>+``) and the reflexive-transitive closure (``>*``),
-plus conflict detection.  Every replica keeps its own store of blocks it
+Implements the extension relation of Section 5 as its reflexive-transitive
+closure (``>*``, :meth:`BlockStore.is_ancestor`): two blocks conflict when
+neither extends the other.  Every replica keeps its own store of blocks it
 has seen; ancestry walks follow parent hashes, so they only ever traverse
 blocks the replica actually holds.
 """
@@ -35,12 +35,6 @@ class BlockStore:
     def get(self, block_hash: Hash) -> Block | None:
         return self._by_hash.get(block_hash)
 
-    def require(self, block_hash: Hash) -> Block:
-        block = self._by_hash.get(block_hash)
-        if block is None:
-            raise ProtocolError(f"unknown block {block_hash.hex()[:12]}")
-        return block
-
     def __contains__(self, block_hash: Hash) -> bool:
         return block_hash in self._by_hash
 
@@ -64,20 +58,6 @@ class BlockStore:
                 return False
             cursor = block.parent_hash
         return False
-
-    def is_strict_ancestor(self, anc_hash: Hash, desc_hash: Hash) -> bool:
-        """Transitive extension: ``desc >+ anc`` (at least one hop)."""
-        if anc_hash == desc_hash:
-            return False
-        return self.is_ancestor(anc_hash, desc_hash)
-
-    def conflicts(self, hash_a: Hash, hash_b: Hash) -> bool:
-        """Section 5: blocks conflict when neither extends the other."""
-        if hash_a == hash_b:
-            return False
-        return not (
-            self.is_ancestor(hash_a, hash_b) or self.is_ancestor(hash_b, hash_a)
-        )
 
     def path_between(self, anc_hash: Hash, desc_hash: Hash) -> list[Block]:
         """Blocks strictly after ``anc`` up to and including ``desc``.

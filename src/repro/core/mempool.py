@@ -80,9 +80,6 @@ class Transaction(NamedTuple):
         """``(client_id, tx_id)``: what makes two submissions the same request."""
         return (self.client_id, self.tx_id)
 
-    def digest_fields(self) -> tuple[int, int, int, int]:
-        return (self.client_id, self.tx_id, self.payload_bytes, self.fee)
-
 
 #: One transaction's record in a block: the ``Transaction`` wire row
 #: without its zero run (``client_id``, ``tx_id``, ``payload_bytes``,

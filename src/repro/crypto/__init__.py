@@ -16,26 +16,3 @@ replicas and trusted components share one asymmetric signature scheme
 Both schemes implement the same :class:`~repro.crypto.scheme.SignatureScheme`
 interface, so protocols are agnostic to which one is installed.
 """
-
-from repro.crypto.hashing import HASH_SIZE, Hash, encode_fields, hash_block_fields, sha256
-from repro.crypto.hmac_scheme import HmacScheme
-from repro.crypto.keys import KeyDirectory, KeyPair
-from repro.crypto.scheme import SIGNATURE_WIRE_SIZE, Signature, SignatureScheme
-from repro.crypto.schnorr import SchnorrScheme
-from repro.crypto.threshold import ThresholdScheme
-
-__all__ = [
-    "HASH_SIZE",
-    "Hash",
-    "sha256",
-    "encode_fields",
-    "hash_block_fields",
-    "Signature",
-    "SignatureScheme",
-    "SIGNATURE_WIRE_SIZE",
-    "SchnorrScheme",
-    "HmacScheme",
-    "ThresholdScheme",
-    "KeyPair",
-    "KeyDirectory",
-]

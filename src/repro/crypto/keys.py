@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.scheme import SignatureScheme
-from repro.errors import CryptoError
 
 #: Offset separating TEE signer ids from replica signer ids.
 _TEE_ID_OFFSET = 1_000_000
@@ -22,17 +21,6 @@ _TEE_ID_OFFSET = 1_000_000
 def tee_signer_id(replica: int) -> int:
     """Signer identity of replica ``replica``'s trusted component."""
     return _TEE_ID_OFFSET + replica
-
-
-def replica_of_tee_signer(signer: int) -> int:
-    """Inverse of :func:`tee_signer_id`."""
-    if signer < _TEE_ID_OFFSET:
-        raise CryptoError(f"{signer} is not a TEE signer id")
-    return signer - _TEE_ID_OFFSET
-
-
-def is_tee_signer(signer: int) -> bool:
-    return signer >= _TEE_ID_OFFSET
 
 
 @dataclass(frozen=True)

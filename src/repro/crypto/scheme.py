@@ -2,7 +2,8 @@
 
 A :class:`Signature` carries the signer's identity, mirroring the paper's
 assumption that "a digital signature contains the identity of the signing
-replica or component, which is obtained using sigma.id" (Section 5).
+replica or component, which is obtained using sigma.id" (Section 5):
+here ``signer``.
 
 Schemes are stateful objects holding a key directory: ``keygen`` registers
 a signer, ``sign`` requires that signer's private key, and ``verify`` only
@@ -52,11 +53,6 @@ class Signature(NamedTuple):
     signer: int
     data: bytes
     scheme: str
-
-    @property
-    def id(self) -> int:
-        """Paper notation ``sigma.id``: the identity of the signer."""
-        return self.signer
 
     def wire_size(self) -> int:
         return SIGNATURE_WIRE_SIZE

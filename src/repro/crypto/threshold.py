@@ -6,7 +6,7 @@ ECDSA signature lists instead.  This module provides the threshold
 alternative so the benchmarks can quantify what compact certificates buy
 at large f.
 
-Model: members sign ordinary *shares* with their own keys; ``combine``
+Model: a member's *share* is its ordinary signature, ``base.sign``; ``combine``
 verifies that at least ``threshold`` distinct members contributed valid
 shares and emits a single group signature, an authenticator under a
 group secret that only the scheme object holds.  As with the HMAC
@@ -55,14 +55,6 @@ class ThresholdScheme:
             f"threshold:{group_name}:{sorted(members)}:{threshold}:"
             f"{base.name}:{base.instance_nonce}".encode()
         ).digest()
-
-    # -- shares ------------------------------------------------------------------
-
-    def sign_share(self, signer: int, message: bytes) -> Signature:
-        """A member's share is just its ordinary signature."""
-        if signer not in self.members:
-            raise CryptoError(f"{signer} is not a group member")
-        return self.base.sign(signer, message)
 
     # -- combination ----------------------------------------------------------------
 

@@ -18,16 +18,3 @@ runtime host it bit-identically:
 Admission outcomes are :class:`repro.core.mempool.AdmissionVerdict`
 values, carried back to clients in ``ClientReply``.
 """
-
-from repro.core.mempool import AdmissionVerdict
-from repro.mempool.limiter import SenderRateLimiter, TokenBucket
-from repro.mempool.pool import PriorityMempool
-from repro.mempool.watermark import Watermark
-
-__all__ = [
-    "AdmissionVerdict",
-    "PriorityMempool",
-    "SenderRateLimiter",
-    "TokenBucket",
-    "Watermark",
-]

@@ -305,10 +305,6 @@ class PriorityMempool:
         """Number of resident client transactions."""
         return len(self._residents)
 
-    def pending_bytes(self) -> int:
-        """Bytes (payload + metadata) occupied by resident transactions."""
-        return self._bytes
-
     def resident_keys(self) -> KeysView[tuple[int, int]]:
         """The keys of the resident client transactions, a live view."""
         return self._residents.keys()

@@ -11,32 +11,6 @@ interprets those effects:
   length-prefixed :mod:`repro.core.codec` frames (``repro serve`` /
   ``repro run --runtime tcp``).
 
-This package intentionally re-exports only the runtime-agnostic pieces;
-import the adapters from their own modules so the protocol layer never
-drags in the simulator or asyncio.
+Import each piece from its own module: the package imports nothing, so
+the protocol layer never drags in the simulator or asyncio.
 """
-
-from repro.runtime.effects import (
-    CancelTimer,
-    ChargeCpu,
-    Commit,
-    Effect,
-    Reply,
-    Runtime,
-    Send,
-    SetTimer,
-)
-from repro.runtime.machine import Machine, MachineTimer
-
-__all__ = [
-    "CancelTimer",
-    "ChargeCpu",
-    "Commit",
-    "Effect",
-    "Machine",
-    "MachineTimer",
-    "Reply",
-    "Runtime",
-    "Send",
-    "SetTimer",
-]

@@ -19,17 +19,3 @@ real sockets and closes the crash-recovery loop end-to-end:
   the health samples each ``repro serve`` process writes
   (:func:`repro.runtime.asyncio_net.health_snapshot`).
 """
-
-from repro.runtime.resilience.durable import DurableSealer
-from repro.runtime.resilience.transport import (
-    FaultDecider,
-    FaultRecord,
-    decision_digest,
-)
-
-__all__ = [
-    "DurableSealer",
-    "FaultDecider",
-    "FaultRecord",
-    "decision_digest",
-]

@@ -7,7 +7,7 @@ that implement the partial-synchrony assumption (arbitrary delays before
 GST, bounded by delta after GST).  The actors are sans-I/O machines,
 each seated on the network by :class:`repro.runtime.sim.MachineProcess`.
 
-Public entry points:
+Its modules:
 
 * :class:`~repro.sim.events.Simulator` - the event loop and virtual clock.
 * :class:`~repro.sim.network.Network` - message delivery between processes.
@@ -15,28 +15,3 @@ Public entry points:
 * :mod:`~repro.sim.regions` - AWS-like inter-region RTT data sets.
 * :class:`~repro.sim.monitor.Monitor` - message/byte/latency accounting.
 """
-
-from repro.sim.events import Event, Simulator
-from repro.sim.latency import (
-    ConstantLatency,
-    LatencyModel,
-    MatrixLatency,
-    PartialSynchronyLatency,
-)
-from repro.sim.monitor import Monitor
-from repro.sim.network import Network
-from repro.sim.regions import EU_REGIONS, WORLD_REGIONS, RegionMap
-
-__all__ = [
-    "Event",
-    "Simulator",
-    "Network",
-    "Monitor",
-    "LatencyModel",
-    "ConstantLatency",
-    "MatrixLatency",
-    "PartialSynchronyLatency",
-    "RegionMap",
-    "EU_REGIONS",
-    "WORLD_REGIONS",
-]

@@ -22,14 +22,12 @@ Two calls push an entry, and they differ only in the handle:
 Both draw ``seq`` from the same counter, so which call scheduled an event
 never changes when it fires.
 
-:meth:`Simulator.run` is the one place events fire.  Without
-``max_events`` its loop pops each entry once and makes two tests - the
-time bound (infinite when ``until`` is unset) and the handle (``None`` for
-a posted call) - before the call; an entry past ``until`` goes back on
-the heap unchanged.  With ``max_events`` (tests guarding against runaway
-event chains) it peeks before popping, so the event the bound refuses
-stays pending.  Either way :attr:`Simulator.events_processed` counts each
-event before its callback runs, so a callback reads the exact count.
+:meth:`Simulator.run` is the one place events fire, in one loop.  It pops
+each entry once and makes two tests - the time bound (infinite when
+``until`` is unset) and the handle (``None`` for a posted call) - before
+the call; an entry past ``until`` goes back on the heap unchanged.
+:attr:`Simulator.events_processed` counts each event before its callback
+runs, so a callback reads the exact count.
 
 Times are floats in *milliseconds* of virtual time.  Milliseconds are the
 natural unit for wide-area consensus (inter-region RTTs are tens of ms,
@@ -219,81 +217,41 @@ class Simulator:
 
     # -- running ------------------------------------------------------------
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Process events until the heap drains or a bound is hit.
+    def run(self, until: float | None = None) -> None:
+        """Process events until the heap drains or the clock passes ``until``.
 
         ``until`` stops the clock at that virtual time (events at exactly
-        ``until`` still run).  ``max_events`` bounds the number of callbacks
-        this call fires, which guards tests against accidental infinite
-        event chains; the event the bound refuses stays pending.  A call
-        without ``max_events`` takes a loop that never tests it.
+        ``until`` still run).  One pop, one bound test and one handle test
+        per event: an entry past ``until`` is pushed back unchanged, and
+        since entries are ordered by their unique ``(time, seq)`` keys
+        alone, the heap pops exactly as if it had never left.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         clock = self._wall_clock
         started = clock() if clock is not None else 0.0
+        heap = self._heap
+        limit = _NEVER if until is None else until
         try:
-            if max_events is None:
-                self._run_unbounded(until)
-            else:
-                self._run_bounded(until, max_events)
+            while heap:
+                entry = heappop(heap)
+                time, _, fn, args, event = entry
+                if time > limit:
+                    heappush(heap, entry)
+                    self.now = limit
+                    return
+                if event is not None:
+                    event.sim = None
+                    if event.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                self.now = time
+                self._events_processed += 1
+                fn(*args)
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
             if clock is not None:
                 self._wall_seconds += clock() - started
-
-    def _run_unbounded(self, until: float | None) -> None:
-        """The run loop: one pop, one bound test and one handle test per event.
-
-        An entry past ``until`` is pushed back unchanged: entries are
-        ordered by their unique ``(time, seq)`` keys alone, so the heap
-        pops exactly as if it had never left.
-        """
-        heap = self._heap
-        limit = _NEVER if until is None else until
-        while heap:
-            entry = heappop(heap)
-            time, _, fn, args, event = entry
-            if time > limit:
-                heappush(heap, entry)
-                self.now = limit
-                return
-            if event is not None:
-                event.sim = None
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-            self.now = time
-            self._events_processed += 1
-            fn(*args)
-        if until is not None and until > self.now:
-            self.now = until
-
-    def _run_bounded(self, until: float | None, max_events: int) -> None:
-        """:meth:`_run_unbounded` that refuses the event past ``max_events``."""
-        heap = self._heap
-        fired = 0
-        while heap:
-            time, _, fn, args, event = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                return
-            if event is not None and event.cancelled:
-                heappop(heap)
-                event.sim = None
-                self._cancelled_pending -= 1
-                continue
-            if fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; runaway event chain?"
-                )
-            heappop(heap)
-            if event is not None:
-                event.sim = None
-            self.now = time
-            self._events_processed += 1
-            fired += 1
-            fn(*args)
-        if until is not None and until > self.now:
-            self.now = until

@@ -21,19 +21,3 @@ Services:
   monotonic counter, shown insufficient for streamlined protocols in
   Section 4 (see :mod:`repro.analysis.counterexample`).
 """
-
-from repro.tee.accumulator import AccumulatorService, QCAccumulatorService
-from repro.tee.base import TrustedComponent
-from repro.tee.checker import Checker
-from repro.tee.checker_lock import LockingChecker
-from repro.tee.counter import CounterCertificate, TrustedCounter
-
-__all__ = [
-    "TrustedComponent",
-    "Checker",
-    "LockingChecker",
-    "AccumulatorService",
-    "QCAccumulatorService",
-    "TrustedCounter",
-    "CounterCertificate",
-]

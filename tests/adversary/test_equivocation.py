@@ -1,7 +1,7 @@
 """Safety under equivocating leaders."""
 
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 

@@ -1,6 +1,6 @@
 """Liveness and memory bounds under a flooding adversary."""
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.protocols.replica import MAX_BUFFERED_MESSAGES
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config

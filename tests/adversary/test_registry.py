@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.adversary import ADVERSARIES, adversary_names, get_adversary
+from repro.adversary.registry import ADVERSARIES, adversary_names, get_adversary
 from repro.analysis.campaign import run_cell
 from repro.errors import ConfigError
 from repro.protocols.registry import SPECS, get_spec

@@ -1,6 +1,6 @@
 """Liveness under silent (never-proposing) leaders."""
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 

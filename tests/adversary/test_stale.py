@@ -1,6 +1,6 @@
 """Safety under stale-certificate (understating) leaders."""
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 

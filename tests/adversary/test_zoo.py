@@ -6,7 +6,7 @@ run stays safe, the attack demonstrably fired (its event counters moved),
 and the defending component bounded the damage.
 """
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.adversary.targeted_partition import (
     ATTACK_END_MS,
     leader_isolation_plan,

@@ -5,9 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.adversary import get_adversary
 from repro.adversary.behaviors import Behaviour
-from repro.adversary.registry import HONEST, AdversarySpec
+from repro.adversary.registry import HONEST, AdversarySpec, get_adversary
 from repro.analysis import campaign
 from repro.analysis.campaign import (
     LIVENESS_RATE_SHARE,

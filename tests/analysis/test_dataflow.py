@@ -9,7 +9,10 @@ empty committed baseline - the acceptance criteria of the analyzer.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -740,6 +743,18 @@ def test_registry_has_all_analyze_families():
     assert {"TAINT001", "TAINT002", "TAINT003"} <= ids
     assert {"PURE001", "PURE002"} <= ids
     assert {"ASYNC001", "ASYNC002"} <= ids
+
+
+def test_graph_imports_alone_in_a_fresh_interpreter():
+    """The rule modules import ``graph``, so the engine must not load them on import."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        part for part in (str(REPO_SRC), os.environ.get("PYTHONPATH")) if part
+    )}
+    done = subprocess.run(  # noqa: S603 - this interpreter, a fixed program
+        [sys.executable, "-c", "import repro.analysis.dataflow.graph"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_analyze_rule_raises(tmp_path):

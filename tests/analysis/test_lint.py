@@ -446,28 +446,32 @@ def test_arch_rules_ignore_other_layers(tmp_path):
     assert lint_ids(tmp_path, ["ARCH001", "ARCH002", "ARCH003"]) == []
 
 
+_SHIM = """
+\"\"\"Compatibility shim: the implementation moved to the core.\"\"\"
+
+from __future__ import annotations
+
+from repro.core.rng import RngStream, derive_seed
+
+__all__ = ["RngStream", "derive_seed"]
+"""
+
+
 def test_arch004_module_of_re_exports_only(tmp_path):
-    make_module(
-        tmp_path,
-        "repro.sim.moved",
-        """
-        \"\"\"Compatibility shim: the implementation moved to the core.\"\"\"
+    make_module(tmp_path, "repro.sim.moved", _SHIM)
+    assert lint_ids(tmp_path, ["ARCH004"]) == [("ARCH004", 6)]
 
-        from __future__ import annotations
 
-        from repro.core.rng import RngStream, derive_seed
-
-        __all__ = ["RngStream", "derive_seed"]
-        """,
-    )
+def test_arch004_flags_a_package_init_of_re_exports(tmp_path):
+    """A package's ``__init__.py`` that forwards names is the same forwarding layer."""
+    make_module(tmp_path, "repro.sim.__init__", _SHIM)
     assert lint_ids(tmp_path, ["ARCH004"]) == [("ARCH004", 6)]
 
 
 @pytest.mark.parametrize(
     "module, body",
     [
-        # A package's public face is what __init__.py is for.
-        ("repro.sim.__init__", "from repro.core.rng import RngStream\n__all__ = ['RngStream']\n"),
+        ("repro.__init__", _SHIM + '\n__version__ = "1.0.0"\n'),
         ("repro.sim.one_def", "from repro.core.rng import RngStream\n\nSEED = 7\n"),
         (
             "repro.sim.typed",
@@ -476,9 +480,13 @@ def test_arch004_module_of_re_exports_only(tmp_path):
             "def draw(rng: 'RngStream') -> float:\n    return rng.random()\n",
         ),
         ("repro.sim.empty", '"""Nothing here yet."""\n'),
+        ("repro.sim.__init__", '"""A package of its own modules."""\n'),
         ("elsewhere.shim", "from repro.core.rng import RngStream\n"),
     ],
-    ids=["init", "one-definition", "type-checking-imports", "docstring-only", "outside-repro"],
+    ids=[
+        "init-defining-a-name", "one-definition", "type-checking-imports",
+        "docstring-only", "init", "outside-repro",
+    ],
 )
 def test_arch004_leaves_real_modules_alone(tmp_path, module, body):
     make_module(tmp_path, module, body)

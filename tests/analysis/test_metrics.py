@@ -3,8 +3,6 @@
 import pytest
 
 from repro.analysis.metrics import (
-    Summary,
-    average_improvements,
     improvement_percent,
     latency_decrease_percent,
     mean,
@@ -59,24 +57,3 @@ def test_paper_style_improvements():
     assert throughput_increase_percent(1.875, 1.0) == pytest.approx(87.5)
     assert latency_decrease_percent(55.0, 100.0) == pytest.approx(45.0)
     assert latency_decrease_percent(100.0, 0.0) == 0.0
-
-
-def test_average_improvements_over_thresholds():
-    def s(protocol, f, tput, lat):
-        return Summary(protocol, f, 3, tput, lat, 0.0, 1)
-
-    ours = {1: s("damysus", 1, 20.0, 25.0), 2: s("damysus", 2, 15.0, 30.0)}
-    base = {1: s("hotstuff", 1, 10.0, 50.0), 2: s("hotstuff", 2, 10.0, 60.0)}
-    tput, lat = average_improvements(ours, base)
-    assert tput == pytest.approx((100.0 + 50.0) / 2)
-    assert lat == pytest.approx(50.0)
-
-
-def test_average_improvements_skips_missing_baselines():
-    def s(protocol, f, tput, lat):
-        return Summary(protocol, f, 3, tput, lat, 0.0, 1)
-
-    ours = {1: s("damysus", 1, 20.0, 25.0), 9: s("damysus", 9, 1.0, 1.0)}
-    base = {1: s("hotstuff", 1, 10.0, 50.0)}
-    tput, lat = average_improvements(ours, base)
-    assert tput == pytest.approx(100.0)

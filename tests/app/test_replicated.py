@@ -95,7 +95,7 @@ def test_a_command_submitted_to_a_parked_cluster_commits_within_one_view(everywh
 
 
 def test_convergence_under_byzantine_leader():
-    from repro.adversary import get_adversary
+    from repro.adversary.registry import get_adversary
 
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250, block_size=4),

@@ -59,7 +59,7 @@ def test_create_chain_embeds_justification():
     g = genesis_block()
     qc = genesis_qc(g.hash)
     b = create_chain(qc, 1, (tx(1),))
-    assert b.just is qc
+    assert b.justify is qc
     assert b.parent == qc.hash
     assert b.wire_size() > create_leaf(g.hash, 1, (tx(1),)).wire_size()
 

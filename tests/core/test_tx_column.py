@@ -93,7 +93,7 @@ def test_sizes_keys_and_digest_equal_the_record_definitions(txs):
         (tx.client_id, tx.tx_id) for tx in txs if tx.client_id != SYNTHETIC_CLIENT_ID
     )
     assert payload_digest(block.transactions) == hash_fields(
-        tuple(tx.digest_fields() for tx in txs)
+        tuple((tx.client_id, tx.tx_id, tx.payload_bytes, tx.fee) for tx in txs)
     )
     assert create_leaf(b"\x07" * 32, 3, TxBatch.of(txs)).hash == block.hash
 

@@ -97,14 +97,10 @@ def test_different_signers_produce_different_signatures(scheme):
 
 
 def test_keygen_idempotent(scheme):
-    pub = scheme.public_key(1)
+    before = scheme.sign(1, b"m")
     scheme.keygen(1)
-    assert scheme.public_key(1) == pub
-
-
-def test_public_key_unknown_raises(scheme):
-    with pytest.raises(CryptoError):
-        scheme.public_key(7)
+    assert scheme.sign(1, b"m") == before
+    assert scheme.verify(b"m", before)
 
 
 def test_verify_all_requires_distinct_signers(scheme):

@@ -23,7 +23,7 @@ def scheme():
 
 
 def shares(scheme, signers, message=MSG):
-    return [scheme.sign_share(s, message) for s in signers]
+    return [scheme.base.sign(s, message) for s in signers]
 
 
 def test_combine_and_verify(scheme):
@@ -71,7 +71,7 @@ def test_distinct_groups_do_not_cross_verify():
         base.keygen(s)
     g1 = ThresholdScheme(base, "a", [0, 1, 2], 2)
     g2 = ThresholdScheme(base, "b", [0, 1, 2], 2)
-    sig = g1.combine(MSG, [g1.sign_share(0, MSG), g1.sign_share(1, MSG)])
+    sig = g1.combine(MSG, [base.sign(0, MSG), base.sign(1, MSG)])
     assert not g2.verify_group(MSG, sig)
 
 
@@ -81,8 +81,3 @@ def test_invalid_threshold_rejected():
         ThresholdScheme(base, "g", [0, 1], threshold=3)
     with pytest.raises(CryptoError):
         ThresholdScheme(base, "g", [0, 1], threshold=0)
-
-
-def test_sign_share_requires_membership(scheme):
-    with pytest.raises(CryptoError):
-        scheme.sign_share(9, MSG)

@@ -123,7 +123,7 @@ def test_pool_never_exceeds_caps_under_random_load():
             float(i),
         )
         assert pool.pending() <= 50
-        assert pool.pending_bytes() <= 4_000
+        assert pool.stats()["pending_bytes"] <= 4_000
         if rng.random() < 0.05:
             pool.take_block(float(i))
 
@@ -506,7 +506,7 @@ class PoolModel(RuleBasedStateMachine):
     def occupancy_matches_the_residents(self):
         stats = self.pool.stats()
         assert self.pool.pending() == stats["pending_txs"] == len(self.residents)
-        assert self.pool.pending_bytes() == sum(
+        assert stats["pending_bytes"] == sum(
             t.wire_size() for t, _ in self.residents.values()
         )
         assert (stats["drained"], stats["evicted"], stats["purged"]) == (

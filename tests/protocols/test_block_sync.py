@@ -70,7 +70,7 @@ def test_equivocation_starved_replicas_catch_up_via_sync():
     The replicas that never received the block must still end up with the
     complete executed chain, fetched from peers.
     """
-    from repro.adversary import get_adversary
+    from repro.adversary.registry import get_adversary
 
     system = ConsensusSystem(
         small_config("damysus", f=1, timeout_ms=250),

@@ -5,7 +5,7 @@ protocol's ``_propose``, so every behaviour is checked for all seven."""
 
 import pytest
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.core.mempool import Transaction
 from repro.core.messages import ClientRequest
 from repro.protocols.idle import ParkedProposal

@@ -1,7 +1,7 @@
 """Tests for the BaseReplica plumbing: buffering, staleness, charging."""
 
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.adversary.sync_server import ForgingSyncServer
 from repro.core.block import create_leaf
 from repro.core.mempool import Transaction

@@ -8,7 +8,7 @@ the CI demonstration that attacks work over real TCP.
 
 import pytest
 
-from repro.adversary import get_adversary
+from repro.adversary.registry import get_adversary
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.protocols.registry import get_spec

@@ -107,50 +107,6 @@ def test_run_until_advances_clock_even_with_no_events():
     assert sim.now == 42.0
 
 
-def test_max_events_guard():
-    sim = Simulator()
-
-    def forever():
-        sim.schedule(0.1, forever)
-
-    sim.schedule(0.1, forever)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=100)
-
-
-def test_step_fires_single_event():
-    """``run(max_events=1)`` steps: it fires one event and refuses the next."""
-    sim = Simulator()
-    order = []
-    sim.schedule(1.0, lambda: order.append("a"))
-    sim.schedule(2.0, lambda: order.append("b"))
-    with pytest.raises(SimulationError):
-        sim.run(max_events=1)
-    assert order == ["a"]
-    sim.run(max_events=1)  # the last event: the heap drains, nothing is refused
-    assert order == ["a", "b"]
-    sim.run(max_events=1)  # an empty heap fires nothing
-    assert order == ["a", "b"]
-    assert sim.events_processed == 2
-
-
-def test_step_respects_max_events():
-    """``max_events`` counts the callbacks of one call, not of the simulator."""
-    sim = Simulator()
-    order = []
-    for delay, tag in ((1.0, "a"), (2.0, "b"), (3.0, "c")):
-        sim.schedule(delay, order.append, tag)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=1)
-    assert order == ["a"] and sim.now == 1.0
-    with pytest.raises(SimulationError):
-        sim.run(max_events=1)
-    assert order == ["a", "b"]
-    sim.run(max_events=1)
-    assert order == ["a", "b", "c"]
-    assert sim.events_processed == 3
-
-
 def test_schedule_at_absolute_time():
     sim = Simulator()
     seen = []
@@ -182,33 +138,15 @@ def test_simulator_not_reentrant():
     assert len(errors) == 1
 
 
-def test_step_not_reentrant():
-    """A bounded run refuses re-entry, and is refused inside either loop."""
-    sim = Simulator()
-    errors = []
-
-    def reenter():
-        try:
-            sim.run(max_events=1)
-        except SimulationError as exc:
-            errors.append(exc)
-
-    sim.schedule(1.0, reenter)
-    sim.run()
-    assert len(errors) == 1
-    sim.schedule(1.0, reenter)
-    sim.run(max_events=5)
-    assert len(errors) == 2
-
-
 def test_bounded_run_skips_cancelled_and_updates_counter():
+    """A run bounded by ``until`` drops a cancelled entry it reaches."""
     sim = Simulator()
     fired = []
     cancelled = sim.schedule(1.0, lambda: fired.append("dead"))
     sim.schedule(2.0, lambda: fired.append("live"))
     cancelled.cancel()
     assert sim.cancelled_pending == 1
-    sim.run(max_events=1)
+    sim.run(until=2.0)
     assert fired == ["live"]
     assert sim.cancelled_pending == 0
     assert sim.events_processed == 1
@@ -316,23 +254,6 @@ def test_nan_delay_rejected():
     assert sim.pending == 0
 
 
-def test_max_events_leaves_the_refused_event_pending():
-    sim = Simulator()
-    fired = []
-    for tag in "abc":
-        sim.schedule(1.0, fired.append, tag)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=2)
-    assert fired == ["a", "b"]
-    assert sim.pending == 1
-    with pytest.raises(SimulationError):
-        sim.run(max_events=0)
-    assert sim.pending == 1
-    sim.run()
-    assert fired == ["a", "b", "c"]
-    assert sim.events_processed == 3
-
-
 # -- the heap never compares events ------------------------------------------------
 
 
@@ -401,20 +322,17 @@ def test_post_refuses_the_past_like_schedule():
     assert sim.pending == 0
 
 
-def test_posted_events_under_max_events_and_cancellation():
+def test_posted_events_under_a_time_bound_and_cancellation():
     sim = Simulator()
     fired = []
-    for tag in "abc":
-        sim.post(1.0, fired.append, tag)
-    sim.schedule(1.0, fired.append, "dead").cancel()
+    for tag, delay in (("a", 1.0), ("b", 1.0), ("c", 2.0)):
+        sim.post(delay, fired.append, tag)
+    sim.schedule(2.0, fired.append, "dead").cancel()
     assert (sim.pending, sim.cancelled_pending) == (4, 1)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=2)
+    sim.run(until=1.0)
     assert fired == ["a", "b"]
     assert (sim.pending, sim.cancelled_pending) == (2, 1)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=0)
-    sim.run(max_events=1)  # fires "c", then drops the cancelled entry
+    sim.run()  # fires "c", then drops the cancelled entry
     assert fired == ["a", "b", "c"]
     assert (sim.pending, sim.cancelled_pending, sim.events_processed) == (0, 0, 3)
 
@@ -477,16 +395,8 @@ class _RealWorld:
         _perform(self, behaviour)
         self.log.append(("done", ident, *self.observe()))
 
-    def run(self, until=None, max_events=None):
-        try:
-            self.sim.run(until=until, max_events=max_events)
-        except SimulationError:
-            return "refused"
-        return "ran"
-
-
-#: What the model's ``_next`` returns for an event ``max_events`` refuses.
-_REFUSED = object()
+    def run(self, until=None):
+        self.sim.run(until=until)
 
 
 class _Entry:
@@ -541,9 +451,8 @@ class _ModelWorld:
             self.cancelled_pending = 0
             self.compactions += 1
 
-    def _next(self, until, refuse):
-        """Pop the next live entry; ``None`` when the heap drains or ``until`` is
-        hit, ``_REFUSED`` (the entry left pending) when ``refuse`` is set."""
+    def _next(self, until):
+        """Pop the next live entry; ``None`` when the heap drains or ``until`` is hit."""
         while self.entries:
             entry = min(self.entries, key=lambda e: e.key)
             if until is not None and entry.key[0] > until:
@@ -553,8 +462,6 @@ class _ModelWorld:
                 entry.on_heap = False
                 self.cancelled_pending -= 1
                 continue
-            if refuse:
-                return _REFUSED
             self.entries.remove(entry)
             entry.on_heap = False
             return entry
@@ -567,18 +474,11 @@ class _ModelWorld:
         _perform(self, entry.behaviour)
         self.log.append(("done", entry.ident, *self.observe()))
 
-    def run(self, until=None, max_events=None):
-        fired = 0
-        while (
-            entry := self._next(until, max_events is not None and fired >= max_events)
-        ) is not None:
-            if entry is _REFUSED:
-                return "refused"
+    def run(self, until=None):
+        while (entry := self._next(until)) is not None:
             self._fire(entry)
-            fired += 1
         if until is not None and until > self.now:
             self.now = until
-        return "ran"
 
 
 def _run_program(program):
@@ -601,8 +501,6 @@ def _run_program(program):
                 world.run(until=world.observe()[0] + op[1])
             elif kind == "run":
                 world.run()
-            elif kind == "run_max":
-                world.log.append(("run_max", world.run(max_events=op[1])))
             else:
                 _perform(world, op)
         assert real.log == model.log, op
@@ -632,7 +530,6 @@ _operations = st.one_of(
     _cancels,
     st.tuples(st.just("run_until"), st.sampled_from((*_DELAYS, 5.0))),
     st.just(("run",)),
-    st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=3)),
 )
 
 
@@ -649,7 +546,7 @@ def test_model_agrees_across_a_compaction_triggered_inside_a_callback():
         # Handle 81: cancels a compacted-away event, a pending one (twice),
         # a fired one and itself.
         ("schedule", 0.75, ("cancel", [3, 60, 60, 80, 81])),
-        ("run_max", 1),
+        ("run_until", 0.5),
         ("run_until", 0.5),
         ("run",),
     ]
