@@ -21,6 +21,9 @@ out the faults, and scores the run with three oracles:
   same-duration clean run of the identical configuration, labelled
   ``minimal`` / ``moderate`` / ``severe``.
 
+A safe, live cell whose seated attack fired no event reads ``UNTESTED``,
+not ``PASS``: it tested nothing, though it is still ``ok``.
+
 The honest adversary ``none`` seats nobody, so its cell is the base plan
 alone: ``repro campaign --adversaries none --plans chaos --topologies eu``
 is the honest chaos cell.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from repro.adversary.registry import ADVERSARIES, AdversarySpec, get_adversary
@@ -135,10 +139,14 @@ class CampaignCell:
 
     @property
     def verdict(self) -> str:
+        """UNSAFE, then STALLED, then UNTESTED: a seated attack that fired
+        no event tested nothing, however well the cell went."""
         if not self.safe:
             return "UNSAFE"
         if not self.live_after_heal:
             return "STALLED"
+        if self.attacker_pids and not self.attack_events:
+            return "UNTESTED"
         return "PASS"
 
 
@@ -160,14 +168,6 @@ class CampaignReport:
     @property
     def ok(self) -> bool:
         return all(cell.ok for cell in self.cells)
-
-    @property
-    def unsafe_cells(self) -> list[CampaignCell]:
-        return [cell for cell in self.cells if not cell.safe]
-
-    @property
-    def stalled_cells(self) -> list[CampaignCell]:
-        return [cell for cell in self.cells if cell.safe and not cell.live_after_heal]
 
     def to_dict(self) -> dict:
         cells = []
@@ -216,11 +216,12 @@ class CampaignReport:
             )
         for adversary, protocol in self.skipped:
             lines.append(f"{protocol:10s} {adversary:11s} (skipped: unsupported)")
+        verdicts = Counter(cell.verdict for cell in self.cells)
         lines.append(
             f"{len(self.cells)} cells: "
-            f"{sum(1 for c in self.cells if c.ok)} pass, "
-            f"{len(self.unsafe_cells)} unsafe, "
-            f"{len(self.stalled_cells)} stalled; digest {self.digest()[:16]}"
+            f"{verdicts['PASS']} pass, {verdicts['UNSAFE']} unsafe, "
+            f"{verdicts['STALLED']} stalled, {verdicts['UNTESTED']} untested; "
+            f"digest {self.digest()[:16]}"
         )
         return "\n".join(lines)
 

@@ -146,19 +146,6 @@ class PriorityMempool:
         self.admitted += 1
         return AdmissionVerdict.ACCEPTED
 
-    def add(self, tx: Transaction) -> None:
-        """Legacy unconditioned enqueue (idempotent per key).
-
-        Internal submitters (``ReplicatedApp``, tests) bypass rate
-        limiting and backpressure; the hard caps still hold.
-        """
-        key = (tx.client_id, tx.tx_id)
-        if key in self._seen:
-            return
-        self._insert(tx, key)
-        self._enforce_caps()
-        self.watermark.update(self._fill())
-
     def _insert(self, tx: Transaction, key: tuple[int, int]) -> None:
         self._residents[key] = tx
         lane = self._lanes.get(tx.fee)

@@ -29,7 +29,7 @@ from repro.core import codec
 from repro.core.codec import I64, Opt, wire_size_of
 from repro.core.commitment import Commitment
 from repro.core.executor import Ledger, SafetyOracle
-from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict, Transaction
+from repro.core.mempool import SYNTHETIC_CLIENT_ID, AdmissionVerdict
 from repro.mempool.pool import PriorityMempool
 from repro.core.messages import ClientReply, ClientRequest, CommitmentMsg
 from repro.core.phases import Phase, Step
@@ -116,7 +116,7 @@ class BaseReplica(Machine):
     :class:`~repro.core.clock.Clock` - never from a simulator or socket.
     """
 
-    ENTRY_POINTS = Machine.ENTRY_POINTS + ("dispatch", "advance_view", "execute_block", "submit")
+    ENTRY_POINTS = Machine.ENTRY_POINTS + ("dispatch", "advance_view", "execute_block")
 
     #: The replica's trusted components, if the protocol has them.
     checker: Checker | None = None
@@ -587,13 +587,6 @@ class BaseReplica(Machine):
             self.parked.wake()
         if nacks:
             self._reply(nacks)
-
-    def submit(self, tx: Transaction) -> None:
-        """Queue an in-process command (an application's), without admission
-        control; like an accepted request, it wakes a parked proposal."""
-        self.mempool.add(tx)
-        if self.parked is not None and self.mempool.pending():
-            self.parked.wake()
 
     def _reply(self, sends: list[tuple[int, ClientReply]]) -> None:
         """Answer clients, ``(pid, reply)`` in order, as one :class:`Reply`

@@ -58,11 +58,13 @@ def test_cells_pass_all_three_oracles():
 
 
 def test_colluding_plan_rides_along_with_the_adversary():
-    """sync-forge bundles a victim-crash plan; the cell must still pass."""
+    """sync-forge bundles a victim-crash plan; the cell must still be safe
+    and live.  Nobody asked the forger for a sync here, so it is untested."""
     cell = run_cell(
         "damysus", get_adversary("sync-forge"), "clean", "eu", seed=1
     )
-    assert cell.verdict == "PASS"
+    assert cell.ok
+    assert cell.attack_events == 0 and cell.verdict == "UNTESTED"
     assert cell.healed_at_ms == 2_400.0  # the bundled crash's recovery
 
 
@@ -76,8 +78,8 @@ def test_hotstuff_resynchronizes_after_crash_plus_loss():
         cell = run_cell(
             "hotstuff", get_adversary("sync-forge"), "lossy", topology, seed=1
         )
-        assert cell.verdict == "PASS", topology
-        assert cell.live_after_heal
+        assert cell.ok, topology
+        assert cell.attack_events == 0 and cell.verdict == "UNTESTED", topology
 
 
 def test_liveness_is_a_rate_every_correct_replica_must_sustain(monkeypatch):
@@ -99,7 +101,7 @@ def test_liveness_is_a_rate_every_correct_replica_must_sustain(monkeypatch):
         )
 
     cell = run()
-    assert cell.verdict == "PASS"
+    assert cell.ok and cell.verdict == "UNTESTED"  # the forger is never asked
     assert cell.commit_rate >= 0.9 * cell.baseline_commit_rate
 
     monkeypatch.setattr(ViewSync, "resynchronise", lambda self: None)
@@ -304,18 +306,40 @@ def test_merge_plans_carries_rules_and_crashes_from_both():
     assert merge_plans(base, None).crashes == []
 
 
+def _cell(**fields):
+    """A hand-made cell: an attack at pid 1 that fired once, safe and live."""
+    return CampaignCell(**{
+        "protocol": "damysus", "adversary": "x", "plan": "clean", "topology": "eu",
+        "seed": 1, "safe": True, "violation": None, "live_after_heal": True,
+        "views_to_recover": None, "commit_rate": 0.0, "baseline_commit_rate": 1.0,
+        "healed_at_ms": 0.0, "duration_ms": 1.0, "commits": 0, "baseline_commits": 1,
+        "degradation_ratio": 0.0, "degradation": "severe", "attack_events": 1,
+        "attacker_pids": (1,), "timeouts_fired": 0, **fields,
+    })
+
+
 def test_verdict_precedence_unsafe_beats_stalled():
-    kwargs = dict(
-        protocol="damysus", adversary="x", plan="clean", topology="eu",
-        seed=1, violation=None, views_to_recover=None, commit_rate=0.0,
-        baseline_commit_rate=1.0, healed_at_ms=0.0,
-        duration_ms=1.0, commits=0, baseline_commits=1,
-        degradation_ratio=0.0, degradation="severe", attack_events=0,
-        attacker_pids=(1,), timeouts_fired=0,
-    )
-    unsafe = CampaignCell(safe=False, live_after_heal=False, **kwargs)
-    stalled = CampaignCell(safe=True, live_after_heal=False, **kwargs)
-    passing = CampaignCell(safe=True, live_after_heal=True, **kwargs)
+    unsafe = _cell(safe=False, live_after_heal=False)
+    stalled = _cell(live_after_heal=False)
+    passing = _cell()
     assert unsafe.verdict == "UNSAFE" and not unsafe.ok
     assert stalled.verdict == "STALLED" and not stalled.ok
     assert passing.verdict == "PASS" and passing.ok
+    assert _cell(live_after_heal=False, attack_events=0).verdict == "STALLED"
+
+
+def test_an_attack_that_never_fired_reads_untested():
+    """Safe and live, but a seated attack with no event tested nothing.
+    The honest cell seats nobody and still reads PASS; the digest hashes
+    the cell's fields, not the verdict, so equal cells give equal digests."""
+    idle = _cell(attack_events=0)
+    honest = _cell(adversary="none", attacker_pids=(), attack_events=0)
+    assert idle.verdict == "UNTESTED" and idle.ok
+    assert honest.verdict == "PASS" and honest.ok
+
+    def report(*cells):
+        return campaign.CampaignReport(1, 30, ("damysus",), (), ("clean",), ("eu",), list(cells))
+
+    assert report(idle, honest).digest() == report(replace(idle), replace(honest)).digest()
+    assert report(idle, honest).ok
+    assert "2 cells: 1 pass, 0 unsafe, 0 stalled, 1 untested" in report(idle, honest).describe()

@@ -8,6 +8,7 @@ from repro.core import mempool as mempool_mod
 from repro.core.mempool import (
     SYNTHETIC_CLIENT_ID,
     TX_METADATA_BYTES,
+    AdmissionVerdict,
     Transaction,
     TxBatch,
     payload_digest,
@@ -127,8 +128,8 @@ def test_open_loop_synthetic_ids_unique():
 
 def test_closed_loop_blocks_limited_to_queue():
     pool = PriorityMempool(payload_bytes=0, block_size=5, open_loop=False)
-    pool.add(Transaction(1, 1, 0))
-    pool.add(Transaction(1, 2, 0))
+    assert pool.admit(Transaction(1, 1, 0), 0.0) is AdmissionVerdict.ACCEPTED
+    assert pool.admit(Transaction(1, 2, 0), 0.0) is AdmissionVerdict.ACCEPTED
     block = pool.take_block(0.0)
     assert len(block) == 2
     assert pool.pending() == 0
@@ -138,14 +139,14 @@ def test_closed_loop_blocks_limited_to_queue():
 def test_closed_loop_respects_block_size():
     pool = PriorityMempool(payload_bytes=0, block_size=3, open_loop=False)
     for i in range(10):
-        pool.add(Transaction(1, i, 0))
+        assert pool.admit(Transaction(1, i, 0), 0.0) is AdmissionVerdict.ACCEPTED
     assert len(pool.take_block(0.0)) == 3
     assert pool.pending() == 7
 
 
 def test_open_loop_prefers_queued_client_txs():
     pool = PriorityMempool(payload_bytes=0, block_size=3, open_loop=True)
-    pool.add(Transaction(7, 99, 0))
+    assert pool.admit(Transaction(7, 99, 0), 0.0) is AdmissionVerdict.ACCEPTED
     block = pool.take_block(0.0)
     assert block[0].client_id == 7
     assert len(block) == 3

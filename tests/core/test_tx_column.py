@@ -171,7 +171,7 @@ def test_a_field_outside_its_wire_range_is_refused_by_name_when_the_block_is_bui
         create_leaf(b"\x07" * 32, 1, (Transaction(0, 0, 0), bad))
     # The simulator's leaders build blocks from their pools the same way.
     pool = PriorityMempool(payload_bytes=0, block_size=4, open_loop=False)
-    pool.add(bad)
+    assert pool.admit(bad, 0.0) is AdmissionVerdict.ACCEPTED
     with pytest.raises(CodecError, match="out of range"):
         pool.take_block(0.0)
 

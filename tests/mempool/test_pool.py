@@ -271,15 +271,6 @@ def test_stats_counters_are_consistent():
     assert stats["pending_txs"] == stats["admitted"] - stats["drained"] - stats["evicted"]
 
 
-def test_legacy_add_is_unconditioned_but_capped():
-    pool = closed_pool(max_txs=3, rate_limit_per_ms=0.000001, rate_burst=1.0)
-    for i in range(5):
-        pool.add(tx(0, i))  # bypasses the rate limiter entirely
-    assert pool.pending() == 3
-    pool.add(tx(0, 4))  # idempotent per key
-    assert pool.pending() == 3
-
-
 # -- the chain talks back: purge on commit, drain around ancestors -----------
 
 

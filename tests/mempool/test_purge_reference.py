@@ -46,7 +46,6 @@ POOLS = st.fixed_dictionaries({
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("admit"), KEYS, st.sampled_from([0, 16, 64]), st.integers(0, 3)),
-        st.tuples(st.just("add"), KEYS, st.sampled_from([0, 16, 64]), st.integers(0, 3)),
         st.tuples(st.just("take"), st.sets(KEYS, max_size=4)),
         st.tuples(st.just("purge"), st.lists(KEYS, max_size=6)),
         st.tuples(st.just("lose")),
@@ -82,14 +81,10 @@ def test_the_pool_decides_as_when_every_purged_key_was_re_added(config, ops):
     pool, reference = _pool(PriorityMempool, config), _pool(ReferencePool, config)
     now = 0.0
     for op in ops:
-        if op[0] in ("admit", "add"):
+        if op[0] == "admit":
             (client, tx_id), payload, fee = op[1:]
             tx = Transaction(client, tx_id, payload, now, fee)
-            if op[0] == "admit":
-                assert pool.admit(tx, now) is reference.admit(tx, now)
-            else:
-                pool.add(tx)
-                reference.add(tx)
+            assert pool.admit(tx, now) is reference.admit(tx, now)
         elif op[0] == "take":
             taken = pool.take_block(now, op[1])
             assert taken.packed == reference.take_block(now, op[1]).packed

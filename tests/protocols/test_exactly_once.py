@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.block import create_leaf
 from repro.core.faults import FaultPlan
-from repro.core.mempool import Transaction
+from repro.core.mempool import AdmissionVerdict, Transaction
 from repro.protocols.registry import SPECS
 from repro.runtime.effects import Commit
 from repro.runtime.sim import ConsensusSystem
@@ -125,7 +125,7 @@ def test_block_recarrying_an_applied_key_is_not_answered_twice():
     second = create_leaf(first.hash, 2, (Transaction(0, 0, 0), Transaction(0, 1, 0)))
     for block in (first, second):
         replica.store.add(block)
-        replica.mempool.add(block.transactions[-1])
+        assert replica.mempool.admit(block.transactions[-1], 0.0) is AdmissionVerdict.ACCEPTED
 
     def replies(effects):
         return [(reply.tx_id, reply.verdict.value) for _dest, reply in client_replies(effects)]

@@ -17,17 +17,6 @@ from repro.runtime.sim import ConsensusSystem
 from tests.conftest import run_cluster, tcp_config
 
 
-def root_at(ledger, height):
-    """Recompute a ledger's rolling root at a retained height, else None."""
-    base = ledger.base_height
-    if height < base or height > ledger.height():
-        return None
-    root = ledger.base_state_root
-    for block in ledger.executed[: height - base]:
-        root = fold_state_root(root, block.hash)
-    return root.hex()
-
-
 def late_starter_cluster(**overrides):
     """Four Damysus replicas with checkpointing on; replica 3 starts 2 s late."""
     cluster = LocalCluster(
@@ -46,7 +35,7 @@ def late_starter_cluster(**overrides):
     for i, pid in enumerate(pids):
         for other in pids[i + 1 :]:
             height = min(ledgers[pid].height(), ledgers[other].height())
-            a, b = root_at(ledgers[pid], height), root_at(ledgers[other], height)
+            a, b = ledgers[pid].state_root_at(height), ledgers[other].state_root_at(height)
             if a is not None and b is not None:
                 assert a == b, f"state roots diverge at height {height}"
                 checked.append((pid, other))
@@ -109,6 +98,6 @@ def test_cross_runtime_checkpoint_digest_equivalence():
         sim_root = genesis_block().hash
         for block_hash in sim_chain[:h]:
             sim_root = fold_state_root(sim_root, block_hash)
-        net_root = root_at(net_ledger, h)
+        net_root = net_ledger.state_root_at(h)
         assert net_root is not None
-        assert sim_root.hex() == net_root
+        assert sim_root == net_root

@@ -41,12 +41,6 @@ def test_chained_pipeline(capsys):
     assert "pipeline" in out
 
 
-def test_replicated_kvstore(capsys):
-    out = run_example("replicated_kvstore", capsys)
-    assert "all replicas converged" in out
-    assert "logins=3" in out
-
-
 def test_chaos_run(capsys):
     out = run_example("chaos_run", capsys)
     assert "verdict              PASS" in out
