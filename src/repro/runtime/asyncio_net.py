@@ -8,7 +8,7 @@ run here unchanged against real sockets and wall-clock timers:
 * :class:`AsyncioRuntime` is one machine's seat on an event loop.  It
   interprets effect lists onto per-peer outbound queues (length-prefixed
   frames over :mod:`repro.core.codec`, see :mod:`repro.runtime.framing`)
-  and ``loop.call_later`` timers.  The ``ClientRequest`` / ``ClientReply``
+  and exact timers (:class:`_Deadline`).  The ``ClientRequest`` / ``ClientReply``
   rows an effect list has for one peer travel as one packed frame (a
   column of the rows, :class:`~repro.core.codec.Packed`), in the peer's
   order; a :class:`~repro.runtime.effects.Reply` adds its replies to
@@ -19,6 +19,11 @@ run here unchanged against real sockets and wall-clock timers:
   writes what is queued in one go (up to the stream's high-water mark).
   The counters count messages, not frames.  Real CPUs charge themselves, so
   a replica is seated with a zero cost model and ``ChargeCpu`` is a no-op.
+  A machine timer, and a frame a fault decider delays, fire no earlier
+  than their deadline and about one loop turn after it: the loop sleeps
+  to within :data:`_SELECT_RESOLUTION_S` of the deadline, then polls the
+  rest on turns that do not block (``select(0)``, so I/O keeps flowing).
+  That poll keeps the loop busy for up to a millisecond per timer.
 * :class:`LocalCluster` seats one :class:`~repro.config.SystemConfig` on
   localhost as the simulator seats it (replicas, then its clients);
   ``repro run --runtime tcp`` (with or without ``--rate`` clients) and
@@ -60,10 +65,12 @@ import collections
 import contextlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from repro.config import SystemConfig
 from repro.core.clock import Clock
@@ -122,6 +129,11 @@ _RECV_CHUNK = 64 * 1024
 #: Frames queued per peer before the oldest is shed for the newest.
 MAX_OUTBOUND_QUEUE = 10_000
 
+#: The selector's resolution (seconds): epoll waits in whole milliseconds,
+#: rounded up, so a ``call_later`` wakes up to this much late.  A
+#: :class:`_Deadline` sleeps only to this margin short of its deadline.
+_SELECT_RESOLUTION_S = 0.001
+
 
 class WallClock:
     """Monotonic wall-clock milliseconds, zeroed at construction."""
@@ -132,6 +144,41 @@ class WallClock:
     @property
     def now(self) -> float:
         return (time.monotonic() - self._t0) * 1000.0
+
+
+class _Deadline:
+    """``callback`` run on the loop no earlier than ``delay_ms`` from now.
+
+    A coarse ``call_at`` sleeps to :data:`_SELECT_RESOLUTION_S` short of
+    the deadline; from there :meth:`_check` re-arms itself at zero delay,
+    one full loop turn at a time (I/O included), until the deadline has
+    passed.  A zero delay fires on the next turn after that turn's I/O,
+    as ``call_later(0)`` does.  :attr:`handle` is the stage armed now, so
+    :meth:`cancel` stops the callback in either stage.  A NaN delay is
+    refused (the poll would never end); a negative one is zero.
+    """
+
+    __slots__ = ("_loop", "_deadline", "_callback", "handle")
+
+    def __init__(self, delay_ms: float, callback: Callable[[], None]) -> None:
+        if math.isnan(delay_ms):
+            raise ValueError(f"cannot wait for a NaN delay (delay_ms={delay_ms})")
+        loop = self._loop = asyncio.get_running_loop()
+        now = loop.time()
+        self._deadline = now + max(delay_ms, 0.0) / 1000.0
+        self._callback = callback
+        self.handle: asyncio.TimerHandle = loop.call_at(
+            max(self._deadline - _SELECT_RESOLUTION_S, now), self._check
+        )
+
+    def _check(self) -> None:
+        if self._loop.time() < self._deadline:
+            self.handle = self._loop.call_later(0, self._check)
+        else:
+            self._callback()
+
+    def cancel(self) -> None:
+        self.handle.cancel()
 
 
 class _Outbox:
@@ -212,8 +259,8 @@ class AsyncioRuntime:
         self._flushing: dict[int, list[bytes]] | None = None
         self._sender_tasks: dict[int, asyncio.Task[None]] = {}
         self._inbound: set[asyncio.BaseTransport] = set()
-        self._timers: dict[int, asyncio.TimerHandle] = {}
-        self._delayed: set[asyncio.TimerHandle] = set()
+        self._timers: dict[int, _Deadline] = {}
+        self._delayed: set[_Deadline] = set()
         self._closed = False
         self._machine_started = False
         # Seeded jitter for reconnect backoff: deterministic per
@@ -257,11 +304,11 @@ class AsyncioRuntime:
         tests).
         """
         self._closed = True
-        for handle in self._timers.values():
-            handle.cancel()
+        for timer in self._timers.values():
+            timer.cancel()
         self._timers.clear()
-        for handle in self._delayed:
-            handle.cancel()
+        for later in self._delayed:
+            later.cancel()
         self._delayed.clear()
         # Detach all shared teardown state *before* the first await: a
         # concurrent or re-entrant close() then finds nothing left to
@@ -306,9 +353,9 @@ class AsyncioRuntime:
                 elif type(effect) is SetTimer:
                     self._arm_timer(effect.timer_id, effect.delay_ms)
                 elif type(effect) is CancelTimer:
-                    handle = self._timers.pop(effect.timer_id, None)
-                    if handle is not None:
-                        handle.cancel()
+                    timer = self._timers.pop(effect.timer_id, None)
+                    if timer is not None:
+                        timer.cancel()
                 elif type(effect) is Reply:
                     for dest, reply in effect.sends:
                         self._send(dest, reply, frames, groups, rows)
@@ -372,7 +419,7 @@ class AsyncioRuntime:
             return
         frame = _framed(payload, frames)
         for _ in range(copies):
-            if delay_ms > 0.0:
+            if not delay_ms <= 0.0:  # NaN too: _enqueue_later refuses it
                 self._enqueue_later(dest, frame, delay_ms)
             else:
                 self._enqueue(dest, frame)
@@ -453,16 +500,12 @@ class AsyncioRuntime:
         outbox.wake.set()
 
     def _enqueue_later(self, dest: int, frame: bytes, delay_ms: float) -> None:
-        handle_box: list[asyncio.TimerHandle] = []
-
         def deliver() -> None:
-            if handle_box:
-                self._delayed.discard(handle_box[0])
+            self._delayed.discard(later)
             self._enqueue(dest, frame)
 
-        handle = asyncio.get_running_loop().call_later(delay_ms / 1000.0, deliver)
-        handle_box.append(handle)
-        self._delayed.add(handle)
+        later = _Deadline(delay_ms, deliver)
+        self._delayed.add(later)
 
     def _backoff_jitter(self, dest: int, backoff: float) -> float:
         rng = self._reconnect_rng.get(dest)
@@ -543,9 +586,7 @@ class AsyncioRuntime:
             if not self._closed:
                 self.machine.on_timer(timer_id)
 
-        self._timers[timer_id] = asyncio.get_running_loop().call_later(
-            max(delay_ms, 0.0) / 1000.0, fire
-        )
+        self._timers[timer_id] = _Deadline(delay_ms, fire)
 
 
 class _Inbound(asyncio.BufferedProtocol):
