@@ -3,7 +3,7 @@
 Every function returns an :class:`ExperimentReport` carrying the raw data
 points plus a ``render()`` for human-readable output.  Scale parameters
 (fault thresholds, repetitions, views) default to values that keep the
-whole benchmark suite tractable on a laptop; pass the paper's values
+calls tractable on a laptop; pass the paper's values
 (``thresholds=[1,2,4,10,20,30,40]``, ``repetitions=100``,
 ``views_per_run=30``) for a full-scale reproduction.
 """

@@ -2,8 +2,8 @@
 
 The paper runs 100 repetitions of 30 views per data point on EC2; a
 deterministic simulator needs far fewer repetitions for stable averages,
-so the defaults here are intentionally smaller (and every benchmark
-documents its scale).  Pass larger ``repetitions`` / ``views_per_run``
+so the defaults here are intentionally smaller (and every caller
+states its scale).  Pass larger ``repetitions`` / ``views_per_run``
 for paper-scale runs.
 """
 

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.bench.experiments import fig6, fig9, table1_experiment
+from repro.analysis.complexity import expected_messages
+from repro.bench.experiments import ALL_PROTOCOLS, fig6, fig9, table1_experiment
 
 
-def test_table1_experiment_measured_matches_analytic():
-    report = table1_experiment(f=1, views_per_run=6)
+@pytest.mark.parametrize("f", [1, 2, 4])
+def test_table1_experiment_measured_matches_analytic(f):
+    report = table1_experiment(f=f, views_per_run=6)
     measured = report.data["measured"]
-    from repro.analysis.complexity import expected_messages
-
+    assert set(measured) == set(ALL_PROTOCOLS)
     for protocol, value in measured.items():
-        assert value == pytest.approx(expected_messages(protocol, 1), rel=0.05)
+        assert value == pytest.approx(expected_messages(protocol, f), rel=0.05)
 
 
 def test_table1_render_contains_all_rows():

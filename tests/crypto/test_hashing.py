@@ -73,6 +73,7 @@ def test_tuple_records_are_not_sequences():
 def test_hash_fields_stable():
     fields = ("commit", b"\x01" * 32, 5, None, "prep_p")
     assert hash_fields(fields) == hash_fields(fields)
+    assert len(hash_fields(fields)) == HASH_SIZE
 
 
 def test_hash_block_fields_depends_on_parent():

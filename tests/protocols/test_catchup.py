@@ -129,6 +129,41 @@ def test_replica_partitioned_for_10k_views_rejoins():
     assert system.oracle.monotone_prefixes_ok()
 
 
+def _rejoin(missed, interval):
+    """Crash the last replica for ``missed`` committed views, recover it,
+    and return it once it is back within ``CATCHUP_VIEW_GAP`` views."""
+    system = ConsensusSystem(
+        small_config("damysus", checkpoint_interval=interval, block_size=1, seed=11)
+    )
+    system.start()
+    system.run_until_views(5, max_time_ms=600_000)
+    victim = system.replicas[-1].pid
+    system.crash_replicas([victim])
+    base = len(system.monitor.committed_views())
+    system.run_until_views(base + missed, max_time_ms=missed * 10_000.0)
+    system.recover_replicas([victim])
+    recovered = system.replicas[victim]
+    deadline = system.sim.now + missed * 200.0
+    while system.sim.now < deadline:
+        system.sim.run(until=system.sim.now + 500.0)
+        if recovered.viewsync.view_lag() <= CATCHUP_VIEW_GAP:
+            break
+    assert recovered.viewsync.view_lag() <= CATCHUP_VIEW_GAP, "never rejoined"
+    assert system.oracle.safe
+    return recovered
+
+
+def test_checkpoint_transfer_replays_less_than_a_full_replay():
+    """With checkpoints the rejoiner replays the suffix above one; without
+    (an interval beyond the run), the whole missed suffix."""
+    missed = 100
+    ckpt = _rejoin(missed, interval=50)
+    replay = _rejoin(missed, interval=1_000_000)
+    assert ckpt.caught_up_via_checkpoint and not replay.caught_up_via_checkpoint
+    assert len(replay.ledger.executed) > missed
+    assert len(ckpt.ledger.executed) < min(missed, len(replay.ledger.executed) / 2)
+
+
 def test_catchup_requester_backs_off_and_gives_up(monkeypatch):
     monkeypatch.setattr(sync, "CATCHUP_TIMEOUT_MS", 100.0)
     monkeypatch.setattr(sync, "CATCHUP_MAX_RETRIES", 4)
